@@ -112,6 +112,16 @@ fn with_engine_scratch<R>(f: impl FnOnce(&mut ScratchSpace) -> R) -> R {
     ENGINE_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
+/// Fewest questions each spawned thread of [`ServiceSnapshot::answer_batch`]
+/// must get for spawning to pay. A spawned thread costs a spawn and a join
+/// (tens of µs) and starts on an empty thread-local [`ScratchSpace`], whose
+/// buffers its first questions grow allocation by allocation; the caller's
+/// scratch is warm and answers a question in a few µs with no allocation.
+/// At 64 questions a thread has an order of magnitude more work than its
+/// own overhead; below that (a streamed `/batch` computes 16-question
+/// lanes) the caller is faster alone.
+const BATCH_MIN_QUESTIONS_PER_THREAD: usize = 64;
+
 /// Stable worker-lane affinity for a batch request: a deterministic hash of
 /// the raw question bytes, so repeated questions always land on the same
 /// scatter-gather lane (warm per-lane value caches) without allocating.
@@ -672,11 +682,13 @@ impl ServiceSnapshot {
     }
 
     /// Answer a batch of requests under this snapshot's model, fanning out
-    /// across a scoped thread pool.
+    /// across scoped threads when the batch is large enough to pay for them
+    /// (at least 64 questions per thread) and on the calling thread's warm
+    /// [`ScratchSpace`] otherwise.
     ///
     /// Responses are returned in request order and are identical to what
     /// sequential [`ServiceSnapshot::answer`] calls would produce: requests
-    /// are independent, so the pool only amortizes engine setup and buys
+    /// are independent, so the threads only amortize engine setup and buy
     /// wall-clock parallelism. The whole batch answers under one model
     /// epoch.
     pub fn answer_batch(&self, requests: &[QaRequest]) -> Vec<QaResponse> {
@@ -685,11 +697,16 @@ impl ServiceSnapshot {
                 return self.answer_batch_sharded(router, requests);
             }
         }
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(requests.len())
-            .min(16);
+        // The batch-size bound comes first: `available_parallelism` reads
+        // the affinity mask and cgroup files, which a small batch — every
+        // lane of a streamed `/batch` — has no reason to pay for.
+        let workers = match (requests.len() / BATCH_MIN_QUESTIONS_PER_THREAD).min(16) {
+            0 | 1 => 1,
+            by_size => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(by_size),
+        };
         if workers <= 1 {
             // One engine and one scratch for the whole batch.
             return with_engine_scratch(|scratch| {

@@ -1,23 +1,34 @@
 //! An event-driven HTTP/1.1 server on raw epoll readiness — no async
 //! runtime, no external HTTP crate.
 //!
-//! Architecture (PR 5, replacing the PR 2 thread-per-connection loop): a
-//! small fixed pool of **event-loop threads** each runs a level-triggered
-//! [`crate::epoll`] instance. The shared listener is registered in every
-//! loop with `EPOLLEXCLUSIVE`, so accepts spread across loops without a
-//! thundering herd. Each accepted connection is owned by exactly one loop
-//! and driven through a nonblocking state machine:
+//! Architecture: a small fixed pool of **event-loop threads** each runs a
+//! level-triggered [`crate::epoll`] instance. The shared listener is
+//! registered in every loop with `EPOLLEXCLUSIVE`, so accepts spread across
+//! loops without a thundering herd. Each accepted connection is owned by
+//! exactly one loop and driven through a nonblocking state machine:
 //!
 //! ```text
-//! Idle ── first byte ──▶ Reading ── full request ──▶ Dispatched
-//!  ▲                                                     │ worker pool
-//!  └────────── keep-alive ◀── Writing ◀── completion ────┘
+//!            ┌──────── POST /answer: run to completion ────────┐
+//!            │                                                 ▼
+//! Idle ── first byte ──▶ Reading ── full request ──▶ Dispatched ──▶ Writing
+//!  ▲                                   (other routes) │ worker pool    │
+//!  └────────────────────── keep-alive ◀───────────────┴────────────────┘
 //! ```
 //!
-//! Fully-read requests are handed to the existing **worker pool** (a
-//! `Mutex<VecDeque>` + `Condvar`, exactly as before), so every worker keeps
-//! its thread-local [`kbqa_core::engine::ScratchSpace`] and the PR 4
-//! allocation-free kernel path is untouched. Workers push finished
+//! `POST /answer` **runs to completion on the loop thread that read it**:
+//! parse, cache probe, kernel, serialize and the socket write all happen
+//! before the loop returns to `epoll_wait`, so a keep-alive question costs
+//! one thread and three syscalls (`epoll_wait`, `read`, `write`) — the work
+//! is 2–10 µs, far less than a cross-thread handoff. Every loop thread
+//! therefore owns a thread-local [`kbqa_core::engine::ScratchSpace`], just
+//! as the workers do, and the allocation-free kernel path is untouched. The
+//! one exception is a service whose shard router is remote (out-of-process
+//! lanes): a lookup there can block for `worker_deadline_ms`, so its
+//! `/answer`s go to the worker pool like everything else.
+//!
+//! Every other route — `/batch` in both framings, `/admin/reload`,
+//! `/metrics`, `/healthz`, `/cache/stats`, `/debug/slow` — is handed to the
+//! **worker pool** (a `Mutex<VecDeque>` + `Condvar`). Workers push finished
 //! responses onto the owning loop's completion queue and wake it through an
 //! `eventfd`; the loop writes response bytes with nonblocking writes
 //! (waiting on `EPOLLOUT` only when the socket pushes back).
@@ -38,11 +49,13 @@
 //!   bound as the old bounded accept queue (workers each held one
 //!   connection, plus `max_pending` queued).
 //! * **Route-level** (dispatch time, per-route priority): when the worker
-//!   queue is [`ServerConfig::max_queued`] deep, `POST /answer` and
-//!   `POST /batch` are shed with `429` while `/healthz`, `/metrics`,
-//!   `/cache/stats` and `/admin/reload` still go through — under overload
-//!   the control plane stays reachable while the data plane degrades to
-//!   fast, honest rejections.
+//!   queue is [`ServerConfig::max_queued`] deep, `POST /batch` (and
+//!   `POST /answer` on a remote-lane fleet, the only `/answer` that queues)
+//!   is shed with `429` while `/healthz`, `/metrics`, `/cache/stats` and
+//!   `/admin/reload` still go through — under overload the control plane
+//!   stays reachable while the data plane degrades to fast, honest
+//!   rejections. A loop-served `/answer` never queues, so it is never shed
+//!   here and never waits behind a batch.
 //!
 //! Protocol coverage is unchanged from the blocking server and pinned
 //! byte-identical by the test suite: request line + headers
@@ -51,7 +64,7 @@
 //! per-connection request caps, `501` on `Transfer-Encoding`, `400` on
 //! conflicting `Content-Length`s, `413`/`431` size guards. Pipelined
 //! requests are served in order (the parse buffer simply carries the next
-//! request).
+//! request; the loop iterates over it, however many requests it holds).
 //!
 //! The serving edge is allocation-lean (PR 10): responses render through
 //! [`kbqa_core::service::QaResponse::serialize_into`] into reused buffers
@@ -99,11 +112,13 @@ use crate::supervisor::{splitmix64, Supervisor, SupervisorConfig};
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads (request compute). `0` means auto:
+    /// Worker threads: compute for every route except loop-served
+    /// `POST /answer` (`/batch`, reloads, observability). `0` means auto:
     /// `available_parallelism`, clamped to `[2, 8]`.
     pub workers: usize,
-    /// Event-loop threads (connection I/O). `0` means auto: half the CPUs,
-    /// clamped to `[1, 4]`.
+    /// Event-loop threads: connection I/O *and* `POST /answer` compute,
+    /// which runs to completion on the loop that read it. `0` means auto:
+    /// `available_parallelism`, clamped to `[1, 8]`.
     pub event_loops: usize,
     /// Largest accepted request body, bytes.
     pub max_body_bytes: usize,
@@ -129,9 +144,12 @@ pub struct ServerConfig {
     /// queue). `0` disables connection shedding.
     pub max_pending: usize,
     /// Route-level admission (per-route priority): when this many parsed
-    /// requests are queued for the worker pool, `POST /answer` and
-    /// `POST /batch` are shed with `429` while observability and admin
-    /// routes still dispatch. `0` disables route shedding.
+    /// requests are queued for the worker pool, `POST /batch` is shed with
+    /// `429` while observability and admin routes still dispatch.
+    /// `POST /answer` is answered on the event loop and never queues, so it
+    /// is not sheddable here — except on a remote-lane fleet
+    /// (`shard_workers > 0`), whose `/answer`s use the pool and shed with
+    /// `/batch`. `0` disables route shedding.
     pub max_queued: usize,
     /// The `Retry-After` value (seconds) sent with shed responses.
     pub retry_after_secs: u64,
@@ -398,11 +416,12 @@ impl ServerConfig {
         if self.event_loops > 0 {
             return self.event_loops;
         }
-        (std::thread::available_parallelism()
+        // Loops carry `/answer` compute, so they scale with the CPUs, not
+        // with half of them.
+        std::thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(2)
-            / 2)
-        .clamp(1, 4)
+            .unwrap_or(1)
+            .clamp(1, 8)
     }
 
     /// The supervisor tuning this server config implies. Errors when
@@ -477,6 +496,17 @@ impl ServiceSlot {
     fn swap(&self, next: KbqaService) {
         let mut slot = self.0.write().unwrap_or_else(|poison| poison.into_inner());
         *slot = Arc::new(next);
+    }
+
+    /// Whether value lookups leave the process (a shard router over
+    /// out-of-process lanes). Such a lookup can block for
+    /// `worker_deadline_ms`, which an event loop must never do.
+    fn has_remote_lanes(&self) -> bool {
+        self.0
+            .read()
+            .unwrap_or_else(|poison| poison.into_inner())
+            .shard_router()
+            .is_some_and(|router| !router.is_local())
     }
 }
 
@@ -558,6 +588,64 @@ struct Shared {
 }
 
 impl Shared {
+    /// Everything [`serve`] shares between its threads, sized from `config`:
+    /// per-loop completion queues, serving-side observability, and the
+    /// shard-serving topology (which may spawn the worker-process tier).
+    fn new(service: KbqaService, config: ServerConfig) -> io::Result<Self> {
+        let workers = config.effective_workers();
+        let loops = config.effective_event_loops();
+
+        let mut loop_shared = Vec::with_capacity(loops);
+        for _ in 0..loops {
+            loop_shared.push(LoopShared {
+                completions: Mutex::new(Vec::new()),
+                wake: WakeFd::new()?,
+            });
+        }
+        // The server owns serving-side observability: stage traces land in the
+        // metrics' histograms (replacing any sink the caller installed), and
+        // requests asking to `explain` always arm regardless of sampling.
+        let metrics = Metrics::new();
+        let observability = Arc::new(Observability::new(
+            metrics.stage_stats(),
+            config.trace_sample_every,
+        ));
+        let service = service.with_observability(Arc::clone(&observability));
+        // Shard-serving topology, in precedence order: a router the service
+        // already carries (warm-started from a sharded bundle) wins; then
+        // `KBQA_SHARD_WORKERS` spawns the supervised out-of-process worker
+        // tier; then `KBQA_SHARDS` partitions in-process at startup.
+        let (service, supervisor) = if service.shard_router().is_some() {
+            (service, None)
+        } else if config.shard_workers > 0 {
+            let supervisor = Supervisor::start(config.supervisor_config()?, service.model_epoch())?;
+            let service = service.with_shard_router(supervisor.router());
+            (service, Some(supervisor))
+        } else if config.shards > 0 {
+            let service = service.with_shards(kbqa_core::ShardPlan::new(config.shards));
+            (service, None)
+        } else {
+            (service, None)
+        };
+        Ok(Shared {
+            state: AppState {
+                service: ServiceSlot::new(service),
+                cache: AnswerCache::new(config.cache.clone()),
+                metrics,
+                slow: SlowQueryLog::new(config.slow_log_capacity),
+                observability,
+            },
+            jobs: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            workers_exit: AtomicBool::new(false),
+            loops: loop_shared,
+            workers,
+            config,
+            supervisor: Mutex::new(supervisor),
+        })
+    }
+
     /// Lock the job queue, tolerating poison: the queue is a plain
     /// `VecDeque`, always consistent between push/pop, so a panicking
     /// worker must not take down its peers or the event loops.
@@ -609,58 +697,8 @@ pub fn serve(
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let listener = Arc::new(listener);
-    let workers = config.effective_workers();
-    let loops = config.effective_event_loops();
-
-    let mut loop_shared = Vec::with_capacity(loops);
-    for _ in 0..loops {
-        loop_shared.push(LoopShared {
-            completions: Mutex::new(Vec::new()),
-            wake: WakeFd::new()?,
-        });
-    }
-    // The server owns serving-side observability: stage traces land in the
-    // metrics' histograms (replacing any sink the caller installed), and
-    // requests asking to `explain` always arm regardless of sampling.
-    let metrics = Metrics::new();
-    let observability = Arc::new(Observability::new(
-        metrics.stage_stats(),
-        config.trace_sample_every,
-    ));
-    let service = service.with_observability(Arc::clone(&observability));
-    // Shard-serving topology, in precedence order: a router the service
-    // already carries (warm-started from a sharded bundle) wins; then
-    // `KBQA_SHARD_WORKERS` spawns the supervised out-of-process worker
-    // tier; then `KBQA_SHARDS` partitions in-process at startup.
-    let (service, supervisor) = if service.shard_router().is_some() {
-        (service, None)
-    } else if config.shard_workers > 0 {
-        let supervisor = Supervisor::start(config.supervisor_config()?, service.model_epoch())?;
-        let service = service.with_shard_router(supervisor.router());
-        (service, Some(supervisor))
-    } else if config.shards > 0 {
-        let service = service.with_shards(kbqa_core::ShardPlan::new(config.shards));
-        (service, None)
-    } else {
-        (service, None)
-    };
-    let shared = Arc::new(Shared {
-        state: AppState {
-            service: ServiceSlot::new(service),
-            cache: AnswerCache::new(config.cache.clone()),
-            metrics,
-            slow: SlowQueryLog::new(config.slow_log_capacity),
-            observability,
-        },
-        jobs: Mutex::new(VecDeque::new()),
-        available: Condvar::new(),
-        shutdown: AtomicBool::new(false),
-        workers_exit: AtomicBool::new(false),
-        loops: loop_shared,
-        workers,
-        config,
-        supervisor: Mutex::new(supervisor),
-    });
+    let shared = Arc::new(Shared::new(service, config)?);
+    let (workers, loops) = (shared.workers, shared.loops.len());
 
     let mut worker_threads = Vec::with_capacity(workers);
     for i in 0..workers {
@@ -768,19 +806,23 @@ fn worker_loop(shared: &Shared) {
             stream_batch_job(shared, &job, keep_alive_requested);
             continue;
         }
-        // A panic while routing (engine bug, broken invariant) must cost
-        // one request, not one worker: the fixed-size pool has no respawn.
-        // The connection still gets a response (500) so the event loop's
-        // state machine never waits on a completion that will not come.
-        let response =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(shared, &job.request)))
-                .unwrap_or_else(|_| {
-                    let response = Response::error(500, "internal error");
-                    shared.state.metrics.record_response(response.status);
-                    response
-                });
+        let response = route_contained(shared, &job.request);
         complete(shared, &job, Payload::Full(response), keep_alive_requested);
     }
+}
+
+/// [`route`] with panic containment: a panic while routing (engine bug,
+/// broken invariant) must cost one request, not one thread — neither the
+/// fixed-size worker pool nor the event loops respawn. The connection still
+/// gets a response (500), so its state machine never waits on a completion
+/// that will not come.
+fn route_contained(shared: &Shared, request: &Request) -> Response {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(shared, request)))
+        .unwrap_or_else(|_| {
+            let response = Response::error(500, "internal error");
+            shared.state.metrics.record_response(response.status);
+            response
+        })
 }
 
 /// Push one completion to the job's owning loop and wake it.
@@ -873,10 +915,10 @@ struct Conn {
     generation: u64,
     deadline: Option<Instant>,
     deadline_kind: DeadlineKind,
-    /// Bumped by every [`EventLoop::arm`]; wheel entries carry the value
-    /// they were scheduled under, so entries from superseded deadlines are
-    /// dropped when they fire instead of being rescheduled forever.
-    timer_seq: u64,
+    /// This connection's one wheel entry is scheduled and has not fired.
+    /// [`EventLoop::arm`] only moves `deadline` while it is set; the entry
+    /// chases the current deadline when it fires.
+    timer_pending: bool,
     /// Peer half-closed its write side (`EPOLLRDHUP`): serve what is in
     /// flight, then close instead of keeping alive.
     peer_closed: bool,
@@ -890,38 +932,52 @@ struct Conn {
 
 /// A hashed timer wheel: deadlines land in `(deadline - now) / granularity`
 /// slots ahead (clamped to the horizon), and entries past the horizon are
-/// simply rescheduled when their slot fires. Entries are `(slot, gen,
-/// timer_seq)` triples validated against live connections on expiry, so
-/// cancellation is free: a dead generation — or a sequence superseded by a
-/// later `arm` — is dropped when it fires, which bounds a connection to
-/// one live wheel entry at a time no matter how many requests it serves.
+/// simply rescheduled when their slot fires. Entries are `(slot, gen)` pairs
+/// validated against live connections on expiry, so cancellation is free: a
+/// dead generation is dropped when it fires.
+///
+/// A connection holds **one** entry no matter how many requests it serves:
+/// re-arming only moves [`Conn::deadline`], and the entry, when it fires
+/// early, reschedules itself to the deadline then current. That is sound
+/// because an entry is never scheduled further out than the shortest
+/// deadline budget (`max_delay`), so it always fires at or before any
+/// deadline armed after it was scheduled.
 struct TimerWheel {
-    slots: Vec<Vec<(u32, u64, u64)>>,
+    slots: Vec<Vec<(u32, u64)>>,
     granularity: Duration,
+    /// The shortest budget any deadline is armed with.
+    max_delay: Duration,
     cursor: usize,
     last_tick: Instant,
 }
 
 impl TimerWheel {
-    fn new(granularity: Duration) -> Self {
+    fn new(granularity: Duration, max_delay: Duration) -> Self {
         Self {
             slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
             granularity: granularity.max(Duration::from_millis(1)),
+            max_delay,
             cursor: 0,
             last_tick: Instant::now(),
         }
     }
 
-    fn schedule(&mut self, slot: u32, generation: u64, seq: u64, deadline: Instant, now: Instant) {
-        let delta = deadline.saturating_duration_since(now);
+    fn schedule(&mut self, slot: u32, generation: u64, deadline: Instant, now: Instant) {
+        let delta = deadline.saturating_duration_since(now).min(self.max_delay);
         let ticks = (delta.as_nanos() / self.granularity.as_nanos().max(1)) as usize;
         let offset = (ticks + 1).min(WHEEL_SLOTS - 1);
         let index = (self.cursor + offset) % WHEEL_SLOTS;
-        self.slots[index].push((slot, generation, seq));
+        self.slots[index].push((slot, generation));
+    }
+
+    /// Entries scheduled and not yet fired.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.slots.iter().map(Vec::len).sum()
     }
 
     /// Advance the cursor to `now`, draining every fired slot into `due`.
-    fn advance(&mut self, now: Instant, due: &mut Vec<(u32, u64, u64)>) {
+    fn advance(&mut self, now: Instant, due: &mut Vec<(u32, u64)>) {
         let elapsed = now.saturating_duration_since(self.last_tick);
         let mut ticks = (elapsed.as_nanos() / self.granularity.as_nanos().max(1)) as usize;
         if ticks == 0 {
@@ -951,7 +1007,7 @@ struct EventLoop {
     live: usize,
     next_generation: u64,
     wheel: TimerWheel,
-    due: Vec<(u32, u64, u64)>,
+    due: Vec<(u32, u64)>,
     completions_buf: Vec<Completion>,
     draining: bool,
     /// Renders heads, bodies and chunk framing straight into each
@@ -961,7 +1017,11 @@ struct EventLoop {
 
 impl EventLoop {
     fn new(shared: Arc<Shared>, idx: usize, listener: Arc<TcpListener>) -> Self {
-        let granularity = shared.config.timer_granularity;
+        let config = &shared.config;
+        let wheel = TimerWheel::new(
+            config.timer_granularity,
+            config.read_timeout.min(config.request_timeout),
+        );
         Self {
             shared,
             idx,
@@ -971,7 +1031,7 @@ impl EventLoop {
             free: Vec::new(),
             live: 0,
             next_generation: 0,
-            wheel: TimerWheel::new(granularity),
+            wheel,
             due: Vec::new(),
             completions_buf: Vec::new(),
             draining: false,
@@ -984,6 +1044,12 @@ impl EventLoop {
     }
 
     fn run(mut self) {
+        self.register_sources();
+        let mut events = vec![EpollEvent::default(); 256];
+        while self.turn(&mut events) {}
+    }
+
+    fn register_sources(&mut self) {
         self.epoll
             .add(
                 self.listener.as_raw_fd(),
@@ -994,35 +1060,39 @@ impl EventLoop {
         self.epoll
             .add(self.shared.loops[self.idx].wake.raw(), EPOLLIN, TOKEN_WAKE)
             .expect("register wake fd");
-        let mut events = vec![EpollEvent::default(); 256];
-        loop {
-            let n = self
-                .epoll
-                .wait(&mut events, Some(self.wheel.granularity))
-                .unwrap_or(0);
-            if n > 0 {
-                self.metrics().record_epoll_wakeup();
-            }
-            for &event in events.iter().take(n) {
-                match event.token() {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKE => self.shared.loops[self.idx].wake.drain(),
-                    token => {
-                        let slot = (token & 0xFFFF_FFFF) as u32;
-                        let generation = token >> 32;
-                        self.conn_event(slot, generation, event.readiness());
-                    }
-                }
-            }
-            self.drain_completions();
-            self.expire_timers();
-            if self.shared.is_shutdown() {
-                self.begin_drain();
-                if self.live == 0 {
-                    return;
+    }
+
+    /// One pass: wait for readiness (at most a timer tick), serve it, then
+    /// completions and deadlines. `false` once shutdown has drained every
+    /// connection.
+    fn turn(&mut self, events: &mut [EpollEvent]) -> bool {
+        let n = self
+            .epoll
+            .wait(events, Some(self.wheel.granularity))
+            .unwrap_or(0);
+        if n > 0 {
+            self.metrics().record_epoll_wakeup();
+        }
+        for &event in events.iter().take(n) {
+            match event.token() {
+                TOKEN_LISTENER => self.accept_ready(),
+                TOKEN_WAKE => self.shared.loops[self.idx].wake.drain(),
+                token => {
+                    let slot = (token & 0xFFFF_FFFF) as u32;
+                    let generation = token >> 32;
+                    self.conn_event(slot, generation, event.readiness());
                 }
             }
         }
+        self.drain_completions();
+        self.expire_timers();
+        if self.shared.is_shutdown() {
+            self.begin_drain();
+            if self.live == 0 {
+                return false;
+            }
+        }
+        true
     }
 
     /// First shutdown pass: stop accepting and close idle connections.
@@ -1115,12 +1185,12 @@ impl EventLoop {
             generation,
             deadline: Some(deadline),
             deadline_kind: DeadlineKind::Idle,
-            timer_seq: 0,
+            timer_pending: true,
             peer_closed: false,
             keep_alive_after_write: false,
             streaming: false,
         });
-        self.wheel.schedule(slot, generation, 0, deadline, now);
+        self.wheel.schedule(slot, generation, deadline, now);
         self.live += 1;
         self.metrics().connection_opened();
     }
@@ -1167,10 +1237,11 @@ impl EventLoop {
         let deadline = now + budget;
         conn.deadline = Some(deadline);
         conn.deadline_kind = kind;
-        // Supersede every previously scheduled entry: they drop on fire.
-        conn.timer_seq += 1;
-        let (generation, seq) = (conn.generation, conn.timer_seq);
-        self.wheel.schedule(slot, generation, seq, deadline, now);
+        if !conn.timer_pending {
+            conn.timer_pending = true;
+            let generation = conn.generation;
+            self.wheel.schedule(slot, generation, deadline, now);
+        }
     }
 
     // -- readiness events ---------------------------------------------------
@@ -1191,7 +1262,10 @@ impl EventLoop {
             ConnState::Idle | ConnState::Reading if readiness & (EPOLLIN | EPOLLRDHUP) != 0 => {
                 self.do_read(slot)
             }
-            ConnState::Writing if readiness & EPOLLOUT != 0 => self.do_write(slot),
+            ConnState::Writing if readiness & EPOLLOUT != 0 => {
+                self.do_write(slot);
+                self.serve_buffered(slot, false);
+            }
             _ => {}
         }
     }
@@ -1210,7 +1284,16 @@ impl EventLoop {
                     saw_eof = true;
                     break;
                 }
-                Ok(n) => conn.buf.truncate(start + n),
+                Ok(n) => {
+                    conn.buf.truncate(start + n);
+                    if n < READ_CHUNK {
+                        // A short read drained the socket. Epoll is
+                        // level-triggered, so anything that arrives later
+                        // (more bytes, EOF) is reported again: no second
+                        // `read` just to see `WouldBlock`.
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     conn.buf.truncate(start);
                     break;
@@ -1242,19 +1325,32 @@ impl EventLoop {
                 return;
             }
         }
-        let Some(Some(conn)) = self.conns.get_mut(slot as usize) else {
-            return;
-        };
-        if conn.state == ConnState::Reading {
-            self.try_parse(slot, saw_eof);
+        self.serve_buffered(slot, saw_eof);
+    }
+
+    /// Serve the requests already in the connection's buffer, one after
+    /// another, until one is incomplete, is with the worker pool, or blocks
+    /// on the socket. Pipelined requests iterate here: a response that is
+    /// written out whole puts the connection back into `Reading` (see
+    /// [`EventLoop::finish_response`]) and the loop takes the next request,
+    /// so stack depth does not grow with the number of pipelined requests.
+    /// `saw_eof` applies to the bytes as read, so only to the first parse.
+    fn serve_buffered(&mut self, slot: u32, mut saw_eof: bool) {
+        while matches!(
+            self.conns.get(slot as usize),
+            Some(Some(conn)) if conn.state == ConnState::Reading
+        ) && self.try_parse(slot, saw_eof)
+        {
+            saw_eof = false;
         }
     }
 
     /// Attempt to parse one request out of the connection's buffer; drives
-    /// dispatch, protocol errors, and EOF handling.
-    fn try_parse(&mut self, slot: u32, saw_eof: bool) {
+    /// dispatch, protocol errors, and EOF handling. `false` when the buffer
+    /// holds no complete request to act on.
+    fn try_parse(&mut self, slot: u32, saw_eof: bool) -> bool {
         let Some(Some(conn)) = self.conns.get_mut(slot as usize) else {
-            return;
+            return false;
         };
         // Consume the tolerated leading blank lines *now*, not just inside
         // the parser: a peer streaming endless CRLFs must not grow the
@@ -1277,11 +1373,11 @@ impl EventLoop {
                     if rest.iter().all(|&b| b == b'\r' || b == b'\n') {
                         // EOF with nothing but blank lines pending: clean.
                         self.close(slot);
-                        return;
+                        return false;
                     }
                     // EOF mid-request is malformed, not a clean close.
                     self.respond_error(slot, 400);
-                    return;
+                    return false;
                 }
                 // Free the consumed prefix immediately — waiting for
                 // `finish_response` would let discarded bytes pile up.
@@ -1291,23 +1387,38 @@ impl EventLoop {
                     conn.buf.truncate(len - conn.buf_start);
                     conn.buf_start = 0;
                 }
+                false
             }
-            Parsed::Error(status) => self.respond_error(slot, status),
+            Parsed::Error(status) => {
+                self.respond_error(slot, status);
+                true
+            }
             Parsed::Request(request, consumed) => {
                 conn.buf_start += consumed;
                 self.dispatch(slot, *request);
+                true
             }
         }
     }
 
     fn dispatch(&mut self, slot: u32, request: Request) {
         let config = &self.shared.config;
-        // Route-level admission, by priority: the data plane (`/answer`,
-        // `/batch`) sheds when the worker queue is saturated; the control
-        // plane (health, metrics, cache stats, admin) always dispatches, so
-        // an overloaded server stays observable and operable.
-        let sheddable =
-            request.method == "POST" && (request.path == "/answer" || request.path == "/batch");
+        let answer = request.method == "POST" && request.path == "/answer";
+        if answer && !self.shared.state.service.has_remote_lanes() {
+            // Run to completion right here: the work (a cache probe, or a few
+            // µs of kernel) is far cheaper than a handoff to the pool and
+            // back, and it never blocks.
+            let response = route_contained(&self.shared, &request);
+            let keep_alive = self.response_keep_alive(slot, request.keep_alive());
+            self.start_response(slot, &response, keep_alive);
+            return;
+        }
+        // Route-level admission, by priority: what queues for the pool on
+        // the data plane (`/batch`, and `/answer` over remote lanes) sheds
+        // when the worker queue is saturated; the control plane (health,
+        // metrics, cache stats, admin) always dispatches, so an overloaded
+        // server stays observable and operable.
+        let sheddable = answer || (request.method == "POST" && request.path == "/batch");
         if sheddable && config.max_queued > 0 {
             let depth = self.shared.lock_jobs().len();
             if depth >= config.max_queued {
@@ -1456,9 +1567,10 @@ impl EventLoop {
         };
         self.set_interest(slot, EPOLLIN | EPOLLRDHUP);
         if pipelined {
+            // The next request's bytes are already here; whoever drove this
+            // write goes on to parse them ([`EventLoop::serve_buffered`]).
             let budget = self.shared.config.request_timeout;
             self.arm(slot, DeadlineKind::Request, budget);
-            self.try_parse(slot, false);
         } else {
             self.arm(slot, DeadlineKind::Idle, read_timeout);
         }
@@ -1524,6 +1636,8 @@ impl EventLoop {
                     self.close(slot);
                 }
             }
+            // A response that finished may have uncovered pipelined requests.
+            self.serve_buffered(slot, false);
         }
         self.completions_buf = batch;
     }
@@ -1592,23 +1706,26 @@ impl EventLoop {
         let now = Instant::now();
         let mut due = std::mem::take(&mut self.due);
         self.wheel.advance(now, &mut due);
-        for (slot, generation, seq) in due.drain(..) {
+        for (slot, generation) in due.drain(..) {
             let Some(conn) = self.conn(slot, generation) else {
                 continue;
             };
-            if conn.generation != generation || conn.timer_seq != seq {
-                // Dead connection or superseded deadline: drop the entry.
+            if conn.generation != generation {
+                // Dead connection: drop the entry.
                 continue;
             }
             let Some(deadline) = conn.deadline else {
+                // Parked on compute, no deadline: the next `arm` schedules.
+                conn.timer_pending = false;
                 continue;
             };
             if deadline > now {
-                // Fired early (beyond-horizon wrap): push the live entry
-                // out to its real deadline.
-                self.wheel.schedule(slot, generation, seq, deadline, now);
+                // Fired early (the deadline moved since, or lies beyond the
+                // horizon): chase the current deadline.
+                self.wheel.schedule(slot, generation, deadline, now);
                 continue;
             }
+            conn.timer_pending = false;
             match conn.deadline_kind {
                 DeadlineKind::Idle => self.close(slot),
                 DeadlineKind::Request => self.respond_error(slot, 408),
@@ -2364,6 +2481,8 @@ fn parse_body<T: serde::de::DeserializeOwned>(body: &[u8]) -> Result<T, Response
 ///
 /// [`ServiceSnapshot`]: kbqa_core::service::ServiceSnapshot
 fn handle_answer(state: &AppState, body: &[u8]) -> Response {
+    #[cfg(test)]
+    assert_ne!(body, tests::PANIC_BODY, "panic injected by the test suite");
     let started = Instant::now();
     let mut request: QaRequest = match parse_body(body) {
         Ok(request) => request,
@@ -2714,17 +2833,144 @@ mod tests {
 
     #[test]
     fn timer_wheel_fires_once_per_deadline() {
-        let mut wheel = TimerWheel::new(Duration::from_millis(1));
+        let mut wheel = TimerWheel::new(Duration::from_millis(1), Duration::from_secs(1));
         let now = Instant::now();
-        wheel.schedule(3, 1, 1, now + Duration::from_millis(2), now);
-        wheel.schedule(4, 1, 1, now + Duration::from_millis(200), now);
+        wheel.schedule(3, 1, now + Duration::from_millis(2), now);
+        wheel.schedule(4, 1, now + Duration::from_millis(200), now);
         let mut due = Vec::new();
         wheel.advance(now + Duration::from_millis(10), &mut due);
-        assert!(due.contains(&(3, 1, 1)), "short deadline fired: {due:?}");
-        assert!(!due.contains(&(4, 1, 1)), "long deadline still pending");
+        assert!(due.contains(&(3, 1)), "short deadline fired: {due:?}");
+        assert!(!due.contains(&(4, 1)), "long deadline still pending");
         due.clear();
         wheel.advance(now + Duration::from_millis(600), &mut due);
-        assert!(due.contains(&(4, 1, 1)), "long deadline fired: {due:?}");
+        assert!(due.contains(&(4, 1)), "long deadline fired: {due:?}");
+    }
+
+    #[test]
+    fn timer_wheel_never_schedules_past_the_shortest_budget() {
+        // What lets a connection keep one entry: an entry scheduled for a
+        // far deadline still fires within `max_delay`, so it is never late
+        // for a nearer deadline armed after it.
+        let mut wheel = TimerWheel::new(Duration::from_millis(1), Duration::from_millis(20));
+        let now = Instant::now();
+        wheel.schedule(5, 1, now + Duration::from_millis(200), now);
+        let mut due = Vec::new();
+        wheel.advance(now + Duration::from_millis(19), &mut due);
+        assert!(due.is_empty(), "not before the cap: {due:?}");
+        wheel.advance(now + Duration::from_millis(22), &mut due);
+        assert_eq!(due, [(5, 1)], "fires at the cap, one tick of slack");
+        assert_eq!(wheel.len(), 0);
+    }
+
+    fn empty_service() -> KbqaService {
+        KbqaService::new(
+            Arc::new(kbqa_rdf::GraphBuilder::new().build()),
+            Arc::new(kbqa_taxonomy::Conceptualizer::new(
+                kbqa_taxonomy::NetworkBuilder::new().build(),
+            )),
+            Arc::new(kbqa_core::learner::LearnedModel::default()),
+        )
+    }
+
+    fn post_answer(stream: &mut TcpStream, body: &[u8]) -> (u16, Vec<u8>) {
+        // One write: head and body in two would trip Nagle + delayed ACK.
+        let mut wire = format!(
+            "POST /answer HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        wire.extend_from_slice(body);
+        stream.write_all(&wire).expect("write request");
+        let mut raw = Vec::new();
+        let mut byte = [0u8; 1];
+        while !raw.ends_with(b"\r\n\r\n") {
+            stream.read_exact(&mut byte).expect("response head");
+            raw.push(byte[0]);
+        }
+        let head = String::from_utf8(raw).expect("utf8 head");
+        let status = head.split(' ').nth(1).and_then(|s| s.parse().ok());
+        let length = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .and_then(|v| v.trim().parse().ok());
+        let mut body = vec![0u8; length.expect("content-length")];
+        stream.read_exact(&mut body).expect("response body");
+        (status.expect("status line"), body)
+    }
+
+    /// A body [`handle_answer`] panics on (under `cfg(test)` only): there is
+    /// no input that makes the real route panic, and containment on the
+    /// event loop must be pinned anyway.
+    pub(super) const PANIC_BODY: &[u8] = b"{\"question\":\"panic, please\"}";
+
+    #[test]
+    fn a_panic_while_answering_on_the_loop_costs_one_request_not_the_loop() {
+        let config = ServerConfig {
+            event_loops: 1,
+            ..ServerConfig::default()
+        };
+        let server = serve(empty_service(), "127.0.0.1:0", config).expect("serve");
+        let addr = server.local_addr();
+        let question: &[u8] = b"{\"question\":\"why is the sky blue\"}";
+
+        // A bystander the one loop already owns when the panic happens.
+        let mut bystander = TcpStream::connect(addr).expect("connect bystander");
+        assert_eq!(post_answer(&mut bystander, question).0, 200);
+
+        let mut victim = TcpStream::connect(addr).expect("connect victim");
+        let (status, body) = post_answer(&mut victim, PANIC_BODY);
+        assert_eq!(status, 500);
+        assert_eq!(body, b"{\"error\":\"internal error\"}");
+
+        // The loop survived: the victim's own connection, the bystander and
+        // a fresh connection are all still served by it.
+        assert_eq!(post_answer(&mut victim, question).0, 200);
+        assert_eq!(post_answer(&mut bystander, question).0, 200);
+        let mut fresh = TcpStream::connect(addr).expect("connect fresh");
+        assert_eq!(post_answer(&mut fresh, question).0, 200);
+        assert_eq!(server.shared.state.metrics.snapshot().responses_5xx, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn wheel_occupancy_stays_within_live_connections_after_10_000_requests() {
+        // Drive one loop by hand so its wheel can be inspected: `/answer`
+        // runs on the loop, so no worker thread is needed.
+        let config = ServerConfig {
+            event_loops: 1,
+            keep_alive_requests: usize::MAX,
+            ..ServerConfig::default()
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let addr = listener.local_addr().expect("addr");
+        let shared = Arc::new(Shared::new(empty_service(), config).expect("shared"));
+        let mut event_loop = EventLoop::new(shared, 0, Arc::new(listener));
+        event_loop.register_sources();
+
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            for _ in 0..10_000 {
+                let (status, _) = post_answer(&mut stream, b"{\"question\":\"hi\"}");
+                assert_eq!(status, 200);
+            }
+            // Handed back open: the connection must still be live below.
+            stream
+        });
+        let mut events = vec![EpollEvent::default(); 16];
+        while !client.is_finished() {
+            assert!(event_loop.turn(&mut events));
+        }
+        let _stream = client.join().expect("client");
+
+        assert_eq!(event_loop.live, 1);
+        assert!(
+            event_loop.wheel.len() <= event_loop.live,
+            "{} wheel entries for {} live connection(s): every request armed \
+             three deadlines and none may have left an entry behind",
+            event_loop.wheel.len(),
+            event_loop.live
+        );
     }
 
     #[test]

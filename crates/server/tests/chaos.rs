@@ -19,6 +19,9 @@
 //! * shutdown under load — in-flight requests drain, worker processes are
 //!   reaped.
 //!
+//! Plus one placement check: `/answer` on a remote-lane fleet stays on the
+//! worker pool (a remote lookup may block; event loops must not).
+//!
 //! Worker-spawning tests serialize on one lock: chaos hooks travel through
 //! process-global environment variables that spawned workers inherit.
 
@@ -443,6 +446,11 @@ fn http_request(
         body.len()
     )
     .ok()?;
+    read_reply(&mut stream)
+}
+
+/// One `Content-Length`-framed reply off `stream`: (status, head, body).
+fn read_reply(stream: &mut TcpStream) -> Option<(u16, String, String)> {
     let mut raw = Vec::new();
     let mut byte = [0u8; 1];
     while !raw.ends_with(b"\r\n\r\n") {
@@ -686,6 +694,60 @@ fn two_phase_reload_never_mixes_epochs_and_min_epoch_gates_with_409() {
     let body = serde_json::to_string(&batch).expect("batch");
     let (status, _, _) = must_request(addr, "POST", "/batch", "", &body);
     assert_eq!(status, 409, "a batch pinning a future epoch must 409 whole");
+    handle.shutdown();
+}
+
+#[test]
+fn remote_lane_answers_stay_on_the_worker_pool() {
+    // A value lookup on a worker process can block for `worker_deadline_ms`,
+    // which an event loop must never do: on a remote-lane fleet `/answer`
+    // keeps the handoff that local services dropped. Visible without timing
+    // anything: a pooled request wakes its loop twice (socket readable, then
+    // the completion eventfd), a loop-served one once.
+    const REQUESTS: usize = 40;
+    let _guard = spawn_lock();
+    let handle = serve(
+        service_from_bundle(),
+        "127.0.0.1:0",
+        shard_server_config("pool"),
+    )
+    .expect("serve with shard workers");
+    let addr = handle.local_addr();
+    let wakeups = || {
+        let (status, _, body) = must_request(addr, "GET", "/metrics", "", "");
+        assert_eq!(status, 200);
+        extract_u64(&body, "epoll_wakeups")
+    };
+
+    let requests = request_set(fixture());
+    let expected = baselines();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let before = wakeups();
+    for (request, expected) in requests.iter().zip(expected).take(REQUESTS) {
+        let body = serde_json::to_string(request).expect("request");
+        // One buffer, one write: `write!` straight to the socket sends the
+        // request in fragments, each of which would wake the loop.
+        let wire = format!(
+            "POST /answer HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        stream.write_all(wire.as_bytes()).expect("write request");
+        let (status, _, reply) = read_reply(&mut stream).expect("complete HTTP response");
+        assert_eq!(status, 200, "{reply}");
+        assert_eq!(
+            &reply, expected,
+            "a healthy fleet answers byte-identically to in-process shards"
+        );
+    }
+    let spent = wakeups() - before;
+    assert!(
+        spent as usize * 10 >= REQUESTS * 18,
+        "{spent} epoll wakeups for {REQUESTS} remote-lane /answer requests: \
+         they must go through the worker pool (two wakeups each)"
+    );
     handle.shutdown();
 }
 

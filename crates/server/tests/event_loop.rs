@@ -1,7 +1,7 @@
 //! Protocol hardening and concurrency tests for the event-driven server
 //! core (PR 5): timer-wheel deadlines (slowloris → 408, idle close),
 //! pipelining, mid-write client disconnects, per-route admission priority,
-//! the new observability gauges — plus the high-concurrency soak suite CI
+//! run-to-completion `/answer` on the loop, the observability gauges — plus the high-concurrency soak suite CI
 //! drives with `cargo test --release -p kbqa-server -- --ignored soak`.
 //!
 //! The smuggling-guard cases (`Transfer-Encoding` → 501, conflicting
@@ -209,6 +209,51 @@ fn pipelined_requests_are_served_in_order_on_one_connection() {
 }
 
 #[test]
+fn a_full_keep_alive_window_of_pipelined_answers_is_served_in_order() {
+    // The default keep-alive cap, all in one write: `/answer` runs on the
+    // loop, so the loop must iterate over the buffer (one stack frame, not
+    // one per request) and close after the last.
+    const PIPELINED: usize = 128;
+    let server = start(ServerConfig::default());
+    let addr = server.local_addr();
+    let question = |i: usize| format!("{{\"question\":\"what is the population of place {i}\"}}");
+
+    // The reference: the same questions, one connection each.
+    let one_at_a_time: Vec<String> = (0..PIPELINED)
+        .map(|i| {
+            let (status, body) = http(addr, "POST", "/answer", &question(i));
+            assert_eq!(status, 200);
+            body
+        })
+        .collect();
+
+    let mut wire = Vec::new();
+    for i in 0..PIPELINED {
+        wire.extend_from_slice(&request_bytes("POST", "/answer", &question(i), false));
+    }
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(&wire).expect("write pipeline");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    for (i, expected) in one_at_a_time.iter().enumerate() {
+        let (status, head, body) = read_response(&mut stream);
+        assert_eq!(status, 200, "pipelined response {i}");
+        assert_eq!(&body, expected, "pipelined response {i} out of order");
+        let last = i + 1 == PIPELINED;
+        assert_eq!(
+            head.contains("Connection: close"),
+            last,
+            "only the response at the keep-alive cap closes ({i}): {head}"
+        );
+    }
+    let mut rest = Vec::new();
+    assert_eq!(stream.read_to_end(&mut rest).unwrap_or(0), 0);
+
+    server.shutdown();
+}
+
+#[test]
 fn blank_line_floods_are_discarded_not_buffered() {
     let server = start(ServerConfig::default());
     let addr = server.local_addr();
@@ -282,9 +327,10 @@ fn mid_write_client_disconnects_do_not_poison_the_server() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn route_priority_sheds_answer_while_serving_healthz() {
+fn route_priority_sheds_batch_serves_healthz_and_never_queues_answer() {
     let config = ServerConfig {
         workers: 1,
+        event_loops: 1,
         max_queued: 1,
         max_pending: 1024,
         retry_after_secs: 9,
@@ -294,82 +340,82 @@ fn route_priority_sheds_answer_while_serving_healthz() {
     let server = start(config);
     let addr = server.local_addr();
 
-    // Saturate the single worker with /batch work, then probe /answer until
-    // one probe lands while the queue is non-empty. The dance is
-    // self-correcting across debug/release speed differences: a probe that
-    // gets *queued* (read times out) itself raises the queue depth, so the
-    // next probe during the same busy window is shed deterministically.
-    let question = "{\"question\":\"what is the population of nowhere at all\"},";
-    let mut batch = String::with_capacity(question.len() * 2_000 + 2);
-    batch.push('[');
-    for _ in 0..2_000 {
-        batch.push_str(question);
-    }
-    batch.pop();
-    batch.push(']');
-
-    let mut busy: Vec<TcpStream> = Vec::new();
-    let mut queued: Vec<TcpStream> = Vec::new();
-    let mut shed_head: Option<String> = None;
-    'outer: for _ in 0..20 {
-        let mut stream = TcpStream::connect(addr).expect("connect busy");
+    // Distinct questions: repeats would be cache hits, and a batch of those
+    // is over before a probe can land.
+    let mut next_question = 0u64;
+    let mut big_batch = || {
+        let mut batch = String::from("[");
+        for _ in 0..2_000 {
+            next_question += 1;
+            batch.push_str(&format!(
+                "{{\"question\":\"what is the population of nowhere number {next_question}\"}},"
+            ));
+        }
+        batch.pop();
+        batch.push(']');
+        batch
+    };
+    let send = |path: &str, body: &str, close: bool| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
         stream
-            .write_all(&request_bytes("POST", "/batch", &batch, true))
-            .expect("write batch");
-        busy.push(stream);
-        loop {
-            let mut probe = TcpStream::connect(addr).expect("connect probe");
-            probe
-                .write_all(&request_bytes(
-                    "POST",
-                    "/answer",
-                    "{\"question\":\"hi\"}",
-                    false,
-                ))
-                .unwrap();
-            probe
-                .set_read_timeout(Some(Duration::from_millis(50)))
-                .unwrap();
-            let mut raw = Vec::new();
-            let mut byte = [0u8; 1];
-            let complete = loop {
-                match probe.read(&mut byte) {
-                    Ok(1) => {
-                        raw.push(byte[0]);
-                        if raw.ends_with(b"\r\n\r\n") {
-                            break true;
-                        }
-                    }
-                    _ => break false,
-                }
-            };
-            if !complete {
-                // No response within the window: the probe was *queued*
-                // behind the running batch — keep it alive so the queue
-                // stays non-empty for the next probe.
-                queued.push(probe);
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .unwrap();
+        stream
+            .write_all(&request_bytes("POST", path, body, close))
+            .expect("write request");
+        stream
+    };
+
+    // Each attempt saturates the pool — one 2 000-question batch on the
+    // single worker, a second one filling the one-deep queue — and probes
+    // while that lasts. How long it lasts depends on build profile and
+    // machine, so an attempt whose window closed before the probes landed
+    // proves nothing and is retried; one conclusive attempt is enough.
+    let mut shed_head: Option<String> = None;
+    let mut answered_while_saturated = false;
+    let mut backlog: Vec<TcpStream> = Vec::new();
+    for _ in 0..20 {
+        let mut batches = [
+            send("/batch", &big_batch(), true),
+            send("/batch", &big_batch(), true),
+        ];
+
+        // (a) A `/batch` that finds the queue full is shed, not queued.
+        let mut probe = send("/batch", "[{\"question\":\"hi\"}]", false);
+        let (status, head, _) = read_response(&mut probe);
+        match status {
+            429 => shed_head = Some(head),
+            // The queue had already drained: the probe was served.
+            200 => {
+                backlog.extend(batches);
                 continue;
             }
-            let head = String::from_utf8_lossy(&raw).to_string();
-            let status: u16 = head
-                .split(' ')
-                .nth(1)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0);
-            match status {
-                429 => {
-                    shed_head = Some(head);
-                    break 'outer;
-                }
-                // Served immediately: the batch already finished (or was
-                // not yet dispatched); start another busy window.
-                200 => break,
-                other => panic!("unexpected probe status {other}: {head}"),
-            }
+            other => panic!("unexpected /batch probe status {other}: {head}"),
+        }
+
+        // (c) `/answer` is answered by the event loop whatever the pool is
+        // doing — always 200, and never behind the batches.
+        let mut answer = send("/answer", "{\"question\":\"hi\"}", false);
+        let (status, head, _) = read_response(&mut answer);
+        assert_eq!(status, 200, "/answer is never route-shed: {head}");
+        // A big batch that has not produced a byte yet is still running or
+        // queued, so the single worker was busy when `/answer` came back.
+        // (The second one has bytes early if it was itself shed.)
+        let still_waiting = batches.iter_mut().any(|batch| {
+            batch.set_nonblocking(true).unwrap();
+            matches!(
+                batch.read(&mut [0u8; 1]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
+            )
+        });
+        backlog.extend(batches);
+        if still_waiting {
+            answered_while_saturated = true;
+            break;
         }
     }
 
-    let head = shed_head.expect("a probe must be shed while the queue is saturated");
+    let head = shed_head.expect("a /batch probe must be shed while the queue is full");
     let retry_after = head
         .lines()
         .find_map(|l| l.strip_prefix("Retry-After: "))
@@ -379,8 +425,13 @@ fn route_priority_sheds_answer_while_serving_healthz() {
         head.contains("Connection: keep-alive"),
         "route sheds keep the connection: {head}"
     );
+    assert!(
+        answered_while_saturated,
+        "/answer must come back while the worker is still saturated by \
+         batches: no head-of-line blocking of single questions"
+    );
 
-    // Priority route on the SAME saturated server: /healthz dispatches
+    // (b) Priority route on the SAME saturated server: /healthz dispatches
     // (never route-shed) and is served once the worker drains the backlog.
     let mut health = TcpStream::connect(addr).expect("connect health");
     health
@@ -391,8 +442,7 @@ fn route_priority_sheds_answer_while_serving_healthz() {
         .unwrap();
     let (status, _, body) = read_response(&mut health);
     assert_eq!(status, 200, "healthz must never be route-shed: {body}");
-    drop(busy);
-    drop(queued);
+    drop(backlog);
 
     let snap = metrics(addr);
     assert!(snap.requests_shed_by_route >= 1, "{snap:?}");
@@ -427,6 +477,44 @@ fn event_loop_gauges_are_exported() {
         "served traffic implies wakeups: {snap:?}"
     );
     drop(held);
+
+    server.shutdown();
+}
+
+#[test]
+fn a_keep_alive_answer_costs_one_epoll_wakeup() {
+    // `/answer` runs to completion on the loop that read it: one wakeup (the
+    // socket turned readable) per request. A handoff to the worker pool
+    // would add a second one (the completion eventfd) to every request.
+    const REQUESTS: u64 = 200;
+    let config = ServerConfig {
+        keep_alive_requests: 1024,
+        ..ServerConfig::default()
+    };
+    let server = start(config);
+    let addr = server.local_addr();
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut ask = |i: u64| {
+        let body = format!("{{\"question\":\"who is person {} married to\"}}", i % 7);
+        stream
+            .write_all(&request_bytes("POST", "/answer", &body, false))
+            .expect("write request");
+        let (status, _, _) = read_response(&mut stream);
+        assert_eq!(status, 200);
+    };
+    ask(0);
+    let before = metrics(addr).epoll_wakeups;
+    for i in 0..REQUESTS {
+        ask(i);
+    }
+    let spent = metrics(addr).epoll_wakeups - before;
+    // The slack covers the two `/metrics` scrapes themselves (accept, read,
+    // completion, close).
+    assert!(
+        spent * 10 <= REQUESTS * 11,
+        "{spent} epoll wakeups for {REQUESTS} keep-alive /answer requests"
+    );
 
     server.shutdown();
 }

@@ -20,6 +20,11 @@
 //! armed) must also be allocation-free — the router adds hash probes and
 //! atomics to the hot path, never heap.
 //!
+//! PR 13 extends it to small batches: a 16-question `answer_batch` (the
+//! lane size of a streamed `/batch`) allocates only the responses it hands
+//! back — it runs on the caller's warm scratch instead of spawning threads
+//! whose scratch would start empty.
+//!
 //! This file intentionally holds a single test: the allocator counter is
 //! process-global, and a concurrently running test would pollute the delta.
 
@@ -222,5 +227,31 @@ fn steady_state_kernel_performs_zero_allocations() {
         0,
         "steady-state serialize_into allocated {delta} times over {} calls",
         50 * responses.len()
+    );
+
+    // Phase 5 (PR 13): a small `answer_batch` — 16 questions, the lane a
+    // streamed `/batch` computes at a time — runs on the caller's warm
+    // scratch, whatever the core count: it allocates its owned responses
+    // and nothing else, exactly what the same questions cost one at a time.
+    // (Spawned threads would pay for the spawn and for growing a scratch
+    // of their own from empty on every lane.)
+    let snapshot = service.snapshot();
+    let lane: Vec<QaRequest> = questions.iter().take(16).map(QaRequest::new).collect();
+    for _ in 0..3 {
+        let _ = snapshot.answer_batch(&lane);
+    }
+    let before = allocations();
+    let one_at_a_time: Vec<QaResponse> = lane.iter().map(|r| snapshot.answer(r)).collect();
+    let owned_responses = allocations() - before;
+    let before = allocations();
+    let batched = snapshot.answer_batch(&lane);
+    let delta = allocations() - before;
+    assert_eq!(batched.len(), one_at_a_time.len());
+    assert!(batched.iter().any(|r| r.answered()));
+    assert!(
+        delta <= owned_responses,
+        "a 16-question answer_batch allocated {delta} times; its responses alone cost \
+         {owned_responses} (available_parallelism = {:?})",
+        std::thread::available_parallelism()
     );
 }
