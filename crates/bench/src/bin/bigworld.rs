@@ -34,7 +34,7 @@
 //! router anywhere on the hot path); N > 1 partitions through a
 //! [`kbqa_core::ShardPlan`] — each shard a self-contained in-memory store
 //! with a direct `(subject, predicate) → run` adjacency hash index over its
-//! cut, so per-lookup cost drops from a galloping binary search over the
+//! cut, so per-lookup cost drops from a binary search over the
 //! mapped columns to one hash probe. Partition time, cut balance (skew,
 //! replication overhead) and both throughputs are recorded per count so
 //! `BENCH_PR8.json` carries the whole scaling curve for this machine.

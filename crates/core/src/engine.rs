@@ -214,6 +214,11 @@ pub struct ScratchSpace {
     /// Cumulative count of floor-pruned rows/suffixes (telemetry: lets
     /// tests and benches confirm the pruning path actually exercises).
     pruned: u64,
+    /// Cumulative `V(e, p⁺)` traversals (value-cache misses) and the path
+    /// edges they walked — the kernel's store-probe count (telemetry: the
+    /// `kernel_stages` bench reports them per question).
+    lookups: u64,
+    edges: u64,
     /// Bitmask of shards this request's value lookups routed to (bit =
     /// shard id; [`kbqa_rdf::shard::MAX_SHARDS`] caps shard counts at 64).
     /// Reset by the service per request; popcount = `shard_fanout`.
@@ -259,6 +264,8 @@ impl Default for ScratchSpace {
             question_tokens: TokenizedText::default(),
             sub_tokens: TokenizedText::default(),
             pruned: 0,
+            lookups: 0,
+            edges: 0,
             shard_mask: 0,
             shard_primary: u32::MAX,
             trace: StageTrace::new(),
@@ -277,6 +284,13 @@ impl ScratchSpace {
     /// this scratch's lifetime. Diagnostic only.
     pub fn pruned_events(&self) -> u64 {
         self.pruned
+    }
+
+    /// `(traversals, edges)`: how many `V(e, p⁺)` traversals the kernel ran
+    /// over this scratch's lifetime and how many path edges they walked —
+    /// each edge is one store probe per frontier node. Diagnostic only.
+    pub fn lookup_events(&self) -> (u64, u64) {
+        (self.lookups, self.edges)
     }
 
     /// Bitmask of shards value lookups have routed to (bit = shard id).
@@ -540,6 +554,8 @@ impl<'a> QaEngine<'a> {
             floor_topk,
             floor_buf,
             pruned,
+            lookups,
+            edges,
             shard_mask,
             shard_primary,
             trace,
@@ -650,6 +666,8 @@ impl<'a> QaEngine<'a> {
                             trace.lap(Stage::PredicateScore);
                             let start = values.len() as u32;
                             let path = self.model.predicates.resolve(pred);
+                            *lookups += 1;
+                            *edges += path.len() as u64;
                             // Scatter: the traversal runs on the entity's
                             // owning shard when the path fits the closure
                             // the cut replicated; longer paths (a swapped

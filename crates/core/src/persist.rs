@@ -519,6 +519,16 @@ mod tests {
     use crate::learner::{Learner, LearnerConfig};
     use crate::template::Template;
 
+    /// A fresh directory of one test's own. Tests run on parallel threads,
+    /// so two tests sharing a directory delete each other's files; the pid
+    /// keeps concurrent `cargo test` processes apart as well.
+    fn test_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("kbqa-persist-{test}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn model_save_load_roundtrip() {
         let world = World::generate(WorldConfig::tiny(42));
@@ -537,12 +547,11 @@ mod tests {
             .collect();
         let (model, _) = learner.learn(&pairs, &LearnerConfig::default());
 
-        let dir = std::env::temp_dir().join("kbqa-persist-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("model-roundtrip");
         let path = dir.join("model.json");
         save_model(&model, &path).unwrap();
         let restored = load_model(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
 
         assert_eq!(model.templates.len(), restored.templates.len());
         assert_eq!(model.stats.observations, restored.stats.observations);
@@ -752,8 +761,7 @@ mod tests {
     #[test]
     fn bundle_without_manifest_still_loads() {
         let (service, _) = learned_service(49, None);
-        let dir = std::env::temp_dir().join(format!("kbqa-persist-legacy-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = test_dir("no-manifest");
         ServingArtifacts::from_service(&service)
             .save(&dir)
             .expect("save bundle");
@@ -896,9 +904,7 @@ mod tests {
 
     #[test]
     fn legacy_artifact_without_sidecar_still_loads() {
-        let dir = std::env::temp_dir().join(format!("kbqa-persist-legacy-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("no-sidecar");
         let path = dir.join("model.json");
         save_model(&LearnedModel::default(), &path).unwrap();
         std::fs::remove_file(checksum_path(&path)).unwrap();
@@ -908,12 +914,11 @@ mod tests {
 
     #[test]
     fn load_corrupt_file_errors() {
-        let dir = std::env::temp_dir().join("kbqa-persist-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("corrupt-json");
         let path = dir.join("corrupt.json");
         std::fs::write(&path, b"{ not json").unwrap();
         let result: Result<LearnedModel> = load_json(&path);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
         assert!(matches!(result, Err(KbqaError::Io(_))));
     }
 }

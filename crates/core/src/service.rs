@@ -355,19 +355,31 @@ impl QaRequest {
     /// it guarantees the separator never survives into the normalized text.
     pub fn normalized_question(&self) -> String {
         let mut out = String::with_capacity(self.question.len());
-        let words = self
-            .question
-            .split(|c: char| c.is_whitespace() || c == '\u{1f}')
-            .filter(|w| !w.is_empty());
-        for word in words {
-            if !out.is_empty() {
+        self.push_normalized_question(&mut out);
+        out
+    }
+
+    /// Append [`QaRequest::normalized_question`] to `out` in one pass over
+    /// the question: no intermediate `String`, ASCII lowercased bytewise.
+    fn push_normalized_question(&self, out: &mut String) {
+        let mut any_word = false;
+        let mut in_gap = false;
+        for c in self.question.chars() {
+            if c.is_whitespace() || c == '\u{1f}' {
+                in_gap = true;
+                continue;
+            }
+            if in_gap && any_word {
                 out.push(' ');
             }
-            for c in word.chars() {
+            in_gap = false;
+            any_word = true;
+            if c.is_ascii() {
+                out.push(c.to_ascii_lowercase());
+            } else {
                 out.extend(c.to_lowercase());
             }
         }
-        out
     }
 
     /// A stable cache key: the normalized question plus every engine knob
@@ -386,10 +398,66 @@ impl QaRequest {
     /// [`QaRequest::request_id`] is deliberately **excluded**: it names the
     /// request, not the question, and must never fragment the cache.
     pub fn cache_key(&self, base: &EngineConfig) -> String {
+        let mut out = String::with_capacity(self.cache_key_capacity());
+        self.push_cache_key(base, &mut out);
+        out
+    }
+
+    /// Bytes that hold this request's cache key (with an epoch prefix) under
+    /// a default-shaped config without regrowing: the question never grows
+    /// under ASCII normalization, and the separators, epoch and knob
+    /// renderings come to ≈ 31 bytes.
+    fn cache_key_capacity(&self) -> usize {
+        self.question.len() + 48
+    }
+
+    /// Append [`QaRequest::cache_key`] to `out`: every field is rendered
+    /// straight into the one buffer, and the overrides are resolved against
+    /// `base` field by field rather than through a cloned [`EngineConfig`].
+    fn push_cache_key(&self, base: &EngineConfig, out: &mut String) {
+        use std::fmt::Write as _;
+        const SEP: char = '\u{1f}';
+        self.push_normalized_question(out);
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            out,
+            "{SEP}{}{SEP}{:?}{SEP}{}{SEP}",
+            self.top_k.unwrap_or(base.top_k),
+            self.min_theta.unwrap_or(base.min_theta),
+            base.max_concepts,
+        );
+        let flag = |b: bool| if b { "true" } else { "false" };
+        out.push_str(flag(self.decompose.unwrap_or(base.decompose)));
+        let _ = write!(out, "{SEP}{}{SEP}", base.chain_width);
+        out.push_str(flag(base.floor_prune));
+        out.push(SEP);
+        out.push_str(flag(self.explain));
+    }
+
+    /// The nested-`format!` rendering [`QaRequest::cache_key`] replaced,
+    /// kept as the byte-for-byte oracle of the single-pass builder.
+    #[cfg(test)]
+    fn cache_key_reference(&self, base: &EngineConfig) -> String {
         let cfg = self.effective_config(base);
+        let normalized = {
+            let mut out = String::with_capacity(self.question.len());
+            let words = self
+                .question
+                .split(|c: char| c.is_whitespace() || c == '\u{1f}')
+                .filter(|w| !w.is_empty());
+            for word in words {
+                if !out.is_empty() {
+                    out.push(' ');
+                }
+                for c in word.chars() {
+                    out.extend(c.to_lowercase());
+                }
+            }
+            out
+        };
         format!(
             "{}\u{1f}{}\u{1f}{:?}\u{1f}{}\u{1f}{}\u{1f}{}\u{1f}{}\u{1f}{}",
-            self.normalized_question(),
+            normalized,
             cfg.top_k,
             cfg.min_theta,
             cfg.max_concepts,
@@ -654,11 +722,12 @@ impl ServiceSnapshot {
     /// separator cannot appear in the normalized question, so the epoch
     /// prefix is unambiguous.
     pub fn cache_key(&self, request: &QaRequest) -> String {
-        format!(
-            "{}\u{1f}{}",
-            self.model_epoch,
-            request.cache_key(&self.config)
-        )
+        use std::fmt::Write as _;
+        let mut out = String::with_capacity(request.cache_key_capacity());
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{}\u{1f}", self.model_epoch);
+        request.push_cache_key(&self.config, &mut out);
+        out
     }
 
     /// Answer one request under this snapshot's model, stamping the epoch.
@@ -691,7 +760,14 @@ impl ServiceSnapshot {
     /// are independent, so the threads only amortize engine setup and buy
     /// wall-clock parallelism. The whole batch answers under one model
     /// epoch.
-    pub fn answer_batch(&self, requests: &[QaRequest]) -> Vec<QaResponse> {
+    ///
+    /// Takes owned requests or references (`&[QaRequest]`, `&[&QaRequest]`):
+    /// a caller answering a subset — the cache misses of a batch — passes
+    /// borrows instead of cloning the subset.
+    pub fn answer_batch<R>(&self, requests: &[R]) -> Vec<QaResponse>
+    where
+        R: std::borrow::Borrow<QaRequest> + Sync,
+    {
         if requests.len() > 1 {
             if let Some(router) = self.router() {
                 return self.answer_batch_sharded(router, requests);
@@ -713,7 +789,7 @@ impl ServiceSnapshot {
                 let engine = self.engine();
                 requests
                     .iter()
-                    .map(|r| self.stamp(&engine, r, scratch))
+                    .map(|r| self.stamp(&engine, r.borrow(), scratch))
                     .collect()
             });
         }
@@ -728,7 +804,7 @@ impl ServiceSnapshot {
                             let engine = self.engine();
                             chunk
                                 .iter()
-                                .map(|r| self.stamp(&engine, r, scratch))
+                                .map(|r| self.stamp(&engine, r.borrow(), scratch))
                                 .collect::<Vec<_>>()
                         })
                     })
@@ -756,15 +832,14 @@ impl ServiceSnapshot {
     /// queue depths surfaced on the router's telemetry lanes. Responses
     /// come back in request order; the whole batch answers under this one
     /// snapshot, so no batch ever straddles mixed model epochs.
-    fn answer_batch_sharded(
-        &self,
-        router: &ShardRouter,
-        requests: &[QaRequest],
-    ) -> Vec<QaResponse> {
+    fn answer_batch_sharded<R>(&self, router: &ShardRouter, requests: &[R]) -> Vec<QaResponse>
+    where
+        R: std::borrow::Borrow<QaRequest> + Sync,
+    {
         let workers = router.shard_count().min(requests.len()).min(16);
         let mut assign: Vec<Vec<u32>> = vec![Vec::new(); workers];
         for (i, request) in requests.iter().enumerate() {
-            let lane = (question_affinity(request) % workers as u64) as usize;
+            let lane = (question_affinity(request.borrow()) % workers as u64) as usize;
             assign[lane].push(i as u32);
         }
         for (lane, idxs) in assign.iter().enumerate() {
@@ -783,7 +858,8 @@ impl ServiceSnapshot {
                             let engine = self.engine();
                             idxs.iter()
                                 .map(|&i| {
-                                    let resp = self.stamp(&engine, &requests[i as usize], scratch);
+                                    let request = requests[i as usize].borrow();
+                                    let resp = self.stamp(&engine, request, scratch);
                                     router.obs().lane(lane).dequeue(1);
                                     (i, resp)
                                 })
@@ -1356,6 +1432,75 @@ mod tests {
             ..EngineConfig::default()
         };
         assert_ne!(plain, QaRequest::new("q").cache_key(&pruned));
+    }
+
+    #[test]
+    fn single_pass_cache_key_is_byte_identical_to_the_nested_format_rendering() {
+        let questions = [
+            "what is the population of berlin",
+            "What Is  The\tPopulation\n of   BERLIN?",
+            "  leading and trailing   ",
+            "",
+            "   ",
+            "\u{1f}",
+            "a\u{1f}b",
+            "q\u{1f}5\u{1f}0.05\u{1f}4\u{1f}true\u{1f}3\u{1f}false\u{1f}false",
+            "Tōkyō\u{2003}no  JINKŌ",
+            "İstanbul ΟΔΟΣ ǅ ẞ",
+            "x\u{a0}y\u{3000}z",
+        ];
+        let bases = [
+            EngineConfig::default(),
+            EngineConfig {
+                top_k: 1_000_000,
+                min_theta: 1e-9,
+                max_concepts: 0,
+                decompose: false,
+                chain_width: 17,
+                floor_prune: true,
+            },
+        ];
+        let shape = |r: QaRequest, variant: usize| match variant {
+            0 => r,
+            1 => r.with_top_k(11),
+            2 => r.with_min_theta(0.1 + 0.2),
+            3 => r.with_decompose(false).with_explain(true),
+            4 => r.with_top_k(5).with_min_theta(0.05).with_decompose(true),
+            _ => r
+                .with_request_id(9)
+                .with_min_epoch(3)
+                .with_min_theta(f64::MAX),
+        };
+        let handle = ModelHandle::new(Arc::new(LearnedModel::default()));
+        for base in &bases {
+            for epoch in [0u64, 7, u64::MAX] {
+                let snapshot = ServiceSnapshot {
+                    store: Arc::new(kbqa_rdf::GraphBuilder::new().build()),
+                    conceptualizer: Arc::new(Conceptualizer::new(
+                        kbqa_taxonomy::NetworkBuilder::new().build(),
+                    )),
+                    model: handle.load().0,
+                    model_epoch: epoch,
+                    ner: Arc::new(GazetteerNer::default()),
+                    pattern_index: None,
+                    config: base.clone(),
+                    obs: None,
+                    shards: None,
+                };
+                for question in questions {
+                    for variant in 0..6 {
+                        let request = shape(QaRequest::new(question), variant);
+                        let reference = request.cache_key_reference(base);
+                        assert_eq!(request.cache_key(base), reference, "{request:?}");
+                        assert_eq!(
+                            snapshot.cache_key(&request),
+                            format!("{epoch}\u{1f}{reference}"),
+                            "{request:?} at epoch {epoch}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

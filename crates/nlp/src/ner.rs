@@ -12,8 +12,8 @@
 //!   in realistic ways (misses lowercased mentions, swallows sentence-initial
 //!   words) so the corpus-based joint extraction has something real to beat.
 
-use kbqa_common::hash::FxHashMap;
-use serde::{Deserialize, Serialize};
+use kbqa_common::hash::{fx_hash, FxHashMap};
+use serde::{Deserialize, Serialize, Value};
 
 use kbqa_rdf::{NodeId, TripleStore};
 
@@ -76,7 +76,16 @@ pub struct MentionBuffer {
     spans: Vec<MentionSpan>,
     nodes: Vec<NodeId>,
     /// Window-join scratch, reused across probes.
-    window: String,
+    windows: WindowScratch,
+}
+
+/// The widest window at one start position, joined once: `text` holds the
+/// space-joined tokens and `ends[k]` the byte length of the first `k + 1` of
+/// them, so every narrower window is a prefix slice rather than a re-join.
+#[derive(Clone, Debug, Default)]
+struct WindowScratch {
+    text: String,
+    ends: Vec<usize>,
 }
 
 impl MentionBuffer {
@@ -124,16 +133,95 @@ impl MentionBuffer {
     }
 }
 
+/// Which tokens begin at least one gazetteer name: a bitset over token
+/// hashes, sized to stay cache-resident (≤ 128 KB) next to a name table
+/// that is not. Four question tokens in five begin no name, and for those
+/// the scan skips every window probe. False positives (hash collisions)
+/// only cost the probes the filter exists to avoid; there are no false
+/// negatives.
+#[derive(Clone, Debug, Default)]
+struct FirstTokenFilter {
+    bits: Box<[u64]>,
+    /// `hash >> shift` is the bit index.
+    shift: u32,
+}
+
+impl FirstTokenFilter {
+    /// Most bits the filter will use (2²⁰ bits = 128 KB).
+    const MAX_LOG2_BITS: u32 = 20;
+
+    fn build<'a>(names: impl ExactSizeIterator<Item = &'a str>) -> Self {
+        // ≥ 8 bits per name keeps collisions under a few percent; names
+        // sharing a first token only make it sparser.
+        let log2_bits = (names.len() * 8)
+            .next_power_of_two()
+            .trailing_zeros()
+            .clamp(6, Self::MAX_LOG2_BITS);
+        let mut filter = Self {
+            bits: vec![0u64; 1 << (log2_bits - 6)].into_boxed_slice(),
+            shift: 64 - log2_bits,
+        };
+        for name in names {
+            // Canonical names are space-joined tokens.
+            let first = name.split(' ').next().unwrap_or(name);
+            let bit = filter.bit(first);
+            filter.bits[bit / 64] |= 1 << (bit % 64);
+        }
+        filter
+    }
+
+    #[inline]
+    fn bit(&self, token: &str) -> usize {
+        (fx_hash(token) >> self.shift) as usize
+    }
+
+    /// May `token` begin a name? An unbuilt (default) filter belongs to an
+    /// empty gazetteer and admits nothing.
+    #[inline]
+    fn admits(&self, token: &str) -> bool {
+        let bit = self.bit(token);
+        self.bits
+            .get(bit / 64)
+            .is_some_and(|word| word & (1 << (bit % 64)) != 0)
+    }
+}
+
 /// KB-backed longest-match recognizer.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct GazetteerNer {
     /// Canonical (tokenized, lowercased, space-joined) name → nodes.
     names: FxHashMap<String, Vec<NodeId>>,
     /// Longest name length in tokens, bounding the match window.
     max_tokens: usize,
+    /// Derived from `names`; rebuilt on load, never persisted.
+    #[serde(skip)]
+    first_tokens: FirstTokenFilter,
+}
+
+// Hand-written so the derived filter can never be left unbuilt: `ner.json`
+// holds `names` and `max_tokens` only.
+impl serde::de::Deserialize for GazetteerNer {
+    fn from_value(v: &Value) -> Result<Self, serde::de::Error> {
+        let map = v
+            .as_map()
+            .ok_or_else(|| serde::de::Error::expected("map", v))?;
+        Ok(Self::from_names(
+            serde::de::field(map, "names")?,
+            serde::de::field(map, "max_tokens")?,
+        ))
+    }
 }
 
 impl GazetteerNer {
+    fn from_names(names: FxHashMap<String, Vec<NodeId>>, max_tokens: usize) -> Self {
+        let first_tokens = FirstTokenFilter::build(names.keys().map(String::as_str));
+        Self {
+            names,
+            max_tokens,
+            first_tokens,
+        }
+    }
+
     /// Build from a store's name index. Names are re-tokenized so that
     /// punctuation differences ("St. Louis" vs "st louis") do not break
     /// matching.
@@ -154,7 +242,7 @@ impl GazetteerNer {
                 }
             }
         }
-        Self { names, max_tokens }
+        Self::from_names(names, max_tokens)
     }
 
     /// Number of distinct canonical names.
@@ -162,24 +250,57 @@ impl GazetteerNer {
         self.names.len()
     }
 
+    /// Every name that starts at token `start`, longest window first:
+    /// `hit(end, nodes)` per match, stopping early when it returns `false`.
+    ///
+    /// The one scan all recognizers share. A start whose token begins no
+    /// name is dismissed by the first-token filter without touching the
+    /// name table; otherwise the widest window is joined once and each
+    /// narrower one probed as a prefix of it.
+    fn matches_from<'n>(
+        &'n self,
+        text: &TokenizedText,
+        start: usize,
+        scratch: &mut WindowScratch,
+        mut hit: impl FnMut(usize, &'n [NodeId]) -> bool,
+    ) {
+        if !self.first_tokens.admits(&text.tokens[start].text) {
+            return;
+        }
+        let max_end = (start + self.max_tokens).min(text.len());
+        scratch.text.clear();
+        scratch.ends.clear();
+        for token in &text.tokens[start..max_end] {
+            if !scratch.text.is_empty() {
+                scratch.text.push(' ');
+            }
+            scratch.text.push_str(&token.text);
+            scratch.ends.push(scratch.text.len());
+        }
+        for (k, &len) in scratch.ends.iter().enumerate().rev() {
+            if let Some(nodes) = self.names.get(&scratch.text[..len]) {
+                if !hit(start + k + 1, nodes) {
+                    return;
+                }
+            }
+        }
+    }
+
     /// All mentions, including overlapping ones — the candidate set behind
     /// `P(e|q)`'s uniform distribution (paper Sec 3.2; Table 6 reports 18.7
     /// candidates per question on average).
     pub fn find_all_mentions(&self, text: &TokenizedText) -> Vec<Mention> {
-        let n = text.len();
+        let mut scratch = WindowScratch::default();
         let mut mentions = Vec::new();
-        for start in 0..n {
-            let max_end = (start + self.max_tokens).min(n);
-            for end in (start + 1..=max_end).rev() {
-                let window = text.join(start, end);
-                if let Some(nodes) = self.names.get(&window) {
-                    mentions.push(Mention {
-                        start,
-                        end,
-                        nodes: nodes.clone(),
-                    });
-                }
-            }
+        for start in 0..text.len() {
+            self.matches_from(text, start, &mut scratch, |end, nodes| {
+                mentions.push(Mention {
+                    start,
+                    end,
+                    nodes: nodes.to_vec(),
+                });
+                true
+            });
         }
         mentions
     }
@@ -190,48 +311,36 @@ impl GazetteerNer {
     /// the window-join scratch all reuse the buffer's capacity.
     pub fn find_all_mentions_into(&self, text: &TokenizedText, buf: &mut MentionBuffer) {
         buf.clear();
-        let n = text.len();
-        for start in 0..n {
-            let max_end = (start + self.max_tokens).min(n);
-            for end in (start + 1..=max_end).rev() {
-                // Split borrow: the window scratch is disjoint from the
-                // span/node arenas `push` writes.
-                let window = &mut buf.window;
-                text.join_into(start, end, window);
-                if let Some(nodes) = self.names.get(window.as_str()) {
-                    buf.push(start, end, nodes);
-                }
-            }
+        // Split borrow: the window scratch is disjoint from the span/node
+        // arenas `push` writes.
+        let mut windows = std::mem::take(&mut buf.windows);
+        for start in 0..text.len() {
+            self.matches_from(text, start, &mut windows, |end, nodes| {
+                buf.push(start, end, nodes);
+                true
+            });
         }
+        buf.windows = windows;
     }
 
     /// Greedy longest non-overlapping mentions, scanning left to right —
     /// the deterministic single-reading used when one grounding is needed.
     pub fn find_longest_mentions(&self, text: &TokenizedText) -> Vec<Mention> {
-        let n = text.len();
-        let mut mentions = Vec::new();
+        let mut scratch = WindowScratch::default();
+        let mut mentions: Vec<Mention> = Vec::new();
         let mut start = 0;
-        while start < n {
-            let max_end = (start + self.max_tokens).min(n);
-            let mut matched = None;
-            for end in (start + 1..=max_end).rev() {
-                let window = text.join(start, end);
-                if let Some(nodes) = self.names.get(&window) {
-                    matched = Some(Mention {
-                        start,
-                        end,
-                        nodes: nodes.clone(),
-                    });
-                    break;
-                }
-            }
-            match matched {
-                Some(m) => {
-                    start = m.end;
-                    mentions.push(m);
-                }
-                None => start += 1,
-            }
+        while start < text.len() {
+            let mut next = start + 1;
+            self.matches_from(text, start, &mut scratch, |end, nodes| {
+                mentions.push(Mention {
+                    start,
+                    end,
+                    nodes: nodes.to_vec(),
+                });
+                next = end;
+                false
+            });
+            start = next;
         }
         mentions
     }

@@ -60,19 +60,6 @@ impl TokenizedText {
         join_words(self.tokens[start..end].iter().map(|t| t.text.as_str()))
     }
 
-    /// Join tokens `[start, end)` into a caller-owned buffer (cleared
-    /// first) — the allocation-free variant of [`TokenizedText::join`] for
-    /// hot loops that probe many windows per question.
-    pub fn join_into(&self, start: usize, end: usize, buf: &mut String) {
-        buf.clear();
-        for t in &self.tokens[start..end] {
-            if !buf.is_empty() {
-                buf.push(' ');
-            }
-            buf.push_str(&t.text);
-        }
-    }
-
     /// Canonical form of the full token sequence.
     pub fn joined(&self) -> String {
         self.join(0, self.tokens.len())

@@ -92,6 +92,15 @@ impl StageTrace {
         self.last = Instant::now();
     }
 
+    /// Nanoseconds accumulated per stage (indexed by `Stage as usize`) since
+    /// the last arming [`begin`](StageTrace::begin). Read-only and valid
+    /// armed or not: benches and tests read stage costs here at full
+    /// resolution, where [`StageBreakdown`] rounds to whole microseconds.
+    #[inline]
+    pub fn accum_ns(&self) -> &[u64; Stage::COUNT] {
+        &self.accum_ns
+    }
+
     /// Disarm and return the accumulated breakdown without flushing it to
     /// any sink. `None` if the trace was not armed.
     #[inline]
@@ -139,6 +148,12 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         trace.lap(Stage::NerGrounding);
         trace.lap(Stage::RankTopK); // ~0 elapsed since previous lap
+        let ns = *trace.accum_ns();
+        assert!(ns[Stage::NerGrounding as usize] >= 1_000_000);
+        assert!(
+            ns[Stage::RankTopK as usize] < 1_000_000,
+            "nanosecond view must keep the sub-µs lap apart from the sleep: {ns:?}"
+        );
         let breakdown = trace.finish(&stats).expect("armed trace yields breakdown");
         assert!(!trace.is_active());
         assert!(

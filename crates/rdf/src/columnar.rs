@@ -8,7 +8,7 @@
 //!   that [`crate::TripleStore::scan`] replays for the Sec 6.2 BFS;
 //! * **SO runs** — for each predicate `p`, the `(subject, object)` pairs
 //!   sorted by `(s, o)`, delimited by a `P+1` prefix-offset array. One
-//!   binary/galloping search answers `V(e, p)` (Eq 6) with a zero-copy
+//!   branch-free binary search answers `V(e, p)` (Eq 6) with a zero-copy
 //!   object slice;
 //! * **OS runs** — the mirror image sorted by `(o, s)` for reverse lookups
 //!   (`subjects`, value→entity grounding).
@@ -248,7 +248,7 @@ impl<'a> ColsView<'a> {
     }
 
     /// `V(e, p)` — the objects of `(s, p, ·)` as a zero-copy slice, sorted
-    /// ascending. Galloping + binary search over the SO run.
+    /// ascending: one [`equal_range`] probe of the SO run.
     pub fn objects(&self, s: u32, p: PredicateId) -> &'a [u32] {
         let (run_s, run_o) = self.so_run(p);
         let (lo, hi) = equal_range(run_s, s);
@@ -268,27 +268,63 @@ impl<'a> ColsView<'a> {
     }
 }
 
-/// The half-open index range of `key` in a sorted column: a galloping
-/// (exponential) probe to bracket the run, then binary searches inside the
-/// bracket. Matches `partition_point` semantics but costs `O(log d)` where
-/// `d` is the distance to the run — low-id subjects (interned early, looked
-/// up constantly) resolve in a handful of comparisons.
+/// The half-open index range of `key` in a sorted column — the same pair
+/// as `(partition_point(< key), partition_point(<= key))`.
+///
+/// One branch-free lower bound (the window halves every step and the base
+/// advances by a conditional move, so the only branch is the loop count,
+/// which depends on `column.len()` alone), then a gallop forward over the
+/// equal run. `V(e, p)` runs are 1–3 objects long, so two or three reads
+/// past the start find the end where a second binary search over the rest
+/// of the column took ⌈log₂ n⌉; a hub's run of `r` entries (OS runs,
+/// `object_count`) costs 2⌈log₂ r⌉ + 1.
 pub fn equal_range(column: &[u32], key: u32) -> (usize, usize) {
-    if column.is_empty() {
+    equal_range_by(column.len(), key, |i| column[i])
+}
+
+/// [`equal_range`] over an element accessor (`at(i)` for `i < n`, sorted
+/// ascending), so a test can count the reads one probe makes.
+#[inline]
+fn equal_range_by(n: usize, key: u32, at: impl Fn(usize) -> u32) -> (usize, usize) {
+    if n == 0 {
         return (0, 0);
     }
-    // Gallop for an upper bracket of the first position where `v >= key`.
-    let mut step = 1usize;
-    let mut hi = 0usize;
-    while hi < column.len() && column[hi] < key {
-        hi += step;
-        step *= 2;
+    // Lower bound: the first `i` with `at(i) >= key`, else `n`.
+    let mut base = 0usize;
+    let mut size = n;
+    while size > 1 {
+        let half = size / 2;
+        let mid = base + half;
+        base = if at(mid) < key { mid } else { base };
+        size -= half;
     }
-    let window_lo = hi.saturating_sub(step / 2);
-    let window_hi = hi.min(column.len());
-    let start = window_lo + column[window_lo..window_hi].partition_point(|&v| v < key);
-    let len = column[start..].partition_point(|&v| v == key);
-    (start, start + len)
+    let start = base + usize::from(at(base) < key);
+    if start == n || at(start) != key {
+        return (start, start);
+    }
+    // Gallop: `last` holds `key`, `end` does not (or is `n`).
+    let mut last = start;
+    let mut step = 1usize;
+    let mut end = loop {
+        let probe = start + step;
+        if probe >= n {
+            break n;
+        }
+        if at(probe) != key {
+            break probe;
+        }
+        last = probe;
+        step *= 2;
+    };
+    while end - last > 1 {
+        let mid = last + (end - last) / 2;
+        if at(mid) == key {
+            last = mid;
+        } else {
+            end = mid;
+        }
+    }
+    (start, end)
 }
 
 #[cfg(test)]
@@ -364,6 +400,59 @@ mod tests {
             assert_eq!(equal_range(&col, key), (lo, hi), "key {key}");
         }
         assert_eq!(equal_range(&[], 3), (0, 0));
+    }
+
+    #[test]
+    fn equal_range_edges() {
+        let col = [3u32, 3, 3, 8, 8, u32::MAX, u32::MAX];
+        assert_eq!(equal_range(&col, 0), (0, 0)); // below the minimum
+        assert_eq!(equal_range(&col, 3), (0, 3)); // the first run
+        assert_eq!(equal_range(&col, 9), (5, 5)); // a gap
+        assert_eq!(equal_range(&col, u32::MAX), (5, 7)); // the last run, to the end
+        assert_eq!(equal_range(&[7], 7), (0, 1));
+        assert_eq!(equal_range(&[7], 8), (1, 1)); // above the maximum
+        assert_eq!(equal_range(&[7], u32::MAX), (1, 1));
+    }
+
+    /// One probe reads ⌈log₂ n⌉ + 1 elements to find the start of the run
+    /// and 2⌈log₂(run + 1)⌉ + 1 at most to find its end: no second search
+    /// over the rest of the column, and no walk along a hub's run.
+    #[test]
+    fn equal_range_reads_log_n_plus_log_run() {
+        // Runs of 1–3 equal subjects (the shape of a V(e, p) run) and two
+        // long runs, in a column long enough that a second binary search over
+        // its tail would show.
+        let mut col: Vec<u32> = Vec::new();
+        for s in 0..5_000u32 {
+            let run = match s {
+                2_500 => 40,
+                4_999 => 1_000,
+                _ => 1 + s % 3,
+            };
+            col.extend(std::iter::repeat_n(s * 2, run as usize));
+        }
+        let ceil_log2 = |n: usize| n.next_power_of_two().trailing_zeros() as usize;
+        for n in [1, 2, 3, 64, 65, 1_000, col.len() - 300, col.len()] {
+            let col = &col[..n];
+            let top = col[n - 1];
+            let stride = if n > 1_000 { 7 } else { 1 };
+            // Every `stride`th key, and the two long runs whatever the stride.
+            for key in (0..=top + 1).step_by(stride).chain([5_000, 9_998]) {
+                let reads = std::cell::Cell::new(0usize);
+                let (lo, hi) = equal_range_by(n, key, |i| {
+                    reads.set(reads.get() + 1);
+                    col[i]
+                });
+                assert_eq!(lo, col.partition_point(|&v| v < key));
+                assert_eq!(hi, col.partition_point(|&v| v <= key));
+                assert!(
+                    reads.get() <= ceil_log2(n) + 2 * ceil_log2(hi - lo + 1) + 2,
+                    "n {n}, key {key}: {} reads for a run of {}",
+                    reads.get(),
+                    hi - lo
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * a dictionary-encoded store of `(s, p, o)` triples ([`store::TripleStore`])
 //!   over a predicate-partitioned **columnar** layout ([`columnar`]): sorted
-//!   `(s, o)` / `(o, s)` runs per predicate, answered by binary/galloping
+//!   `(s, o)` / `(o, s)` runs per predicate, answered by branch-free binary
 //!   search with zero-copy value slices,
 //! * a sequential [`scan`](store::TripleStore::scan) over all triples in
 //!   insertion order — the stand-in for the disk scans that Sec 6.2's

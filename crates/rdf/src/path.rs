@@ -65,12 +65,17 @@ impl ExpandedPredicate {
 
     /// Render as `p1→p2→p3` using the store's dictionary.
     pub fn render(&self, store: &TripleStore) -> String {
-        let names: Vec<&str> = self
-            .edges
-            .iter()
-            .map(|&p| store.dict().predicate_name(p))
-            .collect();
-        names.join("→")
+        let dict = store.dict();
+        let names = self.edges.iter().map(|&p| dict.predicate_name(p).len());
+        let arrows = self.edges.len().saturating_sub(1) * '→'.len_utf8();
+        let mut out = String::with_capacity(names.sum::<usize>() + arrows);
+        for (i, &p) in self.edges.iter().enumerate() {
+            if i > 0 {
+                out.push('→');
+            }
+            out.push_str(dict.predicate_name(p));
+        }
+        out
     }
 }
 
@@ -241,6 +246,10 @@ mod tests {
         let (store, _, _) = spouse_kb();
         let p = path(&store, &["marriage", "person", "name"]);
         assert_eq!(p.render(&store), "marriage→person→name");
+        assert_eq!(path(&store, &["dob"]).render(&store), "dob");
+        // A deserialized path can bypass the constructor's non-empty check.
+        let empty = ExpandedPredicate { edges: Vec::new() };
+        assert_eq!(empty.render(&store), "");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! mmap snapshot, they are free to carry auxiliary structures the zero-copy
 //! format cannot: [`partition`] builds each shard with the direct
 //! `(subject, predicate) → run` adjacency index
-//! ([`TripleStore::build_adjacency_index`]), replacing the galloping binary
+//! ([`TripleStore::build_adjacency_index`]), replacing the binary
 //! search over multi-megabyte mapped runs with one hash probe.
 
 use serde::{Deserialize, Serialize};

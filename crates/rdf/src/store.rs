@@ -44,7 +44,7 @@ pub struct TripleStore {
 }
 
 /// Direct `(subject, predicate) → objects-run range` index over the SO
-/// columns: one hash probe instead of a galloping binary search. The value
+/// columns: one hash probe instead of a binary search. The value
 /// is a `(start, len)` range into the *global* `so_o` column, so resolving a
 /// hit is a bounds-checked slice — byte-identical to what the search returns.
 #[derive(Debug, Default)]
@@ -128,7 +128,7 @@ impl TripleStore {
 
     /// Build the direct `(s, p) → run` adjacency index, after which
     /// [`TripleStore::objects_slice`] / [`TripleStore::object_count`]
-    /// resolve by one hash probe instead of a galloping binary search —
+    /// resolve by one hash probe instead of a binary search —
     /// identical slices, fewer cache misses on large mapped runs.
     ///
     /// The index is derived state: it is never persisted (the zero-copy

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 
+use kbqa_rdf::columnar::equal_range;
 use kbqa_rdf::path::objects_via_path;
 use kbqa_rdf::{ntriples, ExpandedPredicate, GraphBuilder, NodeId, TripleStore};
 
@@ -92,6 +93,64 @@ proptest! {
             prop_assert!(store.contains(t.s, t.p, t.o));
             prop_assert!(store.objects(t.s, t.p).any(|o| o == t.o));
             prop_assert!(store.predicates_between(t.s, t.o).any(|p| p == t.p));
+        }
+    }
+
+    /// `equal_range` is the pair of partition points, on sorted columns with
+    /// long runs, for keys on, between, below and above the stored values.
+    #[test]
+    fn equal_range_is_the_partition_point_pair(
+        runs in proptest::collection::vec((0u32..4, 1usize..90), 0..40),
+        top_run in 0usize..3,
+        probes in proptest::collection::vec(any::<u32>(), 0..8),
+    ) {
+        // (gap to the previous value, run length) pairs, so values repeat in
+        // runs up to 89 long and neighbours are often adjacent integers.
+        let mut column: Vec<u32> = Vec::new();
+        let mut value = 1u32;
+        for &(gap, len) in &runs {
+            value += gap;
+            column.extend(std::iter::repeat_n(value, len));
+            value += 1;
+        }
+        column.extend(std::iter::repeat_n(u32::MAX, top_run));
+        let mut keys: Vec<u32> = vec![0, 1, u32::MAX - 1, u32::MAX];
+        keys.extend(column.iter().flat_map(|&v| [v.saturating_sub(1), v, v.saturating_add(1)]));
+        keys.extend(probes);
+        for key in keys {
+            let expected = (
+                column.partition_point(|&v| v < key),
+                column.partition_point(|&v| v <= key),
+            );
+            prop_assert_eq!(equal_range(&column, key), expected, "key {} in {:?}", key, column);
+        }
+    }
+
+    /// `objects_slice` returns exactly the objects a scan finds, on stores
+    /// whose per-predicate runs are hundreds of triples long, for present
+    /// and absent subjects alike.
+    #[test]
+    fn value_lookups_match_a_scan_on_long_runs(
+        links in proptest::collection::vec((0u8..60, 0u8..2, 0u8..60), 0..700),
+    ) {
+        let mut b = GraphBuilder::new();
+        let nodes: Vec<NodeId> = (0..60).map(|i| b.resource(&format!("n{i}"))).collect();
+        let preds = [b.predicate("p0"), b.predicate("p1"), b.predicate("unused")];
+        for &(s, p, o) in &links {
+            b.triple(nodes[s as usize], preds[p as usize], nodes[o as usize]);
+        }
+        let store = b.build();
+        let triples: Vec<_> = store.scan().collect();
+        for &p in &preds {
+            for &s in &nodes {
+                let mut expected: Vec<NodeId> = triples
+                    .iter()
+                    .filter(|t| t.s == s && t.p == p)
+                    .map(|t| t.o)
+                    .collect();
+                expected.sort_unstable();
+                prop_assert_eq!(store.objects_slice(s, p), expected.as_slice());
+            }
         }
     }
 

@@ -269,58 +269,31 @@ impl AnswerCache {
         }
     }
 
-    /// Batch lookup: one stripe-lock acquisition per *shard touched*, not
-    /// per key. Keys are grouped by stripe, each stripe's lock is taken
-    /// once, and results land at the key's original index — order
-    /// preserving. A 64-question batch over a 16-stripe cache pays ≤ 16
-    /// lock trips instead of 64.
+    /// Batch lookup: [`Self::get`] per key, results at the key's index, the
+    /// hit/miss counters bumped once for the whole batch. Each key takes its
+    /// own stripe lock: a streamed `/batch` looks up 16-question lanes over
+    /// 16 stripes — about one key per stripe — so grouping keys by stripe
+    /// would buy a `Vec` per stripe per call and save almost no lock trips.
     pub fn get_batch(&self, keys: &[String]) -> Vec<Option<Arc<QaResponse>>> {
-        let mut results: Vec<Option<Arc<QaResponse>>> = vec![None; keys.len()];
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, key) in keys.iter().enumerate() {
-            by_shard[self.shard_index(key)].push(i);
-        }
-        let mut hits = 0u64;
-        for (shard_idx, members) in by_shard.iter().enumerate() {
-            if members.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[shard_idx].lock().expect("cache shard");
-            for &i in members {
-                let found = shard.get(&keys[i]);
-                if found.is_some() {
-                    hits += 1;
-                }
-                results[i] = found;
-            }
-        }
+        let results: Vec<Option<Arc<QaResponse>>> = keys
+            .iter()
+            .map(|key| self.shard_for(key).lock().expect("cache shard").get(key))
+            .collect();
+        let hits = results.iter().flatten().count() as u64;
         self.hits.fetch_add(hits, Ordering::Relaxed);
         self.misses
             .fetch_add(keys.len() as u64 - hits, Ordering::Relaxed);
         results
     }
 
-    /// Batch insert: the fill-side twin of [`Self::get_batch`] — entries
-    /// are grouped by stripe and each stripe's lock is taken once for the
-    /// whole batch.
+    /// Batch insert: the fill-side twin of [`Self::get_batch`] — entries go
+    /// in one by one, in order, and the counters are bumped once.
     pub fn insert_batch(&self, entries: Vec<(String, Arc<QaResponse>)>) {
-        let mut by_shard: Vec<Vec<(String, Arc<QaResponse>)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
         let total = entries.len() as u64;
-        for (key, value) in entries {
-            by_shard[self.shard_index(&key)].push((key, value));
-        }
         let mut evicted = 0u64;
-        for (shard_idx, members) in by_shard.into_iter().enumerate() {
-            if members.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[shard_idx].lock().expect("cache shard");
-            for (key, value) in members {
-                if shard.insert(key, value, self.shard_capacity) {
-                    evicted += 1;
-                }
-            }
+        for (key, value) in entries {
+            let mut shard = self.shard_for(&key).lock().expect("cache shard");
+            evicted += u64::from(shard.insert(key, value, self.shard_capacity));
         }
         self.insertions.fetch_add(total, Ordering::Relaxed);
         if evicted > 0 {

@@ -2554,8 +2554,8 @@ fn handle_answer(state: &AppState, body: &[u8]) -> Response {
 
 /// The parsed-and-admitted prefix of a `/batch` request, shared by the
 /// buffered and streaming paths: requests, epoch-consistent snapshot,
-/// versioned keys, and the cache-hit array (one striped-lock trip for the
-/// whole batch via [`AnswerCache::get_batch`]).
+/// versioned keys (each taken by [`fill_misses`] when its miss is cached),
+/// and the cache-hit array ([`AnswerCache::get_batch`]).
 struct BatchSetup {
     requests: Vec<QaRequest>,
     snapshot: kbqa_core::service::ServiceSnapshot,
@@ -2594,9 +2594,10 @@ fn batch_setup(state: &AppState, body: &[u8]) -> Result<BatchSetup, Response> {
     })
 }
 
-/// Compute the misses among `setup.responses[range]` in request order and
-/// fill the slots, entering the cache with one striped-lock trip per
-/// touched stripe ([`AnswerCache::insert_batch`]).
+/// Compute the misses among `setup.responses[range]` in request order, fill
+/// the slots and enter the cache ([`AnswerCache::insert_batch`]). Requests
+/// are answered by reference and each key moves into its cache entry: a key
+/// is looked up once and inserted at most once, so nothing is cloned.
 fn fill_misses(state: &AppState, setup: &mut BatchSetup, range: std::ops::Range<usize>) {
     let miss_indices: Vec<usize> = range.filter(|&i| setup.responses[i].is_none()).collect();
     if miss_indices.is_empty() {
@@ -2605,24 +2606,20 @@ fn fill_misses(state: &AppState, setup: &mut BatchSetup, range: std::ops::Range<
     // Duplicate questions within one batch each miss independently and
     // are computed redundantly; correctness is unaffected (the engine is
     // deterministic) and the next request hits.
-    let misses: Vec<QaRequest> = miss_indices
-        .iter()
-        .map(|&i| setup.requests[i].clone())
-        .collect();
+    let misses: Vec<&QaRequest> = miss_indices.iter().map(|&i| &setup.requests[i]).collect();
     let computed = setup.snapshot.answer_batch(&misses);
     let mut fills = Vec::with_capacity(miss_indices.len());
     for (&i, response) in miss_indices.iter().zip(computed) {
         let response = Arc::new(response);
-        fills.push((setup.keys[i].clone(), Arc::clone(&response)));
+        fills.push((std::mem::take(&mut setup.keys[i]), Arc::clone(&response)));
         setup.responses[i] = Some(response);
     }
     state.cache.insert_batch(fills);
 }
 
 /// `POST /batch`: a `Vec<QaRequest>` in, a `Vec<QaResponse>` out in request
-/// order. Cache hits are filled in directly (one lock trip per stripe for
-/// the whole batch); only the misses fan out through the snapshot's
-/// `answer_batch`, then enter the cache the same way. The whole batch —
+/// order. Cache hits are filled in directly; only the misses fan out through
+/// the snapshot's `answer_batch`, then enter the cache. The whole batch —
 /// keys and computation — runs under one model epoch.
 fn handle_batch(state: &AppState, body: &[u8]) -> Response {
     let started = Instant::now();

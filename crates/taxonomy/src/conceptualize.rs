@@ -144,12 +144,14 @@ impl Conceptualizer {
             if signal_seen >= self.max_context_words {
                 break;
             }
-            if !self.network.is_context_word(word) {
+            // One vocabulary probe per word, shared by every concept.
+            let sym = self.network.context_symbol(word);
+            if sym.is_none() {
                 continue;
             }
             signal_seen += 1;
             for (c, score) in out.iter_mut() {
-                *score += self.network.context_likelihood(*c, word, self.alpha).ln();
+                *score += self.network.symbol_likelihood(*c, sym, self.alpha).ln();
             }
         }
 

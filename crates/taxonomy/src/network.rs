@@ -62,21 +62,33 @@ impl ConceptNetwork {
     /// context vocabulary — the naive-Bayes likelihood used by the
     /// conceptualizer.
     pub fn context_likelihood(&self, c: ConceptId, word: &str, alpha: f64) -> f64 {
+        self.symbol_likelihood(c, self.context_symbol(word), alpha)
+    }
+
+    /// [`ConceptNetwork::context_likelihood`] of an already-resolved
+    /// [`ConceptNetwork::context_symbol`] (`None`: a word outside the
+    /// vocabulary, count 0) — callers scoring one word against several
+    /// concepts hash it once instead of once per concept.
+    pub fn symbol_likelihood(&self, c: ConceptId, sym: Option<u32>, alpha: f64) -> f64 {
         let vocab = self.context_vocab.len().max(1) as f64;
         let total = self.context_totals[c.index()];
-        let count = self
-            .context_vocab
-            .get(word)
+        let count = sym
             .and_then(|sym| self.context_counts[c.index()].get(&sym))
             .copied()
             .unwrap_or(0.0);
         (count + alpha) / (total + alpha * vocab)
     }
 
-    /// Whether the word appears in any concept's context evidence (words that
-    /// never do carry no disambiguation signal and can be skipped).
+    /// The word's symbol in the shared context vocabulary; `None` when it
+    /// appears in no concept's context evidence (such words carry no
+    /// disambiguation signal and can be skipped).
+    pub fn context_symbol(&self, word: &str) -> Option<u32> {
+        self.context_vocab.get(word)
+    }
+
+    /// Whether the word appears in any concept's context evidence.
     pub fn is_context_word(&self, word: &str) -> bool {
-        self.context_vocab.get(word).is_some()
+        self.context_symbol(word).is_some()
     }
 
     /// Iterate all concept ids.

@@ -25,6 +25,10 @@
 //! back — it runs on the caller's warm scratch instead of spawning threads
 //! whose scratch would start empty.
 //!
+//! PR 18 adds the cache key: `ServiceSnapshot::cache_key` renders epoch,
+//! normalized question and effective config straight into one pre-sized
+//! `String` — exactly one allocation per key, overrides or not.
+//!
 //! This file intentionally holds a single test: the allocator counter is
 //! process-global, and a concurrently running test would pollute the delta.
 
@@ -253,5 +257,34 @@ fn steady_state_kernel_performs_zero_allocations() {
         "a 16-question answer_batch allocated {delta} times; its responses alone cost \
          {owned_responses} (available_parallelism = {:?})",
         std::thread::available_parallelism()
+    );
+
+    // The same lane cost 151 allocations before PR 18 stopped re-rendering
+    // provenance strings that repeat from one ranked answer to the next
+    // (the world and the questions are seed-deterministic).
+    assert!(
+        delta <= 151,
+        "a 16-question answer_batch lane allocated {delta} times, more than at PR 13"
+    );
+
+    // Phase 6 (PR 18): the cache key every request pays for, hit or miss —
+    // one buffer, sized up front, never regrown.
+    let keyed: Vec<QaRequest> = vec![
+        QaRequest::new("What is  the population of Honolulu?"),
+        QaRequest::new(&questions[0]).with_top_k(3),
+        QaRequest::new(&questions[1])
+            .with_min_theta(0.25)
+            .with_decompose(false)
+            .with_explain(true),
+        QaRequest::new(""),
+    ];
+    let before = allocations();
+    let key_bytes: usize = keyed.iter().map(|r| snapshot.cache_key(r).len()).sum();
+    let delta = allocations() - before;
+    assert!(key_bytes > 0);
+    assert_eq!(
+        delta,
+        keyed.len() as u64,
+        "cache_key must allocate exactly once per key"
     );
 }
