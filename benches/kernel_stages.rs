@@ -1,30 +1,40 @@
-//! Where the kernel's nanoseconds go on a million-triple mapped store.
+//! Where the serving path's nanoseconds go on a million-triple mapped store.
 //!
 //! Builds the serving benchmark's fixture shape — `WorldConfig::large_1m`,
 //! a model learned on 20 000 pairs, the bundle saved and loaded back so the
 //! store is the `mmap`ed snapshot a server runs on — and walks a cold
 //! question stream (distinct questions, no answer cache) through
-//! `QaEngine::answer_request_with` on one warm `ScratchSpace`:
+//! `QaEngine::render_request_into` — the kernel plus the response's JSON,
+//! as a server renders it — on one warm `ScratchSpace`:
 //!
 //! * a criterion group times the untraced walk (ns/question end to end);
 //! * one traced walk then prints ns/question per stage from
-//!   `StageTrace::accum_ns`, plus mentions, `V(e, p⁺)` traversals and path
-//!   edges per question.
+//!   `StageTrace::accum_ns`, `serialize` included, plus mentions,
+//!   `V(e, p⁺)` traversals and path edges per question;
+//! * three serving pieces are then timed both ways, ns/question: request
+//!   decode (typed vs `serde_json`, on the benchmark's
+//!   `{"question":…,"request_id":N}` body and on a 256-question batch),
+//!   answering (`answer_into` vs `answer` + `serialize_into`), and a cache
+//!   insert that evicts at 4 096 entries (a rendered entry vs an
+//!   `Arc<QaResponse>`).
 //!
 //! The world is seed 7, the seed the PR protocol measures on. One command
-//! reproduces the stage tables in `docs/PERFORMANCE.md`:
+//! reproduces the tables in `docs/PERFORMANCE.md`:
 //!
 //! ```sh
 //! cargo bench --bench kernel_stages
 //! ```
 
 use std::collections::HashSet;
+use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use kbqa::nlp::{MentionBuffer, TokenizedText};
 use kbqa::prelude::*;
+use kbqa_server::{AnswerCache, CacheConfig, RenderedAnswer, RenderedCache};
 
 /// World seed (the serving benchmark's `--seed`).
 const SEED: u64 = 7;
@@ -108,16 +118,18 @@ fn bench_kernel_stages(c: &mut Criterion) {
     let snapshot = f.service.snapshot();
     let engine = snapshot.engine();
     let mut scratch = ScratchSpace::new();
+    let mut out = Vec::with_capacity(4 << 10);
 
     let mut group = c.benchmark_group("kernel_stages");
     group.sample_size(5);
     group.throughput(Throughput::Elements(f.requests.len() as u64));
-    group.bench_function("answer_request_cold_cycle", |b| {
+    group.bench_function("render_request_cold_cycle", |b| {
         b.iter(|| {
             let mut answered = 0usize;
             for request in &f.requests {
-                answered +=
-                    usize::from(engine.answer_request_with(request, &mut scratch).answered());
+                out.clear();
+                let refusal = engine.render_request_into(request, &mut scratch, 0, &mut out);
+                answered += usize::from(refusal.is_none());
             }
             answered
         })
@@ -131,7 +143,9 @@ fn bench_kernel_stages(c: &mut Criterion) {
     let (lookups_before, edges_before) = scratch.lookup_events();
     for request in &f.requests {
         scratch.trace.begin(true);
-        answered += usize::from(engine.answer_request_with(request, &mut scratch).answered());
+        out.clear();
+        let refusal = engine.render_request_into(request, &mut scratch, 0, &mut out);
+        answered += usize::from(refusal.is_none());
         for (total, ns) in stage_ns.iter_mut().zip(scratch.trace.accum_ns()) {
             *total += ns;
         }
@@ -144,7 +158,7 @@ fn bench_kernel_stages(c: &mut Criterion) {
     let token_count: usize = tokenized.iter().map(TokenizedText::len).sum();
     let mut mentions = MentionBuffer::new();
     let mut mention_count = 0usize;
-    let scan_started = std::time::Instant::now();
+    let scan_started = Instant::now();
     for tokens in &tokenized {
         f.service
             .ner()
@@ -162,13 +176,11 @@ fn bench_kernel_stages(c: &mut Criterion) {
         100.0 * answered as f64 / n,
     );
     for stage in Stage::ALL {
-        if stage != Stage::Serialize {
-            println!(
-                "  {:<16} {:>7.0} ns/question",
-                stage.as_str(),
-                stage_ns[stage as usize] as f64 / n
-            );
-        }
+        println!(
+            "  {:<16} {:>7.0} ns/question",
+            stage.as_str(),
+            stage_ns[stage as usize] as f64 / n
+        );
     }
     println!(
         "  {:<16} {:>7.0} ns/question (armed: +1 clock read per lap)",
@@ -187,6 +199,121 @@ fn bench_kernel_stages(c: &mut Criterion) {
         (lookups - lookups_before) as f64 / n,
         (edges - edges_before) as f64 / n,
     );
+    serving_pieces(&f.requests, &snapshot);
+}
+
+/// Fastest of three timed passes of `pass`, in ns per one of its `items`.
+fn ns_per(items: usize, mut pass: impl FnMut()) -> f64 {
+    (0..3)
+        .map(|_| {
+            let started = Instant::now();
+            pass();
+            started.elapsed().as_nanos() as f64 / items as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+fn piece(name: &str, now: f64, before: f64, before_name: &str) {
+    println!(
+        "  {name:<28} {now:>7.0} ns/question   {before_name} {before:>7.0}   saves {:>6.0}",
+        before - now
+    );
+}
+
+/// The three pieces of the serving edge the rendered-bytes path replaced,
+/// each timed against what it replaced.
+fn serving_pieces(requests: &[QaRequest], snapshot: &ServiceSnapshot) {
+    println!("serving pieces (new vs replaced):");
+
+    // Decode: the benchmark's single-question body, and 256-question batches.
+    let bodies: Vec<String> = requests
+        .iter()
+        .enumerate()
+        .map(|(id, r)| {
+            let question = serde_json::to_string(&r.question).expect("serialize question");
+            format!("{{\"question\":{question},\"request_id\":{id}}}")
+        })
+        .collect();
+    let typed = ns_per(bodies.len(), || {
+        for body in &bodies {
+            black_box(QaRequest::decode(body.as_bytes()).expect("decodes"));
+        }
+    });
+    let serde = ns_per(bodies.len(), || {
+        for body in &bodies {
+            black_box(serde_json::from_str::<QaRequest>(body).expect("parses"));
+        }
+    });
+    piece("decode (/answer body)", typed, serde, "serde_json");
+    let batches: Vec<String> = bodies
+        .chunks(256)
+        .map(|chunk| format!("[{}]", chunk.join(",")))
+        .collect();
+    let typed = ns_per(bodies.len(), || {
+        for batch in &batches {
+            black_box(QaRequest::decode_batch(batch.as_bytes()).expect("decodes"));
+        }
+    });
+    let serde = ns_per(bodies.len(), || {
+        for batch in &batches {
+            black_box(serde_json::from_str::<Vec<QaRequest>>(batch).expect("parses"));
+        }
+    });
+    piece("decode (256-question batch)", typed, serde, "serde_json");
+
+    // Answering: rendered from ids vs materialized, then serialized.
+    let mut out = Vec::with_capacity(4 << 10);
+    let rendered = ns_per(requests.len(), || {
+        for request in requests {
+            out.clear();
+            black_box(snapshot.answer_into(request, &mut out));
+        }
+    });
+    let owned = ns_per(requests.len(), || {
+        for request in requests {
+            out.clear();
+            snapshot.answer(request).serialize_into(&mut out);
+            black_box(&out);
+        }
+    });
+    piece("answer_into", rendered, owned, "answer+serialize_into");
+
+    // Cache insert at capacity (every insert evicts): a rendered entry
+    // copied from the response bytes vs the owned response behind an Arc.
+    let keys: Vec<String> = requests.iter().map(|r| snapshot.cache_key(r)).collect();
+    let fill = CacheConfig::default().capacity;
+    let (warm, timed) = (&keys[..fill], &keys[fill..]);
+    let mut bodies: Vec<(Option<Refusal>, Vec<u8>)> = Vec::with_capacity(requests.len());
+    for request in requests {
+        let mut body = Vec::new();
+        let refusal = snapshot.answer_into(request, &mut body).refusal;
+        bodies.push((refusal, body));
+    }
+    let rendered = {
+        let cache = RenderedCache::new(CacheConfig::default());
+        for (key, (refusal, body)) in warm.iter().zip(&bodies) {
+            cache.insert(key.as_str(), RenderedAnswer::new(*refusal, body));
+        }
+        let started = Instant::now();
+        for (key, (refusal, body)) in timed.iter().zip(&bodies[fill..]) {
+            cache.insert(key.as_str(), RenderedAnswer::new(*refusal, body));
+        }
+        started.elapsed().as_nanos() as f64 / timed.len() as f64
+    };
+    let owned = {
+        let cache: AnswerCache<Arc<QaResponse>> = AnswerCache::new(CacheConfig::default());
+        let responses: Vec<QaResponse> = requests.iter().map(|r| snapshot.answer(r)).collect();
+        let mut entries = keys.iter().cloned().zip(responses);
+        for (key, response) in entries.by_ref().take(fill) {
+            cache.insert(key, Arc::new(response));
+        }
+        let started = Instant::now();
+        for (key, response) in entries {
+            cache.insert(key, Arc::new(response));
+        }
+        started.elapsed().as_nanos() as f64 / timed.len() as f64
+    };
+    piece("cache insert + evict", rendered, owned, "Arc<QaResponse>");
 }
 
 criterion_group!(benches, bench_kernel_stages);

@@ -1,13 +1,16 @@
 //! Cold vs cached answer latency — the case for the server's answer cache.
 //!
 //! "QA Is the New KR" argues repeated QA-pair lookups dominate live QA
-//! traffic; the cache turns each repeat from a full Eq (7) enumeration into
-//! a sharded-LRU probe plus an `Arc` clone. This bench quantifies the gap on
-//! the same question suite:
+//! traffic; the cache turns each repeat from a full Eq (7) enumeration plus
+//! rendering into a sharded-LRU probe plus one copy of the stored bytes.
+//! This bench quantifies the gap on the same question suite, with the
+//! cache holding rendered answers exactly as the server does:
 //!
-//! * `cold`   — every question runs the engine (`KbqaService::answer`);
-//! * `cached` — every question probes a pre-warmed `AnswerCache` first, the
-//!   steady state of a server seeing recurring traffic;
+//! * `cold`   — every question runs the engine and renders its JSON
+//!   (`ServiceSnapshot::answer_into`);
+//! * `cached` — every question probes a pre-warmed `RenderedCache` and
+//!   copies the hit's body, the steady state of a server seeing recurring
+//!   traffic;
 //! * `miss_then_hit` — a cleared cache absorbing the suite once, then being
 //!   re-asked: one warm-up pass amortized over two;
 //! * `swap_then_requery` — the live-ops path: a cache warmed under one
@@ -18,23 +21,41 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use kbqa_bench::Session;
-use kbqa_core::service::QaRequest;
+use kbqa_core::service::{QaRequest, ServiceSnapshot};
 use kbqa_corpus::benchmark;
-use kbqa_server::{AnswerCache, CacheConfig};
+use kbqa_server::{CacheConfig, RenderedAnswer, RenderedCache};
+
+/// The server's `/answer` path: probe, and on a miss render and insert.
+/// Returns whether the question was answered; `out` holds the body.
+fn get_or_render(
+    cache: &RenderedCache,
+    snapshot: &ServiceSnapshot,
+    request: &QaRequest,
+    out: &mut Vec<u8>,
+) -> bool {
+    out.clear();
+    let key = snapshot.cache_key(request);
+    if let Some(hit) = cache.get(&key) {
+        out.extend_from_slice(hit.body());
+        return hit.refusal().is_none();
+    }
+    let rendered = snapshot.answer_into(request, out);
+    cache.insert(key, RenderedAnswer::new(rendered.refusal, out));
+    rendered.refusal.is_none()
+}
 
 fn bench_cached_answer(c: &mut Criterion) {
     let session = Session::build("bench", kbqa_corpus::WorldConfig::small(42), 3000);
     let bench = benchmark::qald_like(&session.world, "cache", 40, 30, 0.2, 75);
     let service = session.service();
+    let snapshot = service.snapshot();
     let requests: Vec<QaRequest> = bench
         .questions
         .iter()
         .map(|q| QaRequest::new(&q.question))
         .collect();
-    let keys: Vec<String> = requests
-        .iter()
-        .map(|r| r.cache_key(service.config()))
-        .collect();
+    let keys: Vec<String> = requests.iter().map(|r| snapshot.cache_key(r)).collect();
+    let mut out = Vec::new();
 
     let mut group = c.benchmark_group("cached_answer");
     group.sample_size(20);
@@ -43,29 +64,26 @@ fn bench_cached_answer(c: &mut Criterion) {
         b.iter(|| {
             let mut answered = 0usize;
             for request in &requests {
-                if service.answer(std::hint::black_box(request)).answered() {
-                    answered += 1;
-                }
+                out.clear();
+                let rendered = snapshot.answer_into(std::hint::black_box(request), &mut out);
+                answered += usize::from(rendered.refusal.is_none());
             }
             answered
         })
     });
 
-    let warm = AnswerCache::new(CacheConfig::default());
-    for (request, key) in requests.iter().zip(&keys) {
-        warm.get_or_compute(key.clone(), || service.answer(request));
+    let warm = RenderedCache::new(CacheConfig::default());
+    for request in &requests {
+        get_or_render(&warm, &snapshot, request, &mut out);
     }
     group.bench_function("cached", |b| {
         b.iter(|| {
             let mut answered = 0usize;
             for key in &keys {
-                if warm
-                    .get(std::hint::black_box(key))
-                    .expect("pre-warmed")
-                    .answered()
-                {
-                    answered += 1;
-                }
+                let hit = warm.get(std::hint::black_box(key)).expect("pre-warmed");
+                out.clear();
+                out.extend_from_slice(hit.body());
+                answered += usize::from(hit.refusal().is_none());
             }
             answered
         })
@@ -73,14 +91,11 @@ fn bench_cached_answer(c: &mut Criterion) {
 
     group.bench_function("miss_then_hit", |b| {
         b.iter(|| {
-            let cache = AnswerCache::new(CacheConfig::default());
+            let cache = RenderedCache::new(CacheConfig::default());
             let mut answered = 0usize;
             for _round in 0..2 {
-                for (request, key) in requests.iter().zip(&keys) {
-                    let response = cache.get_or_compute(key.clone(), || service.answer(request));
-                    if response.answered() {
-                        answered += 1;
-                    }
+                for request in &requests {
+                    answered += usize::from(get_or_render(&cache, &snapshot, request, &mut out));
                 }
             }
             answered
@@ -88,26 +103,22 @@ fn bench_cached_answer(c: &mut Criterion) {
     });
 
     // A sibling service with its own ModelHandle, so the epoch churn below
-    // never leaks into the other benches' un-versioned keys.
+    // never leaks into the other benches' keys.
     let swapping = service.with_model(service.model());
     group.bench_function("swap_then_requery", |b| {
         b.iter(|| {
-            let cache = AnswerCache::new(CacheConfig::default());
+            let cache = RenderedCache::new(CacheConfig::default());
             let mut answered = 0usize;
             // Warm under the current epoch…
             let snapshot = swapping.snapshot();
             for request in &requests {
-                cache.get_or_compute(snapshot.cache_key(request), || snapshot.answer(request));
+                get_or_render(&cache, &snapshot, request, &mut out);
             }
             // …swap (epoch bump re-keys everything), re-ask the suite cold.
             swapping.swap_model(swapping.model());
             let snapshot = swapping.snapshot();
             for request in &requests {
-                let response =
-                    cache.get_or_compute(snapshot.cache_key(request), || snapshot.answer(request));
-                if response.answered() {
-                    answered += 1;
-                }
+                answered += usize::from(get_or_render(&cache, &snapshot, request, &mut out));
             }
             answered
         })

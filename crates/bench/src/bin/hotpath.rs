@@ -72,7 +72,7 @@ use kbqa_bench::{session::Scale, Session};
 use kbqa_core::engine::{QaEngine, ScratchSpace};
 use kbqa_core::service::QaRequest;
 use kbqa_nlp::tokenize;
-use kbqa_obs::{Stage, StageStats};
+use kbqa_obs::StageStats;
 use kbqa_server::{serve, ServerConfig};
 
 /// Report layout version. Bumped to 2 in PR 7 when the per-stage cost
@@ -193,10 +193,11 @@ struct StageCost {
 /// Sweep the question set three ways per round — stage tracer disarmed,
 /// sampled at the production default (1 in [`TRACE_SAMPLE_EVERY`]), and
 /// armed on every request — min-over-rounds each, filling the stage cost
-/// table from the always-armed sweeps. Every sweep serializes the
-/// response too — that is the real serving pipeline, and it keeps the
-/// comparison symmetric so the deltas isolate the tracer. Returns
-/// (stage cost table, sampled overhead percent, armed overhead percent).
+/// table from the always-armed sweeps. Every sweep renders the response's
+/// JSON too (`QaEngine::render_request_into`, the serving path, which laps
+/// the write as the `serialize` stage), so the comparison stays symmetric
+/// and the deltas isolate the tracer. Returns (stage cost table, sampled
+/// overhead percent, armed overhead percent).
 fn stage_pass(
     engine: &QaEngine<'_>,
     questions: &[String],
@@ -206,9 +207,12 @@ fn stage_pass(
     let requests: Vec<QaRequest> = questions.iter().map(QaRequest::new).collect();
     let stats = StageStats::new();
     let sampled_stats = StageStats::new(); // sampled sweep's sink, kept out of the table
-                                           // Serialization via the serving edge's allocation-free writer into a
-                                           // reused buffer — exactly how the HTTP layer renders since PR 10.
     let mut body = Vec::with_capacity(4 << 10);
+    let mut render = |request: &QaRequest, scratch: &mut ScratchSpace| {
+        body.clear();
+        std::hint::black_box(engine.render_request_into(request, scratch, 0, &mut body));
+        std::hint::black_box(&body);
+    };
     let mut disarmed_total = f64::INFINITY;
     let mut sampled_total = f64::INFINITY;
     let mut armed_total = f64::INFINITY;
@@ -216,44 +220,23 @@ fn stage_pass(
         let round = Instant::now();
         for request in &requests {
             scratch.trace.begin(false);
-            let response = std::hint::black_box(engine.answer_request_with(request, scratch));
-            body.clear();
-            response.serialize_into(&mut body);
-            std::hint::black_box(&body);
+            render(request, scratch);
         }
         disarmed_total = disarmed_total.min(round.elapsed().as_secs_f64());
 
         let round = Instant::now();
         for (j, request) in requests.iter().enumerate() {
-            let armed = j % TRACE_SAMPLE_EVERY == 0;
-            scratch.trace.begin(armed);
-            let response = std::hint::black_box(engine.answer_request_with(request, scratch));
-            let breakdown = scratch.trace.finish(&sampled_stats);
-            let started = Instant::now();
-            body.clear();
-            response.serialize_into(&mut body);
-            std::hint::black_box(&body);
-            if breakdown.is_some() {
-                let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                sampled_stats.record_us(Stage::Serialize, us);
-            }
+            scratch.trace.begin(j % TRACE_SAMPLE_EVERY == 0);
+            render(request, scratch);
+            let _ = scratch.trace.finish(&sampled_stats);
         }
         sampled_total = sampled_total.min(round.elapsed().as_secs_f64());
 
         let round = Instant::now();
         for request in &requests {
             scratch.trace.begin(true);
-            let response = std::hint::black_box(engine.answer_request_with(request, scratch));
+            render(request, scratch);
             let _ = scratch.trace.finish(&stats);
-            // Serialization is a serving-layer stage (the engine never
-            // renders JSON); time it here exactly as the HTTP layer does
-            // so the table covers the whole pipeline.
-            let started = Instant::now();
-            body.clear();
-            response.serialize_into(&mut body);
-            std::hint::black_box(&body);
-            let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            stats.record_us(Stage::Serialize, us);
         }
         armed_total = armed_total.min(round.elapsed().as_secs_f64());
     }

@@ -32,6 +32,7 @@ use crate::catalog::PredId;
 use crate::decompose::PatternIndex;
 use crate::learner::LearnedModel;
 use crate::model;
+use crate::serialize::{self, PathText};
 use crate::service::{QaRequest, QaResponse, Refusal};
 use crate::template::{SlotTable, TemplateId};
 
@@ -943,36 +944,132 @@ impl<'a> QaEngine<'a> {
         scratch.question_tokens = tokens;
         let mut response = match kernel {
             Ok(answers) => QaResponse::from_answers(answers),
-            Err(refusal) => {
-                let decomposed = if self.config.decompose {
-                    self.pattern_index().and_then(|index| {
-                        crate::decompose::answer_complex_with(
-                            self,
-                            index,
-                            &request.question,
-                            scratch,
-                        )
-                    })
-                } else {
-                    None
-                };
-                match decomposed {
-                    Some(mut answers) if !answers.is_empty() => {
-                        // The chain executor carries up to chain_width
-                        // candidates; the response contract is top_k.
-                        answers.truncate(self.config.top_k);
-                        QaResponse::from_answers(answers)
-                    }
-                    // Keep the direct-path cause: it names the first stage
-                    // that failed, which is the actionable signal.
-                    _ => QaResponse::refused(refusal),
-                }
-            }
+            Err(refusal) => self.fall_back(request, refusal, scratch),
         };
         if request.explain {
             response.stats = Some(self.question_statistics(&request.question));
         }
         response
+    }
+
+    /// What a request the BFQ kernel refused gets: its decomposition's
+    /// answers when one succeeds, else the direct-path refusal.
+    fn fall_back(
+        &self,
+        request: &QaRequest,
+        refusal: Refusal,
+        scratch: &mut ScratchSpace,
+    ) -> QaResponse {
+        let decomposed = if self.config.decompose {
+            self.pattern_index().and_then(|index| {
+                crate::decompose::answer_complex_with(self, index, &request.question, scratch)
+            })
+        } else {
+            None
+        };
+        match decomposed {
+            Some(mut answers) if !answers.is_empty() => {
+                // The chain executor carries up to chain_width candidates;
+                // the response contract is top_k.
+                answers.truncate(self.config.top_k);
+                QaResponse::from_answers(answers)
+            }
+            // Keep the direct-path cause: it names the first stage that
+            // failed, which is the actionable signal.
+            _ => QaResponse::refused(refusal),
+        }
+    }
+
+    /// [`QaEngine::answer_request_with`] written as JSON into `out`: the
+    /// bytes of its response stamped with `model_epoch`, appended. Returns
+    /// the refusal, if any. The write is lapped as [`Stage::Serialize`].
+    ///
+    /// A BFQ answer — under the engine's configuration or a request's
+    /// overrides — is rendered straight from the ranked ids and their
+    /// provenance: no [`Answer`], no `String`, no allocation once `out` and
+    /// the scratch are warm. A refusal (and its decomposition fallback) and
+    /// an `explain` request build the owned response and serialize it.
+    pub fn render_request_into(
+        &self,
+        request: &QaRequest,
+        scratch: &mut ScratchSpace,
+        model_epoch: u64,
+        out: &mut Vec<u8>,
+    ) -> Option<Refusal> {
+        let config = request.effective_config(&self.config);
+        let refusal = if request.explain {
+            let mut response = self.answer_request_with(request, scratch);
+            // The `explain` statistics are not serialization.
+            scratch.trace.skip();
+            response.model_epoch = model_epoch;
+            response.serialize_into(out);
+            response.refusal
+        } else if config == self.config {
+            self.render_configured(request, scratch, model_epoch, out)
+        } else {
+            self.reconfigured(config)
+                .render_configured(request, scratch, model_epoch, out)
+        };
+        scratch.trace.lap(Stage::Serialize);
+        refusal
+    }
+
+    /// [`QaEngine::render_request_into`] under this engine's own
+    /// configuration, for a request without `explain`.
+    fn render_configured(
+        &self,
+        request: &QaRequest,
+        scratch: &mut ScratchSpace,
+        model_epoch: u64,
+        out: &mut Vec<u8>,
+    ) -> Option<Refusal> {
+        let mut tokens = std::mem::take(&mut scratch.question_tokens);
+        tokenize_into(&request.question, &mut tokens);
+        scratch.trace.lap(Stage::Parse);
+        let scored = self.score_bfq(&tokens, scratch);
+        scratch.question_tokens = tokens;
+        let mut response = match scored {
+            Ok(_) if !scratch.ranked.is_empty() => {
+                self.write_ranked(scratch, model_epoch, out);
+                return None;
+            }
+            Ok(_) => QaResponse::from_answers(Vec::new()),
+            Err(refusal) => {
+                let response = self.fall_back(request, refusal, scratch);
+                // Decomposition is no stage: keep it out of the serialize lap.
+                scratch.trace.skip();
+                response
+            }
+        };
+        response.model_epoch = model_epoch;
+        response.serialize_into(out);
+        response.refusal
+    }
+
+    /// Write the ranked list staged by [`QaEngine::score_bfq`] as a
+    /// response: what [`QaEngine::materialize_answers`] would build, written
+    /// through the same answer writer as `QaResponse::serialize_into`.
+    fn write_ranked(&self, scratch: &ScratchSpace, model_epoch: u64, out: &mut Vec<u8>) {
+        serialize::write_response_head(out);
+        for (i, &(score, node)) in scratch.ranked.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            let best = &scratch.provenance[&node];
+            serialize::write_answer(
+                out,
+                &self.store.surface_form(node),
+                Some(node),
+                score,
+                &self.store.surface_form(best.entity),
+                self.model.templates.resolve(best.template),
+                &PathText {
+                    path: self.model.predicates.resolve(best.pred),
+                    store: self.store,
+                },
+            );
+        }
+        serialize::write_response_tail(out, None, None, model_epoch, None);
     }
 
     /// Answer a bare question with this engine's defaults.

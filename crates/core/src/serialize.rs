@@ -23,10 +23,20 @@
 //! a small adapter — the formatting machinery for primitives is
 //! allocation-free, so the whole path is too (pinned by the counting
 //! allocator test in `tests/alloc_steady_state.rs`).
+//!
+//! There is one answer writer, `write_answer`, generic over where a string
+//! field's text comes from. [`QaResponse::serialize_into`] hands it owned
+//! [`Answer`](crate::engine::Answer) strings; the engine hands it the kernel's ranked ids — store
+//! surfaces (numeric literals formatted in place), template text and
+//! predicate paths straight from the dictionary — so
+//! [`crate::service::ServiceSnapshot::answer_into`] renders a plain BFQ
+//! response without materializing an `Answer` or a `String`.
 
-use crate::engine::{Answer, ChoiceStats};
-use crate::service::{QaResponse, Refusal};
 use kbqa_obs::StageBreakdown;
+use kbqa_rdf::{ExpandedPredicate, NodeId, Surface, TripleStore};
+
+use crate::engine::ChoiceStats;
+use crate::service::{QaResponse, Refusal};
 
 /// `fmt::Write` over a byte buffer, so primitive formatting (`u64`, `{:?}`
 /// floats) lands directly in the output without an intermediate `String`.
@@ -39,12 +49,7 @@ impl std::fmt::Write for BufWrite<'_> {
     }
 }
 
-fn write_u64(out: &mut Vec<u8>, v: u64) {
-    use std::fmt::Write as _;
-    let _ = write!(BufWrite(out), "{v}");
-}
-
-fn write_usize(out: &mut Vec<u8>, v: usize) {
+fn write_display(out: &mut Vec<u8>, v: impl std::fmt::Display) {
     use std::fmt::Write as _;
     let _ = write!(BufWrite(out), "{v}");
 }
@@ -58,11 +63,11 @@ fn write_f64(out: &mut Vec<u8>, v: f64) {
     }
 }
 
-/// JSON string escaping, byte-identical to the vendored writer. Escapes are
-/// all single-byte ASCII, so we scan bytes and copy unescaped runs wholesale
-/// — multi-byte UTF-8 passes through untouched.
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    out.push(b'"');
+/// JSON string escaping, byte-identical to the vendored writer, without the
+/// surrounding quotes. Escapes are all single-byte ASCII, so we scan bytes
+/// and copy unescaped runs wholesale — multi-byte UTF-8 passes through
+/// untouched.
+fn write_escaped(out: &mut Vec<u8>, s: &str) {
     let bytes = s.as_bytes();
     let mut run_start = 0;
     for (i, &b) in bytes.iter().enumerate() {
@@ -88,7 +93,57 @@ fn write_str(out: &mut Vec<u8>, s: &str) {
         run_start = i + 1;
     }
     out.extend_from_slice(&bytes[run_start..]);
-    out.push(b'"');
+}
+
+/// A JSON string field's text, in whatever form the writer is handed it.
+pub(crate) trait JsonText {
+    /// Append the text as a quoted, escaped JSON string.
+    fn write_json(&self, out: &mut Vec<u8>);
+}
+
+impl JsonText for str {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.push(b'"');
+        write_escaped(out, self);
+        out.push(b'"');
+    }
+}
+
+/// A store surface: text is escaped like any string; an integer or year
+/// literal is formatted straight into the buffer (digits need no escaping).
+impl JsonText for Surface<'_> {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        match *self {
+            Surface::Text(text) => text.write_json(out),
+            Surface::Number(v) => {
+                out.push(b'"');
+                write_display(out, v);
+                out.push(b'"');
+            }
+        }
+    }
+}
+
+/// A predicate path as [`ExpandedPredicate::render`] spells it
+/// (`marriage→person→name`), written edge by edge from the store's
+/// dictionary instead of through a rendered `String`.
+pub(crate) struct PathText<'a> {
+    pub(crate) path: &'a ExpandedPredicate,
+    pub(crate) store: &'a TripleStore,
+}
+
+impl JsonText for PathText<'_> {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        let dict = self.store.dict();
+        out.push(b'"');
+        for (i, &p) in self.path.edges().iter().enumerate() {
+            if i > 0 {
+                out.extend_from_slice("→".as_bytes());
+            }
+            write_escaped(out, dict.predicate_name(p));
+        }
+        out.push(b'"');
+    }
 }
 
 fn write_refusal(out: &mut Vec<u8>, r: Refusal) {
@@ -102,28 +157,72 @@ fn write_refusal(out: &mut Vec<u8>, r: Refusal) {
     out.extend_from_slice(name);
 }
 
-fn write_answer(out: &mut Vec<u8>, a: &Answer) {
+/// The one answer writer: every ranked answer the server sends — from an
+/// owned [`Answer`](crate::engine::Answer) or straight from the kernel's ranked ids — goes
+/// through here, so the two renderings cannot drift apart.
+pub(crate) fn write_answer(
+    out: &mut Vec<u8>,
+    value: &(impl JsonText + ?Sized),
+    node: Option<NodeId>,
+    score: f64,
+    entity: &(impl JsonText + ?Sized),
+    template: &str,
+    predicate: &(impl JsonText + ?Sized),
+) {
     out.extend_from_slice(b"{\"value\":");
-    write_str(out, &a.value);
+    value.write_json(out);
     out.extend_from_slice(b",\"node\":");
-    match a.node {
-        Some(node) => write_u64(out, u64::from(node.0)),
+    match node {
+        Some(node) => write_display(out, node.0),
         None => out.extend_from_slice(b"null"),
     }
     out.extend_from_slice(b",\"score\":");
-    write_f64(out, a.score);
+    write_f64(out, score);
     out.extend_from_slice(b",\"entity\":");
-    write_str(out, &a.entity);
+    entity.write_json(out);
     out.extend_from_slice(b",\"template\":");
-    write_str(out, &a.template);
+    template.write_json(out);
     out.extend_from_slice(b",\"predicate\":");
-    write_str(out, &a.predicate);
+    predicate.write_json(out);
+    out.push(b'}');
+}
+
+/// A response's opening bytes, up to its first answer.
+pub(crate) fn write_response_head(out: &mut Vec<u8>) {
+    out.extend_from_slice(b"{\"answers\":[");
+}
+
+/// Everything after a response's last answer.
+pub(crate) fn write_response_tail(
+    out: &mut Vec<u8>,
+    refusal: Option<Refusal>,
+    stats: Option<&ChoiceStats>,
+    model_epoch: u64,
+    stage_us: Option<&StageBreakdown>,
+) {
+    out.extend_from_slice(b"],\"refusal\":");
+    match refusal {
+        Some(r) => write_refusal(out, r),
+        None => out.extend_from_slice(b"null"),
+    }
+    out.extend_from_slice(b",\"stats\":");
+    match stats {
+        Some(s) => write_stats(out, s),
+        None => out.extend_from_slice(b"null"),
+    }
+    out.extend_from_slice(b",\"model_epoch\":");
+    write_display(out, model_epoch);
+    out.extend_from_slice(b",\"stage_us\":");
+    match stage_us {
+        Some(s) => write_stage_us(out, s),
+        None => out.extend_from_slice(b"null"),
+    }
     out.push(b'}');
 }
 
 fn write_stats(out: &mut Vec<u8>, s: &ChoiceStats) {
     out.extend_from_slice(b"{\"entities\":");
-    write_usize(out, s.entities);
+    write_display(out, s.entities);
     out.extend_from_slice(b",\"templates_per_pair\":");
     write_f64(out, s.templates_per_pair);
     out.extend_from_slice(b",\"predicates_per_template\":");
@@ -135,21 +234,21 @@ fn write_stats(out: &mut Vec<u8>, s: &ChoiceStats) {
 
 fn write_stage_us(out: &mut Vec<u8>, s: &StageBreakdown) {
     out.extend_from_slice(b"{\"parse_us\":");
-    write_u64(out, s.parse_us);
+    write_display(out, s.parse_us);
     out.extend_from_slice(b",\"ner_grounding_us\":");
-    write_u64(out, s.ner_grounding_us);
+    write_display(out, s.ner_grounding_us);
     out.extend_from_slice(b",\"conceptualize_us\":");
-    write_u64(out, s.conceptualize_us);
+    write_display(out, s.conceptualize_us);
     out.extend_from_slice(b",\"template_match_us\":");
-    write_u64(out, s.template_match_us);
+    write_display(out, s.template_match_us);
     out.extend_from_slice(b",\"predicate_score_us\":");
-    write_u64(out, s.predicate_score_us);
+    write_display(out, s.predicate_score_us);
     out.extend_from_slice(b",\"value_lookup_us\":");
-    write_u64(out, s.value_lookup_us);
+    write_display(out, s.value_lookup_us);
     out.extend_from_slice(b",\"rank_topk_us\":");
-    write_u64(out, s.rank_topk_us);
+    write_display(out, s.rank_topk_us);
     out.extend_from_slice(b",\"serialize_us\":");
-    write_u64(out, s.serialize_us);
+    write_display(out, s.serialize_us);
     out.push(b'}');
 }
 
@@ -158,48 +257,35 @@ impl QaResponse {
     /// byte-identical to `serde_json::to_string(self)` but without building
     /// the intermediate `Value` tree. Appends; does not clear the buffer.
     pub fn serialize_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"{\"answers\":[");
+        write_response_head(out);
         for (i, a) in self.answers.iter().enumerate() {
             if i > 0 {
                 out.push(b',');
             }
-            write_answer(out, a);
+            write_answer(
+                out,
+                a.value.as_str(),
+                a.node,
+                a.score,
+                a.entity.as_str(),
+                &a.template,
+                a.predicate.as_str(),
+            );
         }
-        out.extend_from_slice(b"],\"refusal\":");
-        match self.refusal {
-            Some(r) => write_refusal(out, r),
-            None => out.extend_from_slice(b"null"),
-        }
-        out.extend_from_slice(b",\"stats\":");
-        match &self.stats {
-            Some(s) => write_stats(out, s),
-            None => out.extend_from_slice(b"null"),
-        }
-        out.extend_from_slice(b",\"model_epoch\":");
-        write_u64(out, self.model_epoch);
-        out.extend_from_slice(b",\"stage_us\":");
-        match &self.stage_us {
-            Some(s) => write_stage_us(out, s),
-            None => out.extend_from_slice(b"null"),
-        }
-        out.push(b'}');
-    }
-
-    /// Exact serialized length in bytes — what [`Self::serialize_into`]
-    /// will append. Used by the server to size Content-Length without
-    /// serializing twice. (Costs one dry serialization walk; only worth it
-    /// when the buffer cannot be framed after the fact.)
-    pub fn serialized_len(&self) -> usize {
-        let mut out = Vec::new();
-        self.serialize_into(&mut out);
-        out.len()
+        write_response_tail(
+            out,
+            self.refusal,
+            self.stats.as_ref(),
+            self.model_epoch,
+            self.stage_us.as_ref(),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kbqa_rdf::NodeId;
+    use crate::engine::Answer;
 
     fn answer(value: &str, node: Option<u32>, score: f64) -> Answer {
         Answer {
@@ -308,18 +394,55 @@ mod tests {
     }
 
     #[test]
-    fn serialized_len_matches() {
-        let resp = QaResponse::from_answers(vec![answer("390k", Some(7), 0.25)]);
-        let mut out = Vec::new();
-        resp.serialize_into(&mut out);
-        assert_eq!(resp.serialized_len(), out.len());
-    }
-
-    #[test]
     fn append_only_contract() {
         let resp = QaResponse::refused(Refusal::EmptyValueSet);
         let mut out = b"prefix".to_vec();
         resp.serialize_into(&mut out);
         assert!(out.starts_with(b"prefix{"));
+    }
+
+    #[test]
+    fn id_writers_match_the_owned_strings() {
+        let mut b = kbqa_rdf::GraphBuilder::new();
+        let city = b.resource("city/\"quoted\"");
+        b.name(city, "Tōkyō \"East\\Capital\"\t");
+        b.fact_int(city, "population", -390_000);
+        b.fact_year(city, "founded", 1457);
+        let nameless = b.resource("bare/iri");
+        b.link(city, "sister\ncity", nameless);
+        let store = b.build();
+        let mut nodes = vec![city, nameless];
+        nodes.extend(store.out_edges(city).map(|t| t.o));
+        for node in nodes {
+            let mut by_id = Vec::new();
+            store.surface_form(node).write_json(&mut by_id);
+            let mut owned = Vec::new();
+            store.surface(node).as_str().write_json(&mut owned);
+            assert_eq!(by_id, owned, "surface of {node:?}");
+            assert_eq!(
+                String::from_utf8(by_id).unwrap(),
+                serde_json::to_string(&store.surface(node)).unwrap()
+            );
+        }
+        let dict = store.dict();
+        let edges: Vec<_> = ["sister\ncity", "population"]
+            .iter()
+            .map(|p| dict.find_predicate(p).expect("interned"))
+            .collect();
+        for path in [
+            ExpandedPredicate::single(edges[0]),
+            ExpandedPredicate::new(edges.clone()),
+        ] {
+            let mut by_id = Vec::new();
+            PathText {
+                path: &path,
+                store: &store,
+            }
+            .write_json(&mut by_id);
+            assert_eq!(
+                String::from_utf8(by_id).unwrap(),
+                serde_json::to_string(&path.render(&store)).unwrap()
+            );
+        }
     }
 }

@@ -88,7 +88,7 @@ use std::sync::{Arc, RwLock};
 use serde::{Deserialize, Serialize};
 
 use kbqa_nlp::GazetteerNer;
-use kbqa_obs::{Observability, StageBreakdown};
+use kbqa_obs::{Observability, Stage, StageBreakdown};
 use kbqa_rdf::shard::ShardPlan;
 use kbqa_rdf::TripleStore;
 use kbqa_taxonomy::Conceptualizer;
@@ -342,17 +342,23 @@ impl QaRequest {
         }
     }
 
-    /// The question with whitespace collapsed and case folded.
+    /// The question with whitespace collapsed and ASCII case folded.
     ///
-    /// This is the equivalence the NLP front-end already applies: `tokenize`
+    /// This is an equivalence the NLP front-end already applies: `tokenize`
     /// lowercases every token and only ever sees alphanumeric runs, so two
     /// questions with the same normalized form take the identical path
-    /// through the engine. Punctuation is preserved (conservative: `a.b`
-    /// and `a b` tokenize identically but key separately), with one
-    /// exception — U+001F, the cache-key field separator, is folded into
-    /// whitespace. To the tokenizer it is a token boundary exactly like a
-    /// space, so the fold cannot merge observably-different questions, and
-    /// it guarantees the separator never survives into the normalized text.
+    /// through the engine — `tokenize(normalized) == tokenize(question)`,
+    /// a property `tests/cache_key_normalization.rs` checks. Only ASCII
+    /// letters fold: Unicode lowercasing is not a per-character map the
+    /// tokenizer shares (`İ` lowercases to `i` plus a combining dot, which
+    /// the tokenizer splits off as a separate token; `Σ` becomes `σ` alone
+    /// but `ς` at the end of a word), so every non-ASCII character is kept
+    /// verbatim. Punctuation is preserved (conservative: `a.b` and `a b`
+    /// tokenize identically but key separately), with one exception —
+    /// U+001F, the cache-key field separator, is folded into whitespace. To
+    /// the tokenizer it is a token boundary exactly like a space, so the
+    /// fold cannot merge observably-different questions, and it guarantees
+    /// the separator never survives into the normalized text.
     pub fn normalized_question(&self) -> String {
         let mut out = String::with_capacity(self.question.len());
         self.push_normalized_question(&mut out);
@@ -360,7 +366,7 @@ impl QaRequest {
     }
 
     /// Append [`QaRequest::normalized_question`] to `out` in one pass over
-    /// the question: no intermediate `String`, ASCII lowercased bytewise.
+    /// the question, with no intermediate `String`.
     fn push_normalized_question(&self, out: &mut String) {
         let mut any_word = false;
         let mut in_gap = false;
@@ -374,11 +380,7 @@ impl QaRequest {
             }
             in_gap = false;
             any_word = true;
-            if c.is_ascii() {
-                out.push(c.to_ascii_lowercase());
-            } else {
-                out.extend(c.to_lowercase());
-            }
+            out.push(c.to_ascii_lowercase());
         }
     }
 
@@ -405,8 +407,8 @@ impl QaRequest {
 
     /// Bytes that hold this request's cache key (with an epoch prefix) under
     /// a default-shaped config without regrowing: the question never grows
-    /// under ASCII normalization, and the separators, epoch and knob
-    /// renderings come to ≈ 31 bytes.
+    /// under normalization, and the separators, epoch and knob renderings
+    /// come to ≈ 31 bytes.
     fn cache_key_capacity(&self) -> usize {
         self.question.len() + 48
     }
@@ -449,9 +451,7 @@ impl QaRequest {
                 if !out.is_empty() {
                     out.push(' ');
                 }
-                for c in word.chars() {
-                    out.extend(c.to_lowercase());
-                }
+                out.push_str(&word.to_ascii_lowercase());
             }
             out
         };
@@ -540,6 +540,21 @@ impl QaResponse {
     pub fn value_strings(&self) -> Vec<&str> {
         self.answers.iter().map(|a| a.value.as_str()).collect()
     }
+}
+
+/// One response written by [`ServiceSnapshot::answer_into`] or
+/// [`ServiceSnapshot::answer_batch_into`]: where its JSON sits in the output
+/// buffer and how the request ended — what a server needs to frame the
+/// bytes, count the outcome and cache the entry without parsing anything.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Rendered {
+    /// The response's bytes in the output buffer.
+    pub span: std::ops::Range<usize>,
+    /// Why the request was refused; `None` when it was answered.
+    pub refusal: Option<Refusal>,
+    /// Per-stage timings, serialization included, when the request was
+    /// traced.
+    pub stages: Option<StageBreakdown>,
 }
 
 /// The interface shared by KBQA and every baseline system: answer a typed
@@ -722,31 +737,44 @@ impl ServiceSnapshot {
     /// separator cannot appear in the normalized question, so the epoch
     /// prefix is unambiguous.
     pub fn cache_key(&self, request: &QaRequest) -> String {
-        use std::fmt::Write as _;
         let mut out = String::with_capacity(request.cache_key_capacity());
+        self.cache_key_into(request, &mut out);
+        out
+    }
+
+    /// Append [`ServiceSnapshot::cache_key`] to `out` — how a server builds
+    /// every key in one reused buffer and pays for an owned key only when
+    /// a miss inserts it.
+    pub fn cache_key_into(&self, request: &QaRequest, out: &mut String) {
+        use std::fmt::Write as _;
         // Writing into a `String` cannot fail.
         let _ = write!(out, "{}\u{1f}", self.model_epoch);
-        request.push_cache_key(&self.config, &mut out);
-        out
+        request.push_cache_key(&self.config, out);
     }
 
     /// Answer one request under this snapshot's model, stamping the epoch.
     /// Runs on the calling thread's reusable [`ScratchSpace`].
     pub fn answer(&self, request: &QaRequest) -> QaResponse {
-        self.answer_traced(request).0
-    }
-
-    /// [`ServiceSnapshot::answer`], additionally returning the per-stage
-    /// breakdown when this request was traced (an [`Observability`] sink is
-    /// installed and the request was sampled or asked to `explain`).
-    ///
-    /// The breakdown is returned even when `explain` is off — callers such
-    /// as a slow-query log want stage attribution without inflating the
-    /// cacheable response body.
-    pub fn answer_traced(&self, request: &QaRequest) -> (QaResponse, Option<StageBreakdown>) {
         with_engine_scratch(|scratch| {
             let engine = self.engine();
-            self.answer_with(&engine, request, scratch)
+            self.answer_with(&engine, request, scratch).0
+        })
+    }
+
+    /// Answer one request and write the response's JSON into `out` — the
+    /// bytes `serde_json::to_string(&self.answer(request))` would produce,
+    /// appended. Runs on the calling thread's reusable [`ScratchSpace`].
+    ///
+    /// A BFQ answer (with or without overrides) is rendered straight from
+    /// the kernel's ranked ids; an `explain` request, a refusal or
+    /// decomposition, and anything behind a shard router are answered as an
+    /// owned [`QaResponse`] and serialized. Either way the writing is timed
+    /// as [`Stage::Serialize`] on a traced request, and the returned
+    /// [`Rendered::stages`] include it.
+    pub fn answer_into(&self, request: &QaRequest, out: &mut Vec<u8>) -> Rendered {
+        with_engine_scratch(|scratch| {
+            let engine = self.engine();
+            self.render_with(&engine, request, scratch, out)
         })
     }
 
@@ -768,137 +796,266 @@ impl ServiceSnapshot {
     where
         R: std::borrow::Borrow<QaRequest> + Sync,
     {
-        if requests.len() > 1 {
-            if let Some(router) = self.router() {
-                return self.answer_batch_sharded(router, requests);
-            }
-        }
-        // The batch-size bound comes first: `available_parallelism` reads
-        // the affinity mask and cgroup files, which a small batch — every
-        // lane of a streamed `/batch` — has no reason to pay for.
-        let workers = match (requests.len() / BATCH_MIN_QUESTIONS_PER_THREAD).min(16) {
-            0 | 1 => 1,
-            by_size => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(by_size),
+        let mut inline = Vec::with_capacity(requests.len());
+        let parts = self.run_batch(
+            requests,
+            &mut inline,
+            Vec::new,
+            |responses, engine, request, scratch| {
+                responses.push(self.answer_with(engine, request, scratch).0);
+            },
+        );
+        let Some(parts) = parts else {
+            return inline;
         };
-        if workers <= 1 {
-            // One engine and one scratch for the whole batch.
-            return with_engine_scratch(|scratch| {
-                let engine = self.engine();
-                requests
-                    .iter()
-                    .map(|r| self.stamp(&engine, r.borrow(), scratch))
-                    .collect()
-            });
-        }
-        let chunk_size = requests.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = requests
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        // Per-worker scratch, reused across the whole chunk.
-                        with_engine_scratch(|scratch| {
-                            let engine = self.engine();
-                            chunk
-                                .iter()
-                                .map(|r| self.stamp(&engine, r.borrow(), scratch))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("batch worker panicked"))
-                .collect()
-        })
-    }
-
-    fn stamp(
-        &self,
-        engine: &QaEngine<'_>,
-        request: &QaRequest,
-        scratch: &mut ScratchSpace,
-    ) -> QaResponse {
-        self.answer_with(engine, request, scratch).0
-    }
-
-    /// The scatter-gather batch path: one worker (thread + engine +
-    /// scratch) per shard, questions assigned to workers by stable
-    /// question hash so repeated questions keep lane affinity, per-shard
-    /// queue depths surfaced on the router's telemetry lanes. Responses
-    /// come back in request order; the whole batch answers under this one
-    /// snapshot, so no batch ever straddles mixed model epochs.
-    fn answer_batch_sharded<R>(&self, router: &ShardRouter, requests: &[R]) -> Vec<QaResponse>
-    where
-        R: std::borrow::Borrow<QaRequest> + Sync,
-    {
-        let workers = router.shard_count().min(requests.len()).min(16);
-        let mut assign: Vec<Vec<u32>> = vec![Vec::new(); workers];
-        for (i, request) in requests.iter().enumerate() {
-            let lane = (question_affinity(request.borrow()) % workers as u64) as usize;
-            assign[lane].push(i as u32);
-        }
-        for (lane, idxs) in assign.iter().enumerate() {
-            router.obs().lane(lane).enqueue(idxs.len() as u64);
-        }
-        let mut out: Vec<Option<QaResponse>> = Vec::with_capacity(requests.len());
-        out.resize_with(requests.len(), || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = assign
-                .iter()
-                .enumerate()
-                .filter(|(_, idxs)| !idxs.is_empty())
-                .map(|(lane, idxs)| {
-                    scope.spawn(move || {
-                        with_engine_scratch(|scratch| {
-                            let engine = self.engine();
-                            idxs.iter()
-                                .map(|&i| {
-                                    let request = requests[i as usize].borrow();
-                                    let resp = self.stamp(&engine, request, scratch);
-                                    router.obs().lane(lane).dequeue(1);
-                                    (i, resp)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, resp) in handle.join().expect("shard batch worker panicked") {
-                    out[i as usize] = Some(resp);
-                }
+        let mut slots: Vec<Option<QaResponse>> = Vec::with_capacity(requests.len());
+        slots.resize_with(requests.len(), || None);
+        for (group, responses) in parts {
+            for (i, response) in group.into_iter().zip(responses) {
+                slots[i as usize] = Some(response);
             }
-        });
-        out.into_iter()
+        }
+        slots
+            .into_iter()
             .map(|r| r.expect("every request index answered"))
             .collect()
     }
 
-    /// The one place a request actually runs: arm the scratch tracer when
-    /// this request should be traced, answer, then drain stage timings into
-    /// the sink's histograms. Stage timings attach to the response only for
-    /// `explain` requests, so responses stay byte-identical across sampled
-    /// and unsampled runs of the same question (the cache contract).
+    /// [`ServiceSnapshot::answer_batch`] written as JSON: each response is
+    /// rendered as [`ServiceSnapshot::answer_into`] renders it and appended
+    /// to `out` in request order as the elements of a JSON array —
+    /// separated by commas, without the brackets — and `rendered` is
+    /// refilled with one [`Rendered`] per request. Fans out exactly as
+    /// `answer_batch` does; each spawned thread renders into a buffer of
+    /// its own, copied into `out` in order once the threads join. On the
+    /// calling thread (every batch under 128 questions) nothing is
+    /// allocated once `out` and `rendered` are warm.
+    pub fn answer_batch_into<R>(
+        &self,
+        requests: &[R],
+        out: &mut Vec<u8>,
+        rendered: &mut Vec<Rendered>,
+    ) where
+        R: std::borrow::Borrow<QaRequest> + Sync,
+    {
+        rendered.clear();
+        let mut inline = (std::mem::take(out), std::mem::take(rendered));
+        let parts = self.run_batch(
+            requests,
+            &mut inline,
+            Default::default,
+            |(bytes, spans), engine, request, scratch| {
+                if !spans.is_empty() {
+                    bytes.push(b',');
+                }
+                spans.push(self.render_with(engine, request, scratch, bytes));
+            },
+        );
+        (*out, *rendered) = inline;
+        let Some(parts) = parts else { return };
+        let mut at = vec![(0u32, 0u32); requests.len()];
+        for (part, (group, _)) in parts.iter().enumerate() {
+            for (k, &i) in group.iter().enumerate() {
+                at[i as usize] = (part as u32, k as u32);
+            }
+        }
+        for (n, (part, k)) in at.into_iter().enumerate() {
+            let (_, (bytes, spans)) = &parts[part as usize];
+            let one = &spans[k as usize];
+            if n > 0 {
+                out.push(b',');
+            }
+            let start = out.len();
+            out.extend_from_slice(&bytes[one.span.clone()]);
+            rendered.push(Rendered {
+                span: start..out.len(),
+                ..one.clone()
+            });
+        }
+    }
+
+    /// Run `each` over every request of a batch. A small unsharded batch
+    /// runs on the calling thread's warm scratch, into `inline`, and
+    /// returns `None`. Otherwise the batch splits into groups — chunks of
+    /// at least 64 questions, or, behind a shard router, one lane per shard
+    /// with questions assigned by stable question hash (repeated questions
+    /// keep lane affinity; per-shard queue depths surface on the router's
+    /// telemetry lanes) — and each group runs on a scoped thread with its
+    /// own scratch and a `fresh()` accumulator, returned with the request
+    /// indices it ran. The whole batch answers under this one snapshot, so
+    /// no batch ever straddles mixed model epochs.
+    fn run_batch<R, A>(
+        &self,
+        requests: &[R],
+        inline: &mut A,
+        fresh: impl Fn() -> A + Sync,
+        each: impl Fn(&mut A, &QaEngine<'_>, &QaRequest, &mut ScratchSpace) + Sync,
+    ) -> Option<Vec<(Vec<u32>, A)>>
+    where
+        R: std::borrow::Borrow<QaRequest> + Sync,
+        A: Send,
+    {
+        let router = self.router().filter(|_| requests.len() > 1);
+        let groups: Vec<Vec<u32>> = match router {
+            Some(router) => {
+                let lanes = router.shard_count().min(requests.len()).min(16);
+                let mut groups = vec![Vec::new(); lanes];
+                for (i, request) in requests.iter().enumerate() {
+                    let lane = (question_affinity(request.borrow()) % lanes as u64) as usize;
+                    groups[lane].push(i as u32);
+                }
+                for (lane, group) in groups.iter().enumerate() {
+                    router.obs().lane(lane).enqueue(group.len() as u64);
+                }
+                groups
+            }
+            None => {
+                // The batch-size bound comes first: `available_parallelism`
+                // reads the affinity mask and cgroup files, which a small
+                // batch — every lane of a streamed `/batch` — has no reason
+                // to pay for.
+                let workers = match (requests.len() / BATCH_MIN_QUESTIONS_PER_THREAD).min(16) {
+                    0 | 1 => 1,
+                    by_size => std::thread::available_parallelism()
+                        .map(|n| n.get())
+                        .unwrap_or(1)
+                        .min(by_size),
+                };
+                if workers <= 1 {
+                    // One engine and one scratch for the whole batch.
+                    with_engine_scratch(|scratch| {
+                        let engine = self.engine();
+                        for request in requests {
+                            each(inline, &engine, request.borrow(), scratch);
+                        }
+                    });
+                    return None;
+                }
+                let ids: Vec<u32> = (0..requests.len() as u32).collect();
+                ids.chunks(requests.len().div_ceil(workers))
+                    .map(<[u32]>::to_vec)
+                    .collect()
+            }
+        };
+        let (fresh, each) = (&fresh, &each);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = groups
+                .into_iter()
+                .enumerate()
+                .filter(|(_, group)| !group.is_empty())
+                .map(|(lane, group)| {
+                    scope.spawn(move || {
+                        // Per-worker scratch, reused across the whole group.
+                        with_engine_scratch(|scratch| {
+                            let engine = self.engine();
+                            let mut acc = fresh();
+                            for &i in &group {
+                                each(&mut acc, &engine, requests[i as usize].borrow(), scratch);
+                                if let Some(router) = router {
+                                    router.obs().lane(lane).dequeue(1);
+                                }
+                            }
+                            (group, acc)
+                        })
+                    })
+                })
+                .collect();
+            Some(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("batch worker panicked"))
+                    .collect(),
+            )
+        })
+    }
+
+    /// The one place a request actually runs as an owned response: arm the
+    /// scratch tracer when this request should be traced, answer, then
+    /// drain stage timings into the sink's histograms. Stage timings attach
+    /// to the response only for `explain` requests, so responses stay
+    /// byte-identical across sampled and unsampled runs of the same
+    /// question (the cache contract).
     fn answer_with(
         &self,
         engine: &QaEngine<'_>,
         request: &QaRequest,
         scratch: &mut ScratchSpace,
     ) -> (QaResponse, Option<StageBreakdown>) {
+        self.begin_trace(request, scratch);
+        let mut response = self.respond(engine, request, scratch);
+        let breakdown = self.finish_trace(scratch);
+        if request.explain {
+            response.stage_us = breakdown;
+        }
+        (response, breakdown)
+    }
+
+    /// [`ServiceSnapshot::answer_with`] written into `out`: the one place a
+    /// request runs as rendered bytes. Without a shard router or `explain`
+    /// the engine renders it ([`QaEngine::render_request_into`]); otherwise
+    /// the owned response is serialized, an `explain` response carrying the
+    /// stage timings taken just before it is written. Either way the write
+    /// is lapped as [`Stage::Serialize`] before the timings are drained.
+    fn render_with(
+        &self,
+        engine: &QaEngine<'_>,
+        request: &QaRequest,
+        scratch: &mut ScratchSpace,
+        out: &mut Vec<u8>,
+    ) -> Rendered {
+        let start = out.len();
+        self.begin_trace(request, scratch);
+        let refusal = if self.router().is_none() && !request.explain {
+            engine.render_request_into(request, scratch, self.model_epoch, out)
+        } else {
+            let mut response = self.respond(engine, request, scratch);
+            // `explain` statistics and the shard bookkeeping are not
+            // serialization; keep them out of its lap.
+            scratch.trace.skip();
+            if request.explain && scratch.trace.is_active() {
+                response.stage_us = Some(StageBreakdown::from_ns(scratch.trace.accum_ns()));
+            }
+            response.serialize_into(out);
+            scratch.trace.lap(Stage::Serialize);
+            response.refusal
+        };
+        Rendered {
+            span: start..out.len(),
+            refusal,
+            stages: self.finish_trace(scratch),
+        }
+    }
+
+    /// Arm the scratch tracer when this request should be traced: an
+    /// [`Observability`] sink is installed and the request was sampled or
+    /// asked to `explain`.
+    fn begin_trace(&self, request: &QaRequest, scratch: &mut ScratchSpace) {
         let trace_this = match &self.obs {
             Some(obs) => request.explain || obs.should_trace(),
             None => false,
         };
         scratch.trace.begin(trace_this);
+    }
+
+    /// The owned response, through the shard router when there is one,
+    /// stamped with this snapshot's epoch.
+    fn respond(
+        &self,
+        engine: &QaEngine<'_>,
+        request: &QaRequest,
+        scratch: &mut ScratchSpace,
+    ) -> QaResponse {
         let mut response = match self.router() {
             None => engine.answer_request_with(request, scratch),
             Some(router) => self.answer_sharded(router, engine, request, scratch),
         };
+        response.model_epoch = self.model_epoch;
+        response
+    }
+
+    /// Drain an armed trace into the sink's histograms — and, behind a
+    /// shard router, the primary shard's — returning the breakdown.
+    fn finish_trace(&self, scratch: &mut ScratchSpace) -> Option<StageBreakdown> {
         let breakdown = self
             .obs
             .as_ref()
@@ -914,11 +1071,7 @@ impl ServiceSnapshot {
                     .record_breakdown(bd);
             }
         }
-        if request.explain {
-            response.stage_us = breakdown;
-        }
-        response.model_epoch = self.model_epoch;
-        (response, breakdown)
+        breakdown
     }
 
     /// Run one request through the shard router with fault isolation: a
@@ -1186,12 +1339,6 @@ impl KbqaService {
         self.snapshot().answer(request)
     }
 
-    /// Answer one request, additionally returning the per-stage breakdown
-    /// when the request was traced (see [`ServiceSnapshot::answer_traced`]).
-    pub fn answer_traced(&self, request: &QaRequest) -> (QaResponse, Option<StageBreakdown>) {
-        self.snapshot().answer_traced(request)
-    }
-
     /// Answer a bare question with default options.
     pub fn answer_text(&self, question: &str) -> QaResponse {
         self.answer(&QaRequest::new(question))
@@ -1360,13 +1507,17 @@ mod tests {
         assert!(response.stage_us.is_some());
         assert_eq!(stats.traced_requests(), 1);
 
-        // Sink without explain: sampled into the histograms but the response
-        // body stays identical to an untraced run (the cache contract).
-        let (response, breakdown) = traced.answer_traced(&quiet);
-        assert_eq!(response.stage_us, None);
-        assert!(breakdown.is_some());
+        // Sink without explain: sampled into the histograms (serialization
+        // included) but the response body stays identical to an untraced
+        // run (the cache contract).
+        let mut body = Vec::new();
+        let rendered = traced.snapshot().answer_into(&quiet, &mut body);
+        assert!(rendered.stages.is_some());
         assert_eq!(stats.traced_requests(), 2);
-        assert_eq!(response, plain.answer(&quiet));
+        let serialize = stats.histogram(kbqa_obs::Stage::Serialize).snapshot();
+        assert_eq!(serialize.count, 2);
+        let expected = serde_json::to_string(&plain.answer(&quiet)).unwrap();
+        assert_eq!(body, expected.into_bytes());
     }
 
     #[test]

@@ -162,18 +162,14 @@ impl StageStats {
         self.histograms[stage as usize].record_us(us);
     }
 
-    /// Record a whole per-request engine breakdown (one observation per
-    /// engine stage) and count the request as traced. Engine stages the
-    /// request skipped (a refusal short-circuits the pipeline) still record
-    /// a 0µs observation so per-stage counts stay comparable.
-    /// [`Stage::Serialize`] is deliberately excluded: the engine never
-    /// serializes, so the serving layer records it directly via
-    /// [`StageStats::record_us`] once the response bytes exist.
+    /// Record a whole per-request breakdown (one observation per stage)
+    /// and count the request as traced. Stages the request skipped (a
+    /// refusal short-circuits the pipeline; a caller that keeps the owned
+    /// response never serializes) still record a 0µs observation so
+    /// per-stage counts stay comparable.
     pub fn record_breakdown(&self, breakdown: &StageBreakdown) {
         for stage in Stage::ALL {
-            if stage != Stage::Serialize {
-                self.record_us(stage, breakdown.get(stage));
-            }
+            self.record_us(stage, breakdown.get(stage));
         }
         self.traced_requests.fetch_add(1, Ordering::Relaxed);
     }
@@ -339,8 +335,8 @@ mod tests {
         assert_eq!(lookup.latency.count, 1);
         assert_eq!(lookup.latency.total_us, 120);
         let ser = snap.stages.iter().find(|s| s.stage == "serialize").unwrap();
-        // Only the direct record: the breakdown never touches `serialize`.
-        assert_eq!(ser.latency.count, 1);
+        // The breakdown's 0µs observation plus the direct record.
+        assert_eq!(ser.latency.count, 2);
         assert_eq!(ser.latency.total_us, 45);
         let json = serde_json::to_string(&snap).unwrap();
         let restored: StageStatsSnapshot = serde_json::from_str(&json).unwrap();

@@ -48,6 +48,6 @@ pub use path::ExpandedPredicate;
 pub use shard::{ShardPlan, ShardStat, ShardStats};
 pub use snapshot::Snapshot;
 pub use stats::StoreStats;
-pub use store::TripleStore;
+pub use store::{Surface, TripleStore};
 pub use term::{Literal, Term};
 pub use triple::{NodeId, PredicateId, Triple};

@@ -28,8 +28,27 @@ use crate::backend::{BackendKind, InMemoryBackend, MappedBackend, StoreBackend};
 use crate::columnar::ColsView;
 use crate::dictionary::{DictRef, Dictionary};
 use crate::snapshot::{self, Snapshot, SnapshotSource};
-use crate::term::Term;
+use crate::term::{Literal, Term};
 use crate::triple::{NodeId, PredicateId, Triple};
+
+/// A node's surface form as [`TripleStore::surface_form`] returns it:
+/// borrowed text, or a numeric literal not yet formatted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Surface<'a> {
+    /// Textual nodes: string literals, a resource's first name, or its IRI.
+    Text(&'a str),
+    /// Integer and year literals, which render as their decimal digits.
+    Number(i64),
+}
+
+impl std::fmt::Display for Surface<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Surface::Text(text) => f.write_str(text),
+            Surface::Number(v) => write!(f, "{v}"),
+        }
+    }
+}
 
 /// An immutable, fully indexed RDF store. Construct via
 /// [`crate::GraphBuilder`], deserialization, or [`TripleStore::from_snapshot`].
@@ -361,19 +380,26 @@ impl TripleStore {
     /// literals, named resources, IRIs) borrow from the store; only numeric
     /// literals, which must be formatted, allocate.
     pub fn surface_ref(&self, node: NodeId) -> std::borrow::Cow<'_, str> {
+        match self.surface_form(node) {
+            Surface::Text(text) => std::borrow::Cow::Borrowed(text),
+            Surface::Number(v) => std::borrow::Cow::Owned(v.to_string()),
+        }
+    }
+
+    /// The surface form before any formatting: text borrowed from the
+    /// store, or a numeric literal left as a number, so a writer can format
+    /// it straight into its own buffer. Displays as [`TripleStore::surface`].
+    pub fn surface_form(&self, node: NodeId) -> Surface<'_> {
         let dict = self.dict();
         match dict.node_term(node) {
-            Term::Literal(_) => match dict.render_str(node) {
-                Some(s) => std::borrow::Cow::Borrowed(s),
-                None => std::borrow::Cow::Owned(dict.render(node)),
-            },
-            Term::Resource(_) => match self.names_of_iter(node).next() {
-                Some(name) => std::borrow::Cow::Borrowed(name),
-                None => match dict.render_str(node) {
-                    Some(iri) => std::borrow::Cow::Borrowed(iri),
-                    None => std::borrow::Cow::Owned(dict.render(node)),
-                },
-            },
+            Term::Literal(Literal::Int(v)) => Surface::Number(v),
+            Term::Literal(Literal::Year(y)) => Surface::Number(i64::from(y)),
+            Term::Literal(Literal::Str(sym)) => Surface::Text(dict.resolve_sym(sym)),
+            Term::Resource(sym) => Surface::Text(
+                self.names_of_iter(node)
+                    .next()
+                    .unwrap_or_else(|| dict.resolve_sym(sym)),
+            ),
         }
     }
 

@@ -2,10 +2,22 @@
 //!
 //! Repeated questions dominate live QA traffic, and the engine's inference
 //! is deterministic, so an answer computed once can be replayed verbatim.
-//! The cache stores `Arc<QaResponse>` values keyed by
-//! [`QaRequest::cache_key`](kbqa_core::service::QaRequest::cache_key)
-//! (normalized question + effective engine config) — a hit therefore
-//! serializes **byte-identically** to what a fresh engine run would return.
+//! [`AnswerCache`] is generic over what it stores; the server stores each
+//! answer **as the bytes it is served as** — one `Arc<[u8]>` holding an
+//! outcome tag and the response JSON ([`RenderedAnswer`]) — keyed by
+//! [`ServiceSnapshot::cache_key`](kbqa_core::service::ServiceSnapshot::cache_key)
+//! (model epoch + normalized question + effective engine config). A hit is
+//! therefore decode → key (built in a reused buffer) → probe → one copy of
+//! the stored bytes: no response tree, no re-serialization, and a hit is
+//! **byte-identical** to what a fresh engine run would return. A miss
+//! renders once, into the response or stream chunk, and copies those bytes
+//! into its entry. [`BatchLane`] is that path for a run of `/batch`
+//! questions.
+//!
+//! Keys stay full strings rather than fingerprints: they are built from
+//! client text, so a fingerprint would still need a full-key comparison to
+//! stay collision-safe. Each resident key is one `Arc<str>`, shared by the
+//! LRU slot and the index, so an insert allocates the key once.
 //!
 //! Contention is bounded by striping: keys hash (Fx) onto `N` independent
 //! shards, each a slab-backed doubly-linked LRU list behind its own
@@ -28,7 +40,7 @@ use std::sync::{Arc, Mutex};
 use serde::{Deserialize, Serialize};
 
 use kbqa_common::hash::{FxHashMap, FxHasher};
-use kbqa_core::service::QaResponse;
+use kbqa_core::service::{QaRequest, QaResponse, Refusal, Rendered, ServiceSnapshot};
 
 /// Cache sizing knobs.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,9 +102,10 @@ impl CacheStats {
 const NIL: usize = usize::MAX;
 
 /// One resident entry in a shard's slab.
-struct Slot {
-    key: String,
-    value: Arc<QaResponse>,
+struct Slot<V> {
+    /// Shared with the shard's index (eviction removes it by this key).
+    key: Arc<str>,
+    value: V,
     /// Neighbour toward the most-recently-used end.
     prev: usize,
     /// Neighbour toward the least-recently-used end.
@@ -102,9 +115,9 @@ struct Slot {
 /// One lock stripe: a slab-backed doubly-linked LRU list plus a key index.
 /// All slot links are indices into `slots`, so touch/evict are O(1) with no
 /// per-operation allocation once the slab is warm.
-struct Shard {
-    map: FxHashMap<String, usize>,
-    slots: Vec<Slot>,
+struct Shard<V> {
+    map: FxHashMap<Arc<str>, usize>,
+    slots: Vec<Slot<V>>,
     free: Vec<usize>,
     /// Most recently used slot.
     head: usize,
@@ -112,7 +125,7 @@ struct Shard {
     tail: usize,
 }
 
-impl Shard {
+impl<V: Clone> Shard<V> {
     fn new() -> Self {
         Self {
             map: FxHashMap::default(),
@@ -156,15 +169,15 @@ impl Shard {
         }
     }
 
-    fn get(&mut self, key: &str) -> Option<Arc<QaResponse>> {
+    fn get(&mut self, key: &str) -> Option<V> {
         let i = *self.map.get(key)?;
         self.touch(i);
-        Some(Arc::clone(&self.slots[i].value))
+        Some(self.slots[i].value.clone())
     }
 
     /// Insert or overwrite; returns whether an LRU eviction happened.
-    fn insert(&mut self, key: String, value: Arc<QaResponse>, capacity: usize) -> bool {
-        if let Some(&i) = self.map.get(&key) {
+    fn insert(&mut self, key: Arc<str>, value: V, capacity: usize) -> bool {
+        if let Some(&i) = self.map.get(&*key) {
             self.slots[i].value = value;
             self.touch(i);
             return false;
@@ -173,12 +186,12 @@ impl Shard {
         if self.map.len() >= capacity {
             let victim = self.tail;
             self.unlink(victim);
-            self.map.remove(&self.slots[victim].key);
+            self.map.remove(&*self.slots[victim].key);
             self.free.push(victim);
             evicted = true;
         }
         let slot = Slot {
-            key: key.clone(),
+            key: Arc::clone(&key),
             value,
             prev: NIL,
             next: NIL,
@@ -207,10 +220,14 @@ impl Shard {
     }
 }
 
-/// The sharded answer cache. `Sync`: every method takes `&self`, so one
-/// instance is shared by all server workers without an outer lock.
-pub struct AnswerCache {
-    shards: Box<[Mutex<Shard>]>,
+/// The sharded answer cache, mapping versioned cache keys to `V` — the
+/// server's [`RenderedCache`] stores rendered bytes; the default value type
+/// keeps the owned response for library callers. `Sync`: every method
+/// takes `&self`, so one instance is shared by all server workers without
+/// an outer lock. Values are handed out by `clone`, so `V` should be a
+/// cheap handle such as an `Arc`.
+pub struct AnswerCache<V = Arc<QaResponse>> {
+    shards: Box<[Mutex<Shard<V>>]>,
     shard_capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -218,7 +235,7 @@ pub struct AnswerCache {
     insertions: AtomicU64,
 }
 
-impl AnswerCache {
+impl<V: Clone> AnswerCache<V> {
     /// An empty cache; `config` extremes are clamped to at least one shard
     /// holding at least one entry.
     pub fn new(config: CacheConfig) -> Self {
@@ -240,12 +257,12 @@ impl AnswerCache {
         (hasher.finish() as usize) % self.shards.len()
     }
 
-    fn shard_for(&self, key: &str) -> &Mutex<Shard> {
+    fn shard_for(&self, key: &str) -> &Mutex<Shard<V>> {
         &self.shards[self.shard_index(key)]
     }
 
     /// Look up a response, promoting it to most-recently-used on a hit.
-    pub fn get(&self, key: &str) -> Option<Arc<QaResponse>> {
+    pub fn get(&self, key: &str) -> Option<V> {
         let found = self.shard_for(key).lock().expect("cache shard").get(key);
         let counter = if found.is_some() {
             &self.hits
@@ -256,8 +273,10 @@ impl AnswerCache {
         found
     }
 
-    /// Insert (or overwrite) a response.
-    pub fn insert(&self, key: String, value: Arc<QaResponse>) {
+    /// Insert (or overwrite) a response. A `&str` key costs one allocation
+    /// (the resident `Arc<str>`); a `String` is copied into one.
+    pub fn insert(&self, key: impl Into<Arc<str>>, value: V) {
+        let key = key.into();
         let evicted = self.shard_for(&key).lock().expect("cache shard").insert(
             key,
             value,
@@ -274,8 +293,8 @@ impl AnswerCache {
     /// own stripe lock: a streamed `/batch` looks up 16-question lanes over
     /// 16 stripes — about one key per stripe — so grouping keys by stripe
     /// would buy a `Vec` per stripe per call and save almost no lock trips.
-    pub fn get_batch(&self, keys: &[String]) -> Vec<Option<Arc<QaResponse>>> {
-        let results: Vec<Option<Arc<QaResponse>>> = keys
+    pub fn get_batch(&self, keys: &[String]) -> Vec<Option<V>> {
+        let results: Vec<Option<V>> = keys
             .iter()
             .map(|key| self.shard_for(key).lock().expect("cache shard").get(key))
             .collect();
@@ -288,35 +307,17 @@ impl AnswerCache {
 
     /// Batch insert: the fill-side twin of [`Self::get_batch`] — entries go
     /// in one by one, in order, and the counters are bumped once.
-    pub fn insert_batch(&self, entries: Vec<(String, Arc<QaResponse>)>) {
+    pub fn insert_batch(&self, entries: Vec<(String, V)>) {
         let total = entries.len() as u64;
         let mut evicted = 0u64;
         for (key, value) in entries {
             let mut shard = self.shard_for(&key).lock().expect("cache shard");
-            evicted += u64::from(shard.insert(key, value, self.shard_capacity));
+            evicted += u64::from(shard.insert(key.into(), value, self.shard_capacity));
         }
         self.insertions.fetch_add(total, Ordering::Relaxed);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
-    }
-
-    /// Look up `key`, computing and caching the response on a miss. The
-    /// shard lock is **not** held during `compute`, so concurrent misses on
-    /// the same key may compute twice (last write wins) — acceptable because
-    /// the engine is deterministic, and far better than serializing every
-    /// cold question behind one lock.
-    pub fn get_or_compute(
-        &self,
-        key: String,
-        compute: impl FnOnce() -> QaResponse,
-    ) -> Arc<QaResponse> {
-        if let Some(found) = self.get(&key) {
-            return found;
-        }
-        let computed = Arc::new(compute());
-        self.insert(key, Arc::clone(&computed));
-        computed
     }
 
     /// Entries currently resident across all shards.
@@ -355,6 +356,160 @@ impl AnswerCache {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Rendered answers: what the server caches
+// ---------------------------------------------------------------------------
+
+/// The server's answer cache: versioned keys to rendered answers.
+pub type RenderedCache = AnswerCache<RenderedAnswer>;
+
+/// One response as the server serves it: a single `Arc<[u8]>` holding an
+/// outcome tag byte followed by the response's JSON. Cloning is a
+/// reference-count bump; serving it is one copy of [`RenderedAnswer::body`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RenderedAnswer(Arc<[u8]>);
+
+impl RenderedAnswer {
+    /// The entry for a response rendered as `body` that ended with
+    /// `refusal` (`None`: answered): one allocation, `body` copied once.
+    pub fn new(refusal: Option<Refusal>, body: &[u8]) -> Self {
+        let tag = match refusal {
+            None => 0,
+            Some(Refusal::NoEntityGrounded) => 1,
+            Some(Refusal::NoTemplateMatched) => 2,
+            Some(Refusal::NoPredicateAboveTheta) => 3,
+            Some(Refusal::EmptyValueSet) => 4,
+            Some(Refusal::ShardUnavailable) => 5,
+        };
+        let mut entry = Arc::<[u8]>::new_uninit_slice(body.len() + 1);
+        let bytes = Arc::get_mut(&mut entry).expect("a fresh Arc is unique");
+        bytes[0].write(tag);
+        bytes[1..].write_copy_of_slice(body);
+        // SAFETY: the tag and the copy above initialize every byte.
+        Self(unsafe { entry.assume_init() })
+    }
+
+    /// How the request ended — what `/metrics` counts and the slow-query
+    /// log reports, read without parsing the JSON.
+    pub fn refusal(&self) -> Option<Refusal> {
+        match self.0[0] {
+            1 => Some(Refusal::NoEntityGrounded),
+            2 => Some(Refusal::NoTemplateMatched),
+            3 => Some(Refusal::NoPredicateAboveTheta),
+            4 => Some(Refusal::EmptyValueSet),
+            5 => Some(Refusal::ShardUnavailable),
+            _ => None,
+        }
+    }
+
+    /// The response's JSON, exactly as first rendered.
+    pub fn body(&self) -> &[u8] {
+        &self.0[1..]
+    }
+}
+
+/// Reusable buffers for answering runs of `/batch` questions through a
+/// [`RenderedCache`]: every key of a run is built into one `String`, every
+/// probe borrows from it, and only a miss pays for a resident key (plus its
+/// entry). Keep one per batch and reuse it run after run.
+#[derive(Debug, Default)]
+pub struct BatchLane {
+    /// The run's keys, back to back.
+    keys: String,
+    /// Where each key ends in `keys`.
+    key_ends: Vec<usize>,
+    /// The cached answer per question; `None` for a miss.
+    hits: Vec<Option<RenderedAnswer>>,
+    /// A run with hits renders its misses here first.
+    miss_bytes: Vec<u8>,
+    rendered: Vec<Rendered>,
+}
+
+impl BatchLane {
+    /// Answer `requests` under `snapshot` through `cache`, appending each
+    /// response's JSON to `out` in request order as elements of a JSON
+    /// array — comma-separated, with a leading comma when
+    /// `continues_array` says earlier elements precede this run — and
+    /// reporting each outcome to `outcome`.
+    ///
+    /// Hits copy their stored bytes. Misses are answered by reference,
+    /// rendered once through [`ServiceSnapshot::answer_batch_into`] (which
+    /// fans a large run out across threads), and copied into their entries;
+    /// when the whole run misses, it renders straight into `out`.
+    /// Duplicate questions within one run each miss and are computed
+    /// redundantly; the engine is deterministic, so the last insert wins
+    /// with the same bytes.
+    pub fn answer(
+        &mut self,
+        cache: &RenderedCache,
+        snapshot: &ServiceSnapshot,
+        requests: &[QaRequest],
+        continues_array: bool,
+        out: &mut Vec<u8>,
+        mut outcome: impl FnMut(Option<Refusal>),
+    ) {
+        self.keys.clear();
+        self.key_ends.clear();
+        for request in requests {
+            snapshot.cache_key_into(request, &mut self.keys);
+            self.key_ends.push(self.keys.len());
+        }
+        self.hits.clear();
+        let mut start = 0;
+        for &end in &self.key_ends {
+            self.hits.push(cache.get(&self.keys[start..end]));
+            start = end;
+        }
+        self.rendered.clear();
+        if self.hits.iter().all(Option::is_none) {
+            if continues_array && !requests.is_empty() {
+                out.push(b',');
+            }
+            snapshot.answer_batch_into(requests, out, &mut self.rendered);
+            let mut start = 0;
+            for (one, &end) in self.rendered.iter().zip(&self.key_ends) {
+                let entry = RenderedAnswer::new(one.refusal, &out[one.span.clone()]);
+                cache.insert(&self.keys[start..end], entry);
+                outcome(one.refusal);
+                start = end;
+            }
+            return;
+        }
+        self.miss_bytes.clear();
+        if self.hits.iter().any(Option::is_none) {
+            let misses: Vec<&QaRequest> = requests
+                .iter()
+                .zip(&self.hits)
+                .filter(|(_, hit)| hit.is_none())
+                .map(|(request, _)| request)
+                .collect();
+            snapshot.answer_batch_into(&misses, &mut self.miss_bytes, &mut self.rendered);
+        }
+        let mut misses = self.rendered.iter();
+        let mut start = 0;
+        for (i, (hit, &end)) in self.hits.iter().zip(&self.key_ends).enumerate() {
+            if continues_array || i > 0 {
+                out.push(b',');
+            }
+            match hit {
+                Some(entry) => {
+                    out.extend_from_slice(entry.body());
+                    outcome(entry.refusal());
+                }
+                None => {
+                    let one = misses.next().expect("one rendering per miss");
+                    let body = &self.miss_bytes[one.span.clone()];
+                    out.extend_from_slice(body);
+                    let entry = RenderedAnswer::new(one.refusal, body);
+                    cache.insert(&self.keys[start..end], entry);
+                    outcome(one.refusal);
+                }
+            }
+            start = end;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,7 +522,7 @@ mod tests {
     }
 
     /// Single-shard cache so LRU order is fully observable.
-    fn single_shard(capacity: usize) -> AnswerCache {
+    fn single_shard(capacity: usize) -> AnswerCache<Arc<QaResponse>> {
         AnswerCache::new(CacheConfig {
             capacity,
             shards: 1,
@@ -378,7 +533,7 @@ mod tests {
     fn hit_returns_the_identical_response() {
         let cache = single_shard(8);
         let stored = response("42");
-        cache.insert("k".into(), Arc::clone(&stored));
+        cache.insert("k", Arc::clone(&stored));
         let hit = cache.get("k").expect("hit");
         // Same allocation, so serialization is trivially byte-identical.
         assert!(Arc::ptr_eq(&stored, &hit));
@@ -394,11 +549,11 @@ mod tests {
     fn evicts_least_recently_used_at_capacity() {
         let cache = single_shard(3);
         for k in ["a", "b", "c"] {
-            cache.insert(k.into(), response(k));
+            cache.insert(k, response(k));
         }
         // Touch "a" so "b" becomes the LRU victim.
         assert!(cache.get("a").is_some());
-        cache.insert("d".into(), response("d"));
+        cache.insert("d", response("d"));
         assert_eq!(cache.len(), 3);
         assert!(cache.get("b").is_none(), "LRU entry should be evicted");
         for k in ["a", "c", "d"] {
@@ -410,8 +565,8 @@ mod tests {
     #[test]
     fn overwrite_does_not_evict_or_grow() {
         let cache = single_shard(2);
-        cache.insert("k".into(), response("old"));
-        cache.insert("k".into(), response("new"));
+        cache.insert("k", response("old"));
+        cache.insert("k", response("new"));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.get("k").unwrap().top(), Some("new"));
@@ -431,25 +586,12 @@ mod tests {
     }
 
     #[test]
-    fn get_or_compute_computes_once_then_hits() {
-        let cache = single_shard(4);
-        let mut calls = 0;
-        let first = cache.get_or_compute("k".into(), || {
-            calls += 1;
-            QaResponse::from_answers(vec![Answer::ranked("v", 1.0)])
-        });
-        let second = cache.get_or_compute("k".into(), || unreachable!("must be cached"));
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
     fn capacity_is_clamped_to_at_least_one_per_shard() {
         let cache = AnswerCache::new(CacheConfig {
             capacity: 0,
             shards: 0,
         });
-        cache.insert("k".into(), response("v"));
+        cache.insert("k", response("v"));
         assert!(cache.get("k").is_some());
         assert_eq!(cache.stats().capacity, 1);
         assert_eq!(cache.stats().shards, 1);
@@ -529,7 +671,7 @@ mod tests {
     #[test]
     fn batch_get_with_duplicate_keys_is_order_preserving() {
         let cache = single_shard(8);
-        cache.insert("k".into(), response("v"));
+        cache.insert("k", response("v"));
         let keys: Vec<String> = vec!["k".into(), "missing".into(), "k".into()];
         let results = cache.get_batch(&keys);
         assert!(results[0].is_some() && results[2].is_some());
@@ -539,9 +681,27 @@ mod tests {
     }
 
     #[test]
+    fn rendered_answers_keep_their_outcome_and_bytes() {
+        let body = br#"{"answers":[],"refusal":null}"#;
+        for refusal in [
+            None,
+            Some(Refusal::NoEntityGrounded),
+            Some(Refusal::NoTemplateMatched),
+            Some(Refusal::NoPredicateAboveTheta),
+            Some(Refusal::EmptyValueSet),
+            Some(Refusal::ShardUnavailable),
+        ] {
+            let answer = RenderedAnswer::new(refusal, body);
+            assert_eq!(answer.refusal(), refusal);
+            assert_eq!(answer.body(), body);
+        }
+        assert_eq!(RenderedAnswer::new(None, b"").body(), b"");
+    }
+
+    #[test]
     fn clear_empties_but_keeps_counters() {
         let cache = single_shard(4);
-        cache.insert("k".into(), response("v"));
+        cache.insert("k", response("v"));
         assert!(cache.get("k").is_some());
         cache.clear();
         assert!(cache.is_empty());

@@ -66,16 +66,19 @@
 //! requests are served in order (the parse buffer simply carries the next
 //! request; the loop iterates over it, however many requests it holds).
 //!
-//! The serving edge is allocation-lean (PR 10): responses render through
-//! [`kbqa_core::service::QaResponse::serialize_into`] into reused buffers
-//! (no serde tree, no intermediate `String`), HTTP heads through a
-//! per-loop `ResponseWriter`. `POST /batch?stream=1` switches the response
-//! to HTTP/1.1 **chunked transfer**: answers are serialized in compute
-//! lanes and flushed once [`ServerConfig::stream_flush_bytes`] accumulate,
-//! riding the same write state machine (a stream parked on compute carries
-//! no deadline, exactly like a dispatched request). De-chunked, the
-//! streamed body is byte-identical to the buffered one, and one stream
-//! serves exactly one model epoch.
+//! The serving edge is bytes in, bytes out: request bodies decode straight
+//! into typed requests ([`QaRequest::decode`], no serde `Value` tree), a
+//! plain answer renders from the kernel's ranked ids
+//! ([`kbqa_core::service::ServiceSnapshot::answer_into`]), and the answer
+//! cache stores each response as the bytes it is served as — a hit is one
+//! copy, never a re-serialization (see [`crate::cache`]). HTTP heads go
+//! through a per-loop `ResponseWriter`. `POST /batch?stream=1` switches the
+//! response to HTTP/1.1 **chunked transfer**: answers are rendered in
+//! compute lanes and flushed once [`ServerConfig::stream_flush_bytes`]
+//! accumulate, riding the same write state machine (a stream parked on
+//! compute carries no deadline, exactly like a dispatched request).
+//! De-chunked, the streamed body is byte-identical to the buffered one, and
+//! one stream serves exactly one model epoch.
 //!
 //! Live operations: `POST /admin/reload` (token-gated, PR 3) hot-swaps the
 //! model, and with a bundle dir configured (`?mode=bundle`, the default
@@ -99,10 +102,10 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use kbqa_core::service::{KbqaService, QaRequest, QaResponse};
-use kbqa_obs::{Observability, SlowQuery, SlowQueryLog, Stage};
+use kbqa_core::service::{KbqaService, QaRequest};
+use kbqa_obs::{Observability, SlowQuery, SlowQueryLog};
 
-use crate::cache::{AnswerCache, CacheConfig};
+use crate::cache::{BatchLane, CacheConfig, RenderedAnswer, RenderedCache};
 use crate::epoll::{
     Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
@@ -513,7 +516,7 @@ impl ServiceSlot {
 /// Everything the request handlers share.
 struct AppState {
     service: ServiceSlot,
-    cache: AnswerCache,
+    cache: RenderedCache,
     metrics: Metrics,
     slow: SlowQueryLog,
     /// The serving-side observability sink, re-installed onto the
@@ -630,7 +633,7 @@ impl Shared {
         Ok(Shared {
             state: AppState {
                 service: ServiceSlot::new(service),
-                cache: AnswerCache::new(config.cache.clone()),
+                cache: RenderedCache::new(config.cache.clone()),
                 metrics,
                 slow: SlowQueryLog::new(config.slow_log_capacity),
                 observability,
@@ -1432,7 +1435,7 @@ impl EventLoop {
                 };
                 let response = Response {
                     status: 429,
-                    body: b"{\"error\":\"server overloaded, retry later\"}".to_vec(),
+                    body: Body::Owned(b"{\"error\":\"server overloaded, retry later\"}".to_vec()),
                     retry_after: Some(jittered_retry_after(config, conn_token(slot, generation))),
                     content_type: "application/json",
                 };
@@ -1473,7 +1476,7 @@ impl EventLoop {
         self.metrics().record_response(status);
         let response = Response {
             status,
-            body: format!("{{\"error\":\"{}\"}}", reason(status)).into_bytes(),
+            body: Body::Owned(format!("{{\"error\":\"{}\"}}", reason(status)).into_bytes()),
             retry_after: None,
             content_type: "application/json",
         };
@@ -2007,16 +2010,32 @@ const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8"
 
 /// A response ready for the wire. Bodies are JSON unless `content_type`
 /// says otherwise (the Prometheus exposition is plain text). Bodies are raw
-/// bytes: the hot routes fill them with
-/// [`QaResponse::serialize_into`](kbqa_core::service::QaResponse::serialize_into)
-/// and never pass through an intermediate `String` or serde `Value` tree.
+/// bytes: the hot routes fill them with rendered answers and never pass
+/// through an intermediate `String` or serde `Value` tree.
 struct Response {
     status: u16,
-    body: Vec<u8>,
+    body: Body,
     /// `Retry-After` seconds, set only on admission-control sheds.
     retry_after: Option<u64>,
     /// `Content-Type` header value.
     content_type: &'static str,
+}
+
+/// A response body: bytes built for this response, or a cached answer
+/// served as stored — the write buffer copies it once, straight from the
+/// cache entry.
+enum Body {
+    Owned(Vec<u8>),
+    Cached(RenderedAnswer),
+}
+
+impl Body {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Body::Owned(bytes) => bytes,
+            Body::Cached(answer) => answer.body(),
+        }
+    }
 }
 
 impl Response {
@@ -2025,6 +2044,10 @@ impl Response {
     }
 
     fn ok_bytes(body: Vec<u8>) -> Self {
+        Self::ok_body(Body::Owned(body))
+    }
+
+    fn ok_body(body: Body) -> Self {
         Self {
             status: 200,
             body,
@@ -2036,19 +2059,19 @@ impl Response {
     fn ok_text(body: String, content_type: &'static str) -> Self {
         Self {
             status: 200,
-            body: body.into_bytes(),
+            body: Body::Owned(body.into_bytes()),
             retry_after: None,
             content_type,
         }
     }
 
     fn error(status: u16, message: &str) -> Self {
-        // `message` comes from our own serde errors; escape the two
-        // characters that could break the JSON literal.
+        // `message` comes from our own decode and serde errors; escape the
+        // two characters that could break the JSON literal.
         let escaped = message.replace('\\', "\\\\").replace('"', "\\\"");
         Self {
             status,
-            body: format!("{{\"error\":\"{escaped}\"}}").into_bytes(),
+            body: Body::Owned(format!("{{\"error\":\"{escaped}\"}}").into_bytes()),
             retry_after: None,
             content_type: "application/json",
         }
@@ -2132,7 +2155,7 @@ impl ResponseWriter {
         out.extend_from_slice(b"\r\nContent-Type: ");
         out.extend_from_slice(response.content_type.as_bytes());
         out.extend_from_slice(b"\r\nContent-Length: ");
-        write_dec(out, response.body.len() as u64);
+        write_dec(out, response.body.bytes().len() as u64);
         out.extend_from_slice(b"\r\n");
         if let Some(seconds) = response.retry_after {
             out.extend_from_slice(b"Retry-After: ");
@@ -2140,7 +2163,7 @@ impl ResponseWriter {
             out.extend_from_slice(b"\r\n");
         }
         self.connection_header(out, keep_alive);
-        out.extend_from_slice(&response.body);
+        out.extend_from_slice(response.body.bytes());
     }
 
     /// The head of a chunked `200` JSON stream.
@@ -2236,7 +2259,7 @@ fn handle_healthz(shared: &Shared) -> Response {
     );
     Response {
         status: if healthy { 200 } else { 503 },
-        body: body.into_bytes(),
+        body: Body::Owned(body.into_bytes()),
         retry_after: None,
         content_type: "application/json",
     }
@@ -2465,15 +2488,18 @@ fn handle_slow(shared: &Shared, request: &Request) -> Response {
     }
 }
 
-fn parse_body<T: serde::de::DeserializeOwned>(body: &[u8]) -> Result<T, Response> {
-    let text =
-        std::str::from_utf8(body).map_err(|_| Response::error(400, "body is not valid UTF-8"))?;
-    serde_json::from_str(text).map_err(|e| Response::error(400, &e.to_string()))
+thread_local! {
+    /// Per-thread buffers for `POST /answer`: the cache key every request
+    /// builds, and the rendering of a miss before it becomes an entry.
+    static ANSWER_BUFS: std::cell::RefCell<(String, Vec<u8>)> =
+        const { std::cell::RefCell::new((String::new(), Vec::new())) };
 }
 
 /// `POST /answer`: one `QaRequest` in, one `QaResponse` out, consulting the
-/// cache first. A hit serializes the very `QaResponse` a cold run produced,
-/// so the body is byte-identical either way.
+/// cache first. A hit is the decoded request, a key built in a reused
+/// buffer, a probe, and one copy of the stored bytes into the write buffer;
+/// a miss renders once and copies those bytes into its entry, so the body
+/// is byte-identical either way.
 ///
 /// Key and computation both come from a single [`ServiceSnapshot`], so the
 /// cache entry's epoch-versioned key always matches the epoch of the model
@@ -2484,9 +2510,9 @@ fn handle_answer(state: &AppState, body: &[u8]) -> Response {
     #[cfg(test)]
     assert_ne!(body, tests::PANIC_BODY, "panic injected by the test suite");
     let started = Instant::now();
-    let mut request: QaRequest = match parse_body(body) {
+    let mut request = match QaRequest::decode(body) {
         Ok(request) => request,
-        Err(response) => return response,
+        Err(e) => return Response::error(400, &e.to_string()),
     };
     state.metrics.record_answer_request();
     if request.request_id.is_none() {
@@ -2510,63 +2536,50 @@ fn handle_answer(state: &AppState, body: &[u8]) -> Response {
             );
         }
     }
-    let key = snapshot.cache_key(&request);
-    let mut cache_hit = true;
-    let mut breakdown = None;
-    let response = match state.cache.get(&key) {
-        Some(cached) => cached,
-        None => {
-            cache_hit = false;
-            let (computed, traced) = snapshot.answer_traced(&request);
-            breakdown = traced;
-            let computed = Arc::new(computed);
-            state.cache.insert(key, Arc::clone(&computed));
-            computed
+    let (answer, cache_hit, stages) = ANSWER_BUFS.with(|bufs| {
+        let (key, rendering) = &mut *bufs.borrow_mut();
+        key.clear();
+        snapshot.cache_key_into(&request, key);
+        if let Some(cached) = state.cache.get(key) {
+            return (cached, true, None);
         }
-    };
-    state.metrics.record_outcome(&response);
-    let serialize_started = Instant::now();
-    let mut body = Vec::with_capacity(256);
-    response.serialize_into(&mut body);
-    let rendered = Response::ok_bytes(body);
-    if let Some(breakdown) = breakdown.as_mut() {
-        // The engine cannot time serialization (it happens here, after the
-        // response exists), so the route records the serialize stage.
-        let us = u64::try_from(serialize_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        breakdown.set(Stage::Serialize, us);
-        state.metrics.stage_stats().record_us(Stage::Serialize, us);
-    }
+        rendering.clear();
+        let rendered = snapshot.answer_into(&request, rendering);
+        let answer = RenderedAnswer::new(rendered.refusal, rendering);
+        state.cache.insert(key.as_str(), answer.clone());
+        (answer, false, rendered.stages)
+    });
+    let refusal = answer.refusal();
+    state.metrics.record_outcome(refusal);
     let total_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
     state.slow.offer(total_us, || SlowQuery {
         request_id: request.request_id.unwrap_or(0),
         question: request.question.clone(),
         total_us,
-        stages: breakdown.unwrap_or_default(),
-        refusal: response.refusal.map(|r| r.to_string()),
+        stages: stages.unwrap_or_default(),
+        refusal: refusal.map(|r| r.to_string()),
         cache_hit,
-        model_epoch: response.model_epoch,
+        model_epoch: snapshot.model_epoch(),
         store_backend: service.store().backend_kind().as_str().to_string(),
-        traced: breakdown.is_some(),
+        traced: stages.is_some(),
     });
     state.metrics.answer_latency.record(started.elapsed());
-    rendered
+    Response::ok_body(Body::Cached(answer))
 }
 
-/// The parsed-and-admitted prefix of a `/batch` request, shared by the
-/// buffered and streaming paths: requests, epoch-consistent snapshot,
-/// versioned keys (each taken by [`fill_misses`] when its miss is cached),
-/// and the cache-hit array ([`AnswerCache::get_batch`]).
+/// The decoded-and-admitted prefix of a `/batch` request, shared by the
+/// buffered and streaming paths: the requests and the snapshot every key
+/// and answer of the batch comes from.
 struct BatchSetup {
     requests: Vec<QaRequest>,
     snapshot: kbqa_core::service::ServiceSnapshot,
-    keys: Vec<String>,
-    responses: Vec<Option<Arc<QaResponse>>>,
 }
 
-/// Parse and admit one `/batch` body. `Err` carries the early response
-/// (parse error or `min_epoch` 409).
+/// Decode and admit one `/batch` body. `Err` carries the early response
+/// (decode error or `min_epoch` 409).
 fn batch_setup(state: &AppState, body: &[u8]) -> Result<BatchSetup, Response> {
-    let requests: Vec<QaRequest> = parse_body(body)?;
+    let requests =
+        QaRequest::decode_batch(body).map_err(|e| Response::error(400, &e.to_string()))?;
     state.metrics.record_batch_request(requests.len());
     let service = state.service.load();
     let snapshot = service.snapshot();
@@ -2584,66 +2597,31 @@ fn batch_setup(state: &AppState, body: &[u8]) -> Result<BatchSetup, Response> {
             ));
         }
     }
-    let keys: Vec<String> = requests.iter().map(|r| snapshot.cache_key(r)).collect();
-    let responses = state.cache.get_batch(&keys);
-    Ok(BatchSetup {
-        requests,
-        snapshot,
-        keys,
-        responses,
-    })
-}
-
-/// Compute the misses among `setup.responses[range]` in request order, fill
-/// the slots and enter the cache ([`AnswerCache::insert_batch`]). Requests
-/// are answered by reference and each key moves into its cache entry: a key
-/// is looked up once and inserted at most once, so nothing is cloned.
-fn fill_misses(state: &AppState, setup: &mut BatchSetup, range: std::ops::Range<usize>) {
-    let miss_indices: Vec<usize> = range.filter(|&i| setup.responses[i].is_none()).collect();
-    if miss_indices.is_empty() {
-        return;
-    }
-    // Duplicate questions within one batch each miss independently and
-    // are computed redundantly; correctness is unaffected (the engine is
-    // deterministic) and the next request hits.
-    let misses: Vec<&QaRequest> = miss_indices.iter().map(|&i| &setup.requests[i]).collect();
-    let computed = setup.snapshot.answer_batch(&misses);
-    let mut fills = Vec::with_capacity(miss_indices.len());
-    for (&i, response) in miss_indices.iter().zip(computed) {
-        let response = Arc::new(response);
-        fills.push((std::mem::take(&mut setup.keys[i]), Arc::clone(&response)));
-        setup.responses[i] = Some(response);
-    }
-    state.cache.insert_batch(fills);
+    Ok(BatchSetup { requests, snapshot })
 }
 
 /// `POST /batch`: a `Vec<QaRequest>` in, a `Vec<QaResponse>` out in request
-/// order. Cache hits are filled in directly; only the misses fan out through
-/// the snapshot's `answer_batch`, then enter the cache. The whole batch —
-/// keys and computation — runs under one model epoch.
+/// order — one [`BatchLane`] run over the whole batch: hits are copied in,
+/// misses fan out through the snapshot's `answer_batch_into` and enter the
+/// cache. The whole batch — keys and computation — runs under one model
+/// epoch.
 fn handle_batch(state: &AppState, body: &[u8]) -> Response {
     let started = Instant::now();
-    let mut setup = match batch_setup(state, body) {
+    let setup = match batch_setup(state, body) {
         Ok(setup) => setup,
         Err(response) => return response,
     };
-    let n = setup.requests.len();
-    fill_misses(state, &mut setup, 0..n);
-
-    let serialize_started = Instant::now();
-    let mut body = Vec::with_capacity(256 * n.max(1));
+    let mut body = Vec::with_capacity(256 * setup.requests.len().max(1));
     body.push(b'[');
-    for (i, response) in setup.responses.iter().enumerate() {
-        let response = response.as_deref().expect("every slot filled");
-        state.metrics.record_outcome(response);
-        if i > 0 {
-            body.push(b',');
-        }
-        response.serialize_into(&mut body);
-    }
+    BatchLane::default().answer(
+        &state.cache,
+        &setup.snapshot,
+        &setup.requests,
+        false,
+        &mut body,
+        |refusal| state.metrics.record_outcome(refusal),
+    );
     body.push(b']');
-    let us = u64::try_from(serialize_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    state.metrics.stage_stats().record_us(Stage::Serialize, us);
     let rendered = Response::ok_bytes(body);
     state.metrics.batch_latency.record(started.elapsed());
     rendered
@@ -2683,7 +2661,7 @@ fn handle_batch_streaming(
     let state = &shared.state;
     let t_start = Instant::now();
     state.metrics.record_request();
-    let mut setup = match batch_setup(state, &job.request.body) {
+    let setup = match batch_setup(state, &job.request.body) {
         Ok(setup) => setup,
         Err(response) => {
             state.metrics.record_response(response.status);
@@ -2696,52 +2674,32 @@ fn handle_batch_streaming(
     complete(shared, job, Payload::StreamStart, keep_alive_requested);
     started.set(true);
 
-    let n = setup.requests.len();
     let flush_bytes = shared.config.stream_flush_bytes.max(1);
     let mut pending: Vec<u8> = Vec::with_capacity(flush_bytes * 2);
     pending.push(b'[');
-    // The serialize lap accumulates across a chunk and is recorded when the
-    // chunk ships, so `/metrics` stage histograms see the streaming path
-    // exactly as they see the buffered one.
-    let mut serialize_ns: u128 = 0;
-    let flush = |pending: &mut Vec<u8>, serialize_ns: &mut u128, final_chunk: bool| {
-        if pending.is_empty() {
-            return;
-        }
-        let us = u64::try_from(*serialize_ns / 1_000).unwrap_or(u64::MAX);
-        if us > 0 || final_chunk {
-            state.metrics.stage_stats().record_us(Stage::Serialize, us);
-        }
-        *serialize_ns = 0;
+    let ship = |chunk: Vec<u8>| {
         state.metrics.record_batch_stream_chunk();
-        complete(
-            shared,
-            job,
-            Payload::Chunk(std::mem::take(pending)),
-            keep_alive_requested,
-        );
+        complete(shared, job, Payload::Chunk(chunk), keep_alive_requested);
     };
-    let mut lane_start = 0;
-    while lane_start < n {
-        let lane_end = (lane_start + STREAM_LANE_QUESTIONS).min(n);
-        fill_misses(state, &mut setup, lane_start..lane_end);
-        let serialize_started = Instant::now();
-        for i in lane_start..lane_end {
-            let response = setup.responses[i].as_deref().expect("every slot filled");
-            state.metrics.record_outcome(response);
-            if i > 0 {
-                pending.push(b',');
-            }
-            response.serialize_into(&mut pending);
-        }
-        serialize_ns += serialize_started.elapsed().as_nanos();
+    let mut lane = BatchLane::default();
+    for (i, run) in setup.requests.chunks(STREAM_LANE_QUESTIONS).enumerate() {
+        lane.answer(
+            &state.cache,
+            &setup.snapshot,
+            run,
+            i > 0,
+            &mut pending,
+            |refusal| state.metrics.record_outcome(refusal),
+        );
         if pending.len() >= flush_bytes {
-            flush(&mut pending, &mut serialize_ns, false);
+            ship(std::mem::replace(
+                &mut pending,
+                Vec::with_capacity(flush_bytes * 2),
+            ));
         }
-        lane_start = lane_end;
     }
     pending.push(b']');
-    flush(&mut pending, &mut serialize_ns, true);
+    ship(pending);
     complete(shared, job, Payload::StreamEnd, keep_alive_requested);
     state.metrics.batch_latency.record(t_start.elapsed());
 }

@@ -20,10 +20,11 @@
 //!    format.
 //! 2. **Repeated questions dominate real QA traffic** ("QA Is the New KR",
 //!    Chen et al., 2022), so a sharded, lock-striped LRU [`cache`] sits in
-//!    front of the engine. It is keyed by
-//!    [`kbqa_core::service::QaRequest::cache_key`] — normalized question +
-//!    effective engine config — so a hit is *guaranteed* to serialize
-//!    byte-identically to what the engine would have produced.
+//!    front of the engine, holding each answer as the bytes it is served
+//!    as. It is keyed by [`kbqa_core::service::QaRequest::cache_key`] —
+//!    normalized question + effective engine config — so a hit is
+//!    *guaranteed* to be byte-identical to what the engine would have
+//!    produced.
 //! 3. **A server you cannot observe is a server you cannot operate**:
 //!    atomic counters and fixed-bucket latency histograms ([`metrics`]) are
 //!    exported as JSON *and* as Prometheus text exposition
@@ -96,7 +97,7 @@ pub mod http;
 pub mod metrics;
 pub mod supervisor;
 
-pub use cache::{AnswerCache, CacheConfig, CacheStats};
+pub use cache::{AnswerCache, BatchLane, CacheConfig, CacheStats, RenderedAnswer, RenderedCache};
 pub use http::{serve, ServerConfig, ServerHandle};
 pub use kbqa_obs::{
     validate_exposition, SlowQuery, SlowQueryLog, StageBreakdown, StageStatsSnapshot,

@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use kbqa_core::service::{QaResponse, Refusal};
+use kbqa_core::service::Refusal;
 use kbqa_obs::{StageStats, StageStatsSnapshot};
 
 pub use kbqa_obs::{BucketCount, HistogramSnapshot, LatencyHistogram, BUCKET_BOUNDS_US};
@@ -53,7 +53,7 @@ pub struct Metrics {
     /// Per-pipeline-stage latency histograms, shared with the engine's
     /// [`kbqa_obs::Observability`] sink.
     stage: Arc<StageStats>,
-    /// `POST /answer` end-to-end latency (parse → serialize).
+    /// `POST /answer` end-to-end latency (decode → rendered body).
     pub answer_latency: LatencyHistogram,
     /// `POST /batch` end-to-end latency (whole batch).
     pub batch_latency: LatencyHistogram,
@@ -189,22 +189,19 @@ impl Metrics {
         Arc::clone(&self.stage)
     }
 
-    /// Classify one engine outcome (answered vs refused, and refusal cause).
-    pub fn record_outcome(&self, response: &QaResponse) {
-        if response.answered() {
+    /// Classify one engine outcome: answered (`None`) or refused, by cause.
+    pub fn record_outcome(&self, refusal: Option<Refusal>) {
+        let Some(refusal) = refusal else {
             self.answered.fetch_add(1, Ordering::Relaxed);
             return;
-        }
+        };
         self.refused.fetch_add(1, Ordering::Relaxed);
-        let by_cause = match response.refusal {
-            Some(Refusal::NoEntityGrounded) => &self.refused_no_entity,
-            Some(Refusal::NoTemplateMatched) => &self.refused_no_template,
-            Some(Refusal::NoPredicateAboveTheta) => &self.refused_no_predicate,
-            Some(Refusal::ShardUnavailable) => &self.refused_shard_unavailable,
-            // `answered()` is false with no refusal only for a malformed
-            // response; fold it into the terminal cause rather than
-            // inventing a fifth family.
-            Some(Refusal::EmptyValueSet) | None => &self.refused_empty_values,
+        let by_cause = match refusal {
+            Refusal::NoEntityGrounded => &self.refused_no_entity,
+            Refusal::NoTemplateMatched => &self.refused_no_template,
+            Refusal::NoPredicateAboveTheta => &self.refused_no_predicate,
+            Refusal::EmptyValueSet => &self.refused_empty_values,
+            Refusal::ShardUnavailable => &self.refused_shard_unavailable,
         };
         by_cause.fetch_add(1, Ordering::Relaxed);
     }
@@ -643,9 +640,8 @@ mod tests {
 
     #[test]
     fn outcome_classification() {
-        use kbqa_core::engine::Answer;
         let m = Metrics::new();
-        m.record_outcome(&QaResponse::from_answers(vec![Answer::ranked("v", 1.0)]));
+        m.record_outcome(None);
         for refusal in [
             Refusal::NoEntityGrounded,
             Refusal::NoEntityGrounded,
@@ -654,7 +650,7 @@ mod tests {
             Refusal::EmptyValueSet,
             Refusal::ShardUnavailable,
         ] {
-            m.record_outcome(&QaResponse::refused(refusal));
+            m.record_outcome(Some(refusal));
         }
         let snap = m.snapshot();
         assert_eq!((snap.answered, snap.refused), (1, 6));
@@ -679,7 +675,7 @@ mod tests {
         m.record_request();
         m.record_response(200);
         m.answer_latency.record(Duration::from_micros(900));
-        m.record_outcome(&QaResponse::refused(Refusal::NoTemplateMatched));
+        m.record_outcome(Some(Refusal::NoTemplateMatched));
         m.stage_stats().record_us(Stage::ValueLookup, 75);
         let mut snap = m.snapshot();
         snap.store_backend = "mmap".to_string();

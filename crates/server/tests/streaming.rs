@@ -254,6 +254,52 @@ fn streamed_batch_is_byte_identical_to_buffered_over_300_questions() {
     server.shutdown();
 }
 
+/// A cold buffered `/batch` of 320 questions misses on every question, so
+/// its rendering fans out across threads (64+ questions each); a second
+/// batch mixing cached and new questions takes the hits-and-misses path.
+/// Both must equal the sequential in-process rendering, byte for byte.
+#[test]
+fn buffered_batches_match_the_sequential_rendering_cold_and_mixed() {
+    let f = fixture();
+    let server = start_server(ServerConfig::default());
+    let addr = server.local_addr();
+    let sequential = |requests: &[QaRequest]| {
+        let rendered: Vec<String> = requests
+            .iter()
+            .map(|r| serde_json::to_string(&f.service.answer(r)).unwrap())
+            .collect();
+        format!("[{}]", rendered.join(","))
+    };
+
+    let cold = big_batch(&f.questions, 320);
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/batch",
+        &serde_json::to_string(&cold).unwrap(),
+    );
+    assert_eq!(status, 200);
+    assert_eq!(body, sequential(&cold));
+
+    let mixed: Vec<QaRequest> = cold
+        .iter()
+        .take(160)
+        .cloned()
+        .chain((0..160).map(|i| QaRequest::new(format!("who founded rome {i}"))))
+        .collect();
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/batch",
+        &serde_json::to_string(&mixed).unwrap(),
+    );
+    assert_eq!(status, 200);
+    assert_eq!(body, sequential(&mixed));
+    assert!(metrics(addr).cache.hits >= 160);
+
+    server.shutdown();
+}
+
 #[test]
 fn stream_opt_in_is_both_ends() {
     let f = fixture();

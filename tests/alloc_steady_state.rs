@@ -29,6 +29,13 @@
 //! normalized question and effective config straight into one pre-sized
 //! `String` — exactly one allocation per key, overrides or not.
 //!
+//! The rendered serving path closes the loop: a warm 16-question lane
+//! rendered by `ServiceSnapshot::answer_batch_into` — JSON written straight
+//! from ranked ids, integer and year literals formatted in place — allocates
+//! nothing, and the same lane through the server's rendered-bytes cache
+//! (`BatchLane`) costs exactly an entry plus an owned key per miss and
+//! nothing per hit.
+//!
 //! This file intentionally holds a single test: the allocator counter is
 //! process-global, and a concurrently running test would pollute the delta.
 
@@ -63,6 +70,8 @@ fn allocations() -> u64 {
 }
 
 use kbqa::prelude::*;
+use kbqa::rdf::Surface;
+use kbqa_server::{BatchLane, CacheConfig, RenderedAnswer, RenderedCache};
 
 #[test]
 fn steady_state_kernel_performs_zero_allocations() {
@@ -287,4 +296,67 @@ fn steady_state_kernel_performs_zero_allocations() {
         keyed.len() as u64,
         "cache_key must allocate exactly once per key"
     );
+
+    // Phase 7: the same lane rendered as JSON straight from the kernel's
+    // ranked ids — no `Answer`, no `String`, numbers formatted in place.
+    let numeric = lane.iter().any(|request| {
+        snapshot.answer(request).answers.iter().any(|answer| {
+            answer
+                .node
+                .is_some_and(|node| matches!(world.store.surface_form(node), Surface::Number(_)))
+        })
+    });
+    assert!(numeric, "the lane must render an integer or year literal");
+    let mut out = Vec::new();
+    let mut rendered = Vec::new();
+    for _ in 0..3 {
+        out.clear();
+        snapshot.answer_batch_into(&lane, &mut out, &mut rendered);
+    }
+    out.clear();
+    let before = allocations();
+    snapshot.answer_batch_into(&lane, &mut out, &mut rendered);
+    let delta = allocations() - before;
+    assert_eq!(rendered.len(), lane.len());
+    assert!(rendered.iter().any(|r| r.refusal.is_none()));
+    assert_eq!(
+        delta, 0,
+        "rendering a warm 16-question lane allocated {delta} times"
+    );
+
+    // Phase 8: the lane through the server's rendered-bytes cache. The
+    // cache's slab and index are grown past the lane's needs and emptied
+    // first, so what is counted is the lane's own cost: an entry and an
+    // owned key per miss, nothing per hit.
+    let cache = RenderedCache::new(CacheConfig {
+        capacity: 1024,
+        shards: 1,
+    });
+    let mut batch_lane = BatchLane::default();
+    for _ in 0..3 {
+        out.clear();
+        batch_lane.answer(&cache, &snapshot, &lane, false, &mut out, |_| {});
+    }
+    for i in 0..1000 {
+        cache.insert(format!("filler {i}"), RenderedAnswer::new(None, b"{}"));
+    }
+    cache.clear();
+    out.clear();
+    let before = allocations();
+    batch_lane.answer(&cache, &snapshot, &lane, false, &mut out, |_| {});
+    let delta = allocations() - before;
+    assert_eq!(
+        delta,
+        2 * lane.len() as u64,
+        "a streamed-batch miss must cost exactly its entry and its owned key"
+    );
+    let missed = out.clone();
+    out.clear();
+    let mut hits = 0;
+    let before = allocations();
+    batch_lane.answer(&cache, &snapshot, &lane, false, &mut out, |_| hits += 1);
+    let delta = allocations() - before;
+    assert_eq!(hits, lane.len());
+    assert_eq!(out, missed, "a hit must replay the bytes its miss rendered");
+    assert_eq!(delta, 0, "a streamed-batch hit allocated {delta} times");
 }

@@ -1,0 +1,187 @@
+//! The answer-cache key may merge two questions only when the engine cannot
+//! tell them apart.
+//!
+//! `QaRequest::normalized_question` collapses whitespace and folds ASCII
+//! case; the engine sees a question only through `tokenize`. So the
+//! property is `tokenize(normalized(q)) == tokenize(q)` (token texts), plus
+//! idempotence. Inputs are composed from explicit fragment lists, because
+//! the characters that break naive Unicode folding — `İ`, `Σ` at a word's
+//! end, the Kelvin sign, control characters — are not in the vendored
+//! proptest's `\PC` pool. The default run samples 256 strings; the
+//! `#[ignore]`d deep run samples 100 000:
+//!
+//! ```sh
+//! cargo test --release --test cache_key_normalization -- --ignored
+//! ```
+
+use kbqa::nlp::{tokenize, GazetteerNer};
+use kbqa::prelude::*;
+use proptest::TestRng;
+
+/// Characters and runs the normalizer and the tokenizer might disagree on.
+const FRAGMENTS: &[&str] = &[
+    "a",
+    "Z",
+    "Berlin",
+    "WHAT",
+    "is",
+    "the",
+    "population",
+    "of",
+    "x1",
+    "42",
+    " ",
+    "  ",
+    "\t",
+    "\n",
+    "\r\n",
+    "\u{b}",
+    "\u{c}",
+    "\u{1f}",
+    "\u{a0}",
+    "\u{85}",
+    "\u{2003}",
+    "\u{2028}",
+    "\u{3000}",
+    "\u{1}",
+    "\u{7f}",
+    "\u{200b}",
+    "İ",
+    "i\u{307}",
+    "ı",
+    "I",
+    "Σ",
+    "σ",
+    "ς",
+    "ΟΔΟΣ",
+    "οδοσ",
+    "ΑΣ",
+    "Σa",
+    "\u{212a}",
+    "k",
+    "ǅ",
+    "ǆ",
+    "ẞ",
+    "ß",
+    "ﬁ",
+    "Ⅻ",
+    "ⅻ",
+    "Ω",
+    "\u{2126}",
+    "東京",
+    "😀",
+    "é",
+    "E\u{301}",
+    "'",
+    "'s",
+    "'S",
+    "’",
+    ".",
+    ",",
+    "?",
+    "!",
+    "-",
+    "$",
+    "\"",
+    "\\",
+];
+
+fn words(text: &str) -> Vec<String> {
+    tokenize(text)
+        .tokens
+        .into_iter()
+        .map(|token| token.text)
+        .collect()
+}
+
+fn composed(rng: &mut TestRng) -> String {
+    let pieces = rng.next_u64() % 12;
+    (0..pieces)
+        .map(|_| FRAGMENTS[(rng.next_u64() % FRAGMENTS.len() as u64) as usize])
+        .collect()
+}
+
+fn check(question: &str) {
+    let normalized = QaRequest::new(question).normalized_question();
+    assert_eq!(
+        words(&normalized),
+        words(question),
+        "normalizing {question:?} to {normalized:?} changed its tokens"
+    );
+    assert_eq!(
+        QaRequest::new(normalized.as_str()).normalized_question(),
+        normalized,
+        "normalizing {question:?} is not idempotent"
+    );
+}
+
+fn sweep(name: &str, cases: u32) {
+    let mut rng = TestRng::from_name(name);
+    for _ in 0..cases {
+        check(&composed(&mut rng));
+    }
+}
+
+#[test]
+fn normalization_preserves_tokens() {
+    sweep("normalization_preserves_tokens", 256);
+}
+
+#[test]
+#[ignore = "deep run: 100 000 composed questions (CI runs it in release)"]
+fn normalization_preserves_tokens_deep() {
+    sweep("normalization_preserves_tokens_deep", 100_000);
+}
+
+#[test]
+fn every_fragment_pair_preserves_tokens() {
+    for a in FRAGMENTS {
+        for b in FRAGMENTS {
+            check(&format!("{a}{b}"));
+            check(&format!("{a} {b}{a}"));
+        }
+    }
+}
+
+/// Two questions that tokenize — and ground — differently must not share a
+/// key: under Unicode lowercasing, each of these pairs did, so whichever
+/// was asked first was served for the other.
+#[test]
+fn unicode_case_pairs_key_separately() {
+    let mut builder = GraphBuilder::new();
+    let city = builder.resource("istanbul");
+    builder.name(city, "İstanbul");
+    let road = builder.resource("odos");
+    builder.name(road, "ΟΔΟΣ");
+    let store = builder.build();
+    let ner = GazetteerNer::from_store(&store);
+    let mentions = |question: &str| ner.find_all_mentions(&tokenize(question)).len();
+    let base = EngineConfig::default();
+    for (capital, lower, grounded) in [
+        (
+            "population of İstanbul",
+            "population of i\u{307}stanbul",
+            (0, 1),
+        ),
+        ("where is ΟΔΟΣ", "where is οδοσ", (1, 0)),
+    ] {
+        assert_ne!(words(capital), words(lower), "{capital:?} / {lower:?}");
+        assert_eq!(
+            (mentions(capital), mentions(lower)),
+            grounded,
+            "{capital:?} / {lower:?}"
+        );
+        assert_ne!(
+            QaRequest::new(capital).cache_key(&base),
+            QaRequest::new(lower).cache_key(&base),
+            "{capital:?} and {lower:?} share a cache key"
+        );
+        check(capital);
+        check(lower);
+    }
+    // ASCII case still folds: the engine cannot tell these apart.
+    assert_eq!(
+        QaRequest::new("Population of BERLIN").cache_key(&base),
+        QaRequest::new("population  of berlin").cache_key(&base)
+    );
+}

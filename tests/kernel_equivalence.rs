@@ -7,6 +7,12 @@
 //! same answers, same score bits, same provenance strings, same refusal
 //! causes. One scratch is reused across every question, so the suite also
 //! pins that scratch reuse never leaks state between requests.
+//!
+//! The same corpus pins the rendered serving path: the JSON
+//! `ServiceSnapshot::answer_into` and `answer_batch_into` write straight
+//! from ranked ids must equal `serde_json::to_string` of the owned
+//! `ServiceSnapshot::answer` response, for every request shape and on every
+//! snapshot shape (in-memory store, mapped store, in-process shards).
 
 use std::sync::Arc;
 
@@ -228,4 +234,137 @@ fn floor_pruning_never_drops_a_top_k_answer() {
         pruned_total > 0,
         "floor pruning never fired — the sweep proves nothing"
     );
+}
+
+/// Every request shape the serving path distinguishes, per question: plain
+/// (rendered from ids), `explain`, each override, and overrides together.
+/// Refused and decomposed responses come from the question set itself.
+fn request_shapes(question: &str) -> [QaRequest; 6] {
+    let plain = QaRequest::new(question);
+    [
+        plain.clone(),
+        plain.clone().with_explain(true),
+        plain.clone().with_top_k(2),
+        plain.clone().with_min_theta(0.3),
+        plain.clone().with_decompose(false),
+        plain.with_top_k(1).with_min_theta(0.0).with_request_id(9),
+    ]
+}
+
+/// Render every shape of every question one by one and as one batch, and
+/// compare with the owned responses' `serde_json` text. Returns the counts
+/// of refused and decomposed responses, so callers can check the corpus
+/// exercised both.
+fn assert_renders_like_serde(snapshot: &ServiceSnapshot, questions: &[String]) -> (usize, usize) {
+    let requests: Vec<QaRequest> = questions.iter().flat_map(|q| request_shapes(q)).collect();
+    let expected: Vec<String> = requests
+        .iter()
+        .map(|r| serde_json::to_string(&snapshot.answer(r)).expect("serialize"))
+        .collect();
+    let mut out = Vec::new();
+    let (mut refused, mut decomposed) = (0, 0);
+    for (request, expected) in requests.iter().zip(&expected) {
+        out.clear();
+        out.extend_from_slice(b"prefix");
+        let rendered = snapshot.answer_into(request, &mut out);
+        assert_eq!(rendered.span, 6..out.len(), "{request:?}");
+        assert_eq!(
+            std::str::from_utf8(&out[rendered.span.clone()]).expect("utf8"),
+            expected,
+            "answer_into rendered {request:?} differently"
+        );
+        let owned = snapshot.answer(request);
+        assert_eq!(rendered.refusal, owned.refusal, "{request:?}");
+        refused += usize::from(owned.refusal.is_some());
+        if request.decompose.is_none() && owned.answered() {
+            // Answered only through the decomposition fallback.
+            let direct = snapshot.answer(&request.clone().with_decompose(false));
+            decomposed += usize::from(!direct.answered());
+        }
+    }
+    let mut batch = Vec::new();
+    let mut rendered = Vec::new();
+    snapshot.answer_batch_into(&requests, &mut batch, &mut rendered);
+    assert_eq!(
+        std::str::from_utf8(&batch).expect("utf8"),
+        expected.join(","),
+        "answer_batch_into differs from the sequential rendering"
+    );
+    assert_eq!(rendered.len(), requests.len());
+    for (one, expected) in rendered.iter().zip(&expected) {
+        assert_eq!(&batch[one.span.clone()], expected.as_bytes());
+    }
+    (refused, decomposed)
+}
+
+fn serving(f: &Fixture) -> KbqaService {
+    let ner = std::sync::Arc::new(GazetteerNer::from_store(&f.world.store));
+    let index = PatternIndex::build(f.corpus.pairs.iter().map(|p| p.question.as_str()), &ner);
+    KbqaService::builder(
+        Arc::clone(&f.world.store),
+        Arc::clone(&f.world.conceptualizer),
+        Arc::clone(&f.model),
+    )
+    .ner(ner)
+    .pattern_index(Arc::new(index))
+    .build()
+}
+
+#[test]
+fn rendered_responses_are_byte_identical_to_serde_on_every_snapshot_shape() {
+    let f = fixture();
+    let questions = question_set(&f);
+    let in_memory = serving(&f);
+
+    let dir = std::env::temp_dir().join(format!("kbqa-render-equivalence-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    ServingArtifacts::from_service(&in_memory)
+        .save(&dir)
+        .expect("save serving bundle");
+    let mapped = ServingArtifacts::load(&dir)
+        .expect("load serving bundle")
+        .into_service();
+    assert_eq!(mapped.store().backend_kind().as_str(), "mapped");
+    let sharded = in_memory.with_shards(ShardPlan::new(2));
+
+    for (service, label) in [
+        (&in_memory, "in-memory"),
+        (&mapped, "mapped"),
+        (&sharded, "2 in-process shards"),
+    ] {
+        let (refused, decomposed) = assert_renders_like_serde(&service.snapshot(), &questions);
+        assert!(refused > 0, "{label}: the corpus refused nothing");
+        assert!(decomposed > 0, "{label}: the corpus decomposed nothing");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A batch of at least 128 questions fans out across threads (two per
+/// 64-question chunk, on a machine with two or more cores), each rendering
+/// into its own buffer; stitched back together it must equal the
+/// sequential rendering.
+#[test]
+fn a_multi_threaded_batch_renders_like_the_sequential_one() {
+    let f = fixture();
+    let snapshot = serving(&f).snapshot();
+    let requests: Vec<QaRequest> = question_set(&f)
+        .iter()
+        .take(300)
+        .map(QaRequest::new)
+        .collect();
+    assert!(requests.len() >= 128);
+    let mut sequential = Vec::new();
+    for (i, request) in requests.iter().enumerate() {
+        if i > 0 {
+            sequential.push(b',');
+        }
+        snapshot.answer_into(request, &mut sequential);
+    }
+    let mut batch = b"[".to_vec();
+    let mut rendered = Vec::new();
+    snapshot.answer_batch_into(&requests, &mut batch, &mut rendered);
+    assert_eq!(&batch[1..], &sequential[..]);
+    assert_eq!(rendered.len(), requests.len());
+    assert_eq!(rendered[0].span.start, 1);
+    assert_eq!(rendered.last().expect("non-empty").span.end, batch.len());
 }
