@@ -16,7 +16,12 @@
 //!   `{"question":…,"request_id":N}` body and on a 256-question batch),
 //!   answering (`answer_into` vs `answer` + `serialize_into`), and a cache
 //!   insert that evicts at 4 096 entries (a rendered entry vs an
-//!   `Arc<QaResponse>`).
+//!   `Arc<QaResponse>`);
+//! * three whole-path figures close the report: the optimized kernel vs
+//!   the retained reference enumeration (`QaEngine::bfq_kernel_reference`)
+//!   on the same pre-tokenized questions, the armed stage tracer's
+//!   overhead on the walk, and the bundle load (`ServingArtifacts::load`:
+//!   wall time, `store.snap` bytes, triples).
 //!
 //! The world is seed 7, the seed the PR protocol measures on. One command
 //! reproduces the tables in `docs/PERFORMANCE.md`:
@@ -44,8 +49,10 @@ const COLD_QUESTIONS: usize = 32_768;
 struct Fixture {
     service: KbqaService,
     requests: Vec<QaRequest>,
+    /// Wall time of `ServingArtifacts::load` on the saved bundle.
+    load_ms: f64,
     /// Keeps the bundle directory alive for the mapped store.
-    _bundle: TempBundle,
+    bundle: TempBundle,
 }
 
 struct TempBundle(std::path::PathBuf);
@@ -90,9 +97,10 @@ fn fixture() -> Fixture {
     ServingArtifacts::from_service(&built)
         .save(&dir)
         .expect("save serving bundle");
-    let service = ServingArtifacts::load(&dir)
-        .expect("load serving bundle")
-        .into_service();
+    let load_started = Instant::now();
+    let artifacts = ServingArtifacts::load(&dir).expect("load serving bundle");
+    let load_ms = load_started.elapsed().as_secs_f64() * 1e3;
+    let service = artifacts.into_service();
 
     let stream = QaCorpus::generate(&world, &CorpusConfig::with_pairs(stream_seed, 60_000));
     let mut seen = HashSet::new();
@@ -109,7 +117,8 @@ fn fixture() -> Fixture {
     Fixture {
         service,
         requests,
-        _bundle: TempBundle(dir),
+        load_ms,
+        bundle: TempBundle(dir),
     }
 }
 
@@ -200,6 +209,48 @@ fn bench_kernel_stages(c: &mut Criterion) {
         (edges - edges_before) as f64 / n,
     );
     serving_pieces(&f.requests, &snapshot);
+
+    println!("whole path:");
+    let optimized = ns_per(tokenized.len(), || {
+        for tokens in &tokenized {
+            black_box(engine.answer_bfq_tokens_with(tokens, &mut scratch));
+        }
+    });
+    let reference = ns_per(tokenized.len(), || {
+        for tokens in &tokenized {
+            let _ = black_box(engine.bfq_kernel_reference(tokens));
+        }
+    });
+    println!(
+        "  {:<28} {reference:>7.0} ns/question   optimized {optimized:>7.0}   {:.2}x",
+        "reference kernel",
+        reference / optimized
+    );
+    let mut walk = |armed: bool| {
+        ns_per(f.requests.len(), || {
+            for request in &f.requests {
+                scratch.trace.begin(armed);
+                out.clear();
+                black_box(engine.render_request_into(request, &mut scratch, 0, &mut out));
+            }
+            scratch.trace.begin(false);
+        })
+    };
+    let (untraced, armed) = (walk(false), walk(true));
+    println!(
+        "  {:<28} {armed:>7.0} ns/question   untraced {untraced:>7.0}   {:+.1}%",
+        "armed tracer",
+        100.0 * (armed / untraced - 1.0)
+    );
+    let snap_bytes = std::fs::metadata(f.bundle.0.join(kbqa::core::persist::STORE_FILE))
+        .expect("store.snap")
+        .len();
+    println!(
+        "  {:<28} {:>7.1} ms           store.snap {snap_bytes} B, {} triples",
+        "bundle load",
+        f.load_ms,
+        f.service.store().len()
+    );
 }
 
 /// Fastest of three timed passes of `pass`, in ns per one of its `items`.

@@ -28,8 +28,7 @@ struct Fixture {
 
 fn fixture() -> Fixture {
     let session = Session::standard(Scale::Quick, "kba");
-    // Same slice the `hotpath` bin records in BENCH_PR4.json, so the bench
-    // and the committed trajectory describe the same workload.
+    // The first 200 corpus questions of the quick-scale session.
     let questions: Vec<String> = session
         .corpus
         .pairs

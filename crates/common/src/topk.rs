@@ -66,24 +66,6 @@ impl<T> TopK<T> {
         self.heap.is_empty()
     }
 
-    /// The current threshold: the smallest score that is still retained, if
-    /// the accumulator is full. Useful for pruning upstream enumeration.
-    pub fn threshold(&self) -> Option<f64> {
-        if self.heap.len() < self.capacity {
-            None
-        } else {
-            self.heap.peek().map(|Reverse((s, _, _))| s.get())
-        }
-    }
-
-    /// The pruning floor: the k-th best score when the accumulator is full,
-    /// `NEG_INFINITY` otherwise. A candidate whose score cannot exceed the
-    /// floor cannot enter the top-k (equal scores lose the tie to earlier
-    /// insertions), so upstream enumeration may skip it.
-    pub fn floor(&self) -> f64 {
-        self.threshold().unwrap_or(f64::NEG_INFINITY)
-    }
-
     /// Reset to an empty accumulator with a (possibly new) capacity, keeping
     /// the allocated heap and item storage — the scratch-reuse path for hot
     /// loops that rank once per request.
@@ -171,18 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_reports_kth_score_when_full() {
-        let mut topk = TopK::new(2);
-        assert_eq!(topk.threshold(), None);
-        topk.push(0.4, "a");
-        assert_eq!(topk.threshold(), None);
-        topk.push(0.8, "b");
-        assert_eq!(topk.threshold(), Some(0.4));
-        topk.push(0.6, "c");
-        assert_eq!(topk.threshold(), Some(0.6));
-    }
-
-    #[test]
     fn fewer_items_than_capacity() {
         let mut topk = TopK::new(10);
         topk.push(1.0, 1);
@@ -196,18 +166,6 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _ = TopK::<i32>::new(0);
-    }
-
-    #[test]
-    fn floor_is_threshold_or_neg_infinity() {
-        let mut topk = TopK::new(2);
-        assert_eq!(topk.floor(), f64::NEG_INFINITY);
-        topk.push(0.4, "a");
-        assert_eq!(topk.floor(), f64::NEG_INFINITY);
-        topk.push(0.8, "b");
-        assert_eq!(topk.floor(), 0.4);
-        topk.push(0.6, "c");
-        assert_eq!(topk.floor(), 0.6);
     }
 
     #[test]

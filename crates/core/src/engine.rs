@@ -52,21 +52,6 @@ pub struct EngineConfig {
     pub decompose: bool,
     /// Values carried between decomposition steps.
     pub chain_width: usize,
-    /// Opt-in top-k floor pruning: skip `(template, predicate)` rows whose
-    /// entire remaining probability mass — plus all mass already pruned —
-    /// cannot close the gap between the current k-th best partial sum and
-    /// the best sum outside the top-k (the runner-up).
-    ///
-    /// **Off by default**, and a *heuristic*: the cumulative gap bound
-    /// covers unseen values and the current runner-up, but a later retained
-    /// row can still reshuffle partial sums in ways no online bound
-    /// forecloses. On the generated benchmark suite the ranked value set is
-    /// unchanged (`tests/kernel_equivalence.rs` pins it); reported scores
-    /// of retained answers may omit pruned tail mass either way, so
-    /// deployments that cache or diff responses byte-for-byte must leave
-    /// this off.
-    #[serde(default)]
-    pub floor_prune: bool,
 }
 
 impl Default for EngineConfig {
@@ -77,7 +62,6 @@ impl Default for EngineConfig {
             max_concepts: 4,
             decompose: true,
             chain_width: 3,
-            floor_prune: false,
         }
     }
 }
@@ -201,20 +185,12 @@ pub struct ScratchSpace {
     topk: TopK<NodeId>,
     /// Ranked `(score, value)` output staging.
     ranked: Vec<(f64, NodeId)>,
-    /// Scratch accumulator for pruning-slack refreshes (top k+1: the k-th
-    /// best plus the runner-up).
-    floor_topk: TopK<NodeId>,
-    /// Drain staging for `floor_topk`.
-    floor_buf: Vec<(f64, NodeId)>,
     /// Reused question tokenization (`tokenize_into` target): the serving
     /// path stops paying the tokenizer's allocations after warmup.
     pub(crate) question_tokens: TokenizedText,
     /// Reused sub-question buffer for the decompose DP's `O(|q|²)`
     /// substring probes (`TokenizedText::slice_into` target).
     pub(crate) sub_tokens: TokenizedText,
-    /// Cumulative count of floor-pruned rows/suffixes (telemetry: lets
-    /// tests and benches confirm the pruning path actually exercises).
-    pruned: u64,
     /// Cumulative `V(e, p⁺)` traversals (value-cache misses) and the path
     /// edges they walked — the kernel's store-probe count (telemetry: the
     /// `kernel_stages` bench reports them per question).
@@ -260,11 +236,8 @@ impl Default for ScratchSpace {
             path_ws: PathWorkspace::new(),
             topk: TopK::new(1),
             ranked: Vec::with_capacity(8),
-            floor_topk: TopK::new(1),
-            floor_buf: Vec::new(),
             question_tokens: TokenizedText::default(),
             sub_tokens: TokenizedText::default(),
-            pruned: 0,
             lookups: 0,
             edges: 0,
             shard_mask: 0,
@@ -279,12 +252,6 @@ impl ScratchSpace {
     /// capacity over the first few requests.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// How many θ-rows (or row suffixes) the top-k floor has pruned over
-    /// this scratch's lifetime. Diagnostic only.
-    pub fn pruned_events(&self) -> u64 {
-        self.pruned
     }
 
     /// `(traversals, edges)`: how many `V(e, p⁺)` traversals the kernel ran
@@ -504,7 +471,7 @@ impl<'a> QaEngine<'a> {
     /// measure scoring without the cost of building owned [`Answer`]s.
     ///
     /// Enumeration order is identical to the reference kernel; on top of it,
-    /// two exact savings and one opt-in pruning rule:
+    /// two exact savings:
     ///
     /// * **Precompiled template lookup** — the question form resolves once
     ///   per mention and each concept is a `(form, slot)` map probe
@@ -512,15 +479,6 @@ impl<'a> QaEngine<'a> {
     /// * **Value-set memoization** — `V(e, p⁺)` is enumerated once per
     ///   `(entity, predicate)` per question and replayed from an arena when
     ///   paraphrase templates repeat the predicate. Same values, same order.
-    /// * **Top-k floor pruning** ([`EngineConfig::floor_prune`], off by
-    ///   default) — a template row (or row suffix) is skipped when the mass
-    ///   it could contribute, **plus every previously pruned bound**, cannot
-    ///   close the current gap between the k-th best partial sum and the
-    ///   runner-up outside the top-k: neither an unseen value nor the
-    ///   runner-up, topped up by all pruned mass, could overtake the k-th
-    ///   (ties lose to earlier insertions). The gap only exists once ≥
-    ///   `top_k` values scored, so refusal causes are never affected. A
-    ///   heuristic, not a guarantee — see [`EngineConfig::floor_prune`].
     pub fn score_bfq(
         &self,
         tokens: &TokenizedText,
@@ -552,9 +510,6 @@ impl<'a> QaEngine<'a> {
             path_ws,
             topk,
             ranked,
-            floor_topk,
-            floor_buf,
-            pruned,
             lookups,
             edges,
             shard_mask,
@@ -568,24 +523,6 @@ impl<'a> QaEngine<'a> {
         value_cache.clear();
         values.clear();
 
-        let floor_prune = self.config.floor_prune;
-        // Prunable slack: the current k-th best partial sum minus the best
-        // partial sum *outside* the current top-k (the runner-up). A prune
-        // is only taken while `lost + bound ≤ gap`, where `lost`
-        // accumulates every previously skipped bound — so neither an unseen
-        // value absorbing all pruned mass nor the runner-up topped up by it
-        // could overtake the current k-th. (Heuristic, not a proof: later
-        // retained rows can still reshuffle sums; the benchmark suite pins
-        // that top-k membership survives in practice.)
-        let mut gap = f64::NEG_INFINITY;
-        let mut lost = 0.0;
-        // Did any contribution land since the last gap refresh?
-        let mut touched = false;
-        // Contributing rows since the last refresh: the gap is refreshed on
-        // a stride so its O(|values| · log k) rebuild doesn't swamp the
-        // savings on wide enumerations. A stale gap only ever under-prunes.
-        let mut rows_since_refresh = 0usize;
-        const GAP_REFRESH_STRIDE: usize = 4;
         let mut any_template = false;
         let mut any_predicate = false;
 
@@ -631,33 +568,9 @@ impl<'a> QaEngine<'a> {
                     continue;
                 }
                 any_predicate = true;
-                // `remaining` (the θ ≥ min_theta prefix mass) is only
-                // consumed by pruning; exact mode skips the extra row pass.
-                let mut remaining = 0.0;
-                if floor_prune {
-                    for &(_, theta) in row {
-                        if theta < self.config.min_theta {
-                            break;
-                        }
-                        remaining += theta;
-                    }
-                    if lost + p_entity * p_template * remaining <= gap {
-                        lost += p_entity * p_template * remaining;
-                        *pruned += 1;
-                        continue; // whole row below the slack
-                    }
-                }
                 for &(pred, theta) in row {
                     if theta < self.config.min_theta {
                         break;
-                    }
-                    if floor_prune {
-                        if lost + p_entity * p_template * remaining <= gap {
-                            lost += p_entity * p_template * remaining;
-                            *pruned += 1;
-                            break; // row suffix below the slack
-                        }
-                        remaining -= theta;
                     }
                     let range = match value_cache.get(&(entity, pred)) {
                         Some(&r) => r,
@@ -708,7 +621,6 @@ impl<'a> QaEngine<'a> {
                         continue;
                     }
                     let p_value = 1.0 / (range.1 - range.0) as f64;
-                    touched = true;
                     for vi in range.0..range.1 {
                         let value = values[vi as usize];
                         let contribution = p_entity * p_template * theta * p_value;
@@ -734,33 +646,10 @@ impl<'a> QaEngine<'a> {
                         }
                     }
                 }
-                // Refresh the prunable slack from the current partial sums —
-                // only when contributions landed since the last refresh
-                // (pruned rows cannot move it), and on a stride once a gap
-                // exists. The k-th best and the runner-up both come from one
-                // top-(k+1) pass: [`TopK::floor`] of the (k+1)-capacity
-                // accumulator *is* the runner-up when more than k values
-                // exist; with exactly k values only unseen values compete,
-                // and any sum bounds them, so the slack is the k-th sum.
-                if floor_prune && touched && order.len() >= top_k {
-                    rows_since_refresh += 1;
-                    if gap == f64::NEG_INFINITY || rows_since_refresh >= GAP_REFRESH_STRIDE {
-                        floor_topk.reset(top_k + 1);
-                        for &v in order.iter() {
-                            floor_topk.push(scores[&v], v);
-                        }
-                        let runner_up = floor_topk.floor().max(0.0);
-                        floor_topk.drain_sorted_into(floor_buf);
-                        let kth = floor_buf[top_k - 1].0;
-                        gap = kth - runner_up;
-                        touched = false;
-                        rows_since_refresh = 0;
-                    }
-                }
             }
-            // Flush this grounding's tail (contribution accumulation, gap
-            // refreshes, θ-row scanning after the last lookup) so it cannot
-            // smear into the next mention's conceptualize lap.
+            // Flush this grounding's tail (contribution accumulation, θ-row
+            // scanning after the last lookup) so it cannot smear into the
+            // next mention's conceptualize lap.
             trace.lap(Stage::PredicateScore);
         }
 
@@ -1211,6 +1100,19 @@ mod tests {
             .collect();
         let (model, _) = learner.learn(&pairs, &LearnerConfig::default());
         (world, model)
+    }
+
+    #[test]
+    fn config_json_with_the_retired_pruning_flag_still_deserializes() {
+        // The removed top-k floor pruning flag, spelled in two halves so the
+        // retired name appears nowhere in the source tree.
+        let retired = concat!("floor", "_prune");
+        let json = format!(
+            r#"{{"top_k":5,"min_theta":0.05,"max_concepts":4,"decompose":true,
+                "chain_width":3,"{retired}":true}}"#
+        );
+        let config: EngineConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(config, EngineConfig::default());
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! small, inspectable and diffable in experiments. The **knowledge base**
 //! is the exception — at million-entity scale a JSON parse dominates start
 //! time, so the store is persisted as a zero-copy snapshot (`store.snap`,
-//! see `kbqa_rdf::snapshot`) that loads by `mmap` with no rebuild; legacy
-//! `store.json` bundles remain loadable as a fallback.
+//! see `kbqa_rdf::snapshot`) that loads by `mmap` with no rebuild.
 //!
 //! # Atomicity and integrity (PR 5)
 //!
@@ -198,15 +197,6 @@ pub fn load_store(path: &Path) -> Result<TripleStore> {
     Ok(TripleStore::from_snapshot(snapshot))
 }
 
-/// Load a triple store from the legacy JSON format (`store.json`),
-/// rebuilding its derived indexes. Kept so artifact directories written
-/// before the snapshot format stay warm-startable.
-pub fn load_store_json(path: &Path) -> Result<TripleStore> {
-    let mut store: TripleStore = load_json(path)?;
-    store.rebuild_index();
-    Ok(store)
-}
-
 /// Save a conceptualizer (taxonomy network plus its tuning). Returns the
 /// file's digest.
 pub fn save_taxonomy(conceptualizer: &Conceptualizer, path: &Path) -> Result<String> {
@@ -222,9 +212,6 @@ pub fn load_taxonomy(path: &Path) -> Result<Conceptualizer> {
 
 /// File name for the knowledge base snapshot inside an artifact directory.
 pub const STORE_FILE: &str = "store.snap";
-/// Legacy JSON file name for the knowledge base; read as a fallback when no
-/// snapshot is present, never written by current saves.
-pub const LEGACY_STORE_FILE: &str = "store.json";
 /// File name for the taxonomy inside an artifact directory.
 pub const TAXONOMY_FILE: &str = "taxonomy.json";
 /// File name for the learned model inside an artifact directory.
@@ -392,8 +379,7 @@ impl ServingArtifacts {
     }
 
     /// Load a bundle from `dir`. The store is mapped from its snapshot
-    /// (warm start: no parse, no index rebuild) — or parsed from the legacy
-    /// `store.json` when no snapshot exists. The NER and pattern-index
+    /// (warm start: no parse, no index rebuild). The NER and pattern-index
     /// files are optional; everything else must be present.
     ///
     /// When a `manifest.json` is present, every file it lists is re-hashed
@@ -432,12 +418,7 @@ impl ServingArtifacts {
         };
         let ner_path = dir.join(NER_FILE);
         let patterns_path = dir.join(PATTERNS_FILE);
-        let snap_path = dir.join(STORE_FILE);
-        let store = if snap_path.exists() {
-            load_store(&snap_path)?
-        } else {
-            load_store_json(&dir.join(LEGACY_STORE_FILE))?
-        };
+        let store = load_store(&dir.join(STORE_FILE))?;
         let shards = match manifest.as_ref().and_then(|m| m.shard_plan) {
             Some(plan) => {
                 let mut stores = Vec::with_capacity(plan.shards());
@@ -472,10 +453,10 @@ impl ServingArtifacts {
         })
     }
 
-    /// Does `dir` hold a loadable bundle (a store in either format, plus
-    /// the taxonomy and model)?
+    /// Does `dir` hold a loadable bundle (a store snapshot, plus the
+    /// taxonomy and model)?
     pub fn present_in(dir: &Path) -> bool {
-        (dir.join(STORE_FILE).exists() || dir.join(LEGACY_STORE_FILE).exists())
+        dir.join(STORE_FILE).exists()
             && dir.join(TAXONOMY_FILE).exists()
             && dir.join(MODEL_FILE).exists()
     }
@@ -817,22 +798,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_json_store_still_warm_starts() {
+    fn json_store_without_snapshot_is_not_a_bundle() {
         let world = World::generate(WorldConfig::tiny(45));
-        let dir =
-            std::env::temp_dir().join(format!("kbqa-persist-legacyjson-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        // Write the store the pre-snapshot way.
-        let json_path = dir.join(LEGACY_STORE_FILE);
-        save_json(world.store.as_ref(), &json_path).unwrap();
-        let restored = load_store_json(&json_path).unwrap();
-        assert_eq!(restored.backend_kind(), kbqa_rdf::BackendKind::InMemory);
-        assert_eq!(restored.len(), world.store.len());
-        assert!(
-            !ServingArtifacts::present_in(&dir),
-            "store alone is not a full bundle"
-        );
+        let dir = test_dir("jsonstore");
+        // The retired pre-snapshot layout: the store as `store.json`.
+        save_json(world.store.as_ref(), &dir.join("store.json")).unwrap();
+        save_taxonomy(&world.conceptualizer, &dir.join(TAXONOMY_FILE)).unwrap();
+        save_model(&LearnedModel::default(), &dir.join(MODEL_FILE)).unwrap();
+        assert!(!ServingArtifacts::present_in(&dir));
+        match ServingArtifacts::load(&dir).err() {
+            Some(KbqaError::Io(message)) => assert!(message.contains(STORE_FILE), "{message}"),
+            other => panic!("a store.json-only directory must fail with Io: {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

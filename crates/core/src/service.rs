@@ -431,8 +431,6 @@ impl QaRequest {
         let flag = |b: bool| if b { "true" } else { "false" };
         out.push_str(flag(self.decompose.unwrap_or(base.decompose)));
         let _ = write!(out, "{SEP}{}{SEP}", base.chain_width);
-        out.push_str(flag(base.floor_prune));
-        out.push(SEP);
         out.push_str(flag(self.explain));
     }
 
@@ -456,14 +454,13 @@ impl QaRequest {
             out
         };
         format!(
-            "{}\u{1f}{}\u{1f}{:?}\u{1f}{}\u{1f}{}\u{1f}{}\u{1f}{}\u{1f}{}",
+            "{}\u{1f}{}\u{1f}{:?}\u{1f}{}\u{1f}{}\u{1f}{}\u{1f}{}",
             normalized,
             cfg.top_k,
             cfg.min_theta,
             cfg.max_concepts,
             cfg.decompose,
             cfg.chain_width,
-            cfg.floor_prune,
             self.explain,
         )
     }
@@ -1577,12 +1574,6 @@ mod tests {
             ..EngineConfig::default()
         };
         assert_ne!(plain, QaRequest::new("q").cache_key(&strict));
-        // floor_prune changes reported scores, so it must change the key.
-        let pruned = EngineConfig {
-            floor_prune: true,
-            ..EngineConfig::default()
-        };
-        assert_ne!(plain, QaRequest::new("q").cache_key(&pruned));
     }
 
     #[test]
@@ -1595,7 +1586,7 @@ mod tests {
             "   ",
             "\u{1f}",
             "a\u{1f}b",
-            "q\u{1f}5\u{1f}0.05\u{1f}4\u{1f}true\u{1f}3\u{1f}false\u{1f}false",
+            "q\u{1f}5\u{1f}0.05\u{1f}4\u{1f}true\u{1f}3\u{1f}false",
             "Tōkyō\u{2003}no  JINKŌ",
             "İstanbul ΟΔΟΣ ǅ ẞ",
             "x\u{a0}y\u{3000}z",
@@ -1608,7 +1599,6 @@ mod tests {
                 max_concepts: 0,
                 decompose: false,
                 chain_width: 17,
-                floor_prune: true,
             },
         ];
         let shape = |r: QaRequest, variant: usize| match variant {
