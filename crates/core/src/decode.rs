@@ -1,12 +1,16 @@
 //! Typed JSON decoding for the serving edge's request bodies.
 //!
-//! The vendored `serde_json::from_str` parses a body into an owned `Value`
-//! tree — a `Vec` per object, a `String` per key and per string value —
-//! and the derived `Deserialize` then walks that tree and clones the
-//! strings it keeps. This module is the request-side twin of
-//! [`crate::serialize`]: it decodes [`QaRequest`] and `Vec<QaRequest>`
-//! straight from the body bytes, so a typical request costs one allocation
-//! (the question text) and a batch one more (the `Vec`).
+//! The vendored `serde_json::from_str` streams too — the derived
+//! `Deserialize` pulls each field off a `serde::de::Reader` — but it is
+//! generic: it matches keys by string comparison, holds each field in an
+//! `Option` until the object closes, and formats an error message with the
+//! byte offset. This module is the request-side twin of
+//! [`crate::serialize`], hand-fitted to [`QaRequest`]: it decodes one
+//! request and `Vec<QaRequest>` straight from the body bytes, so a typical
+//! request costs one allocation (the question text) and a batch one more
+//! (the `Vec`), and its errors allocate nothing. It stays the serving
+//! decoder because it is measurably faster on `/answer` and `/batch`
+//! bodies (`cargo bench --bench kernel_stages`, the "decode" lines).
 //!
 //! Conformance contract, pinned by the differential suite in
 //! `tests/decode_conformance.rs`: [`QaRequest::decode`] and
@@ -27,8 +31,9 @@
 //! * unknown keys are parsed (they must be well-formed JSON) and ignored,
 //!   and the first of duplicate keys wins: later ones are only parsed.
 //!
-//! Unlike the vendored parser, skipping an unknown value is iterative, so
-//! no nesting depth can exhaust the stack.
+//! Skipping an unknown value is iterative, as in the vendored reader, so no
+//! nesting depth can exhaust the stack. The two decoders share no code:
+//! the differential suite compares two independent implementations.
 
 use std::borrow::Cow;
 
@@ -52,8 +57,8 @@ impl std::error::Error for DecodeError {}
 
 impl QaRequest {
     /// Decode one request from a JSON body — what
-    /// `serde_json::from_str::<QaRequest>` accepts, without the `Value`
-    /// tree (see the [module docs](self) for the contract).
+    /// `serde_json::from_str::<QaRequest>` accepts (see the [module
+    /// docs](self) for the contract).
     pub fn decode(body: &[u8]) -> Result<Self, DecodeError> {
         let mut d = Decoder::new(body)?;
         let request = d.request()?;

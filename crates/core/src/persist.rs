@@ -2,8 +2,8 @@
 //!
 //! The paper's offline procedure takes 1438 minutes; nobody re-learns on
 //! every process start. This module saves and loads the [`LearnedModel`]
-//! (and any other serde-serializable artifact) as JSON through buffered
-//! file I/O, rebuilding the derived lookup tables on load.
+//! (and any other serde-serializable artifact) as JSON, rebuilding the
+//! derived lookup tables on load.
 //!
 //! Beyond the single model, [`ServingArtifacts`] bundles **everything a
 //! server needs to answer** — knowledge base, taxonomy, model, and the
@@ -44,10 +44,17 @@
 //! store it was never learned on (restore-from-backup and partial-rsync
 //! accidents produce exactly this). Every [`ServingArtifacts::save`]
 //! therefore writes a `manifest.json` **last**, recording the digest of
-//! every file in the bundle; [`ServingArtifacts::load`] re-hashes each
-//! listed file against the manifest and refuses the bundle on any mismatch.
+//! every file in the bundle; [`ServingArtifacts::load`] checks each listed
+//! file against the manifest and refuses the bundle on any mismatch.
 //! Directories without a manifest (pre-PR8 saves) load under the per-file
 //! rules only.
+//!
+//! Each file is mapped once and hashed once; that one digest is checked
+//! against both the manifest entry and the sidecar, and the bytes that
+//! passed are the bytes parsed — no second read can differ from the one
+//! that was checked. Saves replace a file by rename and never rewrite one in
+//! place, so a mapping keeps the inode it checked. Mapping also keeps a JSON
+//! artifact's text off the heap: the load allocates only what it returns.
 //!
 //! # Sharded bundles (PR 8)
 //!
@@ -68,6 +75,7 @@ use serde::Serialize;
 use kbqa_common::error::{KbqaError, Result};
 use kbqa_common::hash::FxHasher;
 use kbqa_nlp::GazetteerNer;
+use kbqa_rdf::mmap::Mmap;
 use kbqa_rdf::{Snapshot, TripleStore};
 use kbqa_taxonomy::Conceptualizer;
 
@@ -135,22 +143,63 @@ pub fn save_json<T: Serialize>(value: &T, path: &Path) -> Result<String> {
 /// typed [`KbqaError::Io`]; nothing in this path panics. Artifacts without
 /// a sidecar (legacy saves, hand-edited files) load unvalidated.
 pub fn load_json<T: DeserializeOwned>(path: &Path) -> Result<T> {
-    let bytes = std::fs::read(path)?;
-    if let Ok(expected) = std::fs::read_to_string(checksum_path(path)) {
-        let actual = digest(&bytes);
-        if expected.trim() != actual {
-            return Err(KbqaError::Io(format!(
-                "checksum mismatch for {}: sidecar says {}, file hashes to {actual} \
-                 (corrupt or partially-replaced artifact; re-save to repair)",
-                path.display(),
-                expected.trim(),
-            )));
-        }
-    }
+    load_json_listed(path, None)
+}
+
+/// [`load_json`] of a file the bundle manifest lists with digest `listed`:
+/// the file is mapped once, its one digest is checked against the manifest
+/// entry and the sidecar, and those same bytes are parsed.
+fn load_json_listed<T: DeserializeOwned>(path: &Path, listed: Option<&str>) -> Result<T> {
+    let bytes = map_listed(path, listed)?;
+    verify(path, &bytes, listed)?;
     let text = std::str::from_utf8(&bytes)
         .map_err(|e| KbqaError::Io(format!("deserialize {}: {e}", path.display())))?;
     serde_json::from_str(text)
         .map_err(|e| KbqaError::Io(format!("deserialize {}: {e}", path.display())))
+}
+
+/// Map a whole file read-only, as `store.snap` is: its bytes are hashed and
+/// parsed straight out of the page cache, never copied onto the heap. A
+/// file the bundle manifest lists must be readable.
+fn map_listed(path: &Path, listed: Option<&str>) -> Result<Mmap> {
+    File::open(path)
+        .and_then(|file| Mmap::map_file(&file))
+        .map_err(|e| match listed {
+            Some(_) => KbqaError::Io(format!(
+                "bundle manifest lists {} but it cannot be read: {e}",
+                path.display()
+            )),
+            None => e.into(),
+        })
+}
+
+/// Check a file's bytes against the digest the bundle manifest lists for it
+/// (`listed`) and against its `.fxsum` sidecar, when either exists. The
+/// bytes are hashed once for both checks.
+fn verify(path: &Path, bytes: &[u8], listed: Option<&str>) -> Result<()> {
+    let sidecar = std::fs::read_to_string(checksum_path(path)).ok();
+    if listed.is_none() && sidecar.is_none() {
+        return Ok(());
+    }
+    let actual = digest(bytes);
+    if let Some(expected) = listed.filter(|&expected| expected != actual) {
+        return Err(KbqaError::Io(format!(
+            "bundle manifest mismatch for {}: manifest says {expected}, file \
+             hashes to {actual} — the bundle mixes files from different saves \
+             (each may still pass its own sidecar); re-save the bundle",
+            path.display(),
+        )));
+    }
+    if let Some(expected) = sidecar.as_deref().map(str::trim) {
+        if expected != actual {
+            return Err(KbqaError::Io(format!(
+                "checksum mismatch for {}: sidecar says {expected}, file hashes to {actual} \
+                 (corrupt or partially-replaced artifact; re-save to repair)",
+                path.display(),
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Save a learned model. Returns the file's digest.
@@ -160,7 +209,12 @@ pub fn save_model(model: &LearnedModel, path: &Path) -> Result<String> {
 
 /// Load a learned model, rebuilding its derived indexes.
 pub fn load_model(path: &Path) -> Result<LearnedModel> {
-    let mut model: LearnedModel = load_json(path)?;
+    load_model_listed(path, None)
+}
+
+/// [`load_model`] of a file the bundle manifest lists with digest `listed`.
+fn load_model_listed(path: &Path, listed: Option<&str>) -> Result<LearnedModel> {
+    let mut model: LearnedModel = load_json_listed(path, listed)?;
     model.rebuild_index();
     Ok(model)
 }
@@ -182,18 +236,15 @@ pub fn save_store(store: &TripleStore, path: &Path) -> Result<String> {
 /// [`Snapshot::open`]; when a `.fxsum` sidecar exists, the full-file digest
 /// is cross-checked against it too (same convention as [`load_json`]).
 pub fn load_store(path: &Path) -> Result<TripleStore> {
+    load_store_listed(path, None)
+}
+
+/// [`load_store`] of a snapshot the bundle manifest lists with digest
+/// `listed`: one whole-file digest of the mapping serves both the manifest
+/// and the sidecar check.
+fn load_store_listed(path: &Path, listed: Option<&str>) -> Result<TripleStore> {
     let snapshot = Snapshot::open(path)?;
-    if let Ok(expected) = std::fs::read_to_string(checksum_path(path)) {
-        let actual = digest(snapshot.bytes());
-        if expected.trim() != actual {
-            return Err(KbqaError::Io(format!(
-                "checksum mismatch for {}: sidecar says {}, file hashes to {actual} \
-                 (corrupt or partially-replaced artifact; re-save to repair)",
-                path.display(),
-                expected.trim(),
-            )));
-        }
-    }
+    verify(path, snapshot.bytes(), listed)?;
     Ok(TripleStore::from_snapshot(snapshot))
 }
 
@@ -205,9 +256,27 @@ pub fn save_taxonomy(conceptualizer: &Conceptualizer, path: &Path) -> Result<Str
 
 /// Load a conceptualizer, rebuilding its derived indexes.
 pub fn load_taxonomy(path: &Path) -> Result<Conceptualizer> {
-    let mut conceptualizer: Conceptualizer = load_json(path)?;
+    load_taxonomy_listed(path, None)
+}
+
+/// [`load_taxonomy`] of a file the bundle manifest lists with digest
+/// `listed`.
+fn load_taxonomy_listed(path: &Path, listed: Option<&str>) -> Result<Conceptualizer> {
+    let mut conceptualizer: Conceptualizer = load_json_listed(path, listed)?;
     conceptualizer.rebuild_index();
     Ok(conceptualizer)
+}
+
+/// An optional artifact of a bundle: loaded when present, and required when
+/// the manifest lists it.
+fn load_optional<T: DeserializeOwned>(
+    path: &Path,
+    listed: Option<String>,
+) -> Result<Option<Arc<T>>> {
+    if listed.is_none() && !path.exists() {
+        return Ok(None);
+    }
+    load_json_listed(path, listed.as_deref()).map(|artifact| Some(Arc::new(artifact)))
 }
 
 /// File name for the knowledge base snapshot inside an artifact directory.
@@ -382,73 +451,58 @@ impl ServingArtifacts {
     /// (warm start: no parse, no index rebuild). The NER and pattern-index
     /// files are optional; everything else must be present.
     ///
-    /// When a `manifest.json` is present, every file it lists is re-hashed
-    /// against its recorded digest before anything is parsed — a bundle
-    /// whose files are individually sidecar-consistent but come from
-    /// *different saves* (store from save N, model from save N+1) is
-    /// refused with a typed error. Pre-manifest directories load under the
-    /// per-file rules only.
+    /// Each file is mapped once and hashed once. When a
+    /// `manifest.json` is present, that digest must match the file's
+    /// manifest entry before its bytes are parsed — a bundle whose files are
+    /// individually sidecar-consistent but come from *different saves*
+    /// (store from save N, model from save N+1) is refused with a typed
+    /// error — and every file the manifest lists must be present. Pre-manifest
+    /// directories load under the per-file sidecar rules only.
     ///
     /// Sharded bundles map one snapshot per shard and rebuild each shard's
     /// in-memory adjacency index — no re-partitioning.
     pub fn load(dir: &Path) -> Result<Self> {
         let manifest_path = dir.join(MANIFEST_FILE);
-        let manifest: Option<BundleManifest> = if manifest_path.exists() {
+        let (mut listed, plan, stats) = if manifest_path.exists() {
             let manifest: BundleManifest = load_json(&manifest_path)?;
-            for (name, expected) in &manifest.files {
-                let path = dir.join(name);
-                let bytes = std::fs::read(&path).map_err(|e| {
-                    KbqaError::Io(format!(
-                        "bundle manifest lists {name} but it cannot be read: {e}"
-                    ))
-                })?;
-                let actual = digest(&bytes);
-                if actual != *expected {
-                    return Err(KbqaError::Io(format!(
-                        "bundle manifest mismatch for {}: manifest says {expected}, file \
-                         hashes to {actual} — the bundle mixes files from different saves \
-                         (each may still pass its own sidecar); re-save the bundle",
-                        path.display(),
-                    )));
-                }
-            }
-            Some(manifest)
+            (manifest.files, manifest.shard_plan, manifest.shard_stats)
         } else {
-            None
+            Default::default()
         };
-        let ner_path = dir.join(NER_FILE);
-        let patterns_path = dir.join(PATTERNS_FILE);
-        let store = load_store(&dir.join(STORE_FILE))?;
-        let shards = match manifest.as_ref().and_then(|m| m.shard_plan) {
+        // Each load below takes its file's manifest entry.
+        let store = load_store_listed(&dir.join(STORE_FILE), listed.remove(STORE_FILE).as_deref())?;
+        let shards = match plan {
             Some(plan) => {
                 let mut stores = Vec::with_capacity(plan.shards());
-                for i in 0..plan.shards() {
-                    let mut shard = load_store(&dir.join(shard_store_file(i)))?;
+                for name in (0..plan.shards()).map(shard_store_file) {
+                    let mut shard =
+                        load_store_listed(&dir.join(&name), listed.remove(&name).as_deref())?;
                     shard.build_adjacency_index();
                     stores.push(Arc::new(shard));
                 }
-                let stats = manifest
-                    .as_ref()
-                    .and_then(|m| m.shard_stats.clone())
-                    .unwrap_or_default();
+                let stats = stats.unwrap_or_default();
                 Some(Arc::new(ShardRouter::from_stores(plan, stores, stats)))
             }
             None => None,
         };
+        let conceptualizer = load_taxonomy_listed(
+            &dir.join(TAXONOMY_FILE),
+            listed.remove(TAXONOMY_FILE).as_deref(),
+        )?;
+        let model = load_model_listed(&dir.join(MODEL_FILE), listed.remove(MODEL_FILE).as_deref())?;
+        let ner = load_optional(&dir.join(NER_FILE), listed.remove(NER_FILE))?;
+        let pattern_index = load_optional(&dir.join(PATTERNS_FILE), listed.remove(PATTERNS_FILE))?;
+        // A listed file no artifact above reads is still held to its digest.
+        for (name, expected) in &listed {
+            let path = dir.join(name);
+            verify(&path, &map_listed(&path, Some(expected))?, Some(expected))?;
+        }
         Ok(Self {
             store: Arc::new(store),
-            conceptualizer: Arc::new(load_taxonomy(&dir.join(TAXONOMY_FILE))?),
-            model: Arc::new(load_model(&dir.join(MODEL_FILE))?),
-            ner: if ner_path.exists() {
-                Some(Arc::new(load_json(&ner_path)?))
-            } else {
-                None
-            },
-            pattern_index: if patterns_path.exists() {
-                Some(Arc::new(load_json(&patterns_path)?))
-            } else {
-                None
-            },
+            conceptualizer: Arc::new(conceptualizer),
+            model: Arc::new(model),
+            ner,
+            pattern_index,
             shards,
         })
     }
@@ -681,6 +735,10 @@ mod tests {
             assert!(dir.join(shard_store_file(i)).exists(), "shard {i} snap");
         }
         assert!(dir.join(MANIFEST_FILE).exists(), "manifest written");
+        // The manifest — plan, stats and all — round-trips byte for byte.
+        let text = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+        let manifest: BundleManifest = serde_json::from_str(&text).unwrap();
+        assert_eq!(serde_json::to_string(&manifest).unwrap(), text);
 
         let restored = ServingArtifacts::load(&dir).expect("load sharded bundle");
         let router = restored.shards.as_ref().expect("router restored");
@@ -736,6 +794,50 @@ mod tests {
             err.to_string().contains("manifest mismatch"),
             "typed bundle error, got: {err}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_holds_every_listed_file_to_its_digest() {
+        let (service, _) = learned_service(50, None);
+        let dir = test_dir("listed");
+        let expect_err = |needle: &str| match ServingArtifacts::load(&dir) {
+            Ok(_) => panic!("bundle must be refused ({needle})"),
+            Err(KbqaError::Io(message)) => assert!(message.contains(needle), "{message}"),
+            Err(other) => panic!("typed Io error expected, got {other:?}"),
+        };
+        let save = || {
+            ServingArtifacts::from_service(&service)
+                .save(&dir)
+                .expect("save bundle")
+        };
+
+        // A listed optional artifact is not optional.
+        save();
+        std::fs::remove_file(dir.join(NER_FILE)).unwrap();
+        expect_err("bundle manifest lists");
+
+        // The mapped store is held to the manifest too: another world's
+        // snapshot, with its own consistent sidecar, is a cross-save mix.
+        save();
+        let other = World::generate(WorldConfig::tiny(51));
+        save_store(&other.store, &dir.join(STORE_FILE)).unwrap();
+        load_store(&dir.join(STORE_FILE)).expect("per-file sidecar still passes");
+        expect_err("manifest mismatch");
+
+        // A listed file no artifact reads is still checked.
+        save();
+        let manifest_path = dir.join(MANIFEST_FILE);
+        let mut manifest: BundleManifest = load_json(&manifest_path).unwrap();
+        std::fs::write(dir.join("extra.bin"), b"extra").unwrap();
+        manifest
+            .files
+            .insert("extra.bin".into(), "0000000000000000".into());
+        save_json(&manifest, &manifest_path).unwrap();
+        expect_err("manifest mismatch");
+        manifest.files.insert("extra.bin".into(), digest(b"extra"));
+        save_json(&manifest, &manifest_path).unwrap();
+        ServingArtifacts::load(&dir).expect("every listed digest matches");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -13,7 +13,7 @@
 //!   words) so the corpus-based joint extraction has something real to beat.
 
 use kbqa_common::hash::{fx_hash, FxHashMap};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use kbqa_rdf::{NodeId, TripleStore};
 
@@ -198,17 +198,19 @@ pub struct GazetteerNer {
     first_tokens: FirstTokenFilter,
 }
 
-// Hand-written so the derived filter can never be left unbuilt: `ner.json`
-// holds `names` and `max_tokens` only.
+/// What `ner.json` holds: `names` and `max_tokens` only.
+#[derive(Deserialize)]
+struct Persisted {
+    names: FxHashMap<String, Vec<NodeId>>,
+    max_tokens: usize,
+}
+
+// Loads through the constructor, so the derived filter can never be left
+// unbuilt.
 impl serde::de::Deserialize for GazetteerNer {
-    fn from_value(v: &Value) -> Result<Self, serde::de::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::de::Error::expected("map", v))?;
-        Ok(Self::from_names(
-            serde::de::field(map, "names")?,
-            serde::de::field(map, "max_tokens")?,
-        ))
+    fn deserialize(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::de::Error> {
+        let Persisted { names, max_tokens } = Persisted::deserialize(r)?;
+        Ok(Self::from_names(names, max_tokens))
     }
 }
 

@@ -143,7 +143,11 @@ fn lowercase_into(dst: &mut String, src: &str) {
         return;
     }
     for c in src.chars() {
-        dst.extend(c.to_lowercase());
+        if c.is_ascii() {
+            dst.push(c.to_ascii_lowercase());
+        } else {
+            dst.extend(c.to_lowercase());
+        }
     }
 }
 

@@ -480,14 +480,21 @@ impl Serialize for TripleStore {
     }
 }
 
+/// The persisted (JSON) form read back: see the `Serialize` impl above.
+#[derive(serde::Deserialize)]
+struct Persisted {
+    dict: Dictionary,
+    triples: Vec<Triple>,
+    name_predicates: Vec<PredicateId>,
+}
+
 impl serde::de::Deserialize for TripleStore {
-    fn from_value(v: &Value) -> std::result::Result<Self, serde::de::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::de::Error::expected("map", v))?;
-        let dict: Dictionary = serde::de::field(map, "dict")?;
-        let triples: Vec<Triple> = serde::de::field(map, "triples")?;
-        let name_predicates: Vec<PredicateId> = serde::de::field(map, "name_predicates")?;
+    fn deserialize(r: &mut serde::de::Reader<'_>) -> std::result::Result<Self, serde::de::Error> {
+        let Persisted {
+            dict,
+            triples,
+            name_predicates,
+        } = Persisted::deserialize(r)?;
         let mut store = Self::build(dict, triples, name_predicates);
         store.rebuild_index();
         Ok(store)

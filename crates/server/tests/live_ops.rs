@@ -317,6 +317,44 @@ fn reload_is_gated_token_then_path_then_load() {
     server.shutdown();
 }
 
+#[test]
+fn deeply_nested_model_reload_is_a_500_and_the_old_epoch_serves_on() {
+    // A model reload parses on a pooled worker thread; input nesting must
+    // not reach its stack, or one bad artifact would abort the server.
+    let model_path = temp_model_path("reload-deep");
+    let config = ServerConfig {
+        admin_token: Some("swordfish".into()),
+        model_path: Some(model_path.clone()),
+        ..ServerConfig::default()
+    };
+    let server = serve(empty_service(), "127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+    let depth = 200_000;
+    let (open, close) = ("[".repeat(depth), "]".repeat(depth));
+    for model in [
+        // Skipped (an unknown key), then refused: required fields missing.
+        format!(r#"{{"deep":{open}{close}}}"#),
+        // Typed: `template_support` is a `Vec<u32>`.
+        format!(r#"{{"template_support":{open}{close}}}"#),
+    ] {
+        std::fs::write(&model_path, &model).expect("write model");
+        let (status, body) = http(
+            addr,
+            "POST",
+            "/admin/reload?mode=model",
+            "X-Admin-Token: swordfish\r\n",
+            "",
+        );
+        assert_eq!(status, 500, "{body}");
+        let (status, health) = http(addr, "GET", "/healthz", "", "");
+        assert_eq!(status, 200);
+        assert!(health.contains("\"model_epoch\":0"), "{health}");
+    }
+    assert_eq!(metrics(addr).admin_reloads, 0);
+    server.shutdown();
+    std::fs::remove_file(&model_path).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Full-bundle hot swap (store + taxonomy + model)
 // ---------------------------------------------------------------------------

@@ -1,0 +1,106 @@
+//! Heap footprint of a warm start.
+//!
+//! A tracking global allocator keeps the live heap and its high-water mark
+//! while `ServingArtifacts::load` reads a quick-world bundle (`repro --scale
+//! quick`'s KBA world: a small world, 4 000 QA pairs, NER and pattern index
+//! persisted). The load may at its peak hold at most 1.5× the heap it leaves
+//! live. Every file is mapped, not read onto the heap, and artifacts stream
+//! straight into their types, so the transient is container growth alone; a
+//! load that reads each file onto the heap and builds a document tree first
+//! peaks near 11× on this bundle.
+//!
+//! Run with `--nocapture` to see the measured bytes and ratio.
+//!
+//! This file intentionally holds a single test: the counters are
+//! process-global, and a concurrently running test would pollute them.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+struct TrackingAllocator;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+unsafe impl GlobalAlloc for TrackingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // Count the new block before freeing the old: a moving realloc
+        // holds both.
+        grew(new_size);
+        let out = System.realloc(ptr, layout, new_size);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        out
+    }
+}
+
+#[global_allocator]
+static TRACKER: TrackingAllocator = TrackingAllocator;
+
+use std::sync::Arc;
+
+use kbqa::prelude::*;
+
+#[test]
+fn bundle_load_peak_heap_stays_within_1_5x_of_what_it_keeps() {
+    let dir = std::env::temp_dir().join(format!("kbqa-load-footprint-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    {
+        let world = World::generate(WorldConfig::small(42));
+        let corpus = QaCorpus::generate(&world, &CorpusConfig::with_pairs(1, 4_000));
+        let ner = Arc::new(GazetteerNer::from_store(&world.store));
+        let learner = Learner::new(
+            &world.store,
+            &world.conceptualizer,
+            &ner,
+            &world.predicate_classes,
+        );
+        let pairs: Vec<(&str, &str)> = corpus
+            .pairs
+            .iter()
+            .map(|p| (p.question.as_str(), p.answer.as_str()))
+            .collect();
+        let (model, _) = learner.learn(&pairs, &LearnerConfig::default());
+        let index = PatternIndex::build(corpus.pairs.iter().map(|p| p.question.as_str()), &ner);
+        let service = KbqaService::builder(
+            Arc::clone(&world.store),
+            Arc::clone(&world.conceptualizer),
+            Arc::new(model),
+        )
+        .ner(ner)
+        .pattern_index(Arc::new(index))
+        .build();
+        ServingArtifacts::from_service(&service)
+            .save(&dir)
+            .expect("save bundle");
+    }
+
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let artifacts = ServingArtifacts::load(&dir).expect("load bundle");
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let kept = LIVE.load(Ordering::Relaxed) - before;
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(artifacts.ner.is_some() && artifacts.pattern_index.is_some());
+
+    let ratio = peak as f64 / kept as f64;
+    println!("[load_footprint] peak {peak} B, kept {kept} B: peak / kept = {ratio:.2}");
+    assert!(
+        ratio <= 1.5,
+        "load peaked at {peak} B of heap to keep {kept} B: {ratio:.2}x > 1.5x"
+    );
+}

@@ -2,6 +2,8 @@
 //! (with derived indexes rebuilt) and answer identically afterwards.
 
 use kbqa::prelude::*;
+use serde::de::DeserializeOwned;
+use serde::{Serialize, Value};
 
 #[test]
 fn learned_model_roundtrips_through_json() {
@@ -188,4 +190,79 @@ fn theta_survives_roundtrip_numerically() {
             assert!((a.1 - b.1).abs() < 1e-15);
         }
     }
+}
+
+/// The rendering with every sequence's elements sorted: hash maps serialize
+/// in iteration order, which a rebuilt map need not repeat.
+fn canonical(value: Value) -> String {
+    match value {
+        Value::Seq(items) => {
+            let mut items: Vec<String> = items.into_iter().map(canonical).collect();
+            items.sort();
+            format!("[{}]", items.join(","))
+        }
+        Value::Map(entries) => {
+            let entries: Vec<String> = entries
+                .into_iter()
+                .map(|(key, value)| format!("{key:?}:{}", canonical(value)))
+                .collect();
+            format!("{{{}}}", entries.join(","))
+        }
+        scalar => serde_json::to_string(&scalar).expect("serialize"),
+    }
+}
+
+/// `to_string` → `from_str` → `to_string` renders the same content:
+/// byte-identical up to the order of sequence elements.
+fn roundtrips<T: Serialize + DeserializeOwned>(what: &str, value: &T) {
+    let json = serde_json::to_string(value).expect("serialize");
+    let restored: T =
+        serde_json::from_str(&json).unwrap_or_else(|e| panic!("{what} does not parse back: {e}"));
+    let again = serde_json::to_string(&restored).expect("re-serialize");
+    let content = |json: &str| canonical(serde_json::from_str(json).expect("valid JSON"));
+    assert!(
+        json == again || content(&json) == content(&again),
+        "{what} must round-trip ({} vs {} bytes)",
+        json.len(),
+        again.len()
+    );
+}
+
+#[test]
+fn every_persisted_type_roundtrips_on_the_quick_world() {
+    // `repro --scale quick`'s KBA world: a small world, 4 000 QA pairs.
+    let world = World::generate(WorldConfig::small(42));
+    let corpus = QaCorpus::generate(&world, &CorpusConfig::with_pairs(1, 4_000));
+    let ner = GazetteerNer::from_store(&world.store);
+    let learner = Learner::new(
+        &world.store,
+        &world.conceptualizer,
+        &ner,
+        &world.predicate_classes,
+    );
+    let pairs: Vec<(&str, &str)> = corpus
+        .pairs
+        .iter()
+        .map(|p| (p.question.as_str(), p.answer.as_str()))
+        .collect();
+    let (model, _) = learner.learn(&pairs, &LearnerConfig::default());
+    let index = PatternIndex::build(corpus.pairs.iter().map(|p| p.question.as_str()), &ner);
+    let metrics = kbqa_server::Metrics::new();
+    let service = KbqaService::new(
+        std::sync::Arc::clone(&world.store),
+        std::sync::Arc::clone(&world.conceptualizer),
+        std::sync::Arc::new(model.clone()),
+    );
+    for pair in corpus.pairs.iter().take(200) {
+        let started = std::time::Instant::now();
+        metrics.record_outcome(service.answer_text(&pair.question).refusal);
+        metrics.answer_latency.record(started.elapsed());
+    }
+
+    roundtrips("LearnedModel", &model);
+    roundtrips("Conceptualizer", world.conceptualizer.as_ref());
+    roundtrips("GazetteerNer", &ner);
+    roundtrips("PatternIndex", &index);
+    roundtrips("EngineConfig", &EngineConfig::default());
+    roundtrips("MetricsSnapshot", &metrics.snapshot());
 }
