@@ -11,12 +11,12 @@
 //! * one traced walk then prints ns/question per stage from
 //!   `StageTrace::accum_ns`, `serialize` included, plus mentions,
 //!   `V(e, p⁺)` traversals and path edges per question;
-//! * three serving pieces are then timed both ways, ns/question: request
-//!   decode (typed vs `serde_json`, on the benchmark's
-//!   `{"question":…,"request_id":N}` body and on a 256-question batch),
-//!   answering (`answer_into` vs `answer` + `serialize_into`), and a cache
-//!   insert that evicts at 4 096 entries (a rendered entry vs an
-//!   `Arc<QaResponse>`);
+//! * the serving edge's pieces follow, ns/question: request decode
+//!   (`serde_json::from_slice`, on the benchmark's
+//!   `{"question":…,"request_id":N}` body and on a 256-question batch), then
+//!   two timed both ways — answering (`answer_into` vs `answer` +
+//!   `serialize_into`) and a cache insert that evicts at 4 096 entries (a
+//!   rendered entry vs an `Arc<QaResponse>`);
 //! * three whole-path figures close the report: the optimized kernel vs
 //!   the retained reference enumeration (`QaEngine::bfq_kernel_reference`)
 //!   on the same pre-tokenized questions, the armed stage tracer's
@@ -271,10 +271,11 @@ fn piece(name: &str, now: f64, before: f64, before_name: &str) {
     );
 }
 
-/// The three pieces of the serving edge the rendered-bytes path replaced,
-/// each timed against what it replaced.
+/// The serving edge's pieces: request decode as the server runs it, then
+/// the two the rendered-bytes path replaced, each timed against what it
+/// replaced.
 fn serving_pieces(requests: &[QaRequest], snapshot: &ServiceSnapshot) {
-    println!("serving pieces (new vs replaced):");
+    println!("serving pieces:");
 
     // Decode: the benchmark's single-question body, and 256-question batches.
     let bodies: Vec<String> = requests
@@ -285,32 +286,28 @@ fn serving_pieces(requests: &[QaRequest], snapshot: &ServiceSnapshot) {
             format!("{{\"question\":{question},\"request_id\":{id}}}")
         })
         .collect();
-    let typed = ns_per(bodies.len(), || {
+    let single = ns_per(bodies.len(), || {
         for body in &bodies {
-            black_box(QaRequest::decode(body.as_bytes()).expect("decodes"));
+            black_box(serde_json::from_slice::<QaRequest>(body.as_bytes()).expect("parses"));
         }
     });
-    let serde = ns_per(bodies.len(), || {
-        for body in &bodies {
-            black_box(serde_json::from_str::<QaRequest>(body).expect("parses"));
-        }
-    });
-    piece("decode (/answer body)", typed, serde, "serde_json");
+    println!(
+        "  {:<28} {single:>7.0} ns/question",
+        "decode (/answer body)"
+    );
     let batches: Vec<String> = bodies
         .chunks(256)
         .map(|chunk| format!("[{}]", chunk.join(",")))
         .collect();
-    let typed = ns_per(bodies.len(), || {
+    let batched = ns_per(bodies.len(), || {
         for batch in &batches {
-            black_box(QaRequest::decode_batch(batch.as_bytes()).expect("decodes"));
+            black_box(serde_json::from_slice::<Vec<QaRequest>>(batch.as_bytes()).expect("parses"));
         }
     });
-    let serde = ns_per(bodies.len(), || {
-        for batch in &batches {
-            black_box(serde_json::from_str::<Vec<QaRequest>>(batch).expect("parses"));
-        }
-    });
-    piece("decode (256-question batch)", typed, serde, "serde_json");
+    println!(
+        "  {:<28} {batched:>7.0} ns/question",
+        "decode (256-question batch)"
+    );
 
     // Answering: rendered from ids vs materialized, then serialized.
     let mut out = Vec::with_capacity(4 << 10);

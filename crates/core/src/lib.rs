@@ -35,9 +35,6 @@
 //! * [`serialize`] — allocation-free JSON writer for the serving-edge
 //!   response types (`QaResponse::serialize_into`, byte-identical to the
 //!   vendored `serde_json` output).
-//! * [`decode`] — its request-side twin: typed `QaRequest` /
-//!   `Vec<QaRequest>` decoding straight from body bytes, accepting exactly
-//!   what the vendored `serde_json` derive accepts.
 //! * [`wire`] — the shard worker frame protocol (length-prefixed,
 //!   Fx-64-checksummed messages over unix sockets).
 //! * [`remote`] — the router-side client for out-of-process shard workers
@@ -53,7 +50,6 @@
 //! * [`eval`] — QALD-style and WebQuestions-style metrics (Sec 7.3).
 
 pub mod catalog;
-pub mod decode;
 pub mod decompose;
 pub mod em;
 pub mod engine;
@@ -75,7 +71,6 @@ pub mod variants;
 pub mod wire;
 
 pub use catalog::{PredId, PredicateCatalog};
-pub use decode::DecodeError;
 pub use em::{EmConfig, EmStats, Theta};
 pub use engine::{Answer, ChoiceStats, EngineConfig, QaEngine, ScratchSpace};
 pub use expansion::{ExpansionConfig, ExpansionResult};

@@ -67,8 +67,9 @@
 //! request; the loop iterates over it, however many requests it holds).
 //!
 //! The serving edge is bytes in, bytes out: request bodies decode straight
-//! into typed requests ([`QaRequest::decode`], no serde `Value` tree), a
-//! plain answer renders from the kernel's ranked ids
+//! into typed requests (`serde_json::from_slice`, whose derived
+//! `Deserialize` streams off the body with no `Value` tree), a plain answer
+//! renders from the kernel's ranked ids
 //! ([`kbqa_core::service::ServiceSnapshot::answer_into`]), and the answer
 //! cache stores each response as the bytes it is served as — a hit is one
 //! copy, never a re-serialization (see [`crate::cache`]). HTTP heads go
@@ -219,17 +220,11 @@ pub struct ServerConfig {
     pub worker_breaker_window_ms: u64,
     /// Grace between the clean `Terminate` frame and SIGKILL at shutdown.
     pub worker_terminate_grace_ms: u64,
-    /// Allow HTTP/1.1 chunked streaming on `POST /batch` for clients that
-    /// opt in with `?stream=1`: answers stream out in request order as
-    /// compute lanes complete instead of buffering the whole batch. The
-    /// de-chunked body is byte-identical to the buffered one. On (the
-    /// default) this only changes behaviour for clients that ask; off
-    /// forces every batch through Content-Length framing.
-    pub stream_batch: bool,
-    /// Streamed-batch flush threshold, bytes: serialized answers accumulate
-    /// until at least this many bytes are pending, then ship as one HTTP
-    /// chunk. Smaller values lower time-to-first-answer; larger values
-    /// amortize per-chunk framing and syscalls. Clamped to ≥ 1.
+    /// Streamed-batch (`POST /batch?stream=1`) flush threshold, bytes:
+    /// serialized answers accumulate until at least this many bytes are
+    /// pending, then ship as one HTTP chunk. Smaller values lower
+    /// time-to-first-answer; larger values amortize per-chunk framing and
+    /// syscalls. Clamped to ≥ 1.
     pub stream_flush_bytes: usize,
 }
 
@@ -264,7 +259,6 @@ impl Default for ServerConfig {
             worker_breaker_max_restarts: 5,
             worker_breaker_window_ms: 30_000,
             worker_terminate_grace_ms: 2_000,
-            stream_batch: true,
             stream_flush_bytes: 8 << 10,
         }
     }
@@ -301,7 +295,6 @@ impl ServerConfig {
     /// | `KBQA_WORKER_BREAKER_MAX_RESTARTS` | `worker_breaker_max_restarts` |
     /// | `KBQA_WORKER_BREAKER_WINDOW_MS` | `worker_breaker_window_ms` |
     /// | `KBQA_WORKER_TERMINATE_GRACE_MS` | `worker_terminate_grace_ms` |
-    /// | `KBQA_STREAM_BATCH`        | `stream_batch` (`0`/`false`/`off` disable) |
     /// | `KBQA_STREAM_FLUSH_BYTES`  | `stream_flush_bytes` |
     ///
     /// Unset or unparsable variables keep the default; an empty
@@ -374,9 +367,6 @@ impl ServerConfig {
         }
         if let Some(v) = parsed("KBQA_WORKER_TERMINATE_GRACE_MS") {
             config.worker_terminate_grace_ms = v;
-        }
-        if let Ok(v) = std::env::var("KBQA_STREAM_BATCH") {
-            config.stream_batch = !matches!(v.trim(), "0" | "false" | "off" | "no");
         }
         if let Some(v) = parsed::<usize>("KBQA_STREAM_FLUSH_BYTES") {
             config.stream_flush_bytes = v.max(1);
@@ -801,8 +791,7 @@ fn worker_loop(shared: &Shared) {
         };
         let Some(job) = job else { return };
         let keep_alive_requested = job.request.keep_alive();
-        if shared.config.stream_batch
-            && job.request.method == "POST"
+        if job.request.method == "POST"
             && job.request.path == "/batch"
             && job.request.stream_requested()
         {
@@ -1828,8 +1817,7 @@ impl Request {
     }
 
     /// Whether the client opted into chunked streaming (`?stream=1`).
-    /// Only honoured on `POST /batch` (and only when
-    /// [`ServerConfig::stream_batch`] allows it).
+    /// Only honoured on `POST /batch`.
     fn stream_requested(&self) -> bool {
         self.query
             .as_deref()
@@ -2066,12 +2054,13 @@ impl Response {
     }
 
     fn error(status: u16, message: &str) -> Self {
-        // `message` comes from our own decode and serde errors; escape the
-        // two characters that could break the JSON literal.
-        let escaped = message.replace('\\', "\\\\").replace('"', "\\\"");
+        // `message` may echo request bytes (a decode error, a query value),
+        // so it is rendered as a JSON string: quotes, backslashes and every
+        // control character escaped.
+        let message = serde_json::to_string(message).expect("a string always serializes");
         Self {
             status,
-            body: Body::Owned(format!("{{\"error\":\"{escaped}\"}}").into_bytes()),
+            body: Body::Owned(format!("{{\"error\":{message}}}").into_bytes()),
             retry_after: None,
             content_type: "application/json",
         }
@@ -2510,7 +2499,7 @@ fn handle_answer(state: &AppState, body: &[u8]) -> Response {
     #[cfg(test)]
     assert_ne!(body, tests::PANIC_BODY, "panic injected by the test suite");
     let started = Instant::now();
-    let mut request = match QaRequest::decode(body) {
+    let mut request = match serde_json::from_slice::<QaRequest>(body) {
         Ok(request) => request,
         Err(e) => return Response::error(400, &e.to_string()),
     };
@@ -2578,8 +2567,8 @@ struct BatchSetup {
 /// Decode and admit one `/batch` body. `Err` carries the early response
 /// (decode error or `min_epoch` 409).
 fn batch_setup(state: &AppState, body: &[u8]) -> Result<BatchSetup, Response> {
-    let requests =
-        QaRequest::decode_batch(body).map_err(|e| Response::error(400, &e.to_string()))?;
+    let requests = serde_json::from_slice::<Vec<QaRequest>>(body)
+        .map_err(|e| Response::error(400, &e.to_string()))?;
     state.metrics.record_batch_request(requests.len());
     let service = state.service.load();
     let snapshot = service.snapshot();

@@ -318,6 +318,38 @@ fn reload_is_gated_token_then_path_then_load() {
 }
 
 #[test]
+fn an_echoed_control_byte_still_renders_a_json_error_body() {
+    let config = ServerConfig {
+        admin_token: Some("swordfish".into()),
+        ..ServerConfig::default()
+    };
+    let server = serve(empty_service(), "127.0.0.1:0", config).expect("bind");
+    // The request line splits on spaces only, so the tab reaches the query
+    // and the 400 echoes it back.
+    let (status, body) = http(
+        server.local_addr(),
+        "POST",
+        "/admin/reload?mode=a\tb",
+        "X-Admin-Token: swordfish\r\n",
+        "",
+    );
+    server.shutdown();
+    assert_eq!(status, 400, "{body:?}");
+    assert!(
+        body.bytes().all(|b| b >= 0x20),
+        "raw control byte: {body:?}"
+    );
+    let parsed: serde::Value = serde_json::from_str(&body).expect("valid JSON");
+    assert_eq!(
+        parsed,
+        serde::Value::Map(vec![(
+            "error".into(),
+            serde::Value::Str("unknown reload mode `a\tb`".into())
+        )])
+    );
+}
+
+#[test]
 fn deeply_nested_model_reload_is_a_500_and_the_old_epoch_serves_on() {
     // A model reload parses on a pooled worker thread; input nesting must
     // not reach its stack, or one bad artifact would abort the server.

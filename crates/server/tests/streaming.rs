@@ -301,24 +301,15 @@ fn buffered_batches_match_the_sequential_rendering_cold_and_mixed() {
 }
 
 #[test]
-fn stream_opt_in_is_both_ends() {
+fn stream_opt_in_is_the_client_query_param() {
     let f = fixture();
     let body = serde_json::to_string(&[QaRequest::new(&f.questions[0])]).unwrap();
 
-    // No `?stream=1`: buffered framing even though the server allows streams.
+    // No `?stream=1`: buffered (`Content-Length`) framing.
     let server = start_server(ServerConfig::default());
-    let (status, buffered) = http(server.local_addr(), "POST", "/batch", &body);
+    let (status, _) = http(server.local_addr(), "POST", "/batch", &body);
     assert_eq!(status, 200);
-
-    // `?stream=1` with streaming disabled server-side: still buffered.
-    let off = start_server(ServerConfig {
-        stream_batch: false,
-        ..ServerConfig::default()
-    });
-    let (status, forced_buffered) = http(off.local_addr(), "POST", "/batch?stream=1", &body);
-    assert_eq!(status, 200);
-    assert_eq!(forced_buffered, buffered);
-    assert_eq!(metrics(off.local_addr()).batch_stream_requests, 0);
+    assert_eq!(metrics(server.local_addr()).batch_stream_requests, 0);
 
     // Parse errors on the streaming route answer buffered (no stream head
     // goes out before success is certain).
@@ -327,7 +318,6 @@ fn stream_opt_in_is_both_ends() {
     assert!(error_body.contains("error"));
 
     server.shutdown();
-    off.shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -36,6 +36,10 @@
 //! (`BatchLane`) costs exactly an entry plus an owned key per miss and
 //! nothing per hit.
 //!
+//! In front of all of it, the request decode: `serde_json::from_slice` of
+//! the serving benchmark's `{"question":…,"request_id":N}` body allocates
+//! exactly once — the question's `String`.
+//!
 //! This file intentionally holds a single test: the allocator counter is
 //! process-global, and a concurrently running test would pollute the delta.
 
@@ -359,4 +363,24 @@ fn steady_state_kernel_performs_zero_allocations() {
     assert_eq!(hits, lane.len());
     assert_eq!(out, missed, "a hit must replay the bytes its miss rendered");
     assert_eq!(delta, 0, "a streamed-batch hit allocated {delta} times");
+
+    // Phase 9: the request decode in front of all of it. `/answer` decodes
+    // its body with `serde_json::from_slice`, whose derived `Deserialize`
+    // streams off the bytes: the benchmark's body costs the question's
+    // `String` and nothing else.
+    let bodies: Vec<String> = questions
+        .iter()
+        .enumerate()
+        .map(|(id, q)| {
+            let quoted = serde_json::to_string(q).expect("serialize question");
+            format!("{{\"question\":{quoted},\"request_id\":{id}}}")
+        })
+        .collect();
+    for (id, (body, question)) in bodies.iter().zip(&questions).enumerate() {
+        let before = allocations();
+        let request = serde_json::from_slice::<QaRequest>(body.as_bytes()).expect("decodes");
+        let delta = allocations() - before;
+        assert_eq!(request, QaRequest::new(question).with_request_id(id as u64));
+        assert_eq!(delta, 1, "decoding {body} allocated {delta} times");
+    }
 }

@@ -1,22 +1,27 @@
-//! Differential conformance of the typed request decoder against the
-//! vendored `serde_json` derive — two independent streaming decoders, one
-//! hand-fitted to `QaRequest`, one generated by `serde_derive` over
-//! `serde::de::Reader`.
+//! Conformance of the serving edge's request decoder:
+//! `serde_json::from_slice` into `QaRequest` (a `POST /answer` body) and
+//! `Vec<QaRequest>` (a `POST /batch` body), through the `Deserialize` that
+//! `serde_derive` generates over `serde::de::Reader`.
 //!
-//! `QaRequest::decode` and `QaRequest::decode_batch` sit on the server's
-//! client-facing boundary in place of `serde_json::from_str`, so they must
-//! accept and reject exactly the same bodies and produce equal values
-//! (error wording may differ; the server answers both with a 400
-//! `{"error":…}`). Bodies are composed from fragment pools that cover every
-//! escape (`\/ \b \f`, `\uXXXX`, surrogate pairs, lone surrogates), raw
-//! control characters and multi-byte UTF-8, each JSON whitespace byte,
-//! `null` for every field, unknown keys with nested values, duplicate keys,
-//! the integer edge cases (`0`, `u64::MAX`, `u64::MAX + 1`, negatives,
-//! `1e2`, `01`), ints and floats for `min_theta`, trailing garbage,
-//! truncation at every byte of an accepted body, and non-UTF-8 input.
+//! Two kinds of oracle, neither needing a second decoder:
 //!
-//! The default run samples 256 bodies per shape; the `#[ignore]`d deep run
-//! samples 100 000:
+//! * **A sampled sweep.** Bodies are composed from fragment pools that cover
+//!   every escape (`\/ \b \f`, `\uXXXX`, surrogate pairs, lone surrogates),
+//!   raw control characters and multi-byte UTF-8, each JSON whitespace byte,
+//!   `null` for every field, unknown keys with nested values, duplicate
+//!   keys, the integer edge cases (`0`, `u64::MAX`, `u64::MAX + 1`,
+//!   negatives, `1e2`, `01`), ints and floats for `min_theta`, trailing
+//!   garbage and non-UTF-8 bytes. Every body is decided (`Ok` or `Err`)
+//!   without a panic, as a request and as a batch; every accepted value
+//!   round-trips bit for bit through `to_string` → `from_slice`; and every
+//!   prefix of an accepted body is rejected unless all it drops is JSON
+//!   whitespace (the top level is always `{…}` or `[…]`).
+//! * **A rule table** of what `QaRequest` accepts, with concrete values:
+//!   `null`s, integral floats, ranges, duplicate keys, deep unknown values,
+//!   trailing data, escapes and surrogates.
+//!
+//! The default run samples 256 bodies; the `#[ignore]`d deep run samples
+//! 100 000:
 //!
 //! ```sh
 //! cargo test --release --test decode_conformance -- --ignored
@@ -24,6 +29,8 @@
 
 use kbqa::prelude::QaRequest;
 use proptest::TestRng;
+use serde::de::DeserializeOwned;
+use serde::Serialize;
 
 /// Inter-token whitespace: JSON's four bytes, and — rarely, since a body
 /// draws many — a byte JSON does not count as whitespace.
@@ -222,36 +229,77 @@ fn batch(rng: &mut TestRng) -> String {
     out
 }
 
-/// Decode `body` both ways and demand the same verdict and value. Returns
-/// whether the body was accepted.
-fn agree(body: &[u8]) -> bool {
-    let typed = QaRequest::decode(body);
-    let typed_batch = QaRequest::decode_batch(body);
-    let Ok(text) = std::str::from_utf8(body) else {
-        assert!(typed.is_err(), "accepted non-UTF-8 body {body:?}");
-        assert!(typed_batch.is_err(), "accepted non-UTF-8 batch {body:?}");
-        return false;
-    };
-    let reference = serde_json::from_str::<QaRequest>(text);
-    let reference_batch = serde_json::from_str::<Vec<QaRequest>>(text);
-    // Debug renderings compare floats bit for bit (`-0.0` vs `0.0`).
-    assert_eq!(
-        format!("{:?}", typed.as_ref().ok()),
-        format!("{:?}", reference.as_ref().ok()),
-        "request body {text:?}: typed {typed:?}, serde_json {:?}",
-        reference.as_ref().err().map(ToString::to_string)
-    );
-    assert_eq!(
-        format!("{:?}", typed_batch.as_ref().ok()),
-        format!("{:?}", reference_batch.as_ref().ok()),
-        "batch body {text:?}: typed {typed_batch:?}, serde_json {:?}",
-        reference_batch.as_ref().err().map(ToString::to_string)
-    );
-    typed.is_ok() || typed_batch.is_ok()
+/// A decoded value as the suite compares it: Debug renderings compare floats
+/// bit for bit (`-0.0` vs `0.0`).
+fn debug<T: std::fmt::Debug>(value: &T) -> String {
+    format!("{value:?}")
 }
 
-fn sweep(name: &str, cases: u32) {
-    let mut rng = TestRng::from_name(name);
+/// What `request` reads back as after `to_string`: itself, except that JSON
+/// has no infinity — a non-finite `min_theta` (`1e400`) writes as `null` and
+/// so returns as `None`.
+fn reread(request: &QaRequest) -> QaRequest {
+    let mut expected = request.clone();
+    expected.min_theta = expected.min_theta.filter(|theta| theta.is_finite());
+    expected
+}
+
+/// Decode `body` as `T`, and check an accepted value round-trips through
+/// `to_string` → `from_slice` to `expected(value)`. The verdict, as Debug.
+fn decide<T, E>(body: &[u8], expected: impl Fn(&T) -> E) -> Option<String>
+where
+    T: DeserializeOwned + Serialize + std::fmt::Debug,
+    E: std::fmt::Debug,
+{
+    let value = serde_json::from_slice::<T>(body).ok()?;
+    let json = serde_json::to_string(&value).expect("serialize");
+    let reread = serde_json::from_slice::<T>(json.as_bytes())
+        .unwrap_or_else(|e| panic!("{json:?}, written from {body:?}, does not decode: {e}"));
+    assert_eq!(
+        debug(&reread),
+        debug(&expected(&value)),
+        "body {body:?} does not round-trip through {json:?}"
+    );
+    Some(debug(&value))
+}
+
+/// Decode `body` as a request and as a batch; both verdicts.
+fn verdicts(body: &[u8]) -> (Option<String>, Option<String>) {
+    (
+        decide::<QaRequest, _>(body, reread),
+        decide::<Vec<QaRequest>, _>(body, |batch| batch.iter().map(reread).collect::<Vec<_>>()),
+    )
+}
+
+/// Apply every sweep oracle to `body`. Returns whether it was accepted.
+fn check(body: &[u8]) -> bool {
+    let verdict = verdicts(body);
+    if std::str::from_utf8(body).is_err() {
+        assert_eq!(verdict, (None, None), "accepted non-UTF-8 body {body:?}");
+        return false;
+    }
+    if verdict == (None, None) {
+        return false;
+    }
+    for end in 0..body.len() {
+        let dropped = &body[end..];
+        let expected = if dropped.iter().all(|b| b" \t\n\r".contains(b)) {
+            verdict.clone()
+        } else {
+            (None, None)
+        };
+        assert_eq!(
+            verdicts(&body[..end]),
+            expected,
+            "prefix {:?} of accepted body {body:?}",
+            &body[..end]
+        );
+    }
+    true
+}
+
+fn sweep(seed: &str, cases: u32) {
+    let mut rng = TestRng::from_name(seed);
     let mut accepted = 0;
     for _ in 0..cases {
         let mut body = if chance(&mut rng, 3) {
@@ -267,11 +315,8 @@ fn sweep(name: &str, cases: u32) {
             let at = (rng.next_u64() % (bytes.len() as u64 + 1)) as usize;
             bytes.insert(at, 0xff);
         }
-        if agree(&bytes) {
+        if check(&bytes) {
             accepted += 1;
-            for end in 0..bytes.len() {
-                agree(&bytes[..end]);
-            }
         }
     }
     // The pools make about one body in four valid (23 433 of the deep run's
@@ -282,14 +327,17 @@ fn sweep(name: &str, cases: u32) {
     );
 }
 
+// The seeds keep the names the two sweeps have always drawn their bodies
+// from, so the sampled bodies — and the valid-body count above — stay put.
+
 #[test]
-fn typed_decoder_agrees_with_serde_json() {
+fn sampled_bodies_conform() {
     sweep("typed_decoder_agrees_with_serde_json", 256);
 }
 
 #[test]
 #[ignore = "deep run: 100 000 bodies (CI runs it in release)"]
-fn typed_decoder_agrees_with_serde_json_deep() {
+fn sampled_bodies_conform_deep() {
     sweep("typed_decoder_agrees_with_serde_json_deep", 100_000);
 }
 
@@ -297,10 +345,10 @@ fn typed_decoder_agrees_with_serde_json_deep() {
 fn every_fragment_in_every_field() {
     let all = |pool: &Pool| pool.valid.iter().chain(pool.broken).copied();
     for space in all(&WHITESPACE) {
-        agree(
+        check(
             format!("{space}{{{space}\"question\"{space}:{space}\"q\"{space}}}{space}").as_bytes(),
         );
-        agree(
+        check(
             format!("[{space}{{\"question\":\"q\"}}{space},{space}{{\"question\":\"r\"}}]")
                 .as_bytes(),
         );
@@ -308,10 +356,204 @@ fn every_fragment_in_every_field() {
     for key in all(&KEYS) {
         for pool in [&STRINGS, &NUMBERS, &LITERALS, &NESTED] {
             for v in all(pool) {
-                agree(format!("{{\"question\":\"q\",{key}:{v}}}").as_bytes());
-                agree(format!("{{{key}:{v},\"question\":\"q\"}}").as_bytes());
-                agree(format!("[{{{key}:{v}}}]").as_bytes());
+                check(format!("{{\"question\":\"q\",{key}:{v}}}").as_bytes());
+                check(format!("{{{key}:{v},\"question\":\"q\"}}").as_bytes());
+                check(format!("[{{{key}:{v}}}]").as_bytes());
             }
         }
     }
+}
+
+/// `body` as a request, `None` when rejected.
+fn request(body: &str) -> Option<QaRequest> {
+    serde_json::from_slice(body.as_bytes()).ok()
+}
+
+#[test]
+fn request_rules() {
+    let q = || QaRequest::new("q");
+    let rules: Vec<(&str, Option<QaRequest>)> = vec![
+        (
+            r#"{"question":"what is the population of berlin","request_id":7}"#,
+            Some(QaRequest::new("what is the population of berlin").with_request_id(7)),
+        ),
+        (
+            r#"{"question":"q","top_k":3,"min_theta":0.5,"decompose":false,"explain":true,"request_id":9,"min_epoch":2}"#,
+            Some(QaRequest {
+                top_k: Some(3),
+                min_theta: Some(0.5),
+                decompose: Some(false),
+                explain: true,
+                request_id: Some(9),
+                min_epoch: Some(2),
+                ..q()
+            }),
+        ),
+        // `null` is `None` for every optional field, and an error for the
+        // rest.
+        (
+            r#"{"question":"q","top_k":null,"min_theta":null,"decompose":null,"request_id":null,"min_epoch":null}"#,
+            Some(q()),
+        ),
+        (r#"{"question":"q","explain":null}"#, None),
+        (r#"{"question":null}"#, None),
+        (r#"{"top_k":1}"#, None),
+        (r#"{}"#, None),
+        (r#"{"question":1}"#, None),
+        // Integer fields take an integral float, cast; never a fraction or
+        // an out-of-range integer.
+        (
+            r#"{"question":"q","top_k":2.0}"#,
+            Some(QaRequest {
+                top_k: Some(2),
+                ..q()
+            }),
+        ),
+        (
+            r#"{"question":"q","top_k":1e2}"#,
+            Some(QaRequest {
+                top_k: Some(100),
+                ..q()
+            }),
+        ),
+        (r#"{"question":"q","top_k":1.5}"#, None),
+        (r#"{"question":"q","top_k":-1}"#, None),
+        (
+            r#"{"question":"q","request_id":18446744073709551615}"#,
+            Some(q().with_request_id(u64::MAX)),
+        ),
+        (
+            r#"{"question":"q","request_id":18446744073709551616}"#,
+            None,
+        ),
+        (
+            r#"{"question":"q","min_epoch":01}"#,
+            Some(QaRequest {
+                min_epoch: Some(1),
+                ..q()
+            }),
+        ),
+        // `min_theta` takes either kind of number.
+        (
+            r#"{"question":"q","min_theta":1}"#,
+            Some(QaRequest {
+                min_theta: Some(1.0),
+                ..q()
+            }),
+        ),
+        (
+            r#"{"question":"q","min_theta":-0.0}"#,
+            Some(QaRequest {
+                min_theta: Some(-0.0),
+                ..q()
+            }),
+        ),
+        (r#"{"question":"q","min_theta":"0.5"}"#, None),
+        (r#"{"question":"q","min_theta":1..2}"#, None),
+        // The first of duplicate keys wins; later ones are only parsed.
+        (
+            r#"{"question":"first","question":"second"}"#,
+            Some(QaRequest::new("first")),
+        ),
+        (
+            r#"{"question":"q","top_k":1,"top_k":"not checked"}"#,
+            Some(QaRequest {
+                top_k: Some(1),
+                ..q()
+            }),
+        ),
+        (r#"{"question":"q","top_k":"checked","top_k":1}"#, None),
+        (r#"{"question":"q","top_k":1,"top_k":[1,]}"#, None),
+        // Unknown keys are parsed, then ignored.
+        (
+            r#"{"x":{"a":[1,{"b":null}],"c":"\n"},"question":"q"}"#,
+            Some(q()),
+        ),
+        (r#"{"question":"q","x":[1,]}"#, None),
+        (r#"{"question":"q","x":{"a" 1}}"#, None),
+        (
+            r#"{"q\u0075estion":"escaped key"}"#,
+            Some(QaRequest::new("escaped key")),
+        ),
+        (r#"{"Question":"q"}"#, None),
+        // Only whitespace may follow the object.
+        (r#"{"question":"q"} x"#, None),
+        (r#"{"question":"q"}{}"#, None),
+        ("{\"question\":\"q\"} \t\r\n", Some(q())),
+        ("{\"question\":\"q\"}\u{c}", None),
+        // Escapes and surrogates.
+        (
+            r#"{"question":"a\"b\\c\/d\be\ff\ng\rh\ti"}"#,
+            Some(QaRequest::new("a\"b\\c/d\u{8}e\u{c}f\ng\rh\ti")),
+        ),
+        (r#"{"question":"Aé東"}"#, Some(QaRequest::new("Aé東"))),
+        (
+            r#"{"question":"\u0041\u00e9\u6771\u0000"}"#,
+            Some(QaRequest::new("Aé東\u{0}")),
+        ),
+        (r#"{"question":"😀"}"#, Some(QaRequest::new("😀"))),
+        (r#"{"question":"\ud83d\ude00"}"#, Some(QaRequest::new("😀"))),
+        (r#"{"question":"\uD83D\uDE00"}"#, Some(QaRequest::new("😀"))),
+        (r#"{"question":"\u+041"}"#, Some(QaRequest::new("A"))),
+        (
+            "{\"question\":\"raw \u{1} and \t\"}",
+            Some(QaRequest::new("raw \u{1} and \t")),
+        ),
+        (r#"{"question":"\ud83d"}"#, None),
+        (r#"{"question":"\ud83dx"}"#, None),
+        (r#"{"question":"\ud83d\u0041"}"#, None),
+        (r#"{"question":"\ude00"}"#, None),
+        (r#"{"question":"\u12"}"#, None),
+        (r#"{"question":"\u12g4"}"#, None),
+        (r#"{"question":"\x"}"#, None),
+    ];
+    for (body, expected) in rules {
+        assert_eq!(debug(&request(body)), debug(&expected), "body {body}");
+    }
+}
+
+#[test]
+fn batch_rules() {
+    let batch = |body: &str| serde_json::from_slice::<Vec<QaRequest>>(body.as_bytes()).ok();
+    assert_eq!(batch("[]"), Some(vec![]));
+    assert_eq!(batch(" [ ] "), Some(vec![]));
+    assert_eq!(
+        batch(r#"[{"question":"a"},{"question":"b","top_k":2}]"#),
+        Some(vec![QaRequest::new("a"), QaRequest::new("b").with_top_k(2)])
+    );
+    for rejected in [
+        r#"[{"question":"a"},]"#,
+        r#"[{"question":"a"} {"question":"b"}]"#,
+        r#"[1]"#,
+        r#"[{"question":"a"},{"top_k":1}]"#,
+        r#"{"question":"a"}"#,
+        r#"[{"question":"a"}] x"#,
+    ] {
+        assert_eq!(batch(rejected), None, "body {rejected}");
+    }
+}
+
+#[test]
+fn deep_unknown_nesting_is_skipped_without_recursion() {
+    let depth = 200_000;
+    let (open, close) = ("[".repeat(depth), "]".repeat(depth));
+    assert_eq!(
+        request(&format!(r#"{{"question":"q","deep":{open}{close}}}"#)),
+        Some(QaRequest::new("q"))
+    );
+    assert_eq!(
+        request(&format!(r#"{{"question":"q","deep":{open}}}"#)),
+        None
+    );
+}
+
+#[test]
+fn non_utf8_bodies_are_rejected() {
+    let body = b"{\"question\":\"\xff\"}";
+    let err = serde_json::from_slice::<QaRequest>(body).unwrap_err();
+    assert_eq!(err.to_string(), "invalid UTF-8 at byte 13");
+    assert!(serde_json::from_slice::<Vec<QaRequest>>(b"[\xc3]").is_err());
+    // A decode error names what it found and where.
+    let err = serde_json::from_slice::<QaRequest>(b"{\"question\":1}").unwrap_err();
+    assert_eq!(err.to_string(), "expected string, found number at byte 12");
 }
