@@ -14,8 +14,8 @@
 //! * `miss_then_hit` — a cleared cache absorbing the suite once, then being
 //!   re-asked: one warm-up pass amortized over two;
 //! * `swap_then_requery` — the live-ops path: a cache warmed under one
-//!   model epoch, then a `swap_model` and a full re-ask under the bumped
-//!   epoch. Every versioned key misses (the invalidation is the epoch
+//!   model epoch, then the same model served at the next epoch
+//!   (`with_model`) and a full re-ask under it. Every versioned key misses (the invalidation is the epoch
 //!   prefix, not a flush), so this prices a hot swap's cold-cache tax.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -102,23 +102,20 @@ fn bench_cached_answer(c: &mut Criterion) {
         })
     });
 
-    // A sibling service with its own ModelHandle, so the epoch churn below
-    // never leaks into the other benches' keys.
-    let swapping = service.with_model(service.model());
+    // The same model at the next epoch: what a model reload swaps in.
+    let next = service.with_model(service.model()).snapshot();
     group.bench_function("swap_then_requery", |b| {
         b.iter(|| {
             let cache = RenderedCache::new(CacheConfig::default());
             let mut answered = 0usize;
             // Warm under the current epoch…
-            let snapshot = swapping.snapshot();
             for request in &requests {
                 get_or_render(&cache, &snapshot, request, &mut out);
             }
-            // …swap (epoch bump re-keys everything), re-ask the suite cold.
-            swapping.swap_model(swapping.model());
-            let snapshot = swapping.snapshot();
+            // …swap (the epoch bump re-keys everything), re-ask the suite
+            // cold.
             for request in &requests {
-                answered += usize::from(get_or_render(&cache, &snapshot, request, &mut out));
+                answered += usize::from(get_or_render(&cache, &next, request, &mut out));
             }
             answered
         })

@@ -30,8 +30,9 @@
 //! * [`service`] — the serving API: the owned, thread-shareable
 //!   [`service::KbqaService`], typed [`service::QaRequest`] /
 //!   [`service::QaResponse`], the [`service::Refusal`] taxonomy, the
-//!   hot-swappable [`service::ModelHandle`] with its monotonic model epoch,
-//!   and the [`service::QaSystem`] trait shared with baselines.
+//!   model epoch every response is stamped with (a new model is served by a
+//!   new service at the next epoch), and the [`service::QaSystem`] trait
+//!   shared with baselines.
 //! * [`serialize`] — allocation-free JSON writer for the serving-edge
 //!   response types (`QaResponse::serialize_into`, byte-identical to the
 //!   vendored `serde_json` output).
@@ -80,7 +81,7 @@ pub use learner::{LearnedModel, Learner, LearnerConfig};
 pub use persist::ServingArtifacts;
 pub use remote::{RemoteError, RemoteOptions, RemoteShard};
 pub use service::{
-    KbqaService, ModelHandle, QaRequest, QaResponse, QaSystem, Refusal, Rendered, ServiceSnapshot,
+    KbqaService, QaRequest, QaResponse, QaSystem, Refusal, Rendered, ServiceSnapshot,
 };
 pub use shard::{ShardPanic, ShardRouter};
 pub use shardworker::WorkerConfig;

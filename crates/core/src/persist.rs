@@ -522,12 +522,10 @@ impl ServingArtifacts {
         self.into_service_at_epoch(0)
     }
 
-    /// Like [`Self::into_service`], but the service's [`ModelHandle`] starts
-    /// at `epoch` instead of 0 — the full-bundle hot-swap path: the server
-    /// rebuilds the service at `old_epoch + 1` so versioned cache keys carry
+    /// Like [`Self::into_service`], but the service serves at model epoch
+    /// `epoch` instead of 0 — the full-bundle reload path: the server builds
+    /// the next service at `old_epoch + 1` so versioned cache keys carry
     /// straight across the swap without a flush.
-    ///
-    /// [`ModelHandle`]: crate::service::ModelHandle
     pub fn into_service_at_epoch(self, epoch: u64) -> KbqaService {
         let mut builder =
             KbqaService::builder(self.store, self.conceptualizer, self.model).model_epoch(epoch);

@@ -24,18 +24,18 @@
 //! responses come back in request order, byte-identical to sequential
 //! single-request calls.
 //!
-//! # Live model swaps
+//! # Serving a new model
 //!
 //! The paper's offline procedure takes 1438 minutes; a serving process must
-//! be able to roll a freshly learned model in **without a restart**. The
-//! service therefore keeps its model in a [`ModelHandle`] — a swappable
-//! slot shared by every clone — and every swap bumps a monotonic **model
-//! epoch**. Request handling goes through a [`ServiceSnapshot`]: one
-//! consistent `(model, epoch)` pair captured at the start of the request, so
-//! an answer computed while a swap lands is consistent with exactly one
-//! model, never a mixture, and carries that model's epoch in
-//! [`QaResponse::model_epoch`]. Caches key on
-//! [`ServiceSnapshot::cache_key`], which prefixes the epoch — a swap
+//! be able to roll a freshly learned model in **without a restart**. A
+//! [`KbqaService`] is immutable: it serves one model under one **model
+//! epoch**, and [`KbqaService::with_model`] builds the service for a new
+//! model over the same substrate at the next epoch (`Arc` bumps, nothing
+//! re-derived). A server keeps the current service in one slot and swaps
+//! the next one in; a request that already holds the old one finishes on
+//! it, so every answer comes wholly from one model and carries that
+//! model's epoch in [`QaResponse::model_epoch`]. Caches key on
+//! [`ServiceSnapshot::cache_key`], which prefixes the epoch — a new epoch
 //! invalidates every stale entry by construction, with no stop-the-world
 //! flush.
 //!
@@ -76,14 +76,13 @@
 //! let response = service.answer(&QaRequest::new("what is the population of nowhere"));
 //! assert_eq!(response.model_epoch, 0);
 //!
-//! // Hot swap: same service, new model, bumped epoch.
-//! let epoch = service.swap_model(service.model());
-//! assert_eq!(epoch, 1);
-//! assert_eq!(service.answer_text("anything").model_epoch, 1);
+//! // A new model: a sibling over the same substrate, at the next epoch.
+//! let next = service.with_model(service.model());
+//! assert_eq!(next.answer_text("anything").model_epoch, 1);
+//! assert_eq!(service.model_epoch(), 0);
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -102,7 +101,7 @@ thread_local! {
     /// Per-thread engine scratch: a server worker (or batch worker) reuses
     /// one working set across every request it serves, which is what makes
     /// the kernel's steady state allocation-free. Scratch contents never
-    /// leak across requests or model swaps (see [`ScratchSpace`]).
+    /// leak across requests or model epochs (see [`ScratchSpace`]).
     static ENGINE_SCRATCH: std::cell::RefCell<ScratchSpace> =
         std::cell::RefCell::new(ScratchSpace::default());
 }
@@ -130,82 +129,6 @@ fn question_affinity(request: &QaRequest) -> u64 {
     let mut h = kbqa_common::hash::FxHasher::default();
     h.write(request.question.as_bytes());
     h.finish()
-}
-
-/// A hot-swappable model slot, shared by every clone of a [`KbqaService`].
-///
-/// Serving processes roll new models in without a restart: [`swap`] replaces
-/// the current [`LearnedModel`] atomically (readers blocked only for the
-/// duration of an `Arc` store) and bumps a monotonic **model epoch**. A
-/// reader calls [`load`] and gets one consistent `(model, epoch)` pair —
-/// never a new model with a stale epoch or vice versa — because both sides
-/// agree on the same lock.
-///
-/// Epochs exist so that *derived state can be versioned*: an answer cache
-/// that folds the epoch into its keys is invalidated by a swap without any
-/// flush (stale entries simply stop being addressable and age out by LRU).
-///
-/// [`swap`]: ModelHandle::swap
-/// [`load`]: ModelHandle::load
-#[derive(Debug)]
-pub struct ModelHandle {
-    current: RwLock<Arc<LearnedModel>>,
-    epoch: AtomicU64,
-}
-
-impl ModelHandle {
-    /// A handle at epoch 0.
-    pub fn new(model: Arc<LearnedModel>) -> Self {
-        Self::with_epoch(model, 0)
-    }
-
-    /// A handle starting at a specific epoch (sibling services start past
-    /// their parent's epoch so versioned cache keys never collide).
-    pub fn with_epoch(model: Arc<LearnedModel>, epoch: u64) -> Self {
-        Self {
-            current: RwLock::new(model),
-            epoch: AtomicU64::new(epoch),
-        }
-    }
-
-    /// The current `(model, epoch)` pair, read consistently.
-    ///
-    /// Lock poisoning is tolerated: the slot only ever holds a fully-built
-    /// `Arc`, so a panicking swapper cannot leave it half-written.
-    pub fn load(&self) -> (Arc<LearnedModel>, u64) {
-        let guard = self
-            .current
-            .read()
-            .unwrap_or_else(|poison| poison.into_inner());
-        // Epoch is read while holding the read lock, so it cannot interleave
-        // with a swap (which writes both under the write lock).
-        (Arc::clone(&guard), self.epoch.load(Ordering::Acquire))
-    }
-
-    /// The current epoch, without touching the model.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Replace the model and bump the epoch; returns the new epoch.
-    ///
-    /// In-flight requests that already took a [`ServiceSnapshot`] keep
-    /// answering from the old model; requests snapshotted after `swap`
-    /// returns see the new one. Nothing is ever served from a mixture.
-    pub fn swap(&self, model: Arc<LearnedModel>) -> u64 {
-        let mut guard = self
-            .current
-            .write()
-            .unwrap_or_else(|poison| poison.into_inner());
-        let old = std::mem::replace(&mut *guard, model);
-        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        drop(guard);
-        // If no snapshot still holds the old model, this drop deallocates a
-        // potentially huge artifact — do it outside the lock so readers are
-        // blocked only for the Arc store above, never for the teardown.
-        drop(old);
-        epoch
-    }
 }
 
 /// Why the system returned no answer (the paper's `#pro` refusal behaviour,
@@ -482,9 +405,9 @@ pub struct QaResponse {
     pub refusal: Option<Refusal>,
     /// Per-question choice statistics (when the request set `explain`).
     pub stats: Option<ChoiceStats>,
-    /// The [`ModelHandle`] epoch of the model that produced this response.
-    /// Stamped by [`KbqaService`]; stays 0 for systems without a swappable
-    /// model (baselines, hand-built responses).
+    /// The [`KbqaService::model_epoch`] of the service that produced this
+    /// response. Stamped by [`KbqaService`]; stays 0 for systems without a
+    /// model epoch (baselines, hand-built responses).
     #[serde(default)]
     pub model_epoch: u64,
     /// Per-stage engine timings, attached when the request set `explain`
@@ -585,10 +508,9 @@ pub struct KbqaServiceBuilder {
 }
 
 impl KbqaServiceBuilder {
-    /// Start the [`ModelHandle`] at a specific epoch instead of 0. A
-    /// full-bundle hot swap builds its replacement service at
-    /// `old_epoch + 1` so versioned cache keys from the previous bundle can
-    /// never collide with the new one.
+    /// Serve at a specific model epoch instead of 0. A full-bundle reload
+    /// builds its replacement service at `old_epoch + 1` so versioned cache
+    /// keys from the previous bundle can never collide with the new one.
     pub fn model_epoch(mut self, epoch: u64) -> Self {
         self.model_epoch = epoch;
         self
@@ -653,7 +575,8 @@ impl KbqaServiceBuilder {
         KbqaService {
             store: self.store,
             conceptualizer: self.conceptualizer,
-            model: Arc::new(ModelHandle::with_epoch(self.model, self.model_epoch)),
+            model: self.model,
+            model_epoch: self.model_epoch,
             ner,
             pattern_index: self.pattern_index,
             config: self.config,
@@ -663,15 +586,14 @@ impl KbqaServiceBuilder {
     }
 }
 
-/// One consistent view of the service, captured at the start of a request:
-/// the substrate `Arc`s plus a single `(model, epoch)` pair from the
-/// [`ModelHandle`].
+/// A [`KbqaService`]'s serving state, taken once per request or once per
+/// batch: the substrate `Arc`s plus the service's one `(model, epoch)`
+/// pair.
 ///
 /// Everything computed through one snapshot — the answer, its
 /// [`QaResponse::model_epoch`] stamp, and its [`cache_key`] — belongs to
-/// exactly one model epoch, even if [`KbqaService::swap_model`] lands midway.
-/// Snapshots are cheap (five `Arc` clones and a config copy) and are taken
-/// once per request or once per batch.
+/// exactly one model epoch. Snapshots are cheap (`Arc` clones and a config
+/// copy, no lock).
 ///
 /// [`cache_key`]: ServiceSnapshot::cache_key
 pub struct ServiceSnapshot {
@@ -729,8 +651,8 @@ impl ServiceSnapshot {
     ///
     /// Two requests share a key **iff** they are guaranteed equal responses:
     /// same normalized question, same effective config, same model epoch.
-    /// A model swap therefore invalidates every cached answer without a
-    /// flush — old-epoch keys are simply never looked up again. The `\u{1f}`
+    /// Serving a new epoch therefore invalidates every cached answer without
+    /// a flush — old-epoch keys are simply never looked up again. The `\u{1f}`
     /// separator cannot appear in the normalized question, so the epoch
     /// prefix is unambiguous.
     pub fn cache_key(&self, request: &QaRequest) -> String {
@@ -1116,14 +1038,16 @@ impl ServiceSnapshot {
 /// An owned, thread-shareable KBQA server: the online procedure (paper
 /// Sec 3.3) behind a request/response API.
 ///
-/// Cloning is cheap (`Arc` bumps); a clone can be handed to another thread
-/// and both serve concurrently. See the module docs for the design.
+/// Immutable: it serves one model under one model epoch, and a new model
+/// is served by a new service ([`KbqaService::with_model`]). Cloning is
+/// cheap (`Arc` bumps); a clone can be handed to another thread and both
+/// serve concurrently. See the module docs for the design.
 #[derive(Clone)]
 pub struct KbqaService {
     store: Arc<TripleStore>,
     conceptualizer: Arc<Conceptualizer>,
-    /// Shared by every clone: a swap through any clone is seen by all.
-    model: Arc<ModelHandle>,
+    model: Arc<LearnedModel>,
+    model_epoch: u64,
     ner: Arc<GazetteerNer>,
     pattern_index: Option<Arc<PatternIndex>>,
     config: EngineConfig,
@@ -1178,7 +1102,7 @@ impl KbqaService {
     }
 
     /// A sibling service re-sharded per `plan` over the same substrate
-    /// (store, taxonomy, NER, pattern index, shared [`ModelHandle`]).
+    /// (store, taxonomy, NER, pattern index, model and epoch).
     /// Re-partitions the current store; the original keeps its own router.
     pub fn with_shards(&self, plan: ShardPlan) -> Self {
         Self {
@@ -1189,8 +1113,7 @@ impl KbqaService {
 
     /// A sibling service scatter-gathering through `router` — how the
     /// server attaches the remote (multi-process worker) router built by
-    /// its supervisor over the same substrate. Shares the [`ModelHandle`]
-    /// with `self`.
+    /// its supervisor over the same substrate, model and epoch.
     pub fn with_shard_router(&self, router: Arc<ShardRouter>) -> Self {
         Self {
             shards: Some(router),
@@ -1224,37 +1147,25 @@ impl KbqaService {
     }
 
     /// A sibling service serving a different model over the same store,
-    /// taxonomy, NER and pattern index — ablations and A/B model rollouts
-    /// without re-deriving any shared artifact.
+    /// taxonomy, NER, pattern index, shard router and observability sink —
+    /// how a new model is served (a server swaps the sibling in for `self`),
+    /// and how ablations and A/B rollouts share every derived artifact.
     ///
-    /// The sibling gets its **own** [`ModelHandle`] (swaps on it do not
-    /// affect this service), starting one epoch past this service's so the
-    /// two don't collide on versioned cache keys *at fork time*. The epoch
-    /// lines diverge independently after that, so parent and sibling must
-    /// not share one answer cache once either swaps.
+    /// The sibling serves at `self.model_epoch() + 1`, so callers keying
+    /// caches through [`ServiceSnapshot::cache_key`] never see one of
+    /// `self`'s entries; `self` is unchanged. Two siblings of one parent
+    /// share an epoch, so they must not share one answer cache.
     pub fn with_model(&self, model: Arc<LearnedModel>) -> Self {
         Self {
-            model: Arc::new(ModelHandle::with_epoch(model, self.model_epoch() + 1)),
+            model,
+            model_epoch: self.model_epoch + 1,
             ..self.clone()
         }
     }
 
-    /// Replace the served model in place, across **every** clone of this
-    /// service (they share one [`ModelHandle`]); returns the new model
-    /// epoch.
-    ///
-    /// In-flight requests finish under the model they snapshotted; requests
-    /// arriving after the swap answer under the new one. No restart, no
-    /// stop-the-world: callers keying caches through
-    /// [`ServiceSnapshot::cache_key`] see every pre-swap entry invalidated
-    /// by the epoch bump alone.
-    pub fn swap_model(&self, model: Arc<LearnedModel>) -> u64 {
-        self.model.swap(model)
-    }
-
-    /// The current model epoch (bumped by every [`KbqaService::swap_model`]).
+    /// The model epoch this service answers under.
     pub fn model_epoch(&self) -> u64 {
-        self.model.epoch()
+        self.model_epoch
     }
 
     /// The knowledge base.
@@ -1277,15 +1188,9 @@ impl KbqaService {
         Arc::clone(&self.conceptualizer)
     }
 
-    /// The currently served model (a consistent snapshot; a concurrent swap
-    /// does not mutate what this returns).
+    /// The served model.
     pub fn model(&self) -> Arc<LearnedModel> {
-        self.model.load().0
-    }
-
-    /// The swappable model slot itself.
-    pub fn model_handle(&self) -> &ModelHandle {
-        &self.model
+        Arc::clone(&self.model)
     }
 
     /// The NER gazetteer.
@@ -1313,16 +1218,14 @@ impl KbqaService {
         &self.config
     }
 
-    /// Capture one consistent view of the service — substrate plus a single
-    /// `(model, epoch)` pair — for request handling that must not straddle a
-    /// [`KbqaService::swap_model`].
+    /// The service's serving state for one request or one batch (`Arc`
+    /// bumps, no lock).
     pub fn snapshot(&self) -> ServiceSnapshot {
-        let (model, model_epoch) = self.model.load();
         ServiceSnapshot {
             store: Arc::clone(&self.store),
             conceptualizer: Arc::clone(&self.conceptualizer),
-            model,
-            model_epoch,
+            model: Arc::clone(&self.model),
+            model_epoch: self.model_epoch,
             ner: Arc::clone(&self.ner),
             pattern_index: self.pattern_index.as_ref().map(Arc::clone),
             config: self.config.clone(),
@@ -1395,70 +1298,17 @@ mod tests {
         assert_send_sync::<KbqaService>();
         assert_send_sync::<QaRequest>();
         assert_send_sync::<QaResponse>();
-        assert_send_sync::<ModelHandle>();
         assert_send_sync::<ServiceSnapshot>();
     }
 
     #[test]
-    fn model_handle_swap_bumps_a_monotonic_epoch() {
-        let handle = ModelHandle::new(Arc::new(LearnedModel::default()));
-        assert_eq!(handle.epoch(), 0);
-        let (first, epoch) = handle.load();
-        assert_eq!(epoch, 0);
-        let replacement = Arc::new(LearnedModel::default());
-        assert_eq!(handle.swap(Arc::clone(&replacement)), 1);
-        assert_eq!(handle.epoch(), 1);
-        let (second, epoch) = handle.load();
-        assert_eq!(epoch, 1);
-        assert!(Arc::ptr_eq(&second, &replacement));
-        assert!(!Arc::ptr_eq(&first, &second));
-        assert_eq!(handle.swap(first), 2);
-    }
-
-    #[test]
-    fn model_handle_load_is_consistent_under_concurrent_swaps() {
-        // Swappers install models tagged by observation count parity; every
-        // load must see a (model, epoch) pair whose tag matches the epoch's
-        // parity — a torn read would mismatch.
-        let tagged = |tag: u64| {
-            let mut model = LearnedModel::default();
-            model.stats.observations = tag as usize;
-            Arc::new(model)
-        };
-        let handle = ModelHandle::new(tagged(0));
-        std::thread::scope(|scope| {
-            let swapper = scope.spawn(|| {
-                for i in 1..=200u64 {
-                    let epoch = handle.swap(tagged(i % 2));
-                    assert_eq!(epoch, i);
-                }
-            });
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..500 {
-                        let (model, epoch) = handle.load();
-                        assert_eq!(
-                            model.stats.observations as u64,
-                            epoch % 2,
-                            "load() returned a torn (model, epoch) pair"
-                        );
-                    }
-                });
-            }
-            swapper.join().expect("swapper");
-        });
-        assert_eq!(handle.epoch(), 200);
-    }
-
-    #[test]
     fn versioned_cache_key_changes_with_the_epoch_only() {
-        let handle = ModelHandle::new(Arc::new(LearnedModel::default()));
         let snapshot_at = |epoch: u64| ServiceSnapshot {
             store: Arc::new(kbqa_rdf::GraphBuilder::new().build()),
             conceptualizer: Arc::new(Conceptualizer::new(
                 kbqa_taxonomy::NetworkBuilder::new().build(),
             )),
-            model: handle.load().0,
+            model: Arc::new(LearnedModel::default()),
             model_epoch: epoch,
             ner: Arc::new(GazetteerNer::default()),
             pattern_index: None,
@@ -1612,7 +1462,6 @@ mod tests {
                 .with_min_epoch(3)
                 .with_min_theta(f64::MAX),
         };
-        let handle = ModelHandle::new(Arc::new(LearnedModel::default()));
         for base in &bases {
             for epoch in [0u64, 7, u64::MAX] {
                 let snapshot = ServiceSnapshot {
@@ -1620,7 +1469,7 @@ mod tests {
                     conceptualizer: Arc::new(Conceptualizer::new(
                         kbqa_taxonomy::NetworkBuilder::new().build(),
                     )),
-                    model: handle.load().0,
+                    model: Arc::new(LearnedModel::default()),
                     model_epoch: epoch,
                     ner: Arc::new(GazetteerNer::default()),
                     pattern_index: None,

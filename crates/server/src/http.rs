@@ -83,9 +83,10 @@
 //!
 //! Live operations: `POST /admin/reload` (token-gated, PR 3) hot-swaps the
 //! model, and with a bundle dir configured (`?mode=bundle`, the default
-//! then) remaps the **full serving bundle** — store, taxonomy, model —
-//! under the next epoch while in-flight requests finish on the artifacts
-//! they snapshotted.
+//! then) remaps the **full serving bundle** — store, taxonomy, model. Either
+//! way one reload path builds the next epoch's service and swaps it into
+//! the one service slot, while in-flight requests finish on the service
+//! they started on.
 //!
 //! Graceful shutdown: [`ServerHandle::shutdown`] flips an atomic flag and
 //! wakes every loop via its eventfd. Loops stop accepting, close idle
@@ -467,11 +468,11 @@ fn jittered_retry_after(config: &ServerConfig, seed: u64) -> u64 {
     base + splitmix64(seed) % (config.retry_after_jitter_secs + 1)
 }
 
-/// The swappable serving service. Model-only reloads mutate the resident
-/// service in place through its `ModelHandle`; a **full-bundle** reload
-/// replaces the whole [`KbqaService`] (store + taxonomy + model remapped
-/// from disk). Routes take one `Arc` clone per request, so a swap never
-/// blocks in-flight requests — they finish on the service they started on.
+/// The serving service: the one swap point. Every `POST /admin/reload`, of
+/// either mode, builds the next [`KbqaService`] at the next model epoch and
+/// swaps it in here. Routes take one `Arc` clone per request, so a swap
+/// never blocks in-flight requests — they finish on the service they
+/// started on.
 struct ServiceSlot(RwLock<Arc<KbqaService>>);
 
 impl ServiceSlot {
@@ -509,9 +510,9 @@ struct AppState {
     cache: RenderedCache,
     metrics: Metrics,
     slow: SlowQueryLog,
-    /// The serving-side observability sink, re-installed onto the
-    /// replacement service by a full-bundle reload so stage histograms and
-    /// explain traces survive the swap.
+    /// The serving-side observability sink, installed onto every service
+    /// [`place`] readies, so stage histograms and explain traces survive a
+    /// full-bundle reload.
     observability: Arc<Observability>,
 }
 
@@ -596,30 +597,25 @@ impl Shared {
             });
         }
         // The server owns serving-side observability: stage traces land in the
-        // metrics' histograms (replacing any sink the caller installed), and
-        // requests asking to `explain` always arm regardless of sampling.
+        // metrics' histograms, and requests asking to `explain` always arm
+        // regardless of sampling.
         let metrics = Metrics::new();
         let observability = Arc::new(Observability::new(
             metrics.stage_stats(),
             config.trace_sample_every,
         ));
-        let service = service.with_observability(Arc::clone(&observability));
-        // Shard-serving topology, in precedence order: a router the service
-        // already carries (warm-started from a sharded bundle) wins; then
         // `KBQA_SHARD_WORKERS` spawns the supervised out-of-process worker
-        // tier; then `KBQA_SHARDS` partitions in-process at startup.
-        let (service, supervisor) = if service.shard_router().is_some() {
-            (service, None)
-        } else if config.shard_workers > 0 {
-            let supervisor = Supervisor::start(config.supervisor_config()?, service.model_epoch())?;
-            let service = service.with_shard_router(supervisor.router());
-            (service, Some(supervisor))
-        } else if config.shards > 0 {
-            let service = service.with_shards(kbqa_core::ShardPlan::new(config.shards));
-            (service, None)
+        // tier, unless the service already carries a router (warm-started
+        // from a sharded bundle).
+        let supervisor = if service.shard_router().is_none() && config.shard_workers > 0 {
+            Some(Supervisor::start(
+                config.supervisor_config()?,
+                service.model_epoch(),
+            )?)
         } else {
-            (service, None)
+            None
         };
+        let service = place(service, &observability, supervisor.as_ref(), config.shards);
         Ok(Shared {
             state: AppState {
                 service: ServiceSlot::new(service),
@@ -663,6 +659,29 @@ impl Shared {
         self.supervisor
             .lock()
             .unwrap_or_else(|poison| poison.into_inner())
+    }
+}
+
+/// Ready a freshly built service — the one [`serve`] was given, or one a
+/// full-bundle reload loaded — to serve: install the server's
+/// observability sink (replacing any the caller installed), then pick the
+/// shard router, in precedence order: the supervisor's remote router
+/// (`KBQA_SHARD_WORKERS`); the router the service carries (warm-started
+/// from a sharded bundle); an in-process partition into `shards` lanes
+/// (`KBQA_SHARDS`).
+fn place(
+    service: KbqaService,
+    observability: &Arc<Observability>,
+    supervisor: Option<&Supervisor>,
+    shards: usize,
+) -> KbqaService {
+    let service = service.with_observability(Arc::clone(observability));
+    match supervisor {
+        Some(supervisor) => service.with_shard_router(supervisor.router()),
+        None if service.shard_router().is_none() && shards > 0 => {
+            service.with_shards(kbqa_core::ShardPlan::new(shards))
+        }
+        None => service,
     }
 }
 
@@ -2267,43 +2286,18 @@ fn token_matches(presented: &str, expected: &str) -> bool {
     diff == 0
 }
 
-/// Which artifacts `POST /admin/reload` should swap.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ReloadMode {
-    /// Re-read the model file only (the PR 3 behaviour).
-    Model,
-    /// Remap the full [`ServingArtifacts`] bundle: store + taxonomy +
-    /// model + NER + pattern index, mmap'd back in from the bundle dir.
-    ///
-    /// [`ServingArtifacts`]: kbqa_core::persist::ServingArtifacts
-    Bundle,
-}
-
 /// `POST /admin/reload`: hot-swap serving artifacts under traffic. Two
 /// modes, selected by `?mode=model` / `?mode=bundle`, defaulting to the
 /// widest configured one (bundle when `KBQA_BUNDLE_DIR` points at a
-/// loadable bundle, else model). Either way the epoch bump re-keys the
-/// answer cache, so no pre-swap entry is ever served again — no flush
-/// needed.
-///
-/// **Model** re-reads the model JSON and swaps it through the resident
-/// service's `ModelHandle`. **Bundle** loads the whole bundle from disk
-/// (the store comes back as an mmap — an epoch swap is a file remap, not a
-/// parse), builds a replacement service at `old_epoch + 1` with the same
-/// observability sink, and swaps it into the [`ServiceSlot`]; in-flight
-/// requests finish on the service they started on.
-///
-/// With out-of-process shard workers, both modes run the PR 9 two-phase
-/// protocol first — stage the next epoch on every up worker (each worker
-/// remaps its own shard snapshot from the bundle dir), commit everywhere,
-/// and only then swap the front end — so no request can ever pin an epoch
-/// no worker has committed, and the front end keeps routing through the
-/// supervisor's remote router across a bundle swap.
+/// loadable bundle, else model). Both run [`reload`], which builds the next
+/// service at `old_epoch + 1` and swaps it into the [`ServiceSlot`]; the
+/// epoch bump re-keys the answer cache, so no pre-swap entry is ever served
+/// again — no flush needed.
 ///
 /// Gating: 403 when no admin token is configured (the surface is off), 401
-/// on a missing/wrong credential, 409 when the selected mode has no
-/// configured source, 500 when loading fails (the previous artifacts keep
-/// serving).
+/// on a missing/wrong credential, 400 on an unknown mode, 409 when the
+/// selected mode has no configured source, 500 when loading fails (the
+/// previous artifacts keep serving).
 fn handle_reload(shared: &Shared, request: &Request) -> Response {
     let Some(expected) = shared.config.admin_token.as_deref() else {
         return Response::error(403, "admin interface disabled: no admin token configured");
@@ -2314,114 +2308,116 @@ fn handle_reload(shared: &Shared, request: &Request) -> Response {
     if !authorized {
         return Response::error(401, "missing or invalid admin token");
     }
-    let bundle_ready = shared
-        .config
-        .bundle_dir
-        .as_deref()
-        .is_some_and(kbqa_core::persist::ServingArtifacts::present_in);
-    let mode = match request
+    let bundle = match request
         .query
         .as_deref()
         .and_then(|query| query.split('&').find_map(|pair| pair.strip_prefix("mode=")))
     {
-        Some("model") => ReloadMode::Model,
-        Some("bundle") => ReloadMode::Bundle,
+        Some("model") => false,
+        Some("bundle") => true,
         Some(other) => {
             return Response::error(400, &format!("unknown reload mode `{other}`"));
         }
-        None if bundle_ready => ReloadMode::Bundle,
-        None => ReloadMode::Model,
+        None => shared
+            .config
+            .bundle_dir
+            .as_deref()
+            .is_some_and(kbqa_core::persist::ServingArtifacts::present_in),
     };
-    match mode {
-        ReloadMode::Model => reload_model(shared),
-        ReloadMode::Bundle => reload_bundle(shared),
-    }
+    reload(shared, bundle)
 }
 
-/// Model-only reload (see [`handle_reload`]).
-fn reload_model(shared: &Shared) -> Response {
-    let Some(path) = shared.config.model_path.as_deref() else {
-        return Response::error(409, "no model path configured for reload");
-    };
-    match kbqa_core::persist::load_model(path) {
-        Ok(model) => {
-            // Out-of-process sharding makes reload two-phase: stage the
-            // next epoch on every up worker, commit everywhere, and only
-            // then swap the model handle — no request can ever pin an
-            // epoch no worker has committed, and a batch never merges
-            // values from two epochs. Holding the supervisor lock across
-            // stage+swap serializes concurrent reloads (of either mode).
-            let service = shared.state.service.load();
-            let supervisor = shared.lock_supervisor();
-            if let Some(supervisor) = supervisor.as_ref() {
-                let next = service.model_epoch() + 1;
-                if let Err(e) = supervisor.stage_and_commit(next) {
-                    return Response::error(
-                        500,
-                        &format!("two-phase shard epoch swap failed, old model keeps serving: {e}"),
-                    );
-                }
-            }
-            let epoch = service.swap_model(Arc::new(model));
-            drop(supervisor);
-            shared.state.metrics.record_reload();
-            Response::ok(format!(
-                "{{\"reloaded\":true,\"mode\":\"model\",\"model_epoch\":{epoch},\"model_path\":{}}}",
-                serde_json::to_string(&path.display().to_string())
-                    .unwrap_or_else(|_| "\"?\"".to_string()),
-            ))
-        }
-        Err(e) => Response::error(500, &format!("model reload failed: {e}")),
-    }
+/// What a reload read from disk.
+enum Loaded {
+    /// The model file: served by the current service's
+    /// [`KbqaService::with_model`].
+    Model(Arc<kbqa_core::learner::LearnedModel>),
+    /// The whole [`ServingArtifacts`] bundle — store (an mmap, so an epoch
+    /// swap is a file remap, not a parse), taxonomy, model, NER, pattern
+    /// index — served by a new service readied by [`place`].
+    ///
+    /// [`ServingArtifacts`]: kbqa_core::persist::ServingArtifacts
+    Bundle(kbqa_core::persist::ServingArtifacts),
 }
 
-/// Full-bundle reload (see [`handle_reload`]).
-fn reload_bundle(shared: &Shared) -> Response {
-    let Some(dir) = shared.config.bundle_dir.as_deref() else {
-        return Response::error(409, "no bundle dir configured for full-bundle reload");
+/// The one reload path, for the model file (`bundle == false`) or the whole
+/// bundle. Reads the file(s) outside the reload lock; then, under it, reads
+/// the slot, builds the next service at `old_epoch + 1` and swaps it in, so
+/// concurrent reloads of either mode each get an epoch of their own and
+/// each one's service serves.
+///
+/// With out-of-process shard workers the swap is two-phase: stage the
+/// next epoch on every up worker (each remaps its own shard snapshot from
+/// the bundle dir), commit everywhere, and only then swap the front end —
+/// so no request can ever pin an epoch no worker has committed, and a
+/// batch never merges values from two epochs.
+fn reload(shared: &Shared, bundle: bool) -> Response {
+    let config = &shared.config;
+    let (mode, source, unconfigured) = if bundle {
+        (
+            "bundle",
+            &config.bundle_dir,
+            "no bundle dir configured for full-bundle reload",
+        )
+    } else {
+        (
+            "model",
+            &config.model_path,
+            "no model path configured for reload",
+        )
+    };
+    let Some(path) = source.as_deref() else {
+        return Response::error(409, unconfigured);
     };
     // Load outside the reload lock: mmap + manifest verification can take a
     // while on a big bundle, and `/healthz` takes the same lock.
-    let artifacts = match kbqa_core::persist::ServingArtifacts::load(dir) {
-        Ok(artifacts) => artifacts,
-        Err(e) => {
-            return Response::error(
-                500,
-                &format!("bundle reload failed, old artifacts keep serving: {e}"),
-            );
-        }
+    let loaded = if bundle {
+        kbqa_core::persist::ServingArtifacts::load(path)
+            .map(Loaded::Bundle)
+            .map_err(|e| format!("bundle reload failed, old artifacts keep serving: {e}"))
+    } else {
+        kbqa_core::persist::load_model(path)
+            .map(|model| Loaded::Model(Arc::new(model)))
+            .map_err(|e| format!("model reload failed: {e}"))
+    };
+    let loaded = match loaded {
+        Ok(loaded) => loaded,
+        Err(message) => return Response::error(500, &message),
     };
     let supervisor = shared.lock_supervisor();
     let old = shared.state.service.load();
-    let next_epoch = old.model_epoch() + 1;
+    let epoch = old.model_epoch() + 1;
     if let Some(supervisor) = supervisor.as_ref() {
-        // Workers remap their per-shard snapshots from the bundle dir as
-        // part of the Stage frame, so this both re-stages the data *and*
-        // moves every shard to the next epoch before the front end flips.
-        if let Err(e) = supervisor.stage_and_commit(next_epoch) {
+        if let Err(e) = supervisor.stage_and_commit(epoch) {
             return Response::error(
                 500,
-                &format!("two-phase shard epoch swap failed, old bundle keeps serving: {e}"),
+                &format!("two-phase shard epoch swap failed, old {mode} keeps serving: {e}"),
             );
         }
     }
-    let mut service = artifacts
-        .into_service_at_epoch(next_epoch)
-        .with_observability(Arc::clone(&shared.state.observability));
-    if let Some(supervisor) = supervisor.as_ref() {
-        // Out-of-process serving: lookups keep routing through the
-        // supervisor's remote router, not the bundle's in-process one.
-        service = service.with_shard_router(supervisor.router());
-    }
-    let store_triples = service.store().len();
-    shared.state.service.swap(service);
+    let next = match loaded {
+        Loaded::Model(model) => old.with_model(model),
+        Loaded::Bundle(artifacts) => place(
+            artifacts.into_service_at_epoch(epoch),
+            &shared.state.observability,
+            supervisor.as_ref(),
+            config.shards,
+        ),
+    };
+    let store_triples = next.store().len();
+    shared.state.service.swap(next);
     drop(supervisor);
     shared.state.metrics.record_reload();
-    Response::ok(format!(
-        "{{\"reloaded\":true,\"mode\":\"bundle\",\"model_epoch\":{next_epoch},\
-         \"store_triples\":{store_triples},\"bundle_dir\":{}}}",
-        serde_json::to_string(&dir.display().to_string()).unwrap_or_else(|_| "\"?\"".to_string()),
-    ))
+    let path =
+        serde_json::to_string(&path.display().to_string()).unwrap_or_else(|_| "\"?\"".to_string());
+    Response::ok(if bundle {
+        format!(
+            "{{\"reloaded\":true,\"mode\":\"bundle\",\"model_epoch\":{epoch},\
+             \"store_triples\":{store_triples},\"bundle_dir\":{path}}}"
+        )
+    } else {
+        format!("{{\"reloaded\":true,\"mode\":\"model\",\"model_epoch\":{epoch},\"model_path\":{path}}}")
+    })
 }
 
 /// The counter snapshot enriched with everything only the serving layer

@@ -36,9 +36,10 @@
 //!    served at the token-gated `GET /debug/slow`.
 //! 4. **Live operations are routes, not restarts.** The model hot-swaps
 //!    through `POST /admin/reload` (token-gated, reading the persist layer);
-//!    cache keys are versioned by the
-//!    [`ModelHandle`](kbqa_core::service::ModelHandle) epoch so a swap
-//!    invalidates stale answers without a flush; and **two-layer admission
+//!    every reload swaps in a new service at the next
+//!    [model epoch](kbqa_core::service::KbqaService::model_epoch), which
+//!    prefixes every cache key, so a swap invalidates stale answers without
+//!    a flush; and **two-layer admission
 //!    control** sheds overload with `429` + `Retry-After` instead of
 //!    queueing without bound — whole connections at accept time past the
 //!    open-connection bound, and `/answer`/`/batch` requests at dispatch
@@ -85,7 +86,7 @@
 //! // path, queue depth, cache sizing); Default works fine for tests.
 //! let handle = serve(service(), "127.0.0.1:0", ServerConfig::from_env()).unwrap();
 //! println!("listening on http://{}", handle.local_addr());
-//! // … hot-swap the model at any point, from any clone of the service:
+//! // … hot-swap the model at any point:
 //! // curl -XPOST -H "X-Admin-Token: $KBQA_ADMIN_TOKEN" host:port/admin/reload
 //! // … later:
 //! handle.shutdown();

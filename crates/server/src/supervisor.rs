@@ -36,7 +36,7 @@
 //!   without sleeping.
 //! * **Reload** is two-phase: [`Supervisor::stage_and_commit`] stages
 //!   epoch N+1 on every up worker, then commits everywhere, then the
-//!   caller swaps the model handle. Workers refuse lookups above their
+//!   caller swaps in the next epoch's service. Workers refuse lookups above their
 //!   committed epoch, so a batch pinned to one snapshot can never merge
 //!   values from two epochs.
 //! * **Shutdown** is graceful: a `Terminate` frame per worker, then
@@ -389,8 +389,8 @@ impl Supervisor {
     /// Two-phase epoch swap across the fleet: stage `epoch` on every up
     /// worker (phase 1 — any failure aborts with nothing committed, the
     /// old epoch keeps serving), then commit everywhere (phase 2). Only
-    /// after `Ok` should the caller swap the model handle, so requests
-    /// never pin an epoch no worker has committed. Workers not up are
+    /// after `Ok` should the caller swap in the next epoch's service, so
+    /// requests never pin an epoch no worker has committed. Workers not up are
     /// skipped — they rejoin at the new epoch on restart.
     pub fn stage_and_commit(&self, epoch: u64) -> Result<(), String> {
         let _guard = self.shared.reload.lock().unwrap();

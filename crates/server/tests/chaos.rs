@@ -512,8 +512,6 @@ fn extract_pids(body: &str) -> Vec<u32> {
 
 /// A fresh service rebuilt from the bundle's artifacts **without** the
 /// local shard router — serve() must attach the supervised remote tier.
-/// Fresh model handle too: HTTP reload tests swap models, which must not
-/// leak into the shared fixture's epoch.
 fn service_from_bundle() -> KbqaService {
     let artifacts = ServingArtifacts::load(&fixture().bundle).expect("load bundle");
     let mut builder = KbqaService::builder(

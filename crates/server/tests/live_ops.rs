@@ -1,12 +1,16 @@
 //! Live-operations tests for the serving control plane: token-gated
 //! `POST /admin/reload` hot swaps with versioned cache keys (a pre-swap
-//! cache entry is never served post-swap, asserted byte-level), and
-//! admission control (a saturated accept queue sheds with `429` +
-//! `Retry-After`, then recovers after drain).
+//! cache entry is never served post-swap, asserted byte-level), one epoch
+//! per reload under concurrent reloads of both modes, every answer served
+//! during reloads rendered wholly by its epoch's model, and admission
+//! control (a saturated accept queue sheds with `429` + `Retry-After`, then
+//! recovers after drain).
 //!
-//! Unlike `http_server.rs`, each test here builds its **own** service:
-//! hot swaps mutate the shared `ModelHandle`, which must never leak into
-//! other tests' fixtures.
+//! Unlike `http_server.rs`, each test here starts its **own** server:
+//! reloads move a server's epoch, and every expectation below is pinned to
+//! the epochs its own reloads produced. The in-process expectation for a
+//! reloaded model comes from [`KbqaService::with_model`], the service a
+//! model reload swaps in.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -15,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use kbqa_core::learner::{LearnedModel, Learner, LearnerConfig};
-use kbqa_core::persist::save_model;
+use kbqa_core::persist::{save_model, ServingArtifacts, MODEL_FILE};
 use kbqa_core::service::{KbqaService, QaRequest, QaResponse};
 use kbqa_corpus::{CorpusConfig, QaCorpus, World, WorldConfig};
 use kbqa_nlp::GazetteerNer;
@@ -71,6 +75,23 @@ fn empty_service() -> KbqaService {
         Arc::new(Conceptualizer::new(NetworkBuilder::new().build())),
         Arc::new(LearnedModel::default()),
     )
+}
+
+/// A tiny world's service with an empty model, saved as a bundle in a
+/// fresh directory of its own.
+fn bundle_fixture(tag: &str) -> (KbqaService, PathBuf) {
+    let world = World::generate(WorldConfig::tiny(7));
+    let service = KbqaService::new(
+        Arc::clone(&world.store),
+        Arc::clone(&world.conceptualizer),
+        Arc::new(LearnedModel::default()),
+    );
+    let dir = std::env::temp_dir().join(format!("kbqa-live-ops-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    ServingArtifacts::from_service(&service)
+        .save(&dir)
+        .expect("save bundle");
+    (service, dir)
 }
 
 /// A unique temp path for a model file.
@@ -141,6 +162,20 @@ fn metrics(addr: SocketAddr) -> MetricsSnapshot {
     serde_json::from_str(&body).expect("metrics JSON")
 }
 
+/// The first `model_epoch` a response body carries.
+fn epoch_in(body: &str) -> u64 {
+    let rest = body
+        .split("\"model_epoch\":")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no model_epoch in {body}"));
+    let digits = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..digits].parse().expect("epoch")
+}
+
+const ADMIN: &str = "X-Admin-Token: swordfish\r\n";
+
 // ---------------------------------------------------------------------------
 // Hot swap through POST /admin/reload
 // ---------------------------------------------------------------------------
@@ -158,8 +193,9 @@ fn reload_swaps_the_model_and_invalidates_cached_answers() {
         model_path: Some(model_path.clone()),
         ..ServerConfig::default()
     };
-    // The test keeps `service`; the server's clone shares its ModelHandle,
-    // so in-process expectations below track the server's swaps exactly.
+    // The server serves a clone; after the reload it serves what
+    // `service.with_model` builds from the file, the in-process expectation
+    // below.
     let server = serve(service.clone(), "127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr();
 
@@ -211,7 +247,8 @@ fn reload_swaps_the_model_and_invalidates_cached_answers() {
     // The acceptance assertion, byte-level: the same question now MISSES
     // (the versioned key changed) and is served by the NEW model under the
     // new epoch — never the cached pre-swap answer.
-    let post_swap_expected = serde_json::to_string(&service.answer(&request)).unwrap();
+    let reloaded = service.with_model(Arc::new(LearnedModel::default()));
+    let post_swap_expected = serde_json::to_string(&reloaded.answer(&request)).unwrap();
     assert_ne!(post_swap_expected, pre_swap_expected);
     let (status, third) = http(addr, "POST", "/answer", "", &body);
     assert_eq!(status, 200);
@@ -387,6 +424,119 @@ fn deeply_nested_model_reload_is_a_500_and_the_old_epoch_serves_on() {
     std::fs::remove_file(&model_path).ok();
 }
 
+#[test]
+fn answers_during_reloads_match_their_epochs_model() {
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    let (service, question) = learned_service();
+    let model_path = temp_model_path("reload-parity");
+    let config = ServerConfig {
+        admin_token: Some("swordfish".into()),
+        model_path: Some(model_path.clone()),
+        ..ServerConfig::default()
+    };
+    let server = serve(service.clone(), "127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+
+    // Reload i serves the empty model (which refuses everything) when i is
+    // odd and the learned one when it is even, so an epoch's parity names
+    // its model. Expectations: each parity's in-process rendering, stamped
+    // with the epoch the server reports.
+    let answering = service.model();
+    let refusing = Arc::new(LearnedModel::default());
+    let by_parity = [service.clone(), service.with_model(Arc::clone(&refusing))];
+    let request = QaRequest::new(&question);
+    let batch = vec![
+        QaRequest::new(&question),
+        QaRequest::new("why is the sky blue"),
+        QaRequest::new(&question).with_top_k(1),
+    ];
+    let answers: Vec<QaResponse> = by_parity.iter().map(|s| s.answer(&request)).collect();
+    assert!(answers[0].answered() && !answers[1].answered());
+    let batches: Vec<Vec<QaResponse>> = by_parity.iter().map(|s| s.answer_batch(&batch)).collect();
+    let stamped = |response: &QaResponse, epoch: u64| QaResponse {
+        model_epoch: epoch,
+        ..response.clone()
+    };
+    let render_answer =
+        |epoch: u64| serde_json::to_string(&stamped(&answers[epoch as usize % 2], epoch)).unwrap();
+    let render_batch = |epoch: u64| {
+        let responses: Vec<QaResponse> = batches[epoch as usize % 2]
+            .iter()
+            .map(|r| stamped(r, epoch))
+            .collect();
+        serde_json::to_string(&responses).unwrap()
+    };
+    let answer_body = serde_json::to_string(&request).unwrap();
+    let batch_body = serde_json::to_string(&batch).unwrap();
+
+    // Readers ask without pause; every body must be its epoch's rendering,
+    // whole, and epochs never go backwards. Reader r publishes 1 + the epoch
+    // of its last reply in `latest[r]`, and reload i + 1 starts only once
+    // every reader has replied under epoch i, so each reader sees every
+    // epoch 0..=20 while the reloads land.
+    let latest = [AtomicU64::new(0), AtomicU64::new(0)];
+    let done = AtomicBool::new(false);
+    let ask = |route: &str, body: &str, render: &dyn Fn(u64) -> String, latest: &AtomicU64| {
+        let mut seen = BTreeSet::new();
+        while !done.load(Ordering::Acquire) {
+            let (status, reply) = http(addr, "POST", route, "", body);
+            assert_eq!(status, 200, "{reply}");
+            let epoch = epoch_in(&reply);
+            assert_eq!(reply, render(epoch), "{route} at epoch {epoch}");
+            assert!(seen.last().is_none_or(|&last| last <= epoch));
+            seen.insert(epoch);
+            latest.store(epoch + 1, Ordering::Release);
+        }
+        seen
+    };
+    // Nothing in the scope below asserts: a panic there would leave the
+    // readers asking forever. A wait past the deadline gives up instead,
+    // and the checks after the scope report what was missed.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    let (reloads, seen) = std::thread::scope(|scope| {
+        let readers = [
+            scope.spawn(|| ask("/answer", &answer_body, &render_answer, &latest[0])),
+            scope.spawn(|| ask("/batch", &batch_body, &render_batch, &latest[1])),
+        ];
+        let mut reloads = Vec::new();
+        for epoch in 0..=20u64 {
+            if epoch > 0 {
+                let model = if epoch % 2 == 1 {
+                    &refusing
+                } else {
+                    &answering
+                };
+                save_model(model, &model_path).expect("save model");
+                reloads.push(http(addr, "POST", "/admin/reload?mode=model", ADMIN, ""));
+            }
+            // A reader that stopped has panicked; its join reports why.
+            while latest.iter().any(|l| l.load(Ordering::Acquire) <= epoch)
+                && !readers.iter().any(|r| r.is_finished())
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::yield_now();
+            }
+        }
+        done.store(true, Ordering::Release);
+        (
+            reloads,
+            readers.map(|reader| reader.join().expect("reader")),
+        )
+    });
+    for (epoch, (status, reply)) in (1..).zip(reloads) {
+        assert_eq!(status, 200, "{reply}");
+        assert_eq!(epoch_in(&reply), epoch, "{reply}");
+    }
+    for epochs in seen {
+        assert_eq!(epochs, (0..=20).collect::<BTreeSet<u64>>());
+    }
+
+    server.shutdown();
+    std::fs::remove_file(&model_path).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Full-bundle hot swap (store + taxonomy + model)
 // ---------------------------------------------------------------------------
@@ -521,6 +671,82 @@ fn bundle_reload_hot_swaps_store_taxonomy_and_model() {
         "",
     );
     assert_eq!(status, 400, "{bad}");
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn concurrent_reloads_of_both_modes_get_distinct_epochs() {
+    let (service, dir) = bundle_fixture("concurrent-reloads");
+    let config = ServerConfig {
+        admin_token: Some("swordfish".into()),
+        model_path: Some(dir.join(MODEL_FILE)),
+        bundle_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let server = serve(service, "127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+
+    // 4 threads × 4 reloads, alternating modes, started together: each
+    // reload builds on the epoch it read under the reload lock, so none
+    // shares another's epoch and none is lost.
+    let start = std::sync::Barrier::new(4);
+    let mut epochs: Vec<u64> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..4)
+            .map(|thread| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    (0..4)
+                        .map(|i| {
+                            let mode = ["model", "bundle"][(thread + i) % 2];
+                            let path = format!("/admin/reload?mode={mode}");
+                            let (status, reply) = http(addr, "POST", &path, ADMIN, "");
+                            assert_eq!(status, 200, "{reply}");
+                            assert!(reply.contains(&format!("\"mode\":\"{mode}\"")), "{reply}");
+                            epoch_in(&reply)
+                        })
+                        .collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|thread| thread.join().expect("reloader"))
+            .collect()
+    });
+    epochs.sort_unstable();
+    assert_eq!(epochs, (1..=16).collect::<Vec<u64>>());
+    let (status, health) = http(addr, "GET", "/healthz", "", "");
+    assert_eq!(status, 200);
+    assert_eq!(epoch_in(&health), 16, "{health}");
+    assert_eq!(metrics(addr).admin_reloads, 16);
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bundle_reload_keeps_the_configured_shards() {
+    let (service, dir) = bundle_fixture("bundle-shards");
+    let config = ServerConfig {
+        admin_token: Some("swordfish".into()),
+        bundle_dir: Some(dir.clone()),
+        shards: 2,
+        ..ServerConfig::default()
+    };
+    let server = serve(service, "127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+    let lanes = || metrics(addr).shards.map(|shards| shards.lanes.len());
+
+    // The bundle is unsharded: `shards: 2` partitions it at startup, and
+    // again when a reload loads it.
+    assert_eq!(lanes(), Some(2));
+    let (status, reply) = http(addr, "POST", "/admin/reload?mode=bundle", ADMIN, "");
+    assert_eq!(status, 200, "{reply}");
+    assert_eq!(epoch_in(&reply), 1);
+    assert_eq!(lanes(), Some(2), "a bundle reload dropped the shards");
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();

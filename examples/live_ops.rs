@@ -110,8 +110,8 @@ fn main() {
         .model_path
         .get_or_insert_with(|| dir.join(MODEL_FILE))
         .clone();
-    // Keep a handle on the service: the server's clone shares its
-    // ModelHandle, so the swap below is visible on both sides.
+    // Serve a clone: `service` itself never changes (a reload swaps a new
+    // service into the server), so it keeps the learned model and epoch 0.
     let handle = serve(service.clone(), "127.0.0.1:0", config).expect("bind server");
     let addr = handle.local_addr();
     println!("listening on http://{addr} (admin token: {token:?})\n");
@@ -160,7 +160,7 @@ fn main() {
     let (status, response) = http(addr, "POST", "/answer", "", &body);
     println!("  [post-swap] {status} → {response}");
     let parsed: QaResponse = serde_json::from_str(&response).expect("QaResponse");
-    assert_eq!(parsed.model_epoch, service.model_epoch());
+    assert_eq!(parsed.model_epoch, service.model_epoch() + 1);
     let (_, stats) = http(addr, "GET", "/cache/stats", "", "");
     println!("  cache → {stats}");
     let (_, metrics) = http(addr, "GET", "/metrics", "", "");

@@ -106,8 +106,7 @@ pub mod prelude {
     pub use kbqa_core::learner::{LearnedModel, Learner, LearnerConfig};
     pub use kbqa_core::persist::ServingArtifacts;
     pub use kbqa_core::service::{
-        KbqaService, ModelHandle, QaRequest, QaResponse, QaSystem, Refusal, Rendered,
-        ServiceSnapshot,
+        KbqaService, QaRequest, QaResponse, QaSystem, Refusal, Rendered, ServiceSnapshot,
     };
     pub use kbqa_core::shard::{ShardPanic, ShardRouter};
     pub use kbqa_core::template::{Template, TemplateCatalog};

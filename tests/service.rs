@@ -187,153 +187,24 @@ fn decompose_override_gates_complex_questions() {
 }
 
 #[test]
-fn swap_model_bumps_the_epoch_across_every_clone() {
+fn with_model_serves_a_sibling_one_epoch_past_its_parent() {
     let f = fixture(400);
     let q = answerable_question(&f.world);
-    let learned = f.service.model();
-
-    let clone = f.service.clone();
     assert_eq!(f.service.model_epoch(), 0);
-    assert_eq!(f.service.answer_text(&q).model_epoch, 0);
+    let answered = f.service.answer_text(&q);
+    assert!(answered.answered());
+    assert_eq!(answered.model_epoch, 0);
 
-    // Swap through the clone: the original sees it (one shared handle).
-    assert_eq!(clone.swap_model(Arc::new(LearnedModel::default())), 1);
-    assert_eq!(f.service.model_epoch(), 1);
-    let refused = f.service.answer_text(&q);
+    // The sibling serves the new model at the next epoch…
+    let sibling = f.service.with_model(Arc::new(LearnedModel::default()));
+    assert_eq!(sibling.model_epoch(), 1);
+    let refused = sibling.answer_text(&q);
     assert!(!refused.answered(), "empty model must refuse");
     assert_eq!(refused.model_epoch, 1);
 
-    // Swap the learned model back: answers return, epoch keeps climbing.
-    assert_eq!(f.service.swap_model(learned), 2);
-    let restored = f.service.answer_text(&q);
-    assert!(restored.answered());
-    assert_eq!(restored.model_epoch, 2);
-
-    // `with_model` is a *sibling*, not a swap: its handle is independent
-    // and starts past the parent's epoch.
-    let sibling = f.service.with_model(Arc::new(LearnedModel::default()));
-    assert_eq!(sibling.model_epoch(), 3);
-    sibling.swap_model(f.service.model());
-    assert_eq!(sibling.model_epoch(), 4);
-    assert_eq!(f.service.model_epoch(), 2, "sibling swaps must not leak");
-}
-
-#[test]
-fn answers_in_flight_during_swaps_are_consistent_with_exactly_one_epoch() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    let f = fixture(400);
-    let q = answerable_question(&f.world);
-    let request = QaRequest::new(&q);
-
-    // Two observably different models: the learned one answers `q`, the
-    // empty one refuses it. The swapper alternates them, so after swap i
-    // the serving model answers iff i is even (epoch parity).
-    let answering = f.service.model();
-    let refusing = Arc::new(LearnedModel::default());
-    let expected = f.service.answer(&request);
-    assert!(expected.answered());
-
-    const SWAPS: u64 = 40;
-    let done = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let service = f.service.clone();
-            let request = &request;
-            let expected = &expected;
-            let done = &done;
-            scope.spawn(move || {
-                let mut last_epoch = 0u64;
-                // Keep reading until the swap storm ends, then once more —
-                // so swaps demonstrably landed *during* reads.
-                loop {
-                    let finished = done.load(Ordering::Acquire);
-                    let response = service.answer(request);
-                    // The epoch only moves forward.
-                    assert!(
-                        response.model_epoch >= last_epoch,
-                        "epoch went backwards: {} after {last_epoch}",
-                        response.model_epoch
-                    );
-                    last_epoch = response.model_epoch;
-                    // The answer must match the model of its stamped epoch
-                    // exactly: a torn snapshot (new model, old epoch, or a
-                    // half-swapped mixture) would break one of these.
-                    if response.model_epoch.is_multiple_of(2) {
-                        assert_eq!(
-                            response.answers, expected.answers,
-                            "even epoch must serve the learned model's exact answers"
-                        );
-                    } else {
-                        assert!(
-                            !response.answered(),
-                            "odd epoch must refuse (empty model), got {response:?}"
-                        );
-                    }
-                    if finished {
-                        break;
-                    }
-                }
-            });
-        }
-        // The swapper: B, A, B, A, … with a breather so readers interleave.
-        for i in 1..=SWAPS {
-            let model = if i % 2 == 1 {
-                Arc::clone(&refusing)
-            } else {
-                Arc::clone(&answering)
-            };
-            assert_eq!(f.service.swap_model(model), i);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        done.store(true, Ordering::Release);
-    });
-    assert_eq!(f.service.model_epoch(), SWAPS);
-}
-
-#[test]
-fn a_batch_never_straddles_a_swap() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    let f = fixture(400);
-    let requests: Vec<QaRequest> = f
-        .corpus
-        .pairs
-        .iter()
-        .take(24)
-        .map(|p| QaRequest::new(&p.question))
-        .collect();
-    let refusing = Arc::new(LearnedModel::default());
-    let answering = f.service.model();
-
-    let done = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let service = f.service.clone();
-        let requests = &requests;
-        let done = &done;
-        scope.spawn(move || {
-            while !done.load(Ordering::Acquire) {
-                let responses = service.answer_batch(requests);
-                // One snapshot per batch: every response in it carries the
-                // same model epoch, even while swaps land mid-batch.
-                let first = responses[0].model_epoch;
-                assert!(
-                    responses.iter().all(|r| r.model_epoch == first),
-                    "batch mixed model epochs"
-                );
-            }
-        });
-        for i in 1..=30u64 {
-            let model = if i % 2 == 1 {
-                Arc::clone(&refusing)
-            } else {
-                Arc::clone(&answering)
-            };
-            f.service.swap_model(model);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        done.store(true, Ordering::Release);
-    });
+    // …and the parent is unchanged.
+    assert_eq!(f.service.model_epoch(), 0);
+    assert_eq!(f.service.answer_text(&q), answered);
 }
 
 #[test]

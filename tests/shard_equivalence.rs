@@ -10,9 +10,8 @@
 //! refusal probes — at shard counts {1, 2, 4, 7}, via full-response JSON
 //! equality (answers, provenance, refusal causes, tie order, model epoch)
 //! plus bit-level score comparison, with per-request overrides in the mix.
-//! A concurrent model-swap test pins that no batch ever straddles mixed
-//! epochs, and an `#[ignore]`d large-world case re-runs the core check at
-//! CI's medium-world scale (≈1.2M triples, 4 shards).
+//! An `#[ignore]`d large-world case re-runs the core check at CI's
+//! medium-world scale (≈1.2M triples, 4 shards).
 
 use std::sync::{Arc, OnceLock};
 
@@ -196,73 +195,6 @@ fn sharded_batches_match_sequential_single_store_answers() {
                 &format!("{shards}-shard batch"),
             );
         }
-    }
-}
-
-/// Batches straddling a concurrent model swap: every response in one batch
-/// carries ONE model epoch (the batch snapshots the handle once), the epoch
-/// never moves backwards across batches, and answers under a stable epoch
-/// stay byte-identical to the unsharded service under the same model.
-#[test]
-fn epoch_swap_mid_batch_never_mixes_epochs() {
-    let f = fixture();
-    // A PRIVATE service: `with_shards` clones share the model handle, so
-    // swapping through the shared fixture would race the epoch stamps other
-    // tests compare. This one owns its handle.
-    let (model, _) = f.service.model_handle().load();
-    let private = KbqaService::builder(
-        Arc::clone(&f.world.store),
-        Arc::clone(&f.world.conceptualizer),
-        Arc::clone(&model),
-    )
-    .ner(Arc::new(GazetteerNer::from_store(&f.world.store)))
-    .build();
-    let sharded = private.with_shards(ShardPlan::new(4));
-    let requests = request_set(f);
-    let stop = std::sync::atomic::AtomicBool::new(false);
-
-    let mut seen_epochs = Vec::new();
-    std::thread::scope(|scope| {
-        let swapper = scope.spawn(|| {
-            let mut swaps = 0u32;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                // Same weights, new epoch: answers stay valid while the
-                // epoch stamp races the batches.
-                sharded.swap_model(Arc::clone(&model));
-                swaps += 1;
-                std::thread::yield_now();
-            }
-            swaps
-        });
-
-        for _ in 0..8 {
-            let batch = sharded.answer_batch(&requests);
-            let epoch = batch[0].model_epoch;
-            for (request, response) in requests.iter().zip(&batch) {
-                assert_eq!(
-                    response.model_epoch, epoch,
-                    "batch straddled mixed epochs at {:?}",
-                    request.question
-                );
-            }
-            seen_epochs.push(epoch);
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let swaps = swapper.join().expect("swapper panicked");
-        assert!(swaps > 0, "the swapper never swapped — race not exercised");
-    });
-
-    assert!(
-        seen_epochs.windows(2).all(|w| w[0] <= w[1]),
-        "model epoch moved backwards across batches: {seen_epochs:?}"
-    );
-    // With the swap storm over, the sharded path still matches the
-    // unsharded kernel byte-for-byte under the final epoch (`private` and
-    // `sharded` share one handle, so the stamps agree).
-    for request in requests.iter().take(40) {
-        let a = sharded.answer(request);
-        let b = private.answer(request);
-        assert_identical(&a, &b, &request.question, "post-swap");
     }
 }
 
