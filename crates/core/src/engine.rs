@@ -277,13 +277,13 @@ pub struct QaEngine<'a> {
     model: &'a LearnedModel,
     ner: Cow<'a, GazetteerNer>,
     pattern_index: Option<Cow<'a, PatternIndex>>,
-    /// When set, `V(e, p)` lookups route to the owning shard's store (the
+    /// When set, `V(e, p)` lookups route to the owning shard's worker (the
     /// scatter half of scatter-gather); everything else stays global. See
     /// [`crate::shard::ShardRouter`].
     shards: Option<&'a crate::shard::ShardRouter>,
-    /// The model epoch value lookups are pinned to when the router's lanes
-    /// are remote workers (the two-phase reload refuses a mixed-epoch
-    /// merge); irrelevant to local lanes.
+    /// The model epoch value lookups are pinned to (workers refuse an
+    /// epoch they have not committed, so the two-phase reload never
+    /// merges two epochs).
     shard_epoch: u64,
     config: EngineConfig,
 }
@@ -338,7 +338,7 @@ impl<'a> QaEngine<'a> {
     /// Route value lookups through a shard router (scatter-gather mode).
     /// Grounding, materialization, and accumulation stay global, so answers
     /// are byte-identical to the unsharded kernel.
-    pub fn with_shards(mut self, router: &'a crate::shard::ShardRouter) -> Self {
+    pub fn with_shard_router(mut self, router: &'a crate::shard::ShardRouter) -> Self {
         self.shards = Some(router);
         self
     }
@@ -589,10 +589,7 @@ impl<'a> QaEngine<'a> {
                             // global store so correctness never depends on
                             // closure depth.
                             match self.shards {
-                                Some(router)
-                                    if !router.is_degenerate()
-                                        && path.len() <= router.plan().closure_depth() =>
-                                {
+                                Some(router) if path.len() <= router.plan().closure_depth() => {
                                     let owner = router.owner(entity);
                                     *shard_mask |= 1u64 << owner;
                                     if *shard_primary == u32::MAX {
@@ -603,7 +600,6 @@ impl<'a> QaEngine<'a> {
                                         entity,
                                         path,
                                         self.shard_epoch,
-                                        path_ws,
                                         values,
                                     );
                                 }

@@ -58,11 +58,14 @@
 //!
 //! # Sharded bundles (PR 8)
 //!
-//! A service built with a [`ShardPlan`] persists each
-//! shard as its own snapshot (`store.shard-{i}.snap`) next to the global
-//! `store.snap`; the manifest records the plan and the cut's balance stats.
-//! Warm start then maps N+1 files and rebuilds only the shards' in-memory
-//! adjacency indexes — no re-partitioning.
+//! A bundle saved with a [`ShardPlan`] ([`ServingArtifacts::shard_plan`])
+//! also holds each shard of the cut as its own snapshot
+//! (`store.shard-{i}.snap`) next to the global `store.snap`; the manifest
+//! records the plan and the cut's balance stats. Only the `kbqa-shardd`
+//! workers map the shard snapshots. [`ServingArtifacts::load`] reads the
+//! plan and holds every shard file to its manifest digest, but maps no
+//! shard store: the server's supervisor spawns one worker per shard and
+//! attaches their router.
 
 use std::fs::File;
 use std::io::Write as _;
@@ -79,12 +82,11 @@ use kbqa_rdf::mmap::Mmap;
 use kbqa_rdf::{Snapshot, TripleStore};
 use kbqa_taxonomy::Conceptualizer;
 
-use kbqa_rdf::shard::{ShardPlan, ShardStats};
+use kbqa_rdf::shard::{partition, ShardPlan, ShardStats};
 
 use crate::decompose::PatternIndex;
 use crate::learner::LearnedModel;
 use crate::service::KbqaService;
-use crate::shard::ShardRouter;
 
 /// Suffix of the checksum sidecar written next to every artifact.
 pub const CHECKSUM_SUFFIX: &str = ".fxsum";
@@ -316,13 +318,13 @@ struct BundleManifest {
     shard_stats: Option<ShardStats>,
 }
 
-/// Read just the shard plan (and cut stats) out of a bundle's manifest —
+/// Read just the shard plan out of a bundle's manifest —
 /// what the server's supervisor needs to spawn one worker per shard
 /// without mapping any snapshot itself. Returns `Ok(None)` for an
 /// unsharded bundle or a pre-manifest directory. Verifies each listed
 /// `store.shard-{i}.snap` exists (the workers will map them) but leaves
 /// digest checking to the workers' own snapshot/sidecar validation.
-pub fn load_shard_manifest(dir: &Path) -> Result<Option<(ShardPlan, ShardStats)>> {
+pub fn load_shard_manifest(dir: &Path) -> Result<Option<ShardPlan>> {
     let manifest_path = dir.join(MANIFEST_FILE);
     if !manifest_path.exists() {
         return Ok(None);
@@ -341,7 +343,7 @@ pub fn load_shard_manifest(dir: &Path) -> Result<Option<(ShardPlan, ShardStats)>
             )));
         }
     }
-    Ok(Some((plan, manifest.shard_stats.unwrap_or_default())))
+    Ok(Some(plan))
 }
 
 /// Everything a serving process needs to answer questions, as one bundle.
@@ -361,9 +363,10 @@ pub struct ServingArtifacts {
     pub ner: Option<Arc<GazetteerNer>>,
     /// The corpus pattern index, when persisted.
     pub pattern_index: Option<Arc<PatternIndex>>,
-    /// The shard router, when the service serves sharded (persisted as one
-    /// snapshot per shard).
-    pub shards: Option<Arc<ShardRouter>>,
+    /// The shard plan, when the bundle is sharded: [`ServingArtifacts::save`]
+    /// partitions the store under it and writes one snapshot per shard for
+    /// the `kbqa-shardd` workers.
+    pub shard_plan: Option<ShardPlan>,
 }
 
 impl ServingArtifacts {
@@ -376,22 +379,16 @@ impl ServingArtifacts {
             model: service.model(),
             ner: Some(service.ner_shared()),
             pattern_index: service.pattern_index_shared(),
-            // A degenerate (1-shard) router carries no stores — nothing to
-            // persist; warm start re-attaches it from KBQA_SHARDS=1 alone.
-            // A remote router's stores live in its worker processes: the
-            // bundle they were spawned from already holds the shard
-            // snapshots, so persisting from this side would record a plan
-            // with no files.
-            shards: service
-                .shard_router()
-                .filter(|r| !r.is_degenerate() && r.is_local())
-                .map(Arc::clone),
+            // The service's router, if any, serves through workers that
+            // map a bundle already saved; set `shard_plan` to save another.
+            shard_plan: None,
         }
     }
 
     /// Write every artifact into `dir` (created if missing): `store.snap`,
     /// `taxonomy.json`, `model.json`, and — when present — `ner.json`,
-    /// `patterns.json` and one `store.shard-{i}.snap` per shard. The
+    /// `patterns.json` and, with a shard plan, the store partitioned into
+    /// one `store.shard-{i}.snap` per shard. The
     /// bundle manifest (file → digest, plus the shard plan) is written
     /// **last**, so a manifest's presence implies a complete save.
     pub fn save(&self, dir: &Path) -> Result<()> {
@@ -421,25 +418,20 @@ impl ServingArtifacts {
                 save_json(index.as_ref(), &dir.join(PATTERNS_FILE))?,
             );
         }
-        let mut shard_plan = None;
         let mut shard_stats = None;
-        if let Some(router) = self
-            .shards
-            .as_deref()
-            .filter(|r| !r.is_degenerate() && r.is_local())
-        {
-            for (i, store) in router.stores().iter().enumerate() {
+        if let Some(plan) = &self.shard_plan {
+            let (stores, stats) = partition(&self.store, plan);
+            for (i, store) in stores.iter().enumerate() {
                 let name = shard_store_file(i);
                 files.insert(name.clone(), save_store(store, &dir.join(name))?);
             }
-            shard_plan = Some(*router.plan());
-            shard_stats = Some(router.stats().clone());
+            shard_stats = Some(stats);
         }
         save_json(
             &BundleManifest {
                 version: 1,
                 files,
-                shard_plan,
+                shard_plan: self.shard_plan,
                 shard_stats,
             },
             &dir.join(MANIFEST_FILE),
@@ -459,32 +451,19 @@ impl ServingArtifacts {
     /// error — and every file the manifest lists must be present. Pre-manifest
     /// directories load under the per-file sidecar rules only.
     ///
-    /// Sharded bundles map one snapshot per shard and rebuild each shard's
-    /// in-memory adjacency index — no re-partitioning.
+    /// A sharded bundle's plan is read back; its shard snapshots are held
+    /// to their manifest digests but not mapped as stores — only the
+    /// workers serve them.
     pub fn load(dir: &Path) -> Result<Self> {
         let manifest_path = dir.join(MANIFEST_FILE);
-        let (mut listed, plan, stats) = if manifest_path.exists() {
+        let (mut listed, shard_plan) = if manifest_path.exists() {
             let manifest: BundleManifest = load_json(&manifest_path)?;
-            (manifest.files, manifest.shard_plan, manifest.shard_stats)
+            (manifest.files, manifest.shard_plan)
         } else {
             Default::default()
         };
         // Each load below takes its file's manifest entry.
         let store = load_store_listed(&dir.join(STORE_FILE), listed.remove(STORE_FILE).as_deref())?;
-        let shards = match plan {
-            Some(plan) => {
-                let mut stores = Vec::with_capacity(plan.shards());
-                for name in (0..plan.shards()).map(shard_store_file) {
-                    let mut shard =
-                        load_store_listed(&dir.join(&name), listed.remove(&name).as_deref())?;
-                    shard.build_adjacency_index();
-                    stores.push(Arc::new(shard));
-                }
-                let stats = stats.unwrap_or_default();
-                Some(Arc::new(ShardRouter::from_stores(plan, stores, stats)))
-            }
-            None => None,
-        };
         let conceptualizer = load_taxonomy_listed(
             &dir.join(TAXONOMY_FILE),
             listed.remove(TAXONOMY_FILE).as_deref(),
@@ -492,7 +471,8 @@ impl ServingArtifacts {
         let model = load_model_listed(&dir.join(MODEL_FILE), listed.remove(MODEL_FILE).as_deref())?;
         let ner = load_optional(&dir.join(NER_FILE), listed.remove(NER_FILE))?;
         let pattern_index = load_optional(&dir.join(PATTERNS_FILE), listed.remove(PATTERNS_FILE))?;
-        // A listed file no artifact above reads is still held to its digest.
+        // A listed file no artifact above reads — each shard snapshot
+        // among them — is still held to its digest.
         for (name, expected) in &listed {
             let path = dir.join(name);
             verify(&path, &map_listed(&path, Some(expected))?, Some(expected))?;
@@ -503,7 +483,7 @@ impl ServingArtifacts {
             model: Arc::new(model),
             ner,
             pattern_index,
-            shards,
+            shard_plan,
         })
     }
 
@@ -517,7 +497,8 @@ impl ServingArtifacts {
 
     /// Build a ready-to-serve [`KbqaService`] from the bundle — the warm
     /// start path. Derives the NER from the store only when the bundle
-    /// carries none.
+    /// carries none. The service serves unsharded: for a sharded bundle
+    /// the server attaches the router over its supervised workers.
     pub fn into_service(self) -> KbqaService {
         self.into_service_at_epoch(0)
     }
@@ -534,9 +515,6 @@ impl ServingArtifacts {
         }
         if let Some(index) = self.pattern_index {
             builder = builder.pattern_index(index);
-        }
-        if let Some(router) = self.shards {
-            builder = builder.shard_router(router);
         }
         builder.build()
     }
@@ -685,9 +663,9 @@ mod tests {
         );
     }
 
-    /// A tiny learned service for bundle tests, optionally sharded, plus a
-    /// handful of corpus questions it can actually answer.
-    fn learned_service(seed: u64, plan: Option<ShardPlan>) -> (KbqaService, Vec<String>) {
+    /// A tiny learned service for bundle tests plus a handful of corpus
+    /// questions it can actually answer.
+    fn learned_service(seed: u64) -> (KbqaService, Vec<String>) {
         let world = World::generate(WorldConfig::tiny(seed));
         let corpus = QaCorpus::generate(&world, &CorpusConfig::with_pairs(1, 400));
         let ner = std::sync::Arc::new(GazetteerNer::from_store(&world.store));
@@ -703,32 +681,33 @@ mod tests {
             .map(|p| (p.question.as_str(), p.answer.as_str()))
             .collect();
         let (model, _) = learner.learn(&pairs, &LearnerConfig::default());
-        let mut builder = KbqaService::builder(
+        let service = KbqaService::builder(
             std::sync::Arc::clone(&world.store),
             std::sync::Arc::clone(&world.conceptualizer),
             std::sync::Arc::new(model),
         )
-        .ner(ner);
-        if let Some(plan) = plan {
-            builder = builder.shards(plan);
-        }
+        .ner(ner)
+        .build();
         let questions = corpus
             .pairs
             .iter()
             .take(8)
             .map(|p| p.question.clone())
             .collect();
-        (builder.build(), questions)
+        (service, questions)
     }
 
     #[test]
     fn sharded_bundle_roundtrips_per_shard_snapshots() {
-        let (service, questions) = learned_service(47, Some(ShardPlan::new(3)));
-        let dir = std::env::temp_dir().join(format!("kbqa-persist-sharded-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        ServingArtifacts::from_service(&service)
-            .save(&dir)
-            .expect("save sharded bundle");
+        let (service, questions) = learned_service(47);
+        let dir = test_dir("sharded");
+        let plan = ShardPlan::new(3);
+        ServingArtifacts {
+            shard_plan: Some(plan),
+            ..ServingArtifacts::from_service(&service)
+        }
+        .save(&dir)
+        .expect("save sharded bundle");
         for i in 0..3 {
             assert!(dir.join(shard_store_file(i)).exists(), "shard {i} snap");
         }
@@ -737,25 +716,46 @@ mod tests {
         let text = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
         let manifest: BundleManifest = serde_json::from_str(&text).unwrap();
         assert_eq!(serde_json::to_string(&manifest).unwrap(), text);
+        assert_eq!(load_shard_manifest(&dir).unwrap(), Some(plan));
+        assert_eq!(manifest.shard_stats.expect("cut stats").shards.len(), 3);
+        // Each shard snapshot is the cut the partitioner makes.
+        let (cut, _) = partition(&service.store_shared(), &plan);
+        for (i, expected) in cut.iter().enumerate() {
+            assert_eq!(
+                load_store(&dir.join(shard_store_file(i))).unwrap().len(),
+                expected.len()
+            );
+        }
 
         let restored = ServingArtifacts::load(&dir).expect("load sharded bundle");
-        let router = restored.shards.as_ref().expect("router restored");
-        assert_eq!(router.shard_count(), 3);
-        assert_eq!(router.plan(), &ShardPlan::new(3));
-        assert!(
-            router.stores().iter().all(|s| s.has_adjacency_index()),
-            "shard adjacency indexes rebuilt on warm start"
-        );
+        assert_eq!(restored.shard_plan, Some(plan));
         let restored = restored.into_service();
-        std::fs::remove_dir_all(&dir).ok();
-        assert!(restored.shard_router().is_some(), "service serves sharded");
+        assert!(
+            restored.shard_router().is_none(),
+            "only the server attaches a router, over its workers"
+        );
         for q in &questions {
             assert_eq!(
                 serde_json::to_string(&service.answer_text(q)).unwrap(),
                 serde_json::to_string(&restored.answer_text(q)).unwrap(),
-                "warm-started sharded service must answer {q:?} identically"
+                "warm-started service must answer {q:?} identically"
             );
         }
+
+        // A shard snapshot no load maps is still held to its digest.
+        let shard = dir.join(shard_store_file(1));
+        let mut bytes = std::fs::read(&shard).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&shard, &bytes).unwrap();
+        let err = ServingArtifacts::load(&dir)
+            .err()
+            .expect("a flipped byte in a shard snapshot must refuse the bundle");
+        assert!(
+            matches!(&err, KbqaError::Io(message) if message.contains("store.shard-1.snap")),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -763,7 +763,7 @@ mod tests {
         // The satellite bug: every file individually passes its own .fxsum
         // sidecar, but the files come from *different saves* — store from
         // save N, model from save N+1. Pre-manifest loads accepted this.
-        let (service, _) = learned_service(48, None);
+        let (service, _) = learned_service(48);
         let dir =
             std::env::temp_dir().join(format!("kbqa-persist-crossmix-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -797,7 +797,7 @@ mod tests {
 
     #[test]
     fn manifest_holds_every_listed_file_to_its_digest() {
-        let (service, _) = learned_service(50, None);
+        let (service, _) = learned_service(50);
         let dir = test_dir("listed");
         let expect_err = |needle: &str| match ServingArtifacts::load(&dir) {
             Ok(_) => panic!("bundle must be refused ({needle})"),
@@ -841,7 +841,7 @@ mod tests {
 
     #[test]
     fn bundle_without_manifest_still_loads() {
-        let (service, _) = learned_service(49, None);
+        let (service, _) = learned_service(49);
         let dir = test_dir("no-manifest");
         ServingArtifacts::from_service(&service)
             .save(&dir)
@@ -850,7 +850,7 @@ mod tests {
         std::fs::remove_file(&manifest).unwrap();
         std::fs::remove_file(checksum_path(&manifest)).unwrap();
         let restored = ServingArtifacts::load(&dir).expect("pre-manifest bundle loads");
-        assert!(restored.shards.is_none());
+        assert!(restored.shard_plan.is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -13,15 +13,15 @@
 //!   wait — never a wedged batch, and
 //! * **bounded retries** on transient transport errors (connect refused
 //!   while the supervisor restarts the worker, reset mid-frame, a corrupt
-//!   or truncated reply) — each attempt on a fresh connection, all
+//!   or truncated reply) — each retry on a fresh connection, all
 //!   attempts inside the same overall deadline.
 //!
 //! When the budget is exhausted the error propagates as
 //! [`RemoteError`]; the router converts it into the same typed
-//! [`ShardPanic`](crate::shard::ShardPanic) unwind the in-process poison
-//! flag uses, so the service-layer isolation (catch at the request
+//! [`ShardPanic`](crate::shard::ShardPanic) unwind a parked lane's poison
+//! flag raises, so the service-layer isolation (catch at the request
 //! boundary → [`Refusal::ShardUnavailable`](crate::service::Refusal))
-//! is identical for both deployment shapes.
+//! is one path for every lane failure.
 
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -125,8 +125,13 @@ impl RemoteShard {
         self.pool.lock().unwrap().clear();
     }
 
-    fn checkout(&self, remaining: Duration) -> Result<UnixStream, WireError> {
-        if let Some(stream) = self.pool.lock().unwrap().pop() {
+    fn checkout(&self, remaining: Duration, fresh: bool) -> Result<UnixStream, WireError> {
+        let pooled = if fresh {
+            None
+        } else {
+            self.pool.lock().unwrap().pop()
+        };
+        if let Some(stream) = pooled {
             set_timeouts(&stream, remaining)?;
             return Ok(stream);
         }
@@ -142,11 +147,16 @@ impl RemoteShard {
         }
     }
 
-    /// One request/reply exchange on a fresh-or-pooled connection with the
-    /// per-call deadline already running. The stream is only returned to
-    /// the pool after a fully successful exchange.
-    fn exchange(&self, request: &Frame, remaining: Duration) -> Result<Frame, WireError> {
-        let mut stream = self.checkout(remaining)?;
+    /// One request/reply exchange on a pooled connection, or a `fresh`
+    /// one, with the per-call deadline already running. The stream is only
+    /// returned to the pool after a fully successful exchange.
+    fn exchange(
+        &self,
+        request: &Frame,
+        remaining: Duration,
+        fresh: bool,
+    ) -> Result<Frame, WireError> {
+        let mut stream = self.checkout(remaining, fresh)?;
         write_frame(&mut stream, request)?;
         let reply = read_frame(&mut stream)?;
         self.checkin(stream);
@@ -176,7 +186,7 @@ impl RemoteShard {
             if remaining.is_zero() {
                 break;
             }
-            match self.exchange(request, remaining) {
+            match self.exchange(request, remaining, attempt > 0) {
                 Ok(reply) => return Ok(reply),
                 Err(e) if e.is_transient() => {
                     last = Some(e);

@@ -88,7 +88,6 @@ use serde::{Deserialize, Serialize};
 
 use kbqa_nlp::GazetteerNer;
 use kbqa_obs::{Observability, Stage, StageBreakdown};
-use kbqa_rdf::shard::ShardPlan;
 use kbqa_rdf::TripleStore;
 use kbqa_taxonomy::Conceptualizer;
 
@@ -502,8 +501,6 @@ pub struct KbqaServiceBuilder {
     pattern_index: Option<Arc<PatternIndex>>,
     config: EngineConfig,
     obs: Option<Arc<Observability>>,
-    shard_plan: Option<ShardPlan>,
-    shard_router: Option<Arc<ShardRouter>>,
     model_epoch: u64,
 }
 
@@ -544,34 +541,12 @@ impl KbqaServiceBuilder {
         self
     }
 
-    /// Shard the service per `plan`: the store is partitioned at build
-    /// time and requests route value lookups through a
-    /// [`ShardRouter`]. A 1-shard plan builds the degenerate router (the
-    /// plain single-store path, with shard telemetry attached).
-    pub fn shards(mut self, plan: ShardPlan) -> Self {
-        self.shard_plan = Some(plan);
-        self
-    }
-
-    /// Use a pre-built shard router (the persist warm-start path: per-shard
-    /// snapshots map straight in, no re-partitioning). Takes precedence
-    /// over [`KbqaServiceBuilder::shards`].
-    pub fn shard_router(mut self, router: Arc<ShardRouter>) -> Self {
-        self.shard_router = Some(router);
-        self
-    }
-
     /// Build the service. Derives the NER gazetteer from the store if none
-    /// was supplied — this is the one expensive step, paid once — and
-    /// partitions the store if a shard plan was requested.
+    /// was supplied — this is the one expensive step, paid once.
     pub fn build(self) -> KbqaService {
         let ner = self
             .ner
             .unwrap_or_else(|| Arc::new(GazetteerNer::from_store(&self.store)));
-        let shards = self.shard_router.or_else(|| {
-            self.shard_plan
-                .map(|plan| Arc::new(ShardRouter::from_store(&self.store, plan)))
-        });
         KbqaService {
             store: self.store,
             conceptualizer: self.conceptualizer,
@@ -581,7 +556,7 @@ impl KbqaServiceBuilder {
             pattern_index: self.pattern_index,
             config: self.config,
             obs: self.obs,
-            shards,
+            shards: None,
         }
     }
 }
@@ -635,15 +610,15 @@ impl ServiceSnapshot {
         }
         if let Some(router) = self.router() {
             engine = engine
-                .with_shards(router)
+                .with_shard_router(router)
                 .with_shard_epoch(self.model_epoch);
         }
         engine
     }
 
-    /// The non-degenerate shard router, when this snapshot serves sharded.
+    /// The shard router, when this snapshot serves sharded.
     fn router(&self) -> Option<&ShardRouter> {
-        self.shards.as_deref().filter(|r| !r.is_degenerate())
+        self.shards.as_deref()
     }
 
     /// The versioned cache key for `request`: the snapshot's model epoch
@@ -1070,8 +1045,6 @@ impl KbqaService {
             pattern_index: None,
             config: EngineConfig::default(),
             obs: None,
-            shard_plan: None,
-            shard_router: None,
             model_epoch: 0,
         }
     }
@@ -1085,35 +1058,10 @@ impl KbqaService {
         Self::builder(store, conceptualizer, model).build()
     }
 
-    /// A sharded service: the store is partitioned per `plan` at build time
-    /// and every request's value lookups scatter-gather through the
-    /// resulting [`ShardRouter`]. Answers are byte-identical to
-    /// [`KbqaService::new`] — sharding changes *where* lookups read, never
-    /// what the kernel computes (`tests/shard_equivalence.rs` pins this).
-    pub fn sharded(
-        plan: ShardPlan,
-        store: Arc<TripleStore>,
-        conceptualizer: Arc<Conceptualizer>,
-        model: Arc<LearnedModel>,
-    ) -> Self {
-        Self::builder(store, conceptualizer, model)
-            .shards(plan)
-            .build()
-    }
-
-    /// A sibling service re-sharded per `plan` over the same substrate
-    /// (store, taxonomy, NER, pattern index, model and epoch).
-    /// Re-partitions the current store; the original keeps its own router.
-    pub fn with_shards(&self, plan: ShardPlan) -> Self {
-        Self {
-            shards: Some(Arc::new(ShardRouter::from_store(&self.store, plan))),
-            ..self.clone()
-        }
-    }
-
-    /// A sibling service scatter-gathering through `router` — how the
-    /// server attaches the remote (multi-process worker) router built by
-    /// its supervisor over the same substrate, model and epoch.
+    /// A sibling service scatter-gathering through `router` over the same
+    /// substrate, model and epoch — the one way a service serves sharded.
+    /// The server attaches the router its supervisor builds over the
+    /// `kbqa-shardd` workers of a sharded bundle.
     pub fn with_shard_router(&self, router: Arc<ShardRouter>) -> Self {
         Self {
             shards: Some(router),
@@ -1121,8 +1069,8 @@ impl KbqaService {
         }
     }
 
-    /// The shard router, when this service was built sharded (includes the
-    /// degenerate 1-shard router, which carries telemetry but no stores).
+    /// The shard router, when one is attached
+    /// ([`KbqaService::with_shard_router`]).
     pub fn shard_router(&self) -> Option<&Arc<ShardRouter>> {
         self.shards.as_ref()
     }

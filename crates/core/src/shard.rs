@@ -1,10 +1,9 @@
-//! The scatter-gather shard router: in-process lanes or remote workers.
+//! The scatter-gather shard router over out-of-process shard workers.
 //!
-//! [`ShardRouter`] owns the lanes of a
-//! [`ShardPlan`]: either N self-contained
-//! [`TripleStore`]s (in-process serving) or N [`RemoteShard`] clients
-//! speaking the wire protocol to out-of-process `kbqa-shardd` workers —
-//! plus per-shard fault flags and the per-shard telemetry lanes
+//! [`ShardRouter`] owns the lanes of a [`ShardPlan`]: N [`RemoteShard`]
+//! clients speaking the wire protocol to the `kbqa-shardd` workers that
+//! each map one shard snapshot of a sharded serving bundle — plus
+//! per-shard fault flags and the per-shard telemetry lanes
 //! ([`kbqa_obs::ShardObs`]). The engine consults it at exactly one
 //! point — the `V(e, p)` value lookup in the BFQ kernel — so a sharded
 //! engine *grounds globally, looks up shard-locally, and accumulates
@@ -21,32 +20,30 @@
 //!    [`TopK`](kbqa_common::topk::TopK) whose `floor` bound rejects every
 //!    non-winner at push time — so the merged ranking (answers, score
 //!    bits, provenance, tie order) is byte-identical to the single-store
-//!    kernel. `tests/shard_equivalence.rs` pins this across shard counts,
-//!    and the server's chaos suite pins it across *deployment shapes*
-//!    (remote lanes run the same traversal on the same snapshot bytes).
+//!    kernel. `tests/shard_equivalence.rs` pins this across shard counts
+//!    against workers on threads, and the server's chaos suite against
+//!    supervised worker processes.
 //!
 //! Paths longer than the plan's closure depth (a swapped-in model may
 //! intern longer expanded predicates than the cut replicated) fall back to
 //! the global store per lookup — correctness never depends on the closure
 //! being deep enough.
 //!
-//! **Fault isolation:** each shard carries a poison flag (fault injection
-//! for local lanes; for remote lanes the supervisor sets it while a worker
-//! is dead, hung, or parked so lookups fail fast without burning a network
-//! deadline). Routing to a poisoned shard — or exhausting a remote lane's
-//! deadline/retry budget — panics with a typed [`ShardPanic`] payload; the
-//! service catches it at the request boundary and degrades that question to
-//! a typed [`Refusal::ShardUnavailable`](crate::service::Refusal) instead
+//! **Fault isolation:** each shard carries a poison flag, the
+//! supervisor's park switch: it is set while a worker is dead, hung, or
+//! parked, so lookups fail fast without burning a network deadline.
+//! Routing to a poisoned shard — or exhausting a lane's deadline/retry
+//! budget — panics with a typed [`ShardPanic`] payload; the service
+//! catches it at the request boundary and degrades that question to a
+//! typed [`Refusal::ShardUnavailable`](crate::service::Refusal) instead
 //! of taking the process down.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
 
 use kbqa_obs::ShardObs;
-use kbqa_rdf::path::{objects_via_path_into, ExpandedPredicate, PathWorkspace};
-pub use kbqa_rdf::shard::ShardStats;
-use kbqa_rdf::shard::{partition, ShardPlan};
-use kbqa_rdf::{NodeId, TripleStore};
+use kbqa_rdf::path::ExpandedPredicate;
+use kbqa_rdf::shard::ShardPlan;
+use kbqa_rdf::NodeId;
 
 use crate::remote::RemoteShard;
 
@@ -56,65 +53,22 @@ use crate::remote::RemoteShard;
 #[derive(Clone, Copy, Debug)]
 pub struct ShardPanic(pub usize);
 
-/// The per-shard serving substrate: materialized stores in this process,
-/// or wire-protocol clients to one worker process per shard.
-#[derive(Debug)]
-enum Lanes {
-    Local(Vec<Arc<TripleStore>>),
-    Remote(Vec<RemoteShard>),
-}
-
-impl Lanes {
-    fn len(&self) -> usize {
-        match self {
-            Lanes::Local(stores) => stores.len(),
-            Lanes::Remote(lanes) => lanes.len(),
-        }
-    }
-}
-
-/// The shard router: plan + lanes (local stores or remote workers) +
-/// fault flags + telemetry.
-///
-/// With a 1-shard plan the router is **degenerate**: no lanes are
-/// materialized and the engine runs the plain single-store path — `--shards
-/// 1` is the PR4-baseline path, not a copy of the world.
+/// The shard router: plan + one remote lane per shard + fault flags +
+/// telemetry.
 #[derive(Debug)]
 pub struct ShardRouter {
     plan: ShardPlan,
-    lanes: Lanes,
+    lanes: Vec<RemoteShard>,
     faults: Vec<AtomicU8>,
-    stats: ShardStats,
     obs: ShardObs,
 }
 
 impl ShardRouter {
-    /// Partition `store` per `plan` and build the router. A 1-shard plan
-    /// builds the degenerate router (no partitioning, no copies).
-    pub fn from_store(store: &TripleStore, plan: ShardPlan) -> Self {
-        if plan.shards() <= 1 {
-            return Self::degenerate(plan);
-        }
-        let (stores, stats) = partition(store, &plan);
-        Self::assemble(plan, stores.into_iter().map(Arc::new).collect(), stats)
-    }
-
-    /// A router over pre-built shard stores — the persist warm-start path
-    /// (per-shard snapshots map straight in, no re-partitioning).
-    pub fn from_stores(plan: ShardPlan, stores: Vec<Arc<TripleStore>>, stats: ShardStats) -> Self {
-        assert_eq!(
-            stores.len(),
-            plan.shards(),
-            "shard store count must match the plan"
-        );
-        Self::assemble(plan, stores, stats)
-    }
-
-    /// A router over remote worker lanes — the multi-process serving path.
-    /// The supervisor owns worker lifecycle; it parks/heals lanes through
+    /// A router over remote worker lanes, one per shard of `plan`. The
+    /// supervisor owns worker lifecycle; it parks/heals lanes through
     /// [`ShardRouter::inject_fault`] / [`ShardRouter::heal`] as workers
     /// die and recover.
-    pub fn from_remote(plan: ShardPlan, lanes: Vec<RemoteShard>, stats: ShardStats) -> Self {
+    pub fn from_remote(plan: ShardPlan, lanes: Vec<RemoteShard>) -> Self {
         assert_eq!(
             lanes.len(),
             plan.shards(),
@@ -123,30 +77,8 @@ impl ShardRouter {
         let n = lanes.len();
         Self {
             plan,
-            lanes: Lanes::Remote(lanes),
+            lanes,
             faults: (0..n).map(|_| AtomicU8::new(0)).collect(),
-            stats,
-            obs: ShardObs::new(n),
-        }
-    }
-
-    fn degenerate(plan: ShardPlan) -> Self {
-        Self {
-            plan,
-            lanes: Lanes::Local(Vec::new()),
-            faults: (0..1).map(|_| AtomicU8::new(0)).collect(),
-            stats: ShardStats::default(),
-            obs: ShardObs::new(1),
-        }
-    }
-
-    fn assemble(plan: ShardPlan, stores: Vec<Arc<TripleStore>>, stats: ShardStats) -> Self {
-        let n = stores.len();
-        Self {
-            plan,
-            lanes: Lanes::Local(stores),
-            faults: (0..n).map(|_| AtomicU8::new(0)).collect(),
-            stats,
             obs: ShardObs::new(n),
         }
     }
@@ -156,81 +88,26 @@ impl ShardRouter {
         &self.plan
     }
 
-    /// Balance/replication stats of the cut (empty for a degenerate
-    /// router).
-    pub fn stats(&self) -> &ShardStats {
-        &self.stats
-    }
-
     /// Per-shard telemetry lanes + fan-out distribution.
     pub fn obs(&self) -> &ShardObs {
         &self.obs
     }
 
-    /// Whether this is the 1-shard degenerate router (engine runs the
-    /// plain single-store path).
-    pub fn is_degenerate(&self) -> bool {
-        self.lanes.len() == 0
-    }
-
-    /// Whether the lanes are in-process stores (a remote router serves
-    /// through worker processes and has nothing to persist).
-    pub fn is_local(&self) -> bool {
-        matches!(self.lanes, Lanes::Local(_))
-    }
-
-    /// Number of shards actually materialized (0 when degenerate).
+    /// Number of shards (one lane each).
     pub fn shard_count(&self) -> usize {
         self.lanes.len()
     }
 
-    /// The materialized shard stores, indexed by shard id — empty for a
-    /// degenerate *or remote* router (check [`ShardRouter::is_local`]).
-    pub fn stores(&self) -> &[Arc<TripleStore>] {
-        match &self.lanes {
-            Lanes::Local(stores) => stores,
-            Lanes::Remote(_) => &[],
-        }
+    /// The remote lanes, indexed by shard id.
+    pub fn lanes(&self) -> &[RemoteShard] {
+        &self.lanes
     }
 
-    /// The remote lanes, when this router serves through workers.
-    pub fn remote_lanes(&self) -> &[RemoteShard] {
-        match &self.lanes {
-            Lanes::Local(_) => &[],
-            Lanes::Remote(lanes) => lanes,
-        }
-    }
-
-    #[inline]
-    fn check_fault(&self, i: usize) {
-        if self.faults[i].load(Ordering::Relaxed) != 0 {
-            std::panic::panic_any(ShardPanic(i));
-        }
-    }
-
-    /// The shard store for shard `i`, fault-checked: panics with a typed
-    /// [`ShardPanic`] payload when the shard is poisoned — the simulated
-    /// equivalent of a dead shard worker mid-query.
-    ///
-    /// # Panics
-    /// Besides the poison unwind, panics (plainly) on a remote router —
-    /// remote lanes have no in-process store; use
-    /// [`ShardRouter::lookup_into`].
-    #[inline]
-    pub fn shard_store(&self, i: usize) -> &TripleStore {
-        self.check_fault(i);
-        match &self.lanes {
-            Lanes::Local(stores) => &stores[i],
-            Lanes::Remote(_) => panic!("shard_store on a remote router; use lookup_into"),
-        }
-    }
-
-    /// The one scatter point: run `V(entity, path)` on shard `i` at
-    /// `epoch`, appending values in shard-traversal order. Local lanes
-    /// traverse in-process; remote lanes issue the wire RPC under the
-    /// lane's deadline/retry budget. Any failure — poison flag, exhausted
+    /// The one scatter point: run `V(entity, path)` on shard `i`'s worker
+    /// at `epoch` under the lane's deadline/retry budget, appending values
+    /// in shard-traversal order. Any failure — poison flag, exhausted
     /// budget, epoch refusal — unwinds with the typed [`ShardPanic`] the
-    /// service isolates per question.
+    /// service isolates per question; the error detail dies here.
     #[inline]
     pub fn lookup_into(
         &self,
@@ -238,22 +115,12 @@ impl ShardRouter {
         entity: NodeId,
         path: &ExpandedPredicate,
         epoch: u64,
-        ws: &mut PathWorkspace,
         out: &mut Vec<NodeId>,
     ) {
-        self.check_fault(i);
-        match &self.lanes {
-            Lanes::Local(stores) => {
-                objects_via_path_into(&stores[i], entity, path, ws, out);
-            }
-            Lanes::Remote(lanes) => {
-                // The error detail dies here; the service converts the
-                // unwind into a typed ShardUnavailable and records the
-                // failure on this lane (same path as a local poison).
-                if lanes[i].lookup_into(epoch, entity, path, out).is_err() {
-                    std::panic::panic_any(ShardPanic(i));
-                }
-            }
+        if self.faults[i].load(Ordering::Relaxed) != 0
+            || self.lanes[i].lookup_into(epoch, entity, path, out).is_err()
+        {
+            std::panic::panic_any(ShardPanic(i));
         }
     }
 
@@ -264,8 +131,8 @@ impl ShardRouter {
     }
 
     /// Poison shard `i`: subsequent lookups routed there panic (and are
-    /// isolated by the service). Fault-injection surface for local lanes;
-    /// the supervisor's park/fast-fail switch for remote lanes.
+    /// isolated by the service) without touching the wire — the
+    /// supervisor's park/fast-fail switch.
     pub fn inject_fault(&self, i: usize) {
         self.faults[i].store(1, Ordering::Relaxed);
     }
@@ -274,113 +141,41 @@ impl ShardRouter {
     pub fn heal(&self, i: usize) {
         self.faults[i].store(0, Ordering::Relaxed);
     }
-
-    /// Whether shard `i` is currently poisoned.
-    pub fn is_poisoned(&self, i: usize) -> bool {
-        self.faults
-            .get(i)
-            .map(|f| f.load(Ordering::Relaxed) != 0)
-            .unwrap_or(false)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kbqa_rdf::GraphBuilder;
+    use crate::remote::RemoteOptions;
 
-    fn store() -> TripleStore {
-        let mut b = GraphBuilder::new();
-        for i in 0..20 {
-            let c = b.resource(&format!("e{i}"));
-            b.name(c, &format!("Entity {i}"));
-            b.fact_int(c, "population", i64::from(i));
-        }
-        b.build()
-    }
-
-    #[test]
-    fn one_shard_plan_is_degenerate() {
-        let router = ShardRouter::from_store(&store(), ShardPlan::new(1));
-        assert!(router.is_degenerate());
-        assert!(router.is_local());
-        assert_eq!(router.shard_count(), 0);
-        assert_eq!(router.obs().shards(), 1);
-    }
-
-    #[test]
-    fn poisoned_shard_panics_with_typed_payload() {
-        let router = ShardRouter::from_store(&store(), ShardPlan::new(2));
-        assert!(!router.is_poisoned(1));
-        router.inject_fault(1);
-        assert!(router.is_poisoned(1));
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            router.shard_store(1);
+    fn lookup(router: &ShardRouter, i: usize) -> Result<(), usize> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            router.lookup_into(
+                i,
+                NodeId(0),
+                &ExpandedPredicate::single(kbqa_rdf::PredicateId(0)),
+                0,
+                &mut Vec::new(),
+            );
         }))
-        .unwrap_err();
-        let panic = err.downcast_ref::<ShardPanic>().expect("typed payload");
-        assert_eq!(panic.0, 1);
-        router.heal(1);
-        let _ = router.shard_store(1);
+        .map_err(|err| err.downcast_ref::<ShardPanic>().expect("typed payload").0)
     }
 
     #[test]
-    fn shard_stores_carry_adjacency_indexes() {
-        let router = ShardRouter::from_store(&store(), ShardPlan::new(4));
-        for s in router.stores() {
-            assert!(s.has_adjacency_index());
-        }
-    }
-
-    #[test]
-    fn local_lookup_matches_direct_traversal() {
-        let global = store();
-        let router = ShardRouter::from_store(&global, ShardPlan::new(4));
-        let pred = global
-            .dict()
-            .find_predicate("population")
-            .expect("interned");
-        let path = ExpandedPredicate::single(pred);
-        let mut ws = PathWorkspace::default();
-        for id in 0..global.dict().node_count() as u32 {
-            let entity = NodeId(id);
-            let mut direct = Vec::new();
-            objects_via_path_into(&global, entity, &path, &mut ws, &mut direct);
-            let mut routed = Vec::new();
-            router.lookup_into(router.owner(entity), entity, &path, 0, &mut ws, &mut routed);
-            assert_eq!(routed, direct, "entity {id}");
-        }
-    }
-
-    #[test]
-    fn remote_router_exposes_lanes_not_stores() {
-        use crate::remote::{RemoteOptions, RemoteShard};
-        let plan = ShardPlan::new(2);
+    fn failed_and_poisoned_lanes_unwind_with_the_shard_id() {
         let lanes = vec![
             RemoteShard::new(0, "/tmp/none-0.sock", RemoteOptions::default()),
             RemoteShard::new(1, "/tmp/none-1.sock", RemoteOptions::default()),
         ];
-        let router = ShardRouter::from_remote(plan, lanes, ShardStats::default());
-        assert!(!router.is_local());
-        assert!(!router.is_degenerate());
+        let router = ShardRouter::from_remote(ShardPlan::new(2), lanes);
         assert_eq!(router.shard_count(), 2);
-        assert!(router.stores().is_empty());
-        assert_eq!(router.remote_lanes().len(), 2);
-        // A dead remote lane unwinds with the same typed payload as a
-        // poisoned local one (deadline-bounded: nothing listens there).
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut ws = PathWorkspace::default();
-            let mut out = Vec::new();
-            router.lookup_into(
-                1,
-                NodeId(0),
-                &ExpandedPredicate::single(kbqa_rdf::PredicateId(0)),
-                0,
-                &mut ws,
-                &mut out,
-            );
-        }))
-        .unwrap_err();
-        assert_eq!(err.downcast_ref::<ShardPanic>().expect("typed").0, 1);
+        assert_eq!(router.lanes().len(), 2);
+        // A dead lane unwinds with the typed payload (deadline-bounded:
+        // nothing listens there).
+        assert_eq!(lookup(&router, 1), Err(1));
+        // A poisoned lane unwinds the same way. (Healing is pinned against
+        // live workers in `tests/shard_equivalence.rs`.)
+        router.inject_fault(0);
+        assert_eq!(lookup(&router, 0), Err(0));
     }
 }

@@ -2,16 +2,16 @@
 //!
 //! A worker owns exactly one shard of the plan. It maps the shard's
 //! snapshot (`store.shard-{i}.snap`) read-only — the same zero-copy warm
-//! start the in-process router uses — rebuilds the in-memory adjacency
-//! index, binds a unix-domain socket, and serves the
-//! [`wire`](crate::wire) protocol with a thread per connection:
+//! start the global `store.snap` gets — binds a unix-domain socket, and
+//! serves the [`wire`](crate::wire) protocol with a thread per connection:
 //!
 //! * **`Lookup`** runs `V(entity, path)` against the committed store and
 //!   replies with the values in shard-traversal order. Because the worker
-//!   executes the *same* `objects_via_path_into` over the *same* snapshot
-//!   bytes with the *same* global id space as an in-process shard store,
-//!   the scatter-gather merge stays byte-identical across deployment
-//!   shapes — chaos tests pin this.
+//!   executes the *same* `objects_via_path_into` over a cut that holds
+//!   every walk of the plan's closure depth from its owned subjects, with
+//!   the *same* global id space, the scatter-gather merge is byte-identical
+//!   to the unsharded kernel — `tests/shard_equivalence.rs` and the chaos
+//!   suite pin this.
 //! * **`Ping`** answers with the committed epoch and lookups served.
 //! * **`Stage`/`Commit`** implement the two-phase reload: stage preloads
 //!   a snapshot for epoch N+1 without serving it; commit flips it live
@@ -32,8 +32,12 @@
 //! |---|---|
 //! | `KBQA_SHARDD_EXIT_ON_START=<shard>` | exit(3) right after binding — crash loop |
 //! | `KBQA_SHARDD_CRASH_AFTER_LOOKUPS=<shard>:<n>` | abort() mid-serving after n lookups |
-//! | `KBQA_SHARDD_CORRUPT_EVERY=<shard>:<n>` | flip a byte in every nth reply frame |
-//! | `KBQA_SHARDD_TRUNCATE_EVERY=<shard>:<n>` | send only half of every nth reply |
+//! | `KBQA_SHARDD_CORRUPT_EVERY=<shard>:<n>` | flip a byte in every nth reply frame of a connection |
+//! | `KBQA_SHARDD_TRUNCATE_EVERY=<shard>:<n>` | send only half of every nth reply of a connection |
+//!
+//! Reply faults count per connection. The client retries on a fresh
+//! connection, whose first reply is never the nth for n ≥ 2, so each
+//! injected fault is the transient one a single retry hides.
 
 use std::io::Write as _;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -98,14 +102,11 @@ struct WorkerState {
     store: RwLock<Arc<TripleStore>>,
     staged: Mutex<Option<(u64, Arc<TripleStore>)>>,
     served: AtomicU64,
-    replies: AtomicU64,
     chaos: Chaos,
 }
 
 fn load_shard(path: &Path) -> Result<Arc<TripleStore>> {
-    let mut store = persist::load_store(path)?;
-    store.build_adjacency_index();
-    Ok(Arc::new(store))
+    Ok(Arc::new(persist::load_store(path)?))
 }
 
 /// Run the worker: map the snapshot, bind the socket, serve until
@@ -121,7 +122,6 @@ pub fn run(config: WorkerConfig) -> Result<()> {
         store: RwLock::new(store),
         staged: Mutex::new(None),
         served: AtomicU64::new(0),
-        replies: AtomicU64::new(0),
         chaos,
     });
     let _ = std::fs::remove_file(&config.socket);
@@ -147,6 +147,7 @@ pub fn run(config: WorkerConfig) -> Result<()> {
 fn serve_connection(mut stream: UnixStream, state: &WorkerState) {
     let mut ws = PathWorkspace::default();
     let mut values: Vec<NodeId> = Vec::new();
+    let mut replies = 0u64;
     loop {
         let frame = match read_frame(&mut stream) {
             Ok(frame) => frame,
@@ -159,6 +160,7 @@ fn serve_connection(mut stream: UnixStream, state: &WorkerState) {
                         message: e.to_string(),
                     },
                     state,
+                    &mut replies,
                 );
                 return;
             }
@@ -234,7 +236,7 @@ fn serve_connection(mut stream: UnixStream, state: &WorkerState) {
                 }
             }
             Frame::Terminate => {
-                let _ = send(&mut stream, &Frame::Terminating, state);
+                let _ = send(&mut stream, &Frame::Terminating, state, &mut replies);
                 std::process::exit(0);
             }
             other => Frame::Error {
@@ -242,17 +244,23 @@ fn serve_connection(mut stream: UnixStream, state: &WorkerState) {
                 message: format!("unexpected frame {other:?}"),
             },
         };
-        if send(&mut stream, &reply, state).is_err() {
+        if send(&mut stream, &reply, state, &mut replies).is_err() {
             return;
         }
     }
 }
 
 /// Encode and write a reply, applying corruption/truncation chaos to every
-/// nth frame when armed.
-fn send(stream: &mut UnixStream, frame: &Frame, state: &WorkerState) -> std::io::Result<()> {
+/// nth frame of this connection (`replies` counts them) when armed.
+fn send(
+    stream: &mut UnixStream,
+    frame: &Frame,
+    state: &WorkerState,
+    replies: &mut u64,
+) -> std::io::Result<()> {
     let mut bytes = encode_frame(frame);
-    let nth = state.replies.fetch_add(1, Ordering::Relaxed) + 1;
+    *replies += 1;
+    let nth = *replies;
     if state.chaos.corrupt_every > 0 && nth.is_multiple_of(state.chaos.corrupt_every) {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff; // trash the checksum trailer

@@ -445,43 +445,114 @@ fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
 mod tests {
     use super::*;
 
-    fn roundtrip(frame: Frame) {
-        let bytes = encode_frame(&frame);
-        let decoded = read_frame(&mut &bytes[..]).expect("decodes");
-        assert_eq!(decoded, frame);
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    /// Any frame: every kind, arbitrary integers, and paths, value lists
+    /// and strings of up to 40 elements.
+    struct AnyFrame;
+
+    impl Strategy for AnyFrame {
+        type Value = Frame;
+        fn sample(&self, rng: &mut TestRng) -> Frame {
+            let len = |rng: &mut TestRng| (rng.next_u64() % 41) as usize;
+            let text = |rng: &mut TestRng| "\\PC{0,40}".sample(rng);
+            match rng.next_u64() % 12 {
+                0 => Frame::Lookup {
+                    epoch: rng.next_u64(),
+                    entity: NodeId(rng.next_u64() as u32),
+                    path: (0..len(rng))
+                        .map(|_| PredicateId(rng.next_u64() as u32))
+                        .collect(),
+                },
+                1 => Frame::Values {
+                    values: (0..len(rng))
+                        .map(|_| NodeId(rng.next_u64() as u32))
+                        .collect(),
+                },
+                2 => Frame::Ping {
+                    nonce: rng.next_u64(),
+                },
+                3 => Frame::Pong {
+                    nonce: rng.next_u64(),
+                    shard: rng.next_u64() as u32,
+                    epoch: rng.next_u64(),
+                    served: rng.next_u64(),
+                },
+                4 => Frame::Stage {
+                    epoch: rng.next_u64(),
+                    snapshot: text(rng),
+                },
+                5 => Frame::Staged {
+                    epoch: rng.next_u64(),
+                },
+                6 => Frame::Commit {
+                    epoch: rng.next_u64(),
+                },
+                7 => Frame::Committed {
+                    epoch: rng.next_u64(),
+                },
+                8 => Frame::Terminate,
+                9 => Frame::Terminating,
+                _ => Frame::Error {
+                    code: [
+                        ErrorCode::EpochUnavailable,
+                        ErrorCode::BadFrame,
+                        ErrorCode::Internal,
+                    ][(rng.next_u64() % 3) as usize],
+                    message: text(rng),
+                },
+            }
+        }
     }
 
-    #[test]
-    fn all_frames_roundtrip() {
-        roundtrip(Frame::Lookup {
-            epoch: 7,
-            entity: NodeId(42),
-            path: vec![PredicateId(1), PredicateId(9), PredicateId(3)],
-        });
-        roundtrip(Frame::Values {
-            values: vec![NodeId(5), NodeId(5), NodeId(0), NodeId(u32::MAX)],
-        });
-        roundtrip(Frame::Values { values: vec![] });
-        roundtrip(Frame::Ping { nonce: 0xdead_beef });
-        roundtrip(Frame::Pong {
-            nonce: 0xdead_beef,
-            shard: 3,
-            epoch: 12,
-            served: 99,
-        });
-        roundtrip(Frame::Stage {
-            epoch: 8,
-            snapshot: "/tmp/bundle/store.shard-2.snap".into(),
-        });
-        roundtrip(Frame::Staged { epoch: 8 });
-        roundtrip(Frame::Commit { epoch: 8 });
-        roundtrip(Frame::Committed { epoch: 8 });
-        roundtrip(Frame::Terminate);
-        roundtrip(Frame::Terminating);
-        roundtrip(Frame::Error {
-            code: ErrorCode::EpochUnavailable,
-            message: "committed=3 requested=9".into(),
-        });
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn all_frames_roundtrip(frame in AnyFrame) {
+            let bytes = encode_frame(&frame);
+            let decoded = read_frame(&mut &bytes[..]).expect("decodes");
+            prop_assert_eq!(decoded, frame);
+        }
+
+        /// Every strict prefix of a frame is an EOF, never a parse.
+        #[test]
+        fn truncated_frame_is_an_io_error(frame in AnyFrame) {
+            let bytes = encode_frame(&frame);
+            for cut in 0..bytes.len() {
+                match read_frame(&mut &bytes[..cut]) {
+                    Err(WireError::Io(e)) => {
+                        prop_assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof)
+                    }
+                    other => panic!("cut at {cut} of {frame:?}: expected eof, got {other:?}"),
+                }
+            }
+        }
+
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// XOR any one byte of a frame with any non-zero mask: the length
+        /// cap, the read or the checksum refuses it — no panic, no frame.
+        #[test]
+        fn any_single_byte_xor_is_an_error(frame in AnyFrame) {
+            let bytes = encode_frame(&frame);
+            let mut flipped = bytes.clone();
+            for at in 0..bytes.len() {
+                for mask in 1..=u8::MAX {
+                    flipped[at] = bytes[at] ^ mask;
+                    let decoded = read_frame(&mut &flipped[..]);
+                    prop_assert!(
+                        decoded.is_err(),
+                        "byte {at} ^ {mask:#04x} of {frame:?} decoded as {decoded:?}"
+                    );
+                }
+                flipped[at] = bytes[at];
+            }
+        }
     }
 
     #[test]
@@ -506,21 +577,6 @@ mod tests {
             read_frame(&mut &bytes[..]),
             Err(WireError::Checksum { .. })
         ));
-    }
-
-    #[test]
-    fn truncated_frame_is_an_io_error() {
-        let bytes = encode_frame(&Frame::Values {
-            values: vec![NodeId(1), NodeId(2), NodeId(3)],
-        });
-        for cut in 1..bytes.len() {
-            match read_frame(&mut &bytes[..cut]) {
-                Err(WireError::Io(e)) => {
-                    assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof)
-                }
-                other => panic!("cut at {cut}: expected eof, got {other:?}"),
-            }
-        }
     }
 
     #[test]

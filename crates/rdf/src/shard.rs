@@ -24,16 +24,14 @@
 //!    at the router — correctness never depends on the closure being deep
 //!    enough.
 //!
-//! Shards are derived, rebuilt-per-epoch artifacts — unlike the global
-//! mmap snapshot, they are free to carry auxiliary structures the zero-copy
-//! format cannot: [`partition`] builds each shard with the direct
-//! `(subject, predicate) → run` adjacency index
-//! ([`TripleStore::build_adjacency_index`]), replacing the binary
-//! search over multi-megabyte mapped runs with one hash probe.
+//! Shards are derived artifacts: a sharded serving bundle persists each
+//! cut as its own snapshot (`store.shard-{i}.snap`), and only the
+//! `kbqa-shardd` worker owning that shard maps it. A shard store serves
+//! `V(e, p)` through the same branch-free binary search over its SO run as
+//! the global store.
 
 use serde::{Deserialize, Serialize};
 
-use crate::dictionary::Dictionary;
 use crate::store::TripleStore;
 use crate::triple::{NodeId, Triple};
 
@@ -128,7 +126,7 @@ impl ShardStat {
 }
 
 /// Shard-local statistics of a full cut — the balance/replication report
-/// operators read when sizing `KBQA_SHARDS`.
+/// operators read when sizing a sharded bundle's plan.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ShardStats {
     /// Per-shard breakdown, indexed by shard id.
@@ -168,7 +166,7 @@ impl ShardStats {
 }
 
 /// Materialize `plan` against `store`: N self-contained in-memory shard
-/// stores (each with its adjacency index built) plus the balance stats.
+/// stores plus the balance stats.
 ///
 /// Shard stores carry the **full dictionary** (global `NodeId`s must keep
 /// meaning shard-locally) but no name index — grounding and answer
@@ -176,16 +174,6 @@ impl ShardStats {
 /// `V(e, p)` lookups.
 pub fn partition(store: &TripleStore, plan: &ShardPlan) -> (Vec<TripleStore>, ShardStats) {
     let (dict, triples, _name_predicates) = store.to_owned_parts();
-    partition_parts(&dict, &triples, plan)
-}
-
-/// [`partition`] over pre-extracted store parts (the persist layer reuses
-/// this when it already has the triple log in hand).
-pub fn partition_parts(
-    dict: &Dictionary,
-    triples: &[Triple],
-    plan: &ShardPlan,
-) -> (Vec<TripleStore>, ShardStats) {
     let node_count = dict.node_count();
 
     // Subject → contiguous range of triple indices, via one argsort by s.
@@ -193,7 +181,7 @@ pub fn partition_parts(
     by_subject.sort_unstable_by_key(|&i| triples[i as usize].s.raw());
     // `starts[s] .. starts[s + 1]` indexes `by_subject` for subject `s`.
     let mut starts = vec![0u32; node_count + 2];
-    for t in triples {
+    for t in &triples {
         starts[t.s.index() + 1] += 1;
     }
     for i in 1..starts.len() {
@@ -252,9 +240,7 @@ pub fn partition_parts(
             std::mem::swap(&mut frontier, &mut next);
         }
 
-        let mut shard_store = TripleStore::build(dict.clone(), shard_triples, Vec::new());
-        shard_store.build_adjacency_index();
-        stores.push(shard_store);
+        stores.push(TripleStore::build(dict.clone(), shard_triples, Vec::new()));
         stats.shards.push(stat);
     }
 

@@ -55,64 +55,8 @@ impl std::fmt::Display for Surface<'_> {
 #[derive(Debug)]
 pub struct TripleStore {
     backend: Backend,
-    /// Optional direct `(s, p) → SO-run range` index; see
-    /// [`TripleStore::build_adjacency_index`]. Derived, never persisted.
-    adj: Option<AdjacencyIndex>,
     /// Scan-pass telemetry (not persisted; diagnostic only).
     scan_passes: AtomicU64,
-}
-
-/// Direct `(subject, predicate) → objects-run range` index over the SO
-/// columns: one hash probe instead of a binary search. The value
-/// is a `(start, len)` range into the *global* `so_o` column, so resolving a
-/// hit is a bounds-checked slice — byte-identical to what the search returns.
-#[derive(Debug, Default)]
-struct AdjacencyIndex {
-    runs: kbqa_common::hash::FxHashMap<u64, (u32, u32)>,
-}
-
-impl AdjacencyIndex {
-    /// Map key for `(s, p)`. The packed word is pre-avalanched with
-    /// splitmix64 (a bijection — no keys collide that didn't already)
-    /// because Fx-hashing a single `u64` is one multiply, whose low bits —
-    /// the hashbrown bucket index — depend only on the low bits of the
-    /// word. Packed as `s << 32 | p` those low bits are the predicate id
-    /// alone, which would drop every entry of a million-triple store into
-    /// ~|predicates| buckets and turn O(1) probes into 10µs chain walks.
-    #[inline]
-    fn key(s: u32, p: PredicateId) -> u64 {
-        crate::shard::mix64((u64::from(s) << 32) | u64::from(p.raw()))
-    }
-
-    fn build(cols: &ColsView<'_>) -> Self {
-        let mut runs = kbqa_common::hash::FxHashMap::default();
-        for p in 0..cols.predicate_count() {
-            let pid = PredicateId::new(p as u32);
-            let base = cols.so_bounds[p] as usize;
-            let (run_s, _) = cols.so_run(pid);
-            let mut i = 0usize;
-            while i < run_s.len() {
-                let s = run_s[i];
-                let mut j = i + 1;
-                while j < run_s.len() && run_s[j] == s {
-                    j += 1;
-                }
-                runs.insert(Self::key(s, pid), ((base + i) as u32, (j - i) as u32));
-                i = j;
-            }
-        }
-        Self { runs }
-    }
-
-    /// The objects of `(s, p, ·)` — exactly the slice
-    /// [`ColsView::objects`] would return, resolved by one probe.
-    #[inline]
-    fn objects<'a>(&self, cols: &ColsView<'a>, s: u32, p: PredicateId) -> &'a [u32] {
-        match self.runs.get(&Self::key(s, p)) {
-            Some(&(start, len)) => &cols.so_o[start as usize..start as usize + len as usize],
-            None => &[],
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -131,7 +75,6 @@ impl TripleStore {
     ) -> Self {
         Self {
             backend: Backend::InMemory(InMemoryBackend::build(dict, triples, name_predicates)),
-            adj: None,
             scan_passes: AtomicU64::new(0),
         }
     }
@@ -140,27 +83,8 @@ impl TripleStore {
     pub fn from_snapshot(snap: Snapshot) -> Self {
         Self {
             backend: Backend::Mapped(MappedBackend::new(snap)),
-            adj: None,
             scan_passes: AtomicU64::new(0),
         }
-    }
-
-    /// Build the direct `(s, p) → run` adjacency index, after which
-    /// [`TripleStore::objects_slice`] / [`TripleStore::object_count`]
-    /// resolve by one hash probe instead of a binary search —
-    /// identical slices, fewer cache misses on large mapped runs.
-    ///
-    /// The index is derived state: it is never persisted (the zero-copy
-    /// snapshot format stays fixed) and is rebuilt by whoever derives the
-    /// store — the shard partitioner builds it on every shard because shards
-    /// are reconstructed per epoch anyway.
-    pub fn build_adjacency_index(&mut self) {
-        self.adj = Some(AdjacencyIndex::build(&self.cols()));
-    }
-
-    /// Whether [`TripleStore::build_adjacency_index`] has run.
-    pub fn has_adjacency_index(&self) -> bool {
-        self.adj.is_some()
     }
 
     /// Materialize the logical content — dictionary, deduplicated triple
@@ -295,11 +219,7 @@ impl TripleStore {
     /// `V(e, p)` as a zero-copy slice straight off the SO run — the
     /// allocation-free bulk form for path traversal.
     pub fn objects_slice(&self, s: NodeId, p: PredicateId) -> &[NodeId] {
-        let v = self.cols();
-        match &self.adj {
-            Some(adj) => snapshot::as_node_ids(adj.objects(&v, s.raw(), p)),
-            None => snapshot::as_node_ids(v.objects(s.raw(), p)),
-        }
+        snapshot::as_node_ids(self.cols().objects(s.raw(), p))
     }
 
     /// `|V(e, p)|` without materializing, for `P(v|e,p)` (Eq 6).

@@ -174,17 +174,11 @@ pub struct ServerConfig {
     /// Slots in the slow-query log served at `GET /debug/slow` (clamped to
     /// ≥ 1).
     pub slow_log_capacity: usize,
-    /// Shard the serving store N ways at startup (`0` = leave the service
-    /// as built; `1` = the degenerate single-store router, carrying shard
-    /// telemetry on the plain path). Services that already carry a shard
-    /// router — e.g. warm-started from a sharded bundle — are left alone.
-    pub shards: usize,
-    /// Non-zero switches shard serving **out of process**: one supervised
-    /// `kbqa-shardd` worker per shard of the bundle's plan (the value only
-    /// enables the tier; the worker count always comes from the bundle
-    /// manifest). Requires [`ServerConfig::bundle_dir`]. Takes precedence
-    /// over [`ServerConfig::shards`]; services already carrying a router
-    /// are left alone.
+    /// Non-zero serves sharded: one supervised `kbqa-shardd` worker per
+    /// shard of the bundle's plan (the value only enables the tier; the
+    /// worker count always comes from the bundle manifest), and the
+    /// service scatters its value lookups through their router. Requires
+    /// [`ServerConfig::bundle_dir`].
     pub shard_workers: usize,
     /// Directory of the serving bundle (`manifest.json` +
     /// `store.shard-{i}.snap`) the shard workers map. Required when
@@ -247,7 +241,6 @@ impl Default for ServerConfig {
             model_path: None,
             trace_sample_every: 16,
             slow_log_capacity: 16,
-            shards: 0,
             shard_workers: 0,
             bundle_dir: None,
             shardd_path: None,
@@ -283,7 +276,6 @@ impl ServerConfig {
     /// | `KBQA_MODEL_PATH`          | `model_path`         |
     /// | `KBQA_TRACE_SAMPLE_EVERY`  | `trace_sample_every` |
     /// | `KBQA_SLOW_LOG_CAPACITY`   | `slow_log_capacity`  |
-    /// | `KBQA_SHARDS`              | `shards`             |
     /// | `KBQA_SHARD_WORKERS`       | `shard_workers`      |
     /// | `KBQA_BUNDLE_DIR`          | `bundle_dir`         |
     /// | `KBQA_SHARDD_PATH`         | `shardd_path`        |
@@ -338,9 +330,6 @@ impl ServerConfig {
         }
         if let Some(v) = parsed("KBQA_SLOW_LOG_CAPACITY") {
             config.slow_log_capacity = v;
-        }
-        if let Some(v) = parsed("KBQA_SHARDS") {
-            config.shards = v;
         }
         if let Some(v) = parsed("KBQA_SHARD_WORKERS") {
             config.shard_workers = v;
@@ -492,15 +481,15 @@ impl ServiceSlot {
         *slot = Arc::new(next);
     }
 
-    /// Whether value lookups leave the process (a shard router over
-    /// out-of-process lanes). Such a lookup can block for
+    /// Whether value lookups leave the process (any shard router: its
+    /// lanes are worker processes). Such a lookup can block for
     /// `worker_deadline_ms`, which an event loop must never do.
     fn has_remote_lanes(&self) -> bool {
         self.0
             .read()
             .unwrap_or_else(|poison| poison.into_inner())
             .shard_router()
-            .is_some_and(|router| !router.is_local())
+            .is_some()
     }
 }
 
@@ -605,9 +594,8 @@ impl Shared {
             config.trace_sample_every,
         ));
         // `KBQA_SHARD_WORKERS` spawns the supervised out-of-process worker
-        // tier, unless the service already carries a router (warm-started
-        // from a sharded bundle).
-        let supervisor = if service.shard_router().is_none() && config.shard_workers > 0 {
+        // tier.
+        let supervisor = if config.shard_workers > 0 {
             Some(Supervisor::start(
                 config.supervisor_config()?,
                 service.model_epoch(),
@@ -615,7 +603,7 @@ impl Shared {
         } else {
             None
         };
-        let service = place(service, &observability, supervisor.as_ref(), config.shards);
+        let service = place(service, &observability, supervisor.as_ref());
         Ok(Shared {
             state: AppState {
                 service: ServiceSlot::new(service),
@@ -664,23 +652,16 @@ impl Shared {
 
 /// Ready a freshly built service — the one [`serve`] was given, or one a
 /// full-bundle reload loaded — to serve: install the server's
-/// observability sink (replacing any the caller installed), then pick the
-/// shard router, in precedence order: the supervisor's remote router
-/// (`KBQA_SHARD_WORKERS`); the router the service carries (warm-started
-/// from a sharded bundle); an in-process partition into `shards` lanes
-/// (`KBQA_SHARDS`).
+/// observability sink (replacing any the caller installed), and attach the
+/// supervisor's router over its shard workers when there is one.
 fn place(
     service: KbqaService,
     observability: &Arc<Observability>,
     supervisor: Option<&Supervisor>,
-    shards: usize,
 ) -> KbqaService {
     let service = service.with_observability(Arc::clone(observability));
     match supervisor {
         Some(supervisor) => service.with_shard_router(supervisor.router()),
-        None if service.shard_router().is_none() && shards > 0 => {
-            service.with_shards(kbqa_core::ShardPlan::new(shards))
-        }
         None => service,
     }
 }
@@ -2401,7 +2382,6 @@ fn reload(shared: &Shared, bundle: bool) -> Response {
             artifacts.into_service_at_epoch(epoch),
             &shared.state.observability,
             supervisor.as_ref(),
-            config.shards,
         ),
     };
     let store_triples = next.store().len();

@@ -59,7 +59,9 @@
 //!    stage/commit epoch swap across the fleet, and shutdown drains
 //!    requests then terminates workers gracefully. The whole envelope is
 //!    chaos-tested (`tests/chaos.rs`): kill -9, SIGSTOP, corrupt frames,
-//!    crash loops — byte-identical to in-process sharding when healthy.
+//!    crash loops — byte-identical to unsharded serving when healthy.
+//!    Worker processes are the only shard lanes: a sharded bundle is a
+//!    plan plus per-shard snapshots that only the workers map.
 //!
 //! # Routes
 //!

@@ -341,8 +341,7 @@ pub struct MetricsSnapshot {
     #[serde(default)]
     pub shards: Option<kbqa_obs::ShardObsSnapshot>,
     /// Per-shard worker-process supervision state (filled by the HTTP
-    /// layer when the service runs multi-process shard workers; empty for
-    /// in-process sharding and unsharded serving).
+    /// layer when the server supervises shard workers; empty otherwise).
     #[serde(default)]
     pub shard_workers: Vec<crate::supervisor::WorkerStatus>,
 }

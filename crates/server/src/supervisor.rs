@@ -1,7 +1,7 @@
 //! Shard worker supervision: spawn, watch, restart, park.
 //!
 //! The [`Supervisor`] owns one `kbqa-shardd` process per shard of the
-//! bundle's [`ShardPlan`] and the remote
+//! bundle's [`ShardPlan`](kbqa_core::ShardPlan) and the remote
 //! [`ShardRouter`] the service scatters through. Its
 //! monitor thread ticks at the heartbeat interval and drives each worker
 //! through a tiny state machine:
@@ -53,9 +53,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use kbqa_core::persist::{self, shard_store_file};
-use kbqa_core::shard::ShardStats;
 use kbqa_core::wire::Frame;
-use kbqa_core::{RemoteOptions, RemoteShard, ShardPlan, ShardRouter};
+use kbqa_core::{RemoteOptions, RemoteShard, ShardRouter};
 use serde::{Deserialize, Serialize};
 
 /// SplitMix64: the deterministic hash behind restart jitter and the 429
@@ -250,25 +249,15 @@ impl Supervisor {
     /// start in `restarting` (degraded but serving) rather than failing
     /// the whole server.
     pub fn start(config: SupervisorConfig, initial_epoch: u64) -> std::io::Result<Supervisor> {
-        let (plan, stats) = persist::load_shard_manifest(&config.bundle_dir)
+        let plan = persist::load_shard_manifest(&config.bundle_dir)
             .map_err(|e| std::io::Error::other(format!("bundle manifest: {e}")))?
             .ok_or_else(|| {
                 std::io::Error::other(format!(
-                    "bundle at {} is not sharded (no shard plan in manifest); save it from a \
-                     sharded service or unset KBQA_SHARD_WORKERS",
+                    "bundle at {} is not sharded (no shard plan in manifest); save it with \
+                     a shard plan or unset KBQA_SHARD_WORKERS",
                     config.bundle_dir.display()
                 ))
             })?;
-        Self::start_with_plan(config, plan, stats, initial_epoch)
-    }
-
-    /// [`Supervisor::start`] with an explicit plan (tests).
-    pub fn start_with_plan(
-        config: SupervisorConfig,
-        plan: ShardPlan,
-        stats: ShardStats,
-        initial_epoch: u64,
-    ) -> std::io::Result<Supervisor> {
         std::fs::create_dir_all(&config.socket_dir)?;
         let opts = RemoteOptions {
             deadline: config.lookup_deadline,
@@ -278,7 +267,7 @@ impl Supervisor {
         let lanes: Vec<RemoteShard> = (0..plan.shards())
             .map(|i| RemoteShard::new(i, socket_path(&config.socket_dir, i), opts.clone()))
             .collect();
-        let router = Arc::new(ShardRouter::from_remote(plan, lanes, stats));
+        let router = Arc::new(ShardRouter::from_remote(plan, lanes));
         let now = Instant::now();
         let slots = (0..router.shard_count())
             .map(|_| {
@@ -394,7 +383,7 @@ impl Supervisor {
     /// skipped — they rejoin at the new epoch on restart.
     pub fn stage_and_commit(&self, epoch: u64) -> Result<(), String> {
         let _guard = self.shared.reload.lock().unwrap();
-        let lanes = self.shared.router.remote_lanes();
+        let lanes = self.shared.router.lanes();
         let budget = self.shared.config.startup_deadline;
         let up: Vec<usize> = (0..lanes.len())
             .filter(|&i| matches!(self.shared.slots[i].lock().unwrap().phase, Phase::Up))
@@ -445,7 +434,7 @@ impl Supervisor {
             let _ = handle.join();
         }
         let grace = self.shared.config.terminate_grace;
-        let lanes = self.shared.router.remote_lanes();
+        let lanes = self.shared.router.lanes();
         for (i, slot) in self.shared.slots.iter().enumerate() {
             let mut slot = slot.lock().unwrap();
             let Some(mut child) = slot.child.take() else {
@@ -515,7 +504,7 @@ fn check_up_worker(shared: &Shared, i: usize, slot: &mut Slot, now: Instant) {
             return;
         }
     }
-    let lane = &shared.router.remote_lanes()[i];
+    let lane = &shared.router.lanes()[i];
     let nonce = splitmix64((i as u64) << 48 ^ slot.restarts);
     match lane.ping(nonce, shared.config.heartbeat_timeout) {
         Ok(_) => slot.last_heartbeat = now,
@@ -538,7 +527,7 @@ fn check_up_worker(shared: &Shared, i: usize, slot: &mut Slot, now: Instant) {
 
 fn on_crash(shared: &Shared, i: usize, slot: &mut Slot, now: Instant, _why: &str) {
     shared.router.inject_fault(i);
-    shared.router.remote_lanes()[i].clear_pool();
+    shared.router.lanes()[i].clear_pool();
     slot.restarts += 1;
     if slot.breaker.record(now) {
         slot.phase = Phase::Parked;
@@ -582,7 +571,7 @@ fn try_start_worker(shared: &Shared, i: usize, slot: &mut Slot, now: Instant) {
             return;
         }
     };
-    let lane = &shared.router.remote_lanes()[i];
+    let lane = &shared.router.lanes()[i];
     lane.clear_pool();
     let deadline = Instant::now() + config.startup_deadline;
     let mut ready = false;

@@ -1,7 +1,7 @@
 //! Chaos suite for the multi-process shard-worker tier (PR 9).
 //!
 //! A healthy fleet of `kbqa-shardd` workers must be **byte-identical** to
-//! in-process sharding over the full 300+-question benchmark mix; an
+//! the unsharded service over the full 300+-question benchmark mix; an
 //! unhealthy one must degrade *typed* (every affected question answers
 //! `Refusal::ShardUnavailable` inside the lookup deadline, a batch never
 //! wedges) and recover to byte-identity once the supervisor restarts the
@@ -19,8 +19,10 @@
 //! * shutdown under load — in-flight requests drain, worker processes are
 //!   reaped.
 //!
-//! Plus one placement check: `/answer` on a remote-lane fleet stays on the
-//! worker pool (a remote lookup may block; event loops must not).
+//! Plus two placement checks: a service loaded from the sharded bundle and
+//! served with `shard_workers` spawns the worker tier, and `/answer` on a
+//! remote-lane fleet stays on the worker pool (a remote lookup may block;
+//! event loops must not).
 //!
 //! Worker-spawning tests serialize on one lock: chaos hooks travel through
 //! process-global environment variables that spawned workers inherit.
@@ -34,10 +36,12 @@ use std::time::{Duration, Instant};
 
 use kbqa_core::persist::ServingArtifacts;
 use kbqa_core::service::{KbqaService, QaRequest, QaResponse, Refusal};
-use kbqa_core::ShardPlan;
+use kbqa_core::{RemoteOptions, RemoteShard, ShardPlan};
 use kbqa_corpus::{benchmark, CorpusConfig, QaCorpus, World, WorldConfig};
 use kbqa_nlp::GazetteerNer;
-use kbqa_server::{serve, BackoffPolicy, ServerConfig, Supervisor, SupervisorConfig};
+use kbqa_server::{
+    serve, BackoffPolicy, MetricsSnapshot, ServerConfig, Supervisor, SupervisorConfig,
+};
 
 const SHARDS: usize = 3;
 
@@ -49,10 +53,8 @@ struct Fixture {
     world: World,
     corpus: QaCorpus,
     /// The unsharded service (global store; supervisors attach routers to
-    /// clones of this).
+    /// clones of this) — the byte-identity baseline.
     service: KbqaService,
-    /// The in-process sharded twin — the byte-identity baseline.
-    sharded: KbqaService,
     /// Bundle directory holding `manifest.json` + `store.shard-{i}.snap`.
     bundle: PathBuf,
 }
@@ -86,16 +88,17 @@ fn build_fixture() -> Fixture {
     )
     .ner(ner)
     .build();
-    let sharded = service.with_shards(ShardPlan::new(SHARDS));
     let bundle = chaos_root().join("bundle");
-    ServingArtifacts::from_service(&sharded)
-        .save(&bundle)
-        .expect("save sharded bundle");
+    ServingArtifacts {
+        shard_plan: Some(ShardPlan::new(SHARDS)),
+        ..ServingArtifacts::from_service(&service)
+    }
+    .save(&bundle)
+    .expect("save sharded bundle");
     Fixture {
         world,
         corpus,
         service,
-        sharded,
         bundle,
     }
 }
@@ -154,13 +157,13 @@ fn request_set(f: &Fixture) -> Vec<QaRequest> {
         .collect()
 }
 
-/// Baseline answers from the in-process sharded twin, serialized — the
+/// Baseline answers from the unsharded service, serialized — the
 /// byte-identity reference every chaos test compares against.
 fn baselines() -> &'static Vec<String> {
     static BASELINES: OnceLock<Vec<String>> = OnceLock::new();
     BASELINES.get_or_init(|| {
         let f = fixture();
-        f.sharded
+        f.service
             .answer_batch(&request_set(f))
             .iter()
             .map(|r| serde_json::to_string(r).expect("serialize baseline"))
@@ -263,7 +266,7 @@ fn assert_baseline_or_degraded(responses: &[QaResponse], expected: &[String]) ->
 // ---------------------------------------------------------------------------
 
 #[test]
-fn healthy_multi_process_fleet_is_byte_identical_to_in_process_sharding() {
+fn healthy_multi_process_fleet_is_byte_identical_to_the_unsharded_service() {
     let _guard = spawn_lock();
     let (supervisor, remote) = start_remote(fast_config("equivalence"));
     let requests = request_set(fixture());
@@ -393,11 +396,12 @@ fn sigstopped_worker_hits_lookup_deadlines_then_hang_kill_then_recovers() {
 #[test]
 fn corrupted_and_truncated_reply_frames_are_retried_to_byte_identity() {
     let _guard = spawn_lock();
-    // Shard 1 corrupts every 5th reply's checksum trailer; shard 2 sends
-    // half a frame every 7th. Both are transient wire faults: detection
-    // (Fx-64 checksum / read timeout) plus one retry must hide them
-    // completely. Generous hang grace keeps sporadic failed pings from
-    // escalating to a hang kill mid-test.
+    // Shard 1 corrupts the checksum trailer of every 5th reply on a
+    // connection; shard 2 sends half of every 7th and hangs up. Both are
+    // transient wire faults: detection (Fx-64 checksum / EOF) plus one
+    // retry, which takes a fresh connection, must hide them completely.
+    // Generous hang grace keeps sporadic failed pings from escalating to a
+    // hang kill mid-test.
     std::env::set_var("KBQA_SHARDD_CORRUPT_EVERY", "1:5");
     std::env::set_var("KBQA_SHARDD_TRUNCATE_EVERY", "2:7");
     let mut config = fast_config("wire-chaos");
@@ -415,6 +419,29 @@ fn corrupted_and_truncated_reply_frames_are_retried_to_byte_identity() {
                 expected[i],
                 "request {i}: wire-level corruption leaked past checksum + retry"
             );
+        }
+        // The hooks do fire: with no retry, one pooled connection sees
+        // shard 1's 5th reply fail its checksum and shard 2's 7th arrive
+        // truncated.
+        for (shard, nth, symptom) in [(1, 5, "checksum"), (2, 7, "failed to fill whole buffer")] {
+            let lane = RemoteShard::new(
+                shard,
+                supervisor.router().lanes()[shard].socket(),
+                RemoteOptions {
+                    deadline: Duration::from_secs(5),
+                    retries: 0,
+                    max_idle: 1,
+                },
+            );
+            for ping in 1..nth {
+                if let Err(e) = lane.ping(ping, Duration::from_secs(5)) {
+                    panic!("shard {shard}: ping {ping} of a fresh connection failed: {e}");
+                }
+            }
+            let err = lane
+                .ping(nth, Duration::from_secs(5))
+                .expect_err("the hook faults the nth reply of a connection");
+            assert!(err.to_string().contains(symptom), "shard {shard}: {err}");
         }
         supervisor.shutdown();
     });
@@ -496,6 +523,18 @@ fn extract_u64(body: &str, key: &str) -> u64 {
         .expect("number")
 }
 
+/// Per-lane `queries` of the `/metrics` shard section (empty when the
+/// service serves unsharded).
+fn shard_queries(addr: SocketAddr) -> Vec<u64> {
+    let (status, _, body) = must_request(addr, "GET", "/metrics", "", "");
+    assert_eq!(status, 200, "{body}");
+    let metrics: MetricsSnapshot = serde_json::from_str(&body).expect("metrics JSON");
+    metrics
+        .shards
+        .map(|shards| shards.lanes.iter().map(|lane| lane.queries).collect())
+        .unwrap_or_default()
+}
+
 /// Every `"pid":<n>` in a healthz body.
 fn extract_pids(body: &str) -> Vec<u32> {
     let mut pids = Vec::new();
@@ -510,22 +549,12 @@ fn extract_pids(body: &str) -> Vec<u32> {
     pids
 }
 
-/// A fresh service rebuilt from the bundle's artifacts **without** the
-/// local shard router — serve() must attach the supervised remote tier.
-fn service_from_bundle() -> KbqaService {
-    let artifacts = ServingArtifacts::load(&fixture().bundle).expect("load bundle");
-    let mut builder = KbqaService::builder(
-        Arc::clone(&artifacts.store),
-        Arc::clone(&artifacts.conceptualizer),
-        Arc::clone(&artifacts.model),
-    );
-    if let Some(ner) = &artifacts.ner {
-        builder = builder.ner(Arc::clone(ner));
-    }
-    if let Some(index) = &artifacts.pattern_index {
-        builder = builder.pattern_index(Arc::clone(index));
-    }
-    builder.build()
+/// The service a warm start loads from the sharded bundle: no router —
+/// `serve` attaches the supervised worker tier.
+fn bundle_service() -> KbqaService {
+    ServingArtifacts::load(&fixture().bundle)
+        .expect("load bundle")
+        .into_service()
 }
 
 fn shard_server_config(tag: &str) -> ServerConfig {
@@ -558,7 +587,7 @@ fn crash_looping_worker_is_parked_and_healthz_reports_degraded_503() {
         let mut config = shard_server_config("crash-loop");
         config.worker_breaker_max_restarts = 2;
         let handle =
-            serve(service_from_bundle(), "127.0.0.1:0", config).expect("serve with shard workers");
+            serve(bundle_service(), "127.0.0.1:0", config).expect("serve with shard workers");
         let addr = handle.local_addr();
 
         // The breaker parks shard 1 within a few backoff rounds.
@@ -619,9 +648,60 @@ fn crash_looping_worker_is_parked_and_healthz_reports_degraded_503() {
 }
 
 #[test]
+fn a_loaded_sharded_bundle_served_with_shard_workers_spawns_them() {
+    // The documented setup: load the bundle `KBQA_BUNDLE_DIR` names, then
+    // serve it with `KBQA_SHARD_WORKERS`. Loading maps no shard store, so
+    // the supervisor spawns one worker per shard and every lookup goes
+    // through them.
+    let _guard = spawn_lock();
+    let handle = serve(
+        bundle_service(),
+        "127.0.0.1:0",
+        shard_server_config("bundle"),
+    )
+    .expect("serve with shard workers");
+    let addr = handle.local_addr();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let health = loop {
+        let (status, _, body) = must_request(addr, "GET", "/healthz", "", "");
+        if status == 200 && body.matches("\"state\":\"up\"").count() == SHARDS {
+            break body;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "healthz never listed {SHARDS} shard workers up: {body}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert_eq!(extract_pids(&health).len(), SHARDS, "{health}");
+
+    let requests = request_set(fixture());
+    let expected = baselines();
+    let payload = serde_json::to_string(&requests[..120]).expect("payload");
+    let (status, _, body) = must_request(addr, "POST", "/batch", "", &payload);
+    assert_eq!(status, 200, "{body}");
+    let responses: Vec<QaResponse> = serde_json::from_str(&body).expect("batch body");
+    assert_eq!(responses.len(), 120);
+    for (i, response) in responses.iter().enumerate() {
+        assert_eq!(
+            serde_json::to_string(response).expect("serialize"),
+            expected[i],
+            "request {i} diverged through the spawned workers"
+        );
+    }
+    let queries = shard_queries(addr);
+    assert_eq!(queries.len(), SHARDS);
+    assert!(
+        queries.iter().sum::<u64>() > 0,
+        "no lookup reached a worker"
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn two_phase_reload_never_mixes_epochs_and_min_epoch_gates_with_409() {
     let _guard = spawn_lock();
-    let service = service_from_bundle();
+    let service = bundle_service();
     let model_path = chaos_root().join("reload-model.json");
     kbqa_core::persist::save_model(&service.model(), &model_path).expect("save model");
     let mut config = shard_server_config("reload");
@@ -676,6 +756,20 @@ fn two_phase_reload_never_mixes_epochs_and_min_epoch_gates_with_409() {
         "the hammer never landed a batch during the reloads"
     );
 
+    // The bundle reloads kept the workers' router: every lane still
+    // reports, and questions new at this epoch add to its queries.
+    let before = shard_queries(addr);
+    assert_eq!(before.len(), SHARDS, "a bundle reload dropped the shards");
+    let fresh = serde_json::to_string(&request_set(fixture())[24..72]).expect("payload");
+    let (status, _, body) = must_request(addr, "POST", "/batch", "", &fresh);
+    assert_eq!(status, 200, "{body}");
+    let after = shard_queries(addr);
+    assert_eq!(after.len(), SHARDS, "a bundle reload dropped the shards");
+    assert!(
+        after.iter().sum::<u64>() > before.iter().sum::<u64>(),
+        "no lookup reached the workers after the reloads: {before:?} → {after:?}"
+    );
+
     // min_epoch: read-your-reload honored at the served epoch, 409 above.
     let mut pinned = QaRequest::new("what is the population of nowhere");
     pinned.min_epoch = Some(last_epoch);
@@ -699,17 +793,13 @@ fn two_phase_reload_never_mixes_epochs_and_min_epoch_gates_with_409() {
 fn remote_lane_answers_stay_on_the_worker_pool() {
     // A value lookup on a worker process can block for `worker_deadline_ms`,
     // which an event loop must never do: on a remote-lane fleet `/answer`
-    // keeps the handoff that local services dropped. Visible without timing
+    // keeps the handoff that unsharded services dropped. Visible without timing
     // anything: a pooled request wakes its loop twice (socket readable, then
     // the completion eventfd), a loop-served one once.
     const REQUESTS: usize = 40;
     let _guard = spawn_lock();
-    let handle = serve(
-        service_from_bundle(),
-        "127.0.0.1:0",
-        shard_server_config("pool"),
-    )
-    .expect("serve with shard workers");
+    let handle = serve(bundle_service(), "127.0.0.1:0", shard_server_config("pool"))
+        .expect("serve with shard workers");
     let addr = handle.local_addr();
     let wakeups = || {
         let (status, _, body) = must_request(addr, "GET", "/metrics", "", "");
@@ -737,7 +827,7 @@ fn remote_lane_answers_stay_on_the_worker_pool() {
         assert_eq!(status, 200, "{reply}");
         assert_eq!(
             &reply, expected,
-            "a healthy fleet answers byte-identically to in-process shards"
+            "a healthy fleet answers byte-identically to the unsharded service"
         );
     }
     let spent = wakeups() - before;
@@ -753,7 +843,7 @@ fn remote_lane_answers_stay_on_the_worker_pool() {
 fn shutdown_under_load_drains_in_flight_requests_and_reaps_workers() {
     let _guard = spawn_lock();
     let handle = serve(
-        service_from_bundle(),
+        bundle_service(),
         "127.0.0.1:0",
         shard_server_config("shutdown"),
     )

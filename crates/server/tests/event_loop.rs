@@ -594,13 +594,16 @@ fn soak_256_keep_alive_connections_mixed_routes() {
 }
 
 /// 64 keep-alive connections through the SHARDED scatter-gather router
-/// (PR 8): a real learned service partitioned into 4 shards via
-/// `ServerConfig::shards`, mixed `/answer` + `/batch` + `/healthz` traffic,
-/// zero 5xx, and the per-shard telemetry visible in `/metrics`.
+/// (PR 8): a real learned service saved as a 4-shard bundle and served by
+/// four supervised `kbqa-shardd` workers (`ServerConfig::shard_workers`),
+/// mixed `/answer` + `/batch` + `/healthz` traffic, zero 5xx, and the
+/// per-shard telemetry visible in `/metrics`.
 #[test]
 #[ignore = "soak: run explicitly with --ignored (CI does, in release mode)"]
 fn soak_sharded_64_connections_through_the_router() {
     use kbqa_core::learner::{Learner, LearnerConfig};
+    use kbqa_core::persist::ServingArtifacts;
+    use kbqa_core::ShardPlan;
     use kbqa_corpus::{CorpusConfig, QaCorpus, World, WorldConfig};
     use kbqa_nlp::GazetteerNer;
 
@@ -640,8 +643,22 @@ fn soak_sharded_64_connections_through_the_router() {
         .collect();
     assert!(questions.len() >= CONNECTIONS, "need a question per client");
 
+    let dir = std::env::temp_dir().join(format!("kbqa-soak-sharded-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    ServingArtifacts {
+        shard_plan: Some(ShardPlan::new(4)),
+        ..ServingArtifacts::from_service(&service)
+    }
+    .save(&dir)
+    .expect("save sharded bundle");
     let config = ServerConfig {
-        shards: 4,
+        shard_workers: 4,
+        bundle_dir: Some(dir.clone()),
+        shardd_path: Some(env!("CARGO_BIN_EXE_kbqa-shardd").into()),
+        worker_socket_dir: Some(dir.join("sock")),
+        // 64 clients share the machine with the workers: a lookup waits on
+        // the CPU, not on a dead worker.
+        worker_deadline_ms: 5_000,
         event_loops: 2,
         max_pending: 256,
         read_timeout: Duration::from_secs(30),
@@ -716,6 +733,7 @@ fn soak_sharded_64_connections_through_the_router() {
         "no routed fan-out recorded: {shards:?}"
     );
     server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Above the admission bound, excess connections get a correct

@@ -727,31 +727,6 @@ fn concurrent_reloads_of_both_modes_get_distinct_epochs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn bundle_reload_keeps_the_configured_shards() {
-    let (service, dir) = bundle_fixture("bundle-shards");
-    let config = ServerConfig {
-        admin_token: Some("swordfish".into()),
-        bundle_dir: Some(dir.clone()),
-        shards: 2,
-        ..ServerConfig::default()
-    };
-    let server = serve(service, "127.0.0.1:0", config).expect("bind");
-    let addr = server.local_addr();
-    let lanes = || metrics(addr).shards.map(|shards| shards.lanes.len());
-
-    // The bundle is unsharded: `shards: 2` partitions it at startup, and
-    // again when a reload loads it.
-    assert_eq!(lanes(), Some(2));
-    let (status, reply) = http(addr, "POST", "/admin/reload?mode=bundle", ADMIN, "");
-    assert_eq!(status, 200, "{reply}");
-    assert_eq!(epoch_in(&reply), 1);
-    assert_eq!(lanes(), Some(2), "a bundle reload dropped the shards");
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 // ---------------------------------------------------------------------------
 // Admission control
 // ---------------------------------------------------------------------------

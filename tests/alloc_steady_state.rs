@@ -14,12 +14,6 @@
 //! Observability that costs heap on the hot path would be observability
 //! the server could not afford to leave on.
 //!
-//! PR 8 extends it to the scatter-gather path: the same workload with a
-//! shard router attached (value lookups resolved on owning shards via the
-//! adjacency index, fanout mask + lane telemetry recorded, tracer still
-//! armed) must also be allocation-free — the router adds hash probes and
-//! atomics to the hot path, never heap.
-//!
 //! PR 13 extends it to small batches: a 16-question `answer_batch` (the
 //! lane size of a streamed `/batch`) allocates only the responses it hands
 //! back — it runs on the caller's warm scratch instead of spawning threads
@@ -165,46 +159,7 @@ fn steady_state_kernel_performs_zero_allocations() {
         50 * tokenized.len()
     );
 
-    // Phase 3 (PR 8): the sharded scatter-gather merge path. Value lookups
-    // route to owning shard stores, the fanout mask and per-lane telemetry
-    // record on every call, the tracer stays armed — still zero heap.
-    let router = ShardRouter::from_store(&world.store, ShardPlan::new(3));
-    assert!(!router.is_degenerate());
-    let sharded = QaEngine::with_shared(&world.store, &world.conceptualizer, &model, &ner)
-        .with_shards(&router);
-    for _ in 0..3 {
-        for tokens in &tokenized {
-            scratch.trace.begin(true);
-            let _ = sharded.score_bfq(tokens, &mut scratch);
-            let _ = scratch.trace.finish(&stats);
-        }
-    }
-
-    let before = allocations();
-    let mut sharded_answered = 0usize;
-    for _ in 0..50 {
-        for tokens in &tokenized {
-            scratch.trace.begin(true);
-            if sharded.score_bfq(tokens, &mut scratch).is_ok() {
-                sharded_answered += 1;
-            }
-            let _ = scratch.trace.finish(&stats);
-        }
-    }
-    let delta = allocations() - before;
-    assert!(sharded_answered > 0, "sharded workload must answer");
-    assert!(
-        scratch.shard_mask() != 0,
-        "value lookups never routed through the shards"
-    );
-    assert_eq!(
-        delta,
-        0,
-        "sharded steady-state score_bfq allocated {delta} times over {} calls",
-        50 * tokenized.len()
-    );
-
-    // Phase 4 (PR 10): the serving-edge serializer. `serialize_into` writes
+    // Phase 3 (PR 10): the serving-edge serializer. `serialize_into` writes
     // a QaResponse straight into a caller-owned buffer — after warmup has
     // grown the buffer to its high-water mark, re-serializing mixed
     // responses (answers with floats/strings, refusals, real epoch) must
@@ -246,7 +201,7 @@ fn steady_state_kernel_performs_zero_allocations() {
         50 * responses.len()
     );
 
-    // Phase 5 (PR 13): a small `answer_batch` — 16 questions, the lane a
+    // Phase 4 (PR 13): a small `answer_batch` — 16 questions, the lane a
     // streamed `/batch` computes at a time — runs on the caller's warm
     // scratch, whatever the core count: it allocates its owned responses
     // and nothing else, exactly what the same questions cost one at a time.
@@ -280,7 +235,7 @@ fn steady_state_kernel_performs_zero_allocations() {
         "a 16-question answer_batch lane allocated {delta} times, more than at PR 13"
     );
 
-    // Phase 6 (PR 18): the cache key every request pays for, hit or miss —
+    // Phase 5 (PR 18): the cache key every request pays for, hit or miss —
     // one buffer, sized up front, never regrown.
     let keyed: Vec<QaRequest> = vec![
         QaRequest::new("What is  the population of Honolulu?"),
@@ -301,7 +256,7 @@ fn steady_state_kernel_performs_zero_allocations() {
         "cache_key must allocate exactly once per key"
     );
 
-    // Phase 7: the same lane rendered as JSON straight from the kernel's
+    // Phase 6: the same lane rendered as JSON straight from the kernel's
     // ranked ids — no `Answer`, no `String`, numbers formatted in place.
     let numeric = lane.iter().any(|request| {
         snapshot.answer(request).answers.iter().any(|answer| {
@@ -328,7 +283,7 @@ fn steady_state_kernel_performs_zero_allocations() {
         "rendering a warm 16-question lane allocated {delta} times"
     );
 
-    // Phase 8: the lane through the server's rendered-bytes cache. The
+    // Phase 7: the lane through the server's rendered-bytes cache. The
     // cache's slab and index are grown past the lane's needs and emptied
     // first, so what is counted is the lane's own cost: an entry and an
     // owned key per miss, nothing per hit.
@@ -364,7 +319,7 @@ fn steady_state_kernel_performs_zero_allocations() {
     assert_eq!(out, missed, "a hit must replay the bytes its miss rendered");
     assert_eq!(delta, 0, "a streamed-batch hit allocated {delta} times");
 
-    // Phase 9: the request decode in front of all of it. `/answer` decodes
+    // Phase 8: the request decode in front of all of it. `/answer` decodes
     // its body with `serde_json::from_slice`, whose derived `Deserialize`
     // streams off the bytes: the benchmark's body costs the question's
     // `String` and nothing else.

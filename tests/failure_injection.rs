@@ -1,10 +1,7 @@
 //! Failure injection: the pipeline must degrade, not panic, under
 //! adversarial corpora, pathological graphs, and hostile question strings.
-//!
-//! PR 8 adds shard faults: a shard panicking mid-query must degrade that
-//! question to a typed [`Refusal::ShardUnavailable`] while the service — and
-//! the HTTP server above it, `/healthz` included — keeps serving everything
-//! that doesn't route to the poisoned shard.
+//! Shard faults live with the sharded-serving suite
+//! (`tests/shard_equivalence.rs`), next to the workers they poison.
 
 use std::sync::Arc;
 
@@ -187,203 +184,6 @@ fn pattern_index_handles_duplicates_and_short_questions() {
     assert_eq!(index.questions_indexed(), 2);
     let (fo, _) = index.counts(&["one", "$e"]);
     assert_eq!(fo, 2);
-}
-
-/// A sharded learned service over the tiny world plus questions it
-/// demonstrably answers through the router.
-fn sharded_fixture(shards: usize) -> (KbqaService, Arc<ShardRouter>, Vec<String>) {
-    let world = World::generate(WorldConfig::tiny(42));
-    let corpus = QaCorpus::generate(&world, &CorpusConfig::with_pairs(5, 400));
-    let pairs: Vec<(String, String)> = corpus
-        .pairs
-        .iter()
-        .map(|p| (p.question.clone(), p.answer.clone()))
-        .collect();
-    let model = learn_with(&world, pairs);
-    let service = service_for(&world, model).with_shards(ShardPlan::new(shards));
-    let router = Arc::clone(service.shard_router().expect("router installed"));
-    let mut seen = std::collections::HashSet::new();
-    let answerable: Vec<String> = corpus
-        .pairs
-        .iter()
-        .map(|p| p.question.clone())
-        .filter(|q| seen.insert(q.clone()))
-        .filter(|q| service.answer_text(q).answered())
-        .take(40)
-        .collect();
-    assert!(
-        answerable.len() >= 10,
-        "fixture must answer enough questions"
-    );
-    (service, router, answerable)
-}
-
-#[test]
-fn poisoned_shard_is_a_typed_refusal_and_other_shards_keep_answering() {
-    let (service, router, answerable) = sharded_fixture(4);
-    let mut refusals = 0usize;
-    let mut survivals = 0usize;
-    for question in &answerable {
-        for shard in 0..router.shard_count() {
-            router.inject_fault(shard);
-            let response = service.answer_text(question);
-            if response.answered() {
-                // This question never routed to the poisoned shard —
-                // the fault stayed isolated.
-                survivals += 1;
-            } else {
-                assert_eq!(
-                    response.refusal,
-                    Some(Refusal::ShardUnavailable),
-                    "a shard fault must surface as the typed refusal, got {:?} for {question:?}",
-                    response.refusal
-                );
-                refusals += 1;
-            }
-            router.heal(shard);
-        }
-        // Healed, the question answers again.
-        assert!(service.answer_text(question).answered());
-    }
-    assert!(refusals > 0, "no question ever routed to a poisoned shard");
-    assert!(
-        survivals > 0,
-        "every question refused under every single-shard fault — faults are not isolated"
-    );
-    assert_eq!(
-        router.obs().total_failures(),
-        refusals as u64,
-        "every typed refusal must be counted on a shard lane, and nothing else"
-    );
-}
-
-#[test]
-fn poisoned_shard_never_wedges_answer_batch() {
-    let (service, router, answerable) = sharded_fixture(4);
-    let requests: Vec<QaRequest> = answerable.iter().map(QaRequest::new).collect();
-    let healthy = service.answer_batch(&requests);
-    let healthy_answered = healthy.iter().filter(|r| r.answered()).count();
-    assert_eq!(healthy_answered, requests.len());
-
-    router.inject_fault(2);
-    // The batch returns — in order, full length — rather than wedging on
-    // the poisoned lane. (The scoped workers join unconditionally; a hang
-    // here is this test timing out.)
-    let degraded = service.answer_batch(&requests);
-    assert_eq!(degraded.len(), requests.len());
-    let unavailable = degraded
-        .iter()
-        .filter(|r| r.refusal == Some(Refusal::ShardUnavailable))
-        .count();
-    for (request, response) in requests.iter().zip(&degraded) {
-        assert!(
-            response.answered() || response.refusal == Some(Refusal::ShardUnavailable),
-            "under a shard fault every response is an answer or the typed refusal; \
-             {:?} got {:?}",
-            request.question,
-            response.refusal
-        );
-    }
-    assert!(
-        unavailable > 0,
-        "no batch question routed to the poisoned shard"
-    );
-    assert!(
-        degraded.iter().any(|r| r.answered()),
-        "the whole batch refused — the fault leaked past its shard"
-    );
-
-    router.heal(2);
-    let healed = service.answer_batch(&requests);
-    assert_eq!(
-        healed.iter().filter(|r| r.answered()).count(),
-        healthy_answered,
-        "healing the shard must restore the full answer set"
-    );
-}
-
-#[test]
-fn shard_fault_keeps_the_http_server_and_healthz_up() {
-    use std::io::{Read, Write};
-
-    let (service, router, answerable) = sharded_fixture(3);
-    let server = kbqa_server::serve(service, "127.0.0.1:0", kbqa_server::ServerConfig::default())
-        .expect("bind ephemeral port");
-    let addr = server.local_addr();
-
-    let http = |method: &str, path: &str, body: &str| -> (u16, String) {
-        let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-        write!(
-            stream,
-            "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\
-             Content-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("write request");
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).expect("read response");
-        let text = String::from_utf8_lossy(&raw).to_string();
-        let status = text
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .expect("status line");
-        let body = text
-            .split_once("\r\n\r\n")
-            .map(|(_, b)| b.to_owned())
-            .unwrap_or_default();
-        (status, body)
-    };
-    let ask = |question: &str| {
-        let quoted = serde_json::to_string(question).expect("quote question");
-        http("POST", "/answer", &format!("{{\"question\":{quoted}}}"))
-    };
-
-    let (status, body) = ask(&answerable[0]);
-    assert_eq!(status, 200);
-    assert!(body.contains("\"answers\""), "healthy answer: {body}");
-
-    // Poison EVERY shard: all routed questions degrade, nothing crashes.
-    // (A FRESH question each phase — the server's answer cache would
-    // otherwise replay the healthy response and never touch the router.)
-    for shard in 0..router.shard_count() {
-        router.inject_fault(shard);
-    }
-    let (status, body) = ask(&answerable[1]);
-    assert_eq!(status, 200, "a shard fault is a refusal, not a 5xx: {body}");
-    assert!(
-        body.contains("ShardUnavailable"),
-        "typed refusal must reach the wire: {body}"
-    );
-    let (status, _) = http("GET", "/healthz", "");
-    assert_eq!(status, 200, "/healthz must stay serving under shard faults");
-
-    // The refusal cause and the shard failure are visible in metrics.
-    let (status, metrics) = http("GET", "/metrics", "");
-    assert_eq!(status, 200);
-    let snapshot: kbqa_server::MetricsSnapshot =
-        serde_json::from_str(&metrics).expect("metrics JSON");
-    assert!(
-        snapshot.refused_shard_unavailable >= 1,
-        "refusal cause not counted: {snapshot:?}"
-    );
-    let shards = snapshot
-        .shards
-        .as_ref()
-        .unwrap_or_else(|| panic!("sharded metrics section missing in: {metrics}"));
-    assert!(
-        shards.lanes.iter().map(|l| l.failures).sum::<u64>() >= 1,
-        "shard failure not counted on a lane: {shards:?}"
-    );
-
-    // Healed, a fresh question answers through the same server.
-    for shard in 0..router.shard_count() {
-        router.heal(shard);
-    }
-    let (status, body) = ask(&answerable[2]);
-    assert_eq!(status, 200);
-    assert!(body.contains("\"answers\""), "healed answer: {body}");
-    server.shutdown();
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! `ServiceSnapshot::answer_into` and `answer_batch_into` write straight
 //! from ranked ids must equal `serde_json::to_string` of the owned
 //! `ServiceSnapshot::answer` response, for every request shape and on every
-//! snapshot shape (in-memory store, mapped store, in-process shards).
+//! snapshot shape (in-memory store, mapped store).
 
 use std::sync::Arc;
 
@@ -245,13 +245,8 @@ fn rendered_responses_are_byte_identical_to_serde_on_every_snapshot_shape() {
         .expect("load serving bundle")
         .into_service();
     assert_eq!(mapped.store().backend_kind().as_str(), "mapped");
-    let sharded = in_memory.with_shards(ShardPlan::new(2));
 
-    for (service, label) in [
-        (&in_memory, "in-memory"),
-        (&mapped, "mapped"),
-        (&sharded, "2 in-process shards"),
-    ] {
+    for (service, label) in [(&in_memory, "in-memory"), (&mapped, "mapped")] {
         let (refused, decomposed) = assert_renders_like_serde(&service.snapshot(), &questions);
         assert!(refused > 0, "{label}: the corpus refused nothing");
         assert!(decomposed > 0, "{label}: the corpus decomposed nothing");
