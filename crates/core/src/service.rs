@@ -768,9 +768,10 @@ impl ServiceSnapshot {
         }
     }
 
-    /// Run `each` over every request of a batch. A small unsharded batch
-    /// runs on the calling thread's warm scratch, into `inline`, and
-    /// returns `None`. Otherwise the batch splits into groups — chunks of
+    /// Run `each` over every request of a batch. A batch under two threads'
+    /// worth of questions (128), sharded or not, runs on the calling
+    /// thread's warm scratch, into `inline`, and returns `None`. Otherwise
+    /// the batch splits into groups — chunks of
     /// at least 64 questions, or, behind a shard router, one lane per shard
     /// with questions assigned by stable question hash (repeated questions
     /// keep lane affinity; per-shard queue depths surface on the router's
@@ -789,10 +790,17 @@ impl ServiceSnapshot {
         R: std::borrow::Borrow<QaRequest> + Sync,
         A: Send,
     {
-        let router = self.router().filter(|_| requests.len() > 1);
+        // The batch-size bound comes first, behind a router or not: a thread
+        // pays for its spawn and its cold scratch only with at least
+        // `BATCH_MIN_QUESTIONS_PER_THREAD` questions to run, so a small
+        // batch — every lane of a server `/batch` — runs on the calling
+        // thread. (`available_parallelism` reads the affinity mask and
+        // cgroup files, which a small batch has no reason to pay for.)
+        let by_size = (requests.len() / BATCH_MIN_QUESTIONS_PER_THREAD).min(16);
+        let router = self.router().filter(|_| by_size > 1);
         let groups: Vec<Vec<u32>> = match router {
             Some(router) => {
-                let lanes = router.shard_count().min(requests.len()).min(16);
+                let lanes = router.shard_count().min(by_size);
                 let mut groups = vec![Vec::new(); lanes];
                 for (i, request) in requests.iter().enumerate() {
                     let lane = (question_affinity(request.borrow()) % lanes as u64) as usize;
@@ -804,11 +812,7 @@ impl ServiceSnapshot {
                 groups
             }
             None => {
-                // The batch-size bound comes first: `available_parallelism`
-                // reads the affinity mask and cgroup files, which a small
-                // batch — every lane of a streamed `/batch` — has no reason
-                // to pay for.
-                let workers = match (requests.len() / BATCH_MIN_QUESTIONS_PER_THREAD).min(16) {
+                let workers = match by_size {
                     0 | 1 => 1,
                     by_size => std::thread::available_parallelism()
                         .map(|n| n.get())

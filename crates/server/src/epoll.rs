@@ -1,12 +1,10 @@
 //! A thin, raw-syscall readiness shim over Linux `epoll`.
 //!
-//! The offline build rules out mio/tokio, so this module declares the four
+//! The offline build rules out mio/tokio, so this module declares the three
 //! syscall wrappers the event loop needs — `epoll_create1`, `epoll_ctl`,
-//! `epoll_wait`, `eventfd` — directly against the libc that `std` already
-//! links (`extern "C"`, no new crates). The surface is deliberately tiny:
-//! a level-triggered [`Epoll`] instance with add/modify/delete/wait, and a
-//! [`WakeFd`] (an `eventfd`) that other threads write to pull a sleeping
-//! loop out of `epoll_wait`.
+//! `epoll_wait` — directly against the libc that `std` already links
+//! (`extern "C"`, no new crates). The surface is deliberately tiny: a
+//! level-triggered [`Epoll`] instance with add/modify/delete/wait.
 //!
 //! Level-triggered mode everywhere: the event loop masks interest on a
 //! per-connection basis (`EPOLL_CTL_MOD`) instead of draining edge
@@ -16,7 +14,7 @@
 
 use std::io;
 use std::os::fd::RawFd;
-use std::os::raw::{c_int, c_uint, c_void};
+use std::os::raw::c_int;
 use std::time::Duration;
 
 /// One readiness notification. Layout must match the kernel's
@@ -63,8 +61,6 @@ const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0x80000;
-const EFD_CLOEXEC: c_int = 0x80000;
-const EFD_NONBLOCK: c_int = 0x800;
 const EINTR: i32 = 4;
 const EINVAL: i32 = 22;
 
@@ -72,10 +68,7 @@ extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
-    fn eventfd(initval: c_uint, flags: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
-    fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-    fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
 }
 
 /// One epoll instance (level-triggered). Closed on drop.
@@ -133,12 +126,13 @@ impl Epoll {
     }
 
     /// Block for readiness, filling `events`. Returns how many entries were
-    /// written. `None` blocks indefinitely; `Some(d)` caps the wait (rounded
-    /// up to at least 1 ms so a short timeout cannot spin). `EINTR` retries.
+    /// written. `None` blocks indefinitely; `Some(d)` caps the wait, rounded
+    /// up to whole milliseconds so a short timeout cannot spin; only
+    /// `Duration::ZERO` polls without blocking. `EINTR` retries.
     pub fn wait(&self, events: &mut [EpollEvent], timeout: Option<Duration>) -> io::Result<usize> {
         let timeout_ms: c_int = match timeout {
             None => -1,
-            Some(d) => c_int::try_from(d.as_millis().max(1)).unwrap_or(c_int::MAX),
+            Some(d) => c_int::try_from(d.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX),
         };
         loop {
             let n = unsafe {
@@ -168,69 +162,19 @@ impl Drop for Epoll {
     }
 }
 
-/// An `eventfd`-backed wakeup channel: any thread calls [`WakeFd::wake`],
-/// the owning event loop sees the fd readable and [`WakeFd::drain`]s it.
-/// Nonblocking on both sides; closed on drop.
-#[derive(Debug)]
-pub struct WakeFd {
-    fd: RawFd,
-}
-
-// The fd is written/read with single atomic 8-byte syscalls; sharing the
-// handle across threads is the entire point.
-unsafe impl Send for WakeFd {}
-unsafe impl Sync for WakeFd {}
-
-impl WakeFd {
-    /// A fresh eventfd (`EFD_CLOEXEC | EFD_NONBLOCK`, counter 0).
-    pub fn new() -> io::Result<Self> {
-        let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Self { fd })
-    }
-
-    /// The raw fd, for epoll registration.
-    pub fn raw(&self) -> RawFd {
-        self.fd
-    }
-
-    /// Make the fd readable, waking any epoll waiting on it. Failures are
-    /// ignored: a full counter (`EAGAIN`) already means a wake is pending.
-    pub fn wake(&self) {
-        let one: u64 = 1;
-        unsafe {
-            write(self.fd, (&one as *const u64).cast(), 8);
-        }
-    }
-
-    /// Consume all pending wakes so level-triggered epoll stops reporting.
-    pub fn drain(&self) {
-        let mut buf: u64 = 0;
-        unsafe {
-            read(self.fd, (&mut buf as *mut u64).cast(), 8);
-        }
-    }
-}
-
-impl Drop for WakeFd {
-    fn drop(&mut self) {
-        unsafe {
-            close(self.fd);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::io::{Read, Write};
+    use std::os::fd::AsRawFd;
+    use std::os::unix::net::UnixStream;
+
     use super::*;
 
     #[test]
-    fn wakefd_rouses_an_epoll_wait() {
+    fn a_readable_fd_rouses_an_epoll_wait() {
         let epoll = Epoll::new().unwrap();
-        let wake = WakeFd::new().unwrap();
-        epoll.add(wake.raw(), EPOLLIN, 7).unwrap();
+        let (mut reader, mut writer) = UnixStream::pair().unwrap();
+        epoll.add(reader.as_raw_fd(), EPOLLIN, 7).unwrap();
 
         // Nothing pending: a bounded wait times out empty.
         let mut events = [EpollEvent::default(); 8];
@@ -239,9 +183,9 @@ mod tests {
             .unwrap();
         assert_eq!(n, 0);
 
-        // A wake from another thread is observed with the right token.
+        // A write from another thread is observed with the right token.
         let n = std::thread::scope(|scope| {
-            scope.spawn(|| wake.wake());
+            scope.spawn(|| writer.write_all(b"x").unwrap());
             epoll
                 .wait(&mut events, Some(Duration::from_secs(5)))
                 .unwrap()
@@ -251,7 +195,7 @@ mod tests {
         assert_ne!(events[0].readiness() & EPOLLIN, 0);
 
         // Drained, the level-triggered fd goes quiet again.
-        wake.drain();
+        reader.read_exact(&mut [0u8; 1]).unwrap();
         let n = epoll
             .wait(&mut events, Some(Duration::from_millis(5)))
             .unwrap();
@@ -261,9 +205,10 @@ mod tests {
     #[test]
     fn modify_and_delete_change_interest() {
         let epoll = Epoll::new().unwrap();
-        let wake = WakeFd::new().unwrap();
-        epoll.add(wake.raw(), EPOLLIN, 1).unwrap();
-        wake.wake();
+        let (reader, mut writer) = UnixStream::pair().unwrap();
+        let fd = reader.as_raw_fd();
+        epoll.add(fd, EPOLLIN, 1).unwrap();
+        writer.write_all(b"x").unwrap();
         let mut events = [EpollEvent::default(); 4];
         assert_eq!(
             epoll
@@ -273,14 +218,14 @@ mod tests {
         );
         // Interest masked to nothing: the pending readability is no longer
         // reported (ERR/HUP would still be).
-        epoll.modify(wake.raw(), 0, 1).unwrap();
+        epoll.modify(fd, 0, 1).unwrap();
         assert_eq!(
             epoll
                 .wait(&mut events, Some(Duration::from_millis(5)))
                 .unwrap(),
             0
         );
-        epoll.delete(wake.raw()).unwrap();
-        assert!(epoll.delete(wake.raw()).is_err(), "double delete reports");
+        epoll.delete(fd).unwrap();
+        assert!(epoll.delete(fd).is_err(), "double delete reports");
     }
 }

@@ -5,33 +5,46 @@
 //! level-triggered [`crate::epoll`] instance. The shared listener is
 //! registered in every loop with `EPOLLEXCLUSIVE`, so accepts spread across
 //! loops without a thundering herd. Each accepted connection is owned by
-//! exactly one loop and driven through a nonblocking state machine:
+//! exactly one loop and driven through a nonblocking state machine, and
+//! **every request runs on the loop that read it** — there is no second
+//! thread to hand it to:
 //!
 //! ```text
-//!            ┌──────── POST /answer: run to completion ────────┐
-//!            │                                                 ▼
-//! Idle ── first byte ──▶ Reading ── full request ──▶ Dispatched ──▶ Writing
-//!  ▲                                   (other routes) │ worker pool    │
-//!  └────────────────────── keep-alive ◀───────────────┴────────────────┘
+//!            ┌──────── every other route: run to completion ───────┐
+//!            │                                                      ▼
+//! Idle ── first byte ──▶ Reading ── full request ──▶ Computing ──▶ Writing
+//!  ▲                                (POST /batch)  one lane a turn    │
+//!  └────────────────────────── keep-alive ◀──────────────────────────┘
 //! ```
 //!
-//! `POST /answer` **runs to completion on the loop thread that read it**:
-//! parse, cache probe, kernel, serialize and the socket write all happen
-//! before the loop returns to `epoll_wait`, so a keep-alive question costs
-//! one thread and three syscalls (`epoll_wait`, `read`, `write`) — the work
-//! is 2–10 µs, far less than a cross-thread handoff. Every loop thread
-//! therefore owns a thread-local [`kbqa_core::engine::ScratchSpace`], just
-//! as the workers do, and the allocation-free kernel path is untouched. The
-//! one exception is a service whose shard router is remote (out-of-process
-//! lanes): a lookup there can block for `worker_deadline_ms`, so its
-//! `/answer`s go to the worker pool like everything else.
+//! A route other than `/batch` **runs to completion**: parse, cache probe,
+//! kernel, serialize and the socket write all happen before the loop
+//! returns to `epoll_wait`, so a keep-alive question costs one thread and
+//! three syscalls (`epoll_wait`, `read`, `write`) — the work is 2–10 µs,
+//! less than a cross-thread handoff would cost. Every loop thread owns a
+//! thread-local [`kbqa_core::engine::ScratchSpace`], so the allocation-free
+//! kernel path is untouched. `/healthz`, `/metrics`, `/cache/stats` and
+//! `/debug/slow` are microseconds, and never wait on a reload. An
+//! unsharded model reload is under a millisecond and a full-bundle reload
+//! a few hundred, at operator rate.
 //!
-//! Every other route — `/batch` in both framings, `/admin/reload`,
-//! `/metrics`, `/healthz`, `/cache/stats`, `/debug/slow` — is handed to the
-//! **worker pool** (a `Mutex<VecDeque>` + `Condvar`). Workers push finished
-//! responses onto the owning loop's completion queue and wake it through an
-//! `eventfd`; the loop writes response bytes with nonblocking writes
-//! (waiting on `EPOLLOUT` only when the socket pushes back).
+//! `POST /batch`, in both framings, is decoded and admitted at once and then
+//! **runs as resumable lanes** of `STREAM_LANE_QUESTIONS` (16) questions: each
+//! loop turn answers one lane per computing connection, and `epoll_wait`
+//! does not sleep while one can run. So an `/answer`, a `/healthz` or an
+//! accept on the same loop waits for at most one lane per running batch,
+//! never for a whole batch. A streamed batch ships a chunk whenever
+//! [`ServerConfig::stream_flush_bytes`] have accumulated; a connection with
+//! unwritten bytes runs no lane until `EPOLLOUT` drains them, so a peer
+//! that stops reading stops its batch instead of buffering it.
+//!
+//! On a remote-lane fleet (`shard_workers > 0`) a value lookup crosses to a
+//! `kbqa-shardd` worker and can block its loop for up to
+//! `worker_deadline_ms`: there, the loop count is also how many requests
+//! can wait on workers at once. A reload there also stages and commits the
+//! next epoch on every worker from the loop that read it, which holds that
+//! loop for the round trips (until the hang kill when a worker is hung);
+//! the other loops keep serving, `/healthz` included.
 //!
 //! Deadlines are a **timer wheel** per loop (granularity
 //! [`ServerConfig::timer_granularity`]) instead of blocking read timeouts:
@@ -41,21 +54,11 @@
 //! and a peer that stops reading mid-response is dropped on the same
 //! budget.
 //!
-//! Admission control has two layers:
-//!
-//! * **Connection-level** (accept time): when
-//!   `open connections ≥ workers + max_pending`, new connections are shed
-//!   with `429 Too Many Requests` + `Retry-After` — the same observable
-//!   bound as the old bounded accept queue (workers each held one
-//!   connection, plus `max_pending` queued).
-//! * **Route-level** (dispatch time, per-route priority): when the worker
-//!   queue is [`ServerConfig::max_queued`] deep, `POST /batch` (and
-//!   `POST /answer` on a remote-lane fleet, the only `/answer` that queues)
-//!   is shed with `429` while `/healthz`, `/metrics`, `/cache/stats` and
-//!   `/admin/reload` still go through — under overload the control plane
-//!   stays reachable while the data plane degrades to fast, honest
-//!   rejections. A loop-served `/answer` never queues, so it is never shed
-//!   here and never waits behind a batch.
+//! Admission control is connection-level, at accept time: once
+//! `open connections ≥ max_pending`, new connections are shed with
+//! `429 Too Many Requests` + `Retry-After`. Nothing is shed per route: the
+//! control plane stays reachable under a batch load because batches yield
+//! the loop after every lane.
 //!
 //! Protocol coverage is unchanged from the blocking server and pinned
 //! byte-identical by the test suite: request line + headers
@@ -76,10 +79,9 @@
 //! through a per-loop `ResponseWriter`. `POST /batch?stream=1` switches the
 //! response to HTTP/1.1 **chunked transfer**: answers are rendered in
 //! compute lanes and flushed once [`ServerConfig::stream_flush_bytes`]
-//! accumulate, riding the same write state machine (a stream parked on
-//! compute carries no deadline, exactly like a dispatched request).
-//! De-chunked, the streamed body is byte-identical to the buffered one, and
-//! one stream serves exactly one model epoch.
+//! accumulate, riding the same write state machine. De-chunked, the
+//! streamed body is byte-identical to the buffered one, and one stream
+//! serves exactly one model epoch.
 //!
 //! Live operations: `POST /admin/reload` (token-gated, PR 3) hot-swaps the
 //! model, and with a bundle dir configured (`?mode=bundle`, the default
@@ -88,19 +90,20 @@
 //! the one service slot, while in-flight requests finish on the service
 //! they started on.
 //!
-//! Graceful shutdown: [`ServerHandle::shutdown`] flips an atomic flag and
-//! wakes every loop via its eventfd. Loops stop accepting, close idle
-//! connections, and drain in-flight requests (reading connections may
-//! finish their current request, bounded by the request deadline); workers
-//! are joined after the loops, so every dispatched request completes.
+//! Graceful shutdown: [`ServerHandle::shutdown`] flips an atomic flag that
+//! every loop reads after each `epoll_wait`, so shutdown begins within one
+//! [`ServerConfig::timer_granularity`]. Loops stop accepting, close idle
+//! connections, and finish in-flight requests — running batches included —
+//! before they exit (reading connections may finish their current request,
+//! bounded by the request deadline). The shard-worker supervisor stops
+//! after the loops are joined, so no request can still need a worker.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -109,7 +112,7 @@ use kbqa_obs::{Observability, SlowQuery, SlowQueryLog};
 
 use crate::cache::{BatchLane, CacheConfig, RenderedAnswer, RenderedCache};
 use crate::epoll::{
-    Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
+    Epoll, EpollEvent, EPOLLERR, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::supervisor::{splitmix64, Supervisor, SupervisorConfig};
@@ -117,13 +120,10 @@ use crate::supervisor::{splitmix64, Supervisor, SupervisorConfig};
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads: compute for every route except loop-served
-    /// `POST /answer` (`/batch`, reloads, observability). `0` means auto:
-    /// `available_parallelism`, clamped to `[2, 8]`.
-    pub workers: usize,
-    /// Event-loop threads: connection I/O *and* `POST /answer` compute,
-    /// which runs to completion on the loop that read it. `0` means auto:
-    /// `available_parallelism`, clamped to `[1, 8]`.
+    /// Event-loop threads: connection I/O *and* every request's compute,
+    /// which runs on the loop that read it. On a remote-lane fleet this is
+    /// also how many requests can wait on shard workers at once. `0` means
+    /// auto: `available_parallelism`, clamped to `[1, 8]`.
     pub event_loops: usize,
     /// Largest accepted request body, bytes.
     pub max_body_bytes: usize,
@@ -139,23 +139,15 @@ pub struct ServerConfig {
     /// budget does. Enforced by the timer wheel.
     pub request_timeout: Duration,
     /// Timer-wheel tick. Deadlines fire within one tick of their nominal
-    /// instant; smaller ticks cost more idle wakeups per loop.
+    /// instant, and an idle loop sees a shutdown within one tick; smaller
+    /// ticks cost more idle wakeups per loop.
     pub timer_granularity: Duration,
     /// Answer cache sizing.
     pub cache: CacheConfig,
-    /// Connection-level admission: new connections are shed at accept time
-    /// with `429` + `Retry-After` once `open connections ≥ workers +
-    /// max_pending` (the same observable bound as the old bounded accept
-    /// queue). `0` disables connection shedding.
+    /// Admission control: new connections are shed at accept time with
+    /// `429` + `Retry-After` once `open connections ≥ max_pending`. `0`
+    /// disables shedding.
     pub max_pending: usize,
-    /// Route-level admission (per-route priority): when this many parsed
-    /// requests are queued for the worker pool, `POST /batch` is shed with
-    /// `429` while observability and admin routes still dispatch.
-    /// `POST /answer` is answered on the event loop and never queues, so it
-    /// is not sheddable here — except on a remote-lane fleet
-    /// (`shard_workers > 0`), whose `/answer`s use the pool and shed with
-    /// `/batch`. `0` disables route shedding.
-    pub max_queued: usize,
     /// The `Retry-After` value (seconds) sent with shed responses.
     pub retry_after_secs: u64,
     /// Shared secret gating `POST /admin/reload`. `None` (the default)
@@ -226,7 +218,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            workers: 0,
             event_loops: 0,
             max_body_bytes: 1 << 20,
             keep_alive_requests: 128,
@@ -235,7 +226,6 @@ impl Default for ServerConfig {
             timer_granularity: Duration::from_millis(25),
             cache: CacheConfig::default(),
             max_pending: 1024,
-            max_queued: 256,
             retry_after_secs: 1,
             admin_token: None,
             model_path: None,
@@ -263,11 +253,9 @@ impl ServerConfig {
     ///
     /// | Variable                   | Field                |
     /// |----------------------------|----------------------|
-    /// | `KBQA_WORKERS`             | `workers`            |
     /// | `KBQA_EVENT_LOOPS`         | `event_loops`        |
     /// | `KBQA_MAX_BODY_BYTES`      | `max_body_bytes`     |
     /// | `KBQA_MAX_PENDING`         | `max_pending`        |
-    /// | `KBQA_MAX_QUEUED`          | `max_queued`         |
     /// | `KBQA_RETRY_AFTER_SECS`    | `retry_after_secs`   |
     /// | `KBQA_TIMER_GRANULARITY_MS`| `timer_granularity`  |
     /// | `KBQA_CACHE_CAPACITY`      | `cache.capacity`     |
@@ -298,9 +286,6 @@ impl ServerConfig {
             std::env::var(var).ok()?.trim().parse().ok()
         }
         let mut config = Self::default();
-        if let Some(v) = parsed("KBQA_WORKERS") {
-            config.workers = v;
-        }
         if let Some(v) = parsed("KBQA_EVENT_LOOPS") {
             config.event_loops = v;
         }
@@ -309,9 +294,6 @@ impl ServerConfig {
         }
         if let Some(v) = parsed("KBQA_MAX_PENDING") {
             config.max_pending = v;
-        }
-        if let Some(v) = parsed("KBQA_MAX_QUEUED") {
-            config.max_queued = v;
         }
         if let Some(v) = parsed("KBQA_RETRY_AFTER_SECS") {
             config.retry_after_secs = v;
@@ -385,22 +367,11 @@ impl ServerConfig {
         config
     }
 
-    fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2)
-            .clamp(2, 8)
-    }
-
     fn effective_event_loops(&self) -> usize {
         if self.event_loops > 0 {
             return self.event_loops;
         }
-        // Loops carry `/answer` compute, so they scale with the CPUs, not
-        // with half of them.
+        // Loops carry all compute, so they scale with the CPUs.
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -480,17 +451,6 @@ impl ServiceSlot {
         let mut slot = self.0.write().unwrap_or_else(|poison| poison.into_inner());
         *slot = Arc::new(next);
     }
-
-    /// Whether value lookups leave the process (any shard router: its
-    /// lanes are worker processes). Such a lookup can block for
-    /// `worker_deadline_ms`, which an event loop must never do.
-    fn has_remote_lanes(&self) -> bool {
-        self.0
-            .read()
-            .unwrap_or_else(|poison| poison.into_inner())
-            .shard_router()
-            .is_some()
-    }
 }
 
 /// Everything the request handlers share.
@@ -505,86 +465,26 @@ struct AppState {
     observability: Arc<Observability>,
 }
 
-/// One parsed request handed from an event loop to the worker pool.
-struct Job {
-    loop_idx: usize,
-    slot: u32,
-    generation: u64,
-    request: Request,
-}
-
-/// What one completion carries back to the owning loop: a whole buffered
-/// response, or one step of a chunked stream.
-enum Payload {
-    /// A complete `Content-Length` response.
-    Full(Response),
-    /// Open a chunked `200` stream: status line + `Transfer-Encoding:
-    /// chunked` headers. Body bytes follow as [`Payload::Chunk`]s.
-    StreamStart,
-    /// One chunk of stream body bytes (unframed; the loop adds the
-    /// `{len:x}\r\n…\r\n` framing as it writes).
-    Chunk(Vec<u8>),
-    /// Orderly end of stream: the loop writes the terminal `0\r\n\r\n` and
-    /// the connection returns to keep-alive.
-    StreamEnd,
-    /// The worker died mid-stream (panic after the head was sent). A
-    /// truncated chunked body must not look complete, so the loop closes
-    /// the connection without the terminal chunk.
-    StreamAbort,
-}
-
-/// A finished response (or stream step) travelling back from a worker to
-/// the owning loop.
-struct Completion {
-    slot: u32,
-    generation: u64,
-    payload: Payload,
-    /// What the request's `Connection` semantics asked for; the loop folds
-    /// in the keep-alive cap, shutdown, and peer half-close.
-    keep_alive_requested: bool,
-}
-
-/// Per-event-loop shared state: the completion queue workers push into and
-/// the eventfd that pulls the loop out of `epoll_wait`.
-struct LoopShared {
-    completions: Mutex<Vec<Completion>>,
-    wake: WakeFd,
-}
-
-/// Acceptor/worker/loop shared state.
+/// What the event loops share.
 struct Shared {
     state: AppState,
-    jobs: Mutex<VecDeque<Job>>,
-    available: Condvar,
     shutdown: AtomicBool,
-    /// Set only after every event loop has exited; workers drain the job
-    /// queue until then, so no dispatched request is ever orphaned.
-    workers_exit: AtomicBool,
-    loops: Vec<LoopShared>,
-    workers: usize,
     config: ServerConfig,
-    /// The shard-worker supervision tier, when `shard_workers > 0`. Behind
-    /// a mutex so [`ServerHandle::stop`] can take it out for a deterministic
-    /// loops → workers → worker-processes shutdown order (in-flight
-    /// dispatched requests drain before any worker is terminated).
-    supervisor: Mutex<Option<Supervisor>>,
+    /// The shard-worker supervision tier, when `shard_workers > 0`. Read
+    /// without a lock: `/healthz` and `/metrics` never wait on a reload.
+    /// [`ServerHandle::stop`] takes it out once the loops are joined, so no
+    /// request can still scatter to a worker when it stops.
+    supervisor: Option<Supervisor>,
+    /// Serializes reloads: each one reads the slot and swaps the next epoch
+    /// in under it (with the supervisor's two-phase stage/commit between).
+    reload: Mutex<()>,
 }
 
 impl Shared {
     /// Everything [`serve`] shares between its threads, sized from `config`:
-    /// per-loop completion queues, serving-side observability, and the
-    /// shard-serving topology (which may spawn the worker-process tier).
+    /// serving-side observability and the shard-serving topology (which may
+    /// spawn the worker-process tier).
     fn new(service: KbqaService, config: ServerConfig) -> io::Result<Self> {
-        let workers = config.effective_workers();
-        let loops = config.effective_event_loops();
-
-        let mut loop_shared = Vec::with_capacity(loops);
-        for _ in 0..loops {
-            loop_shared.push(LoopShared {
-                completions: Mutex::new(Vec::new()),
-                wake: WakeFd::new()?,
-            });
-        }
         // The server owns serving-side observability: stage traces land in the
         // metrics' histograms, and requests asking to `explain` always arm
         // regardless of sampling.
@@ -612,41 +512,15 @@ impl Shared {
                 slow: SlowQueryLog::new(config.slow_log_capacity),
                 observability,
             },
-            jobs: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            workers_exit: AtomicBool::new(false),
-            loops: loop_shared,
-            workers,
             config,
-            supervisor: Mutex::new(supervisor),
+            supervisor,
+            reload: Mutex::new(()),
         })
-    }
-
-    /// Lock the job queue, tolerating poison: the queue is a plain
-    /// `VecDeque`, always consistent between push/pop, so a panicking
-    /// worker must not take down its peers or the event loops.
-    fn lock_jobs(&self) -> std::sync::MutexGuard<'_, VecDeque<Job>> {
-        self.jobs
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner())
-    }
-
-    fn lock_completions(&self, idx: usize) -> std::sync::MutexGuard<'_, Vec<Completion>> {
-        self.loops[idx]
-            .completions
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner())
     }
 
     fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
-    }
-
-    fn lock_supervisor(&self) -> std::sync::MutexGuard<'_, Option<Supervisor>> {
-        self.supervisor
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner())
     }
 }
 
@@ -674,7 +548,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     loop_threads: Vec<JoinHandle<()>>,
-    worker_threads: Vec<JoinHandle<()>>,
 }
 
 /// Bind `addr` and serve `service` until [`ServerHandle::shutdown`].
@@ -691,17 +564,7 @@ pub fn serve(
     let addr = listener.local_addr()?;
     let listener = Arc::new(listener);
     let shared = Arc::new(Shared::new(service, config)?);
-    let (workers, loops) = (shared.workers, shared.loops.len());
-
-    let mut worker_threads = Vec::with_capacity(workers);
-    for i in 0..workers {
-        let shared = Arc::clone(&shared);
-        worker_threads.push(
-            std::thread::Builder::new()
-                .name(format!("kbqa-http-worker-{i}"))
-                .spawn(move || worker_loop(&shared))?,
-        );
-    }
+    let loops = shared.config.effective_event_loops();
     let mut loop_threads = Vec::with_capacity(loops);
     for idx in 0..loops {
         let shared = Arc::clone(&shared);
@@ -709,7 +572,7 @@ pub fn serve(
         loop_threads.push(
             std::thread::Builder::new()
                 .name(format!("kbqa-http-loop-{idx}"))
-                .spawn(move || EventLoop::new(shared, idx, listener).run())?,
+                .spawn(move || EventLoop::new(shared, listener).run())?,
         );
     }
 
@@ -717,7 +580,6 @@ pub fn serve(
         addr,
         shared,
         loop_threads,
-        worker_threads,
     })
 }
 
@@ -737,26 +599,17 @@ impl ServerHandle {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Wake every loop out of epoll_wait; they stop accepting, close
-        // idle connections and drain in-flight work.
-        for l in &self.shared.loops {
-            l.wake.wake();
-        }
+        // Every loop sees the flag within one timer tick; they stop
+        // accepting, close idle connections and finish in-flight requests.
         for handle in self.loop_threads.drain(..) {
             let _ = handle.join();
         }
-        // Loops are gone, so no further jobs can arrive: release the
-        // workers. Taking the lock first closes the lost wake-up race.
-        self.shared.workers_exit.store(true, Ordering::SeqCst);
-        drop(self.shared.lock_jobs());
-        self.shared.available.notify_all();
-        for handle in self.worker_threads.drain(..) {
-            let _ = handle.join();
-        }
-        // Workers are drained: no in-flight request can still scatter to a
-        // shard, so the worker processes terminate last (clean `Terminate`
-        // frame, SIGKILL after the grace deadline).
-        if let Some(supervisor) = self.shared.lock_supervisor().take() {
+        // The loops are gone, so no request can still scatter to a shard:
+        // the worker processes terminate last (clean `Terminate` frame,
+        // SIGKILL after the grace deadline). The joined loops dropped their
+        // references; if one somehow outlived them, the supervisor's `Drop`
+        // stops the workers when the last one goes.
+        if let Some(supervisor) = Arc::get_mut(&mut self.shared).and_then(|s| s.supervisor.take()) {
             supervisor.shutdown();
         }
     }
@@ -768,87 +621,18 @@ impl Drop for ServerHandle {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Worker pool (request compute)
-// ---------------------------------------------------------------------------
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let job = {
-            let mut jobs = shared.lock_jobs();
-            loop {
-                if let Some(job) = jobs.pop_front() {
-                    break Some(job);
-                }
-                if shared.workers_exit.load(Ordering::SeqCst) {
-                    break None;
-                }
-                jobs = shared
-                    .available
-                    .wait(jobs)
-                    .unwrap_or_else(|poison| poison.into_inner());
-            }
-        };
-        let Some(job) = job else { return };
-        let keep_alive_requested = job.request.keep_alive();
-        if job.request.method == "POST"
-            && job.request.path == "/batch"
-            && job.request.stream_requested()
-        {
-            stream_batch_job(shared, &job, keep_alive_requested);
-            continue;
-        }
-        let response = route_contained(shared, &job.request);
-        complete(shared, &job, Payload::Full(response), keep_alive_requested);
-    }
-}
-
 /// [`route`] with panic containment: a panic while routing (engine bug,
-/// broken invariant) must cost one request, not one thread — neither the
-/// fixed-size worker pool nor the event loops respawn. The connection still
-/// gets a response (500), so its state machine never waits on a completion
-/// that will not come.
-fn route_contained(shared: &Shared, request: &Request) -> Response {
+/// broken invariant) must cost one request, not the event loop, which is
+/// never respawned. The connection still gets a response (500).
+fn route_contained(shared: &Shared, request: &Request) -> Routed {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(shared, request)))
-        .unwrap_or_else(|_| {
-            let response = Response::error(500, "internal error");
-            shared.state.metrics.record_response(response.status);
-            response
-        })
+        .unwrap_or_else(|_| Routed::Done(internal_error(&shared.state.metrics)))
 }
 
-/// Push one completion to the job's owning loop and wake it.
-fn complete(shared: &Shared, job: &Job, payload: Payload, keep_alive_requested: bool) {
-    shared.lock_completions(job.loop_idx).push(Completion {
-        slot: job.slot,
-        generation: job.generation,
-        payload,
-        keep_alive_requested,
-    });
-    shared.loops[job.loop_idx].wake.wake();
-}
-
-/// Drive one streamed `/batch` request, with the same panic containment as
-/// the buffered path: a panic before the stream head became a plain `500`;
-/// a panic after it aborts the stream (the loop closes the connection, so a
-/// truncated chunked body can never be mistaken for a complete one).
-fn stream_batch_job(shared: &Shared, job: &Job, keep_alive_requested: bool) {
-    let started = std::cell::Cell::new(false);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        handle_batch_streaming(shared, job, keep_alive_requested, &started)
-    }));
-    if result.is_err() {
-        let payload = if started.get() {
-            // The 200 head already went out (and was recorded); the abort
-            // surfaces to the client as a truncated stream + closed
-            // connection, not a second status.
-            Payload::StreamAbort
-        } else {
-            shared.state.metrics.record_response(500);
-            Payload::Full(Response::error(500, "internal error"))
-        };
-        complete(shared, job, payload, keep_alive_requested);
-    }
+/// The `500` a contained panic answers, counted.
+fn internal_error(metrics: &Metrics) -> Response {
+    metrics.record_response(500);
+    Response::error(500, "internal error")
 }
 
 // ---------------------------------------------------------------------------
@@ -856,7 +640,6 @@ fn stream_batch_job(shared: &Shared, job: &Job, keep_alive_requested: bool) {
 // ---------------------------------------------------------------------------
 
 const TOKEN_LISTENER: u64 = u64::MAX;
-const TOKEN_WAKE: u64 = u64::MAX - 1;
 const READ_CHUNK: usize = 16 << 10;
 const WHEEL_SLOTS: usize = 256;
 /// Grown parse/write buffers above this are shrunk once drained, so one
@@ -878,14 +661,14 @@ enum DeadlineKind {
     Write,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ConnState {
     /// Keep-alive, no request bytes yet.
     Idle,
     /// Accumulating one request's bytes.
     Reading,
-    /// A parsed request is with the worker pool.
-    Dispatched,
+    /// A `/batch` is being answered, one lane per loop turn. A streamed
+    /// one's head and chunks drain to the socket meanwhile.
+    Computing(Box<BatchRun>),
     /// Response bytes are draining to the socket.
     Writing,
 }
@@ -916,10 +699,24 @@ struct Conn {
     peer_closed: bool,
     /// Whether the response being written allows another request after it.
     keep_alive_after_write: bool,
-    /// A chunked response stream is open: the worker is still producing
-    /// chunks, so a drained `out` buffer means *wait for more*, not done.
-    /// Cleared by [`Payload::StreamEnd`].
-    streaming: bool,
+}
+
+/// A `/batch` admitted on one connection and answered on its loop, one
+/// `STREAM_LANE_QUESTIONS` lane at a time.
+struct BatchRun {
+    setup: BatchSetup,
+    /// Questions answered so far.
+    next: usize,
+    /// Rendered answers not yet written: the whole body of a buffered
+    /// batch, the next chunk of a stream.
+    pending: Vec<u8>,
+    /// Chunked framing (`?stream=1`): the head is already out, and
+    /// `pending` ships whenever it reaches `stream_flush_bytes`.
+    stream: bool,
+    /// What the request's `Connection` semantics asked for; a buffered
+    /// batch folds it into its head when the body is complete.
+    keep_alive_requested: bool,
+    started: Instant,
 }
 
 /// A hashed timer wheel: deadlines land in `(deadline - now) / granularity`
@@ -991,7 +788,6 @@ impl TimerWheel {
 
 struct EventLoop {
     shared: Arc<Shared>,
-    idx: usize,
     epoll: Epoll,
     listener: Arc<TcpListener>,
     conns: Vec<Option<Conn>>,
@@ -1000,15 +796,19 @@ struct EventLoop {
     next_generation: u64,
     wheel: TimerWheel,
     due: Vec<(u32, u64)>,
-    completions_buf: Vec<Completion>,
     draining: bool,
     /// Renders heads, bodies and chunk framing straight into each
     /// connection's write buffer — one per loop, reused for every response.
     writer: ResponseWriter,
+    /// `(slot, generation)` of every connection in [`ConnState::Computing`]
+    /// (entries of closed connections drop out on the next pass).
+    computing: Vec<(u32, u64)>,
+    /// Answers every batch lane this loop runs, its buffers reused.
+    lane: BatchLane,
 }
 
 impl EventLoop {
-    fn new(shared: Arc<Shared>, idx: usize, listener: Arc<TcpListener>) -> Self {
+    fn new(shared: Arc<Shared>, listener: Arc<TcpListener>) -> Self {
         let config = &shared.config;
         let wheel = TimerWheel::new(
             config.timer_granularity,
@@ -1016,7 +816,6 @@ impl EventLoop {
         );
         Self {
             shared,
-            idx,
             epoll: Epoll::new().expect("epoll_create1"),
             listener,
             conns: Vec::new(),
@@ -1025,9 +824,10 @@ impl EventLoop {
             next_generation: 0,
             wheel,
             due: Vec::new(),
-            completions_buf: Vec::new(),
             draining: false,
             writer: ResponseWriter::new(),
+            computing: Vec::new(),
+            lane: BatchLane::default(),
         }
     }
 
@@ -1049,26 +849,25 @@ impl EventLoop {
                 TOKEN_LISTENER,
             )
             .expect("register listener");
-        self.epoll
-            .add(self.shared.loops[self.idx].wake.raw(), EPOLLIN, TOKEN_WAKE)
-            .expect("register wake fd");
     }
 
-    /// One pass: wait for readiness (at most a timer tick), serve it, then
-    /// completions and deadlines. `false` once shutdown has drained every
+    /// One pass: wait for readiness (at most a timer tick, not at all while
+    /// a batch lane can run), serve it, run one lane per computing
+    /// connection, then deadlines. `false` once shutdown has drained every
     /// connection.
     fn turn(&mut self, events: &mut [EpollEvent]) -> bool {
-        let n = self
-            .epoll
-            .wait(events, Some(self.wheel.granularity))
-            .unwrap_or(0);
+        let timeout = if self.lane_runnable() {
+            Duration::ZERO
+        } else {
+            self.wheel.granularity
+        };
+        let n = self.epoll.wait(events, Some(timeout)).unwrap_or(0);
         if n > 0 {
             self.metrics().record_epoll_wakeup();
         }
         for &event in events.iter().take(n) {
             match event.token() {
                 TOKEN_LISTENER => self.accept_ready(),
-                TOKEN_WAKE => self.shared.loops[self.idx].wake.drain(),
                 token => {
                     let slot = (token & 0xFFFF_FFFF) as u32;
                     let generation = token >> 32;
@@ -1076,7 +875,7 @@ impl EventLoop {
                 }
             }
         }
-        self.drain_completions();
+        self.run_lanes();
         self.expire_timers();
         if self.shared.is_shutdown() {
             self.begin_drain();
@@ -1088,7 +887,7 @@ impl EventLoop {
     }
 
     /// First shutdown pass: stop accepting and close idle connections.
-    /// Reading/dispatched/writing connections finish their current request
+    /// Reading/computing/writing connections finish their current request
     /// (bounded by their deadlines) and then close.
     fn begin_drain(&mut self) {
         if self.draining {
@@ -1101,7 +900,7 @@ impl EventLoop {
             .iter()
             .enumerate()
             .filter_map(|(slot, conn)| match conn {
-                Some(c) if c.state == ConnState::Idle => Some(slot as u32),
+                Some(c) if matches!(c.state, ConnState::Idle) => Some(slot as u32),
                 _ => None,
             })
             .collect();
@@ -1122,10 +921,8 @@ impl EventLoop {
                         continue;
                     }
                     let open = self.metrics().open_connections();
-                    let config = &self.shared.config;
-                    if config.max_pending > 0
-                        && open as usize >= self.shared.workers + config.max_pending
-                    {
+                    let max_pending = self.shared.config.max_pending;
+                    if max_pending > 0 && open as usize >= max_pending {
                         shed(&self.shared, stream);
                         continue;
                     }
@@ -1180,7 +977,6 @@ impl EventLoop {
             timer_pending: true,
             peer_closed: false,
             keep_alive_after_write: false,
-            streaming: false,
         });
         self.wheel.schedule(slot, generation, deadline, now);
         self.live += 1;
@@ -1249,12 +1045,13 @@ impl EventLoop {
         if readiness & EPOLLRDHUP != 0 {
             conn.peer_closed = true;
         }
-        let state = conn.state;
-        match state {
+        match conn.state {
             ConnState::Idle | ConnState::Reading if readiness & (EPOLLIN | EPOLLRDHUP) != 0 => {
                 self.do_read(slot)
             }
-            ConnState::Writing if readiness & EPOLLOUT != 0 => {
+            // A computing connection only ever waits on `EPOLLOUT` for its
+            // stream's bytes; its next lane runs once they are drained.
+            ConnState::Computing(_) | ConnState::Writing if readiness & EPOLLOUT != 0 => {
                 self.do_write(slot);
                 self.serve_buffered(slot, false);
             }
@@ -1304,7 +1101,7 @@ impl EventLoop {
             return;
         };
         let has_bytes = conn.buf.len() > conn.buf_start;
-        if conn.state == ConnState::Idle {
+        if matches!(conn.state, ConnState::Idle) {
             if has_bytes {
                 // First byte of a new request: the whole-request budget
                 // starts here.
@@ -1321,16 +1118,16 @@ impl EventLoop {
     }
 
     /// Serve the requests already in the connection's buffer, one after
-    /// another, until one is incomplete, is with the worker pool, or blocks
-    /// on the socket. Pipelined requests iterate here: a response that is
-    /// written out whole puts the connection back into `Reading` (see
+    /// another, until one is incomplete, is a batch still computing, or
+    /// blocks on the socket. Pipelined requests iterate here: a response
+    /// that is written out whole puts the connection back into `Reading` (see
     /// [`EventLoop::finish_response`]) and the loop takes the next request,
     /// so stack depth does not grow with the number of pipelined requests.
     /// `saw_eof` applies to the bytes as read, so only to the first parse.
     fn serve_buffered(&mut self, slot: u32, mut saw_eof: bool) {
         while matches!(
             self.conns.get(slot as usize),
-            Some(Some(conn)) if conn.state == ConnState::Reading
+            Some(Some(conn)) if matches!(conn.state, ConnState::Reading)
         ) && self.try_parse(slot, saw_eof)
         {
             saw_eof = false;
@@ -1393,60 +1190,59 @@ impl EventLoop {
         }
     }
 
+    /// Route one parsed request on this loop: a whole response is written
+    /// at once; an admitted `/batch` enters [`ConnState::Computing`] (a
+    /// stream's head goes out first) and [`EventLoop::run_lanes`] answers
+    /// it from the next pass on.
     fn dispatch(&mut self, slot: u32, request: Request) {
-        let config = &self.shared.config;
-        let answer = request.method == "POST" && request.path == "/answer";
-        if answer && !self.shared.state.service.has_remote_lanes() {
-            // Run to completion right here: the work (a cache probe, or a few
-            // µs of kernel) is far cheaper than a handoff to the pool and
-            // back, and it never blocks.
-            let response = route_contained(&self.shared, &request);
-            let keep_alive = self.response_keep_alive(slot, request.keep_alive());
-            self.start_response(slot, &response, keep_alive);
-            return;
-        }
-        // Route-level admission, by priority: what queues for the pool on
-        // the data plane (`/batch`, and `/answer` over remote lanes) sheds
-        // when the worker queue is saturated; the control plane (health,
-        // metrics, cache stats, admin) always dispatches, so an overloaded
-        // server stays observable and operable.
-        let sheddable = answer || (request.method == "POST" && request.path == "/batch");
-        if sheddable && config.max_queued > 0 {
-            let depth = self.shared.lock_jobs().len();
-            if depth >= config.max_queued {
-                let metrics = self.metrics();
-                metrics.record_request();
-                metrics.record_route_shed();
-                metrics.record_response(429);
-                let generation = match self.conns.get(slot as usize) {
-                    Some(Some(conn)) => conn.generation,
-                    _ => 0,
-                };
-                let response = Response {
-                    status: 429,
-                    body: Body::Owned(b"{\"error\":\"server overloaded, retry later\"}".to_vec()),
-                    retry_after: Some(jittered_retry_after(config, conn_token(slot, generation))),
-                    content_type: "application/json",
-                };
+        let setup = match route_contained(&self.shared, &request) {
+            Routed::Done(response) => {
                 let keep_alive = self.response_keep_alive(slot, request.keep_alive());
                 self.start_response(slot, &response, keep_alive);
                 return;
             }
-        }
+            Routed::Batch(setup) => setup,
+        };
+        let stream = request.stream_requested();
+        let keep_alive_requested = request.keep_alive();
+        let mut pending = Vec::with_capacity(if stream {
+            self.shared.config.stream_flush_bytes.max(1) * 2
+        } else {
+            256 * setup.requests.len().max(1)
+        });
+        pending.push(b'[');
+        // A stream's head goes out now, so its keep-alive is settled now; a
+        // buffered batch settles it when its body is complete.
+        let head_keep_alive = stream.then(|| {
+            self.metrics().record_batch_stream_request();
+            self.metrics().record_response(200);
+            self.response_keep_alive(slot, keep_alive_requested)
+        });
         let Some(Some(conn)) = self.conns.get_mut(slot as usize) else {
             return;
         };
-        conn.state = ConnState::Dispatched;
+        conn.state = ConnState::Computing(Box::new(BatchRun {
+            setup,
+            next: 0,
+            pending,
+            stream,
+            keep_alive_requested,
+            started: Instant::now(),
+        }));
         conn.deadline = None;
-        let generation = conn.generation;
-        self.set_interest(slot, 0);
-        self.shared.lock_jobs().push_back(Job {
-            loop_idx: self.idx,
-            slot,
-            generation,
-            request,
-        });
-        self.shared.available.notify_one();
+        conn.out.clear();
+        conn.out_pos = 0;
+        self.computing.push((slot, conn.generation));
+        match head_keep_alive {
+            Some(keep_alive) => {
+                self.writer.stream_head(&mut conn.out, keep_alive);
+                conn.keep_alive_after_write = keep_alive;
+                let budget = self.shared.config.request_timeout;
+                self.arm(slot, DeadlineKind::Write, budget);
+                self.do_write(slot);
+            }
+            None => self.set_interest(slot, EPOLLRDHUP),
+        }
     }
 
     /// Fold the keep-alive cap, shutdown, and peer half-close into the
@@ -1492,10 +1288,9 @@ impl EventLoop {
                 return;
             };
             if conn.out_pos >= conn.out.len() {
-                if conn.streaming {
-                    // Stream drained but still open: park until the worker
-                    // delivers the next chunk (no deadline — compute time is
-                    // the worker's budget, exactly as in `Dispatched`).
+                if matches!(conn.state, ConnState::Computing(_)) {
+                    // A stream's bytes are drained: its next lane may run
+                    // (no deadline meanwhile — a lane is bounded work).
                     conn.out.clear();
                     conn.out_pos = 0;
                     conn.deadline = None;
@@ -1568,130 +1363,111 @@ impl EventLoop {
         }
     }
 
-    // -- completions and timers ---------------------------------------------
+    // -- batch lanes and timers ---------------------------------------------
 
-    fn drain_completions(&mut self) {
-        {
-            let mut queue = self.shared.lock_completions(self.idx);
-            if queue.is_empty() {
-                return;
-            }
-            std::mem::swap(&mut *queue, &mut self.completions_buf);
+    /// Whether a computing connection can run its next lane now (it has no
+    /// unwritten bytes), so `epoll_wait` must not sleep.
+    fn lane_runnable(&self) -> bool {
+        self.computing.iter().any(|&(slot, generation)| {
+            matches!(
+                self.conns.get(slot as usize),
+                Some(Some(conn)) if conn.generation == generation
+                    && matches!(conn.state, ConnState::Computing(_))
+                    && conn.out_pos >= conn.out.len()
+            )
+        })
+    }
+
+    /// Answer one lane of every computing connection that can run one.
+    fn run_lanes(&mut self) {
+        if self.computing.is_empty() {
+            return;
         }
-        let mut batch = std::mem::take(&mut self.completions_buf);
-        for completion in batch.drain(..) {
-            let Some(conn) = self.conn(completion.slot, completion.generation) else {
-                // The connection died while its request was being computed
-                // (peer hang-up): the response has nowhere to go. Stream
-                // chunks for dead generations land here too — the worker
-                // keeps producing, the loop just drops them, and nothing
-                // ever blocks.
-                continue;
-            };
-            if conn.generation != completion.generation {
-                continue;
+        let mut computing = std::mem::take(&mut self.computing);
+        computing.retain(|&(slot, generation)| self.run_lane(slot, generation));
+        // A finished batch may have uncovered a pipelined one meanwhile.
+        computing.append(&mut self.computing);
+        self.computing = computing;
+    }
+
+    /// Run the next lane of the batch computing on `slot`, and ship what it
+    /// rendered: a stream's chunk once `stream_flush_bytes` are pending, a
+    /// buffered batch's whole response once it is complete. `false` once the
+    /// batch is no longer computing (finished, failed, or its connection
+    /// gone).
+    fn run_lane(&mut self, slot: u32, generation: u64) -> bool {
+        let shared = Arc::clone(&self.shared);
+        let Some(Some(conn)) = self.conns.get_mut(slot as usize) else {
+            return false;
+        };
+        if conn.generation != generation {
+            return false;
+        }
+        let ConnState::Computing(run) = &mut conn.state else {
+            return false;
+        };
+        if conn.out_pos < conn.out.len() {
+            // Backpressure: the peer has not taken the last chunk yet.
+            return true;
+        }
+        let lane = &mut self.lane;
+        let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run.step(lane, &shared.state)
+        }));
+        let metrics = &shared.state.metrics;
+        let Ok(done) = stepped else {
+            if run.stream {
+                // The 200 head is out: a truncated chunked body must not
+                // look complete, so the connection closes without the
+                // terminal chunk.
+                self.close(slot);
+            } else {
+                let requested = run.keep_alive_requested;
+                let keep_alive = self.response_keep_alive(slot, requested);
+                self.start_response(slot, &internal_error(metrics), keep_alive);
+                self.serve_buffered(slot, false);
             }
-            let slot = completion.slot;
-            match completion.payload {
-                Payload::Full(response) => {
-                    if conn.state != ConnState::Dispatched {
-                        continue;
-                    }
-                    let keep_alive =
-                        self.response_keep_alive(slot, completion.keep_alive_requested);
-                    self.start_response(slot, &response, keep_alive);
-                }
-                Payload::StreamStart => {
-                    if conn.state != ConnState::Dispatched {
-                        continue;
-                    }
-                    let keep_alive =
-                        self.response_keep_alive(slot, completion.keep_alive_requested);
-                    self.start_stream(slot, keep_alive);
-                }
-                Payload::Chunk(bytes) => {
-                    if !conn.streaming {
-                        continue;
-                    }
-                    self.append_chunk(slot, &bytes);
-                }
-                Payload::StreamEnd => {
-                    if !conn.streaming {
-                        continue;
-                    }
-                    self.end_stream(slot);
-                }
-                Payload::StreamAbort => {
-                    if !conn.streaming {
-                        continue;
-                    }
-                    self.close(slot);
-                }
+            return false;
+        };
+        if done {
+            metrics.batch_latency.record(run.started.elapsed());
+        }
+        if !run.stream {
+            if !done {
+                return true;
             }
-            // A response that finished may have uncovered pipelined requests.
+            run.pending.push(b']');
+            let body = std::mem::take(&mut run.pending);
+            let requested = run.keep_alive_requested;
+            metrics.record_response(200);
+            let keep_alive = self.response_keep_alive(slot, requested);
+            self.start_response(slot, &Response::ok_bytes(body), keep_alive);
+            self.serve_buffered(slot, false);
+            return false;
+        }
+        let flush_bytes = shared.config.stream_flush_bytes.max(1);
+        if run.pending.len() >= flush_bytes {
+            metrics.record_batch_stream_chunk();
+            self.writer.chunk(&mut conn.out, &run.pending);
+            run.pending.clear();
+        }
+        if done {
+            run.pending.push(b']');
+            metrics.record_batch_stream_chunk();
+            self.writer.chunk(&mut conn.out, &run.pending);
+            self.writer.stream_end(&mut conn.out);
+            conn.state = ConnState::Writing;
+        }
+        if !conn.out.is_empty() {
+            // Every chunk re-arms the write deadline: progress resets the
+            // clock, but a peer that stops reading is still dropped.
+            self.arm(slot, DeadlineKind::Write, shared.config.request_timeout);
+            self.do_write(slot);
+        }
+        if done {
             self.serve_buffered(slot, false);
         }
-        self.completions_buf = batch;
-    }
-
-    /// Open a chunked response: status line + `Transfer-Encoding: chunked`
-    /// head into the write buffer, then drive the writer. Body chunks
-    /// follow via [`EventLoop::append_chunk`].
-    fn start_stream(&mut self, slot: u32, keep_alive: bool) {
-        let budget = self.shared.config.request_timeout;
-        let Some(Some(conn)) = self.conns.get_mut(slot as usize) else {
-            return;
-        };
-        conn.out.clear();
-        conn.out_pos = 0;
-        self.writer.stream_head(&mut conn.out, keep_alive);
-        conn.state = ConnState::Writing;
-        conn.streaming = true;
-        conn.keep_alive_after_write = keep_alive;
-        self.arm(slot, DeadlineKind::Write, budget);
-        self.do_write(slot);
-    }
-
-    /// Frame and enqueue one stream chunk, then drive the writer. Each
-    /// chunk re-arms the write deadline: progress resets the clock, but a
-    /// peer that stops reading still gets dropped on the write budget
-    /// (backpressure surfaces as `EPOLLOUT` waits, bounded per chunk).
-    fn append_chunk(&mut self, slot: u32, bytes: &[u8]) {
-        let budget = self.shared.config.request_timeout;
-        let Some(Some(conn)) = self.conns.get_mut(slot as usize) else {
-            return;
-        };
-        // Compact the already-written prefix so a slow peer bounds the
-        // buffer at (unwritten + new chunk), not the whole stream.
-        if conn.out_pos > 0 {
-            let len = conn.out.len();
-            conn.out.copy_within(conn.out_pos.., 0);
-            conn.out.truncate(len - conn.out_pos);
-            conn.out_pos = 0;
-        }
-        self.writer.chunk(&mut conn.out, bytes);
-        self.arm(slot, DeadlineKind::Write, budget);
-        self.do_write(slot);
-    }
-
-    /// Terminate the stream (`0\r\n\r\n`); once drained the connection
-    /// finishes exactly like a buffered response (chunked framing is
-    /// self-delimiting, so keep-alive and pipelining work unchanged).
-    fn end_stream(&mut self, slot: u32) {
-        let budget = self.shared.config.request_timeout;
-        let Some(Some(conn)) = self.conns.get_mut(slot as usize) else {
-            return;
-        };
-        if conn.out_pos > 0 {
-            let len = conn.out.len();
-            conn.out.copy_within(conn.out_pos.., 0);
-            conn.out.truncate(len - conn.out_pos);
-            conn.out_pos = 0;
-        }
-        self.writer.stream_end(&mut conn.out);
-        conn.streaming = false;
-        self.arm(slot, DeadlineKind::Write, budget);
-        self.do_write(slot);
+        !done
     }
 
     fn expire_timers(&mut self) {
@@ -1707,7 +1483,7 @@ impl EventLoop {
                 continue;
             }
             let Some(deadline) = conn.deadline else {
-                // Parked on compute, no deadline: the next `arm` schedules.
+                // Computing, no deadline: the next `arm` schedules.
                 conn.timer_pending = false;
                 continue;
             };
@@ -2191,12 +1967,23 @@ const ROUTES: [(&str, &str); 7] = [
     ("GET", "/debug/slow"),
 ];
 
-fn route(shared: &Shared, request: &Request) -> Response {
+/// What routing one request produced.
+enum Routed {
+    /// A whole response, ready to write.
+    Done(Response),
+    /// An admitted `/batch`, to be answered lane by lane on the loop.
+    Batch(BatchSetup),
+}
+
+fn route(shared: &Shared, request: &Request) -> Routed {
     let state = &shared.state;
     state.metrics.record_request();
     let response = match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/answer") => handle_answer(state, &request.body),
-        ("POST", "/batch") => handle_batch(state, &request.body),
+        ("POST", "/batch") => match batch_setup(state, &request.body) {
+            Ok(setup) => return Routed::Batch(setup),
+            Err(response) => response,
+        },
         ("POST", "/admin/reload") => handle_reload(shared, request),
         ("GET", "/healthz") => handle_healthz(shared),
         ("GET", "/metrics") => handle_metrics(shared, request),
@@ -2215,7 +2002,7 @@ fn route(shared: &Shared, request: &Request) -> Response {
         _ => Response::error(404, "not found"),
     };
     state.metrics.record_response(response.status);
-    response
+    Routed::Done(response)
 }
 
 /// `GET /healthz`: liveness plus — when shard serving runs out of process —
@@ -2233,8 +2020,7 @@ fn handle_healthz(shared: &Shared) -> Response {
         store.len(),
         store.backend_kind().as_str()
     );
-    let supervisor = shared.lock_supervisor();
-    let Some(supervisor) = supervisor.as_ref() else {
+    let Some(supervisor) = shared.supervisor.as_ref() else {
         return Response::ok(format!("{{\"status\":\"ok\",{base}}}"));
     };
     let workers = supervisor.status();
@@ -2351,7 +2137,7 @@ fn reload(shared: &Shared, bundle: bool) -> Response {
         return Response::error(409, unconfigured);
     };
     // Load outside the reload lock: mmap + manifest verification can take a
-    // while on a big bundle, and `/healthz` takes the same lock.
+    // while on a big bundle, and a concurrent reload waits on the lock.
     let loaded = if bundle {
         kbqa_core::persist::ServingArtifacts::load(path)
             .map(Loaded::Bundle)
@@ -2365,10 +2151,13 @@ fn reload(shared: &Shared, bundle: bool) -> Response {
         Ok(loaded) => loaded,
         Err(message) => return Response::error(500, &message),
     };
-    let supervisor = shared.lock_supervisor();
+    let serialized = shared
+        .reload
+        .lock()
+        .unwrap_or_else(|poison| poison.into_inner());
     let old = shared.state.service.load();
     let epoch = old.model_epoch() + 1;
-    if let Some(supervisor) = supervisor.as_ref() {
+    if let Some(supervisor) = shared.supervisor.as_ref() {
         if let Err(e) = supervisor.stage_and_commit(epoch) {
             return Response::error(
                 500,
@@ -2381,12 +2170,12 @@ fn reload(shared: &Shared, bundle: bool) -> Response {
         Loaded::Bundle(artifacts) => place(
             artifacts.into_service_at_epoch(epoch),
             &shared.state.observability,
-            supervisor.as_ref(),
+            shared.supervisor.as_ref(),
         ),
     };
     let store_triples = next.store().len();
     shared.state.service.swap(next);
-    drop(supervisor);
+    drop(serialized);
     shared.state.metrics.record_reload();
     let path =
         serde_json::to_string(&path.display().to_string()).unwrap_or_else(|_| "\"?\"".to_string());
@@ -2414,7 +2203,7 @@ fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
     snapshot.store_triples = store.len() as u64;
     snapshot.model_epoch = service.model_epoch();
     snapshot.shards = service.shard_router().map(|router| router.obs().snapshot());
-    if let Some(supervisor) = shared.lock_supervisor().as_ref() {
+    if let Some(supervisor) = shared.supervisor.as_ref() {
         snapshot.shard_workers = supervisor.status();
     }
     snapshot
@@ -2472,13 +2261,17 @@ thread_local! {
 ///
 /// [`ServiceSnapshot`]: kbqa_core::service::ServiceSnapshot
 fn handle_answer(state: &AppState, body: &[u8]) -> Response {
-    #[cfg(test)]
-    assert_ne!(body, tests::PANIC_BODY, "panic injected by the test suite");
     let started = Instant::now();
     let mut request = match serde_json::from_slice::<QaRequest>(body) {
         Ok(request) => request,
         Err(e) => return Response::error(400, &e.to_string()),
     };
+    #[cfg(test)]
+    assert_ne!(
+        request.question,
+        tests::PANIC_QUESTION,
+        "panic injected by the test suite"
+    );
     state.metrics.record_answer_request();
     if request.request_id.is_none() {
         // Deliberately after cache_key's inputs are fixed: the ID is
@@ -2532,9 +2325,9 @@ fn handle_answer(state: &AppState, body: &[u8]) -> Response {
     Response::ok_body(Body::Cached(answer))
 }
 
-/// The decoded-and-admitted prefix of a `/batch` request, shared by the
-/// buffered and streaming paths: the requests and the snapshot every key
-/// and answer of the batch comes from.
+/// The decoded-and-admitted prefix of a `/batch` request, in either
+/// framing: the requests and the snapshot every key and answer of the batch
+/// comes from.
 struct BatchSetup {
     requests: Vec<QaRequest>,
     snapshot: kbqa_core::service::ServiceSnapshot,
@@ -2565,108 +2358,45 @@ fn batch_setup(state: &AppState, body: &[u8]) -> Result<BatchSetup, Response> {
     Ok(BatchSetup { requests, snapshot })
 }
 
-/// `POST /batch`: a `Vec<QaRequest>` in, a `Vec<QaResponse>` out in request
-/// order — one [`BatchLane`] run over the whole batch: hits are copied in,
-/// misses fan out through the snapshot's `answer_batch_into` and enter the
-/// cache. The whole batch — keys and computation — runs under one model
-/// epoch.
-fn handle_batch(state: &AppState, body: &[u8]) -> Response {
-    let started = Instant::now();
-    let setup = match batch_setup(state, body) {
-        Ok(setup) => setup,
-        Err(response) => return response,
-    };
-    let mut body = Vec::with_capacity(256 * setup.requests.len().max(1));
-    body.push(b'[');
-    BatchLane::default().answer(
-        &state.cache,
-        &setup.snapshot,
-        &setup.requests,
-        false,
-        &mut body,
-        |refusal| state.metrics.record_outcome(refusal),
-    );
-    body.push(b']');
-    let rendered = Response::ok_bytes(body);
-    state.metrics.batch_latency.record(started.elapsed());
-    rendered
-}
-
-/// Questions computed per streamed sub-batch: small enough that the first
-/// chunk leaves quickly, large enough to keep `answer_batch`'s fan-out
-/// efficient.
+/// Questions answered per batch lane: a loop turn runs at most one lane
+/// per computing connection, so this bounds how long a batch holds its loop
+/// at a time, and a stream's first chunk leaves after one lane.
 const STREAM_LANE_QUESTIONS: usize = 16;
 
-/// `POST /batch?stream=1`: the chunked-streaming twin of [`handle_batch`].
-/// Runs on a worker thread and pushes completions ([`Payload::StreamStart`]
-/// / [`Payload::Chunk`] / [`Payload::StreamEnd`]) to the owning loop as
-/// compute lanes finish, instead of buffering the whole batch.
-///
-/// Invariants, pinned by `crates/server/tests/streaming.rs`:
-///
-/// * the concatenated chunk bytes are **byte-identical** to the buffered
-///   body — same `[…]` JSON, same order;
-/// * everything runs under the **one** [`ServiceSnapshot`] taken up front,
-///   so a `/admin/reload` landing mid-stream can never mix epochs within
-///   one stream;
-/// * early failures (parse error, `min_epoch` 409) are plain buffered
-///   error responses — the stream head only goes out once success is
-///   certain.
-///
-/// `started` flips once the stream head is pushed; the caller uses it to
-/// tell "answer with 500" apart from "abort the stream" on a panic.
-///
-/// [`ServiceSnapshot`]: kbqa_core::service::ServiceSnapshot
-fn handle_batch_streaming(
-    shared: &Shared,
-    job: &Job,
-    keep_alive_requested: bool,
-    started: &std::cell::Cell<bool>,
-) {
-    let state = &shared.state;
-    let t_start = Instant::now();
-    state.metrics.record_request();
-    let setup = match batch_setup(state, &job.request.body) {
-        Ok(setup) => setup,
-        Err(response) => {
-            state.metrics.record_response(response.status);
-            complete(shared, job, Payload::Full(response), keep_alive_requested);
-            return;
-        }
-    };
-    state.metrics.record_batch_stream_request();
-    state.metrics.record_response(200);
-    complete(shared, job, Payload::StreamStart, keep_alive_requested);
-    started.set(true);
-
-    let flush_bytes = shared.config.stream_flush_bytes.max(1);
-    let mut pending: Vec<u8> = Vec::with_capacity(flush_bytes * 2);
-    pending.push(b'[');
-    let ship = |chunk: Vec<u8>| {
-        state.metrics.record_batch_stream_chunk();
-        complete(shared, job, Payload::Chunk(chunk), keep_alive_requested);
-    };
-    let mut lane = BatchLane::default();
-    for (i, run) in setup.requests.chunks(STREAM_LANE_QUESTIONS).enumerate() {
+impl BatchRun {
+    /// `POST /batch`, one lane: answer the next `STREAM_LANE_QUESTIONS`
+    /// questions through `lane` — hits copied from the cache, misses
+    /// rendered by the snapshot's `answer_batch_into` and inserted — and
+    /// append them to `pending` as elements of the body's JSON array.
+    /// `true` once every question is answered.
+    ///
+    /// Every lane answers under the one [`ServiceSnapshot`] taken when the
+    /// batch was admitted, so a `/admin/reload` landing mid-batch never
+    /// mixes epochs. Lane by lane, the body is byte-identical whatever the
+    /// framing: a stream's de-chunked body equals the buffered one (pinned
+    /// by `crates/server/tests/streaming.rs`).
+    ///
+    /// [`ServiceSnapshot`]: kbqa_core::service::ServiceSnapshot
+    fn step(&mut self, lane: &mut BatchLane, state: &AppState) -> bool {
+        let requests = &self.setup.requests;
+        let end = (self.next + STREAM_LANE_QUESTIONS).min(requests.len());
+        let run = &requests[self.next..end];
+        #[cfg(test)]
+        assert!(
+            run.iter().all(|r| r.question != tests::PANIC_QUESTION),
+            "panic injected by the test suite"
+        );
         lane.answer(
             &state.cache,
-            &setup.snapshot,
+            &self.setup.snapshot,
             run,
-            i > 0,
-            &mut pending,
+            self.next > 0,
+            &mut self.pending,
             |refusal| state.metrics.record_outcome(refusal),
         );
-        if pending.len() >= flush_bytes {
-            ship(std::mem::replace(
-                &mut pending,
-                Vec::with_capacity(flush_bytes * 2),
-            ));
-        }
+        self.next = end;
+        end == requests.len()
     }
-    pending.push(b']');
-    ship(pending);
-    complete(shared, job, Payload::StreamEnd, keep_alive_requested);
-    state.metrics.batch_latency.record(t_start.elapsed());
 }
 
 #[cfg(test)]
@@ -2792,15 +2522,25 @@ mod tests {
         )
     }
 
-    fn post_answer(stream: &mut TcpStream, body: &[u8]) -> (u16, Vec<u8>) {
-        // One write: head and body in two would trip Nagle + delayed ACK.
+    fn post_request(path: &str, body: &[u8]) -> Vec<u8> {
         let mut wire = format!(
-            "POST /answer HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+            "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
             body.len()
         )
         .into_bytes();
         wire.extend_from_slice(body);
-        stream.write_all(&wire).expect("write request");
+        wire
+    }
+
+    fn post_answer(stream: &mut TcpStream, body: &[u8]) -> (u16, Vec<u8>) {
+        post(stream, "/answer", body)
+    }
+
+    fn post(stream: &mut TcpStream, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
+        // One write: head and body in two would trip Nagle + delayed ACK.
+        stream
+            .write_all(&post_request(path, body))
+            .expect("write request");
         let mut raw = Vec::new();
         let mut byte = [0u8; 1];
         while !raw.ends_with(b"\r\n\r\n") {
@@ -2818,10 +2558,11 @@ mod tests {
         (status.expect("status line"), body)
     }
 
-    /// A body [`handle_answer`] panics on (under `cfg(test)` only): there is
-    /// no input that makes the real route panic, and containment on the
-    /// event loop must be pinned anyway.
-    pub(super) const PANIC_BODY: &[u8] = b"{\"question\":\"panic, please\"}";
+    /// A question `/answer` and a batch lane panic on (under `cfg(test)`
+    /// only): there is no input that makes the real routes panic, and
+    /// containment on the event loop must be pinned anyway.
+    pub(super) const PANIC_QUESTION: &str = "panic, please";
+    const PANIC_BODY: &[u8] = b"{\"question\":\"panic, please\"}";
 
     #[test]
     fn a_panic_while_answering_on_the_loop_costs_one_request_not_the_loop() {
@@ -2853,9 +2594,67 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_in_a_batch_lane_costs_one_batch_not_the_loop() {
+        let config = ServerConfig {
+            event_loops: 1,
+            // Every lane ships its own chunk.
+            stream_flush_bytes: 1,
+            ..ServerConfig::default()
+        };
+        let server = serve(empty_service(), "127.0.0.1:0", config).expect("serve");
+        let addr = server.local_addr();
+        let question: &[u8] = b"{\"question\":\"why is the sky blue\"}";
+        // Forty questions, the 40th the one a lane panics on: the first two
+        // lanes answer, the third panics.
+        let mut batch: Vec<String> = (0..40)
+            .map(|i| format!("{{\"question\":\"why is the sky blue {i}\"}}"))
+            .collect();
+        batch[39] = format!("{{\"question\":\"{PANIC_QUESTION}\"}}");
+        let batch = format!("[{}]", batch.join(","));
+
+        // A bystander the one loop already owns when the panics happen.
+        let mut bystander = TcpStream::connect(addr).expect("connect bystander");
+        assert_eq!(post_answer(&mut bystander, question).0, 200);
+
+        // Buffered: nothing was written yet, so the batch answers 500 and
+        // its connection stays usable.
+        let mut victim = TcpStream::connect(addr).expect("connect victim");
+        let (status, body) = post(&mut victim, "/batch", batch.as_bytes());
+        assert_eq!(status, 500);
+        assert_eq!(body, b"{\"error\":\"internal error\"}");
+        assert_eq!(post_answer(&mut victim, question).0, 200);
+
+        // Streamed: the head and the first lanes' chunks are out, so the
+        // connection closes without the terminal chunk — a truncated body
+        // must not look complete.
+        let mut streamed = TcpStream::connect(addr).expect("connect streamed");
+        streamed
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        streamed
+            .write_all(&post_request("/batch?stream=1", batch.as_bytes()))
+            .expect("write request");
+        let mut raw = Vec::new();
+        streamed.read_to_end(&mut raw).expect("read until closed");
+        let raw = String::from_utf8(raw).expect("utf8 stream");
+        let (head, chunks) = raw.split_once("\r\n\r\n").expect("stream head");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        assert!(head.contains("Transfer-Encoding: chunked"), "{head}");
+        assert!(chunks.contains("\"refusal\""), "no chunk: {chunks:?}");
+        assert!(!chunks.ends_with("0\r\n\r\n"), "{chunks:?}");
+
+        // The loop survived: the bystander and a fresh connection are
+        // served, and only the buffered batch counted as a 5xx.
+        assert_eq!(post_answer(&mut bystander, question).0, 200);
+        let mut fresh = TcpStream::connect(addr).expect("connect fresh");
+        assert_eq!(post_answer(&mut fresh, question).0, 200);
+        assert_eq!(server.shared.state.metrics.snapshot().responses_5xx, 1);
+        server.shutdown();
+    }
+
+    #[test]
     fn wheel_occupancy_stays_within_live_connections_after_10_000_requests() {
-        // Drive one loop by hand so its wheel can be inspected: `/answer`
-        // runs on the loop, so no worker thread is needed.
+        // Drive one loop by hand so its wheel can be inspected.
         let config = ServerConfig {
             event_loops: 1,
             keep_alive_requests: usize::MAX,
@@ -2865,7 +2664,7 @@ mod tests {
         listener.set_nonblocking(true).expect("nonblocking");
         let addr = listener.local_addr().expect("addr");
         let shared = Arc::new(Shared::new(empty_service(), config).expect("shared"));
-        let mut event_loop = EventLoop::new(shared, 0, Arc::new(listener));
+        let mut event_loop = EventLoop::new(shared, Arc::new(listener));
         event_loop.register_sources();
 
         let client = std::thread::spawn(move || {

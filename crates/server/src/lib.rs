@@ -14,10 +14,10 @@
 //!    ([`epoll`] declares `epoll_create1`/`epoll_ctl`/`epoll_wait` directly
 //!    against the libc `std` already links), nonblocking accept,
 //!    per-connection state machines with incremental parse/write buffers,
-//!    timer-wheel deadlines, and a fixed-size worker pool for request
-//!    compute — so thousands of idle keep-alive connections cost buffers,
-//!    not threads. The vendored `serde_json` stand-in handles the wire
-//!    format.
+//!    and timer-wheel deadlines. Every request runs on the loop that read
+//!    it — a `/batch` as resumable 16-question lanes — so thousands of idle
+//!    keep-alive connections cost buffers, not threads. The vendored
+//!    `serde_json` stand-in handles the wire format.
 //! 2. **Repeated questions dominate real QA traffic** ("QA Is the New KR",
 //!    Chen et al., 2022), so a sharded, lock-striped LRU [`cache`] sits in
 //!    front of the engine, holding each answer as the bytes it is served
@@ -39,13 +39,12 @@
 //!    every reload swaps in a new service at the next
 //!    [model epoch](kbqa_core::service::KbqaService::model_epoch), which
 //!    prefixes every cache key, so a swap invalidates stale answers without
-//!    a flush; and **two-layer admission
-//!    control** sheds overload with `429` + `Retry-After` instead of
-//!    queueing without bound — whole connections at accept time past the
-//!    open-connection bound, and `/answer`/`/batch` requests at dispatch
-//!    time when the worker queue saturates (per-route priority: health,
-//!    metrics and admin always dispatch). `docs/OPERATIONS.md` is the
-//!    runbook for all of it.
+//!    a flush; and **admission control** sheds overload with `429` +
+//!    `Retry-After` instead of queueing without bound — whole connections
+//!    at accept time past the open-connection bound. Health, metrics and
+//!    admin stay reachable under a batch load because batches yield their
+//!    loop after every lane. `docs/OPERATIONS.md` is the runbook for all of
+//!    it.
 //! 5. **A shard should fail like a process, not like the server.** With
 //!    `KBQA_SHARD_WORKERS` set, value lookups scatter to out-of-process
 //!    `kbqa-shardd` workers (one shard per process, unix-domain sockets,
@@ -85,7 +84,7 @@
 //! # fn service() -> kbqa_core::service::KbqaService { unimplemented!() }
 //!
 //! // ServerConfig::from_env reads the KBQA_* knobs (admin token, model
-//! // path, queue depth, cache sizing); Default works fine for tests.
+//! // path, admission bound, cache sizing); Default works fine for tests.
 //! let handle = serve(service(), "127.0.0.1:0", ServerConfig::from_env()).unwrap();
 //! println!("listening on http://{}", handle.local_addr());
 //! // … hot-swap the model at any point:

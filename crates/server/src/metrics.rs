@@ -45,7 +45,6 @@ pub struct Metrics {
     refused_empty_values: AtomicU64,
     refused_shard_unavailable: AtomicU64,
     requests_shed: AtomicU64,
-    requests_shed_by_route: AtomicU64,
     admin_reloads: AtomicU64,
     open_connections: AtomicU64,
     epoll_wakeups: AtomicU64,
@@ -87,7 +86,6 @@ impl Metrics {
             refused_empty_values: AtomicU64::new(0),
             refused_shard_unavailable: AtomicU64::new(0),
             requests_shed: AtomicU64::new(0),
-            requests_shed_by_route: AtomicU64::new(0),
             admin_reloads: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
             epoll_wakeups: AtomicU64::new(0),
@@ -142,14 +140,6 @@ impl Metrics {
     /// `requests_shed` and the 4xx class, never `requests_total`).
     pub fn record_shed(&self) {
         self.requests_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one request shed by **route-level** admission (a parsed
-    /// `POST /answer` or `POST /batch` answered 429 because the worker
-    /// queue was saturated — so it moves `requests_total`, this counter,
-    /// and the 4xx class, while the connection stays open).
-    pub fn record_route_shed(&self) {
-        self.requests_shed_by_route.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one successful `POST /admin/reload` model swap.
@@ -231,7 +221,7 @@ impl Metrics {
             refused_empty_values: self.refused_empty_values.load(Ordering::Relaxed),
             refused_shard_unavailable: self.refused_shard_unavailable.load(Ordering::Relaxed),
             requests_shed: self.requests_shed.load(Ordering::Relaxed),
-            requests_shed_by_route: self.requests_shed_by_route.load(Ordering::Relaxed),
+            requests_shed_by_route: 0,
             admin_reloads: self.admin_reloads.load(Ordering::Relaxed),
             open_connections: self.open_connections.load(Ordering::Relaxed),
             epoll_wakeups: self.epoll_wakeups.load(Ordering::Relaxed),
@@ -299,9 +289,9 @@ pub struct MetricsSnapshot {
     /// `requests_total`: no request was parsed).
     #[serde(default)]
     pub requests_shed: u64,
-    /// Parsed `POST /answer` / `POST /batch` requests shed with 429 by
-    /// **route-level** admission (worker queue saturated; counted in
-    /// `requests_total` and `responses_4xx`; the connection stays open).
+    /// Always 0: route-level shedding is gone (every request runs on the
+    /// loop that read it, and nothing queues). Kept so that readers of
+    /// older snapshots still deserialize.
     #[serde(default)]
     pub requests_shed_by_route: u64,
     /// Successful `POST /admin/reload` model swaps.
@@ -445,11 +435,6 @@ impl MetricsSnapshot {
             "kbqa_requests_shed_total",
             &[("level", "connection")],
             self.requests_shed as f64,
-        );
-        w.sample(
-            "kbqa_requests_shed_total",
-            &[("level", "route")],
-            self.requests_shed_by_route as f64,
         );
         w.counter(
             "kbqa_admin_reloads_total",

@@ -212,6 +212,16 @@ enum Phase {
     Parked,
 }
 
+impl Phase {
+    fn name(&self) -> &'static str {
+        match self {
+            Phase::Up => "up",
+            Phase::Restarting { .. } => "restarting",
+            Phase::Parked => "parked",
+        }
+    }
+}
+
 struct Slot {
     child: Option<Child>,
     phase: Phase,
@@ -220,10 +230,36 @@ struct Slot {
     breaker: CrashLoopBreaker,
 }
 
+/// The part of a [`Slot`] that [`Supervisor::status`] reports.
+#[derive(Clone, Copy)]
+struct Published {
+    state: &'static str,
+    restarts: u64,
+    last_heartbeat: Instant,
+    pid: Option<u32>,
+}
+
+impl Slot {
+    fn published(&self) -> Published {
+        Published {
+            state: self.phase.name(),
+            restarts: self.restarts,
+            last_heartbeat: self.last_heartbeat,
+            pid: self.child.as_ref().map(Child::id),
+        }
+    }
+}
+
 struct Shared {
     config: SupervisorConfig,
     router: Arc<ShardRouter>,
     slots: Vec<Mutex<Slot>>,
+    /// Each slot's status as of the last time the monitor let go of it.
+    /// The monitor holds a slot across a ping or a worker start (a reload's
+    /// stage must not race a start), up to a deadline; a status read —
+    /// `/healthz` or `/metrics`, on a server event loop — must not wait
+    /// that out.
+    published: Vec<Mutex<Published>>,
     epoch: AtomicU64,
     shutdown: AtomicBool,
     wake: (Mutex<bool>, Condvar),
@@ -269,27 +305,24 @@ impl Supervisor {
             .collect();
         let router = Arc::new(ShardRouter::from_remote(plan, lanes));
         let now = Instant::now();
-        let slots = (0..router.shard_count())
-            .map(|_| {
-                Mutex::new(Slot {
-                    child: None,
-                    phase: Phase::Restarting {
-                        next: now,
-                        attempt: 0,
-                    },
-                    restarts: 0,
-                    last_heartbeat: now,
-                    breaker: CrashLoopBreaker::new(
-                        config.breaker_window,
-                        config.breaker_max_restarts,
-                    ),
-                })
+        let slots: Vec<Slot> = (0..router.shard_count())
+            .map(|_| Slot {
+                child: None,
+                phase: Phase::Restarting {
+                    next: now,
+                    attempt: 0,
+                },
+                restarts: 0,
+                last_heartbeat: now,
+                breaker: CrashLoopBreaker::new(config.breaker_window, config.breaker_max_restarts),
             })
             .collect();
+        let published = slots.iter().map(|s| Mutex::new(s.published())).collect();
         let shared = Arc::new(Shared {
             config,
             router,
-            slots,
+            slots: slots.into_iter().map(Mutex::new).collect(),
+            published,
             epoch: AtomicU64::new(initial_epoch),
             shutdown: AtomicBool::new(false),
             wake: (Mutex::new(false), Condvar::new()),
@@ -306,6 +339,7 @@ impl Supervisor {
         for i in 0..shared.router.shard_count() {
             let mut slot = shared.slots[i].lock().unwrap();
             try_start_worker(&shared, i, &mut slot, Instant::now());
+            publish(&shared, i, &slot);
         }
         let monitor = {
             let shared = Arc::clone(&shared);
@@ -324,39 +358,36 @@ impl Supervisor {
         Arc::clone(&self.shared.router)
     }
 
-    /// Per-worker state snapshot (healthz, metrics).
+    /// Per-worker state snapshot (healthz, metrics), as of the monitor's
+    /// last pass over each worker: never waits on a ping or a start.
     pub fn status(&self) -> Vec<WorkerStatus> {
         let now = Instant::now();
         self.shared
-            .slots
+            .published
             .iter()
             .enumerate()
-            .map(|(i, slot)| {
-                let slot = slot.lock().unwrap();
+            .map(|(i, published)| {
+                let published = *published.lock().unwrap();
                 WorkerStatus {
                     shard: i,
-                    state: match slot.phase {
-                        Phase::Up => "up",
-                        Phase::Restarting { .. } => "restarting",
-                        Phase::Parked => "parked",
-                    }
-                    .to_string(),
-                    restarts: slot.restarts,
+                    state: published.state.to_string(),
+                    restarts: published.restarts,
                     heartbeat_age_ms: now
-                        .saturating_duration_since(slot.last_heartbeat)
+                        .saturating_duration_since(published.last_heartbeat)
                         .as_millis() as u64,
-                    pid: slot.child.as_ref().map(Child::id),
+                    pid: published.pid,
                 }
             })
             .collect()
     }
 
-    /// Number of shards not currently `up`.
+    /// Number of shards not currently `up` (as [`Supervisor::status`]
+    /// reports them).
     pub fn degraded(&self) -> usize {
         self.shared
-            .slots
+            .published
             .iter()
-            .filter(|slot| !matches!(slot.lock().unwrap().phase, Phase::Up))
+            .filter(|published| published.lock().unwrap().state != "up")
             .count()
     }
 
@@ -492,7 +523,13 @@ fn tick(shared: &Shared, now: Instant) {
             }
             Phase::Parked => {}
         }
+        publish(shared, i, &slot);
     }
+}
+
+/// Make slot `i`'s current state what [`Supervisor::status`] reports.
+fn publish(shared: &Shared, i: usize, slot: &Slot) {
+    *shared.published[i].lock().unwrap() = slot.published();
 }
 
 fn check_up_worker(shared: &Shared, i: usize, slot: &mut Slot, now: Instant) {

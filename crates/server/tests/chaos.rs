@@ -19,10 +19,11 @@
 //! * shutdown under load — in-flight requests drain, worker processes are
 //!   reaped.
 //!
-//! Plus two placement checks: a service loaded from the sharded bundle and
-//! served with `shard_workers` spawns the worker tier, and `/answer` on a
-//! remote-lane fleet stays on the worker pool (a remote lookup may block;
-//! event loops must not).
+//! Plus placement checks: a service loaded from the sharded bundle and
+//! served with `shard_workers` spawns the worker tier, `/answer` on a
+//! remote-lane fleet is served on the event loop that read it, a hung
+//! worker delays `/healthz` only by the bounded lookups ahead of it, and
+//! not at all by a reload it stalls.
 //!
 //! Worker-spawning tests serialize on one lock: chaos hooks travel through
 //! process-global environment variables that spawned workers inherit.
@@ -549,6 +550,22 @@ fn extract_pids(body: &str) -> Vec<u32> {
     pids
 }
 
+/// The first `/healthz` body that lists all `SHARDS` workers `up`.
+fn healthz_with_every_worker_up(addr: SocketAddr) -> String {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let (status, _, body) = must_request(addr, "GET", "/healthz", "", "");
+        if status == 200 && body.matches("\"state\":\"up\"").count() == SHARDS {
+            break body;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "healthz never listed {SHARDS} shard workers up: {body}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
 /// The service a warm start loads from the sharded bundle: no router —
 /// `serve` attaches the supervised worker tier.
 fn bundle_service() -> KbqaService {
@@ -559,8 +576,8 @@ fn bundle_service() -> KbqaService {
 
 fn shard_server_config(tag: &str) -> ServerConfig {
     ServerConfig {
-        workers: 2,
-        event_loops: 1,
+        // Two loops: two requests can wait on a shard worker at once.
+        event_loops: 2,
         shard_workers: SHARDS,
         bundle_dir: Some(fixture().bundle.clone()),
         shardd_path: Some(PathBuf::from(env!("CARGO_BIN_EXE_kbqa-shardd"))),
@@ -661,18 +678,7 @@ fn a_loaded_sharded_bundle_served_with_shard_workers_spawns_them() {
     )
     .expect("serve with shard workers");
     let addr = handle.local_addr();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let health = loop {
-        let (status, _, body) = must_request(addr, "GET", "/healthz", "", "");
-        if status == 200 && body.matches("\"state\":\"up\"").count() == SHARDS {
-            break body;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "healthz never listed {SHARDS} shard workers up: {body}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    };
+    let health = healthz_with_every_worker_up(addr);
     assert_eq!(extract_pids(&health).len(), SHARDS, "{health}");
 
     let requests = request_set(fixture());
@@ -790,29 +796,45 @@ fn two_phase_reload_never_mixes_epochs_and_min_epoch_gates_with_409() {
 }
 
 #[test]
-fn remote_lane_answers_stay_on_the_worker_pool() {
-    // A value lookup on a worker process can block for `worker_deadline_ms`,
-    // which an event loop must never do: on a remote-lane fleet `/answer`
-    // keeps the handoff that unsharded services dropped. Visible without timing
-    // anything: a pooled request wakes its loop twice (socket readable, then
-    // the completion eventfd), a loop-served one once.
+fn remote_lane_answers_are_served_on_the_loop() {
+    // Every request runs on the event loop that read it, a remote-lane
+    // `/answer` included (its lookups are bounded by `worker_deadline_ms`).
+    // Visible without timing anything: a loop-served request wakes its loop
+    // once (socket readable); a handoff to another thread would add a
+    // second wake (its completion) to every request.
     const REQUESTS: usize = 40;
     let _guard = spawn_lock();
-    let handle = serve(bundle_service(), "127.0.0.1:0", shard_server_config("pool"))
+    let handle = serve(bundle_service(), "127.0.0.1:0", shard_server_config("loop"))
         .expect("serve with shard workers");
     let addr = handle.local_addr();
-    let wakeups = || {
-        let (status, _, body) = must_request(addr, "GET", "/metrics", "", "");
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        stream
+    };
+    // Scrapes ride one keep-alive connection, so the count sees no accepts:
+    // with two loops an accept may wake both of them.
+    let mut scrape = connect();
+    let mut wakeups = || {
+        scrape
+            .write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+            .expect("write scrape");
+        let (status, _, body) = read_reply(&mut scrape).expect("metrics reply");
         assert_eq!(status, 200);
         extract_u64(&body, "epoll_wakeups")
     };
 
     let requests = request_set(fixture());
     let expected = baselines();
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect();
+    // Both connections are accepted and served once before counting starts.
     stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("write healthz");
+    assert_eq!(read_reply(&mut stream).expect("healthz reply").0, 200);
+    wakeups();
     let before = wakeups();
     for (request, expected) in requests.iter().zip(expected).take(REQUESTS) {
         let body = serde_json::to_string(request).expect("request");
@@ -831,10 +853,147 @@ fn remote_lane_answers_stay_on_the_worker_pool() {
         );
     }
     let spent = wakeups() - before;
+    // The bound `a_keep_alive_answer_costs_one_epoll_wakeup` uses; the
+    // slack covers the second scrape's read.
     assert!(
-        spent as usize * 10 >= REQUESTS * 18,
+        spent as usize * 10 <= REQUESTS * 11,
         "{spent} epoll wakeups for {REQUESTS} remote-lane /answer requests: \
-         they must go through the worker pool (two wakeups each)"
+         each must be served on the loop that read it (one wakeup)"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn a_hung_shard_worker_delays_healthz_only_by_bounded_lookups() {
+    // A SIGSTOPped worker stalls every lookup routed to it until the lookup
+    // deadline (then until the hang kill parks the lane). The loops serving
+    // those lookups are blocked meanwhile, so a `/healthz` on a fresh
+    // connection waits behind at most the lookups ahead of it on its loop
+    // — bounded, never forever.
+    const CLIENTS: usize = 4;
+    let _guard = spawn_lock();
+    let handle = serve(bundle_service(), "127.0.0.1:0", shard_server_config("hung"))
+        .expect("serve with shard workers");
+    let addr = handle.local_addr();
+    let health = healthz_with_every_worker_up(addr);
+    let victim = extract_pids(&health)[0];
+
+    let requests = request_set(fixture());
+    let stop = Arc::new(AtomicBool::new(false));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let stop = Arc::clone(&stop);
+            let mine: Vec<QaRequest> = requests.iter().skip(c).step_by(CLIENTS).cloned().collect();
+            std::thread::spawn(move || {
+                let mut sent = 0usize;
+                for request in mine.iter().cycle() {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    // A distinct cache key every time: a cache hit would
+                    // never reach the hung worker.
+                    let mut request = request.clone();
+                    request.top_k = Some(1 + sent);
+                    let body = serde_json::to_string(&request).expect("request");
+                    let (status, _, reply) = must_request(addr, "POST", "/answer", "", &body);
+                    assert_eq!(status, 200, "{reply}");
+                    sent += 1;
+                }
+                sent
+            })
+        })
+        .collect();
+
+    std::thread::sleep(Duration::from_millis(200));
+    signal(victim, 19); // SIGSTOP
+    let mut waits = Vec::new();
+    let probing = Instant::now();
+    while probing.elapsed() < Duration::from_secs(3) {
+        let started = Instant::now();
+        let (status, _, body) = must_request(addr, "GET", "/healthz", "", "");
+        let waited = started.elapsed();
+        assert!(
+            status == 200 || status == 503,
+            "healthz answered {status}: {body}"
+        );
+        assert!(
+            waited < Duration::from_secs(5),
+            "healthz took {waited:?} behind a hung shard worker"
+        );
+        waits.push(waited);
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    stop.store(true, Ordering::Relaxed);
+    let sent: usize = clients
+        .into_iter()
+        .map(|c| c.join().expect("client thread"))
+        .sum();
+    signal(victim, 18); // SIGCONT, in case the hang kill has not reaped it
+    waits.sort_unstable();
+    let ms = |q: usize| waits[(waits.len() - 1) * q / 100].as_secs_f64() * 1e3;
+    println!(
+        "healthz behind a hung worker: {} probes, p50 {:.1} ms, p90 {:.1} ms, max {:.1} ms; \
+         {sent} /answer requests",
+        waits.len(),
+        ms(50),
+        ms(90),
+        ms(100)
+    );
+    assert!(sent > 0, "no client /answer completed");
+    handle.shutdown();
+}
+
+#[test]
+fn healthz_does_not_wait_on_a_reload_stalled_by_a_hung_worker() {
+    // A bundle reload stages the next epoch on every up worker; a
+    // SIGSTOPped one stalls that stage until the hang kill (`hang_grace`,
+    // 2 s by default). The reload holds its own loop meanwhile, but a
+    // `/healthz` on a fresh connection is accepted by the other, waiting
+    // loop, and reads the supervisor's published status without taking
+    // the reload lock or a slot the monitor is pinging through.
+    const PROMPT: Duration = Duration::from_millis(150);
+    let _guard = spawn_lock();
+    let mut config = shard_server_config("reload-hung");
+    config.admin_token = Some("chaos-secret".to_string());
+    let handle = serve(bundle_service(), "127.0.0.1:0", config).expect("serve with shard workers");
+    let addr = handle.local_addr();
+    let health = healthz_with_every_worker_up(addr);
+    let victim = extract_pids(&health)[0];
+
+    signal(victim, 19); // SIGSTOP
+    let reload = std::thread::spawn(move || {
+        let token_header = "X-Admin-Token: chaos-secret\r\n";
+        must_request(addr, "POST", "/admin/reload?mode=bundle", token_header, "").0
+    });
+    std::thread::sleep(Duration::from_millis(300));
+    let mut waits = Vec::new();
+    let probing = Instant::now();
+    while probing.elapsed() < Duration::from_secs(1) {
+        let started = Instant::now();
+        let (status, _, body) = must_request(addr, "GET", "/healthz", "", "");
+        waits.push(started.elapsed());
+        assert!(
+            status == 200 || status == 503,
+            "healthz answered {status}: {body}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let overlapped = !reload.is_finished();
+    let status = reload.join().expect("reload thread");
+    signal(victim, 18); // SIGCONT, in case the hang kill has not reaped it
+    let slowest = waits.iter().max().copied().unwrap_or_default();
+    assert!(
+        slowest < PROMPT,
+        "healthz took {slowest:?} during a stalled reload ({} probes)",
+        waits.len()
+    );
+    assert!(
+        overlapped,
+        "the reload finished before the probes did: nothing was measured"
+    );
+    assert!(
+        status == 200 || status == 500,
+        "a reload stalled by a hung worker answered {status}"
     );
     handle.shutdown();
 }
@@ -859,7 +1018,7 @@ fn shutdown_under_load_drains_in_flight_requests_and_reaps_workers() {
 
     // Clients hammer /answer through the shutdown; each completed reply
     // must be a full, valid response (drain = no truncated writes, no
-    // orphaned dispatches). Connection errors after shutdown are expected.
+    // abandoned batches). Connection errors after shutdown are expected.
     let stop = Arc::new(AtomicBool::new(false));
     let questions = request_set(fixture());
     let clients: Vec<_> = (0..4)
@@ -886,7 +1045,7 @@ fn shutdown_under_load_drains_in_flight_requests_and_reaps_workers() {
 
     std::thread::sleep(Duration::from_millis(400));
     let started = Instant::now();
-    handle.shutdown(); // drains loops, then workers, then the worker fleet
+    handle.shutdown(); // drains the loops, then the worker fleet
     let elapsed = started.elapsed();
     stop.store(true, Ordering::Relaxed);
     assert!(

@@ -1,8 +1,9 @@
 //! Protocol hardening and concurrency tests for the event-driven server
 //! core (PR 5): timer-wheel deadlines (slowloris → 408, idle close),
-//! pipelining, mid-write client disconnects, per-route admission priority,
-//! run-to-completion `/answer` on the loop, the observability gauges — plus the high-concurrency soak suite CI
-//! drives with `cargo test --release -p kbqa-server -- --ignored soak`.
+//! pipelining, mid-write client disconnects, batches yielding their loop
+//! lane by lane, run-to-completion `/answer` on the loop, the observability
+//! gauges — plus the high-concurrency soak suite CI drives with
+//! `cargo test --release -p kbqa-server -- --ignored soak`.
 //!
 //! The smuggling-guard cases (`Transfer-Encoding` → 501, conflicting
 //! `Content-Length` → 400, garbage request line → 400, oversized body →
@@ -13,7 +14,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use kbqa_core::learner::LearnedModel;
 use kbqa_core::service::KbqaService;
@@ -323,17 +324,13 @@ fn mid_write_client_disconnects_do_not_poison_the_server() {
 }
 
 // ---------------------------------------------------------------------------
-// Per-route admission priority + gauges
+// Batches yield the loop + gauges
 // ---------------------------------------------------------------------------
 
 #[test]
-fn route_priority_sheds_batch_serves_healthz_and_never_queues_answer() {
+fn a_long_batch_yields_to_answer_and_healthz_on_one_loop() {
     let config = ServerConfig {
-        workers: 1,
         event_loops: 1,
-        max_queued: 1,
-        max_pending: 1024,
-        retry_after_secs: 9,
         max_body_bytes: 64 << 20,
         ..ServerConfig::default()
     };
@@ -355,53 +352,48 @@ fn route_priority_sheds_batch_serves_healthz_and_never_queues_answer() {
         batch.push(']');
         batch
     };
-    let send = |path: &str, body: &str, close: bool| {
+    let send = |method: &str, path: &str, body: &str| {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream
             .set_read_timeout(Some(Duration::from_secs(120)))
             .unwrap();
         stream
-            .write_all(&request_bytes("POST", path, body, close))
+            .write_all(&request_bytes(method, path, body, true))
             .expect("write request");
         stream
     };
 
-    // Each attempt saturates the pool — one 2 000-question batch on the
-    // single worker, a second one filling the one-deep queue — and probes
-    // while that lasts. How long it lasts depends on build profile and
-    // machine, so an attempt whose window closed before the probes landed
-    // proves nothing and is retried; one conclusive attempt is enough.
-    let mut shed_head: Option<String> = None;
-    let mut answered_while_saturated = false;
+    // Each attempt starts two 2 000-question batches on the one loop, waits
+    // until both are admitted, and probes. A batch answers lane by lane, so
+    // the probes are served between lanes while the batches still compute;
+    // a batch that held the loop to its end would be over — its response
+    // on the wire — before any probe was read. How long the batches last
+    // depends on build profile and machine, so an attempt whose batches
+    // both finished before the probes came back proves nothing and is
+    // retried; one conclusive attempt is enough.
+    let mut served_mid_batch = false;
     let mut backlog: Vec<TcpStream> = Vec::new();
     for _ in 0..20 {
+        let admitted = metrics(addr).batch_requests + 2;
         let mut batches = [
-            send("/batch", &big_batch(), true),
-            send("/batch", &big_batch(), true),
+            send("POST", "/batch", &big_batch()),
+            send("POST", "/batch", &big_batch()),
         ];
-
-        // (a) A `/batch` that finds the queue full is shed, not queued.
-        let mut probe = send("/batch", "[{\"question\":\"hi\"}]", false);
-        let (status, head, _) = read_response(&mut probe);
-        match status {
-            429 => shed_head = Some(head),
-            // The queue had already drained: the probe was served.
-            200 => {
-                backlog.extend(batches);
-                continue;
-            }
-            other => panic!("unexpected /batch probe status {other}: {head}"),
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while metrics(addr).batch_requests < admitted {
+            assert!(Instant::now() < deadline, "the batches were never admitted");
+            std::thread::sleep(Duration::from_millis(1));
         }
 
-        // (c) `/answer` is answered by the event loop whatever the pool is
-        // doing — always 200, and never behind the batches.
-        let mut answer = send("/answer", "{\"question\":\"hi\"}", false);
-        let (status, head, _) = read_response(&mut answer);
-        assert_eq!(status, 200, "/answer is never route-shed: {head}");
-        // A big batch that has not produced a byte yet is still running or
-        // queued, so the single worker was busy when `/answer` came back.
-        // (The second one has bytes early if it was itself shed.)
-        let still_waiting = batches.iter_mut().any(|batch| {
+        let (status, _, body) =
+            read_response(&mut send("POST", "/answer", "{\"question\":\"hi\"}"));
+        assert_eq!(status, 200, "/answer next to running batches: {body}");
+        let (status, _, body) = read_response(&mut send("GET", "/healthz", ""));
+        assert_eq!(status, 200, "/healthz next to running batches: {body}");
+
+        // A buffered batch writes nothing before its last lane, so one that
+        // has not produced a byte yet is still computing.
+        let still_computing = batches.iter_mut().any(|batch| {
             batch.set_nonblocking(true).unwrap();
             matches!(
                 batch.read(&mut [0u8; 1]),
@@ -409,48 +401,21 @@ fn route_priority_sheds_batch_serves_healthz_and_never_queues_answer() {
             )
         });
         backlog.extend(batches);
-        if still_waiting {
-            answered_while_saturated = true;
+        if still_computing {
+            served_mid_batch = true;
             break;
         }
     }
-
-    let head = shed_head.expect("a /batch probe must be shed while the queue is full");
-    let retry_after = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Retry-After: "))
-        .expect("Retry-After on route shed");
-    assert_eq!(retry_after.trim(), "9");
     assert!(
-        head.contains("Connection: keep-alive"),
-        "route sheds keep the connection: {head}"
+        served_mid_batch,
+        "/answer and /healthz must come back while an admitted batch is still \
+         computing on the same loop: a batch yields the loop after every lane"
     );
-    assert!(
-        answered_while_saturated,
-        "/answer must come back while the worker is still saturated by \
-         batches: no head-of-line blocking of single questions"
-    );
-
-    // (b) Priority route on the SAME saturated server: /healthz dispatches
-    // (never route-shed) and is served once the worker drains the backlog.
-    let mut health = TcpStream::connect(addr).expect("connect health");
-    health
-        .write_all(&request_bytes("GET", "/healthz", "", true))
-        .unwrap();
-    health
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let (status, _, body) = read_response(&mut health);
-    assert_eq!(status, 200, "healthz must never be route-shed: {body}");
     drop(backlog);
 
     let snap = metrics(addr);
-    assert!(snap.requests_shed_by_route >= 1, "{snap:?}");
     assert_eq!(snap.requests_shed, 0, "no accept-time sheds here");
-    assert!(
-        snap.requests_total > snap.requests_shed_by_route,
-        "route sheds count as parsed requests: {snap:?}"
-    );
+    assert_eq!(snap.responses_5xx, 0, "{snap:?}");
 
     server.shutdown();
 }
@@ -484,8 +449,8 @@ fn event_loop_gauges_are_exported() {
 #[test]
 fn a_keep_alive_answer_costs_one_epoll_wakeup() {
     // `/answer` runs to completion on the loop that read it: one wakeup (the
-    // socket turned readable) per request. A handoff to the worker pool
-    // would add a second one (the completion eventfd) to every request.
+    // socket turned readable) per request. A handoff to another thread
+    // would add a second one (its completion wake) to every request.
     const REQUESTS: u64 = 200;
     let config = ServerConfig {
         keep_alive_requests: 1024,
@@ -509,8 +474,8 @@ fn a_keep_alive_answer_costs_one_epoll_wakeup() {
         ask(i);
     }
     let spent = metrics(addr).epoll_wakeups - before;
-    // The slack covers the two `/metrics` scrapes themselves (accept, read,
-    // completion, close).
+    // The slack covers the two `/metrics` scrapes themselves (accept,
+    // read).
     assert!(
         spent * 10 <= REQUESTS * 11,
         "{spent} epoll wakeups for {REQUESTS} keep-alive /answer requests"
@@ -584,7 +549,6 @@ fn soak_256_keep_alive_connections_mixed_routes() {
     assert_eq!(served.load(Ordering::Relaxed), CONNECTIONS * ROUNDS);
     let snap = metrics(addr);
     assert_eq!(snap.requests_shed, 0, "below the bound nothing sheds");
-    assert_eq!(snap.requests_shed_by_route, 0, "{snap:?}");
     assert_eq!(snap.responses_5xx, 0, "{snap:?}");
     assert!(
         snap.requests_total >= (CONNECTIONS * ROUNDS) as u64,
@@ -743,9 +707,8 @@ fn soak_sharded_64_connections_through_the_router() {
 fn soak_overload_sheds_429_above_the_admission_bound() {
     const CONNECTIONS: usize = 64;
     let config = ServerConfig {
-        workers: 2,
         event_loops: 2,
-        max_pending: 8, // admission bound: workers + max_pending = 10 open
+        max_pending: 10, // admission bound: 10 open connections
         retry_after_secs: 3,
         read_timeout: Duration::from_secs(30),
         ..ServerConfig::default()

@@ -388,8 +388,9 @@ fn an_echoed_control_byte_still_renders_a_json_error_body() {
 
 #[test]
 fn deeply_nested_model_reload_is_a_500_and_the_old_epoch_serves_on() {
-    // A model reload parses on a pooled worker thread; input nesting must
-    // not reach its stack, or one bad artifact would abort the server.
+    // A model reload parses on the event loop that read the request; input
+    // nesting must not reach its stack, or one bad artifact would abort the
+    // server.
     let model_path = temp_model_path("reload-deep");
     let config = ServerConfig {
         admin_token: Some("swordfish".into()),
@@ -734,8 +735,7 @@ fn concurrent_reloads_of_both_modes_get_distinct_epochs() {
 #[test]
 fn overload_sheds_429_with_retry_after_then_recovers() {
     let config = ServerConfig {
-        workers: 1,
-        max_pending: 1,
+        max_pending: 2,
         retry_after_secs: 7,
         // Long enough that the held connection outlives the whole test.
         read_timeout: Duration::from_secs(20),
@@ -745,12 +745,11 @@ fn overload_sheds_429_with_retry_after_then_recovers() {
     let server = serve(empty_service(), "127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr();
 
-    // Occupy the single worker: a connection whose request never finishes.
+    // Two open connections reach the bound: one whose request never
+    // finishes, and one that just sits there.
     let mut held = TcpStream::connect(addr).expect("connect held");
     held.write_all(b"POST /answer HTTP/1.1\r\n").expect("hold");
     std::thread::sleep(Duration::from_millis(400));
-
-    // Fill the pending queue (depth 1): a connection that just sits there.
     let filler = TcpStream::connect(addr).expect("connect filler");
     std::thread::sleep(Duration::from_millis(400));
 
@@ -767,7 +766,7 @@ fn overload_sheds_429_with_retry_after_then_recovers() {
         assert!(body.contains("error"), "{body}");
     }
 
-    // Drain: release the worker and the queue slot.
+    // Drain: close both connections.
     drop(held);
     drop(filler);
     std::thread::sleep(Duration::from_millis(400));
@@ -792,7 +791,6 @@ fn overload_sheds_429_with_retry_after_then_recovers() {
 #[test]
 fn max_pending_zero_disables_shedding() {
     let config = ServerConfig {
-        workers: 1,
         max_pending: 0,
         read_timeout: Duration::from_secs(20),
         ..ServerConfig::default()
@@ -800,8 +798,8 @@ fn max_pending_zero_disables_shedding() {
     let server = serve(empty_service(), "127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr();
 
-    // Hold the only worker, then stack several connections: with shedding
-    // disabled they all queue and are eventually served.
+    // Hold a connection mid-request, then stack several more: with
+    // shedding disabled every one is admitted and served.
     let mut held = TcpStream::connect(addr).expect("connect held");
     held.write_all(b"POST /answer HTTP/1.1\r\n").expect("hold");
     std::thread::sleep(Duration::from_millis(300));
@@ -816,7 +814,7 @@ fn max_pending_zero_disables_shedding() {
     drop(held);
     for stream in &mut queued {
         let (status, _, _) = read_response(stream);
-        assert_eq!(status, 200, "unbounded queue must serve everyone");
+        assert_eq!(status, 200, "unbounded admission must serve everyone");
     }
     assert_eq!(metrics(addr).requests_shed, 0);
 

@@ -1,13 +1,14 @@
 //! Chunked-streaming `/batch` tests: a minimal chunked-transfer decoder on
 //! the client side, the streamed-vs-buffered byte-identity suite (300+
-//! questions), mid-stream disconnect resilience (a dropped client must not
-//! wedge a loop thread), and a streamed batch crossing `/admin/reload`
-//! (one model epoch per stream, never mixed).
+//! questions), backpressure (a reader that stalls stalls its batch),
+//! mid-stream disconnect resilience (a dropped client must not wedge a loop
+//! thread), and a streamed batch crossing `/admin/reload` (one model epoch
+//! per stream, never mixed).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use kbqa_core::decompose::PatternIndex;
 use kbqa_core::learner::{Learner, LearnerConfig};
@@ -136,9 +137,7 @@ fn read_buffered(stream: &mut TcpStream) -> (u16, String) {
     (status, String::from_utf8(body).expect("utf8 body"))
 }
 
-/// The minimal chunked-transfer decoder: hex size line, `size` bytes, CRLF,
-/// until the zero-size terminator. Returns the de-chunked body and the
-/// number of (non-terminator) chunks.
+/// Read one chunked response: the head, then [`read_chunks`].
 fn read_chunked(stream: &mut TcpStream) -> (u16, String, usize) {
     let (status, head) = read_head(stream);
     assert!(
@@ -149,6 +148,14 @@ fn read_chunked(stream: &mut TcpStream) -> (u16, String, usize) {
         !head.contains("Content-Length:"),
         "chunked response must not carry Content-Length:\n{head}"
     );
+    let (body, chunks) = read_chunks(stream);
+    (status, body, chunks)
+}
+
+/// The minimal chunked-transfer decoder: hex size line, `size` bytes, CRLF,
+/// until the zero-size terminator. Returns the de-chunked body and the
+/// number of (non-terminator) chunks.
+fn read_chunks(stream: &mut TcpStream) -> (String, usize) {
     let mut body = Vec::new();
     let mut chunks = 0usize;
     loop {
@@ -175,7 +182,7 @@ fn read_chunked(stream: &mut TcpStream) -> (u16, String, usize) {
         assert_eq!(&crlf, b"\r\n");
         chunks += 1;
     }
-    (status, String::from_utf8(body).expect("utf8 body"), chunks)
+    (String::from_utf8(body).expect("utf8 body"), chunks)
 }
 
 fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
@@ -255,9 +262,9 @@ fn streamed_batch_is_byte_identical_to_buffered_over_300_questions() {
 }
 
 /// A cold buffered `/batch` of 320 questions misses on every question, so
-/// its rendering fans out across threads (64+ questions each); a second
-/// batch mixing cached and new questions takes the hits-and-misses path.
-/// Both must equal the sequential in-process rendering, byte for byte.
+/// every lane renders straight into the body; a second batch mixing cached
+/// and new questions takes the hits-and-misses path. Both must equal the
+/// sequential in-process rendering, byte for byte.
 #[test]
 fn buffered_batches_match_the_sequential_rendering_cold_and_mixed() {
     let f = fixture();
@@ -321,6 +328,97 @@ fn stream_opt_in_is_the_client_query_param() {
 }
 
 // ---------------------------------------------------------------------------
+// Backpressure: a reader that stalls stalls its batch
+// ---------------------------------------------------------------------------
+
+/// The largest send buffer TCP autotunes a socket to (`tcp_wmem`'s third
+/// field): how many bytes the server's side of a stalled stream can hold.
+fn tcp_wmem_max() -> usize {
+    std::fs::read_to_string("/proc/sys/net/ipv4/tcp_wmem")
+        .ok()
+        .and_then(|s| s.split_whitespace().nth(2)?.parse().ok())
+        .unwrap_or(4 << 20)
+}
+
+/// Pin `stream`'s receive buffer at `bytes`, which also stops it
+/// autotuning; Linux reserves twice that, which this returns.
+fn pin_receive_buffer(stream: &TcpStream, bytes: i32) -> usize {
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+    }
+    const SOL_SOCKET: i32 = 1;
+    const SO_RCVBUF: i32 = 8;
+    let rc = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, SO_RCVBUF, &bytes, 4) };
+    assert_eq!(rc, 0, "setsockopt(SO_RCVBUF)");
+    2 * bytes as usize
+}
+
+#[test]
+fn a_stalled_stream_reader_stalls_its_batch() {
+    // The stalled reader's receive buffer is pinned small, so what loopback
+    // absorbs before the server's writes block is that plus the server's
+    // send buffer, at most `tcp_wmem`'s maximum (4 MiB by default). The
+    // batch is sized to over 3× that at ≈150 bytes per answer, and never
+    // under 100 000 questions (≈15 MB): a batch that computed on regardless
+    // of its reader would finish while the reader stalls, its chunks piling
+    // up in the server's memory.
+    const ANSWER_BYTES: usize = 150;
+    let f = fixture();
+    let server = start_server(ServerConfig {
+        max_body_bytes: 1 << 30,
+        ..ServerConfig::default()
+    });
+    let addr = server.local_addr();
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    let absorbed = pin_receive_buffer(&stalled, 64 << 10) + tcp_wmem_max();
+    let questions = (3 * absorbed / ANSWER_BYTES).max(100_000);
+    let requests = big_batch(&f.questions, questions);
+    let body = serde_json::to_string(&requests).unwrap();
+
+    send_request(&mut stalled, "POST", "/batch?stream=1", &body, true);
+    let (status, head) = read_head(&mut stalled);
+    assert_eq!(status, 200, "{head}");
+
+    // The reader stalls; a second connection watches the batch's questions
+    // being answered until the count stops moving.
+    let answered = || {
+        let snap = metrics(addr);
+        snap.answered + snap.refused
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut seen = answered();
+    loop {
+        std::thread::sleep(Duration::from_millis(200));
+        let now = answered();
+        let settled = now == seen || now >= questions as u64;
+        seen = now;
+        if settled {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the batch never settled: {seen}");
+    }
+    assert!(
+        seen < questions as u64 / 2,
+        "{seen} of {questions} questions answered while the reader stalled: \
+         unwritten chunks must hold the batch back"
+    );
+
+    // The reader resumes: the rest of the stream arrives, byte-identical to
+    // the buffered body.
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let (streamed, _) = read_chunks(&mut stalled);
+    let (status, buffered) = http(addr, "POST", "/batch", &body);
+    assert_eq!(status, 200);
+    assert_eq!(streamed, buffered);
+    assert_eq!(metrics(addr).responses_5xx, 0);
+
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
 // Mid-stream disconnect: the loop thread must survive the client
 // ---------------------------------------------------------------------------
 
@@ -335,7 +433,7 @@ fn mid_stream_disconnect_does_not_wedge_the_server() {
 
     for round in 0..3 {
         // Distinct questions each round: every lane is a cache miss, so the
-        // worker is still computing when the client vanishes.
+        // batch is still computing when the client vanishes.
         let requests: Vec<QaRequest> = (0..400)
             .map(|i| QaRequest::new(format!("why is the sky blue {round} {i}")))
             .collect();
