@@ -17,11 +17,12 @@
 //!   two timed both ways — answering (`answer_into` vs `answer` +
 //!   `serialize_into`) and a cache insert that evicts at 4 096 entries (a
 //!   rendered entry vs an `Arc<QaResponse>`);
-//! * three whole-path figures close the report: the optimized kernel vs
+//! * four whole-path figures close the report: the optimized kernel vs
 //!   the retained reference enumeration (`QaEngine::bfq_kernel_reference`)
 //!   on the same pre-tokenized questions, the armed stage tracer's
-//!   overhead on the walk, and the bundle load (`ServingArtifacts::load`:
-//!   wall time, `store.snap` bytes, triples).
+//!   overhead on the walk, the bundle load (`ServingArtifacts::load`:
+//!   wall time, `store.snap` bytes, triples) and the NER gazetteer's build
+//!   over the mapped names (wall time, heap bytes, names, overflow names).
 //!
 //! The world is seed 7, the seed the PR protocol measures on. One command
 //! reproduces the tables in `docs/PERFORMANCE.md`:
@@ -250,6 +251,16 @@ fn bench_kernel_stages(c: &mut Criterion) {
         "bundle load",
         f.load_ms,
         f.service.store().len()
+    );
+    let started = Instant::now();
+    let gazetteer = GazetteerNer::from_store(&f.service.store_shared());
+    let build_ms = started.elapsed().as_secs_f64() * 1e3;
+    println!(
+        "  {:<28} {build_ms:>7.1} ms           heap {} B, {} names, {} overflow",
+        "gazetteer build",
+        gazetteer.heap_bytes(),
+        gazetteer.name_count(),
+        gazetteer.overflow_count()
     );
 }
 

@@ -140,13 +140,18 @@ mod tests {
     use kbqa_core::expansion::{expand, ExpansionConfig};
     use kbqa_rdf::{GraphBuilder, NodeId};
 
-    fn fixture() -> (TripleStore, GazetteerNer, ExpansionResult, NodeId) {
+    fn fixture() -> (
+        std::sync::Arc<TripleStore>,
+        GazetteerNer,
+        ExpansionResult,
+        NodeId,
+    ) {
         let mut b = GraphBuilder::new();
         let honolulu = b.resource("honolulu");
         b.name(honolulu, "Honolulu");
         b.fact_int(honolulu, "population", 390_000);
         b.fact_int(honolulu, "area", 177);
-        let store = b.build();
+        let store = std::sync::Arc::new(b.build());
         let ner = GazetteerNer::from_store(&store);
         let sources: FxHashSet<NodeId> = [honolulu].into_iter().collect();
         let expansion = expand(&store, &sources, &ExpansionConfig::default());

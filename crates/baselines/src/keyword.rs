@@ -6,6 +6,8 @@
 //! `population` appears) but — the paper's running point — has no way to map
 //! `how many people are there in X?` onto `population`.
 
+use std::sync::Arc;
+
 use kbqa_core::engine::Answer;
 use kbqa_core::service::{QaRequest, QaResponse, QaSystem, Refusal};
 use kbqa_nlp::token::{is_question_word, is_stopword};
@@ -20,7 +22,7 @@ pub struct KeywordQa<'a> {
 
 impl<'a> KeywordQa<'a> {
     /// Build over a store.
-    pub fn new(store: &'a TripleStore) -> Self {
+    pub fn new(store: &'a Arc<TripleStore>) -> Self {
         Self {
             store,
             ner: GazetteerNer::from_store(store),
@@ -114,7 +116,7 @@ mod tests {
     use super::*;
     use kbqa_rdf::GraphBuilder;
 
-    fn store() -> TripleStore {
+    fn store() -> Arc<TripleStore> {
         let mut b = GraphBuilder::new();
         let honolulu = b.resource("honolulu");
         let tokyo = b.resource("tokyo");
@@ -123,7 +125,7 @@ mod tests {
         b.fact_int(honolulu, "population", 390_000);
         b.fact_int(honolulu, "area", 177);
         b.fact_int(tokyo, "population", 13_960_000);
-        b.build()
+        Arc::new(b.build())
     }
 
     #[test]

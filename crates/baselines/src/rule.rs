@@ -9,6 +9,8 @@
 //! Exactly as the paper argues, this yields high precision (the rule is
 //! explicit) and low recall (anything off-pattern is refused).
 
+use std::sync::Arc;
+
 use kbqa_core::engine::Answer;
 use kbqa_core::service::{QaRequest, QaResponse, QaSystem, Refusal};
 use kbqa_nlp::{tokenize, GazetteerNer};
@@ -22,7 +24,7 @@ pub struct RuleBasedQa<'a> {
 
 impl<'a> RuleBasedQa<'a> {
     /// Build over a store (the gazetteer grounds the entity slot).
-    pub fn new(store: &'a TripleStore) -> Self {
+    pub fn new(store: &'a Arc<TripleStore>) -> Self {
         Self {
             store,
             ner: GazetteerNer::from_store(store),
@@ -103,7 +105,7 @@ mod tests {
     use super::*;
     use kbqa_rdf::GraphBuilder;
 
-    fn store() -> TripleStore {
+    fn store() -> Arc<TripleStore> {
         let mut b = GraphBuilder::new();
         let honolulu = b.resource("honolulu");
         let mayor = b.resource("mayor1");
@@ -111,7 +113,7 @@ mod tests {
         b.name(mayor, "Rick Blangiardi");
         b.fact_int(honolulu, "population", 390_000);
         b.link(honolulu, "mayor", mayor);
-        b.build()
+        Arc::new(b.build())
     }
 
     #[test]

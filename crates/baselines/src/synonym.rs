@@ -7,6 +7,8 @@
 //! `number of people` — but `how many people are there in X?` stays out of
 //! reach, reproducing the paper's Table 1 case ⓐ failure.
 
+use std::sync::Arc;
+
 use kbqa_common::hash::FxHashSet;
 use kbqa_core::engine::Answer;
 use kbqa_core::service::{QaRequest, QaResponse, QaSystem, Refusal};
@@ -32,7 +34,7 @@ impl<'a> SynonymQa<'a> {
     /// [`crate::bootstrap::learn_boa`]). `catalog` must be the catalog the
     /// lexicon's predicate ids refer to.
     pub fn new(
-        store: &'a TripleStore,
+        store: &'a Arc<TripleStore>,
         lexicon: &'a BoaLexicon,
         catalog: &'a kbqa_core::PredicateCatalog,
     ) -> Self {
@@ -143,7 +145,7 @@ mod tests {
     use kbqa_core::expansion::{expand, ExpansionConfig};
     use kbqa_rdf::{GraphBuilder, NodeId};
 
-    fn fixture() -> (TripleStore, kbqa_core::expansion::ExpansionResult) {
+    fn fixture() -> (Arc<TripleStore>, kbqa_core::expansion::ExpansionResult) {
         let mut b = GraphBuilder::new();
         let honolulu = b.resource("honolulu");
         let marriage = b.resource("m1");
@@ -155,7 +157,7 @@ mod tests {
         b.fact_int(honolulu, "population", 390_000);
         b.link(obama, "marriage", marriage);
         b.link(marriage, "person", michelle);
-        let store = b.build();
+        let store = Arc::new(b.build());
         let sources: kbqa_common::hash::FxHashSet<NodeId> = [honolulu, obama].into_iter().collect();
         let expansion = expand(&store, &sources, &ExpansionConfig::default());
         (store, expansion)

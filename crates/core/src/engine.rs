@@ -17,6 +17,7 @@
 //! integrations should talk to the service, not the engine.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use kbqa_common::hash::FxHashMap;
 use kbqa_common::topk::TopK;
@@ -293,7 +294,7 @@ impl<'a> QaEngine<'a> {
     /// gazetteer is derived from the store's name index — an O(names) cost;
     /// services should derive it once and use [`QaEngine::with_shared`].
     pub fn new(
-        store: &'a TripleStore,
+        store: &'a Arc<TripleStore>,
         conceptualizer: &'a Conceptualizer,
         model: &'a LearnedModel,
     ) -> Self {

@@ -292,7 +292,7 @@ mod tests {
     use crate::expansion::{expand, ExpansionConfig};
 
     struct Fixture {
-        store: TripleStore,
+        store: std::sync::Arc<TripleStore>,
         conceptualizer: Conceptualizer,
         ner: GazetteerNer,
         expansion: ExpansionResult,
@@ -313,7 +313,7 @@ mod tests {
         b.link(obama, "marriage", marriage);
         b.link(marriage, "person", michelle);
         b.fact_year(michelle, "dob", 1964);
-        let store = b.build();
+        let store = std::sync::Arc::new(b.build());
 
         let mut nb = NetworkBuilder::new();
         let person = nb.concept("person");

@@ -7,17 +7,24 @@
 //!
 //! Beyond the single model, [`ServingArtifacts`] bundles **everything a
 //! server needs to answer** — knowledge base, taxonomy, model, and the
-//! optional NER gazetteer and pattern index — into one directory, so a
+//! optional pattern index — into one directory, so a
 //! serving process can *warm start*: [`ServingArtifacts::load`] +
 //! [`ServingArtifacts::into_service`] instead of re-generating the world
 //! and re-running EM. The same files back the server's `POST /admin/reload`
 //! hot-swap path.
 //!
-//! JSON for the model, taxonomy, NER and pattern index: those artifacts are
+//! JSON for the model, taxonomy and pattern index: those artifacts are
 //! small, inspectable and diffable in experiments. The **knowledge base**
 //! is the exception — at million-entity scale a JSON parse dominates start
 //! time, so the store is persisted as a zero-copy snapshot (`store.snap`,
-//! see `kbqa_rdf::snapshot`) that loads by `mmap` with no rebuild.
+//! see `kbqa_rdf::snapshot`) that loads by `mmap` with no rebuild. The NER
+//! gazetteer is not persisted at all: it is an index over the snapshot's
+//! own name section, built when the service is
+//! ([`GazetteerNer::from_store`]). A bundle saved while the gazetteer was
+//! persisted lists a `ner.json`; the load holds it to its manifest digest
+//! like any other listed file and never parses it.
+//!
+//! [`GazetteerNer::from_store`]: kbqa_nlp::GazetteerNer::from_store
 //!
 //! # Atomicity and integrity (PR 5)
 //!
@@ -77,7 +84,6 @@ use serde::Serialize;
 
 use kbqa_common::error::{KbqaError, Result};
 use kbqa_common::hash::FxHasher;
-use kbqa_nlp::GazetteerNer;
 use kbqa_rdf::mmap::Mmap;
 use kbqa_rdf::{Snapshot, TripleStore};
 use kbqa_taxonomy::Conceptualizer;
@@ -287,8 +293,6 @@ pub const STORE_FILE: &str = "store.snap";
 pub const TAXONOMY_FILE: &str = "taxonomy.json";
 /// File name for the learned model inside an artifact directory.
 pub const MODEL_FILE: &str = "model.json";
-/// File name for the NER gazetteer inside an artifact directory (optional).
-pub const NER_FILE: &str = "ner.json";
 /// File name for the pattern index inside an artifact directory (optional).
 pub const PATTERNS_FILE: &str = "patterns.json";
 /// File name for the bundle manifest binding every artifact's digest into
@@ -348,10 +352,10 @@ pub fn load_shard_manifest(dir: &Path) -> Result<Option<ShardPlan>> {
 
 /// Everything a serving process needs to answer questions, as one bundle.
 ///
-/// `store`, `conceptualizer` and `model` are mandatory; `ner` and
-/// `pattern_index` are optional accelerations ([`ServingArtifacts::into_service`]
-/// re-derives the NER from the store when absent, and simply serves without
-/// decomposition when the pattern index is absent).
+/// `store`, `conceptualizer` and `model` are mandatory; `pattern_index` is
+/// optional ([`ServingArtifacts::into_service`] serves without decomposition
+/// when it is absent). The NER gazetteer is built from the store by
+/// [`ServingArtifacts::into_service`].
 pub struct ServingArtifacts {
     /// The knowledge base.
     pub store: Arc<TripleStore>,
@@ -359,8 +363,6 @@ pub struct ServingArtifacts {
     pub conceptualizer: Arc<Conceptualizer>,
     /// The learned model.
     pub model: Arc<LearnedModel>,
-    /// The NER gazetteer, when persisted.
-    pub ner: Option<Arc<GazetteerNer>>,
     /// The corpus pattern index, when persisted.
     pub pattern_index: Option<Arc<PatternIndex>>,
     /// The shard plan, when the bundle is sharded: [`ServingArtifacts::save`]
@@ -377,7 +379,6 @@ impl ServingArtifacts {
             store: service.store_shared(),
             conceptualizer: service.conceptualizer_shared(),
             model: service.model(),
-            ner: Some(service.ner_shared()),
             pattern_index: service.pattern_index_shared(),
             // The service's router, if any, serves through workers that
             // map a bundle already saved; set `shard_plan` to save another.
@@ -386,7 +387,7 @@ impl ServingArtifacts {
     }
 
     /// Write every artifact into `dir` (created if missing): `store.snap`,
-    /// `taxonomy.json`, `model.json`, and — when present — `ner.json`,
+    /// `taxonomy.json`, `model.json`, and — when present —
     /// `patterns.json` and, with a shard plan, the store partitioned into
     /// one `store.shard-{i}.snap` per shard. The
     /// bundle manifest (file → digest, plus the shard plan) is written
@@ -406,12 +407,6 @@ impl ServingArtifacts {
             MODEL_FILE.to_string(),
             save_model(&self.model, &dir.join(MODEL_FILE))?,
         );
-        if let Some(ner) = &self.ner {
-            files.insert(
-                NER_FILE.to_string(),
-                save_json(ner.as_ref(), &dir.join(NER_FILE))?,
-            );
-        }
         if let Some(index) = &self.pattern_index {
             files.insert(
                 PATTERNS_FILE.to_string(),
@@ -440,8 +435,8 @@ impl ServingArtifacts {
     }
 
     /// Load a bundle from `dir`. The store is mapped from its snapshot
-    /// (warm start: no parse, no index rebuild). The NER and pattern-index
-    /// files are optional; everything else must be present.
+    /// (warm start: no parse, no index rebuild). The pattern-index file is
+    /// optional; everything else must be present.
     ///
     /// Each file is mapped once and hashed once. When a
     /// `manifest.json` is present, that digest must match the file's
@@ -469,10 +464,10 @@ impl ServingArtifacts {
             listed.remove(TAXONOMY_FILE).as_deref(),
         )?;
         let model = load_model_listed(&dir.join(MODEL_FILE), listed.remove(MODEL_FILE).as_deref())?;
-        let ner = load_optional(&dir.join(NER_FILE), listed.remove(NER_FILE))?;
         let pattern_index = load_optional(&dir.join(PATTERNS_FILE), listed.remove(PATTERNS_FILE))?;
-        // A listed file no artifact above reads — each shard snapshot
-        // among them — is still held to its digest.
+        // A listed file no artifact above reads — each shard snapshot, and
+        // an older bundle's `ner.json`, among them — is still held to its
+        // digest.
         for (name, expected) in &listed {
             let path = dir.join(name);
             verify(&path, &map_listed(&path, Some(expected))?, Some(expected))?;
@@ -481,7 +476,6 @@ impl ServingArtifacts {
             store: Arc::new(store),
             conceptualizer: Arc::new(conceptualizer),
             model: Arc::new(model),
-            ner,
             pattern_index,
             shard_plan,
         })
@@ -496,8 +490,8 @@ impl ServingArtifacts {
     }
 
     /// Build a ready-to-serve [`KbqaService`] from the bundle — the warm
-    /// start path. Derives the NER from the store only when the bundle
-    /// carries none. The service serves unsharded: for a sharded bundle
+    /// start path, which builds the NER gazetteer over the mapped store's
+    /// names. The service serves unsharded: for a sharded bundle
     /// the server attaches the router over its supervised workers.
     pub fn into_service(self) -> KbqaService {
         self.into_service_at_epoch(0)
@@ -510,9 +504,6 @@ impl ServingArtifacts {
     pub fn into_service_at_epoch(self, epoch: u64) -> KbqaService {
         let mut builder =
             KbqaService::builder(self.store, self.conceptualizer, self.model).model_epoch(epoch);
-        if let Some(ner) = self.ner {
-            builder = builder.ner(ner);
-        }
         if let Some(index) = self.pattern_index {
             builder = builder.pattern_index(index);
         }
@@ -797,22 +788,29 @@ mod tests {
 
     #[test]
     fn manifest_holds_every_listed_file_to_its_digest() {
-        let (service, _) = learned_service(50);
+        let (service, questions) = learned_service(50);
         let dir = test_dir("listed");
         let expect_err = |needle: &str| match ServingArtifacts::load(&dir) {
             Ok(_) => panic!("bundle must be refused ({needle})"),
             Err(KbqaError::Io(message)) => assert!(message.contains(needle), "{message}"),
             Err(other) => panic!("typed Io error expected, got {other:?}"),
         };
+        let index = crate::decompose::PatternIndex::build(
+            questions.iter().map(String::as_str),
+            service.ner(),
+        );
         let save = || {
-            ServingArtifacts::from_service(&service)
-                .save(&dir)
-                .expect("save bundle")
+            ServingArtifacts {
+                pattern_index: Some(Arc::new(index.clone())),
+                ..ServingArtifacts::from_service(&service)
+            }
+            .save(&dir)
+            .expect("save bundle")
         };
 
         // A listed optional artifact is not optional.
         save();
-        std::fs::remove_file(dir.join(NER_FILE)).unwrap();
+        std::fs::remove_file(dir.join(PATTERNS_FILE)).unwrap();
         expect_err("bundle manifest lists");
 
         // The mapped store is held to the manifest too: another world's
@@ -836,6 +834,48 @@ mod tests {
         manifest.files.insert("extra.bin".into(), digest(b"extra"));
         save_json(&manifest, &manifest_path).unwrap();
         ServingArtifacts::load(&dir).expect("every listed digest matches");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A bundle saved before the gazetteer was built at open lists a
+    /// `ner.json`. It loads and answers as the bundle without it does; the
+    /// file is held to its digest but never parsed.
+    #[test]
+    fn bundle_listing_a_persisted_gazetteer_still_loads() {
+        let (service, questions) = learned_service(52);
+        let dir = test_dir("legacy-ner");
+        ServingArtifacts::from_service(&service)
+            .save(&dir)
+            .expect("save bundle");
+        assert!(!dir.join("ner.json").exists());
+        // What the old loader parsed: `{"names": {..}, "max_tokens": n}`.
+        let legacy = br#"{"names":{"nowhere":[0]},"max_tokens":1}"#;
+        std::fs::write(dir.join("ner.json"), legacy).unwrap();
+        let manifest_path = dir.join(MANIFEST_FILE);
+        let mut manifest: BundleManifest = load_json(&manifest_path).unwrap();
+        manifest.files.insert("ner.json".into(), digest(legacy));
+        save_json(&manifest, &manifest_path).unwrap();
+
+        let restored = ServingArtifacts::load(&dir)
+            .expect("a bundle listing ner.json loads")
+            .into_service();
+        for q in &questions {
+            assert_eq!(
+                serde_json::to_string(&service.answer_text(q)).unwrap(),
+                serde_json::to_string(&restored.answer_text(q)).unwrap(),
+                "{q:?}"
+            );
+        }
+
+        // Listed, so held to its digest.
+        std::fs::write(dir.join("ner.json"), br#"{"names":{},"max_tokens":0}"#).unwrap();
+        match ServingArtifacts::load(&dir) {
+            Err(KbqaError::Io(message)) => {
+                assert!(message.contains("manifest mismatch"), "{message}")
+            }
+            Ok(_) => panic!("a listed ner.json that fails its digest must refuse the bundle"),
+            Err(other) => panic!("typed Io error expected, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

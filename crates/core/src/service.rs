@@ -1150,11 +1150,6 @@ impl KbqaService {
         &self.ner
     }
 
-    /// The NER gazetteer, shared.
-    pub fn ner_shared(&self) -> Arc<GazetteerNer> {
-        Arc::clone(&self.ner)
-    }
-
     /// The pattern index, when attached.
     pub fn pattern_index(&self) -> Option<&PatternIndex> {
         self.pattern_index.as_deref()

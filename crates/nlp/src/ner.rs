@@ -12,7 +12,9 @@
 //!   in realistic ways (misses lowercased mentions, swallows sentence-initial
 //!   words) so the corpus-based joint extraction has something real to beat.
 
-use kbqa_common::hash::{fx_hash, FxHashMap};
+use std::sync::Arc;
+
+use kbqa_common::hash::fx_hash;
 use serde::{Deserialize, Serialize};
 
 use kbqa_rdf::{NodeId, TripleStore};
@@ -139,7 +141,7 @@ impl MentionBuffer {
 /// the scan skips every window probe. False positives (hash collisions)
 /// only cost the probes the filter exists to avoid; there are no false
 /// negatives.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct FirstTokenFilter {
     bits: Box<[u64]>,
     /// `hash >> shift` is the bit index.
@@ -150,24 +152,23 @@ impl FirstTokenFilter {
     /// Most bits the filter will use (2²⁰ bits = 128 KB).
     const MAX_LOG2_BITS: u32 = 20;
 
-    fn build<'a>(names: impl ExactSizeIterator<Item = &'a str>) -> Self {
+    /// An empty filter sized for up to `names` names.
+    fn new(names: usize) -> Self {
         // ≥ 8 bits per name keeps collisions under a few percent; names
         // sharing a first token only make it sparser.
-        let log2_bits = (names.len() * 8)
+        let log2_bits = (names * 8)
             .next_power_of_two()
             .trailing_zeros()
             .clamp(6, Self::MAX_LOG2_BITS);
-        let mut filter = Self {
+        Self {
             bits: vec![0u64; 1 << (log2_bits - 6)].into_boxed_slice(),
             shift: 64 - log2_bits,
-        };
-        for name in names {
-            // Canonical names are space-joined tokens.
-            let first = name.split(' ').next().unwrap_or(name);
-            let bit = filter.bit(first);
-            filter.bits[bit / 64] |= 1 << (bit % 64);
         }
-        filter
+    }
+
+    fn add(&mut self, first_token: &str) {
+        let bit = self.bit(first_token);
+        self.bits[bit / 64] |= 1 << (bit % 64);
     }
 
     #[inline]
@@ -175,81 +176,250 @@ impl FirstTokenFilter {
         (fx_hash(token) >> self.shift) as usize
     }
 
-    /// May `token` begin a name? An unbuilt (default) filter belongs to an
-    /// empty gazetteer and admits nothing.
+    /// May `token` begin a name?
     #[inline]
     fn admits(&self, token: &str) -> bool {
         let bit = self.bit(token);
-        self.bits
-            .get(bit / 64)
-            .is_some_and(|word| word & (1 << (bit % 64)) != 0)
+        self.bits[bit / 64] & (1 << (bit % 64)) != 0
     }
 }
 
-/// KB-backed longest-match recognizer.
-#[derive(Clone, Debug, Default, Serialize)]
+/// KB-backed longest-match recognizer: an index over the store's own name
+/// entries, built at open and never persisted.
+///
+/// A stored name whose tokenization joins back to itself — every name of
+/// the generated worlds — is used in place: the slot table holds its entry
+/// index into the store's sorted name section, and a probe compares against
+/// the mapped bytes. The few stored names whose canonical form differs
+/// (`St. Louis` → `st louis`) are merged, in entry order, into a small owned
+/// overflow list the same table addresses past the store's entries.
+///
+/// The table is open-addressed and linearly probed, one `u32` per slot: a
+/// hash tag above the entry's index, so a miss reads one small array and a
+/// tag match goes straight to the name it names.
+#[derive(Clone)]
 pub struct GazetteerNer {
-    /// Canonical (tokenized, lowercased, space-joined) name → nodes.
-    names: FxHashMap<String, Vec<NodeId>>,
+    store: Arc<TripleStore>,
+    /// `tag << index_bits | (entry + 1)`, 0 when empty. The home slot is
+    /// `hash >> shift`, the tag the hash bits below it.
+    slots: Box<[u32]>,
+    shift: u32,
+    /// Low bits of a slot holding `entry + 1`; the rest hold the tag.
+    index_bits: u32,
+    /// Entries `0..store_entries` are the store's; the rest index `overflow`.
+    store_entries: usize,
+    /// Canonical name → nodes, for names stored in another form.
+    overflow: Vec<(String, Vec<NodeId>)>,
     /// Longest name length in tokens, bounding the match window.
     max_tokens: usize,
-    /// Derived from `names`; rebuilt on load, never persisted.
-    #[serde(skip)]
     first_tokens: FirstTokenFilter,
 }
 
-/// What `ner.json` holds: `names` and `max_tokens` only.
-#[derive(Deserialize)]
-struct Persisted {
-    names: FxHashMap<String, Vec<NodeId>>,
-    max_tokens: usize,
+impl Default for GazetteerNer {
+    /// The gazetteer of an empty store: matches nothing.
+    fn default() -> Self {
+        Self::from_store(&Arc::new(kbqa_rdf::GraphBuilder::new().build()))
+    }
 }
 
-// Loads through the constructor, so the derived filter can never be left
-// unbuilt.
-impl serde::de::Deserialize for GazetteerNer {
-    fn deserialize(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::de::Error> {
-        let Persisted { names, max_tokens } = Persisted::deserialize(r)?;
-        Ok(Self::from_names(names, max_tokens))
+impl std::fmt::Debug for GazetteerNer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GazetteerNer")
+            .field("names", &self.name_count())
+            .field("overflow", &self.overflow.len())
+            .field("max_tokens", &self.max_tokens)
+            .finish_non_exhaustive()
     }
+}
+
+/// Is `name` already its own canonical form — ASCII `[a-z0-9]` words joined
+/// by single spaces — so it need not be tokenized to know?
+fn is_plain_canonical(name: &str) -> bool {
+    let bytes = name.as_bytes();
+    !bytes.is_empty()
+        && bytes[0] != b' '
+        && bytes[bytes.len() - 1] != b' '
+        && !name.contains("  ")
+        && bytes
+            .iter()
+            .all(|&b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b' ')
 }
 
 impl GazetteerNer {
-    fn from_names(names: FxHashMap<String, Vec<NodeId>>, max_tokens: usize) -> Self {
-        let first_tokens = FirstTokenFilter::build(names.keys().map(String::as_str));
-        Self {
-            names,
-            max_tokens,
-            first_tokens,
+    /// Build from a store's name entries in one pass. Names are
+    /// canonicalized by the tokenizer, so punctuation differences ("St.
+    /// Louis" vs "st louis") do not break matching; a canonical form reached
+    /// from several stored names grounds to the union of their nodes, in
+    /// entry order.
+    pub fn from_store(store: &Arc<TripleStore>) -> Self {
+        let n = store.name_entry_count();
+        // At most 3/4 full, so a miss ends within a few slots.
+        let log2_slots = (n + n / 3)
+            .next_power_of_two()
+            .trailing_zeros()
+            .clamp(4, 32);
+        let mut ner = Self {
+            store: Arc::clone(store),
+            slots: vec![0u32; 1 << log2_slots].into_boxed_slice(),
+            shift: 64 - log2_slots,
+            // Overflow entries follow the store's, and there are fewer of
+            // them than stored names: every entry + 1 is at most 2n.
+            index_bits: (usize::BITS - (2 * n).leading_zeros()).clamp(1, 32),
+            store_entries: n,
+            overflow: Vec::new(),
+            max_tokens: 0,
+            first_tokens: FirstTokenFilter::new(n),
+        };
+        // Stored names in another form: (entry, canonical form).
+        let mut renamed: Vec<(usize, String)> = Vec::new();
+        for i in 0..n {
+            let name = store.name_entry(i).0;
+            let tokens = if is_plain_canonical(name) {
+                name.bytes().filter(|&b| b == b' ').count() + 1
+            } else {
+                let tokenized = crate::token::tokenize(name);
+                if tokenized.is_empty() {
+                    continue;
+                }
+                let canonical = tokenized.joined();
+                if canonical != name {
+                    ner.max_tokens = ner.max_tokens.max(tokenized.len());
+                    renamed.push((i, canonical));
+                    continue;
+                }
+                tokenized.len()
+            };
+            ner.max_tokens = ner.max_tokens.max(tokens);
+            ner.insert(name, i);
+        }
+        ner.merge_renamed(renamed);
+        ner
+    }
+
+    /// Give every canonical form in `renamed` one overflow entry holding
+    /// the nodes of each stored name it comes from — a stored name already
+    /// in that form included — merged in entry order without repeats.
+    fn merge_renamed(&mut self, mut renamed: Vec<(usize, String)>) {
+        renamed.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
+        for group in renamed.chunk_by(|a, b| a.1 == b.1) {
+            let canonical = &group[0].1;
+            let mut entries: Vec<usize> = group.iter().map(|&(i, _)| i).collect();
+            let slot = self.find(canonical).map(|(slot, _)| slot);
+            if let Some(slot) = slot {
+                entries.push(self.entry_of(self.slots[slot]));
+                entries.sort_unstable();
+            }
+            let mut nodes: Vec<NodeId> = Vec::new();
+            for i in entries {
+                for &node in self.store.name_entry(i).1 {
+                    if !nodes.contains(&node) {
+                        nodes.push(node);
+                    }
+                }
+            }
+            let entry = self.store_entries + self.overflow.len();
+            self.overflow.push((canonical.clone(), nodes));
+            match slot {
+                Some(slot) => {
+                    let (_, tag) = self.locate(canonical);
+                    self.slots[slot] = self.slot_word(tag, entry);
+                }
+                None => self.insert(canonical, entry),
+            }
         }
     }
 
-    /// Build from a store's name index. Names are re-tokenized so that
-    /// punctuation differences ("St. Louis" vs "st louis") do not break
-    /// matching.
-    pub fn from_store(store: &TripleStore) -> Self {
-        let mut names: FxHashMap<String, Vec<NodeId>> = FxHashMap::default();
-        let mut max_tokens = 0;
-        for (name, nodes) in store.name_entries() {
-            let tokenized = crate::token::tokenize(name);
-            if tokenized.is_empty() {
-                continue;
-            }
-            max_tokens = max_tokens.max(tokenized.len());
-            let canonical = tokenized.joined();
-            let entry = names.entry(canonical).or_default();
-            for &n in nodes {
-                if !entry.contains(&n) {
-                    entry.push(n);
-                }
+    /// Home slot and tag of a key.
+    #[inline]
+    fn locate(&self, key: &str) -> (usize, u32) {
+        let hash = fx_hash(key);
+        let tag_bits = 32 - self.index_bits;
+        let tag = (hash >> (self.shift - tag_bits)) & ((1u64 << tag_bits) - 1);
+        ((hash >> self.shift) as usize, tag as u32)
+    }
+
+    fn slot_word(&self, tag: u32, entry: usize) -> u32 {
+        let word = u64::from(tag) << self.index_bits | (entry as u64 + 1);
+        u32::try_from(word).expect("gazetteer entry overflow")
+    }
+
+    #[inline]
+    fn entry_of(&self, word: u32) -> usize {
+        ((u64::from(word) & ((1u64 << self.index_bits) - 1)) - 1) as usize
+    }
+
+    /// The `(name, nodes)` of a table entry.
+    #[inline]
+    fn entry(&self, entry: usize) -> (&str, &[NodeId]) {
+        match entry.checked_sub(self.store_entries) {
+            None => self.store.name_entry(entry),
+            Some(j) => {
+                let (name, nodes) = &self.overflow[j];
+                (name, nodes)
             }
         }
-        Self::from_names(names, max_tokens)
+    }
+
+    /// The slot holding `key` and its nodes, if any. The table always has
+    /// an empty slot, so the probe ends.
+    #[inline]
+    fn find(&self, key: &str) -> Option<(usize, &[NodeId])> {
+        let (mut slot, tag) = self.locate(key);
+        let mask = self.slots.len() - 1;
+        loop {
+            let word = self.slots[slot];
+            if word == 0 {
+                return None;
+            }
+            if u64::from(word) >> self.index_bits == u64::from(tag) {
+                let (name, nodes) = self.entry(self.entry_of(word));
+                if name == key {
+                    return Some((slot, nodes));
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    fn insert(&mut self, key: &str, entry: usize) {
+        let (mut slot, tag) = self.locate(key);
+        let mask = self.slots.len() - 1;
+        while self.slots[slot] != 0 {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = self.slot_word(tag, entry);
+        self.first_tokens.add(key.split(' ').next().unwrap_or(key));
+    }
+
+    /// Nodes of the canonical name `key`.
+    #[inline]
+    fn lookup(&self, key: &str) -> Option<&[NodeId]> {
+        self.find(key).map(|(_, nodes)| nodes)
     }
 
     /// Number of distinct canonical names.
     pub fn name_count(&self) -> usize {
-        self.names.len()
+        self.slots.iter().filter(|&&word| word != 0).count()
+    }
+
+    /// Canonical names held in the owned overflow rather than read from the
+    /// store in place.
+    pub fn overflow_count(&self) -> usize {
+        self.overflow.len()
+    }
+
+    /// Heap bytes the gazetteer owns: slot table, first-token filter and
+    /// overflow. The names it reads in place belong to the store.
+    pub fn heap_bytes(&self) -> usize {
+        let overflow: usize = self
+            .overflow
+            .iter()
+            .map(|(name, nodes)| name.capacity() + nodes.capacity() * size_of::<NodeId>())
+            .sum();
+        size_of_val(&*self.slots)
+            + size_of_val(&*self.first_tokens.bits)
+            + self.overflow.capacity() * size_of::<(String, Vec<NodeId>)>()
+            + overflow
     }
 
     /// Every name that starts at token `start`, longest window first:
@@ -280,7 +450,7 @@ impl GazetteerNer {
             scratch.ends.push(scratch.text.len());
         }
         for (k, &len) in scratch.ends.iter().enumerate().rev() {
-            if let Some(nodes) = self.names.get(&scratch.text[..len]) {
+            if let Some(nodes) = self.lookup(&scratch.text[..len]) {
                 if !hit(start + k + 1, nodes) {
                     return;
                 }
@@ -350,7 +520,7 @@ impl GazetteerNer {
     /// Ground a whole string (e.g. a benchmark's gold mention) to nodes.
     pub fn ground(&self, phrase: &str) -> &[NodeId] {
         let canonical = crate::token::tokenize(phrase).joined();
-        self.names.get(&canonical).map(Vec::as_slice).unwrap_or(&[])
+        self.lookup(&canonical).unwrap_or(&[])
     }
 }
 
@@ -413,7 +583,7 @@ mod tests {
     use crate::token::tokenize;
     use kbqa_rdf::GraphBuilder;
 
-    fn sample_store() -> (TripleStore, NodeId, NodeId, NodeId) {
+    fn sample_store() -> (Arc<TripleStore>, NodeId, NodeId, NodeId) {
         let mut b = GraphBuilder::new();
         let obama = b.resource("res/obama");
         let michelle = b.resource("res/michelle");
@@ -423,7 +593,7 @@ mod tests {
         b.name(honolulu, "Honolulu");
         // Short name nested inside a longer one.
         b.alias(obama, "Obama");
-        (b.build(), obama, michelle, honolulu)
+        (Arc::new(b.build()), obama, michelle, honolulu)
     }
 
     #[test]
@@ -545,7 +715,7 @@ mod tests {
         let s2 = b.resource("res/springfield_ma");
         b.name(s1, "Springfield");
         b.name(s2, "Springfield");
-        let store = b.build();
+        let store = Arc::new(b.build());
         let ner = GazetteerNer::from_store(&store);
         let text = tokenize("how big is Springfield");
         let mentions = ner.find_longest_mentions(&text);
@@ -554,11 +724,46 @@ mod tests {
     }
 
     #[test]
+    fn names_sharing_a_canonical_form_merge_in_entry_order() {
+        let mut b = GraphBuilder::new();
+        let plain = b.resource("res/plain");
+        let dotted = b.resource("res/dotted");
+        let dashed = b.resource("res/dashed");
+        b.name(dotted, "St. Louis");
+        b.name(plain, "st louis");
+        b.name(dashed, "St-Louis");
+        // Also named in another form: its node is listed once.
+        b.alias(plain, "ST. LOUIS");
+        let store = Arc::new(b.build());
+        let ner = GazetteerNer::from_store(&store);
+        // Sorted entries: "st louis", "st-louis", "st. louis".
+        assert_eq!(ner.ground("st louis"), &[plain, dashed, dotted]);
+        assert_eq!((ner.name_count(), ner.overflow_count()), (1, 1));
+        let text = tokenize("population of St. Louis");
+        assert_eq!(
+            ner.find_longest_mentions(&text)[0].nodes,
+            vec![plain, dashed, dotted]
+        );
+    }
+
+    #[test]
+    fn canonical_names_are_read_in_place() {
+        let (store, ..) = sample_store();
+        let ner = GazetteerNer::from_store(&store);
+        assert_eq!((ner.name_count(), ner.overflow_count()), (4, 0));
+        // 16 four-byte slots and a 64-bit filter: no copy of the names.
+        assert_eq!(ner.heap_bytes(), 16 * 4 + 8);
+        let empty = GazetteerNer::default();
+        assert_eq!((empty.name_count(), empty.max_tokens), (0, 0));
+        assert!(empty.ground("anything").is_empty());
+    }
+
+    #[test]
     fn punctuated_names_are_canonicalized() {
         let mut b = GraphBuilder::new();
         let st_louis = b.resource("res/st_louis");
         b.name(st_louis, "St. Louis");
-        let store = b.build();
+        let store = Arc::new(b.build());
         let ner = GazetteerNer::from_store(&store);
         let text = tokenize("population of st louis please");
         let mentions = ner.find_longest_mentions(&text);

@@ -6,7 +6,10 @@
 //! * lowercases (the store's name index is lowercased too),
 //! * splits possessives: `Obama's` → `obama` + `'s`, so mention matching can
 //!   see `barack obama` inside `Barack Obama's wife`,
-//! * keeps digit runs as single tokens (`390000`, `1961`).
+//! * keeps digit runs as single tokens (`390000`, `1961`),
+//! * keeps combining marks inside the word they follow, so tokenizing a
+//!   token's own text gives that token back (`İ` lowercases to `i` +
+//!   U+0307, which must not split into `i` and the rest of the word).
 //!
 //! Spans are byte offsets into the original string, so the original casing
 //! remains recoverable (the heuristic NER needs it).
@@ -187,6 +190,19 @@ fn recycle_excess(tokens: &mut Vec<Token>, used: usize, spare: &mut Vec<Token>) 
     }
 }
 
+/// Does `c` continue a word run without starting one? The combining
+/// diacritical mark blocks: a mark belongs to the letter before it.
+fn is_combining_mark(c: char) -> bool {
+    matches!(
+        c,
+        '\u{0300}'..='\u{036F}'
+            | '\u{1AB0}'..='\u{1AFF}'
+            | '\u{1DC0}'..='\u{1DFF}'
+            | '\u{20D0}'..='\u{20FF}'
+            | '\u{FE20}'..='\u{FE2F}'
+    )
+}
+
 /// Tokenize a string. Deterministic; never fails.
 pub fn tokenize(input: &str) -> TokenizedText {
     let mut out = TokenizedText::default();
@@ -222,7 +238,7 @@ pub fn tokenize_into(input: &str, out: &mut TokenizedText) {
                 let start = i;
                 let mut end = i;
                 for (off, ch) in input[i..].char_indices() {
-                    if ch.is_alphanumeric() {
+                    if ch.is_alphanumeric() || is_combining_mark(ch) {
                         end = i + off + ch.len_utf8();
                     } else {
                         break;
@@ -239,7 +255,7 @@ pub fn tokenize_into(input: &str, out: &mut TokenizedText) {
                 let start = i;
                 let mut end = i + 1;
                 for (off, ch) in input[i + 1..].char_indices() {
-                    if ch.is_alphabetic() {
+                    if ch.is_alphabetic() || (end > i + 1 && is_combining_mark(ch)) {
                         end = i + 1 + off + ch.len_utf8();
                     } else {
                         break;
@@ -383,6 +399,24 @@ mod tests {
         let t = tokenize("Tōkyō’s 区 population?");
         assert!(t.len() >= 2);
         assert!(t.words().contains(&"tōkyō"));
+    }
+
+    #[test]
+    fn combining_marks_stay_in_their_word() {
+        // `İ` lowercases to `i` + U+0307; the mark must not split the word,
+        // or the token would not tokenize to itself.
+        let t = tokenize("where is İSTANBUL, e\u{301}te");
+        assert_eq!(
+            t.words(),
+            vec!["where", "is", "i\u{307}stanbul", "e\u{301}te"]
+        );
+        assert_eq!(
+            tokenize(&t.joined()),
+            tokenize("where is i\u{307}stanbul e\u{301}te")
+        );
+        assert_eq!(tokenize("'İs").words(), vec!["'i\u{307}s"]);
+        // A mark with no letter before it begins no word.
+        assert!(tokenize("\u{301} \u{301}").is_empty());
     }
 
     #[test]

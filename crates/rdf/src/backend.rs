@@ -6,8 +6,8 @@
 //! Two implementations exist:
 //!
 //! * [`InMemoryBackend`] — owns a [`Dictionary`] plus [`ColumnarTriples`]
-//!   built by [`crate::GraphBuilder`]; name lookups go through a hash map.
-//!   This is the build/mutation-adjacent form.
+//!   built by [`crate::GraphBuilder`], and its name index as a sorted
+//!   vector. This is the build/mutation-adjacent form.
 //! * [`MappedBackend`] — wraps an open [`Snapshot`]; every structure,
 //!   including the name index, is a binary search over `mmap`ed sections.
 //!   Loading one is O(validation), not O(store), which is what makes warm
@@ -67,25 +67,25 @@ pub trait StoreBackend: Send + Sync {
     /// The configured name predicates.
     fn name_predicates(&self) -> &[PredicateId];
 
-    /// Nodes bearing the surface name `lower`, which the caller has already
-    /// lowercased. Zero-copy on both backends.
-    fn entities_named_lower(&self, lower: &str) -> &[NodeId];
+    /// Number of distinct lowercased names in the name index.
+    fn name_entry_count(&self) -> usize;
 
-    /// Iterate every `(lowercased name, nodes)` pair in the name index.
-    /// Order is backend-defined (hash order vs sorted); gazetteer builders
-    /// must not depend on it.
-    fn name_entries<'a>(&'a self) -> Box<dyn Iterator<Item = (&'a str, &'a [NodeId])> + 'a>;
+    /// The `i`-th `(lowercased name, nodes)` entry of the name index. Both
+    /// backends keep entries sorted by name, so an index means the same
+    /// entry on either.
+    fn name_entry(&self, i: usize) -> (&str, &[NodeId]);
 }
 
-/// Heap-owned backend: dictionary, columnar triples and a hash-map name
+/// Heap-owned backend: dictionary, columnar triples and a sorted name
 /// index.
 #[derive(Debug, Default)]
 pub struct InMemoryBackend {
     pub(crate) dict: Dictionary,
     pub(crate) cols: ColumnarTriples,
     pub(crate) name_predicates: Vec<PredicateId>,
-    /// Lowercased surface name → resource nodes bearing it.
-    pub(crate) name_index: FxHashMap<String, Vec<NodeId>>,
+    /// `(lowercased surface name, resource nodes bearing it)`, sorted by
+    /// name — the order of a snapshot's name section.
+    pub(crate) name_index: Vec<(String, Vec<NodeId>)>,
 }
 
 impl InMemoryBackend {
@@ -101,7 +101,7 @@ impl InMemoryBackend {
             dict,
             cols,
             name_predicates,
-            name_index: FxHashMap::default(),
+            name_index: Vec::new(),
         };
         backend.rebuild_name_index();
         backend
@@ -122,7 +122,8 @@ impl InMemoryBackend {
                 }
             }
         }
-        self.name_index = index;
+        self.name_index = index.into_iter().collect();
+        self.name_index.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     }
 }
 
@@ -143,16 +144,13 @@ impl StoreBackend for InMemoryBackend {
         &self.name_predicates
     }
 
-    fn entities_named_lower(&self, lower: &str) -> &[NodeId] {
-        self.name_index.get(lower).map(Vec::as_slice).unwrap_or(&[])
+    fn name_entry_count(&self) -> usize {
+        self.name_index.len()
     }
 
-    fn name_entries<'a>(&'a self) -> Box<dyn Iterator<Item = (&'a str, &'a [NodeId])> + 'a> {
-        Box::new(
-            self.name_index
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_slice())),
-        )
+    fn name_entry(&self, i: usize) -> (&str, &[NodeId]) {
+        let (name, nodes) = &self.name_index[i];
+        (name, nodes)
     }
 }
 
@@ -191,11 +189,11 @@ impl StoreBackend for MappedBackend {
         self.snap.name_predicates()
     }
 
-    fn entities_named_lower(&self, lower: &str) -> &[NodeId] {
-        self.snap.entities_named(lower)
+    fn name_entry_count(&self) -> usize {
+        self.snap.name_entry_count()
     }
 
-    fn name_entries<'a>(&'a self) -> Box<dyn Iterator<Item = (&'a str, &'a [NodeId])> + 'a> {
-        Box::new((0..self.snap.name_entry_count()).map(move |i| self.snap.name_entry(i)))
+    fn name_entry(&self, i: usize) -> (&str, &[NodeId]) {
+        self.snap.name_entry(i)
     }
 }

@@ -793,28 +793,6 @@ impl Snapshot {
         (name, as_node_ids(ids))
     }
 
-    /// Nodes bearing `lower` (an already-lowercased surface name); binary
-    /// search over the sorted name section.
-    pub fn entities_named(&self, lower: &str) -> &[NodeId] {
-        let n = self.name_entry_count();
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.name_entry(mid).0 < lower {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo < n {
-            let (name, ids) = self.name_entry(lo);
-            if name == lower {
-                return ids;
-            }
-        }
-        &[]
-    }
-
     /// Materialize the owned parts (dictionary, triple log, name
     /// predicates) — the slow path used when a mapped store must be
     /// re-serialized into the legacy JSON form.

@@ -128,11 +128,7 @@ impl TripleStore {
                     predicate_syms,
                     cols: b.cols.view(),
                     name_predicates: &b.name_predicates,
-                    name_entries: b
-                        .name_index
-                        .iter()
-                        .map(|(k, v)| (k.as_str(), v.as_slice()))
-                        .collect(),
+                    name_entries: self.name_entries().collect(),
                 };
                 snapshot::write_source(&src, path)
             }
@@ -267,9 +263,28 @@ impl TripleStore {
     pub fn entities_named(&self, name: &str) -> &[NodeId] {
         // Fast path: already lowercase (tokenizer output), no allocation.
         if name.chars().all(|c| !c.is_uppercase()) {
-            return self.backend().entities_named_lower(name);
+            return self.entities_named_lower(name);
         }
-        self.backend().entities_named_lower(&name.to_lowercase())
+        self.entities_named_lower(&name.to_lowercase())
+    }
+
+    /// Nodes bearing the already-lowercased `lower`: a binary search over
+    /// the name index, which both backends keep sorted.
+    fn entities_named_lower(&self, lower: &str) -> &[NodeId] {
+        let n = self.name_entry_count();
+        let (mut lo, mut hi) = (0, n);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.name_entry(mid).0 < lower {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        match (lo < n).then(|| self.name_entry(lo)) {
+            Some((name, nodes)) if name == lower => nodes,
+            _ => &[],
+        }
     }
 
     /// All names of a resource (objects of its name-predicate edges).
@@ -324,9 +339,20 @@ impl TripleStore {
     }
 
     /// Iterate every distinct `(name, nodes)` pair in the name index
-    /// (gazetteer construction). Order is backend-defined.
+    /// (gazetteer construction), sorted by name on either backend.
     pub fn name_entries(&self) -> impl Iterator<Item = (&str, &[NodeId])> {
-        self.backend().name_entries()
+        (0..self.name_entry_count()).map(|i| self.name_entry(i))
+    }
+
+    /// Number of distinct names in the name index.
+    pub fn name_entry_count(&self) -> usize {
+        self.backend().name_entry_count()
+    }
+
+    /// The `i`-th `(name, nodes)` entry of the name index, in name order —
+    /// the same entry on either backend.
+    pub fn name_entry(&self, i: usize) -> (&str, &[NodeId]) {
+        self.backend().name_entry(i)
     }
 
     /// Rebuild derived state after deserialization. A mapped store has no

@@ -103,13 +103,9 @@ fn assert_equivalent(a: &TripleStore, b: &TripleStore) {
         .name_entries()
         .map(|(n, ids)| (n.to_owned(), ids.to_vec()))
         .collect();
-    // Entry iteration order is backend-specific (hash map vs sorted);
-    // compare as sets and then the lookup results directly.
-    let mut sa = names_a.clone();
-    let mut sb = names_b.clone();
-    sa.sort();
-    sb.sort();
-    assert_eq!(sa, sb, "name entries must agree");
+    // Both backends keep entries sorted by name, so the `i`-th entry is the
+    // same on either.
+    assert_eq!(names_a, names_b, "name entries must agree, in order");
     for (name, _) in &names_a {
         assert_eq!(a.entities_named(name), b.entities_named(name), "{name:?}");
     }

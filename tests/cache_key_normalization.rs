@@ -144,8 +144,8 @@ fn every_fragment_pair_preserves_tokens() {
 }
 
 /// Two questions that tokenize — and ground — differently must not share a
-/// key: under Unicode lowercasing, each of these pairs did, so whichever
-/// was asked first was served for the other.
+/// key: under Unicode lowercasing, "where is ΟΔΟΣ" and "where is οδοσ" did,
+/// so whichever was asked first was served for the other.
 #[test]
 fn unicode_case_pairs_key_separately() {
     let mut builder = GraphBuilder::new();
@@ -153,32 +153,28 @@ fn unicode_case_pairs_key_separately() {
     builder.name(city, "İstanbul");
     let road = builder.resource("odos");
     builder.name(road, "ΟΔΟΣ");
-    let store = builder.build();
+    let store = std::sync::Arc::new(builder.build());
     let ner = GazetteerNer::from_store(&store);
     let mentions = |question: &str| ner.find_all_mentions(&tokenize(question)).len();
     let base = EngineConfig::default();
-    for (capital, lower, grounded) in [
-        (
-            "population of İstanbul",
-            "population of i\u{307}stanbul",
-            (0, 1),
-        ),
-        ("where is ΟΔΟΣ", "where is οδοσ", (1, 0)),
-    ] {
-        assert_ne!(words(capital), words(lower), "{capital:?} / {lower:?}");
-        assert_eq!(
-            (mentions(capital), mentions(lower)),
-            grounded,
-            "{capital:?} / {lower:?}"
-        );
-        assert_ne!(
-            QaRequest::new(capital).cache_key(&base),
-            QaRequest::new(lower).cache_key(&base),
-            "{capital:?} and {lower:?} share a cache key"
-        );
-        check(capital);
-        check(lower);
-    }
+    let (capital, lower) = ("where is ΟΔΟΣ", "where is οδοσ");
+    assert_ne!(words(capital), words(lower));
+    assert_eq!((mentions(capital), mentions(lower)), (1, 0));
+    assert_ne!(
+        QaRequest::new(capital).cache_key(&base),
+        QaRequest::new(lower).cache_key(&base),
+        "{capital:?} and {lower:?} share a cache key"
+    );
+    check(capital);
+    check(lower);
+    // `İ` lowercases to `i` + U+0307 and the tokenizer keeps the mark in its
+    // word, so these two are one question to the engine and both ground.
+    // (Their keys still differ: a key folds ASCII case only.)
+    let (capital, lower) = ("population of İstanbul", "population of i\u{307}stanbul");
+    assert_eq!(words(capital), words(lower));
+    assert_eq!((mentions(capital), mentions(lower)), (1, 1));
+    check(capital);
+    check(lower);
     // ASCII case still folds: the engine cannot tell these apart.
     assert_eq!(
         QaRequest::new("Population of BERLIN").cache_key(&base),

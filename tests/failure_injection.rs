@@ -166,7 +166,7 @@ fn entity_named_like_stopword_is_survivable() {
     let weird = b.resource("weird");
     b.name(weird, "The");
     b.fact_int(weird, "population", 1);
-    let store = b.build();
+    let store = std::sync::Arc::new(b.build());
     let ner = GazetteerNer::from_store(&store);
     let tokens = tokenize("what is the population of the");
     // Grounds (twice: "the" appears twice) without panicking.

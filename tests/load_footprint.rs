@@ -2,12 +2,15 @@
 //!
 //! A tracking global allocator keeps the live heap and its high-water mark
 //! while `ServingArtifacts::load` reads a quick-world bundle (`repro --scale
-//! quick`'s KBA world: a small world, 4 000 QA pairs, NER and pattern index
-//! persisted). The load may at its peak hold at most 1.5× the heap it leaves
-//! live. Every file is mapped, not read onto the heap, and artifacts stream
-//! straight into their types, so the transient is container growth alone; a
-//! load that reads each file onto the heap and builds a document tree first
-//! peaks near 11× on this bundle.
+//! quick`'s KBA world: a small world, 4 000 QA pairs, the pattern index
+//! persisted). The load may at its peak hold at most 1.5× the
+//! heap it leaves live. Every file is mapped, not read onto the heap, and
+//! artifacts stream straight into their types, so the transient is container
+//! growth alone; a load that reads each file onto the heap and builds a
+//! document tree first peaks near 11× on this bundle. Building the service
+//! from the loaded bundle then builds the NER gazetteer over the mapped
+//! names, and may keep at most 32 B of heap per name entry: a slot table,
+//! not a copy of the names.
 //!
 //! Run with `--nocapture` to see the measured bytes and ratio.
 //!
@@ -89,18 +92,40 @@ fn bundle_load_peak_heap_stays_within_1_5x_of_what_it_keeps() {
             .expect("save bundle");
     }
 
+    assert!(
+        !dir.join("ner.json").exists(),
+        "the gazetteer is built at open, not saved"
+    );
+
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
     let artifacts = ServingArtifacts::load(&dir).expect("load bundle");
     let peak = PEAK.load(Ordering::Relaxed) - before;
     let kept = LIVE.load(Ordering::Relaxed) - before;
     std::fs::remove_dir_all(&dir).ok();
-    assert!(artifacts.ner.is_some() && artifacts.pattern_index.is_some());
+    assert!(artifacts.pattern_index.is_some());
 
     let ratio = peak as f64 / kept as f64;
     println!("[load_footprint] peak {peak} B, kept {kept} B: peak / kept = {ratio:.2}");
     assert!(
         ratio <= 1.5,
         "load peaked at {peak} B of heap to keep {kept} B: {ratio:.2}x > 1.5x"
+    );
+
+    // The gazetteer indexes the mapped name section in place: what it keeps
+    // is a slot table and a filter, not a copy of the names.
+    let names = artifacts.store.name_entries().count();
+    let before = LIVE.load(Ordering::Relaxed);
+    let service = artifacts.into_service();
+    let gazetteer = LIVE.load(Ordering::Relaxed) - before;
+    let per_name = gazetteer as f64 / names as f64;
+    println!(
+        "[load_footprint] into_service kept {gazetteer} B over {names} names: {per_name:.1} B/name \
+         (gazetteer heap_bytes {})",
+        service.ner().heap_bytes()
+    );
+    assert!(
+        per_name <= 32.0,
+        "the service kept {gazetteer} B for {names} names: {per_name:.1} B/name > 32"
     );
 }

@@ -8,7 +8,12 @@
 //! and over names built to stress the filter, `find_all_mentions`,
 //! `find_all_mentions_into` and the oracle must agree — same spans, same
 //! candidate nodes, same order — and `find_longest_mentions` must be the
-//! greedy left-to-right reading of the same matches.
+//! greedy left-to-right reading of the same matches. The `#[ignore]`d deep
+//! run does the same over the medium world:
+//!
+//! ```sh
+//! cargo test --release --test ner_equivalence -- --ignored
+//! ```
 
 use std::collections::HashMap;
 
@@ -99,47 +104,53 @@ fn assert_scans_agree(
     expected.len()
 }
 
-#[test]
-fn scans_match_the_unfiltered_oracle_over_the_generated_suite() {
-    let world = World::generate(WorldConfig::tiny(42));
-    let corpus = QaCorpus::generate(&world, &CorpusConfig::with_pairs(1, 800));
+/// Every question of the generated benchmark suite over `world`: `pairs`
+/// corpus questions, the QALD- and WebQuestions-like sets, the complex suite
+/// and a few that ground nothing.
+fn suite_questions(world: &World, pairs: usize) -> Vec<String> {
+    let corpus = QaCorpus::generate(world, &CorpusConfig::with_pairs(1, pairs));
     let mut questions: Vec<String> = corpus.pairs.iter().map(|p| p.question.clone()).collect();
-    let qald = benchmark::qald_like(&world, "ner-qald", 120, 90, 0.3, 7);
+    let qald = benchmark::qald_like(world, "ner-qald", 120, 90, 0.3, 7);
     questions.extend(qald.questions.into_iter().map(|q| q.question));
-    let webq = benchmark::webquestions_like(&world, 120, 11);
+    let webq = benchmark::webquestions_like(world, 120, 11);
     questions.extend(webq.questions.into_iter().map(|q| q.question));
     questions.extend(
-        benchmark::complex_suite(&world)
+        benchmark::complex_suite(world)
             .into_iter()
             .map(|c| c.question),
     );
     questions.extend(["", "?!", "why is the sky blue"].map(str::to_owned));
+    questions
+}
 
-    // Built from the store, and loaded from its persisted form: the filter
-    // is derived both ways and never part of `ner.json`.
-    let built = GazetteerNer::from_store(&world.store);
-    let json = serde_json::to_string(&built).expect("serialize gazetteer");
-    assert!(json.contains("\"names\":") && json.contains("\"max_tokens\":"));
-    assert!(
-        !json.contains("first_tokens"),
-        "the filter is derived state"
-    );
-    let loaded: GazetteerNer = serde_json::from_str(&json).expect("deserialize gazetteer");
-    assert_eq!(loaded.name_count(), built.name_count());
-
+/// The gazetteer built from `world`'s store against the oracle over
+/// `questions`; most must ground.
+fn assert_world_agrees(world: &World, questions: &[String]) {
+    let ner = GazetteerNer::from_store(&world.store);
     let names = name_table(&world.store);
-    assert_eq!(names.len(), built.name_count());
+    assert_eq!(names.len(), ner.name_count());
     let mut buf = MentionBuffer::new();
-    for ner in [&built, &loaded] {
-        let mut found = 0;
-        for question in &questions {
-            found += assert_scans_agree(ner, &names, &mut buf, question);
-        }
-        assert!(
-            found > questions.len() / 2,
-            "the suite must ground entities"
-        );
+    let mut found = 0;
+    for question in questions {
+        found += assert_scans_agree(&ner, &names, &mut buf, question);
     }
+    assert!(
+        found > questions.len() / 2,
+        "the suite must ground entities"
+    );
+}
+
+#[test]
+fn scans_match_the_unfiltered_oracle_over_the_generated_suite() {
+    let world = World::generate(WorldConfig::tiny(42));
+    assert_world_agrees(&world, &suite_questions(&world, 800));
+}
+
+#[test]
+#[ignore = "deep run: 50 000 questions over the medium world (CI runs it in release)"]
+fn scans_match_the_unfiltered_oracle_over_the_medium_world() {
+    let world = World::generate(WorldConfig::medium(42));
+    assert_world_agrees(&world, &suite_questions(&world, 50_000));
 }
 
 #[test]
@@ -166,7 +177,7 @@ fn scans_match_the_oracle_on_names_built_to_stress_the_filter() {
     named("res/it", "It");
     // Unicode: case folding, a non-Latin script, and the capital-sigma rule.
     named("res/tokyo", "Tōkyō Tower");
-    named("res/istanbul", "İstanbul");
+    let istanbul = named("res/istanbul", "İstanbul");
     named("res/odos", "ΟΔΟΣ Ερμού");
     named("res/ku", "東京 区");
     // Punctuation the tokenizer drops, and a digit run.
@@ -175,9 +186,24 @@ fn scans_match_the_oracle_on_names_built_to_stress_the_filter() {
     // Two entities, one name.
     named("res/spr1", "Springfield");
     named("res/spr2", "Springfield");
-    let store = b.build();
+    // A stored name already in the canonical form of another ("St. Louis"):
+    // the two ground to the union of their nodes.
+    named("res/stl2", "st louis");
+    let store = std::sync::Arc::new(b.build());
     let ner = GazetteerNer::from_store(&store);
     let names = name_table(&store);
+    assert_eq!(
+        ner.overflow_count(),
+        3,
+        "st louis, r2 d2, obama 's health plan"
+    );
+    assert_eq!(ner.name_count(), names.len());
+
+    // `İ` lowercases to `i` + U+0307; the question's "İSTANBUL" must reach
+    // the name stored as "İstanbul".
+    let grounded = ner.find_all_mentions(&tokenize("where is İSTANBUL"));
+    assert_eq!(grounded.len(), 1, "{grounded:?}");
+    assert_eq!(grounded[0].nodes, vec![istanbul]);
 
     let mut buf = MentionBuffer::new();
     let mut found = 0;

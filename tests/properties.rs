@@ -128,6 +128,27 @@ proptest! {
     }
 }
 
+/// What `\PC` never samples, composed three at a time: `İ` lowercases to
+/// `i` + U+0307, a combining mark that must stay in its word, and `Σ` takes
+/// its final form at a word's end. Each composition's canonical form must
+/// tokenize to itself.
+#[test]
+fn tokenize_is_idempotent_on_case_folding_fragments() {
+    const FRAGMENTS: &[&str] = &[
+        "İ", "i\u{307}", "\u{307}", "ΟΔΟΣ", "οδος", "Σ", "stanbul", "E\u{301}", "'", "'s", " ",
+        "-", "a", "7",
+    ];
+    for a in FRAGMENTS {
+        for b in FRAGMENTS {
+            for c in FRAGMENTS {
+                let input = format!("{a}{b}{c}");
+                let once = tokenize(&input).joined();
+                assert_eq!(tokenize(&once).joined(), once, "{input:?}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -261,7 +261,6 @@ fn every_persisted_type_roundtrips_on_the_quick_world() {
 
     roundtrips("LearnedModel", &model);
     roundtrips("Conceptualizer", world.conceptualizer.as_ref());
-    roundtrips("GazetteerNer", &ner);
     roundtrips("PatternIndex", &index);
     roundtrips("EngineConfig", &EngineConfig::default());
     roundtrips("MetricsSnapshot", &metrics.snapshot());
