@@ -125,8 +125,7 @@ fn fixture() -> Fixture {
 
 fn bench_kernel_stages(c: &mut Criterion) {
     let f = fixture();
-    let snapshot = f.service.snapshot();
-    let engine = snapshot.engine();
+    let engine = f.service.engine();
     let mut scratch = ScratchSpace::new();
     let mut out = Vec::with_capacity(4 << 10);
 
@@ -209,7 +208,7 @@ fn bench_kernel_stages(c: &mut Criterion) {
         (lookups - lookups_before) as f64 / n,
         (edges - edges_before) as f64 / n,
     );
-    serving_pieces(&f.requests, &snapshot);
+    serving_pieces(&f.requests, &f.service);
 
     println!("whole path:");
     let optimized = ns_per(tokenized.len(), || {
@@ -253,7 +252,7 @@ fn bench_kernel_stages(c: &mut Criterion) {
         f.service.store().len()
     );
     let started = Instant::now();
-    let gazetteer = GazetteerNer::from_store(&f.service.store_shared());
+    let gazetteer = GazetteerNer::from_store(f.service.store());
     let build_ms = started.elapsed().as_secs_f64() * 1e3;
     println!(
         "  {:<28} {build_ms:>7.1} ms           heap {} B, {} names, {} overflow",
@@ -285,7 +284,7 @@ fn piece(name: &str, now: f64, before: f64, before_name: &str) {
 /// The serving edge's pieces: request decode as the server runs it, then
 /// the two the rendered-bytes path replaced, each timed against what it
 /// replaced.
-fn serving_pieces(requests: &[QaRequest], snapshot: &ServiceSnapshot) {
+fn serving_pieces(requests: &[QaRequest], service: &KbqaService) {
     println!("serving pieces:");
 
     // Decode: the benchmark's single-question body, and 256-question batches.
@@ -325,13 +324,13 @@ fn serving_pieces(requests: &[QaRequest], snapshot: &ServiceSnapshot) {
     let rendered = ns_per(requests.len(), || {
         for request in requests {
             out.clear();
-            black_box(snapshot.answer_into(request, &mut out));
+            black_box(service.answer_into(request, &mut out));
         }
     });
     let owned = ns_per(requests.len(), || {
         for request in requests {
             out.clear();
-            snapshot.answer(request).serialize_into(&mut out);
+            service.answer(request).serialize_into(&mut out);
             black_box(&out);
         }
     });
@@ -339,13 +338,13 @@ fn serving_pieces(requests: &[QaRequest], snapshot: &ServiceSnapshot) {
 
     // Cache insert at capacity (every insert evicts): a rendered entry
     // copied from the response bytes vs the owned response behind an Arc.
-    let keys: Vec<String> = requests.iter().map(|r| snapshot.cache_key(r)).collect();
+    let keys: Vec<String> = requests.iter().map(|r| service.cache_key(r)).collect();
     let fill = CacheConfig::default().capacity;
     let (warm, timed) = (&keys[..fill], &keys[fill..]);
     let mut bodies: Vec<(Option<Refusal>, Vec<u8>)> = Vec::with_capacity(requests.len());
     for request in requests {
         let mut body = Vec::new();
-        let refusal = snapshot.answer_into(request, &mut body).refusal;
+        let refusal = service.answer_into(request, &mut body).refusal;
         bodies.push((refusal, body));
     }
     let rendered = {
@@ -361,7 +360,7 @@ fn serving_pieces(requests: &[QaRequest], snapshot: &ServiceSnapshot) {
     };
     let owned = {
         let cache: AnswerCache<Arc<QaResponse>> = AnswerCache::new(CacheConfig::default());
-        let responses: Vec<QaResponse> = requests.iter().map(|r| snapshot.answer(r)).collect();
+        let responses: Vec<QaResponse> = requests.iter().map(|r| service.answer(r)).collect();
         let mut entries = keys.iter().cloned().zip(responses);
         for (key, response) in entries.by_ref().take(fill) {
             cache.insert(key, Arc::new(response));

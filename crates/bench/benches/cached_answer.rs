@@ -7,7 +7,7 @@
 //! cache holding rendered answers exactly as the server does:
 //!
 //! * `cold`   — every question runs the engine and renders its JSON
-//!   (`ServiceSnapshot::answer_into`);
+//!   (`KbqaService::answer_into`);
 //! * `cached` — every question probes a pre-warmed `RenderedCache` and
 //!   copies the hit's body, the steady state of a server seeing recurring
 //!   traffic;
@@ -21,7 +21,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use kbqa_bench::Session;
-use kbqa_core::service::{QaRequest, ServiceSnapshot};
+use kbqa_core::service::{KbqaService, QaRequest};
 use kbqa_corpus::benchmark;
 use kbqa_server::{CacheConfig, RenderedAnswer, RenderedCache};
 
@@ -29,17 +29,17 @@ use kbqa_server::{CacheConfig, RenderedAnswer, RenderedCache};
 /// Returns whether the question was answered; `out` holds the body.
 fn get_or_render(
     cache: &RenderedCache,
-    snapshot: &ServiceSnapshot,
+    service: &KbqaService,
     request: &QaRequest,
     out: &mut Vec<u8>,
 ) -> bool {
     out.clear();
-    let key = snapshot.cache_key(request);
+    let key = service.cache_key(request);
     if let Some(hit) = cache.get(&key) {
         out.extend_from_slice(hit.body());
         return hit.refusal().is_none();
     }
-    let rendered = snapshot.answer_into(request, out);
+    let rendered = service.answer_into(request, out);
     cache.insert(key, RenderedAnswer::new(rendered.refusal, out));
     rendered.refusal.is_none()
 }
@@ -48,13 +48,12 @@ fn bench_cached_answer(c: &mut Criterion) {
     let session = Session::build("bench", kbqa_corpus::WorldConfig::small(42), 3000);
     let bench = benchmark::qald_like(&session.world, "cache", 40, 30, 0.2, 75);
     let service = session.service();
-    let snapshot = service.snapshot();
     let requests: Vec<QaRequest> = bench
         .questions
         .iter()
         .map(|q| QaRequest::new(&q.question))
         .collect();
-    let keys: Vec<String> = requests.iter().map(|r| snapshot.cache_key(r)).collect();
+    let keys: Vec<String> = requests.iter().map(|r| service.cache_key(r)).collect();
     let mut out = Vec::new();
 
     let mut group = c.benchmark_group("cached_answer");
@@ -65,7 +64,7 @@ fn bench_cached_answer(c: &mut Criterion) {
             let mut answered = 0usize;
             for request in &requests {
                 out.clear();
-                let rendered = snapshot.answer_into(std::hint::black_box(request), &mut out);
+                let rendered = service.answer_into(std::hint::black_box(request), &mut out);
                 answered += usize::from(rendered.refusal.is_none());
             }
             answered
@@ -74,7 +73,7 @@ fn bench_cached_answer(c: &mut Criterion) {
 
     let warm = RenderedCache::new(CacheConfig::default());
     for request in &requests {
-        get_or_render(&warm, &snapshot, request, &mut out);
+        get_or_render(&warm, service, request, &mut out);
     }
     group.bench_function("cached", |b| {
         b.iter(|| {
@@ -95,7 +94,7 @@ fn bench_cached_answer(c: &mut Criterion) {
             let mut answered = 0usize;
             for _round in 0..2 {
                 for request in &requests {
-                    answered += usize::from(get_or_render(&cache, &snapshot, request, &mut out));
+                    answered += usize::from(get_or_render(&cache, service, request, &mut out));
                 }
             }
             answered
@@ -103,14 +102,14 @@ fn bench_cached_answer(c: &mut Criterion) {
     });
 
     // The same model at the next epoch: what a model reload swaps in.
-    let next = service.with_model(service.model()).snapshot();
+    let next = service.with_model(service.model());
     group.bench_function("swap_then_requery", |b| {
         b.iter(|| {
             let cache = RenderedCache::new(CacheConfig::default());
             let mut answered = 0usize;
             // Warm under the current epoch…
             for request in &requests {
-                get_or_render(&cache, &snapshot, request, &mut out);
+                get_or_render(&cache, service, request, &mut out);
             }
             // …swap (the epoch bump re-keys everything), re-ask the suite
             // cold.

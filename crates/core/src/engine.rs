@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use kbqa_common::hash::FxHashMap;
 use kbqa_common::topk::TopK;
-use kbqa_obs::{Stage, StageTrace};
+use kbqa_obs::{Stage, StageBreakdown, StageTrace};
 use serde::{Deserialize, Serialize};
 
 use kbqa_nlp::{tokenize, tokenize_into, GazetteerNer, Mention, MentionBuffer, TokenizedText};
@@ -874,7 +874,9 @@ impl<'a> QaEngine<'a> {
     /// overrides — is rendered straight from the ranked ids and their
     /// provenance: no [`Answer`], no `String`, no allocation once `out` and
     /// the scratch are warm. A refusal (and its decomposition fallback) and
-    /// an `explain` request build the owned response and serialize it.
+    /// an `explain` request build the owned response and serialize it; an
+    /// `explain` response under an armed trace carries the stage timings
+    /// taken just before it is written.
     pub fn render_request_into(
         &self,
         request: &QaRequest,
@@ -887,6 +889,9 @@ impl<'a> QaEngine<'a> {
             let mut response = self.answer_request_with(request, scratch);
             // The `explain` statistics are not serialization.
             scratch.trace.skip();
+            if scratch.trace.is_active() {
+                response.stage_us = Some(StageBreakdown::from_ns(scratch.trace.accum_ns()));
+            }
             response.model_epoch = model_epoch;
             response.serialize_into(out);
             response.refusal

@@ -80,9 +80,7 @@ pub use kbqa_rdf::ShardPlan;
 pub use learner::{LearnedModel, Learner, LearnerConfig};
 pub use persist::ServingArtifacts;
 pub use remote::{RemoteError, RemoteOptions, RemoteShard};
-pub use service::{
-    KbqaService, QaRequest, QaResponse, QaSystem, Refusal, Rendered, ServiceSnapshot,
-};
+pub use service::{KbqaService, QaRequest, QaResponse, QaSystem, Refusal, Rendered};
 pub use shard::{ShardPanic, ShardRouter};
 pub use shardworker::WorkerConfig;
 pub use template::{SlotTable, Template, TemplateCatalog, TemplateId};

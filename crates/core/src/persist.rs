@@ -376,10 +376,10 @@ impl ServingArtifacts {
     /// served — a concurrent swap after this call is not reflected).
     pub fn from_service(service: &KbqaService) -> Self {
         Self {
-            store: service.store_shared(),
-            conceptualizer: service.conceptualizer_shared(),
+            store: Arc::clone(service.store()),
+            conceptualizer: Arc::clone(service.conceptualizer()),
             model: service.model(),
-            pattern_index: service.pattern_index_shared(),
+            pattern_index: service.pattern_index().cloned(),
             // The service's router, if any, serves through workers that
             // map a bundle already saved; set `shard_plan` to save another.
             shard_plan: None,
@@ -710,7 +710,7 @@ mod tests {
         assert_eq!(load_shard_manifest(&dir).unwrap(), Some(plan));
         assert_eq!(manifest.shard_stats.expect("cut stats").shards.len(), 3);
         // Each shard snapshot is the cut the partitioner makes.
-        let (cut, _) = partition(&service.store_shared(), &plan);
+        let (cut, _) = partition(service.store(), &plan);
         for (i, expected) in cut.iter().enumerate() {
             assert_eq!(
                 load_store(&dir.join(shard_store_file(i))).unwrap().len(),

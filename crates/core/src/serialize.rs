@@ -29,7 +29,7 @@
 //! [`Answer`](crate::engine::Answer) strings; the engine hands it the kernel's ranked ids — store
 //! surfaces (numeric literals formatted in place), template text and
 //! predicate paths straight from the dictionary — so
-//! [`crate::service::ServiceSnapshot::answer_into`] renders a plain BFQ
+//! [`crate::service::KbqaService::answer_into`] renders a plain BFQ
 //! response without materializing an `Answer` or a `String`.
 
 use kbqa_obs::StageBreakdown;

@@ -35,7 +35,7 @@
 //! the next one in; a request that already holds the old one finishes on
 //! it, so every answer comes wholly from one model and carries that
 //! model's epoch in [`QaResponse::model_epoch`]. Caches key on
-//! [`ServiceSnapshot::cache_key`], which prefixes the epoch — a new epoch
+//! [`KbqaService::cache_key`], which prefixes the epoch — a new epoch
 //! invalidates every stale entry by construction, with no stop-the-world
 //! flush.
 //!
@@ -87,7 +87,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use kbqa_nlp::GazetteerNer;
-use kbqa_obs::{Observability, Stage, StageBreakdown};
+use kbqa_obs::{Observability, StageBreakdown};
 use kbqa_rdf::TripleStore;
 use kbqa_taxonomy::Conceptualizer;
 
@@ -110,7 +110,7 @@ fn with_engine_scratch<R>(f: impl FnOnce(&mut ScratchSpace) -> R) -> R {
     ENGINE_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
-/// Fewest questions each spawned thread of [`ServiceSnapshot::answer_batch`]
+/// Fewest questions each spawned thread of [`KbqaService::answer_batch`]
 /// must get for spawning to pay. A spawned thread costs a spawn and a join
 /// (tens of µs) and starts on an empty thread-local [`ScratchSpace`], whose
 /// buffers its first questions grow allocation by allocation; the caller's
@@ -119,16 +119,6 @@ fn with_engine_scratch<R>(f: impl FnOnce(&mut ScratchSpace) -> R) -> R {
 /// own overhead; below that (a streamed `/batch` computes 16-question
 /// lanes) the caller is faster alone.
 const BATCH_MIN_QUESTIONS_PER_THREAD: usize = 64;
-
-/// Stable worker-lane affinity for a batch request: a deterministic hash of
-/// the raw question bytes, so repeated questions always land on the same
-/// scatter-gather lane (warm per-lane value caches) without allocating.
-fn question_affinity(request: &QaRequest) -> u64 {
-    use std::hash::Hasher as _;
-    let mut h = kbqa_common::hash::FxHasher::default();
-    h.write(request.question.as_bytes());
-    h.finish()
-}
 
 /// Why the system returned no answer (the paper's `#pro` refusal behaviour,
 /// made inspectable). Variants are ordered by pipeline stage: each one means
@@ -461,8 +451,8 @@ impl QaResponse {
     }
 }
 
-/// One response written by [`ServiceSnapshot::answer_into`] or
-/// [`ServiceSnapshot::answer_batch_into`]: where its JSON sits in the output
+/// One response written by [`KbqaService::answer_into`] or
+/// [`KbqaService::answer_batch_into`]: where its JSON sits in the output
 /// buffer and how the request ended — what a server needs to frame the
 /// bytes, count the outcome and cache the entry without parsing anything.
 #[derive(Clone, Debug, PartialEq)]
@@ -561,466 +551,18 @@ impl KbqaServiceBuilder {
     }
 }
 
-/// A [`KbqaService`]'s serving state, taken once per request or once per
-/// batch: the substrate `Arc`s plus the service's one `(model, epoch)`
-/// pair.
-///
-/// Everything computed through one snapshot — the answer, its
-/// [`QaResponse::model_epoch`] stamp, and its [`cache_key`] — belongs to
-/// exactly one model epoch. Snapshots are cheap (`Arc` clones and a config
-/// copy, no lock).
-///
-/// [`cache_key`]: ServiceSnapshot::cache_key
-pub struct ServiceSnapshot {
-    store: Arc<TripleStore>,
-    conceptualizer: Arc<Conceptualizer>,
-    model: Arc<LearnedModel>,
-    model_epoch: u64,
-    ner: Arc<GazetteerNer>,
-    pattern_index: Option<Arc<PatternIndex>>,
-    config: EngineConfig,
-    obs: Option<Arc<Observability>>,
-    shards: Option<Arc<ShardRouter>>,
-}
-
-impl ServiceSnapshot {
-    /// The model epoch this snapshot answers under.
-    pub fn model_epoch(&self) -> u64 {
-        self.model_epoch
-    }
-
-    /// The snapshotted model.
-    pub fn model(&self) -> &Arc<LearnedModel> {
-        &self.model
-    }
-
-    /// The default engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The borrowed inference kernel over this snapshot's artifacts.
-    /// Construction is free: every component is already built.
-    pub fn engine(&self) -> QaEngine<'_> {
-        let mut engine =
-            QaEngine::with_shared(&self.store, &self.conceptualizer, &self.model, &self.ner)
-                .with_config(self.config.clone());
-        if let Some(index) = self.pattern_index.as_deref() {
-            engine = engine.with_pattern_index_ref(index);
-        }
-        if let Some(router) = self.router() {
-            engine = engine
-                .with_shard_router(router)
-                .with_shard_epoch(self.model_epoch);
-        }
-        engine
-    }
-
-    /// The shard router, when this snapshot serves sharded.
-    fn router(&self) -> Option<&ShardRouter> {
-        self.shards.as_deref()
-    }
-
-    /// The versioned cache key for `request`: the snapshot's model epoch
-    /// prefixed onto [`QaRequest::cache_key`].
-    ///
-    /// Two requests share a key **iff** they are guaranteed equal responses:
-    /// same normalized question, same effective config, same model epoch.
-    /// Serving a new epoch therefore invalidates every cached answer without
-    /// a flush — old-epoch keys are simply never looked up again. The `\u{1f}`
-    /// separator cannot appear in the normalized question, so the epoch
-    /// prefix is unambiguous.
-    pub fn cache_key(&self, request: &QaRequest) -> String {
-        let mut out = String::with_capacity(request.cache_key_capacity());
-        self.cache_key_into(request, &mut out);
-        out
-    }
-
-    /// Append [`ServiceSnapshot::cache_key`] to `out` — how a server builds
-    /// every key in one reused buffer and pays for an owned key only when
-    /// a miss inserts it.
-    pub fn cache_key_into(&self, request: &QaRequest, out: &mut String) {
-        use std::fmt::Write as _;
-        // Writing into a `String` cannot fail.
-        let _ = write!(out, "{}\u{1f}", self.model_epoch);
-        request.push_cache_key(&self.config, out);
-    }
-
-    /// Answer one request under this snapshot's model, stamping the epoch.
-    /// Runs on the calling thread's reusable [`ScratchSpace`].
-    pub fn answer(&self, request: &QaRequest) -> QaResponse {
-        with_engine_scratch(|scratch| {
-            let engine = self.engine();
-            self.answer_with(&engine, request, scratch).0
-        })
-    }
-
-    /// Answer one request and write the response's JSON into `out` — the
-    /// bytes `serde_json::to_string(&self.answer(request))` would produce,
-    /// appended. Runs on the calling thread's reusable [`ScratchSpace`].
-    ///
-    /// A BFQ answer (with or without overrides) is rendered straight from
-    /// the kernel's ranked ids; an `explain` request, a refusal or
-    /// decomposition, and anything behind a shard router are answered as an
-    /// owned [`QaResponse`] and serialized. Either way the writing is timed
-    /// as [`Stage::Serialize`] on a traced request, and the returned
-    /// [`Rendered::stages`] include it.
-    pub fn answer_into(&self, request: &QaRequest, out: &mut Vec<u8>) -> Rendered {
-        with_engine_scratch(|scratch| {
-            let engine = self.engine();
-            self.render_with(&engine, request, scratch, out)
-        })
-    }
-
-    /// Answer a batch of requests under this snapshot's model, fanning out
-    /// across scoped threads when the batch is large enough to pay for them
-    /// (at least 64 questions per thread) and on the calling thread's warm
-    /// [`ScratchSpace`] otherwise.
-    ///
-    /// Responses are returned in request order and are identical to what
-    /// sequential [`ServiceSnapshot::answer`] calls would produce: requests
-    /// are independent, so the threads only amortize engine setup and buy
-    /// wall-clock parallelism. The whole batch answers under one model
-    /// epoch.
-    ///
-    /// Takes owned requests or references (`&[QaRequest]`, `&[&QaRequest]`):
-    /// a caller answering a subset — the cache misses of a batch — passes
-    /// borrows instead of cloning the subset.
-    pub fn answer_batch<R>(&self, requests: &[R]) -> Vec<QaResponse>
-    where
-        R: std::borrow::Borrow<QaRequest> + Sync,
-    {
-        let mut inline = Vec::with_capacity(requests.len());
-        let parts = self.run_batch(
-            requests,
-            &mut inline,
-            Vec::new,
-            |responses, engine, request, scratch| {
-                responses.push(self.answer_with(engine, request, scratch).0);
-            },
-        );
-        let Some(parts) = parts else {
-            return inline;
-        };
-        let mut slots: Vec<Option<QaResponse>> = Vec::with_capacity(requests.len());
-        slots.resize_with(requests.len(), || None);
-        for (group, responses) in parts {
-            for (i, response) in group.into_iter().zip(responses) {
-                slots[i as usize] = Some(response);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|r| r.expect("every request index answered"))
-            .collect()
-    }
-
-    /// [`ServiceSnapshot::answer_batch`] written as JSON: each response is
-    /// rendered as [`ServiceSnapshot::answer_into`] renders it and appended
-    /// to `out` in request order as the elements of a JSON array —
-    /// separated by commas, without the brackets — and `rendered` is
-    /// refilled with one [`Rendered`] per request. Fans out exactly as
-    /// `answer_batch` does; each spawned thread renders into a buffer of
-    /// its own, copied into `out` in order once the threads join. On the
-    /// calling thread (every batch under 128 questions) nothing is
-    /// allocated once `out` and `rendered` are warm.
-    pub fn answer_batch_into<R>(
-        &self,
-        requests: &[R],
-        out: &mut Vec<u8>,
-        rendered: &mut Vec<Rendered>,
-    ) where
-        R: std::borrow::Borrow<QaRequest> + Sync,
-    {
-        rendered.clear();
-        let mut inline = (std::mem::take(out), std::mem::take(rendered));
-        let parts = self.run_batch(
-            requests,
-            &mut inline,
-            Default::default,
-            |(bytes, spans), engine, request, scratch| {
-                if !spans.is_empty() {
-                    bytes.push(b',');
-                }
-                spans.push(self.render_with(engine, request, scratch, bytes));
-            },
-        );
-        (*out, *rendered) = inline;
-        let Some(parts) = parts else { return };
-        let mut at = vec![(0u32, 0u32); requests.len()];
-        for (part, (group, _)) in parts.iter().enumerate() {
-            for (k, &i) in group.iter().enumerate() {
-                at[i as usize] = (part as u32, k as u32);
-            }
-        }
-        for (n, (part, k)) in at.into_iter().enumerate() {
-            let (_, (bytes, spans)) = &parts[part as usize];
-            let one = &spans[k as usize];
-            if n > 0 {
-                out.push(b',');
-            }
-            let start = out.len();
-            out.extend_from_slice(&bytes[one.span.clone()]);
-            rendered.push(Rendered {
-                span: start..out.len(),
-                ..one.clone()
-            });
-        }
-    }
-
-    /// Run `each` over every request of a batch. A batch under two threads'
-    /// worth of questions (128), sharded or not, runs on the calling
-    /// thread's warm scratch, into `inline`, and returns `None`. Otherwise
-    /// the batch splits into groups — chunks of
-    /// at least 64 questions, or, behind a shard router, one lane per shard
-    /// with questions assigned by stable question hash (repeated questions
-    /// keep lane affinity; per-shard queue depths surface on the router's
-    /// telemetry lanes) — and each group runs on a scoped thread with its
-    /// own scratch and a `fresh()` accumulator, returned with the request
-    /// indices it ran. The whole batch answers under this one snapshot, so
-    /// no batch ever straddles mixed model epochs.
-    fn run_batch<R, A>(
-        &self,
-        requests: &[R],
-        inline: &mut A,
-        fresh: impl Fn() -> A + Sync,
-        each: impl Fn(&mut A, &QaEngine<'_>, &QaRequest, &mut ScratchSpace) + Sync,
-    ) -> Option<Vec<(Vec<u32>, A)>>
-    where
-        R: std::borrow::Borrow<QaRequest> + Sync,
-        A: Send,
-    {
-        // The batch-size bound comes first, behind a router or not: a thread
-        // pays for its spawn and its cold scratch only with at least
-        // `BATCH_MIN_QUESTIONS_PER_THREAD` questions to run, so a small
-        // batch — every lane of a server `/batch` — runs on the calling
-        // thread. (`available_parallelism` reads the affinity mask and
-        // cgroup files, which a small batch has no reason to pay for.)
-        let by_size = (requests.len() / BATCH_MIN_QUESTIONS_PER_THREAD).min(16);
-        let router = self.router().filter(|_| by_size > 1);
-        let groups: Vec<Vec<u32>> = match router {
-            Some(router) => {
-                let lanes = router.shard_count().min(by_size);
-                let mut groups = vec![Vec::new(); lanes];
-                for (i, request) in requests.iter().enumerate() {
-                    let lane = (question_affinity(request.borrow()) % lanes as u64) as usize;
-                    groups[lane].push(i as u32);
-                }
-                for (lane, group) in groups.iter().enumerate() {
-                    router.obs().lane(lane).enqueue(group.len() as u64);
-                }
-                groups
-            }
-            None => {
-                let workers = match by_size {
-                    0 | 1 => 1,
-                    by_size => std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                        .min(by_size),
-                };
-                if workers <= 1 {
-                    // One engine and one scratch for the whole batch.
-                    with_engine_scratch(|scratch| {
-                        let engine = self.engine();
-                        for request in requests {
-                            each(inline, &engine, request.borrow(), scratch);
-                        }
-                    });
-                    return None;
-                }
-                let ids: Vec<u32> = (0..requests.len() as u32).collect();
-                ids.chunks(requests.len().div_ceil(workers))
-                    .map(<[u32]>::to_vec)
-                    .collect()
-            }
-        };
-        let (fresh, each) = (&fresh, &each);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .enumerate()
-                .filter(|(_, group)| !group.is_empty())
-                .map(|(lane, group)| {
-                    scope.spawn(move || {
-                        // Per-worker scratch, reused across the whole group.
-                        with_engine_scratch(|scratch| {
-                            let engine = self.engine();
-                            let mut acc = fresh();
-                            for &i in &group {
-                                each(&mut acc, &engine, requests[i as usize].borrow(), scratch);
-                                if let Some(router) = router {
-                                    router.obs().lane(lane).dequeue(1);
-                                }
-                            }
-                            (group, acc)
-                        })
-                    })
-                })
-                .collect();
-            Some(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("batch worker panicked"))
-                    .collect(),
-            )
-        })
-    }
-
-    /// The one place a request actually runs as an owned response: arm the
-    /// scratch tracer when this request should be traced, answer, then
-    /// drain stage timings into the sink's histograms. Stage timings attach
-    /// to the response only for `explain` requests, so responses stay
-    /// byte-identical across sampled and unsampled runs of the same
-    /// question (the cache contract).
-    fn answer_with(
-        &self,
-        engine: &QaEngine<'_>,
-        request: &QaRequest,
-        scratch: &mut ScratchSpace,
-    ) -> (QaResponse, Option<StageBreakdown>) {
-        self.begin_trace(request, scratch);
-        let mut response = self.respond(engine, request, scratch);
-        let breakdown = self.finish_trace(scratch);
-        if request.explain {
-            response.stage_us = breakdown;
-        }
-        (response, breakdown)
-    }
-
-    /// [`ServiceSnapshot::answer_with`] written into `out`: the one place a
-    /// request runs as rendered bytes. Without a shard router or `explain`
-    /// the engine renders it ([`QaEngine::render_request_into`]); otherwise
-    /// the owned response is serialized, an `explain` response carrying the
-    /// stage timings taken just before it is written. Either way the write
-    /// is lapped as [`Stage::Serialize`] before the timings are drained.
-    fn render_with(
-        &self,
-        engine: &QaEngine<'_>,
-        request: &QaRequest,
-        scratch: &mut ScratchSpace,
-        out: &mut Vec<u8>,
-    ) -> Rendered {
-        let start = out.len();
-        self.begin_trace(request, scratch);
-        let refusal = if self.router().is_none() && !request.explain {
-            engine.render_request_into(request, scratch, self.model_epoch, out)
-        } else {
-            let mut response = self.respond(engine, request, scratch);
-            // `explain` statistics and the shard bookkeeping are not
-            // serialization; keep them out of its lap.
-            scratch.trace.skip();
-            if request.explain && scratch.trace.is_active() {
-                response.stage_us = Some(StageBreakdown::from_ns(scratch.trace.accum_ns()));
-            }
-            response.serialize_into(out);
-            scratch.trace.lap(Stage::Serialize);
-            response.refusal
-        };
-        Rendered {
-            span: start..out.len(),
-            refusal,
-            stages: self.finish_trace(scratch),
-        }
-    }
-
-    /// Arm the scratch tracer when this request should be traced: an
-    /// [`Observability`] sink is installed and the request was sampled or
-    /// asked to `explain`.
-    fn begin_trace(&self, request: &QaRequest, scratch: &mut ScratchSpace) {
-        let trace_this = match &self.obs {
-            Some(obs) => request.explain || obs.should_trace(),
-            None => false,
-        };
-        scratch.trace.begin(trace_this);
-    }
-
-    /// The owned response, through the shard router when there is one,
-    /// stamped with this snapshot's epoch.
-    fn respond(
-        &self,
-        engine: &QaEngine<'_>,
-        request: &QaRequest,
-        scratch: &mut ScratchSpace,
-    ) -> QaResponse {
-        let mut response = match self.router() {
-            None => engine.answer_request_with(request, scratch),
-            Some(router) => self.answer_sharded(router, engine, request, scratch),
-        };
-        response.model_epoch = self.model_epoch;
-        response
-    }
-
-    /// Drain an armed trace into the sink's histograms — and, behind a
-    /// shard router, the primary shard's — returning the breakdown.
-    fn finish_trace(&self, scratch: &mut ScratchSpace) -> Option<StageBreakdown> {
-        let breakdown = self
-            .obs
-            .as_ref()
-            .and_then(|obs| scratch.trace.finish(obs.stats()));
-        if let (Some(router), Some(bd)) = (self.router(), breakdown.as_ref()) {
-            // Per-shard stage histograms: the whole-question breakdown is
-            // attributed to the primary shard (the first one a lookup
-            // routed to).
-            if scratch.shard_primary != u32::MAX {
-                router
-                    .obs()
-                    .lane(scratch.shard_primary as usize)
-                    .record_breakdown(bd);
-            }
-        }
-        breakdown
-    }
-
-    /// Run one request through the shard router with fault isolation: a
-    /// shard panicking mid-query ([`crate::shard::ShardPanic`]) degrades
-    /// *this question* to a typed [`Refusal::ShardUnavailable`] — the
-    /// service stays up, the failure is counted on the shard's lane, and
-    /// any other panic keeps unwinding (shard isolation is not a license to
-    /// swallow engine bugs).
-    fn answer_sharded(
-        &self,
-        router: &ShardRouter,
-        engine: &QaEngine<'_>,
-        request: &QaRequest,
-        scratch: &mut ScratchSpace,
-    ) -> QaResponse {
-        scratch.shard_mask = 0;
-        scratch.shard_primary = u32::MAX;
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.answer_request_with(request, scratch)
-        }));
-        match result {
-            Ok(response) => {
-                let obs = router.obs();
-                obs.record_fanout(scratch.shard_mask.count_ones() as usize);
-                if scratch.shard_primary != u32::MAX {
-                    obs.lane(scratch.shard_primary as usize).record_query();
-                }
-                response
-            }
-            Err(payload) => {
-                let Some(&ShardPanic(shard)) = payload.downcast_ref::<ShardPanic>() else {
-                    std::panic::resume_unwind(payload);
-                };
-                // Drop any half-recorded stage timings from the unwound
-                // request; the scratch clears the rest of its state at next
-                // use by construction.
-                let _ = scratch.trace.take();
-                router.obs().lane(shard).record_failure();
-                QaResponse::refused(Refusal::ShardUnavailable)
-            }
-        }
-    }
-}
-
 /// An owned, thread-shareable KBQA server: the online procedure (paper
 /// Sec 3.3) behind a request/response API.
 ///
 /// Immutable: it serves one model under one model epoch, and a new model
-/// is served by a new service ([`KbqaService::with_model`]). Cloning is
-/// cheap (`Arc` bumps); a clone can be handed to another thread and both
+/// is served by a new service ([`KbqaService::with_model`]). Everything
+/// computed through one service — the answer, its
+/// [`QaResponse::model_epoch`] stamp, and its [`cache_key`] — therefore
+/// belongs to exactly one model epoch. Cloning is cheap (`Arc` bumps and a
+/// config copy, no lock); a clone can be handed to another thread and both
 /// serve concurrently. See the module docs for the design.
+///
+/// [`cache_key`]: KbqaService::cache_key
 #[derive(Clone)]
 pub struct KbqaService {
     store: Arc<TripleStore>,
@@ -1086,8 +628,8 @@ impl KbqaService {
     }
 
     /// Install an observability sink after construction (see
-    /// [`KbqaServiceBuilder::observability`]). Only clones and snapshots
-    /// taken from the returned service trace through it.
+    /// [`KbqaServiceBuilder::observability`]). Only the returned service
+    /// and its clones trace through it.
     pub fn with_observability(mut self, obs: Arc<Observability>) -> Self {
         self.obs = Some(obs);
         self
@@ -1104,9 +646,9 @@ impl KbqaService {
     /// and how ablations and A/B rollouts share every derived artifact.
     ///
     /// The sibling serves at `self.model_epoch() + 1`, so callers keying
-    /// caches through [`ServiceSnapshot::cache_key`] never see one of
-    /// `self`'s entries; `self` is unchanged. Two siblings of one parent
-    /// share an epoch, so they must not share one answer cache.
+    /// caches through [`KbqaService::cache_key`] never see one of `self`'s
+    /// entries; `self` is unchanged. Two siblings of one parent share an
+    /// epoch, so they must not share one answer cache.
     pub fn with_model(&self, model: Arc<LearnedModel>) -> Self {
         Self {
             model,
@@ -1121,23 +663,13 @@ impl KbqaService {
     }
 
     /// The knowledge base.
-    pub fn store(&self) -> &TripleStore {
+    pub fn store(&self) -> &Arc<TripleStore> {
         &self.store
     }
 
-    /// The knowledge base, shared.
-    pub fn store_shared(&self) -> Arc<TripleStore> {
-        Arc::clone(&self.store)
-    }
-
     /// The taxonomy.
-    pub fn conceptualizer(&self) -> &Conceptualizer {
+    pub fn conceptualizer(&self) -> &Arc<Conceptualizer> {
         &self.conceptualizer
-    }
-
-    /// The taxonomy, shared.
-    pub fn conceptualizer_shared(&self) -> Arc<Conceptualizer> {
-        Arc::clone(&self.conceptualizer)
     }
 
     /// The served model.
@@ -1151,13 +683,8 @@ impl KbqaService {
     }
 
     /// The pattern index, when attached.
-    pub fn pattern_index(&self) -> Option<&PatternIndex> {
-        self.pattern_index.as_deref()
-    }
-
-    /// The pattern index, shared, when attached.
-    pub fn pattern_index_shared(&self) -> Option<Arc<PatternIndex>> {
-        self.pattern_index.as_ref().map(Arc::clone)
+    pub fn pattern_index(&self) -> Option<&Arc<PatternIndex>> {
+        self.pattern_index.as_ref()
     }
 
     /// The default engine configuration.
@@ -1165,25 +692,67 @@ impl KbqaService {
         &self.config
     }
 
-    /// The service's serving state for one request or one batch (`Arc`
-    /// bumps, no lock).
-    pub fn snapshot(&self) -> ServiceSnapshot {
-        ServiceSnapshot {
-            store: Arc::clone(&self.store),
-            conceptualizer: Arc::clone(&self.conceptualizer),
-            model: Arc::clone(&self.model),
-            model_epoch: self.model_epoch,
-            ner: Arc::clone(&self.ner),
-            pattern_index: self.pattern_index.as_ref().map(Arc::clone),
-            config: self.config.clone(),
-            obs: self.obs.as_ref().map(Arc::clone),
-            shards: self.shards.as_ref().map(Arc::clone),
-        }
+    /// The same as `clone()`: `Arc` bumps and a config copy, no lock. Kept
+    /// for callers that take a per-request copy of the service by this
+    /// name.
+    pub fn snapshot(&self) -> KbqaService {
+        self.clone()
     }
 
-    /// Answer one request.
+    /// The borrowed inference kernel over this service's artifacts.
+    /// Construction is free: every component is already built.
+    pub fn engine(&self) -> QaEngine<'_> {
+        let mut engine =
+            QaEngine::with_shared(&self.store, &self.conceptualizer, &self.model, &self.ner)
+                .with_config(self.config.clone());
+        if let Some(index) = self.pattern_index.as_deref() {
+            engine = engine.with_pattern_index_ref(index);
+        }
+        if let Some(router) = self.router() {
+            engine = engine
+                .with_shard_router(router)
+                .with_shard_epoch(self.model_epoch);
+        }
+        engine
+    }
+
+    /// The shard router, when this service serves sharded.
+    fn router(&self) -> Option<&ShardRouter> {
+        self.shards.as_deref()
+    }
+
+    /// The versioned cache key for `request`: the service's model epoch
+    /// prefixed onto [`QaRequest::cache_key`].
+    ///
+    /// Two requests share a key **iff** they are guaranteed equal responses:
+    /// same normalized question, same effective config, same model epoch.
+    /// Serving a new epoch therefore invalidates every cached answer without
+    /// a flush — old-epoch keys are simply never looked up again. The `\u{1f}`
+    /// separator cannot appear in the normalized question, so the epoch
+    /// prefix is unambiguous.
+    pub fn cache_key(&self, request: &QaRequest) -> String {
+        let mut out = String::with_capacity(request.cache_key_capacity());
+        self.cache_key_into(request, &mut out);
+        out
+    }
+
+    /// Append [`KbqaService::cache_key`] to `out` — how a server builds
+    /// every key in one reused buffer and pays for an owned key only when
+    /// a miss inserts it.
+    pub fn cache_key_into(&self, request: &QaRequest, out: &mut String) {
+        use std::fmt::Write as _;
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{}\u{1f}", self.model_epoch);
+        request.push_cache_key(&self.config, out);
+    }
+
+    /// Answer one request under this service's model, stamping the epoch.
+    /// Runs on the calling thread's reusable [`ScratchSpace`].
     pub fn answer(&self, request: &QaRequest) -> QaResponse {
-        self.snapshot().answer(request)
+        with_engine_scratch(|scratch| {
+            let engine = self.engine();
+            self.answer_with(&engine, request, scratch).0
+        })
     }
 
     /// Answer a bare question with default options.
@@ -1191,35 +760,325 @@ impl KbqaService {
         self.answer(&QaRequest::new(question))
     }
 
-    /// Answer a batch of requests, fanning out across a scoped thread pool.
+    /// Answer one request and write the response's JSON into `out` — the
+    /// bytes `serde_json::to_string(&self.answer(request))` would produce,
+    /// appended. Runs on the calling thread's reusable [`ScratchSpace`].
+    ///
+    /// The engine renders it ([`QaEngine::render_request_into`]): a BFQ
+    /// answer (with or without overrides, behind a shard router or not)
+    /// straight from the kernel's ranked ids; an `explain` request, a
+    /// refusal or decomposition as an owned [`QaResponse`], serialized.
+    /// Either way the writing is timed as [`kbqa_obs::Stage::Serialize`] on
+    /// a traced request, and the returned [`Rendered::stages`] include it.
+    pub fn answer_into(&self, request: &QaRequest, out: &mut Vec<u8>) -> Rendered {
+        with_engine_scratch(|scratch| {
+            let engine = self.engine();
+            self.render_with(&engine, request, scratch, out)
+        })
+    }
+
+    /// Answer a batch of requests under this service's model, fanning out
+    /// across scoped threads when the batch is large enough to pay for them
+    /// (at least 64 questions per thread) and on the calling thread's warm
+    /// [`ScratchSpace`] otherwise.
     ///
     /// Responses are returned in request order and are identical to what
-    /// sequential [`KbqaService::answer`] calls would produce: requests are
-    /// independent, so the pool only amortizes engine setup and buys
-    /// wall-clock parallelism. The whole batch answers under a single model
-    /// epoch (one [`ServiceSnapshot`]).
+    /// sequential [`KbqaService::answer`] calls would produce: requests
+    /// are independent, so the threads only amortize engine setup and buy
+    /// wall-clock parallelism. The whole batch answers under one model
+    /// epoch.
     pub fn answer_batch(&self, requests: &[QaRequest]) -> Vec<QaResponse> {
-        self.snapshot().answer_batch(requests)
+        let mut inline = Vec::with_capacity(requests.len());
+        let parts = self.run_batch(
+            requests,
+            &mut inline,
+            Vec::new,
+            |responses, engine, request, scratch| {
+                responses.push(self.answer_with(engine, request, scratch).0);
+            },
+        );
+        match parts {
+            None => inline,
+            Some(parts) => parts.into_iter().flatten().collect(),
+        }
+    }
+
+    /// [`KbqaService::answer_batch`] written as JSON: each response is
+    /// rendered as [`KbqaService::answer_into`] renders it and appended
+    /// to `out` in request order as the elements of a JSON array —
+    /// separated by commas, without the brackets — and `rendered` is
+    /// refilled with one [`Rendered`] per request. Fans out exactly as
+    /// `answer_batch` does; each spawned thread renders its chunk into a
+    /// buffer of its own, copied into `out` in order once the threads
+    /// join. On the calling thread (every batch under 128 questions)
+    /// nothing is allocated once `out` and `rendered` are warm.
+    ///
+    /// Takes owned requests or references (`&[QaRequest]`, `&[&QaRequest]`):
+    /// a caller rendering a subset — the cache misses of a batch — passes
+    /// borrows instead of cloning the subset.
+    pub fn answer_batch_into<R>(
+        &self,
+        requests: &[R],
+        out: &mut Vec<u8>,
+        rendered: &mut Vec<Rendered>,
+    ) where
+        R: std::borrow::Borrow<QaRequest> + Sync,
+    {
+        rendered.clear();
+        let mut inline = (std::mem::take(out), std::mem::take(rendered));
+        let parts = self.run_batch(
+            requests,
+            &mut inline,
+            Default::default,
+            |(bytes, spans), engine, request, scratch| {
+                if !spans.is_empty() {
+                    bytes.push(b',');
+                }
+                spans.push(self.render_with(engine, request, scratch, bytes));
+            },
+        );
+        (*out, *rendered) = inline;
+        for (bytes, spans) in parts.into_iter().flatten() {
+            if !rendered.is_empty() {
+                out.push(b',');
+            }
+            let base = out.len();
+            out.extend_from_slice(&bytes);
+            rendered.extend(spans.into_iter().map(|one| Rendered {
+                span: base + one.span.start..base + one.span.end,
+                ..one
+            }));
+        }
+    }
+
+    /// Run `each` over every request of a batch. A batch under two threads'
+    /// worth of questions (128) runs on the calling thread's warm scratch,
+    /// into `inline`, and returns `None`. Otherwise the batch splits into
+    /// contiguous chunks of at least 64 questions, each run on a scoped
+    /// thread with its own scratch into a `fresh()` accumulator; the
+    /// accumulators come back in request order. The whole batch answers
+    /// under this one service, so no batch ever straddles mixed model
+    /// epochs.
+    fn run_batch<R, A>(
+        &self,
+        requests: &[R],
+        inline: &mut A,
+        fresh: impl Fn() -> A + Sync,
+        each: impl Fn(&mut A, &QaEngine<'_>, &QaRequest, &mut ScratchSpace) + Sync,
+    ) -> Option<Vec<A>>
+    where
+        R: std::borrow::Borrow<QaRequest> + Sync,
+        A: Send,
+    {
+        // A thread pays for its spawn and its cold scratch only with at
+        // least `BATCH_MIN_QUESTIONS_PER_THREAD` questions to run, so a
+        // small batch — every lane of a server `/batch` — runs on the
+        // calling thread. (`available_parallelism` reads the affinity mask
+        // and cgroup files, which a small batch has no reason to pay for.)
+        let workers = match (requests.len() / BATCH_MIN_QUESTIONS_PER_THREAD).min(16) {
+            0 | 1 => 1,
+            by_size => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(by_size),
+        };
+        if workers <= 1 {
+            // One engine and one scratch for the whole batch.
+            with_engine_scratch(|scratch| {
+                let engine = self.engine();
+                for request in requests {
+                    each(inline, &engine, request.borrow(), scratch);
+                }
+            });
+            return None;
+        }
+        let (fresh, each) = (&fresh, &each);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = requests
+                .chunks(requests.len().div_ceil(workers))
+                .map(|chunk| {
+                    scope.spawn(move || {
+                        // Per-worker scratch, reused across the whole chunk.
+                        with_engine_scratch(|scratch| {
+                            let engine = self.engine();
+                            let mut acc = fresh();
+                            for request in chunk {
+                                each(&mut acc, &engine, request.borrow(), scratch);
+                            }
+                            acc
+                        })
+                    })
+                })
+                .collect();
+            Some(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("batch worker panicked"))
+                    .collect(),
+            )
+        })
+    }
+
+    /// The one place a request actually runs as an owned response: arm the
+    /// scratch tracer when this request should be traced, answer, then
+    /// drain stage timings into the sink's histograms. Stage timings attach
+    /// to the response only for `explain` requests, so responses stay
+    /// byte-identical across sampled and unsampled runs of the same
+    /// question (the cache contract).
+    fn answer_with(
+        &self,
+        engine: &QaEngine<'_>,
+        request: &QaRequest,
+        scratch: &mut ScratchSpace,
+    ) -> (QaResponse, Option<StageBreakdown>) {
+        self.begin_trace(request, scratch);
+        let mut response = self.respond(engine, request, scratch);
+        let breakdown = self.finish_trace(scratch);
+        if request.explain {
+            response.stage_us = breakdown;
+        }
+        (response, breakdown)
+    }
+
+    /// [`KbqaService::answer_with`] written into `out`: the one place a
+    /// request runs as rendered bytes. The engine renders it
+    /// ([`QaEngine::render_request_into`]) behind the shard guard; a
+    /// question a shard failed is rewritten as its stamped refusal.
+    fn render_with(
+        &self,
+        engine: &QaEngine<'_>,
+        request: &QaRequest,
+        scratch: &mut ScratchSpace,
+        out: &mut Vec<u8>,
+    ) -> Rendered {
+        let start = out.len();
+        self.begin_trace(request, scratch);
+        let rendered = self.shard_guard(scratch, |scratch| {
+            engine.render_request_into(request, scratch, self.model_epoch, out)
+        });
+        let refusal = match rendered {
+            Some(refusal) => refusal,
+            None => {
+                out.truncate(start);
+                let mut refused = QaResponse::refused(Refusal::ShardUnavailable);
+                refused.model_epoch = self.model_epoch;
+                refused.serialize_into(out);
+                refused.refusal
+            }
+        };
+        Rendered {
+            span: start..out.len(),
+            refusal,
+            stages: self.finish_trace(scratch),
+        }
+    }
+
+    /// Arm the scratch tracer when this request should be traced: an
+    /// [`Observability`] sink is installed and the request was sampled or
+    /// asked to `explain`.
+    fn begin_trace(&self, request: &QaRequest, scratch: &mut ScratchSpace) {
+        let trace_this = match &self.obs {
+            Some(obs) => request.explain || obs.should_trace(),
+            None => false,
+        };
+        scratch.trace.begin(trace_this);
+    }
+
+    /// The owned response, behind the shard guard, stamped with this
+    /// service's epoch.
+    fn respond(
+        &self,
+        engine: &QaEngine<'_>,
+        request: &QaRequest,
+        scratch: &mut ScratchSpace,
+    ) -> QaResponse {
+        let mut response = self
+            .shard_guard(scratch, |scratch| {
+                engine.answer_request_with(request, scratch)
+            })
+            .unwrap_or_else(|| QaResponse::refused(Refusal::ShardUnavailable));
+        response.model_epoch = self.model_epoch;
+        response
+    }
+
+    /// Drain an armed trace into the sink's histograms — and, behind a
+    /// shard router, the primary shard's — returning the breakdown.
+    fn finish_trace(&self, scratch: &mut ScratchSpace) -> Option<StageBreakdown> {
+        let breakdown = self
+            .obs
+            .as_ref()
+            .and_then(|obs| scratch.trace.finish(obs.stats()));
+        if let (Some(router), Some(bd)) = (self.router(), breakdown.as_ref()) {
+            // Per-shard stage histograms: the whole-question breakdown is
+            // attributed to the primary shard (the first one a lookup
+            // routed to).
+            if scratch.shard_primary != u32::MAX {
+                router
+                    .obs()
+                    .lane(scratch.shard_primary as usize)
+                    .record_breakdown(bd);
+            }
+        }
+        breakdown
+    }
+
+    /// Run one request's engine work with fault isolation behind a shard
+    /// router (without one, `run` just runs): a shard panicking mid-query
+    /// ([`ShardPanic`]) is counted on the shard's lane and returns `None`,
+    /// which the caller degrades to a typed [`Refusal::ShardUnavailable`]
+    /// for *this question* — the service stays up, and any other panic
+    /// keeps unwinding (shard isolation is not a license to swallow engine
+    /// bugs).
+    fn shard_guard<T>(
+        &self,
+        scratch: &mut ScratchSpace,
+        run: impl FnOnce(&mut ScratchSpace) -> T,
+    ) -> Option<T> {
+        let Some(router) = self.router() else {
+            return Some(run(scratch));
+        };
+        scratch.shard_mask = 0;
+        scratch.shard_primary = u32::MAX;
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(scratch)));
+        match result {
+            Ok(value) => {
+                let obs = router.obs();
+                obs.record_fanout(scratch.shard_mask.count_ones() as usize);
+                if scratch.shard_primary != u32::MAX {
+                    obs.lane(scratch.shard_primary as usize).record_query();
+                }
+                Some(value)
+            }
+            Err(payload) => {
+                let Some(&ShardPanic(shard)) = payload.downcast_ref::<ShardPanic>() else {
+                    std::panic::resume_unwind(payload);
+                };
+                // Drop any half-recorded stage timings from the unwound
+                // request; the scratch clears the rest of its state at next
+                // use by construction.
+                let _ = scratch.trace.take();
+                router.obs().lane(shard).record_failure();
+                None
+            }
+        }
     }
 
     /// Table 6 statistics for one question.
     pub fn question_statistics(&self, question: &str) -> ChoiceStats {
-        self.snapshot().engine().question_statistics(question)
+        self.engine().question_statistics(question)
     }
 
     /// Run the Sec 5 decomposition DP on a question (requires a pattern
     /// index). Exposed for tooling; [`KbqaService::answer`] applies it
     /// automatically as a fallback.
     pub fn decompose(&self, question: &str) -> Option<Decomposition> {
-        let snapshot = self.snapshot();
-        let index = snapshot.pattern_index.as_deref()?;
-        crate::decompose::decompose(&snapshot.engine(), index, question)
+        let index = self.pattern_index.as_deref()?;
+        crate::decompose::decompose(&self.engine(), index, question)
     }
 
     /// Execute a decomposition, returning ranked chained answers.
     pub fn execute_decomposition(&self, decomposition: &Decomposition) -> Option<Vec<Answer>> {
-        let snapshot = self.snapshot();
-        crate::decompose::execute(&snapshot.engine(), decomposition)
+        crate::decompose::execute(&self.engine(), decomposition)
     }
 }
 
@@ -1245,12 +1104,11 @@ mod tests {
         assert_send_sync::<KbqaService>();
         assert_send_sync::<QaRequest>();
         assert_send_sync::<QaResponse>();
-        assert_send_sync::<ServiceSnapshot>();
     }
 
     #[test]
     fn versioned_cache_key_changes_with_the_epoch_only() {
-        let snapshot_at = |epoch: u64| ServiceSnapshot {
+        let service_at = |epoch: u64| KbqaService {
             store: Arc::new(kbqa_rdf::GraphBuilder::new().build()),
             conceptualizer: Arc::new(Conceptualizer::new(
                 kbqa_taxonomy::NetworkBuilder::new().build(),
@@ -1264,8 +1122,8 @@ mod tests {
             shards: None,
         };
         let request = QaRequest::new("what is the population of berlin");
-        let at_zero = snapshot_at(0).cache_key(&request);
-        let at_one = snapshot_at(1).cache_key(&request);
+        let at_zero = service_at(0).cache_key(&request);
+        let at_one = service_at(1).cache_key(&request);
         assert_ne!(at_zero, at_one, "an epoch bump must invalidate the key");
         // The suffix past the epoch prefix is the unversioned key.
         let base = request.cache_key(&EngineConfig::default());
@@ -1305,7 +1163,7 @@ mod tests {
         // included) but the response body stays identical to an untraced
         // run (the cache contract).
         let mut body = Vec::new();
-        let rendered = traced.snapshot().answer_into(&quiet, &mut body);
+        let rendered = traced.answer_into(&quiet, &mut body);
         assert!(rendered.stages.is_some());
         assert_eq!(stats.traced_requests(), 2);
         let serialize = stats.histogram(kbqa_obs::Stage::Serialize).snapshot();
@@ -1411,7 +1269,7 @@ mod tests {
         };
         for base in &bases {
             for epoch in [0u64, 7, u64::MAX] {
-                let snapshot = ServiceSnapshot {
+                let service = KbqaService {
                     store: Arc::new(kbqa_rdf::GraphBuilder::new().build()),
                     conceptualizer: Arc::new(Conceptualizer::new(
                         kbqa_taxonomy::NetworkBuilder::new().build(),
@@ -1430,7 +1288,7 @@ mod tests {
                         let reference = request.cache_key_reference(base);
                         assert_eq!(request.cache_key(base), reference, "{request:?}");
                         assert_eq!(
-                            snapshot.cache_key(&request),
+                            service.cache_key(&request),
                             format!("{epoch}\u{1f}{reference}"),
                             "{request:?} at epoch {epoch}"
                         );

@@ -14,9 +14,7 @@
 //! - [`StageTrace`] — a wait-free per-request lap timer that lives inside
 //!   the engine's `ScratchSpace`. One `Instant::now()` per stage boundary,
 //!   a fixed `[u64; 8]` accumulator, **zero heap allocations** in steady
-//!   state. An inactive trace costs a single predicted branch per lap, and
-//!   the whole mechanism compiles to no-ops when the `stage-timers`
-//!   feature is disabled.
+//!   state. An inactive trace costs a single predicted branch per lap.
 //! - [`LatencyHistogram`] / [`StageStats`] — fixed-bucket atomic
 //!   histograms (moved here from `kbqa-server` so every layer can record
 //!   into them), one per stage, with wait-free recording.

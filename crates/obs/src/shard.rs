@@ -8,10 +8,6 @@
 //! bucket with how many distinct shards the question's lookups touched.
 //! Recording is wait-free (fixed arrays of atomics), so the lanes can sit
 //! on the hot path next to the engine's sampled stage tracer.
-//!
-//! Queue-depth gauges are driven by the batch scheduler: each per-shard
-//! worker [`enqueue`](ShardLane::enqueue)s its backlog so `/metrics` can
-//! show where a skewed cut is piling work.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -24,14 +20,12 @@ use crate::stage::{StageBreakdown, StageStats, StageStatsSnapshot};
 /// "8 or more".
 pub const FANOUT_BUCKETS: usize = 9;
 
-/// Telemetry lane of one shard: query/failure counters, batch queue-depth
-/// gauge with high-water mark, and the shard's own stage histograms.
+/// Telemetry lane of one shard: query/failure counters and the shard's own
+/// stage histograms.
 #[derive(Debug, Default)]
 pub struct ShardLane {
     queries: AtomicU64,
     failures: AtomicU64,
-    queue_depth: AtomicU64,
-    queue_peak: AtomicU64,
     stages: StageStats,
 }
 
@@ -51,17 +45,6 @@ impl ShardLane {
         self.stages.record_breakdown(breakdown);
     }
 
-    /// Raise the queue-depth gauge by `n` queued questions.
-    pub fn enqueue(&self, n: u64) {
-        let depth = self.queue_depth.fetch_add(n, Ordering::Relaxed) + n;
-        self.queue_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Lower the queue-depth gauge by `n` completed questions.
-    pub fn dequeue(&self, n: u64) {
-        self.queue_depth.fetch_sub(n, Ordering::Relaxed);
-    }
-
     /// Questions attributed to this shard.
     pub fn queries(&self) -> u64 {
         self.queries.load(Ordering::Relaxed)
@@ -70,11 +53,6 @@ impl ShardLane {
     /// Isolated failures on this shard.
     pub fn failures(&self) -> u64 {
         self.failures.load(Ordering::Relaxed)
-    }
-
-    /// Current batch-queue depth.
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
     }
 
     /// This shard's stage histograms.
@@ -88,8 +66,6 @@ impl ShardLane {
             shard,
             queries: self.queries(),
             failures: self.failures(),
-            queue_depth: self.queue_depth(),
-            queue_peak: self.queue_peak.load(Ordering::Relaxed),
             stages: self.stages.snapshot(),
         }
     }
@@ -155,18 +131,12 @@ impl ShardObs {
                 .collect(),
         }
     }
-
-    /// Render the per-shard metric families into a Prometheus exposition
-    /// (see [`ShardObsSnapshot::write_prometheus`]).
-    pub fn write_prometheus(&self, w: &mut PromWriter) {
-        self.snapshot().write_prometheus(w);
-    }
 }
 
 impl ShardObsSnapshot {
     /// Render the per-shard metric families into a Prometheus exposition.
     /// Stage histograms stay JSON-only (8 histograms × N shards would bloat
-    /// the exposition); counters, gauges, and the fan-out distribution are
+    /// the exposition); the counters and the fan-out distribution are
     /// exported.
     pub fn write_prometheus(&self, w: &mut PromWriter) {
         let snap = self;
@@ -194,32 +164,6 @@ impl ShardObsSnapshot {
                 "kbqa_shard_failures_total",
                 &[("shard", shard.as_str())],
                 lane.failures as f64,
-            );
-        }
-        w.family(
-            "kbqa_shard_queue_depth",
-            "Questions currently queued on each shard's batch worker.",
-            "gauge",
-        );
-        for lane in &snap.lanes {
-            let shard = lane.shard.to_string();
-            w.sample(
-                "kbqa_shard_queue_depth",
-                &[("shard", shard.as_str())],
-                lane.queue_depth as f64,
-            );
-        }
-        w.family(
-            "kbqa_shard_queue_peak",
-            "High-water mark of each shard's batch queue depth.",
-            "gauge",
-        );
-        for lane in &snap.lanes {
-            let shard = lane.shard.to_string();
-            w.sample(
-                "kbqa_shard_queue_peak",
-                &[("shard", shard.as_str())],
-                lane.queue_peak as f64,
             );
         }
         w.family(
@@ -254,12 +198,6 @@ pub struct ShardLaneSnapshot {
     /// Isolated failures on this shard.
     #[serde(default)]
     pub failures: u64,
-    /// Current batch-queue depth.
-    #[serde(default)]
-    pub queue_depth: u64,
-    /// Queue-depth high-water mark.
-    #[serde(default)]
-    pub queue_peak: u64,
     /// This shard's stage histograms.
     #[serde(default)]
     pub stages: StageStatsSnapshot,
@@ -289,16 +227,12 @@ mod tests {
         obs.lane(0).record_query();
         obs.lane(0).record_query();
         obs.lane(2).record_failure();
-        obs.lane(1).enqueue(5);
-        obs.lane(1).dequeue(2);
         obs.record_fanout(1);
         obs.record_fanout(12);
         let snap = obs.snapshot();
         assert_eq!(snap.lanes.len(), 3);
         assert_eq!(snap.lanes[0].queries, 2);
         assert_eq!(snap.lanes[2].failures, 1);
-        assert_eq!(snap.lanes[1].queue_depth, 3);
-        assert_eq!(snap.lanes[1].queue_peak, 5);
         assert_eq!(snap.fanout[1], 1);
         assert_eq!(snap.fanout[FANOUT_BUCKETS - 1], 1);
         assert_eq!(obs.total_failures(), 1);
@@ -310,7 +244,7 @@ mod tests {
         obs.lane(0).record_query();
         obs.record_fanout(1);
         let mut w = PromWriter::new();
-        obs.write_prometheus(&mut w);
+        obs.snapshot().write_prometheus(&mut w);
         let text = w.finish();
         validate_exposition(&text).expect("shard exposition must validate");
         assert!(text.contains("kbqa_shard_queries_total{shard=\"0\"} 1"));

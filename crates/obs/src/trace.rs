@@ -14,10 +14,7 @@
 //!   perf gate and the kernel benchmarks run in this mode and are
 //!   unaffected;
 //! - **armed**: ~25 ns per boundary for the monotonic clock read, which is
-//!   why services sample kernel-granularity tracing 1-in-N by default;
-//! - **compiled out** (`stage-timers` feature disabled): every method body
-//!   is behind `cfg!(feature = "stage-timers")`, so the whole mechanism
-//!   constant-folds to no-ops and even the branch disappears.
+//!   why services sample kernel-granularity tracing 1-in-N by default.
 
 use std::time::Instant;
 
@@ -51,16 +48,13 @@ impl StageTrace {
     /// Whether laps are currently being recorded.
     #[inline]
     pub fn is_active(&self) -> bool {
-        cfg!(feature = "stage-timers") && self.active
+        self.active
     }
 
     /// Arm (or disarm) the trace for one request. Arming resets the
     /// accumulators and starts the first lap.
     #[inline]
     pub fn begin(&mut self, arm: bool) {
-        if !cfg!(feature = "stage-timers") {
-            return;
-        }
         self.active = arm;
         if arm {
             self.accum_ns = [0; Stage::COUNT];
@@ -72,7 +66,7 @@ impl StageTrace {
     /// `stage`. A disarmed trace returns after one predicted branch.
     #[inline]
     pub fn lap(&mut self, stage: Stage) {
-        if !cfg!(feature = "stage-timers") || !self.active {
+        if !self.active {
             return;
         }
         let now = Instant::now();
@@ -86,7 +80,7 @@ impl StageTrace {
     /// exit and serialization).
     #[inline]
     pub fn skip(&mut self) {
-        if !cfg!(feature = "stage-timers") || !self.active {
+        if !self.active {
             return;
         }
         self.last = Instant::now();
@@ -138,7 +132,6 @@ mod tests {
         assert_eq!(stats.snapshot().stages[0].latency.count, 0);
     }
 
-    #[cfg(feature = "stage-timers")]
     #[test]
     fn armed_trace_attributes_laps_and_flushes() {
         let stats = StageStats::new();
@@ -168,7 +161,6 @@ mod tests {
         assert_eq!(stats.traced_requests(), 1);
     }
 
-    #[cfg(feature = "stage-timers")]
     #[test]
     fn skip_discards_the_gap() {
         let mut trace = StageTrace::new();
@@ -183,7 +175,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "stage-timers")]
     #[test]
     fn begin_rearms_cleanly_between_requests() {
         let stats = StageStats::new();
@@ -202,16 +193,5 @@ mod tests {
         // begin(false) disarms.
         trace.begin(false);
         assert!(!trace.is_active());
-    }
-
-    #[cfg(not(feature = "stage-timers"))]
-    #[test]
-    fn compiled_out_trace_is_inert() {
-        let stats = StageStats::new();
-        let mut trace = StageTrace::new();
-        trace.begin(true);
-        trace.lap(Stage::Parse);
-        assert!(!trace.is_active());
-        assert!(trace.finish(&stats).is_none());
     }
 }

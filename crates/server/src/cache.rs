@@ -5,7 +5,7 @@
 //! [`AnswerCache`] is generic over what it stores; the server stores each
 //! answer **as the bytes it is served as** — one `Arc<[u8]>` holding an
 //! outcome tag and the response JSON ([`RenderedAnswer`]) — keyed by
-//! [`ServiceSnapshot::cache_key`](kbqa_core::service::ServiceSnapshot::cache_key)
+//! [`KbqaService::cache_key`](kbqa_core::service::KbqaService::cache_key)
 //! (model epoch + normalized question + effective engine config). A hit is
 //! therefore decode → key (built in a reused buffer) → probe → one copy of
 //! the stored bytes: no response tree, no re-serialization, and a hit is
@@ -27,7 +27,7 @@
 //!
 //! **Model hot swaps** need no cache support at all: the HTTP layer keys
 //! entries by
-//! [`ServiceSnapshot::cache_key`](kbqa_core::service::ServiceSnapshot::cache_key),
+//! [`KbqaService::cache_key`](kbqa_core::service::KbqaService::cache_key),
 //! which prefixes the model epoch. A swap bumps the epoch, so every
 //! post-swap lookup misses (and recomputes under the new model) while stale
 //! entries become unaddressable and age out by LRU pressure — invalidation
@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex};
 use serde::{Deserialize, Serialize};
 
 use kbqa_common::hash::{FxHashMap, FxHasher};
-use kbqa_core::service::{QaRequest, QaResponse, Refusal, Rendered, ServiceSnapshot};
+use kbqa_core::service::{KbqaService, QaRequest, QaResponse, Refusal, Rendered};
 
 /// Cache sizing knobs.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -426,14 +426,14 @@ pub struct BatchLane {
 }
 
 impl BatchLane {
-    /// Answer `requests` under `snapshot` through `cache`, appending each
+    /// Answer `requests` under `service` through `cache`, appending each
     /// response's JSON to `out` in request order as elements of a JSON
     /// array — comma-separated, with a leading comma when
     /// `continues_array` says earlier elements precede this run — and
     /// reporting each outcome to `outcome`.
     ///
     /// Hits copy their stored bytes. Misses are answered by reference,
-    /// rendered once through [`ServiceSnapshot::answer_batch_into`] (which
+    /// rendered once through [`KbqaService::answer_batch_into`] (which
     /// fans a large run out across threads), and copied into their entries;
     /// when the whole run misses, it renders straight into `out`.
     /// Duplicate questions within one run each miss and are computed
@@ -442,7 +442,7 @@ impl BatchLane {
     pub fn answer(
         &mut self,
         cache: &RenderedCache,
-        snapshot: &ServiceSnapshot,
+        service: &KbqaService,
         requests: &[QaRequest],
         continues_array: bool,
         out: &mut Vec<u8>,
@@ -451,7 +451,7 @@ impl BatchLane {
         self.keys.clear();
         self.key_ends.clear();
         for request in requests {
-            snapshot.cache_key_into(request, &mut self.keys);
+            service.cache_key_into(request, &mut self.keys);
             self.key_ends.push(self.keys.len());
         }
         self.hits.clear();
@@ -465,7 +465,7 @@ impl BatchLane {
             if continues_array && !requests.is_empty() {
                 out.push(b',');
             }
-            snapshot.answer_batch_into(requests, out, &mut self.rendered);
+            service.answer_batch_into(requests, out, &mut self.rendered);
             let mut start = 0;
             for (one, &end) in self.rendered.iter().zip(&self.key_ends) {
                 let entry = RenderedAnswer::new(one.refusal, &out[one.span.clone()]);
@@ -483,7 +483,7 @@ impl BatchLane {
                 .filter(|(_, hit)| hit.is_none())
                 .map(|(request, _)| request)
                 .collect();
-            snapshot.answer_batch_into(&misses, &mut self.miss_bytes, &mut self.rendered);
+            service.answer_batch_into(&misses, &mut self.miss_bytes, &mut self.rendered);
         }
         let mut misses = self.rendered.iter();
         let mut start = 0;

@@ -73,15 +73,15 @@
 //! into typed requests (`serde_json::from_slice`, whose derived
 //! `Deserialize` streams off the body with no `Value` tree), a plain answer
 //! renders from the kernel's ranked ids
-//! ([`kbqa_core::service::ServiceSnapshot::answer_into`]), and the answer
+//! ([`kbqa_core::service::KbqaService::answer_into`]), and the answer
 //! cache stores each response as the bytes it is served as — a hit is one
-//! copy, never a re-serialization (see [`crate::cache`]). HTTP heads go
-//! through a per-loop `ResponseWriter`. `POST /batch?stream=1` switches the
-//! response to HTTP/1.1 **chunked transfer**: answers are rendered in
-//! compute lanes and flushed once [`ServerConfig::stream_flush_bytes`]
-//! accumulate, riding the same write state machine. De-chunked, the
-//! streamed body is byte-identical to the buffered one, and one stream
-//! serves exactly one model epoch.
+//! copy, never a re-serialization (see [`crate::cache`]). HTTP heads and
+//! chunk framing are appended straight into each connection's write
+//! buffer. `POST /batch?stream=1` switches the response to HTTP/1.1
+//! **chunked transfer**: answers are rendered in compute lanes and flushed
+//! once [`ServerConfig::stream_flush_bytes`] accumulate, riding the same
+//! write state machine. De-chunked, the streamed body is byte-identical to
+//! the buffered one, and one stream serves exactly one model epoch.
 //!
 //! Live operations: `POST /admin/reload` (token-gated, PR 3) hot-swaps the
 //! model, and with a bundle dir configured (`?mode=bundle`, the default
@@ -797,9 +797,6 @@ struct EventLoop {
     wheel: TimerWheel,
     due: Vec<(u32, u64)>,
     draining: bool,
-    /// Renders heads, bodies and chunk framing straight into each
-    /// connection's write buffer — one per loop, reused for every response.
-    writer: ResponseWriter,
     /// `(slot, generation)` of every connection in [`ConnState::Computing`]
     /// (entries of closed connections drop out on the next pass).
     computing: Vec<(u32, u64)>,
@@ -825,7 +822,6 @@ impl EventLoop {
             wheel,
             due: Vec::new(),
             draining: false,
-            writer: ResponseWriter::new(),
             computing: Vec::new(),
             lane: BatchLane::default(),
         }
@@ -1235,7 +1231,7 @@ impl EventLoop {
         self.computing.push((slot, conn.generation));
         match head_keep_alive {
             Some(keep_alive) => {
-                self.writer.stream_head(&mut conn.out, keep_alive);
+                write_stream_head(&mut conn.out, keep_alive);
                 conn.keep_alive_after_write = keep_alive;
                 let budget = self.shared.config.request_timeout;
                 self.arm(slot, DeadlineKind::Write, budget);
@@ -1275,7 +1271,7 @@ impl EventLoop {
         };
         conn.out.clear();
         conn.out_pos = 0;
-        self.writer.render(&mut conn.out, response, keep_alive);
+        write_response(&mut conn.out, response, keep_alive);
         conn.state = ConnState::Writing;
         conn.keep_alive_after_write = keep_alive;
         self.arm(slot, DeadlineKind::Write, budget);
@@ -1448,14 +1444,14 @@ impl EventLoop {
         let flush_bytes = shared.config.stream_flush_bytes.max(1);
         if run.pending.len() >= flush_bytes {
             metrics.record_batch_stream_chunk();
-            self.writer.chunk(&mut conn.out, &run.pending);
+            write_chunk(&mut conn.out, &run.pending);
             run.pending.clear();
         }
         if done {
             run.pending.push(b']');
             metrics.record_batch_stream_chunk();
-            self.writer.chunk(&mut conn.out, &run.pending);
-            self.writer.stream_end(&mut conn.out);
+            write_chunk(&mut conn.out, &run.pending);
+            write_stream_end(&mut conn.out);
             conn.state = ConnState::Writing;
         }
         if !conn.out.is_empty() {
@@ -1892,69 +1888,59 @@ fn write_hex(out: &mut Vec<u8>, mut v: u64) {
     out.extend_from_slice(&digits[i..]);
 }
 
-/// Renders responses straight into a connection's write buffer: head,
-/// body, and chunked-stream framing, all via byte appends — no `format!`,
-/// no intermediate `String` per response. One lives in each event loop and
-/// is reused for every response that loop writes.
-struct ResponseWriter;
+fn connection_header(out: &mut Vec<u8>, keep_alive: bool) {
+    out.extend_from_slice(if keep_alive {
+        b"Connection: keep-alive\r\n\r\n"
+    } else {
+        b"Connection: close\r\n\r\n"
+    });
+}
 
-impl ResponseWriter {
-    fn new() -> Self {
-        Self
-    }
-
-    fn connection_header(&self, out: &mut Vec<u8>, keep_alive: bool) {
-        out.extend_from_slice(if keep_alive {
-            b"Connection: keep-alive\r\n\r\n"
-        } else {
-            b"Connection: close\r\n\r\n"
-        });
-    }
-
-    /// Head + body with `Content-Length` framing (the buffered path).
-    fn render(&self, out: &mut Vec<u8>, response: &Response, keep_alive: bool) {
-        out.extend_from_slice(b"HTTP/1.1 ");
-        write_dec(out, u64::from(response.status));
-        out.push(b' ');
-        out.extend_from_slice(reason(response.status).as_bytes());
-        out.extend_from_slice(b"\r\nContent-Type: ");
-        out.extend_from_slice(response.content_type.as_bytes());
-        out.extend_from_slice(b"\r\nContent-Length: ");
-        write_dec(out, response.body.bytes().len() as u64);
-        out.extend_from_slice(b"\r\n");
-        if let Some(seconds) = response.retry_after {
-            out.extend_from_slice(b"Retry-After: ");
-            write_dec(out, seconds);
-            out.extend_from_slice(b"\r\n");
-        }
-        self.connection_header(out, keep_alive);
-        out.extend_from_slice(response.body.bytes());
-    }
-
-    /// The head of a chunked `200` JSON stream.
-    fn stream_head(&self, out: &mut Vec<u8>, keep_alive: bool) {
-        out.extend_from_slice(
-            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n",
-        );
-        self.connection_header(out, keep_alive);
-    }
-
-    /// One framed chunk: `{len:x}\r\n … \r\n`. Empty chunks are skipped —
-    /// a zero-length chunk would terminate the stream.
-    fn chunk(&self, out: &mut Vec<u8>, bytes: &[u8]) {
-        if bytes.is_empty() {
-            return;
-        }
-        write_hex(out, bytes.len() as u64);
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(bytes);
+/// Append head + body with `Content-Length` framing (the buffered path) to
+/// a connection's write buffer: byte appends only — no `format!`, no
+/// intermediate `String` per response.
+fn write_response(out: &mut Vec<u8>, response: &Response, keep_alive: bool) {
+    out.extend_from_slice(b"HTTP/1.1 ");
+    write_dec(out, u64::from(response.status));
+    out.push(b' ');
+    out.extend_from_slice(reason(response.status).as_bytes());
+    out.extend_from_slice(b"\r\nContent-Type: ");
+    out.extend_from_slice(response.content_type.as_bytes());
+    out.extend_from_slice(b"\r\nContent-Length: ");
+    write_dec(out, response.body.bytes().len() as u64);
+    out.extend_from_slice(b"\r\n");
+    if let Some(seconds) = response.retry_after {
+        out.extend_from_slice(b"Retry-After: ");
+        write_dec(out, seconds);
         out.extend_from_slice(b"\r\n");
     }
+    connection_header(out, keep_alive);
+    out.extend_from_slice(response.body.bytes());
+}
 
-    /// The terminal chunk.
-    fn stream_end(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"0\r\n\r\n");
+/// Append the head of a chunked `200` JSON stream.
+fn write_stream_head(out: &mut Vec<u8>, keep_alive: bool) {
+    out.extend_from_slice(
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n",
+    );
+    connection_header(out, keep_alive);
+}
+
+/// Append one framed chunk: `{len:x}\r\n … \r\n`. Empty chunks are
+/// skipped — a zero-length chunk would terminate the stream.
+fn write_chunk(out: &mut Vec<u8>, bytes: &[u8]) {
+    if bytes.is_empty() {
+        return;
     }
+    write_hex(out, bytes.len() as u64);
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(bytes);
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Append the terminal chunk.
+fn write_stream_end(out: &mut Vec<u8>) {
+    out.extend_from_slice(b"0\r\n\r\n");
 }
 
 const ROUTES: [(&str, &str); 7] = [
@@ -2255,11 +2241,10 @@ thread_local! {
 /// a miss renders once and copies those bytes into its entry, so the body
 /// is byte-identical either way.
 ///
-/// Key and computation both come from a single [`ServiceSnapshot`], so the
-/// cache entry's epoch-versioned key always matches the epoch of the model
-/// that produced the value — even when a hot swap lands mid-request.
-///
-/// [`ServiceSnapshot`]: kbqa_core::service::ServiceSnapshot
+/// Key and computation both come from the one service loaded from the
+/// slot, so the cache entry's epoch-versioned key always matches the epoch
+/// of the model that produced the value — even when a hot swap lands
+/// mid-request.
 fn handle_answer(state: &AppState, body: &[u8]) -> Response {
     let started = Instant::now();
     let mut request = match serde_json::from_slice::<QaRequest>(body) {
@@ -2279,17 +2264,16 @@ fn handle_answer(state: &AppState, body: &[u8]) -> Response {
         request.request_id = Some(state.metrics.next_request_id());
     }
     let service = state.service.load();
-    let snapshot = service.snapshot();
     // Read-your-reload: a client that just drove `/admin/reload` may pin a
     // floor epoch; a replica still serving below it answers 409 instead of
     // silently serving stale answers.
     if let Some(min_epoch) = request.min_epoch {
-        if snapshot.model_epoch() < min_epoch {
+        if service.model_epoch() < min_epoch {
             return Response::error(
                 409,
                 &format!(
                     "serving model epoch {} is below requested min_epoch {min_epoch}",
-                    snapshot.model_epoch()
+                    service.model_epoch()
                 ),
             );
         }
@@ -2297,12 +2281,12 @@ fn handle_answer(state: &AppState, body: &[u8]) -> Response {
     let (answer, cache_hit, stages) = ANSWER_BUFS.with(|bufs| {
         let (key, rendering) = &mut *bufs.borrow_mut();
         key.clear();
-        snapshot.cache_key_into(&request, key);
+        service.cache_key_into(&request, key);
         if let Some(cached) = state.cache.get(key) {
             return (cached, true, None);
         }
         rendering.clear();
-        let rendered = snapshot.answer_into(&request, rendering);
+        let rendered = service.answer_into(&request, rendering);
         let answer = RenderedAnswer::new(rendered.refusal, rendering);
         state.cache.insert(key.as_str(), answer.clone());
         (answer, false, rendered.stages)
@@ -2317,7 +2301,7 @@ fn handle_answer(state: &AppState, body: &[u8]) -> Response {
         stages: stages.unwrap_or_default(),
         refusal: refusal.map(|r| r.to_string()),
         cache_hit,
-        model_epoch: snapshot.model_epoch(),
+        model_epoch: service.model_epoch(),
         store_backend: service.store().backend_kind().as_str().to_string(),
         traced: stages.is_some(),
     });
@@ -2326,11 +2310,11 @@ fn handle_answer(state: &AppState, body: &[u8]) -> Response {
 }
 
 /// The decoded-and-admitted prefix of a `/batch` request, in either
-/// framing: the requests and the snapshot every key and answer of the batch
+/// framing: the requests and the service every key and answer of the batch
 /// comes from.
 struct BatchSetup {
     requests: Vec<QaRequest>,
-    snapshot: kbqa_core::service::ServiceSnapshot,
+    service: Arc<KbqaService>,
 }
 
 /// Decode and admit one `/batch` body. `Err` carries the early response
@@ -2340,22 +2324,21 @@ fn batch_setup(state: &AppState, body: &[u8]) -> Result<BatchSetup, Response> {
         .map_err(|e| Response::error(400, &e.to_string()))?;
     state.metrics.record_batch_request(requests.len());
     let service = state.service.load();
-    let snapshot = service.snapshot();
     // The whole batch runs under one model epoch, so one member pinning a
-    // floor the snapshot cannot meet rejects the whole batch — mixed-epoch
+    // floor the service cannot meet rejects the whole batch — mixed-epoch
     // partial batches are exactly what `min_epoch` exists to prevent.
     if let Some(min_epoch) = requests.iter().filter_map(|r| r.min_epoch).max() {
-        if snapshot.model_epoch() < min_epoch {
+        if service.model_epoch() < min_epoch {
             return Err(Response::error(
                 409,
                 &format!(
                     "serving model epoch {} is below requested min_epoch {min_epoch}",
-                    snapshot.model_epoch()
+                    service.model_epoch()
                 ),
             ));
         }
     }
-    Ok(BatchSetup { requests, snapshot })
+    Ok(BatchSetup { requests, service })
 }
 
 /// Questions answered per batch lane: a loop turn runs at most one lane
@@ -2366,17 +2349,15 @@ const STREAM_LANE_QUESTIONS: usize = 16;
 impl BatchRun {
     /// `POST /batch`, one lane: answer the next `STREAM_LANE_QUESTIONS`
     /// questions through `lane` — hits copied from the cache, misses
-    /// rendered by the snapshot's `answer_batch_into` and inserted — and
+    /// rendered by the service's `answer_batch_into` and inserted — and
     /// append them to `pending` as elements of the body's JSON array.
     /// `true` once every question is answered.
     ///
-    /// Every lane answers under the one [`ServiceSnapshot`] taken when the
-    /// batch was admitted, so a `/admin/reload` landing mid-batch never
-    /// mixes epochs. Lane by lane, the body is byte-identical whatever the
-    /// framing: a stream's de-chunked body equals the buffered one (pinned
-    /// by `crates/server/tests/streaming.rs`).
-    ///
-    /// [`ServiceSnapshot`]: kbqa_core::service::ServiceSnapshot
+    /// Every lane answers under the one service loaded when the batch was
+    /// admitted, so a `/admin/reload` landing mid-batch never mixes epochs.
+    /// Lane by lane, the body is byte-identical whatever the framing: a
+    /// stream's de-chunked body equals the buffered one (pinned by
+    /// `crates/server/tests/streaming.rs`).
     fn step(&mut self, lane: &mut BatchLane, state: &AppState) -> bool {
         let requests = &self.setup.requests;
         let end = (self.next + STREAM_LANE_QUESTIONS).min(requests.len());
@@ -2388,7 +2369,7 @@ impl BatchRun {
         );
         lane.answer(
             &state.cache,
-            &self.setup.snapshot,
+            &self.setup.service,
             run,
             self.next > 0,
             &mut self.pending,

@@ -105,9 +105,7 @@ pub mod prelude {
     pub use kbqa_core::hybrid::HybridSystem;
     pub use kbqa_core::learner::{LearnedModel, Learner, LearnerConfig};
     pub use kbqa_core::persist::ServingArtifacts;
-    pub use kbqa_core::service::{
-        KbqaService, QaRequest, QaResponse, QaSystem, Refusal, Rendered, ServiceSnapshot,
-    };
+    pub use kbqa_core::service::{KbqaService, QaRequest, QaResponse, QaSystem, Refusal, Rendered};
     pub use kbqa_core::shard::{ShardPanic, ShardRouter};
     pub use kbqa_core::template::{Template, TemplateCatalog};
     pub use kbqa_corpus::{benchmark, CorpusConfig, QaCorpus, World, WorldConfig};

@@ -19,12 +19,12 @@
 //! back — it runs on the caller's warm scratch instead of spawning threads
 //! whose scratch would start empty.
 //!
-//! PR 18 adds the cache key: `ServiceSnapshot::cache_key` renders epoch,
+//! Then the cache key: `KbqaService::cache_key` renders epoch,
 //! normalized question and effective config straight into one pre-sized
 //! `String` — exactly one allocation per key, overrides or not.
 //!
 //! The rendered serving path closes the loop: a warm 16-question lane
-//! rendered by `ServiceSnapshot::answer_batch_into` — JSON written straight
+//! rendered by `KbqaService::answer_batch_into` — JSON written straight
 //! from ranked ids, integer and year literals formatted in place — allocates
 //! nothing, and the same lane through the server's rendered-bytes cache
 //! (`BatchLane`) costs exactly an entry plus an owned key per miss and
@@ -207,16 +207,15 @@ fn steady_state_kernel_performs_zero_allocations() {
     // and nothing else, exactly what the same questions cost one at a time.
     // (Spawned threads would pay for the spawn and for growing a scratch
     // of their own from empty on every lane.)
-    let snapshot = service.snapshot();
     let lane: Vec<QaRequest> = questions.iter().take(16).map(QaRequest::new).collect();
     for _ in 0..3 {
-        let _ = snapshot.answer_batch(&lane);
+        let _ = service.answer_batch(&lane);
     }
     let before = allocations();
-    let one_at_a_time: Vec<QaResponse> = lane.iter().map(|r| snapshot.answer(r)).collect();
+    let one_at_a_time: Vec<QaResponse> = lane.iter().map(|r| service.answer(r)).collect();
     let owned_responses = allocations() - before;
     let before = allocations();
-    let batched = snapshot.answer_batch(&lane);
+    let batched = service.answer_batch(&lane);
     let delta = allocations() - before;
     assert_eq!(batched.len(), one_at_a_time.len());
     assert!(batched.iter().any(|r| r.answered()));
@@ -247,7 +246,7 @@ fn steady_state_kernel_performs_zero_allocations() {
         QaRequest::new(""),
     ];
     let before = allocations();
-    let key_bytes: usize = keyed.iter().map(|r| snapshot.cache_key(r).len()).sum();
+    let key_bytes: usize = keyed.iter().map(|r| service.cache_key(r).len()).sum();
     let delta = allocations() - before;
     assert!(key_bytes > 0);
     assert_eq!(
@@ -259,7 +258,7 @@ fn steady_state_kernel_performs_zero_allocations() {
     // Phase 6: the same lane rendered as JSON straight from the kernel's
     // ranked ids — no `Answer`, no `String`, numbers formatted in place.
     let numeric = lane.iter().any(|request| {
-        snapshot.answer(request).answers.iter().any(|answer| {
+        service.answer(request).answers.iter().any(|answer| {
             answer
                 .node
                 .is_some_and(|node| matches!(world.store.surface_form(node), Surface::Number(_)))
@@ -270,11 +269,11 @@ fn steady_state_kernel_performs_zero_allocations() {
     let mut rendered = Vec::new();
     for _ in 0..3 {
         out.clear();
-        snapshot.answer_batch_into(&lane, &mut out, &mut rendered);
+        service.answer_batch_into(&lane, &mut out, &mut rendered);
     }
     out.clear();
     let before = allocations();
-    snapshot.answer_batch_into(&lane, &mut out, &mut rendered);
+    service.answer_batch_into(&lane, &mut out, &mut rendered);
     let delta = allocations() - before;
     assert_eq!(rendered.len(), lane.len());
     assert!(rendered.iter().any(|r| r.refusal.is_none()));
@@ -294,7 +293,7 @@ fn steady_state_kernel_performs_zero_allocations() {
     let mut batch_lane = BatchLane::default();
     for _ in 0..3 {
         out.clear();
-        batch_lane.answer(&cache, &snapshot, &lane, false, &mut out, |_| {});
+        batch_lane.answer(&cache, &service, &lane, false, &mut out, |_| {});
     }
     for i in 0..1000 {
         cache.insert(format!("filler {i}"), RenderedAnswer::new(None, b"{}"));
@@ -302,7 +301,7 @@ fn steady_state_kernel_performs_zero_allocations() {
     cache.clear();
     out.clear();
     let before = allocations();
-    batch_lane.answer(&cache, &snapshot, &lane, false, &mut out, |_| {});
+    batch_lane.answer(&cache, &service, &lane, false, &mut out, |_| {});
     let delta = allocations() - before;
     assert_eq!(
         delta,
@@ -313,7 +312,7 @@ fn steady_state_kernel_performs_zero_allocations() {
     out.clear();
     let mut hits = 0;
     let before = allocations();
-    batch_lane.answer(&cache, &snapshot, &lane, false, &mut out, |_| hits += 1);
+    batch_lane.answer(&cache, &service, &lane, false, &mut out, |_| hits += 1);
     let delta = allocations() - before;
     assert_eq!(hits, lane.len());
     assert_eq!(out, missed, "a hit must replay the bytes its miss rendered");

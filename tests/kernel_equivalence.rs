@@ -9,10 +9,10 @@
 //! pins that scratch reuse never leaks state between requests.
 //!
 //! The same corpus pins the rendered serving path: the JSON
-//! `ServiceSnapshot::answer_into` and `answer_batch_into` write straight
-//! from ranked ids must equal `serde_json::to_string` of the owned
-//! `ServiceSnapshot::answer` response, for every request shape and on every
-//! snapshot shape (in-memory store, mapped store).
+//! `KbqaService::answer_into` and `answer_batch_into` write straight from
+//! ranked ids must equal `serde_json::to_string` of the owned
+//! `KbqaService::answer` response, for every request shape and on every
+//! store shape (in-memory store, mapped store).
 
 use std::sync::Arc;
 
@@ -175,36 +175,36 @@ fn request_shapes(question: &str) -> [QaRequest; 6] {
 /// compare with the owned responses' `serde_json` text. Returns the counts
 /// of refused and decomposed responses, so callers can check the corpus
 /// exercised both.
-fn assert_renders_like_serde(snapshot: &ServiceSnapshot, questions: &[String]) -> (usize, usize) {
+fn assert_renders_like_serde(service: &KbqaService, questions: &[String]) -> (usize, usize) {
     let requests: Vec<QaRequest> = questions.iter().flat_map(|q| request_shapes(q)).collect();
     let expected: Vec<String> = requests
         .iter()
-        .map(|r| serde_json::to_string(&snapshot.answer(r)).expect("serialize"))
+        .map(|r| serde_json::to_string(&service.answer(r)).expect("serialize"))
         .collect();
     let mut out = Vec::new();
     let (mut refused, mut decomposed) = (0, 0);
     for (request, expected) in requests.iter().zip(&expected) {
         out.clear();
         out.extend_from_slice(b"prefix");
-        let rendered = snapshot.answer_into(request, &mut out);
+        let rendered = service.answer_into(request, &mut out);
         assert_eq!(rendered.span, 6..out.len(), "{request:?}");
         assert_eq!(
             std::str::from_utf8(&out[rendered.span.clone()]).expect("utf8"),
             expected,
             "answer_into rendered {request:?} differently"
         );
-        let owned = snapshot.answer(request);
+        let owned = service.answer(request);
         assert_eq!(rendered.refusal, owned.refusal, "{request:?}");
         refused += usize::from(owned.refusal.is_some());
         if request.decompose.is_none() && owned.answered() {
             // Answered only through the decomposition fallback.
-            let direct = snapshot.answer(&request.clone().with_decompose(false));
+            let direct = service.answer(&request.clone().with_decompose(false));
             decomposed += usize::from(!direct.answered());
         }
     }
     let mut batch = Vec::new();
     let mut rendered = Vec::new();
-    snapshot.answer_batch_into(&requests, &mut batch, &mut rendered);
+    service.answer_batch_into(&requests, &mut batch, &mut rendered);
     assert_eq!(
         std::str::from_utf8(&batch).expect("utf8"),
         expected.join(","),
@@ -247,7 +247,7 @@ fn rendered_responses_are_byte_identical_to_serde_on_every_snapshot_shape() {
     assert_eq!(mapped.store().backend_kind().as_str(), "mapped");
 
     for (service, label) in [(&in_memory, "in-memory"), (&mapped, "mapped")] {
-        let (refused, decomposed) = assert_renders_like_serde(&service.snapshot(), &questions);
+        let (refused, decomposed) = assert_renders_like_serde(service, &questions);
         assert!(refused > 0, "{label}: the corpus refused nothing");
         assert!(decomposed > 0, "{label}: the corpus decomposed nothing");
     }
@@ -261,7 +261,7 @@ fn rendered_responses_are_byte_identical_to_serde_on_every_snapshot_shape() {
 #[test]
 fn a_multi_threaded_batch_renders_like_the_sequential_one() {
     let f = fixture();
-    let snapshot = serving(&f).snapshot();
+    let service = serving(&f);
     let requests: Vec<QaRequest> = question_set(&f)
         .iter()
         .take(300)
@@ -273,11 +273,11 @@ fn a_multi_threaded_batch_renders_like_the_sequential_one() {
         if i > 0 {
             sequential.push(b',');
         }
-        snapshot.answer_into(request, &mut sequential);
+        service.answer_into(request, &mut sequential);
     }
     let mut batch = b"[".to_vec();
     let mut rendered = Vec::new();
-    snapshot.answer_batch_into(&requests, &mut batch, &mut rendered);
+    service.answer_batch_into(&requests, &mut batch, &mut rendered);
     assert_eq!(&batch[1..], &sequential[..]);
     assert_eq!(rendered.len(), requests.len());
     assert_eq!(rendered[0].span.start, 1);

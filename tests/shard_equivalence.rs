@@ -9,8 +9,9 @@
 //! corpus questions, QALD-like and WebQuestions-like benchmarks, the
 //! complex-question suite, refusal probes — at shard counts {1, 2, 4, 7},
 //! via full-response JSON equality (answers, provenance, refusal causes,
-//! tie order, model epoch) plus bit-level score comparison, with
-//! per-request overrides in the mix. An `#[ignore]`d large-world case
+//! tie order, model epoch) plus bit-level score comparison, and via the
+//! bytes `answer_into` / `answer_batch_into` render, with per-request
+//! overrides in the mix. An `#[ignore]`d large-world case
 //! re-runs the core check at CI's medium-world scale (≈1.2M triples, 4
 //! shards).
 //!
@@ -225,13 +226,24 @@ fn assert_identical(sharded: &QaResponse, single: &QaResponse, question: &str, l
     }
 }
 
-/// Sequential `answer` calls: every shard count, every request shape,
-/// byte-identical to the unsharded service.
+/// Sequential `answer` calls and the rendered serving path (`answer_into`
+/// one by one, `answer_batch_into` as one batch): every shard count, every
+/// request shape, byte-identical to the unsharded service.
 #[test]
 fn sharded_answers_are_byte_identical_across_shard_counts() {
     let f = fixture();
     let requests = request_set(f);
     let baseline: Vec<QaResponse> = requests.iter().map(|r| f.service.answer(r)).collect();
+    let rendered_baseline: Vec<Vec<u8>> = requests
+        .iter()
+        .map(|r| {
+            let mut out = Vec::new();
+            f.service.answer_into(r, &mut out);
+            out
+        })
+        .collect();
+    let batch_baseline = rendered_baseline.join(&b',');
+    let (mut out, mut rendered) = (Vec::new(), Vec::new());
     let mut answered = 0usize;
     for (i, shards) in SHARD_COUNTS.into_iter().enumerate() {
         let sharded = fleet(i);
@@ -247,6 +259,23 @@ fn sharded_answers_are_byte_identical_across_shard_counts() {
                 &format!("{shards} shards"),
             );
         }
+        for (request, expected) in requests.iter().zip(&rendered_baseline) {
+            out.clear();
+            sharded.answer_into(request, &mut out);
+            assert_eq!(
+                String::from_utf8_lossy(&out),
+                String::from_utf8_lossy(expected),
+                "answer_into diverged for {:?} under {shards} shards",
+                request.question
+            );
+        }
+        out.clear();
+        sharded.answer_batch_into(&requests, &mut out, &mut rendered);
+        assert_eq!(rendered.len(), requests.len());
+        assert!(
+            out == batch_baseline,
+            "answer_batch_into diverged under {shards} shards"
+        );
     }
     assert!(answered > 0, "suite never answered — it proves nothing");
 }
@@ -344,10 +373,12 @@ fn fault_fixture() -> &'static (KbqaService, Vec<String>) {
 }
 
 /// The fault fixture served through `shards` worker lanes of its own (the
-/// fault tests poison them), plus its router and answerable questions.
+/// fault tests poison them), plus its router and answerable questions. It
+/// serves one epoch past the fixture, so a refusal's epoch stamp shows in
+/// its bytes.
 fn sharded_fixture(shards: usize, tag: &str) -> (KbqaService, Arc<ShardRouter>, Vec<String>) {
     let (service, answerable) = fault_fixture();
-    let service = serve_sharded(service, shards, tag);
+    let service = serve_sharded(&service.with_model(service.model()), shards, tag);
     let router = Arc::clone(service.shard_router().expect("router installed"));
     (service, router, answerable.clone())
 }
@@ -388,6 +419,61 @@ fn poisoned_shard_is_a_typed_refusal_and_other_shards_keep_answering() {
         router.obs().total_failures(),
         refusals as u64,
         "every typed refusal must be counted on a shard lane, and nothing else"
+    );
+
+    // The rendered batch path: with one lane poisoned, every question it
+    // owns is written as the stamped refusal's exact bytes, and its
+    // neighbours as their healthy renderings, comma-separated in order.
+    let requests: Vec<QaRequest> = answerable.iter().map(QaRequest::new).collect();
+    let healthy: Vec<Vec<u8>> = requests
+        .iter()
+        .map(|r| {
+            let mut out = Vec::new();
+            service.answer_into(r, &mut out);
+            out
+        })
+        .collect();
+    let mut refused = QaResponse::refused(Refusal::ShardUnavailable);
+    refused.model_epoch = service.model_epoch();
+    let refusal_bytes = serde_json::to_string(&refused).expect("serialize refusal");
+    let (mut out, mut rendered) = (Vec::new(), Vec::new());
+    let (mut batch_refusals, mut batch_survivals) = (0usize, 0usize);
+    for shard in 0..router.shard_count() {
+        router.inject_fault(shard);
+        out.clear();
+        service.answer_batch_into(&requests, &mut out, &mut rendered);
+        router.heal(shard);
+        assert_eq!(rendered.len(), requests.len());
+        let elements: Vec<&[u8]> = rendered.iter().map(|one| &out[one.span.clone()]).collect();
+        assert!(
+            out == elements.join(&b','),
+            "the rendered elements must tile the batch, comma-separated"
+        );
+        for ((one, element), expected) in rendered.iter().zip(&elements).zip(&healthy) {
+            if one.refusal == Some(Refusal::ShardUnavailable) {
+                assert_eq!(String::from_utf8_lossy(element), refusal_bytes);
+                batch_refusals += 1;
+            } else {
+                assert_eq!(
+                    element, expected,
+                    "a neighbour of a poisoned question changed"
+                );
+                batch_survivals += 1;
+            }
+        }
+    }
+    assert!(
+        batch_refusals > 0,
+        "no batch question routed to a poisoned shard"
+    );
+    assert!(
+        batch_survivals > 0,
+        "every batch question refused under a single-shard fault"
+    );
+    assert_eq!(
+        router.obs().total_failures(),
+        (refusals + batch_refusals) as u64,
+        "every rendered refusal must be counted on a shard lane too"
     );
 }
 
