@@ -10,117 +10,10 @@
 //! `quick` (default) runs small worlds in seconds; `full` runs the
 //! KBA/Freebase/DBpedia-like presets used in EXPERIMENTS.md.
 
-use std::cell::OnceCell;
 use std::io::Write;
 
-use kbqa_bench::{ablation, format::Table, session::Scale, tables, Session};
-
-struct Sessions {
-    scale: Scale,
-    kba: OnceCell<Session>,
-    freebase: OnceCell<Session>,
-    dbpedia: OnceCell<Session>,
-}
-
-impl Sessions {
-    fn new(scale: Scale) -> Self {
-        Self {
-            scale,
-            kba: OnceCell::new(),
-            freebase: OnceCell::new(),
-            dbpedia: OnceCell::new(),
-        }
-    }
-
-    fn kba(&self) -> &Session {
-        self.kba.get_or_init(|| {
-            eprintln!("[repro] building KBA-like session…");
-            Session::standard(self.scale, "kba")
-        })
-    }
-
-    fn freebase(&self) -> &Session {
-        self.freebase.get_or_init(|| {
-            eprintln!("[repro] building Freebase-like session…");
-            Session::standard(self.scale, "freebase")
-        })
-    }
-
-    fn dbpedia(&self) -> &Session {
-        self.dbpedia.get_or_init(|| {
-            eprintln!("[repro] building DBpedia-like session…");
-            Session::standard(self.scale, "dbpedia")
-        })
-    }
-
-    fn all(&self) -> Vec<&Session> {
-        vec![self.kba(), self.freebase(), self.dbpedia()]
-    }
-}
-
-const ALL_TARGETS: &[&str] = &[
-    "kbstats",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "table8",
-    "table9",
-    "table10",
-    "table11",
-    "table12",
-    "table13",
-    "table14",
-    "table15",
-    "table16",
-    "table17",
-    "table18",
-    "sec75",
-    "ablations",
-    "variants",
-    "report",
-];
-
-fn run_target(target: &str, sessions: &Sessions, scale: Scale) -> Vec<Table> {
-    match target {
-        "kbstats" => vec![tables::kb_stats(&sessions.all())],
-        "table4" => vec![tables::table4(scale)],
-        "table5" => vec![tables::table5(sessions.kba(), scale)],
-        "table6" => vec![tables::table6(sessions.kba())],
-        "table7" => vec![tables::table7(&sessions.all())],
-        "table8" => vec![tables::table8(&sessions.all())],
-        "table9" => vec![tables::table9(&sessions.all())],
-        "table10" => vec![tables::table10(sessions.kba(), scale)],
-        "table11" => vec![tables::table11(sessions.kba())],
-        "table12" => vec![tables::table12(&sessions.all())],
-        "table13" => vec![tables::table13(sessions.kba())],
-        "table14" => vec![tables::table14(sessions.kba())],
-        "table15" => vec![tables::table15(sessions.kba())],
-        "table16" => vec![tables::table16(sessions.kba())],
-        "table17" => vec![tables::table17(sessions.kba())],
-        "table18" => vec![tables::table18(sessions.kba())],
-        "sec75" => vec![ablation::entity_identification(sessions.kba(), 50)],
-        "variants" => vec![tables::variants_extension(sessions.kba())],
-        "report" => {
-            // Model introspection dump (inspect API); not a paper table.
-            let session = sessions.kba();
-            print!(
-                "{}",
-                kbqa_core::inspect::report(&session.model, &session.world.store, 3)
-            );
-            Vec::new()
-        }
-        "ablations" => vec![
-            ablation::refinement_ablation(sessions.kba(), 400),
-            ablation::uniform_theta_ablation(sessions.kba()),
-            ablation::decomposition_ablation(sessions.kba()),
-        ],
-        other => {
-            eprintln!("[repro] unknown target: {other}");
-            Vec::new()
-        }
-    }
-}
+use kbqa_bench::targets::{run_target, Sessions, ALL_TARGETS};
+use kbqa_bench::{format::Table, session::Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -161,7 +54,7 @@ fn main() {
     let mut produced: Vec<Table> = Vec::new();
     for target in &targets {
         let start = std::time::Instant::now();
-        for table in run_target(target, &sessions, scale) {
+        for table in run_target(target, &sessions) {
             println!("{table}");
             produced.push(table);
         }

@@ -12,11 +12,13 @@
 //! * [`tables`] — the per-table experiment runners (Tables 4–18).
 //! * [`ablation`] — the DESIGN.md §7 ablations (refinement filter off,
 //!   uniform θ, NER comparison — the paper's Sec 7.5).
+//! * [`targets`] — the `repro` target names and their dispatch.
 
 pub mod ablation;
 pub mod format;
 pub mod session;
 pub mod tables;
+pub mod targets;
 
 pub use format::Table;
 pub use session::{Scale, Session};
