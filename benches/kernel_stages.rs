@@ -21,8 +21,13 @@
 //!   the retained reference enumeration (`QaEngine::bfq_kernel_reference`)
 //!   on the same pre-tokenized questions, the armed stage tracer's
 //!   overhead on the walk, the bundle load (`ServingArtifacts::load`:
-//!   wall time, `store.snap` bytes, triples) and the NER gazetteer's build
-//!   over the mapped names (wall time, heap bytes, names, overflow names).
+//!   wall time, `store.snap` bytes, triples), the opens of the mapped
+//!   taxonomy and pattern index (`taxonomy.snap`, `patterns.snap`: wall
+//!   time, mapped bytes, heap kept) and the NER gazetteer's build over the
+//!   mapped names (wall time, heap bytes, names, overflow names);
+//! * an `O(|P|)` curve ends it: kernel and `conceptualize` ns/question on a
+//!   quick (small-world) fixture beside the `large_1m` one, with each
+//!   store's triples and `|P|`.
 //!
 //! The world is seed 7, the seed the PR protocol measures on. One command
 //! reproduces the tables in `docs/PERFORMANCE.md`:
@@ -64,12 +69,15 @@ impl Drop for TempBundle {
     }
 }
 
-fn fixture() -> Fixture {
-    let world = World::generate(WorldConfig::large_1m(SEED));
+/// The serving fixture over `world`: a model learned on `train_pairs`, the
+/// bundle saved and loaded back, and up to `cold` distinct stream questions
+/// past the benchmark's 1024-question hot set.
+fn fixture(world: WorldConfig, train_pairs: usize, stream_pairs: usize, cold: usize) -> Fixture {
+    let world = World::generate(world);
     // Same substreams of the seed as `benchmark/src/fixture.rs`.
     let train_seed = SEED * 2 + 1;
     let stream_seed = SEED * 2 + 2;
-    let corpus = QaCorpus::generate(&world, &CorpusConfig::with_pairs(train_seed, 20_000));
+    let corpus = QaCorpus::generate(&world, &CorpusConfig::with_pairs(train_seed, train_pairs));
     let ner = Arc::new(GazetteerNer::from_store(&world.store));
     let pairs: Vec<(&str, &str)> = corpus
         .pairs
@@ -93,7 +101,11 @@ fn fixture() -> Fixture {
     .pattern_index(Arc::new(index))
     .build();
 
-    let dir = std::env::temp_dir().join(format!("kbqa-kernel-stages-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "kbqa-kernel-stages-{}-{}",
+        world.store.len(),
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     ServingArtifacts::from_service(&built)
         .save(&dir)
@@ -103,7 +115,7 @@ fn fixture() -> Fixture {
     let load_ms = load_started.elapsed().as_secs_f64() * 1e3;
     let service = artifacts.into_service();
 
-    let stream = QaCorpus::generate(&world, &CorpusConfig::with_pairs(stream_seed, 60_000));
+    let stream = QaCorpus::generate(&world, &CorpusConfig::with_pairs(stream_seed, stream_pairs));
     let mut seen = HashSet::new();
     let requests: Vec<QaRequest> = stream
         .pairs
@@ -112,9 +124,9 @@ fn fixture() -> Fixture {
         .filter(|r| seen.insert(r.normalized_question()))
         // The first 1024 distinct questions are the benchmark's hot set.
         .skip(1024)
-        .take(COLD_QUESTIONS)
+        .take(cold)
         .collect();
-    assert_eq!(requests.len(), COLD_QUESTIONS, "stream corpus too small");
+    assert!(!requests.is_empty(), "stream corpus too small");
     Fixture {
         service,
         requests,
@@ -123,8 +135,80 @@ fn fixture() -> Fixture {
     }
 }
 
+/// One traced walk over `requests`: the lap timer is armed per question and
+/// its nanosecond accumulators are summed per stage. Returns the sums and
+/// the answered count.
+fn traced_walk(
+    engine: &QaEngine<'_>,
+    requests: &[QaRequest],
+    scratch: &mut ScratchSpace,
+    out: &mut Vec<u8>,
+) -> ([u64; Stage::COUNT], usize) {
+    let mut stage_ns = [0u64; Stage::COUNT];
+    let mut answered = 0usize;
+    for request in requests {
+        scratch.trace.begin(true);
+        out.clear();
+        let refusal = engine.render_request_into(request, scratch, 0, out);
+        answered += usize::from(refusal.is_none());
+        for (total, ns) in stage_ns.iter_mut().zip(scratch.trace.accum_ns()) {
+            *total += ns;
+        }
+        scratch.trace.begin(false);
+    }
+    (stage_ns, answered)
+}
+
+/// Fastest of three opens of a bundle's section file: ms, file bytes, and
+/// the heap the opened value keeps.
+fn open_section_file<T>(
+    path: &std::path::Path,
+    open: impl Fn(&std::path::Path) -> kbqa::common::error::Result<T>,
+    heap_bytes: impl Fn(&T) -> usize,
+) -> (f64, u64, usize) {
+    let mut best = f64::INFINITY;
+    let mut heap = 0;
+    for _ in 0..3 {
+        let started = Instant::now();
+        let value = open(path).expect("open section file");
+        best = best.min(started.elapsed().as_secs_f64() * 1e3);
+        heap = heap_bytes(&value);
+    }
+    (best, std::fs::metadata(path).expect("section file").len(), heap)
+}
+
+/// One row of the `O(|P|)` curve: what a question costs on this fixture's
+/// store, beside the store's size and `|P|`.
+fn curve_row(name: &str, f: &Fixture) {
+    let engine = f.service.engine();
+    let mut scratch = ScratchSpace::new();
+    let mut out = Vec::with_capacity(4 << 10);
+    let tokenized: Vec<TokenizedText> = f.requests.iter().map(|r| tokenize(&r.question)).collect();
+    // A warm-up walk, then the traced one.
+    traced_walk(&engine, &f.requests, &mut scratch, &mut out);
+    let (stage_ns, answered) = traced_walk(&engine, &f.requests, &mut scratch, &mut out);
+    let kernel = ns_per(tokenized.len(), || {
+        for tokens in &tokenized {
+            black_box(engine.answer_bfq_tokens_with(tokens, &mut scratch));
+        }
+    });
+    let n = f.requests.len() as f64;
+    let store = f.service.store();
+    println!(
+        "  {name:<10} {:>9} {:>8} {:>9} {:>10} {:>6.1}% {kernel:>10.0} {:>12.0} {:>11.0}",
+        store.len(),
+        store.dict().predicate_count(),
+        f.service.model().stats.distinct_templates,
+        f.requests.len(),
+        100.0 * answered as f64 / n,
+        stage_ns[Stage::Conceptualize as usize] as f64 / n,
+        stage_ns.iter().sum::<u64>() as f64 / n,
+    );
+}
+
 fn bench_kernel_stages(c: &mut Criterion) {
-    let f = fixture();
+    let f = fixture(WorldConfig::large_1m(SEED), 20_000, 60_000, COLD_QUESTIONS);
+    assert_eq!(f.requests.len(), COLD_QUESTIONS, "stream corpus too small");
     let engine = f.service.engine();
     let mut scratch = ScratchSpace::new();
     let mut out = Vec::with_capacity(4 << 10);
@@ -147,19 +231,8 @@ fn bench_kernel_stages(c: &mut Criterion) {
 
     // One traced walk: the lap timer is armed per question and its
     // nanosecond accumulators are summed per stage.
-    let mut stage_ns = [0u64; Stage::COUNT];
-    let mut answered = 0usize;
     let (lookups_before, edges_before) = scratch.lookup_events();
-    for request in &f.requests {
-        scratch.trace.begin(true);
-        out.clear();
-        let refusal = engine.render_request_into(request, &mut scratch, 0, &mut out);
-        answered += usize::from(refusal.is_none());
-        for (total, ns) in stage_ns.iter_mut().zip(scratch.trace.accum_ns()) {
-            *total += ns;
-        }
-        scratch.trace.begin(false);
-    }
+    let (stage_ns, answered) = traced_walk(&engine, &f.requests, &mut scratch, &mut out);
     let (lookups, edges) = scratch.lookup_events();
 
     // The mention scan alone (no grounding selection), on pre-tokenized text.
@@ -251,6 +324,25 @@ fn bench_kernel_stages(c: &mut Criterion) {
         f.load_ms,
         f.service.store().len()
     );
+    use kbqa::core::persist::{load_patterns, load_taxonomy, PATTERNS_FILE, TAXONOMY_FILE};
+    let (ms, bytes, heap) = open_section_file(
+        &f.bundle.0.join(TAXONOMY_FILE),
+        load_taxonomy,
+        Conceptualizer::heap_bytes,
+    );
+    println!(
+        "  {:<28} {ms:>7.1} ms           {TAXONOMY_FILE} {bytes} B mapped, heap {heap} B",
+        "taxonomy open"
+    );
+    let (ms, bytes, heap) = open_section_file(
+        &f.bundle.0.join(PATTERNS_FILE),
+        load_patterns,
+        PatternIndex::heap_bytes,
+    );
+    println!(
+        "  {:<28} {ms:>7.1} ms           {PATTERNS_FILE} {bytes} B mapped, heap {heap} B",
+        "patterns open"
+    );
     let started = Instant::now();
     let gazetteer = GazetteerNer::from_store(f.service.store());
     let build_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -261,6 +353,20 @@ fn bench_kernel_stages(c: &mut Criterion) {
         gazetteer.name_count(),
         gazetteer.overflow_count()
     );
+
+    // The paper's online bound (Sec 3.3): a question costs O(|P|), with
+    // entities, concepts and values per question bounded constants, so the
+    // per-question cost follows |P| (the KB's predicates) and not the
+    // store's size.
+    println!("O(|P|) curve (ns/question, traced stages):");
+    println!(
+        "  {:<10} {:>9} {:>8} {:>9} {:>10} {:>7} {:>10} {:>12} {:>11}",
+        "world", "triples", "|P|", "templates", "questions", "answer", "kernel", "conceptualize", "stage total"
+    );
+    let quick = fixture(WorldConfig::small(SEED), 4_000, 12_000, COLD_QUESTIONS);
+    curve_row("quick", &quick);
+    drop(quick);
+    curve_row("large_1m", &f);
 }
 
 /// Fastest of three timed passes of `pass`, in ns per one of its `items`.

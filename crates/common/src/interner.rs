@@ -113,6 +113,21 @@ impl Interner {
         self.strings.is_empty()
     }
 
+    /// Heap bytes held: the string table, the strings, and the bucket map
+    /// with its candidate lists.
+    pub fn heap_bytes(&self) -> usize {
+        let strings = self.strings.capacity() * std::mem::size_of::<Box<str>>()
+            + self.strings.iter().map(|s| s.len()).sum::<usize>();
+        let buckets = self.buckets.capacity()
+            * (std::mem::size_of::<(u64, Vec<u32>)>() + 1)
+            + self
+                .buckets
+                .values()
+                .map(|v| v.capacity() * 4)
+                .sum::<usize>();
+        strings + buckets
+    }
+
     /// Iterate `(symbol, string)` pairs in symbol order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
         self.strings

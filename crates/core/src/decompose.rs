@@ -19,7 +19,12 @@
 //! (carrying several candidate values, since intermediate BFQs may be
 //! multi-valued — band members, for instance).
 
+use std::path::Path;
+
+use kbqa_common::error::Result;
 use kbqa_common::hash::{FxHashMap, FxHashSet};
+use kbqa_rdf::mmap::Mmap;
+use kbqa_rdf::sections::{self, Col, Elem, Format, Sections};
 use serde::{Deserialize, Serialize};
 
 use kbqa_nlp::{tokenize, GazetteerNer};
@@ -30,15 +35,70 @@ use crate::engine::{Answer, QaEngine, ScratchSpace};
 /// over 99% of corpus questions have < 23 words).
 pub const MAX_QUESTION_TOKENS: usize = 25;
 
+/// The pattern index's container format (`patterns.snap`).
+const FORMAT: Format = Format {
+    name: "pattern snapshot",
+    magic: *b"KBQAPATT",
+    version: 1,
+    elems: &[
+        Elem::U64, // params: questions indexed, radix bits
+        Elem::U64, // pattern fingerprints, strictly ascending
+        Elem::U32, // f_o per fingerprint
+        Elem::U32, // f_v per fingerprint
+        Elem::U32, // radix directory: first key of each top-bits bucket
+    ],
+};
+
+/// Section indices, in file order.
+mod sec {
+    pub const PARAMS: usize = 0;
+    pub const KEYS: usize = 1;
+    pub const F_O: usize = 2;
+    pub const F_V: usize = 3;
+    pub const DIRECTORY: usize = 4;
+}
+
+/// The radix directory never grows past 2^16 buckets (256 KiB).
+const MAX_RADIX_BITS: u32 = 16;
+
+/// Directory bits for `keys` fingerprints: the fewest that leave at most
+/// three keys per bucket on average, capped at [`MAX_RADIX_BITS`].
+fn radix_bits(keys: usize) -> u32 {
+    let mut bits = 0;
+    while bits < MAX_RADIX_BITS && keys >> bits > 3 {
+        bits += 1;
+    }
+    bits
+}
+
+/// The directory bucket of a fingerprint: its top `bits` bits.
+#[inline]
+fn bucket(key: u64, bits: u32) -> usize {
+    key.checked_shr(64 - bits).unwrap_or(0) as usize
+}
+
 /// Corpus-derived pattern statistics: `pattern → (f_o, f_v)`.
 ///
 /// Patterns are token sequences with one `$e` slot, keyed by a 64-bit Fx
 /// fingerprint of the joined tokens (collisions are statistically
 /// negligible at corpus scale and only perturb one pattern's counts).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+///
+/// The index is one section file ([`kbqa_rdf::sections`]): fingerprints
+/// sorted ascending, `f_o` and `f_v` columns aligned with them, and a radix
+/// directory over the fingerprints' top bits, so a probe reads one bucket of
+/// about three keys. [`PatternIndex::build`] encodes that file on the heap; a
+/// bundle load maps `patterns.snap` and checks every column at open.
+#[derive(Clone, Debug)]
 pub struct PatternIndex {
-    counts: FxHashMap<u64, (u32, u32)>,
+    sections: Sections,
+    radix_bits: u32,
     questions_indexed: usize,
+}
+
+impl Default for PatternIndex {
+    fn default() -> Self {
+        Self::from_counts(Vec::new(), 0).expect("the empty index is valid")
+    }
 }
 
 impl PatternIndex {
@@ -81,37 +141,162 @@ impl PatternIndex {
                 }
             }
         }
-        Self {
-            counts,
-            questions_indexed,
+        Self::from_counts(counts.into_iter().collect(), questions_indexed)
+            .expect("built counts are valid")
+    }
+
+    /// Lay `(fingerprint, (f_o, f_v))` entries out as the index file.
+    fn from_counts(mut entries: Vec<(u64, (u32, u32))>, questions_indexed: usize) -> Result<Self> {
+        entries.sort_unstable_by_key(|&(key, _)| key);
+        let bits = radix_bits(entries.len());
+        let keys: Vec<u64> = entries.iter().map(|&(key, _)| key).collect();
+        let f_o: Vec<u32> = entries.iter().map(|&(_, (fo, _))| fo).collect();
+        let f_v: Vec<u32> = entries.iter().map(|&(_, (_, fv))| fv).collect();
+        let directory: Vec<u32> = (0..=1usize << bits)
+            .map(|b| keys.partition_point(|&key| bucket(key, bits) < b) as u32)
+            .collect();
+        let params = [questions_indexed as u64, u64::from(bits)];
+        Self::from_sections(sections::encode(
+            &FORMAT,
+            &[
+                Col::U64(&params),
+                Col::U64(&keys),
+                Col::U32(&f_o),
+                Col::U32(&f_v),
+                Col::U32(&directory),
+            ],
+        ))
+    }
+
+    /// Check an index file's sections — fingerprints strictly ascending,
+    /// `1 ≤ f_o`, `f_v ≤ f_o`, and a directory whose every bucket holds
+    /// exactly the fingerprints with its top bits — before any probe reads
+    /// them. A violation is a typed
+    /// [`kbqa_common::error::KbqaError::Io`].
+    fn from_sections(sections: Sections) -> Result<Self> {
+        let [questions_indexed, bits] = *sections.u64s(sec::PARAMS) else {
+            return Err(FORMAT.error("params: expected two words"));
+        };
+        let questions_indexed = usize::try_from(questions_indexed)
+            .map_err(|_| FORMAT.error("questions indexed out of range"))?;
+        if bits > u64::from(MAX_RADIX_BITS) {
+            return Err(FORMAT.error(format_args!("{bits} radix bits")));
         }
+        let bits = bits as u32;
+        let keys = sections.u64s(sec::KEYS);
+        let (f_o, f_v) = (sections.u32s(sec::F_O), sections.u32s(sec::F_V));
+        if f_o.len() != keys.len() || f_v.len() != keys.len() {
+            return Err(FORMAT.error("count columns and fingerprints disagree on length"));
+        }
+        if keys.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(FORMAT.error("fingerprints not strictly ascending"));
+        }
+        if f_o.iter().zip(f_v).any(|(&fo, &fv)| fo == 0 || fv > fo) {
+            return Err(FORMAT.error("counts outside 1 ≤ f_o, f_v ≤ f_o"));
+        }
+        let directory = sections.u32s(sec::DIRECTORY);
+        let buckets = 1usize << bits;
+        sections::check_bounds(&FORMAT, "radix directory", directory, buckets, keys.len())?;
+        for (b, run) in directory.windows(2).enumerate() {
+            if keys[run[0] as usize..run[1] as usize]
+                .iter()
+                .any(|&key| bucket(key, bits) != b)
+            {
+                return Err(FORMAT.error(format_args!("radix bucket {b} holds a foreign key")));
+            }
+        }
+        Ok(Self {
+            sections,
+            radix_bits: bits,
+            questions_indexed,
+        })
+    }
+
+    /// Open a `patterns.snap` already mapped, checking it end to end.
+    pub fn from_map(map: Mmap) -> Result<Self> {
+        Self::from_sections(Sections::from_map(&FORMAT, map)?)
+    }
+
+    /// Write the index as a `patterns.snap` (atomically) and return the
+    /// file's Fx-64 digest.
+    pub fn write_snapshot(&self, path: &Path) -> Result<u64> {
+        self.sections.write_to(path)
+    }
+
+    /// Heap bytes held: the owned image, or none when mapped.
+    pub fn heap_bytes(&self) -> usize {
+        self.sections.heap_bytes()
+    }
+
+    /// The position of a fingerprint: one radix bucket, searched.
+    #[inline]
+    fn find(&self, key: u64) -> Option<usize> {
+        let directory = self.sections.u32s(sec::DIRECTORY);
+        let b = bucket(key, self.radix_bits);
+        let (lo, hi) = (directory[b] as usize, directory[b + 1] as usize);
+        self.sections.u64s(sec::KEYS)[lo..hi]
+            .binary_search(&key)
+            .ok()
+            .map(|i| lo + i)
     }
 
     /// `P(q̌) = f_v/f_o` (Eq 26); 0 for never-seen patterns.
     pub fn probability(&self, pattern_words: &[&str]) -> f64 {
-        let key = joined_key(pattern_words);
-        match self.counts.get(&key) {
-            Some(&(fo, fv)) if fo > 0 => f64::from(fv) / f64::from(fo),
-            _ => 0.0,
+        let (fo, fv) = self.counts(pattern_words);
+        if fo > 0 {
+            f64::from(fv) / f64::from(fo)
+        } else {
+            0.0
         }
     }
 
     /// Raw `(f_o, f_v)` counts for a pattern.
     pub fn counts(&self, pattern_words: &[&str]) -> (u32, u32) {
-        self.counts
-            .get(&joined_key(pattern_words))
-            .copied()
-            .unwrap_or((0, 0))
+        self.find(joined_key(pattern_words)).map_or((0, 0), |i| {
+            (
+                self.sections.u32s(sec::F_O)[i],
+                self.sections.u32s(sec::F_V)[i],
+            )
+        })
     }
 
     /// Number of distinct patterns indexed.
     pub fn pattern_count(&self) -> usize {
-        self.counts.len()
+        self.sections.u64s(sec::KEYS).len()
     }
 
     /// Number of corpus questions that contributed.
     pub fn questions_indexed(&self) -> usize {
         self.questions_indexed
+    }
+}
+
+/// The JSON shape `patterns.json` had before the index became a section
+/// file; a bundle that still lists `patterns.json` loads through it.
+#[derive(Serialize, Deserialize)]
+struct LegacyPatternIndex {
+    counts: FxHashMap<u64, (u32, u32)>,
+    questions_indexed: usize,
+}
+
+impl Serialize for PatternIndex {
+    fn to_value(&self) -> serde::Value {
+        let s = &self.sections;
+        let counts = s.u64s(sec::KEYS).iter().copied();
+        let pairs = s.u32s(sec::F_O).iter().copied().zip(s.u32s(sec::F_V).iter().copied());
+        LegacyPatternIndex {
+            counts: counts.zip(pairs).collect(),
+            questions_indexed: self.questions_indexed,
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for PatternIndex {
+    fn deserialize(r: &mut serde::de::Reader<'_>) -> std::result::Result<Self, serde::de::Error> {
+        let legacy = LegacyPatternIndex::deserialize(r)?;
+        Self::from_counts(legacy.counts.into_iter().collect(), legacy.questions_indexed)
+            .map_err(|e| serde::de::Error(e.to_string()))
     }
 }
 

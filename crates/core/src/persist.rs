@@ -13,11 +13,17 @@
 //! and re-running EM. The same files back the server's `POST /admin/reload`
 //! hot-swap path.
 //!
-//! JSON for the model, taxonomy and pattern index: those artifacts are
-//! small, inspectable and diffable in experiments. The **knowledge base**
-//! is the exception — at million-entity scale a JSON parse dominates start
-//! time, so the store is persisted as a zero-copy snapshot (`store.snap`,
-//! see `kbqa_rdf::snapshot`) that loads by `mmap` with no rebuild. The NER
+//! The knowledge base, the taxonomy and the pattern index are read-only once
+//! built and large at scale, so each is persisted as a section file
+//! (`kbqa_rdf::sections`) that loads by `mmap` with no parse and no rebuild:
+//! `store.snap` (`kbqa_rdf::snapshot`), `taxonomy.snap`
+//! ([`Conceptualizer::from_map`]) and `patterns.snap`
+//! ([`PatternIndex::from_map`]). Each checks every offset, id and count at
+//! open, so a forged file is a typed error at load, never a panic at request
+//! time. The learned model stays JSON ([`save_json`]): it is small and is
+//! swapped on its own by the model reload. A bundle saved before the taxonomy
+//! and the index were section files lists `taxonomy.json` / `patterns.json`
+//! instead; those still load, parsed into the same flat layout. The NER
 //! gazetteer is not persisted at all: it is an index over the snapshot's
 //! own name section, built when the service is
 //! ([`GazetteerNer::from_store`]). A bundle saved while the gazetteer was
@@ -256,45 +262,101 @@ fn load_store_listed(path: &Path, listed: Option<&str>) -> Result<TripleStore> {
     Ok(TripleStore::from_snapshot(snapshot))
 }
 
-/// Save a conceptualizer (taxonomy network plus its tuning). Returns the
-/// file's digest.
+/// Record a section file's digest (written by its own atomic writer) in its
+/// `.fxsum` sidecar, and return it rendered for the manifest.
+fn sidecar(path: &Path, file_digest: u64) -> Result<String> {
+    let file_digest = format!("{file_digest:016x}");
+    write_atomic(&checksum_path(path), format!("{file_digest}\n").as_bytes())?;
+    Ok(file_digest)
+}
+
+/// Save a conceptualizer (taxonomy network plus its tuning) as a
+/// `taxonomy.snap` section file with a checksum sidecar. Returns the file's
+/// digest.
 pub fn save_taxonomy(conceptualizer: &Conceptualizer, path: &Path) -> Result<String> {
-    save_json(conceptualizer, path)
+    sidecar(path, conceptualizer.write_snapshot(path)?)
 }
 
-/// Load a conceptualizer, rebuilding its derived indexes.
+/// Load a conceptualizer by mapping its `taxonomy.snap`: the sidecar digest
+/// (when present) and every section are checked, nothing is parsed.
 pub fn load_taxonomy(path: &Path) -> Result<Conceptualizer> {
-    load_taxonomy_listed(path, None)
+    load_section_file(path, None, Conceptualizer::from_map)
 }
 
-/// [`load_taxonomy`] of a file the bundle manifest lists with digest
-/// `listed`.
-fn load_taxonomy_listed(path: &Path, listed: Option<&str>) -> Result<Conceptualizer> {
-    let mut conceptualizer: Conceptualizer = load_json_listed(path, listed)?;
-    conceptualizer.rebuild_index();
-    Ok(conceptualizer)
+/// Save a pattern index as a `patterns.snap` section file with a checksum
+/// sidecar. Returns the file's digest.
+pub fn save_patterns(index: &PatternIndex, path: &Path) -> Result<String> {
+    sidecar(path, index.write_snapshot(path)?)
 }
 
-/// An optional artifact of a bundle: loaded when present, and required when
-/// the manifest lists it.
-fn load_optional<T: DeserializeOwned>(
+/// Load a pattern index by mapping its `patterns.snap`, checked like
+/// [`load_taxonomy`].
+pub fn load_patterns(path: &Path) -> Result<PatternIndex> {
+    load_section_file(path, None, PatternIndex::from_map)
+}
+
+/// Map a section file once, hold that mapping to the manifest entry
+/// (`listed`) and the sidecar, then hand the same mapping to `open`.
+fn load_section_file<T>(
     path: &Path,
-    listed: Option<String>,
-) -> Result<Option<Arc<T>>> {
-    if listed.is_none() && !path.exists() {
-        return Ok(None);
+    listed: Option<&str>,
+    open: impl FnOnce(Mmap) -> Result<T>,
+) -> Result<T> {
+    let map = map_listed(path, listed)?;
+    verify(path, &map, listed)?;
+    open(map).map_err(|e| match e {
+        KbqaError::Io(why) => KbqaError::Io(format!("{why} ({})", path.display())),
+        other => other,
+    })
+}
+
+/// Where a bundle keeps an artifact saved under two names over time: its
+/// section file (`snap`) or the JSON it replaced (`json`). The manifest
+/// decides when it lists either; a directory without such an entry is
+/// searched in that order. Takes the chosen file's manifest entry.
+fn artifact_file(
+    dir: &Path,
+    listed: &mut std::collections::BTreeMap<String, String>,
+    snap: &str,
+    json: &str,
+) -> Option<(PathBuf, Option<String>, bool)> {
+    for name in [snap, json] {
+        if let Some(digest) = listed.remove(name) {
+            return Some((dir.join(name), Some(digest), name == json));
+        }
     }
-    load_json_listed(path, listed.as_deref()).map(|artifact| Some(Arc::new(artifact)))
+    [snap, json]
+        .into_iter()
+        .map(|name| (dir.join(name), None, name == json))
+        .find(|(path, _, _)| path.exists())
+}
+
+/// Load an artifact from whichever of its two files [`artifact_file`]
+/// chose: mapped and checked, or (legacy) parsed into the same layout.
+fn load_either<T: DeserializeOwned>(
+    file: (PathBuf, Option<String>, bool),
+    open: impl FnOnce(Mmap) -> Result<T>,
+) -> Result<T> {
+    match file {
+        (path, listed, true) => load_json_listed(&path, listed.as_deref()),
+        (path, listed, false) => load_section_file(&path, listed.as_deref(), open),
+    }
 }
 
 /// File name for the knowledge base snapshot inside an artifact directory.
 pub const STORE_FILE: &str = "store.snap";
 /// File name for the taxonomy inside an artifact directory.
-pub const TAXONOMY_FILE: &str = "taxonomy.json";
+pub const TAXONOMY_FILE: &str = "taxonomy.snap";
+/// What [`TAXONOMY_FILE`] was called while the taxonomy was saved as JSON;
+/// a bundle listing it still loads.
+pub const LEGACY_TAXONOMY_FILE: &str = "taxonomy.json";
 /// File name for the learned model inside an artifact directory.
 pub const MODEL_FILE: &str = "model.json";
 /// File name for the pattern index inside an artifact directory (optional).
-pub const PATTERNS_FILE: &str = "patterns.json";
+pub const PATTERNS_FILE: &str = "patterns.snap";
+/// What [`PATTERNS_FILE`] was called while the index was saved as JSON; a
+/// bundle listing it still loads.
+pub const LEGACY_PATTERNS_FILE: &str = "patterns.json";
 /// File name for the bundle manifest binding every artifact's digest into
 /// one consistent set (written last by [`ServingArtifacts::save`]).
 pub const MANIFEST_FILE: &str = "manifest.json";
@@ -387,8 +449,8 @@ impl ServingArtifacts {
     }
 
     /// Write every artifact into `dir` (created if missing): `store.snap`,
-    /// `taxonomy.json`, `model.json`, and — when present —
-    /// `patterns.json` and, with a shard plan, the store partitioned into
+    /// `taxonomy.snap`, `model.json`, and — when present —
+    /// `patterns.snap` and, with a shard plan, the store partitioned into
     /// one `store.shard-{i}.snap` per shard. The
     /// bundle manifest (file → digest, plus the shard plan) is written
     /// **last**, so a manifest's presence implies a complete save.
@@ -410,7 +472,7 @@ impl ServingArtifacts {
         if let Some(index) = &self.pattern_index {
             files.insert(
                 PATTERNS_FILE.to_string(),
-                save_json(index.as_ref(), &dir.join(PATTERNS_FILE))?,
+                save_patterns(index, &dir.join(PATTERNS_FILE))?,
             );
         }
         let mut shard_stats = None;
@@ -434,9 +496,11 @@ impl ServingArtifacts {
         Ok(())
     }
 
-    /// Load a bundle from `dir`. The store is mapped from its snapshot
-    /// (warm start: no parse, no index rebuild). The pattern-index file is
-    /// optional; everything else must be present.
+    /// Load a bundle from `dir`. The store, the taxonomy and the pattern
+    /// index are mapped from their section files (warm start: no parse, no
+    /// index rebuild; a legacy `taxonomy.json` / `patterns.json` is parsed
+    /// into the same layout). The pattern index is optional; everything
+    /// else must be present.
     ///
     /// Each file is mapped once and hashed once. When a
     /// `manifest.json` is present, that digest must match the file's
@@ -459,12 +523,18 @@ impl ServingArtifacts {
         };
         // Each load below takes its file's manifest entry.
         let store = load_store_listed(&dir.join(STORE_FILE), listed.remove(STORE_FILE).as_deref())?;
-        let conceptualizer = load_taxonomy_listed(
-            &dir.join(TAXONOMY_FILE),
-            listed.remove(TAXONOMY_FILE).as_deref(),
-        )?;
+        let taxonomy = artifact_file(dir, &mut listed, TAXONOMY_FILE, LEGACY_TAXONOMY_FILE)
+            .ok_or_else(|| {
+                KbqaError::Io(format!(
+                    "{} holds neither {TAXONOMY_FILE} nor {LEGACY_TAXONOMY_FILE}",
+                    dir.display()
+                ))
+            })?;
+        let conceptualizer = load_either(taxonomy, Conceptualizer::from_map)?;
         let model = load_model_listed(&dir.join(MODEL_FILE), listed.remove(MODEL_FILE).as_deref())?;
-        let pattern_index = load_optional(&dir.join(PATTERNS_FILE), listed.remove(PATTERNS_FILE))?;
+        let pattern_index = artifact_file(dir, &mut listed, PATTERNS_FILE, LEGACY_PATTERNS_FILE)
+            .map(|file| load_either(file, PatternIndex::from_map).map(Arc::new))
+            .transpose()?;
         // A listed file no artifact above reads — each shard snapshot, and
         // an older bundle's `ner.json`, among them — is still held to its
         // digest.
@@ -482,10 +552,10 @@ impl ServingArtifacts {
     }
 
     /// Does `dir` hold a loadable bundle (a store snapshot, plus the
-    /// taxonomy and model)?
+    /// taxonomy, in either form, and the model)?
     pub fn present_in(dir: &Path) -> bool {
         dir.join(STORE_FILE).exists()
-            && dir.join(TAXONOMY_FILE).exists()
+            && (dir.join(TAXONOMY_FILE).exists() || dir.join(LEGACY_TAXONOMY_FILE).exists())
             && dir.join(MODEL_FILE).exists()
     }
 
@@ -877,6 +947,117 @@ mod tests {
             Err(other) => panic!("typed Io error expected, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One quick-world service (a small world, 4 000 QA pairs, the pattern
+    /// index) saved both ways: the section files this version writes, and
+    /// the `taxonomy.json` / `patterns.json` listing older saves have. Both
+    /// load, into the same flat layout, and answer the serving benchmark's
+    /// question mix — corpus questions, refused non-BFQs and the complex
+    /// suite — byte for byte alike. A listed legacy file is held to its
+    /// manifest digest like any other.
+    #[test]
+    fn legacy_json_and_section_file_bundles_answer_alike() {
+        use kbqa_corpus::benchmark::{complex_suite, qald_like};
+
+        let world = World::generate(WorldConfig::small(42));
+        let corpus = QaCorpus::generate(&world, &CorpusConfig::with_pairs(1, 4_000));
+        let ner = std::sync::Arc::new(GazetteerNer::from_store(&world.store));
+        let pairs: Vec<(&str, &str)> = corpus
+            .pairs
+            .iter()
+            .map(|p| (p.question.as_str(), p.answer.as_str()))
+            .collect();
+        let (model, _) = Learner::new(
+            &world.store,
+            &world.conceptualizer,
+            &ner,
+            &world.predicate_classes,
+        )
+        .learn(&pairs, &LearnerConfig::default());
+        let index = PatternIndex::build(corpus.pairs.iter().map(|p| p.question.as_str()), &ner);
+        let service = KbqaService::builder(
+            Arc::clone(&world.store),
+            Arc::clone(&world.conceptualizer),
+            Arc::new(model),
+        )
+        .ner(ner)
+        .pattern_index(Arc::new(index))
+        .build();
+        let stream = QaCorpus::generate(&world, &CorpusConfig::with_pairs(2, 600));
+        let mut questions: Vec<String> = stream.pairs.into_iter().map(|p| p.question).collect();
+        questions.extend(
+            qald_like(&world, "refused", 200, 0, 0.0, 2)
+                .questions
+                .into_iter()
+                .map(|q| q.question),
+        );
+        questions.extend(complex_suite(&world).into_iter().map(|q| q.question));
+
+        let current = test_dir("current-bundle");
+        ServingArtifacts::from_service(&service)
+            .save(&current)
+            .expect("save bundle");
+        assert!(current.join(TAXONOMY_FILE).exists() && current.join(PATTERNS_FILE).exists());
+        let legacy = test_dir("legacy-bundle");
+        ServingArtifacts::from_service(&service)
+            .save(&legacy)
+            .expect("save bundle");
+        let manifest_path = legacy.join(MANIFEST_FILE);
+        let mut manifest: BundleManifest = load_json(&manifest_path).unwrap();
+        for (snap, json) in [
+            (TAXONOMY_FILE, LEGACY_TAXONOMY_FILE),
+            (PATTERNS_FILE, LEGACY_PATTERNS_FILE),
+        ] {
+            let file_digest = if json == LEGACY_TAXONOMY_FILE {
+                save_json(service.conceptualizer().as_ref(), &legacy.join(json))
+            } else {
+                save_json(service.pattern_index().unwrap().as_ref(), &legacy.join(json))
+            }
+            .unwrap();
+            std::fs::remove_file(legacy.join(snap)).unwrap();
+            std::fs::remove_file(checksum_path(&legacy.join(snap))).unwrap();
+            manifest.files.remove(snap);
+            manifest.files.insert(json.to_owned(), file_digest);
+        }
+        save_json(&manifest, &manifest_path).unwrap();
+        assert!(ServingArtifacts::present_in(&legacy));
+
+        let from_sections = ServingArtifacts::load(&current).unwrap().into_service();
+        let from_json = ServingArtifacts::load(&legacy).unwrap().into_service();
+        // The section files are mapped; the legacy JSON parses onto the heap.
+        assert!(from_json.conceptualizer().network().sections().heap_bytes() > 0);
+        assert_eq!(from_sections.conceptualizer().network().sections().heap_bytes(), 0);
+        assert_eq!(from_sections.pattern_index().unwrap().heap_bytes(), 0);
+        let mut answered = 0;
+        for q in &questions {
+            let reference = serde_json::to_string(&service.answer_text(q)).unwrap();
+            answered += usize::from(service.answer_text(q).answered());
+            assert_eq!(
+                serde_json::to_string(&from_sections.answer_text(q)).unwrap(),
+                reference,
+                "{q:?} from the section files"
+            );
+            assert_eq!(
+                serde_json::to_string(&from_json.answer_text(q)).unwrap(),
+                reference,
+                "{q:?} from the legacy JSON"
+            );
+        }
+        assert!(answered > questions.len() / 2, "{answered} of {}", questions.len());
+
+        // Tampered after the save: α edited in place, sidecar kept.
+        let path = legacy.join(LEGACY_TAXONOMY_FILE);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\"alpha\":0.1"), "α serialized as saved");
+        std::fs::write(&path, text.replace("\"alpha\":0.1", "\"alpha\":0.2")).unwrap();
+        match ServingArtifacts::load(&legacy) {
+            Err(KbqaError::Io(message)) => assert!(message.contains("manifest mismatch"), "{message}"),
+            Ok(_) => panic!("a tampered taxonomy.json must refuse the bundle"),
+            Err(other) => panic!("typed Io error expected, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&current).ok();
+        std::fs::remove_dir_all(&legacy).ok();
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub mod mmap;
 pub mod ntriples;
 pub mod path;
 pub mod query;
+pub mod sections;
 pub mod shard;
 pub mod snapshot;
 pub mod stats;

@@ -17,7 +17,9 @@
 //! sections …      each 8-byte aligned, zero-padded between
 //! ```
 //!
-//! All integers are **native-endian** (in practice little-endian: the
+//! The header, table and checksum are the container every mapped artifact
+//! shares ([`crate::sections`]); this module owns the store's sections and
+//! their invariants. All integers are **native-endian** (in practice little-endian: the
 //! serving fleet and CI are x86-64/aarch64); a snapshot is a serving
 //! artifact, not an interchange format — interchange goes through
 //! [`crate::ntriples`]. Offsets are relative to the file start, so the file
@@ -30,17 +32,15 @@
 //! is rebuilt on load. See `docs/STORAGE.md` for the full section catalog.
 
 use std::fs::File;
-use std::hash::Hasher as _;
-use std::io::{BufWriter, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use kbqa_common::error::{KbqaError, Result};
-use kbqa_common::hash::FxHasher;
 use kbqa_common::interner::Interner;
 
 use crate::columnar::ColsView;
 use crate::dictionary::Dictionary;
 use crate::mmap::Mmap;
+use crate::sections::{self, Col, Elem, Format};
 use crate::term::{Literal, Term};
 use crate::triple::{NodeId, PredicateId, Triple};
 
@@ -49,28 +49,7 @@ pub const MAGIC: [u8; 8] = *b"KBQASNAP";
 /// Current format version. Bump on any layout change.
 pub const VERSION: u32 = 1;
 
-const HEADER_LEN: usize = 32;
-const CHECKSUM_OFFSET: usize = 24;
 const SECTION_COUNT: usize = 22;
-const TABLE_LEN: usize = SECTION_COUNT * 16;
-
-/// Element width of each section, in file order.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Elem {
-    U8,
-    U32,
-    U64,
-}
-
-impl Elem {
-    fn size(self) -> usize {
-        match self {
-            Elem::U8 => 1,
-            Elem::U32 => 4,
-            Elem::U64 => 8,
-        }
-    }
-}
 
 /// Section indices. Kept as named constants (not an enum) so the table
 /// layout reads off directly.
@@ -124,59 +103,19 @@ const ELEMS: [Elem; SECTION_COUNT] = [
     Elem::U32, // name node ids
 ];
 
+/// The store snapshot's container format.
+const FORMAT: Format = Format {
+    name: "snapshot",
+    magic: MAGIC,
+    version: VERSION,
+    elems: &ELEMS,
+};
+
 fn bad(why: impl std::fmt::Display) -> KbqaError {
-    KbqaError::Io(format!("snapshot: {why}"))
+    FORMAT.error(why)
 }
 
-// ---------------------------------------------------------------------------
-// Checksumming
-// ---------------------------------------------------------------------------
-
-/// Incremental Fx-64 over a byte stream, chunk-boundary independent: feeding
-/// the same bytes in any split produces exactly what `FxHasher::write` would
-/// produce for the concatenation. This keeps the snapshot's internal
-/// checksum and the `.fxsum` sidecar convention (PR 5) on one algorithm.
-#[derive(Default)]
-pub struct Fx64Stream {
-    hasher: FxHasher,
-    pending: [u8; 8],
-    pending_len: usize,
-}
-
-impl Fx64Stream {
-    /// Feed more bytes.
-    pub fn update(&mut self, mut bytes: &[u8]) {
-        if self.pending_len > 0 {
-            let take = bytes.len().min(8 - self.pending_len);
-            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
-            self.pending_len += take;
-            bytes = &bytes[take..];
-            if self.pending_len < 8 {
-                return;
-            }
-            self.hasher.write_u64(u64::from_le_bytes(self.pending));
-            self.pending_len = 0;
-        }
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.hasher
-                .write_u64(u64::from_le_bytes(chunk.try_into().expect("chunk of 8")));
-        }
-        let tail = chunks.remainder();
-        self.pending[..tail.len()].copy_from_slice(tail);
-        self.pending_len = tail.len();
-    }
-
-    /// Finish, returning the digest.
-    pub fn finish(mut self) -> u64 {
-        if self.pending_len > 0 {
-            // Matches FxHasher::write's tail handling for a final short chunk.
-            let pending_len = self.pending_len;
-            self.hasher.write(&self.pending[..pending_len]);
-        }
-        self.hasher.finish()
-    }
-}
+pub use crate::sections::Fx64Stream;
 
 // ---------------------------------------------------------------------------
 // Typed views over raw bytes
@@ -262,50 +201,6 @@ pub(crate) struct SnapshotSource<'a> {
     pub name_predicates: &'a [PredicateId],
     /// `(lowercased name, nodes)` pairs in any order; the writer sorts.
     pub name_entries: Vec<(&'a str, &'a [NodeId])>,
-}
-
-enum Col<'a> {
-    U8(&'a [u8]),
-    U32(&'a [u32]),
-    U64(&'a [u64]),
-}
-
-impl Col<'_> {
-    fn byte_len(&self) -> usize {
-        match self {
-            Col::U8(s) => s.len(),
-            Col::U32(s) => s.len() * 4,
-            Col::U64(s) => s.len() * 8,
-        }
-    }
-
-    fn elem(&self) -> Elem {
-        match self {
-            Col::U8(_) => Elem::U8,
-            Col::U32(_) => Elem::U32,
-            Col::U64(_) => Elem::U64,
-        }
-    }
-
-    /// Feed the column's bytes to `f` in file order, in bounded chunks
-    /// (native-endian reinterpretation, no element-wise encoding).
-    fn for_each_chunk(&self, mut f: impl FnMut(&[u8])) {
-        match self {
-            Col::U8(s) => f(s),
-            Col::U32(s) => {
-                // SAFETY: plain-old-data reinterpretation for writing.
-                let bytes =
-                    unsafe { std::slice::from_raw_parts(s.as_ptr().cast::<u8>(), s.len() * 4) };
-                f(bytes);
-            }
-            Col::U64(s) => {
-                // SAFETY: as above.
-                let bytes =
-                    unsafe { std::slice::from_raw_parts(s.as_ptr().cast::<u8>(), s.len() * 8) };
-                f(bytes);
-            }
-        }
-    }
 }
 
 /// Derived (owned) arrays the writer materializes before laying out the file.
@@ -407,106 +302,14 @@ pub(crate) fn write_source(src: &SnapshotSource<'_>, path: &Path) -> Result<u64>
         Col::U64(&derived.name_node_bounds),
         Col::U32(&derived.name_node_ids),
     ];
-    for (i, col) in cols.iter().enumerate() {
-        debug_assert_eq!(col.elem(), ELEMS[i], "section {i} element width");
-    }
-
-    // Lay out: every section starts 8-aligned, zero padding between.
-    let mut table = [(0u64, 0u64); SECTION_COUNT];
-    let mut at = (HEADER_LEN + TABLE_LEN) as u64;
-    for (i, col) in cols.iter().enumerate() {
-        table[i] = (at, col.byte_len() as u64);
-        at += col.byte_len() as u64;
-        at = (at + 7) & !7;
-    }
-    let file_len = at;
-
-    let mut table_bytes = Vec::with_capacity(TABLE_LEN);
-    for &(off, len) in &table {
-        table_bytes.extend_from_slice(&off.to_ne_bytes());
-        table_bytes.extend_from_slice(&len.to_ne_bytes());
-    }
-
-    // Pass 1: checksum of everything after the header (table + sections).
-    const PAD: [u8; 8] = [0; 8];
-    let feed_body = |stream: &mut Fx64Stream| {
-        stream.update(&table_bytes);
-        for col in &cols {
-            col.for_each_chunk(|chunk| stream.update(chunk));
-            let pad = (8 - col.byte_len() % 8) % 8;
-            stream.update(&PAD[..pad]);
-        }
-    };
-    let mut body = Fx64Stream::default();
-    feed_body(&mut body);
-    let checksum = body.finish();
-
-    let mut header = [0u8; HEADER_LEN];
-    header[0..8].copy_from_slice(&MAGIC);
-    header[8..12].copy_from_slice(&VERSION.to_ne_bytes());
-    header[12..16].copy_from_slice(&(SECTION_COUNT as u32).to_ne_bytes());
-    header[16..24].copy_from_slice(&file_len.to_ne_bytes());
-    header[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&checksum.to_ne_bytes());
-
-    // Pass 2: digest of the complete final file, for the sidecar convention.
-    let mut whole = Fx64Stream::default();
-    whole.update(&header);
-    feed_body(&mut whole);
-    let file_digest = whole.finish();
-
-    // Single sequential write to a temp sibling, fsync, rename into place.
-    let mut tmp_name = path.as_os_str().to_owned();
-    tmp_name.push(format!(".tmp.{}", std::process::id()));
-    let tmp = PathBuf::from(tmp_name);
-    let result = (|| -> std::io::Result<()> {
-        let file = File::create(&tmp)?;
-        let mut w = BufWriter::with_capacity(1 << 20, file);
-        w.write_all(&header)?;
-        w.write_all(&table_bytes)?;
-        for col in &cols {
-            let mut io_err = None;
-            col.for_each_chunk(|chunk| {
-                if io_err.is_none() {
-                    io_err = w.write_all(chunk).err();
-                }
-            });
-            if let Some(e) = io_err {
-                return Err(e);
-            }
-            let pad = (8 - col.byte_len() % 8) % 8;
-            w.write_all(&PAD[..pad])?;
-        }
-        let file = w.into_inner().map_err(|e| e.into_error())?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result?;
-    Ok(file_digest)
+    sections::write(&FORMAT, &cols, path)
 }
 
 /// Atomically write already-encoded snapshot `bytes` to `path` (temp +
 /// `fsync` + rename) and return their Fx-64 digest. Used when a mapped store
 /// re-snapshots: its mapping already *is* the file format.
 pub(crate) fn write_bytes(bytes: &[u8], path: &Path) -> Result<u64> {
-    let mut tmp_name = path.as_os_str().to_owned();
-    tmp_name.push(format!(".tmp.{}", std::process::id()));
-    let tmp = PathBuf::from(tmp_name);
-    let result = (|| -> std::io::Result<()> {
-        let mut file = File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result?;
-    let mut stream = Fx64Stream::default();
-    stream.update(bytes);
-    Ok(stream.finish())
+    sections::write_bytes(bytes, path)
 }
 
 // ---------------------------------------------------------------------------
@@ -538,64 +341,9 @@ impl Snapshot {
     }
 
     fn from_map(map: Mmap) -> Result<Self> {
-        let bytes = map.bytes();
-        if bytes.len() < HEADER_LEN + TABLE_LEN {
-            return Err(bad("file shorter than header"));
-        }
-        if bytes[0..8] != MAGIC {
-            return Err(bad("bad magic"));
-        }
-        let version = u32::from_ne_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != VERSION {
-            return Err(bad(format_args!(
-                "unsupported version {version} (expected {VERSION})"
-            )));
-        }
-        let section_count = u32::from_ne_bytes(bytes[12..16].try_into().expect("4 bytes"));
-        if section_count as usize != SECTION_COUNT {
-            return Err(bad(format_args!(
-                "unexpected section count {section_count}"
-            )));
-        }
-        let file_len = u64::from_ne_bytes(bytes[16..24].try_into().expect("8 bytes"));
-        if file_len != bytes.len() as u64 {
-            return Err(bad(format_args!(
-                "length mismatch: header says {file_len}, file is {} (truncated?)",
-                bytes.len()
-            )));
-        }
-        let stored = u64::from_ne_bytes(
-            bytes[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8]
-                .try_into()
-                .expect("8 bytes"),
-        );
-        let mut stream = Fx64Stream::default();
-        stream.update(&bytes[HEADER_LEN..]);
-        let actual = stream.finish();
-        if stored != actual {
-            return Err(bad(format_args!(
-                "checksum mismatch: header says {stored:016x}, contents hash to {actual:016x}"
-            )));
-        }
-
-        let mut ranges = [(0usize, 0usize); SECTION_COUNT];
-        for (i, range) in ranges.iter_mut().enumerate() {
-            let at = HEADER_LEN + i * 16;
-            let off = u64::from_ne_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-            let len = u64::from_ne_bytes(bytes[at + 8..at + 16].try_into().expect("8 bytes"));
-            let (off, len) = (off as usize, len as usize);
-            if off % 8 != 0 {
-                return Err(bad(format_args!("section {i} misaligned at {off}")));
-            }
-            if off.checked_add(len).is_none_or(|end| end > bytes.len()) {
-                return Err(bad(format_args!("section {i} out of bounds")));
-            }
-            if len % ELEMS[i].size() != 0 {
-                return Err(bad(format_args!("section {i} has ragged length {len}")));
-            }
-            *range = (off, len);
-        }
-
+        let ranges = sections::read_table(&FORMAT, map.bytes())?
+            .try_into()
+            .expect("one range per section");
         let snap = Self { map, ranges };
         snap.validate_invariants()?;
         Ok(snap)
@@ -813,20 +561,7 @@ impl Snapshot {
 }
 
 fn check_offsets(what: &str, offsets: &[u64], expect_entries: usize, end: usize) -> Result<()> {
-    if offsets.len() != expect_entries + 1 {
-        return Err(bad(format_args!(
-            "{what}: {} entries, expected {}",
-            offsets.len(),
-            expect_entries + 1
-        )));
-    }
-    if offsets.first() != Some(&0) || offsets.last() != Some(&(end as u64)) {
-        return Err(bad(format_args!("{what}: endpoints out of range")));
-    }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(bad(format_args!("{what}: not monotone")));
-    }
-    Ok(())
+    sections::check_bounds(&FORMAT, what, offsets, expect_entries, end)
 }
 
 fn check_perm(what: &str, perm: &[u32], n: usize) -> Result<()> {

@@ -2,7 +2,9 @@
 //! `POST /admin/reload` hot swaps with versioned cache keys (a pre-swap
 //! cache entry is never served post-swap, asserted byte-level), one epoch
 //! per reload under concurrent reloads of both modes, every answer served
-//! during reloads rendered wholly by its epoch's model, and admission
+//! during reloads rendered wholly by its epoch's model, a bundle reload onto
+//! a forged section file refused with a `500` while the old epoch answers on
+//! byte for byte, and admission
 //! control (a saturated accept queue sheds with `429` + `Retry-After`, then
 //! recovers after drain).
 //!
@@ -673,6 +675,98 @@ fn bundle_reload_hot_swaps_store_taxonomy_and_model() {
     );
     assert_eq!(status, 400, "{bad}");
 
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Forge a saved bundle's `taxonomy.snap` the way only a section check can
+/// catch: the first membership names a concept past the concept count, the
+/// header checksum is re-stamped, and the sidecar and the manifest entry
+/// (with the manifest's own sidecar) are rewritten to the forged digest.
+fn forge_taxonomy_past_every_digest(dir: &std::path::Path) {
+    use kbqa_core::persist::{checksum_path, MANIFEST_FILE, TAXONOMY_FILE};
+    use kbqa_rdf::sections::{Fx64Stream, HEADER_LEN};
+    let digest = |bytes: &[u8]| {
+        let mut stream = Fx64Stream::default();
+        stream.update(bytes);
+        format!("{:016x}", stream.finish())
+    };
+    let path = dir.join(TAXONOMY_FILE);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let old = digest(&bytes);
+    // Section 5 holds the membership concept ids.
+    let at = HEADER_LEN + 5 * 16;
+    let offset = u64::from_ne_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    bytes[offset..offset + 4].copy_from_slice(&0xFFFF_FFF0u32.to_ne_bytes());
+    let mut stream = Fx64Stream::default();
+    stream.update(&bytes[HEADER_LEN..]);
+    bytes[24..32].copy_from_slice(&stream.finish().to_ne_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let new = digest(&bytes);
+    std::fs::write(checksum_path(&path), format!("{new}\n")).unwrap();
+    let manifest_path = dir.join(MANIFEST_FILE);
+    let manifest = std::fs::read_to_string(&manifest_path).unwrap();
+    assert!(manifest.contains(&old), "{manifest}");
+    let manifest = manifest.replace(&old, &new);
+    std::fs::write(&manifest_path, &manifest).unwrap();
+    std::fs::write(
+        checksum_path(&manifest_path),
+        format!("{}\n", digest(manifest.as_bytes())),
+    )
+    .unwrap();
+}
+
+#[test]
+fn bundle_reload_onto_a_forged_taxonomy_is_a_500_and_the_old_epoch_serves_on() {
+    let (service, question) = learned_service();
+    let dir = std::env::temp_dir().join(format!("kbqa-forged-taxonomy-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    ServingArtifacts::from_service(&service)
+        .save(&dir)
+        .expect("save bundle");
+    forge_taxonomy_past_every_digest(&dir);
+    match ServingArtifacts::load(&dir) {
+        Err(kbqa_common::error::KbqaError::Io(why)) => {
+            assert!(why.contains("out-of-range concept"), "{why}")
+        }
+        Err(other) => panic!("untyped error {other:?}"),
+        Ok(_) => panic!("a forged taxonomy must not load"),
+    }
+
+    let config = ServerConfig {
+        admin_token: Some("swordfish".into()),
+        bundle_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let server = serve(service.clone(), "127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+    let questions = [
+        question.clone(),
+        format!("how many people live in {}", &question[question.rfind(' ').unwrap() + 1..]),
+        "why is the sky blue".to_owned(),
+        "what is the population of nowhere".to_owned(),
+    ];
+    let ask = |q: &str| {
+        let (status, body) = http(addr, "POST", "/answer", "", &serde_json::to_string(&QaRequest::new(q)).unwrap());
+        assert_eq!(status, 200, "{body}");
+        body
+    };
+    // One answer before the reload; the rest first asked after it, so the
+    // kernel runs on whatever epoch serves then.
+    assert_eq!(ask(&questions[0]), serde_json::to_string(&service.answer(&QaRequest::new(&questions[0]))).unwrap());
+
+    let (status, body) = http(addr, "POST", "/admin/reload?mode=bundle", ADMIN, "");
+    assert_eq!(status, 500, "{body}");
+    assert!(body.contains("taxonomy snapshot"), "{body}");
+
+    for q in &questions {
+        let expected = serde_json::to_string(&service.answer(&QaRequest::new(q))).unwrap();
+        assert_eq!(ask(q), expected, "{q}");
+    }
+    let (status, health) = http(addr, "GET", "/healthz", "", "");
+    assert_eq!(status, 200);
+    assert!(health.contains("\"model_epoch\":0"), "{health}");
+    assert_eq!(metrics(addr).admin_reloads, 0);
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

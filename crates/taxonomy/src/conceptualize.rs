@@ -13,12 +13,17 @@
 //! any concept carry no signal and are skipped, so unrelated stopwords do not
 //! wash out the prior.
 
+use std::path::Path;
+
 use serde::{Deserialize, Serialize};
 
+use kbqa_common::error::Result;
+use kbqa_rdf::mmap::Mmap;
+use kbqa_rdf::sections::Sections;
 use kbqa_rdf::NodeId;
 
 use crate::concept::ConceptId;
-use crate::network::ConceptNetwork;
+use crate::network::{smoothed, ConceptNetwork, LegacyConceptualizer, Tuning, DEFAULT_TUNING, FORMAT};
 
 /// A normalized distribution over concepts for one entity-in-context.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -59,7 +64,12 @@ impl ConceptDistribution {
 }
 
 /// Conceptualization engine over a [`ConceptNetwork`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// Beside the network it keeps one derived table: `ln P(w|c)` for every
+/// (context word, concept) pair under its α, so scoring a signal word is an
+/// array read per candidate concept, with no hash probe and no `ln`. The
+/// table is `vocabulary × concepts` `f64`s and is rebuilt whenever α is.
+#[derive(Clone, Debug)]
 pub struct Conceptualizer {
     network: ConceptNetwork,
     /// Add-α smoothing for context likelihoods.
@@ -67,22 +77,46 @@ pub struct Conceptualizer {
     /// Cap on context words consulted per mention (cost control; the paper
     /// treats concepts-per-entity as a constant, Sec 3.3).
     max_context_words: usize,
+    /// `ln P(w|c)` at index `symbol × concept_count + concept`.
+    log_likelihood: Vec<f64>,
 }
 
 impl Conceptualizer {
     /// Default smoothing (α = 0.1) and a 16-word context window.
     pub fn new(network: ConceptNetwork) -> Self {
-        Self {
-            network,
-            alpha: 0.1,
-            max_context_words: 16,
-        }
+        Self::with_tuning(network, DEFAULT_TUNING)
     }
 
-    /// Override the smoothing constant.
+    fn with_tuning(network: ConceptNetwork, tuning: Tuning) -> Self {
+        let mut conceptualizer = Self {
+            network,
+            alpha: tuning.alpha,
+            max_context_words: tuning.max_context_words,
+            log_likelihood: Vec::new(),
+        };
+        conceptualizer.build_table();
+        conceptualizer
+    }
+
+    /// Fill the `ln P(w|c)` table: the same expression, evaluated once,
+    /// that scoring used to evaluate per (word, concept) per question.
+    fn build_table(&mut self) {
+        let net = &self.network;
+        let vocab = net.smoothing_vocab();
+        let mut table = Vec::with_capacity(net.vocab_size() * net.concept_count());
+        for sym in 0..net.vocab_size() as u32 {
+            table.extend(net.concepts().map(|c| {
+                smoothed(net.context_count(c, sym), net.context_total(c), self.alpha, vocab).ln()
+            }));
+        }
+        self.log_likelihood = table;
+    }
+
+    /// Override the smoothing constant (rebuilds the likelihood table).
     pub fn with_alpha(mut self, alpha: f64) -> Self {
         assert!(alpha > 0.0, "alpha must be positive");
         self.alpha = alpha;
+        self.build_table();
         self
     }
 
@@ -91,16 +125,39 @@ impl Conceptualizer {
         &self.network
     }
 
-    /// Rebuild the network's derived interner indexes after
-    /// deserialization (see [`ConceptNetwork::rebuild_index`]).
-    pub fn rebuild_index(&mut self) {
-        self.network.rebuild_index();
+    /// Open a `taxonomy.snap` already mapped: the header, checksum and every
+    /// section are checked before anything reads them, and a violation is a
+    /// typed [`kbqa_common::error::KbqaError::Io`]. The file's tuning (α and
+    /// the context-word cap) comes with it.
+    pub fn from_map(map: Mmap) -> Result<Self> {
+        let network = ConceptNetwork::from_sections(Sections::from_map(&FORMAT, map)?)?;
+        let tuning = network.tuning();
+        Ok(Self::with_tuning(network, tuning))
+    }
+
+    /// Write the conceptualizer as a `taxonomy.snap` (atomically) and
+    /// return the file's Fx-64 digest.
+    pub fn write_snapshot(&self, path: &Path) -> Result<u64> {
+        self.network.write_with_tuning(self.tuning(), path)
+    }
+
+    /// Heap bytes held: the network's (none of its columns when mapped) and
+    /// the likelihood table.
+    pub fn heap_bytes(&self) -> usize {
+        self.network.heap_bytes() + self.log_likelihood.capacity() * 8
+    }
+
+    fn tuning(&self) -> Tuning {
+        Tuning {
+            alpha: self.alpha,
+            max_context_words: self.max_context_words,
+        }
     }
 
     /// Plain prior conceptualization: `P(c|e)` ignoring context.
     pub fn prior(&self, entity: NodeId) -> ConceptDistribution {
         ConceptDistribution {
-            entries: self.network.concepts_of(entity).to_vec(),
+            entries: self.network.concepts_of(entity).iter().collect(),
         }
     }
 
@@ -133,25 +190,26 @@ impl Conceptualizer {
             return;
         }
         if prior.len() == 1 {
-            out.push((prior[0].0, 1.0));
+            out.push((prior.concepts()[0], 1.0));
             return;
         }
 
         // Log-space scores, reweighted by each signal word as it streams by.
-        out.extend(prior.iter().map(|&(c, p)| (c, p.ln())));
+        out.extend(prior.iter().map(|(c, p)| (c, p.ln())));
+        let concepts = self.network.concept_count();
         let mut signal_seen = 0usize;
         for word in context {
             if signal_seen >= self.max_context_words {
                 break;
             }
             // One vocabulary probe per word, shared by every concept.
-            let sym = self.network.context_symbol(word);
-            if sym.is_none() {
+            let Some(sym) = self.network.context_symbol(word) else {
                 continue;
-            }
+            };
             signal_seen += 1;
+            let row = &self.log_likelihood[sym as usize * concepts..][..concepts];
             for (c, score) in out.iter_mut() {
-                *score += self.network.symbol_likelihood(*c, sym, self.alpha).ln();
+                *score += row[c.index()];
             }
         }
 
@@ -168,6 +226,23 @@ impl Conceptualizer {
             *p /= total;
         }
         out.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    }
+}
+
+/// Serialized as `taxonomy.json` was before the taxonomy became a section
+/// file, so a legacy bundle can still be written and read.
+impl Serialize for Conceptualizer {
+    fn to_value(&self) -> serde::Value {
+        LegacyConceptualizer::from_network(&self.network, self.tuning()).to_value()
+    }
+}
+
+impl Deserialize for Conceptualizer {
+    fn deserialize(r: &mut serde::de::Reader<'_>) -> std::result::Result<Self, serde::de::Error> {
+        let (network, tuning) = LegacyConceptualizer::deserialize(r)?
+            .into_network()
+            .map_err(|e| serde::de::Error(e.to_string()))?;
+        Ok(Self::with_tuning(network, tuning))
     }
 }
 
@@ -287,6 +362,98 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The scoring the precomputed table replaced: a count probe and an
+    /// `ln` per (signal word, candidate concept).
+    fn reference(c: &Conceptualizer, entity: NodeId, context: &[&str]) -> Vec<(ConceptId, f64)> {
+        let net = c.network();
+        let prior = net.concepts_of(entity);
+        if prior.len() < 2 {
+            return prior.iter().map(|(c, _)| (c, 1.0)).collect();
+        }
+        let mut out: Vec<(ConceptId, f64)> = prior.iter().map(|(c, p)| (c, p.ln())).collect();
+        let mut seen = 0;
+        for word in context {
+            if seen >= c.max_context_words {
+                break;
+            }
+            let sym = net.context_symbol(word);
+            if sym.is_none() {
+                continue;
+            }
+            seen += 1;
+            for (concept, score) in out.iter_mut() {
+                *score += net.symbol_likelihood(*concept, sym, c.alpha).ln();
+            }
+        }
+        let max = out.iter().map(|(_, s)| *s).fold(f64::NEG_INFINITY, f64::max);
+        for (_, s) in out.iter_mut() {
+            *s = (*s - max).exp();
+        }
+        let total: f64 = out.iter().map(|(_, p)| p).sum();
+        for (_, p) in out.iter_mut() {
+            *p /= total;
+        }
+        out.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        out
+    }
+
+    fn bits(dist: &[(ConceptId, f64)]) -> Vec<(ConceptId, u64)> {
+        dist.iter().map(|&(c, p)| (c, p.to_bits())).collect()
+    }
+
+    const CONTEXTS: [&[&str]; 5] = [
+        &["what", "is", "the", "headquarter", "of"],
+        &["how", "do", "i", "eat", "an"],
+        &["ceo", "eat", "grow", "founded", "headquarter", "eat"],
+        &["zz", "qq"],
+        &[],
+    ];
+
+    #[test]
+    fn the_likelihood_table_scores_bit_identically_to_the_formula() {
+        let (net, _, _) = apple_network();
+        for alpha in [0.1, 0.37, 2.0] {
+            let c = Conceptualizer::new(net.clone()).with_alpha(alpha);
+            for context in CONTEXTS {
+                for entity in [node(0), node(99)] {
+                    assert_eq!(
+                        bits(&c.conceptualize(entity, context).entries),
+                        bits(&reference(&c, entity, context)),
+                        "alpha {alpha}, context {context:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_and_legacy_json_reload_the_same_conceptualizer() {
+        let (net, _, _) = apple_network();
+        let c = Conceptualizer::new(net).with_alpha(0.37);
+        let dir = std::env::temp_dir().join(format!("kbqa-taxonomy-snap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("taxonomy.snap");
+        c.write_snapshot(&path).unwrap();
+        let file = std::fs::File::open(&path).unwrap();
+        let mapped = Conceptualizer::from_map(Mmap::map_file(&file).unwrap()).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let legacy: Conceptualizer =
+            serde_json::from_str(&serde_json::to_string(&c).unwrap()).unwrap();
+        for restored in [&mapped, &legacy] {
+            assert_eq!(restored.alpha, 0.37);
+            assert_eq!(restored.max_context_words, c.max_context_words);
+            assert_eq!(restored.network().covered_entities(), 1);
+            assert_eq!(restored.network().find_concept("fruit"), c.network().find_concept("fruit"));
+            for context in CONTEXTS {
+                assert_eq!(
+                    bits(&restored.conceptualize(node(0), context).entries),
+                    bits(&c.conceptualize(node(0), context).entries)
+                );
+            }
+        }
+        assert_eq!(mapped.network().sections().heap_bytes(), 0, "mapped, not copied");
     }
 
     #[test]

@@ -24,4 +24,4 @@ pub mod network;
 
 pub use concept::ConceptId;
 pub use conceptualize::{ConceptDistribution, Conceptualizer};
-pub use network::{ConceptNetwork, NetworkBuilder};
+pub use network::{ConceptNetwork, Memberships, NetworkBuilder};

@@ -58,6 +58,11 @@ use std::sync::Arc;
 
 use kbqa::prelude::*;
 
+/// Heap the mapped taxonomy and pattern index may keep together: the
+/// concept-name and vocabulary indexes and the `ln P(w|c)` table (16.2 KB
+/// on this bundle). Parsed from JSON they kept ≈611 KB.
+const SECTIONS_KEPT_BOUND: usize = 32 << 10;
+
 #[test]
 fn bundle_load_peak_heap_stays_within_1_5x_of_what_it_keeps() {
     let dir = std::env::temp_dir().join(format!("kbqa-load-footprint-{}", std::process::id()));
@@ -102,8 +107,28 @@ fn bundle_load_peak_heap_stays_within_1_5x_of_what_it_keeps() {
     let artifacts = ServingArtifacts::load(&dir).expect("load bundle");
     let peak = PEAK.load(Ordering::Relaxed) - before;
     let kept = LIVE.load(Ordering::Relaxed) - before;
-    std::fs::remove_dir_all(&dir).ok();
     assert!(artifacts.pattern_index.is_some());
+
+    // The taxonomy and the pattern index are mapped section files: what they
+    // keep is the name indexes and the conceptualizer's ln P(w|c) table.
+    let before = LIVE.load(Ordering::Relaxed);
+    let conceptualizer = kbqa::core::persist::load_taxonomy(&dir.join("taxonomy.snap")).unwrap();
+    let index = kbqa::core::persist::load_patterns(&dir.join("patterns.snap")).unwrap();
+    let sections_kept = LIVE.load(Ordering::Relaxed) - before;
+    println!(
+        "[load_footprint] taxonomy + pattern index kept {sections_kept} B \
+         (conceptualizer heap_bytes {}, index heap_bytes {}, {} concepts, {} patterns)",
+        conceptualizer.heap_bytes(),
+        index.heap_bytes(),
+        conceptualizer.network().concept_count(),
+        index.pattern_count()
+    );
+    assert!(
+        sections_kept <= SECTIONS_KEPT_BOUND,
+        "the taxonomy and the pattern index kept {sections_kept} B > {SECTIONS_KEPT_BOUND} B"
+    );
+    drop((conceptualizer, index));
+    std::fs::remove_dir_all(&dir).ok();
 
     let ratio = peak as f64 / kept as f64;
     println!("[load_footprint] peak {peak} B, kept {kept} B: peak / kept = {ratio:.2}");

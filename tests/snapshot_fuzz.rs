@@ -9,6 +9,12 @@
 //! typed `KbqaError::Io`, or a store whose `name_entries()` walk, gazetteer
 //! build and mention scan all run without a panic. Most mutations land in
 //! the name sections; a few anywhere in the file.
+//!
+//! The taxonomy (`taxonomy.snap`) and the pattern index (`patterns.snap`)
+//! are section files in the same container, and get the same treatment:
+//! each forgery must load as a typed error, or as a conceptualizer whose
+//! `conceptualize_into` over every entity, or an index whose `probability`
+//! over every sub-pattern of the corpus, runs without a panic.
 
 use std::hash::Hasher as _;
 use std::path::Path;
@@ -153,4 +159,182 @@ fn forged_snapshots_fail_typed_or_index_without_panicking() {
         opened >= 200 && refused >= 200,
         "opened {opened}, refused {refused}"
     );
+}
+
+/// Element width of each section of `taxonomy.snap`, in file order
+/// (`kbqa_taxonomy::network`'s format): names, vocabulary, memberships,
+/// context runs, totals, tuning.
+const TAXONOMY_WIDTHS: [usize; 12] = [1, 4, 1, 4, 4, 4, 8, 4, 4, 8, 8, 8];
+/// Element width of each section of `patterns.snap`: params, fingerprints,
+/// `f_o`, `f_v`, radix directory.
+const PATTERN_WIDTHS: [usize; 5] = [8, 8, 4, 4, 4];
+
+/// One forgery of a section file with sections of `widths`: a truncation, a
+/// flipped byte anywhere, a rewritten table entry, or a rewritten element —
+/// random, small (ids at or just above the real counts), or off by one —
+/// then the header re-stamped so the forgery reaches section validation.
+fn forge_sections(clean: &[u8], widths: &[usize], rng: &mut TestRng) -> Vec<u8> {
+    let mut bytes = clean.to_vec();
+    let pick = |rng: &mut TestRng, n: usize| (rng.next_u64() % n.max(1) as u64) as usize;
+    match rng.next_u64() % 6 {
+        0 => bytes.truncate(pick(rng, clean.len())),
+        1 => {
+            let at = pick(rng, bytes.len());
+            bytes[at] ^= 1 + pick(rng, 255) as u8;
+        }
+        // A table entry: a section's offset or length.
+        2 => {
+            let at = HEADER_LEN + pick(rng, widths.len()) * 16 + 8 * pick(rng, 2);
+            let value = section(clean, 0).0 as u64 + rng.next_u64() % 64;
+            bytes[at..at + 8].copy_from_slice(&value.to_ne_bytes());
+        }
+        // An element of a section.
+        _ => {
+            let i = pick(rng, widths.len());
+            let (off, len) = section(clean, i);
+            let width = widths[i];
+            if len >= width {
+                let at = off + pick(rng, len / width) * width;
+                let old = if width == 8 {
+                    u64::from_ne_bytes(bytes[at..at + 8].try_into().unwrap())
+                } else {
+                    u64::from(bytes[at])
+                        | u64::from(bytes[at + width - 1]) << (8 * (width - 1))
+                };
+                let value = match rng.next_u64() % 4 {
+                    0 => rng.next_u64(),
+                    1 => rng.next_u64() % 64,
+                    2 => old.wrapping_add(1),
+                    _ => old.wrapping_sub(1),
+                };
+                bytes[at..at + width].copy_from_slice(&value.to_ne_bytes()[..width]);
+            }
+        }
+    }
+    restamp(&mut bytes);
+    bytes
+}
+
+/// Forge `clean` 1 000 times; each forgery must load as a typed error or as
+/// a value `exercise` walks without a panic. Both outcomes must occur.
+fn fuzz_section_file(
+    name: &str,
+    clean: &[u8],
+    widths: &[usize],
+    open_and_exercise: impl Fn(&Path) -> bool + std::panic::RefUnwindSafe,
+) {
+    let dir = std::env::temp_dir().join(format!("kbqa-{name}-fuzz-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    std::fs::write(&path, clean).unwrap();
+    assert!(open_and_exercise(&path), "the clean {name} must open");
+    let mut rng = TestRng::from_name(name);
+    let (mut opened, mut refused) = (0, 0);
+    for case in 0..1_000 {
+        std::fs::write(&path, forge_sections(clean, widths, &mut rng)).unwrap();
+        match std::panic::catch_unwind(|| open_and_exercise(&path)) {
+            Ok(true) => opened += 1,
+            Ok(false) => refused += 1,
+            Err(_) => {
+                let keep = dir.join(format!("panicked-{case}-{name}"));
+                std::fs::copy(&path, &keep).unwrap();
+                panic!("case {case} panicked; the forged file is {}", keep.display());
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    println!("[snapshot_fuzz] {name}: {opened} forgeries opened, {refused} refused");
+    assert!(
+        opened >= 50 && refused >= 300,
+        "{name}: opened {opened}, refused {refused}"
+    );
+}
+
+/// Corpus questions of a tiny world and their word lists.
+fn tiny_corpus(world: &World) -> Vec<Vec<String>> {
+    QaCorpus::generate(world, &CorpusConfig::with_pairs(1, 300))
+        .pairs
+        .iter()
+        .map(|p| tokenize(&p.question).words().iter().map(|w| w.to_string()).collect())
+        .collect()
+}
+
+#[test]
+fn forged_taxonomy_snapshots_fail_typed_or_conceptualize_without_panicking() {
+    let world = World::generate(WorldConfig::tiny(42));
+    let contexts = tiny_corpus(&world);
+    let nodes = world.store.dict().node_count() as u32 + 4;
+    let dir = std::env::temp_dir().join(format!("kbqa-taxonomy-clean-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let clean_path = dir.join("taxonomy.snap");
+    world.conceptualizer.write_snapshot(&clean_path).unwrap();
+    let clean = std::fs::read(&clean_path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    fuzz_section_file("taxonomy.snap", &clean, &TAXONOMY_WIDTHS, |path| {
+        let conceptualizer = match kbqa::core::persist::load_taxonomy(path) {
+            Ok(conceptualizer) => conceptualizer,
+            Err(KbqaError::Io(_)) => return false,
+            Err(other) => panic!("forged taxonomy: untyped error {other:?}"),
+        };
+        let network = conceptualizer.network();
+        let mut out = Vec::new();
+        for node in 0..nodes {
+            let context = &contexts[node as usize % contexts.len()];
+            let entity = kbqa::rdf::NodeId::new(node);
+            conceptualizer.conceptualize_into(entity, context.iter().map(String::as_str), &mut out);
+            for &(concept, p) in &out {
+                std::hint::black_box((network.concept_name(concept), p));
+            }
+            std::hint::black_box(conceptualizer.prior(entity));
+        }
+        for concept in network.concepts() {
+            let name = network.concept_name(concept);
+            assert_eq!(network.find_concept(name), Some(concept));
+            for word in &contexts[0] {
+                std::hint::black_box(network.context_likelihood(concept, word, 0.1));
+            }
+        }
+        std::hint::black_box(network.covered_entities());
+        true
+    });
+}
+
+#[test]
+fn forged_pattern_snapshots_fail_typed_or_probe_without_panicking() {
+    let world = World::generate(WorldConfig::tiny(42));
+    let contexts = tiny_corpus(&world);
+    let ner = GazetteerNer::from_store(&world.store);
+    let questions: Vec<String> = contexts.iter().map(|words| words.join(" ")).collect();
+    let index = PatternIndex::build(questions.iter().map(String::as_str), &ner);
+    assert!(index.pattern_count() > 1_000, "a directory with real buckets");
+    let dir = std::env::temp_dir().join(format!("kbqa-patterns-clean-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let clean_path = dir.join("patterns.snap");
+    index.write_snapshot(&clean_path).unwrap();
+    let clean = std::fs::read(&clean_path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    fuzz_section_file("patterns.snap", &clean, &PATTERN_WIDTHS, |path| {
+        let index = match kbqa::core::persist::load_patterns(path) {
+            Ok(index) => index,
+            Err(KbqaError::Io(_)) => return false,
+            Err(other) => panic!("forged pattern index: untyped error {other:?}"),
+        };
+        for words in contexts.iter().take(100) {
+            let words: Vec<&str> = words.iter().map(String::as_str).collect();
+            for i in 0..words.len() {
+                for j in i + 1..=words.len() {
+                    let mut pattern = words[..i].to_vec();
+                    pattern.push("$e");
+                    pattern.extend_from_slice(&words[j..]);
+                    let p = index.probability(&pattern);
+                    assert!((0.0..=1.0).contains(&p), "P(q̌) = {p}");
+                    std::hint::black_box(index.counts(&pattern));
+                }
+            }
+        }
+        std::hint::black_box((index.pattern_count(), index.questions_indexed()));
+        true
+    });
 }
