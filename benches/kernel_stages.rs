@@ -174,7 +174,11 @@ fn open_section_file<T>(
         best = best.min(started.elapsed().as_secs_f64() * 1e3);
         heap = heap_bytes(&value);
     }
-    (best, std::fs::metadata(path).expect("section file").len(), heap)
+    (
+        best,
+        std::fs::metadata(path).expect("section file").len(),
+        heap,
+    )
 }
 
 /// One row of the `O(|P|)` curve: what a question costs on this fixture's
@@ -361,7 +365,15 @@ fn bench_kernel_stages(c: &mut Criterion) {
     println!("O(|P|) curve (ns/question, traced stages):");
     println!(
         "  {:<10} {:>9} {:>8} {:>9} {:>10} {:>7} {:>10} {:>12} {:>11}",
-        "world", "triples", "|P|", "templates", "questions", "answer", "kernel", "conceptualize", "stage total"
+        "world",
+        "triples",
+        "|P|",
+        "templates",
+        "questions",
+        "answer",
+        "kernel",
+        "conceptualize",
+        "stage total"
     );
     let quick = fixture(WorldConfig::small(SEED), 4_000, 12_000, COLD_QUESTIONS);
     curve_row("quick", &quick);

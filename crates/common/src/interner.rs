@@ -118,8 +118,7 @@ impl Interner {
     pub fn heap_bytes(&self) -> usize {
         let strings = self.strings.capacity() * std::mem::size_of::<Box<str>>()
             + self.strings.iter().map(|s| s.len()).sum::<usize>();
-        let buckets = self.buckets.capacity()
-            * (std::mem::size_of::<(u64, Vec<u32>)>() + 1)
+        let buckets = self.buckets.capacity() * (std::mem::size_of::<(u64, Vec<u32>)>() + 1)
             + self
                 .buckets
                 .values()

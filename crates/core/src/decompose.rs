@@ -283,7 +283,11 @@ impl Serialize for PatternIndex {
     fn to_value(&self) -> serde::Value {
         let s = &self.sections;
         let counts = s.u64s(sec::KEYS).iter().copied();
-        let pairs = s.u32s(sec::F_O).iter().copied().zip(s.u32s(sec::F_V).iter().copied());
+        let pairs = s
+            .u32s(sec::F_O)
+            .iter()
+            .copied()
+            .zip(s.u32s(sec::F_V).iter().copied());
         LegacyPatternIndex {
             counts: counts.zip(pairs).collect(),
             questions_indexed: self.questions_indexed,
@@ -295,8 +299,11 @@ impl Serialize for PatternIndex {
 impl Deserialize for PatternIndex {
     fn deserialize(r: &mut serde::de::Reader<'_>) -> std::result::Result<Self, serde::de::Error> {
         let legacy = LegacyPatternIndex::deserialize(r)?;
-        Self::from_counts(legacy.counts.into_iter().collect(), legacy.questions_indexed)
-            .map_err(|e| serde::de::Error(e.to_string()))
+        Self::from_counts(
+            legacy.counts.into_iter().collect(),
+            legacy.questions_indexed,
+        )
+        .map_err(|e| serde::de::Error(e.to_string()))
     }
 }
 

@@ -238,9 +238,7 @@ fn load_model_listed(path: &Path, listed: Option<&str>) -> Result<LearnedModel> 
 /// rename), so this follows the same crash discipline as [`save_json`].
 /// Returns the file's digest.
 pub fn save_store(store: &TripleStore, path: &Path) -> Result<String> {
-    let file_digest = format!("{:016x}", store.write_snapshot(path)?);
-    write_atomic(&checksum_path(path), format!("{file_digest}\n").as_bytes())?;
-    Ok(file_digest)
+    sidecar(path, store.write_snapshot(path)?)
 }
 
 /// Load a triple store by mapping its snapshot file read-only — no parse,
@@ -310,36 +308,34 @@ fn load_section_file<T>(
     })
 }
 
-/// Where a bundle keeps an artifact saved under two names over time: its
-/// section file (`snap`) or the JSON it replaced (`json`). The manifest
-/// decides when it lists either; a directory without such an entry is
-/// searched in that order. Takes the chosen file's manifest entry.
-fn artifact_file(
+/// Load an artifact a bundle keeps under one of two names: its section file
+/// (`snap`: mapped, checked, handed to `open`) or the JSON it replaced
+/// (`json`: parsed into the same layout). The manifest decides when it
+/// lists either, and its entry is taken; a directory without such an entry
+/// is searched in that order. `None` when neither file is there.
+fn load_artifact<T: DeserializeOwned>(
     dir: &Path,
     listed: &mut std::collections::BTreeMap<String, String>,
-    snap: &str,
-    json: &str,
-) -> Option<(PathBuf, Option<String>, bool)> {
-    for name in [snap, json] {
-        if let Some(digest) = listed.remove(name) {
-            return Some((dir.join(name), Some(digest), name == json));
-        }
-    }
-    [snap, json]
-        .into_iter()
-        .map(|name| (dir.join(name), None, name == json))
-        .find(|(path, _, _)| path.exists())
-}
-
-/// Load an artifact from whichever of its two files [`artifact_file`]
-/// chose: mapped and checked, or (legacy) parsed into the same layout.
-fn load_either<T: DeserializeOwned>(
-    file: (PathBuf, Option<String>, bool),
+    (snap, json): (&str, &str),
     open: impl FnOnce(Mmap) -> Result<T>,
-) -> Result<T> {
-    match file {
-        (path, listed, true) => load_json_listed(&path, listed.as_deref()),
-        (path, listed, false) => load_section_file(&path, listed.as_deref(), open),
+) -> Result<Option<T>> {
+    let chosen = [snap, json]
+        .into_iter()
+        .find_map(|name| Some((name, Some(listed.remove(name)?))))
+        .or_else(|| {
+            [snap, json]
+                .into_iter()
+                .find(|name| dir.join(name).exists())
+                .map(|name| (name, None))
+        });
+    let Some((name, digest)) = chosen else {
+        return Ok(None);
+    };
+    let path = dir.join(name);
+    if name == json {
+        load_json_listed(&path, digest.as_deref()).map(Some)
+    } else {
+        load_section_file(&path, digest.as_deref(), open).map(Some)
     }
 }
 
@@ -523,18 +519,26 @@ impl ServingArtifacts {
         };
         // Each load below takes its file's manifest entry.
         let store = load_store_listed(&dir.join(STORE_FILE), listed.remove(STORE_FILE).as_deref())?;
-        let taxonomy = artifact_file(dir, &mut listed, TAXONOMY_FILE, LEGACY_TAXONOMY_FILE)
-            .ok_or_else(|| {
-                KbqaError::Io(format!(
-                    "{} holds neither {TAXONOMY_FILE} nor {LEGACY_TAXONOMY_FILE}",
-                    dir.display()
-                ))
-            })?;
-        let conceptualizer = load_either(taxonomy, Conceptualizer::from_map)?;
+        let conceptualizer = load_artifact(
+            dir,
+            &mut listed,
+            (TAXONOMY_FILE, LEGACY_TAXONOMY_FILE),
+            Conceptualizer::from_map,
+        )?
+        .ok_or_else(|| {
+            KbqaError::Io(format!(
+                "{} holds neither {TAXONOMY_FILE} nor {LEGACY_TAXONOMY_FILE}",
+                dir.display()
+            ))
+        })?;
         let model = load_model_listed(&dir.join(MODEL_FILE), listed.remove(MODEL_FILE).as_deref())?;
-        let pattern_index = artifact_file(dir, &mut listed, PATTERNS_FILE, LEGACY_PATTERNS_FILE)
-            .map(|file| load_either(file, PatternIndex::from_map).map(Arc::new))
-            .transpose()?;
+        let pattern_index = load_artifact(
+            dir,
+            &mut listed,
+            (PATTERNS_FILE, LEGACY_PATTERNS_FILE),
+            PatternIndex::from_map,
+        )?
+        .map(Arc::new);
         // A listed file no artifact above reads — each shard snapshot, and
         // an older bundle's `ner.json`, among them — is still held to its
         // digest.
@@ -1012,7 +1016,10 @@ mod tests {
             let file_digest = if json == LEGACY_TAXONOMY_FILE {
                 save_json(service.conceptualizer().as_ref(), &legacy.join(json))
             } else {
-                save_json(service.pattern_index().unwrap().as_ref(), &legacy.join(json))
+                save_json(
+                    service.pattern_index().unwrap().as_ref(),
+                    &legacy.join(json),
+                )
             }
             .unwrap();
             std::fs::remove_file(legacy.join(snap)).unwrap();
@@ -1027,7 +1034,14 @@ mod tests {
         let from_json = ServingArtifacts::load(&legacy).unwrap().into_service();
         // The section files are mapped; the legacy JSON parses onto the heap.
         assert!(from_json.conceptualizer().network().sections().heap_bytes() > 0);
-        assert_eq!(from_sections.conceptualizer().network().sections().heap_bytes(), 0);
+        assert_eq!(
+            from_sections
+                .conceptualizer()
+                .network()
+                .sections()
+                .heap_bytes(),
+            0
+        );
         assert_eq!(from_sections.pattern_index().unwrap().heap_bytes(), 0);
         let mut answered = 0;
         for q in &questions {
@@ -1044,7 +1058,11 @@ mod tests {
                 "{q:?} from the legacy JSON"
             );
         }
-        assert!(answered > questions.len() / 2, "{answered} of {}", questions.len());
+        assert!(
+            answered > questions.len() / 2,
+            "{answered} of {}",
+            questions.len()
+        );
 
         // Tampered after the save: α edited in place, sidecar kept.
         let path = legacy.join(LEGACY_TAXONOMY_FILE);
@@ -1052,7 +1070,9 @@ mod tests {
         assert!(text.contains("\"alpha\":0.1"), "α serialized as saved");
         std::fs::write(&path, text.replace("\"alpha\":0.1", "\"alpha\":0.2")).unwrap();
         match ServingArtifacts::load(&legacy) {
-            Err(KbqaError::Io(message)) => assert!(message.contains("manifest mismatch"), "{message}"),
+            Err(KbqaError::Io(message)) => {
+                assert!(message.contains("manifest mismatch"), "{message}")
+            }
             Ok(_) => panic!("a tampered taxonomy.json must refuse the bundle"),
             Err(other) => panic!("typed Io error expected, got {other:?}"),
         }

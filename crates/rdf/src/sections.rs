@@ -184,12 +184,22 @@ fn pad_len(len: usize) -> usize {
 
 /// The section table and file length for `cols`, every section 8-aligned.
 fn layout(format: &Format, cols: &[Col<'_>]) -> (Vec<u8>, Vec<(usize, usize)>, u64) {
-    assert_eq!(cols.len(), format.elems.len(), "{}: section count", format.name);
+    assert_eq!(
+        cols.len(),
+        format.elems.len(),
+        "{}: section count",
+        format.name
+    );
     let mut ranges = Vec::with_capacity(cols.len());
     let mut table = Vec::with_capacity(cols.len() * 16);
     let mut at = HEADER_LEN + cols.len() * 16;
     for (i, col) in cols.iter().enumerate() {
-        debug_assert_eq!(col.elem(), format.elems[i], "{}: section {i} width", format.name);
+        debug_assert_eq!(
+            col.elem(),
+            format.elems[i],
+            "{}: section {i} width",
+            format.name
+        );
         let len = col.bytes().len();
         ranges.push((at, len));
         table.extend_from_slice(&(at as u64).to_ne_bytes());
@@ -275,7 +285,7 @@ fn write_atomic(
 }
 
 /// Encode `cols` as an owned file image of `format`: byte for byte what
-/// [`write`] puts on disk, behind the views a mapped file gets.
+/// [`write()`] puts on disk, behind the views a mapped file gets.
 pub fn encode(format: &Format, cols: &[Col<'_>]) -> Sections {
     let (table, ranges, file_len) = layout(format, cols);
     let mut words = vec![0u64; file_len as usize / 8];
@@ -325,9 +335,7 @@ pub fn read_table(format: &Format, bytes: &[u8]) -> Result<Vec<(usize, usize)>> 
     }
     let section_count = word32(12);
     if section_count as usize != count {
-        return Err(format.error(format_args!(
-            "unexpected section count {section_count}"
-        )));
+        return Err(format.error(format_args!("unexpected section count {section_count}")));
     }
     let file_len = word64(16);
     if file_len != bytes.len() as u64 {
@@ -425,14 +433,13 @@ impl Sections {
     }
 
     /// The whole file, header included.
+    #[inline]
     pub fn bytes(&self) -> &[u8] {
         match &*self.backing {
             Backing::Mapped(map) => map.bytes(),
             Backing::Owned(words) => {
                 // SAFETY: a `u64` buffer viewed as its bytes.
-                unsafe {
-                    std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), words.len() * 8)
-                }
+                unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), words.len() * 8) }
             }
         }
     }
@@ -451,22 +458,26 @@ impl Sections {
     }
 
     /// Section `i`'s bytes.
+    #[inline]
     pub fn raw(&self, i: usize) -> &[u8] {
         let (off, len) = self.ranges[i];
         &self.bytes()[off..off + len]
     }
 
     /// Section `i` as `u32`s.
+    #[inline]
     pub fn u32s(&self, i: usize) -> &[u32] {
         cast(self.raw(i))
     }
 
     /// Section `i` as `u64`s.
+    #[inline]
     pub fn u64s(&self, i: usize) -> &[u64] {
         cast(self.raw(i))
     }
 
     /// Section `i` as `f64`s.
+    #[inline]
     pub fn f64s(&self, i: usize) -> &[f64] {
         cast(self.raw(i))
     }
@@ -482,6 +493,7 @@ impl std::fmt::Debug for Sections {
 }
 
 /// View a section's bytes as `T`s (`u32`, `u64` or `f64`).
+#[inline]
 fn cast<T>(bytes: &[u8]) -> &[T] {
     let size = std::mem::size_of::<T>();
     debug_assert_eq!(bytes.as_ptr() as usize % std::mem::align_of::<T>(), 0);

@@ -305,13 +305,6 @@ pub(crate) fn write_source(src: &SnapshotSource<'_>, path: &Path) -> Result<u64>
     sections::write(&FORMAT, &cols, path)
 }
 
-/// Atomically write already-encoded snapshot `bytes` to `path` (temp +
-/// `fsync` + rename) and return their Fx-64 digest. Used when a mapped store
-/// re-snapshots: its mapping already *is* the file format.
-pub(crate) fn write_bytes(bytes: &[u8], path: &Path) -> Result<u64> {
-    sections::write_bytes(bytes, path)
-}
-
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
@@ -356,7 +349,8 @@ impl Snapshot {
         let string_offsets = self.u64s(sec::STRING_OFFSETS);
         let string_sorted = self.u32s(sec::STRING_SORTED);
         let string_count = string_sorted.len();
-        check_offsets(
+        sections::check_bounds(
+            &FORMAT,
             "string offsets",
             string_offsets,
             string_count,
@@ -440,13 +434,15 @@ impl Snapshot {
         {
             return Err(bad("log p column references out-of-range predicate"));
         }
-        check_offsets(
+        sections::check_bounds(
+            &FORMAT,
             "so bounds",
             self.u64s(sec::SO_BOUNDS),
             predicate_count,
             triple_count,
         )?;
-        check_offsets(
+        sections::check_bounds(
+            &FORMAT,
             "os bounds",
             self.u64s(sec::OS_BOUNDS),
             predicate_count,
@@ -458,8 +454,20 @@ impl Snapshot {
         let name_bounds = self.u64s(sec::NAME_NODE_BOUNDS);
         let name_ids = self.u32s(sec::NAME_NODE_IDS);
         let name_count = name_offsets.len().saturating_sub(1);
-        check_offsets("name offsets", name_offsets, name_count, name_bytes.len())?;
-        check_offsets("name node bounds", name_bounds, name_count, name_ids.len())?;
+        sections::check_bounds(
+            &FORMAT,
+            "name offsets",
+            name_offsets,
+            name_count,
+            name_bytes.len(),
+        )?;
+        sections::check_bounds(
+            &FORMAT,
+            "name node bounds",
+            name_bounds,
+            name_count,
+            name_ids.len(),
+        )?;
         let names = std::str::from_utf8(name_bytes)
             .map_err(|e| bad(format_args!("name bytes not UTF-8: {e}")))?;
         for &off in name_offsets {
@@ -558,10 +566,6 @@ impl Snapshot {
         let triples: Vec<Triple> = (0..cols.len()).map(|i| cols.triple_at(i)).collect();
         (dict, triples, self.name_predicates().to_vec())
     }
-}
-
-fn check_offsets(what: &str, offsets: &[u64], expect_entries: usize, end: usize) -> Result<()> {
-    sections::check_bounds(&FORMAT, what, offsets, expect_entries, end)
 }
 
 fn check_perm(what: &str, perm: &[u32], n: usize) -> Result<()> {

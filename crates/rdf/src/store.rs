@@ -134,7 +134,7 @@ impl TripleStore {
             }
             // A mapped store already *is* its snapshot; re-snapshotting is a
             // verbatim byte copy.
-            Backend::Mapped(m) => snapshot::write_bytes(m.snapshot().bytes(), path),
+            Backend::Mapped(m) => crate::sections::write_bytes(m.snapshot().bytes(), path),
         }
     }
 

@@ -742,18 +742,30 @@ fn bundle_reload_onto_a_forged_taxonomy_is_a_500_and_the_old_epoch_serves_on() {
     let addr = server.local_addr();
     let questions = [
         question.clone(),
-        format!("how many people live in {}", &question[question.rfind(' ').unwrap() + 1..]),
+        format!(
+            "how many people live in {}",
+            &question[question.rfind(' ').unwrap() + 1..]
+        ),
         "why is the sky blue".to_owned(),
         "what is the population of nowhere".to_owned(),
     ];
     let ask = |q: &str| {
-        let (status, body) = http(addr, "POST", "/answer", "", &serde_json::to_string(&QaRequest::new(q)).unwrap());
+        let (status, body) = http(
+            addr,
+            "POST",
+            "/answer",
+            "",
+            &serde_json::to_string(&QaRequest::new(q)).unwrap(),
+        );
         assert_eq!(status, 200, "{body}");
         body
     };
     // One answer before the reload; the rest first asked after it, so the
     // kernel runs on whatever epoch serves then.
-    assert_eq!(ask(&questions[0]), serde_json::to_string(&service.answer(&QaRequest::new(&questions[0]))).unwrap());
+    assert_eq!(
+        ask(&questions[0]),
+        serde_json::to_string(&service.answer(&QaRequest::new(&questions[0]))).unwrap()
+    );
 
     let (status, body) = http(addr, "POST", "/admin/reload?mode=bundle", ADMIN, "");
     assert_eq!(status, 500, "{body}");

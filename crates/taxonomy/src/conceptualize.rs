@@ -23,7 +23,9 @@ use kbqa_rdf::sections::Sections;
 use kbqa_rdf::NodeId;
 
 use crate::concept::ConceptId;
-use crate::network::{smoothed, ConceptNetwork, LegacyConceptualizer, Tuning, DEFAULT_TUNING, FORMAT};
+use crate::network::{
+    smoothed, ConceptNetwork, LegacyConceptualizer, Tuning, DEFAULT_TUNING, FORMAT,
+};
 
 /// A normalized distribution over concepts for one entity-in-context.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -106,7 +108,13 @@ impl Conceptualizer {
         let mut table = Vec::with_capacity(net.vocab_size() * net.concept_count());
         for sym in 0..net.vocab_size() as u32 {
             table.extend(net.concepts().map(|c| {
-                smoothed(net.context_count(c, sym), net.context_total(c), self.alpha, vocab).ln()
+                smoothed(
+                    net.context_count(c, sym),
+                    net.context_total(c),
+                    self.alpha,
+                    vocab,
+                )
+                .ln()
             }));
         }
         self.log_likelihood = table;
@@ -387,7 +395,10 @@ mod tests {
                 *score += net.symbol_likelihood(*concept, sym, c.alpha).ln();
             }
         }
-        let max = out.iter().map(|(_, s)| *s).fold(f64::NEG_INFINITY, f64::max);
+        let max = out
+            .iter()
+            .map(|(_, s)| *s)
+            .fold(f64::NEG_INFINITY, f64::max);
         for (_, s) in out.iter_mut() {
             *s = (*s - max).exp();
         }
@@ -445,7 +456,10 @@ mod tests {
             assert_eq!(restored.alpha, 0.37);
             assert_eq!(restored.max_context_words, c.max_context_words);
             assert_eq!(restored.network().covered_entities(), 1);
-            assert_eq!(restored.network().find_concept("fruit"), c.network().find_concept("fruit"));
+            assert_eq!(
+                restored.network().find_concept("fruit"),
+                c.network().find_concept("fruit")
+            );
             for context in CONTEXTS {
                 assert_eq!(
                     bits(&restored.conceptualize(node(0), context).entries),
@@ -453,7 +467,11 @@ mod tests {
                 );
             }
         }
-        assert_eq!(mapped.network().sections().heap_bytes(), 0, "mapped, not copied");
+        assert_eq!(
+            mapped.network().sections().heap_bytes(),
+            0,
+            "mapped, not copied"
+        );
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //! | tuning | `u64` | the conceptualizer's α (bits) and context-word cap |
 //!
 //! Every offset, id and count is checked when the file is opened
-//! ([`ConceptNetwork::from_sections`]), so no lookup can index out of range.
+//! (`ConceptNetwork::from_sections`, reached through
+//! [`crate::Conceptualizer::from_map`]), so no lookup can index out of range.
 
 use kbqa_common::error::Result;
 use kbqa_common::hash::FxHashMap;
@@ -119,11 +120,6 @@ impl<'a> Memberships<'a> {
         self.concepts
     }
 
-    /// The weights, aligned with [`Memberships::concepts`].
-    pub fn weights(&self) -> &'a [f64] {
-        self.weights
-    }
-
     /// Iterate `(concept, weight)`.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (ConceptId, f64)> + 'a {
         self.concepts
@@ -154,9 +150,19 @@ impl ConceptNetwork {
     /// Check a taxonomy file's sections — offsets monotone and in range, ids
     /// below their counts, names unique UTF-8, weights and counts finite —
     /// and index its names. Any violation is a typed [`kbqa_common::error::KbqaError::Io`].
-    pub fn from_sections(sections: Sections) -> Result<Self> {
-        let concept_names = strings(&sections, sec::NAME_BYTES, sec::NAME_OFFSETS, "concept names")?;
-        let context_vocab = strings(&sections, sec::VOCAB_BYTES, sec::VOCAB_OFFSETS, "vocabulary")?;
+    pub(crate) fn from_sections(sections: Sections) -> Result<Self> {
+        let concept_names = strings(
+            &sections,
+            sec::NAME_BYTES,
+            sec::NAME_OFFSETS,
+            "concept names",
+        )?;
+        let context_vocab = strings(
+            &sections,
+            sec::VOCAB_BYTES,
+            sec::VOCAB_OFFSETS,
+            "vocabulary",
+        )?;
         let concepts = concept_names.len();
         let vocab = context_vocab.len();
 
@@ -164,7 +170,13 @@ impl ConceptNetwork {
         let member_concepts = sections.u32s(sec::MEMBER_CONCEPTS);
         let weights = sections.f64s(sec::MEMBER_WEIGHTS);
         let nodes = bounds.len().max(1) - 1;
-        sections::check_bounds(&FORMAT, "membership bounds", bounds, nodes, member_concepts.len())?;
+        sections::check_bounds(
+            &FORMAT,
+            "membership bounds",
+            bounds,
+            nodes,
+            member_concepts.len(),
+        )?;
         if weights.len() != member_concepts.len() {
             return Err(FORMAT.error("membership weights and concepts disagree on length"));
         }
@@ -178,7 +190,13 @@ impl ConceptNetwork {
         let context_bounds = sections.u32s(sec::CONTEXT_BOUNDS);
         let syms = sections.u32s(sec::CONTEXT_SYMS);
         let counts = sections.f64s(sec::CONTEXT_COUNTS);
-        sections::check_bounds(&FORMAT, "context bounds", context_bounds, concepts, syms.len())?;
+        sections::check_bounds(
+            &FORMAT,
+            "context bounds",
+            context_bounds,
+            concepts,
+            syms.len(),
+        )?;
         if counts.len() != syms.len() {
             return Err(FORMAT.error("context counts and symbols disagree on length"));
         }
@@ -228,7 +246,7 @@ impl ConceptNetwork {
     }
 
     /// Number of distinct context words.
-    pub fn vocab_size(&self) -> usize {
+    pub(crate) fn vocab_size(&self) -> usize {
         self.context_vocab.len()
     }
 
@@ -287,7 +305,7 @@ impl ConceptNetwork {
     }
 
     /// The count of context symbol `sym` for concept `c` (0 when unseen).
-    pub fn context_count(&self, c: ConceptId, sym: u32) -> f64 {
+    pub(crate) fn context_count(&self, c: ConceptId, sym: u32) -> f64 {
         let bounds = self.sections.u32s(sec::CONTEXT_BOUNDS);
         let range = bounds[c.index()] as usize..bounds[c.index() + 1] as usize;
         let syms = &self.sections.u32s(sec::CONTEXT_SYMS)[range.clone()];
@@ -296,7 +314,7 @@ impl ConceptNetwork {
     }
 
     /// Σ of concept `c`'s context counts.
-    pub fn context_total(&self, c: ConceptId) -> f64 {
+    pub(crate) fn context_total(&self, c: ConceptId) -> f64 {
         self.sections.f64s(sec::CONTEXT_TOTALS)[c.index()]
     }
 
@@ -413,7 +431,7 @@ impl Columns {
     }
 
     /// Lay out `(entity, prior)` runs (any order) as CSR over node ids.
-    fn memberships<'m>(&mut self, mut runs: Vec<(NodeId, &'m [(ConceptId, f64)])>) {
+    fn memberships(&mut self, mut runs: Vec<(NodeId, &[(ConceptId, f64)])>) {
         runs.sort_unstable_by_key(|&(node, _)| node);
         let span = runs.last().map_or(0, |&(node, _)| node.index() + 1);
         self.member_bounds = Vec::with_capacity(span + 1);
@@ -531,7 +549,12 @@ impl NetworkBuilder {
             Columns::strings(self.concept_names.iter().map(|(_, s)| s));
         (columns.vocab_bytes, columns.vocab_offsets) =
             Columns::strings(self.context_vocab.iter().map(|(_, s)| s));
-        columns.memberships(memberships.iter().map(|(&n, v)| (n, v.as_slice())).collect());
+        columns.memberships(
+            memberships
+                .iter()
+                .map(|(&n, v)| (n, v.as_slice()))
+                .collect(),
+        );
         for counts in &self.context_counts {
             // Summed in the map's own order: the totals are bit-for-bit what
             // the network has always cached.
@@ -569,6 +592,22 @@ impl LegacyConceptualizer {
         let legacy = self.network;
         if legacy.context_counts.len() != legacy.concept_names.len() {
             return Err(FORMAT.error("legacy taxonomy: one context map per concept expected"));
+        }
+        // The membership index costs 4 B per node id up to the largest one,
+        // so bound that by the entities listed before allocating it: saved
+        // taxonomies number their entities densely (≈1.4 ids per entity on
+        // `large_1m`), a forged id near 2^32 would ask for 16 GiB.
+        let span = legacy
+            .memberships
+            .keys()
+            .map(|n| n.index() + 1)
+            .max()
+            .unwrap_or(0);
+        if span > 64 * legacy.memberships.len() + 4096 {
+            return Err(FORMAT.error(format_args!(
+                "legacy taxonomy: node ids up to {span} for {} entities",
+                legacy.memberships.len()
+            )));
         }
         let mut columns = Columns::default();
         (columns.name_bytes, columns.name_offsets) =
@@ -659,7 +698,10 @@ mod tests {
         b.is_a(node(1), city, 1.0);
         b.is_a(node(1), city, 2.0);
         let net = b.build();
-        assert_eq!(net.concepts_of(node(1)).iter().collect::<Vec<_>>(), [(city, 1.0)]);
+        assert_eq!(
+            net.concepts_of(node(1)).iter().collect::<Vec<_>>(),
+            [(city, 1.0)]
+        );
     }
 
     #[test]
@@ -719,6 +761,32 @@ mod tests {
         let net = b.build();
         assert!(net.is_context_word("population"));
         assert!(!net.is_context_word("xylophone"));
+    }
+
+    #[test]
+    fn legacy_form_roundtrips_and_refuses_a_sparse_node_id() {
+        let mut b = NetworkBuilder::new();
+        let city = b.concept("city");
+        b.is_a(node(3), city, 1.0);
+        b.context_evidence(city, "population", 2.0);
+        let net = b.build();
+        let (back, tuning) = LegacyConceptualizer::from_network(&net, DEFAULT_TUNING)
+            .into_network()
+            .unwrap();
+        assert_eq!(tuning, DEFAULT_TUNING);
+        assert_eq!(back.sections().bytes(), net.sections().bytes());
+
+        let mut forged = LegacyConceptualizer::from_network(&net, DEFAULT_TUNING);
+        forged
+            .network
+            .memberships
+            .insert(node(4_000_000_000), vec![(city, 1.0)]);
+        match forged.into_network() {
+            Err(kbqa_common::error::KbqaError::Io(why)) => {
+                assert!(why.contains("node ids"), "{why}")
+            }
+            other => panic!("a sparse legacy id must be refused, got {other:?}"),
+        }
     }
 
     #[test]

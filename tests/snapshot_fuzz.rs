@@ -198,8 +198,7 @@ fn forge_sections(clean: &[u8], widths: &[usize], rng: &mut TestRng) -> Vec<u8> 
                 let old = if width == 8 {
                     u64::from_ne_bytes(bytes[at..at + 8].try_into().unwrap())
                 } else {
-                    u64::from(bytes[at])
-                        | u64::from(bytes[at + width - 1]) << (8 * (width - 1))
+                    u64::from(bytes[at]) | u64::from(bytes[at + width - 1]) << (8 * (width - 1))
                 };
                 let value = match rng.next_u64() % 4 {
                     0 => rng.next_u64(),
@@ -238,7 +237,10 @@ fn fuzz_section_file(
             Err(_) => {
                 let keep = dir.join(format!("panicked-{case}-{name}"));
                 std::fs::copy(&path, &keep).unwrap();
-                panic!("case {case} panicked; the forged file is {}", keep.display());
+                panic!(
+                    "case {case} panicked; the forged file is {}",
+                    keep.display()
+                );
             }
         }
     }
@@ -255,7 +257,13 @@ fn tiny_corpus(world: &World) -> Vec<Vec<String>> {
     QaCorpus::generate(world, &CorpusConfig::with_pairs(1, 300))
         .pairs
         .iter()
-        .map(|p| tokenize(&p.question).words().iter().map(|w| w.to_string()).collect())
+        .map(|p| {
+            tokenize(&p.question)
+                .words()
+                .iter()
+                .map(|w| w.to_string())
+                .collect()
+        })
         .collect()
 }
 
@@ -307,7 +315,10 @@ fn forged_pattern_snapshots_fail_typed_or_probe_without_panicking() {
     let ner = GazetteerNer::from_store(&world.store);
     let questions: Vec<String> = contexts.iter().map(|words| words.join(" ")).collect();
     let index = PatternIndex::build(questions.iter().map(String::as_str), &ner);
-    assert!(index.pattern_count() > 1_000, "a directory with real buckets");
+    assert!(
+        index.pattern_count() > 1_000,
+        "a directory with real buckets"
+    );
     let dir = std::env::temp_dir().join(format!("kbqa-patterns-clean-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let clean_path = dir.join("patterns.snap");
