@@ -7,7 +7,9 @@
 //! heap it leaves live. Every file is mapped, not read onto the heap, and
 //! artifacts stream straight into their types, so the transient is container
 //! growth alone; a load that reads each file onto the heap and builds a
-//! document tree first peaks near 11× on this bundle. Building the service
+//! document tree first peaks near 11× on this bundle. The taxonomy and the
+//! pattern index are mapped section files and may keep at most 32 KiB of
+//! heap between them. Building the service
 //! from the loaded bundle then builds the NER gazetteer over the mapped
 //! names, and may keep at most 32 B of heap per name entry: a slot table,
 //! not a copy of the names.
