@@ -25,9 +25,11 @@
 //!   taxonomy and pattern index (`taxonomy.snap`, `patterns.snap`: wall
 //!   time, mapped bytes, heap kept) and the NER gazetteer's build over the
 //!   mapped names (wall time, heap bytes, names, overflow names);
-//! * an `O(|P|)` curve ends it: kernel and `conceptualize` ns/question on a
-//!   quick (small-world) fixture beside the `large_1m` one, with each
-//!   store's triples and `|P|`.
+//! * an `O(|P|)` curve ends it: a quick (small-world) fixture beside the
+//!   `large_1m` one, each with its store's triples and `|P|`, kernel
+//!   ns/question, all eight traced stages' ns/question, and the mentions
+//!   grounded and `V(e, p⁺)` traversals per question — so the gap between
+//!   the two worlds shows which stages carry it.
 //!
 //! The world is seed 7, the seed the PR protocol measures on. One command
 //! reproduces the tables in `docs/PERFORMANCE.md`:
@@ -181,33 +183,102 @@ fn open_section_file<T>(
     )
 }
 
-/// One row of the `O(|P|)` curve: what a question costs on this fixture's
-/// store, beside the store's size and `|P|`.
-fn curve_row(name: &str, f: &Fixture) {
+/// One world of the `O(|P|)` curve: what a question costs on a fixture's
+/// store, stage by stage, beside the store's size and `|P|`.
+struct CurveRow {
+    name: &'static str,
+    triples: usize,
+    predicates: usize,
+    templates: usize,
+    questions: usize,
+    answered: f64,
+    kernel_ns: f64,
+    stage_ns: [f64; Stage::COUNT],
+    /// Distinct entity groundings of the whole question (`P(e|q)` choices).
+    grounded: f64,
+    /// `V(e, p⁺)` traversals the traced walk ran, decomposition probes
+    /// included.
+    traversals: f64,
+}
+
+fn curve_row(name: &'static str, f: &Fixture) -> CurveRow {
     let engine = f.service.engine();
     let mut scratch = ScratchSpace::new();
     let mut out = Vec::with_capacity(4 << 10);
     let tokenized: Vec<TokenizedText> = f.requests.iter().map(|r| tokenize(&r.question)).collect();
     // A warm-up walk, then the traced one.
     traced_walk(&engine, &f.requests, &mut scratch, &mut out);
+    let (lookups_before, _) = scratch.lookup_events();
     let (stage_ns, answered) = traced_walk(&engine, &f.requests, &mut scratch, &mut out);
-    let kernel = ns_per(tokenized.len(), || {
+    let (lookups, _) = scratch.lookup_events();
+    let kernel_ns = ns_per(tokenized.len(), || {
         for tokens in &tokenized {
             black_box(engine.answer_bfq_tokens_with(tokens, &mut scratch));
         }
     });
+    let grounded: usize = f
+        .requests
+        .iter()
+        .map(|r| engine.question_statistics(&r.question).entities)
+        .sum();
     let n = f.requests.len() as f64;
     let store = f.service.store();
+    CurveRow {
+        name,
+        triples: store.len(),
+        predicates: store.dict().predicate_count(),
+        templates: f.service.model().stats.distinct_templates,
+        questions: f.requests.len(),
+        answered: 100.0 * answered as f64 / n,
+        kernel_ns,
+        stage_ns: stage_ns.map(|ns| ns as f64 / n),
+        grounded: grounded as f64 / n,
+        traversals: (lookups - lookups_before) as f64 / n,
+    }
+}
+
+/// The curve as two tables: each world's size and kernel cost, then its
+/// traced stages (ns/question) and per-question counts.
+fn print_curve(rows: &[CurveRow]) {
+    println!("O(|P|) curve (ns/question):");
     println!(
-        "  {name:<10} {:>9} {:>8} {:>9} {:>10} {:>6.1}% {kernel:>10.0} {:>12.0} {:>11.0}",
-        store.len(),
-        store.dict().predicate_count(),
-        f.service.model().stats.distinct_templates,
-        f.requests.len(),
-        100.0 * answered as f64 / n,
-        stage_ns[Stage::Conceptualize as usize] as f64 / n,
-        stage_ns.iter().sum::<u64>() as f64 / n,
+        "  {:<10} {:>9} {:>4} {:>9} {:>9} {:>7} {:>7}",
+        "world", "triples", "|P|", "templates", "questions", "answer", "kernel"
     );
+    for row in rows {
+        println!(
+            "  {:<10} {:>9} {:>4} {:>9} {:>9} {:>6.1}% {:>7.0}",
+            row.name,
+            row.triples,
+            row.predicates,
+            row.templates,
+            row.questions,
+            row.answered,
+            row.kernel_ns,
+        );
+    }
+    print!("  {:<16}", "stage");
+    for row in rows {
+        print!(" {:>9}", row.name);
+    }
+    println!();
+    let line = |label: &str, value: &dyn Fn(&CurveRow) -> String| {
+        print!("  {label:<16}");
+        for row in rows {
+            print!(" {:>9}", value(row));
+        }
+        println!();
+    };
+    for stage in Stage::ALL {
+        line(stage.as_str(), &|row| {
+            format!("{:.0}", row.stage_ns[stage as usize])
+        });
+    }
+    line("stage total", &|row| {
+        format!("{:.0}", row.stage_ns.iter().sum::<f64>())
+    });
+    line("grounded/q", &|row| format!("{:.2}", row.grounded));
+    line("V(e,p+)/q", &|row| format!("{:.2}", row.traversals));
 }
 
 fn bench_kernel_stages(c: &mut Criterion) {
@@ -362,23 +433,10 @@ fn bench_kernel_stages(c: &mut Criterion) {
     // entities, concepts and values per question bounded constants, so the
     // per-question cost follows |P| (the KB's predicates) and not the
     // store's size.
-    println!("O(|P|) curve (ns/question, traced stages):");
-    println!(
-        "  {:<10} {:>9} {:>8} {:>9} {:>10} {:>7} {:>10} {:>12} {:>11}",
-        "world",
-        "triples",
-        "|P|",
-        "templates",
-        "questions",
-        "answer",
-        "kernel",
-        "conceptualize",
-        "stage total"
-    );
     let quick = fixture(WorldConfig::small(SEED), 4_000, 12_000, COLD_QUESTIONS);
-    curve_row("quick", &quick);
+    let rows = [curve_row("quick", &quick), curve_row("large_1m", &f)];
     drop(quick);
-    curve_row("large_1m", &f);
+    print_curve(&rows);
 }
 
 /// Fastest of three timed passes of `pass`, in ns per one of its `items`.

@@ -100,6 +100,16 @@ pub fn fx_hash<T: Hash + ?Sized>(value: &T) -> u64 {
     hasher.finish()
 }
 
+/// SplitMix64: the deterministic hash behind the 429 `Retry-After` spread.
+/// Statistically solid for seeds that differ in one bit, trivially
+/// reproducible in tests, and free of wall-clock state.
+pub fn splitmix64(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,5 +146,17 @@ mod tests {
         let long = "a".repeat(100);
         let longer = "a".repeat(101);
         assert_ne!(fx_hash(long.as_str()), fx_hash(longer.as_str()));
+    }
+
+    #[test]
+    fn splitmix_is_stable_and_spreads_adjacent_seeds() {
+        assert_eq!(splitmix64(0), splitmix64(0));
+        // Adjacent seeds land far apart (the property the Retry-After
+        // spread relies on).
+        let outputs: std::collections::BTreeSet<u64> = (0..64).map(splitmix64).collect();
+        assert_eq!(outputs.len(), 64, "no collisions across adjacent seeds");
+        let low_bits: std::collections::BTreeSet<u64> =
+            (0..64).map(|s| splitmix64(s) % 8).collect();
+        assert!(low_bits.len() >= 6, "low bits vary: {low_bits:?}");
     }
 }

@@ -197,13 +197,6 @@ pub struct ScratchSpace {
     /// `kernel_stages` bench reports them per question).
     lookups: u64,
     edges: u64,
-    /// Bitmask of shards this request's value lookups routed to (bit =
-    /// shard id; [`kbqa_rdf::shard::MAX_SHARDS`] caps shard counts at 64).
-    /// Reset by the service per request; popcount = `shard_fanout`.
-    pub(crate) shard_mask: u64,
-    /// First shard a lookup routed to (`u32::MAX` = none): the lane the
-    /// service attributes this question's telemetry to.
-    pub(crate) shard_primary: u32,
     /// Per-request stage timer. Disarmed by default (a single predicted
     /// branch per stage boundary); the service arms it for sampled or
     /// `explain` requests, and callers owning a scratch can arm it
@@ -241,8 +234,6 @@ impl Default for ScratchSpace {
             sub_tokens: TokenizedText::default(),
             lookups: 0,
             edges: 0,
-            shard_mask: 0,
-            shard_primary: u32::MAX,
             trace: StageTrace::new(),
         }
     }
@@ -261,13 +252,6 @@ impl ScratchSpace {
     pub fn lookup_events(&self) -> (u64, u64) {
         (self.lookups, self.edges)
     }
-
-    /// Bitmask of shards value lookups have routed to (bit = shard id).
-    /// The service resets it per request; callers driving the engine
-    /// directly see the ORed mask across their calls. Diagnostic only.
-    pub fn shard_mask(&self) -> u64 {
-        self.shard_mask
-    }
 }
 
 /// The KBQA online engine (the inference kernel behind
@@ -278,14 +262,6 @@ pub struct QaEngine<'a> {
     model: &'a LearnedModel,
     ner: Cow<'a, GazetteerNer>,
     pattern_index: Option<Cow<'a, PatternIndex>>,
-    /// When set, `V(e, p)` lookups route to the owning shard's worker (the
-    /// scatter half of scatter-gather); everything else stays global. See
-    /// [`crate::shard::ShardRouter`].
-    shards: Option<&'a crate::shard::ShardRouter>,
-    /// The model epoch value lookups are pinned to (workers refuse an
-    /// epoch they have not committed, so the two-phase reload never
-    /// merges two epochs).
-    shard_epoch: u64,
     config: EngineConfig,
 }
 
@@ -304,8 +280,6 @@ impl<'a> QaEngine<'a> {
             model,
             ner: Cow::Owned(GazetteerNer::from_store(store)),
             pattern_index: None,
-            shards: None,
-            shard_epoch: 0,
             config: EngineConfig::default(),
         }
     }
@@ -324,8 +298,6 @@ impl<'a> QaEngine<'a> {
             model,
             ner: Cow::Borrowed(ner),
             pattern_index: None,
-            shards: None,
-            shard_epoch: 0,
             config: EngineConfig::default(),
         }
     }
@@ -333,22 +305,6 @@ impl<'a> QaEngine<'a> {
     /// Override the configuration.
     pub fn with_config(mut self, config: EngineConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Route value lookups through a shard router (scatter-gather mode).
-    /// Grounding, materialization, and accumulation stay global, so answers
-    /// are byte-identical to the unsharded kernel.
-    pub fn with_shard_router(mut self, router: &'a crate::shard::ShardRouter) -> Self {
-        self.shards = Some(router);
-        self
-    }
-
-    /// Pin remote value lookups to `epoch` (the snapshot's model epoch).
-    /// Workers refuse an epoch they have not committed, so a two-phase
-    /// reload can never mix epochs within one request or batch.
-    pub fn with_shard_epoch(mut self, epoch: u64) -> Self {
-        self.shard_epoch = epoch;
         self
     }
 
@@ -394,8 +350,6 @@ impl<'a> QaEngine<'a> {
             model: self.model,
             ner: Cow::Borrowed(self.ner.as_ref()),
             pattern_index: self.pattern_index.as_deref().map(Cow::Borrowed),
-            shards: self.shards,
-            shard_epoch: self.shard_epoch,
             config,
         }
     }
@@ -513,8 +467,6 @@ impl<'a> QaEngine<'a> {
             ranked,
             lookups,
             edges,
-            shard_mask,
-            shard_primary,
             trace,
             ..
         } = scratch;
@@ -583,31 +535,9 @@ impl<'a> QaEngine<'a> {
                             let path = self.model.predicates.resolve(pred);
                             *lookups += 1;
                             *edges += path.len() as u64;
-                            // Scatter: the traversal runs on the entity's
-                            // owning shard when the path fits the closure
-                            // the cut replicated; longer paths (a swapped
-                            // model can intern them) fall back to the
-                            // global store so correctness never depends on
-                            // closure depth.
-                            match self.shards {
-                                Some(router) if path.len() <= router.plan().closure_depth() => {
-                                    let owner = router.owner(entity);
-                                    *shard_mask |= 1u64 << owner;
-                                    if *shard_primary == u32::MAX {
-                                        *shard_primary = owner as u32;
-                                    }
-                                    router.lookup_into(
-                                        owner,
-                                        entity,
-                                        path,
-                                        self.shard_epoch,
-                                        values,
-                                    );
-                                }
-                                _ => kbqa_rdf::path::objects_via_path_into(
-                                    self.store, entity, path, path_ws, values,
-                                ),
-                            }
+                            kbqa_rdf::path::objects_via_path_into(
+                                self.store, entity, path, path_ws, values,
+                            );
                             let end = values.len() as u32;
                             value_cache.insert((entity, pred), (start, end));
                             trace.lap(Stage::ValueLookup);

@@ -36,12 +36,6 @@
 //! * [`serialize`] — allocation-free JSON writer for the serving-edge
 //!   response types (`QaResponse::serialize_into`, byte-identical to the
 //!   vendored `serde_json` output).
-//! * [`wire`] — the shard worker frame protocol (length-prefixed,
-//!   Fx-64-checksummed messages over unix sockets).
-//! * [`remote`] — the router-side client for out-of-process shard workers
-//!   (connection pool, per-lookup deadline, bounded retry).
-//! * [`shardworker`] — the `kbqa-shardd` worker serve loop (one shard per
-//!   process, two-phase epoch swap, chaos hooks).
 //! * [`decompose`] — complex-question decomposition by dynamic programming
 //!   over substrings (Sec 5, Algorithm 2).
 //! * [`hybrid`] — KBQA as the high-precision component of a hybrid system
@@ -62,26 +56,18 @@ pub mod inspect;
 pub mod learner;
 pub mod model;
 pub mod persist;
-pub mod remote;
 pub mod serialize;
 pub mod service;
-pub mod shard;
-pub mod shardworker;
 pub mod template;
 pub mod variants;
-pub mod wire;
 
 pub use catalog::{PredId, PredicateCatalog};
 pub use em::{EmConfig, EmStats, Theta};
 pub use engine::{Answer, ChoiceStats, EngineConfig, QaEngine, ScratchSpace};
 pub use expansion::{ExpansionConfig, ExpansionResult};
 pub use extraction::{ExtractionConfig, Observation};
-pub use kbqa_rdf::ShardPlan;
 pub use learner::{LearnedModel, Learner, LearnerConfig};
 pub use persist::ServingArtifacts;
-pub use remote::{RemoteError, RemoteOptions, RemoteShard};
 pub use service::{KbqaService, QaRequest, QaResponse, QaSystem, Refusal, Rendered};
-pub use shard::{ShardPanic, ShardRouter};
-pub use shardworker::WorkerConfig;
 pub use template::{SlotTable, Template, TemplateCatalog, TemplateId};
 pub use variants::{VariantQa, VariantQuestion};

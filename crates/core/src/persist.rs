@@ -28,7 +28,10 @@
 //! own name section, built when the service is
 //! ([`GazetteerNer::from_store`]). A bundle saved while the gazetteer was
 //! persisted lists a `ner.json`; the load holds it to its manifest digest
-//! like any other listed file and never parses it.
+//! like any other listed file and never parses it. So does a bundle saved
+//! while process sharding existed: its manifest's `shard_plan` and
+//! `shard_stats` keys are skipped, and each listed `store.shard-{i}.snap`
+//! is digest-checked but never mapped.
 //!
 //! [`GazetteerNer::from_store`]: kbqa_nlp::GazetteerNer::from_store
 //!
@@ -68,17 +71,6 @@
 //! that was checked. Saves replace a file by rename and never rewrite one in
 //! place, so a mapping keeps the inode it checked. Mapping also keeps a JSON
 //! artifact's text off the heap: the load allocates only what it returns.
-//!
-//! # Sharded bundles (PR 8)
-//!
-//! A bundle saved with a [`ShardPlan`] ([`ServingArtifacts::shard_plan`])
-//! also holds each shard of the cut as its own snapshot
-//! (`store.shard-{i}.snap`) next to the global `store.snap`; the manifest
-//! records the plan and the cut's balance stats. Only the `kbqa-shardd`
-//! workers map the shard snapshots. [`ServingArtifacts::load`] reads the
-//! plan and holds every shard file to its manifest digest, but maps no
-//! shard store: the server's supervisor spawns one worker per shard and
-//! attaches their router.
 
 use std::fs::File;
 use std::io::Write as _;
@@ -93,8 +85,6 @@ use kbqa_common::hash::FxHasher;
 use kbqa_rdf::mmap::Mmap;
 use kbqa_rdf::{Snapshot, TripleStore};
 use kbqa_taxonomy::Conceptualizer;
-
-use kbqa_rdf::shard::{partition, ShardPlan, ShardStats};
 
 use crate::decompose::PatternIndex;
 use crate::learner::LearnedModel;
@@ -357,55 +347,17 @@ pub const LEGACY_PATTERNS_FILE: &str = "patterns.json";
 /// one consistent set (written last by [`ServingArtifacts::save`]).
 pub const MANIFEST_FILE: &str = "manifest.json";
 
-/// File name for shard `i`'s snapshot inside an artifact directory.
-pub fn shard_store_file(i: usize) -> String {
-    format!("store.shard-{i}.snap")
-}
-
 /// The bundle manifest: one digest per file, written after every other
 /// artifact so a complete manifest implies a complete save. Loads verify
 /// each listed file against it — catching cross-file mixes (store from save
-/// N, model from save N+1) that per-file sidecars cannot see.
+/// N, model from save N+1) that per-file sidecars cannot see. Unknown keys
+/// are skipped, so an older manifest's `shard_plan` / `shard_stats` load.
 #[derive(Serialize, serde::Deserialize)]
 struct BundleManifest {
     /// Manifest format version.
     version: u32,
     /// Artifact file name → Fx-64 digest of its exact bytes.
     files: std::collections::BTreeMap<String, String>,
-    /// The shard plan this bundle was partitioned under, when sharded.
-    #[serde(default)]
-    shard_plan: Option<ShardPlan>,
-    /// Balance/replication stats of the persisted cut, when sharded.
-    #[serde(default)]
-    shard_stats: Option<ShardStats>,
-}
-
-/// Read just the shard plan out of a bundle's manifest —
-/// what the server's supervisor needs to spawn one worker per shard
-/// without mapping any snapshot itself. Returns `Ok(None)` for an
-/// unsharded bundle or a pre-manifest directory. Verifies each listed
-/// `store.shard-{i}.snap` exists (the workers will map them) but leaves
-/// digest checking to the workers' own snapshot/sidecar validation.
-pub fn load_shard_manifest(dir: &Path) -> Result<Option<ShardPlan>> {
-    let manifest_path = dir.join(MANIFEST_FILE);
-    if !manifest_path.exists() {
-        return Ok(None);
-    }
-    let manifest: BundleManifest = load_json(&manifest_path)?;
-    let Some(plan) = manifest.shard_plan else {
-        return Ok(None);
-    };
-    for i in 0..plan.shards() {
-        let path = dir.join(shard_store_file(i));
-        if !path.exists() {
-            return Err(KbqaError::Io(format!(
-                "bundle manifest declares {} shards but {} is missing",
-                plan.shards(),
-                path.display()
-            )));
-        }
-    }
-    Ok(Some(plan))
 }
 
 /// Everything a serving process needs to answer questions, as one bundle.
@@ -423,10 +375,6 @@ pub struct ServingArtifacts {
     pub model: Arc<LearnedModel>,
     /// The corpus pattern index, when persisted.
     pub pattern_index: Option<Arc<PatternIndex>>,
-    /// The shard plan, when the bundle is sharded: [`ServingArtifacts::save`]
-    /// partitions the store under it and writes one snapshot per shard for
-    /// the `kbqa-shardd` workers.
-    pub shard_plan: Option<ShardPlan>,
 }
 
 impl ServingArtifacts {
@@ -438,17 +386,12 @@ impl ServingArtifacts {
             conceptualizer: Arc::clone(service.conceptualizer()),
             model: service.model(),
             pattern_index: service.pattern_index().cloned(),
-            // The service's router, if any, serves through workers that
-            // map a bundle already saved; set `shard_plan` to save another.
-            shard_plan: None,
         }
     }
 
     /// Write every artifact into `dir` (created if missing): `store.snap`,
     /// `taxonomy.snap`, `model.json`, and — when present —
-    /// `patterns.snap` and, with a shard plan, the store partitioned into
-    /// one `store.shard-{i}.snap` per shard. The
-    /// bundle manifest (file → digest, plus the shard plan) is written
+    /// `patterns.snap`. The bundle manifest (file → digest) is written
     /// **last**, so a manifest's presence implies a complete save.
     pub fn save(&self, dir: &Path) -> Result<()> {
         std::fs::create_dir_all(dir)?;
@@ -471,22 +414,8 @@ impl ServingArtifacts {
                 save_patterns(index, &dir.join(PATTERNS_FILE))?,
             );
         }
-        let mut shard_stats = None;
-        if let Some(plan) = &self.shard_plan {
-            let (stores, stats) = partition(&self.store, plan);
-            for (i, store) in stores.iter().enumerate() {
-                let name = shard_store_file(i);
-                files.insert(name.clone(), save_store(store, &dir.join(name))?);
-            }
-            shard_stats = Some(stats);
-        }
         save_json(
-            &BundleManifest {
-                version: 1,
-                files,
-                shard_plan: self.shard_plan,
-                shard_stats,
-            },
+            &BundleManifest { version: 1, files },
             &dir.join(MANIFEST_FILE),
         )?;
         Ok(())
@@ -505,15 +434,10 @@ impl ServingArtifacts {
     /// (store from save N, model from save N+1) is refused with a typed
     /// error — and every file the manifest lists must be present. Pre-manifest
     /// directories load under the per-file sidecar rules only.
-    ///
-    /// A sharded bundle's plan is read back; its shard snapshots are held
-    /// to their manifest digests but not mapped as stores — only the
-    /// workers serve them.
     pub fn load(dir: &Path) -> Result<Self> {
         let manifest_path = dir.join(MANIFEST_FILE);
-        let (mut listed, shard_plan) = if manifest_path.exists() {
-            let manifest: BundleManifest = load_json(&manifest_path)?;
-            (manifest.files, manifest.shard_plan)
+        let mut listed = if manifest_path.exists() {
+            load_json::<BundleManifest>(&manifest_path)?.files
         } else {
             Default::default()
         };
@@ -539,9 +463,9 @@ impl ServingArtifacts {
             PatternIndex::from_map,
         )?
         .map(Arc::new);
-        // A listed file no artifact above reads — each shard snapshot, and
-        // an older bundle's `ner.json`, among them — is still held to its
-        // digest.
+        // A listed file no artifact above reads — an older bundle's
+        // `ner.json` or `store.shard-{i}.snap` among them — is still held to
+        // its digest.
         for (name, expected) in &listed {
             let path = dir.join(name);
             verify(&path, &map_listed(&path, Some(expected))?, Some(expected))?;
@@ -551,7 +475,6 @@ impl ServingArtifacts {
             conceptualizer: Arc::new(conceptualizer),
             model: Arc::new(model),
             pattern_index,
-            shard_plan,
         })
     }
 
@@ -565,8 +488,7 @@ impl ServingArtifacts {
 
     /// Build a ready-to-serve [`KbqaService`] from the bundle — the warm
     /// start path, which builds the NER gazetteer over the mapped store's
-    /// names. The service serves unsharded: for a sharded bundle
-    /// the server attaches the router over its supervised workers.
+    /// names.
     pub fn into_service(self) -> KbqaService {
         self.into_service_at_epoch(0)
     }
@@ -762,64 +684,65 @@ mod tests {
         (service, questions)
     }
 
+    /// A bundle saved while process sharding existed: its manifest carries
+    /// `shard_plan` / `shard_stats` keys and lists a `store.shard-0.snap`.
+    /// It loads and answers exactly like the same bundle without them, and
+    /// the listed shard file is still held to its digest.
     #[test]
-    fn sharded_bundle_roundtrips_per_shard_snapshots() {
+    fn legacy_sharded_bundle_loads_and_holds_shard_files_to_their_digest() {
         let (service, questions) = learned_service(47);
-        let dir = test_dir("sharded");
-        let plan = ShardPlan::new(3);
-        ServingArtifacts {
-            shard_plan: Some(plan),
-            ..ServingArtifacts::from_service(&service)
-        }
-        .save(&dir)
-        .expect("save sharded bundle");
-        for i in 0..3 {
-            assert!(dir.join(shard_store_file(i)).exists(), "shard {i} snap");
-        }
-        assert!(dir.join(MANIFEST_FILE).exists(), "manifest written");
-        // The manifest — plan, stats and all — round-trips byte for byte.
-        let text = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
-        let manifest: BundleManifest = serde_json::from_str(&text).unwrap();
-        assert_eq!(serde_json::to_string(&manifest).unwrap(), text);
-        assert_eq!(load_shard_manifest(&dir).unwrap(), Some(plan));
-        assert_eq!(manifest.shard_stats.expect("cut stats").shards.len(), 3);
-        // Each shard snapshot is the cut the partitioner makes.
-        let (cut, _) = partition(service.store(), &plan);
-        for (i, expected) in cut.iter().enumerate() {
-            assert_eq!(
-                load_store(&dir.join(shard_store_file(i))).unwrap().len(),
-                expected.len()
-            );
-        }
+        let dir = test_dir("legacy-sharded");
+        ServingArtifacts::from_service(&service)
+            .save(&dir)
+            .expect("save bundle");
+        let plain = ServingArtifacts::load(&dir)
+            .expect("load the plain bundle")
+            .into_service();
 
-        let restored = ServingArtifacts::load(&dir).expect("load sharded bundle");
-        assert_eq!(restored.shard_plan, Some(plan));
-        let restored = restored.into_service();
-        assert!(
-            restored.shard_router().is_none(),
-            "only the server attaches a router, over its workers"
+        // What the partitioned save wrote: one snapshot per shard, listed
+        // with its digest, and the plan and the cut's stats beside `files`.
+        let shard = dir.join("store.shard-0.snap");
+        let shard_digest = save_store(service.store(), &shard).unwrap();
+        let manifest_path = dir.join(MANIFEST_FILE);
+        let mut manifest: BundleManifest = load_json(&manifest_path).unwrap();
+        manifest
+            .files
+            .insert("store.shard-0.snap".into(), shard_digest);
+        let triples = service.store().len();
+        let legacy = format!(
+            r#"{{"version":1,"files":{},"shard_plan":{{"shards":1,"closure_depth":2}},"shard_stats":{{"shards":[{{"owned_subjects":1,"owned_triples":{triples},"replicated_triples":0}}]}}}}"#,
+            serde_json::to_string(&manifest.files).unwrap()
         );
+        std::fs::write(&manifest_path, &legacy).unwrap();
+        std::fs::write(
+            checksum_path(&manifest_path),
+            format!("{}\n", digest(legacy.as_bytes())),
+        )
+        .unwrap();
+
+        let restored = ServingArtifacts::load(&dir)
+            .expect("a legacy sharded bundle loads")
+            .into_service();
         for q in &questions {
             assert_eq!(
-                serde_json::to_string(&service.answer_text(q)).unwrap(),
+                serde_json::to_string(&plain.answer_text(q)).unwrap(),
                 serde_json::to_string(&restored.answer_text(q)).unwrap(),
-                "warm-started service must answer {q:?} identically"
+                "{q:?}"
             );
         }
 
-        // A shard snapshot no load maps is still held to its digest.
-        let shard = dir.join(shard_store_file(1));
+        // Listed, so held to its digest though nothing maps it.
         let mut bytes = std::fs::read(&shard).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         std::fs::write(&shard, &bytes).unwrap();
-        let err = ServingArtifacts::load(&dir)
-            .err()
-            .expect("a flipped byte in a shard snapshot must refuse the bundle");
-        assert!(
-            matches!(&err, KbqaError::Io(message) if message.contains("store.shard-1.snap")),
-            "{err}"
-        );
+        match ServingArtifacts::load(&dir) {
+            Err(KbqaError::Io(message)) => {
+                assert!(message.contains("store.shard-0.snap"), "{message}")
+            }
+            Ok(_) => panic!("a flipped byte in a listed shard file must refuse the bundle"),
+            Err(other) => panic!("typed Io error expected, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1091,7 +1014,7 @@ mod tests {
         std::fs::remove_file(&manifest).unwrap();
         std::fs::remove_file(checksum_path(&manifest)).unwrap();
         let restored = ServingArtifacts::load(&dir).expect("pre-manifest bundle loads");
-        assert!(restored.shard_plan.is_none());
+        assert_eq!(restored.store.len(), service.store().len());
         std::fs::remove_dir_all(&dir).ok();
     }
 

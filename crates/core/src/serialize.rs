@@ -152,7 +152,6 @@ fn write_refusal(out: &mut Vec<u8>, r: Refusal) {
         Refusal::NoTemplateMatched => b"\"NoTemplateMatched\"",
         Refusal::NoPredicateAboveTheta => b"\"NoPredicateAboveTheta\"",
         Refusal::EmptyValueSet => b"\"EmptyValueSet\"",
-        Refusal::ShardUnavailable => b"\"ShardUnavailable\"",
     };
     out.extend_from_slice(name);
 }
@@ -326,7 +325,6 @@ mod tests {
             Refusal::NoTemplateMatched,
             Refusal::NoPredicateAboveTheta,
             Refusal::EmptyValueSet,
-            Refusal::ShardUnavailable,
         ] {
             let mut resp = QaResponse::refused(refusal);
             resp.model_epoch = u64::MAX;

@@ -94,7 +94,6 @@ use kbqa_taxonomy::Conceptualizer;
 use crate::decompose::{Decomposition, PatternIndex};
 use crate::engine::{Answer, ChoiceStats, EngineConfig, QaEngine, ScratchSpace};
 use crate::learner::LearnedModel;
-use crate::shard::{ShardPanic, ShardRouter};
 
 thread_local! {
     /// Per-thread engine scratch: a server worker (or batch worker) reuses
@@ -138,12 +137,6 @@ pub enum Refusal {
     /// Confident predicates existed, but the KB holds no value for any
     /// grounded `(entity, predicate)` pair (`P(v|e,p)` has no support).
     EmptyValueSet,
-    /// A shard this question's lookups route to is unavailable (poisoned or
-    /// panicked mid-query); the router isolated the failure and degraded
-    /// this question instead of taking the service down. Unlike the other
-    /// causes this is *operational*, not semantic — retrying after the
-    /// shard heals may answer.
-    ShardUnavailable,
 }
 
 impl std::fmt::Display for Refusal {
@@ -153,7 +146,6 @@ impl std::fmt::Display for Refusal {
             Refusal::NoTemplateMatched => "no template matched",
             Refusal::NoPredicateAboveTheta => "no predicate above θ",
             Refusal::EmptyValueSet => "empty value set",
-            Refusal::ShardUnavailable => "shard unavailable",
         };
         f.write_str(text)
     }
@@ -546,7 +538,6 @@ impl KbqaServiceBuilder {
             pattern_index: self.pattern_index,
             config: self.config,
             obs: self.obs,
-            shards: None,
         }
     }
 }
@@ -573,7 +564,6 @@ pub struct KbqaService {
     pattern_index: Option<Arc<PatternIndex>>,
     config: EngineConfig,
     obs: Option<Arc<Observability>>,
-    shards: Option<Arc<ShardRouter>>,
 }
 
 impl KbqaService {
@@ -604,23 +594,6 @@ impl KbqaService {
         Self::builder(store, conceptualizer, model).build()
     }
 
-    /// A sibling service scatter-gathering through `router` over the same
-    /// substrate, model and epoch — the one way a service serves sharded.
-    /// The server attaches the router its supervisor builds over the
-    /// `kbqa-shardd` workers of a sharded bundle.
-    pub fn with_shard_router(&self, router: Arc<ShardRouter>) -> Self {
-        Self {
-            shards: Some(router),
-            ..self.clone()
-        }
-    }
-
-    /// The shard router, when one is attached
-    /// ([`KbqaService::with_shard_router`]).
-    pub fn shard_router(&self) -> Option<&Arc<ShardRouter>> {
-        self.shards.as_ref()
-    }
-
     /// Replace the default engine configuration.
     pub fn with_config(mut self, config: EngineConfig) -> Self {
         self.config = config;
@@ -641,7 +614,7 @@ impl KbqaService {
     }
 
     /// A sibling service serving a different model over the same store,
-    /// taxonomy, NER, pattern index, shard router and observability sink —
+    /// taxonomy, NER, pattern index and observability sink —
     /// how a new model is served (a server swaps the sibling in for `self`),
     /// and how ablations and A/B rollouts share every derived artifact.
     ///
@@ -708,17 +681,7 @@ impl KbqaService {
         if let Some(index) = self.pattern_index.as_deref() {
             engine = engine.with_pattern_index_ref(index);
         }
-        if let Some(router) = self.router() {
-            engine = engine
-                .with_shard_router(router)
-                .with_shard_epoch(self.model_epoch);
-        }
         engine
-    }
-
-    /// The shard router, when this service serves sharded.
-    fn router(&self) -> Option<&ShardRouter> {
-        self.shards.as_deref()
     }
 
     /// The versioned cache key for `request`: the service's model epoch
@@ -765,7 +728,7 @@ impl KbqaService {
     /// appended. Runs on the calling thread's reusable [`ScratchSpace`].
     ///
     /// The engine renders it ([`QaEngine::render_request_into`]): a BFQ
-    /// answer (with or without overrides, behind a shard router or not)
+    /// answer (with or without overrides)
     /// straight from the kernel's ranked ids; an `explain` request, a
     /// refusal or decomposition as an owned [`QaResponse`], serialized.
     /// Either way the writing is timed as [`kbqa_obs::Stage::Serialize`] on
@@ -942,8 +905,7 @@ impl KbqaService {
 
     /// [`KbqaService::answer_with`] written into `out`: the one place a
     /// request runs as rendered bytes. The engine renders it
-    /// ([`QaEngine::render_request_into`]) behind the shard guard; a
-    /// question a shard failed is rewritten as its stamped refusal.
+    /// ([`QaEngine::render_request_into`]).
     fn render_with(
         &self,
         engine: &QaEngine<'_>,
@@ -953,19 +915,7 @@ impl KbqaService {
     ) -> Rendered {
         let start = out.len();
         self.begin_trace(request, scratch);
-        let rendered = self.shard_guard(scratch, |scratch| {
-            engine.render_request_into(request, scratch, self.model_epoch, out)
-        });
-        let refusal = match rendered {
-            Some(refusal) => refusal,
-            None => {
-                out.truncate(start);
-                let mut refused = QaResponse::refused(Refusal::ShardUnavailable);
-                refused.model_epoch = self.model_epoch;
-                refused.serialize_into(out);
-                refused.refusal
-            }
-        };
+        let refusal = engine.render_request_into(request, scratch, self.model_epoch, out);
         Rendered {
             span: start..out.len(),
             refusal,
@@ -984,83 +934,24 @@ impl KbqaService {
         scratch.trace.begin(trace_this);
     }
 
-    /// The owned response, behind the shard guard, stamped with this
-    /// service's epoch.
+    /// The owned response, stamped with this service's epoch.
     fn respond(
         &self,
         engine: &QaEngine<'_>,
         request: &QaRequest,
         scratch: &mut ScratchSpace,
     ) -> QaResponse {
-        let mut response = self
-            .shard_guard(scratch, |scratch| {
-                engine.answer_request_with(request, scratch)
-            })
-            .unwrap_or_else(|| QaResponse::refused(Refusal::ShardUnavailable));
+        let mut response = engine.answer_request_with(request, scratch);
         response.model_epoch = self.model_epoch;
         response
     }
 
-    /// Drain an armed trace into the sink's histograms — and, behind a
-    /// shard router, the primary shard's — returning the breakdown.
+    /// Drain an armed trace into the sink's histograms, returning the
+    /// breakdown.
     fn finish_trace(&self, scratch: &mut ScratchSpace) -> Option<StageBreakdown> {
-        let breakdown = self
-            .obs
+        self.obs
             .as_ref()
-            .and_then(|obs| scratch.trace.finish(obs.stats()));
-        if let (Some(router), Some(bd)) = (self.router(), breakdown.as_ref()) {
-            // Per-shard stage histograms: the whole-question breakdown is
-            // attributed to the primary shard (the first one a lookup
-            // routed to).
-            if scratch.shard_primary != u32::MAX {
-                router
-                    .obs()
-                    .lane(scratch.shard_primary as usize)
-                    .record_breakdown(bd);
-            }
-        }
-        breakdown
-    }
-
-    /// Run one request's engine work with fault isolation behind a shard
-    /// router (without one, `run` just runs): a shard panicking mid-query
-    /// ([`ShardPanic`]) is counted on the shard's lane and returns `None`,
-    /// which the caller degrades to a typed [`Refusal::ShardUnavailable`]
-    /// for *this question* — the service stays up, and any other panic
-    /// keeps unwinding (shard isolation is not a license to swallow engine
-    /// bugs).
-    fn shard_guard<T>(
-        &self,
-        scratch: &mut ScratchSpace,
-        run: impl FnOnce(&mut ScratchSpace) -> T,
-    ) -> Option<T> {
-        let Some(router) = self.router() else {
-            return Some(run(scratch));
-        };
-        scratch.shard_mask = 0;
-        scratch.shard_primary = u32::MAX;
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(scratch)));
-        match result {
-            Ok(value) => {
-                let obs = router.obs();
-                obs.record_fanout(scratch.shard_mask.count_ones() as usize);
-                if scratch.shard_primary != u32::MAX {
-                    obs.lane(scratch.shard_primary as usize).record_query();
-                }
-                Some(value)
-            }
-            Err(payload) => {
-                let Some(&ShardPanic(shard)) = payload.downcast_ref::<ShardPanic>() else {
-                    std::panic::resume_unwind(payload);
-                };
-                // Drop any half-recorded stage timings from the unwound
-                // request; the scratch clears the rest of its state at next
-                // use by construction.
-                let _ = scratch.trace.take();
-                router.obs().lane(shard).record_failure();
-                None
-            }
-        }
+            .and_then(|obs| scratch.trace.finish(obs.stats()))
     }
 
     /// Table 6 statistics for one question.
@@ -1119,7 +1010,6 @@ mod tests {
             pattern_index: None,
             config: EngineConfig::default(),
             obs: None,
-            shards: None,
         };
         let request = QaRequest::new("what is the population of berlin");
         let at_zero = service_at(0).cache_key(&request);
@@ -1280,7 +1170,6 @@ mod tests {
                     pattern_index: None,
                     config: base.clone(),
                     obs: None,
-                    shards: None,
                 };
                 for question in questions {
                     for variant in 0..6 {
@@ -1328,7 +1217,6 @@ mod tests {
             Refusal::NoTemplateMatched,
             Refusal::NoPredicateAboveTheta,
             Refusal::EmptyValueSet,
-            Refusal::ShardUnavailable,
         ];
         let rendered: std::collections::BTreeSet<String> =
             all.iter().map(|r| r.to_string()).collect();

@@ -30,14 +30,12 @@
 
 pub mod histogram;
 pub mod prom;
-pub mod shard;
 pub mod slow;
 pub mod stage;
 pub mod trace;
 
 pub use histogram::{BucketCount, HistogramSnapshot, LatencyHistogram, BUCKET_BOUNDS_US};
 pub use prom::{validate_exposition, PromWriter};
-pub use shard::{ShardLane, ShardLaneSnapshot, ShardObs, ShardObsSnapshot, FANOUT_BUCKETS};
 pub use slow::{SlowQuery, SlowQueryLog};
 pub use stage::{
     Observability, Stage, StageBreakdown, StageLatencySnapshot, StageStats, StageStatsSnapshot,

@@ -34,7 +34,6 @@ pub mod ntriples;
 pub mod path;
 pub mod query;
 pub mod sections;
-pub mod shard;
 pub mod snapshot;
 pub mod stats;
 pub mod store;
@@ -46,7 +45,6 @@ pub use builder::GraphBuilder;
 pub use columnar::ColsView;
 pub use dictionary::{DictRef, Dictionary};
 pub use path::ExpandedPredicate;
-pub use shard::{ShardPlan, ShardStat, ShardStats};
 pub use snapshot::Snapshot;
 pub use stats::StoreStats;
 pub use store::{Surface, TripleStore};

@@ -87,21 +87,6 @@ impl TripleStore {
         }
     }
 
-    /// Materialize the logical content — dictionary, deduplicated triple
-    /// log (insertion order), name-predicate configuration — from either
-    /// backend. This is the partitioner's input: shard stores are rebuilt
-    /// from these parts.
-    pub fn to_owned_parts(&self) -> (Dictionary, Vec<Triple>, Vec<PredicateId>) {
-        match &self.backend {
-            Backend::InMemory(b) => {
-                let v = b.cols.view();
-                let triples: Vec<Triple> = (0..v.len()).map(|i| v.triple_at(i)).collect();
-                (b.dict.clone(), triples, b.name_predicates.clone())
-            }
-            Backend::Mapped(m) => m.snapshot().to_parts(),
-        }
-    }
-
     /// The active storage backend, as the [`StoreBackend`] contract.
     pub fn backend(&self) -> &dyn StoreBackend {
         match &self.backend {

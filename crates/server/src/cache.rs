@@ -379,7 +379,6 @@ impl RenderedAnswer {
             Some(Refusal::NoTemplateMatched) => 2,
             Some(Refusal::NoPredicateAboveTheta) => 3,
             Some(Refusal::EmptyValueSet) => 4,
-            Some(Refusal::ShardUnavailable) => 5,
         };
         let mut entry = Arc::<[u8]>::new_uninit_slice(body.len() + 1);
         let bytes = Arc::get_mut(&mut entry).expect("a fresh Arc is unique");
@@ -397,7 +396,6 @@ impl RenderedAnswer {
             2 => Some(Refusal::NoTemplateMatched),
             3 => Some(Refusal::NoPredicateAboveTheta),
             4 => Some(Refusal::EmptyValueSet),
-            5 => Some(Refusal::ShardUnavailable),
             _ => None,
         }
     }
@@ -689,7 +687,6 @@ mod tests {
             Some(Refusal::NoTemplateMatched),
             Some(Refusal::NoPredicateAboveTheta),
             Some(Refusal::EmptyValueSet),
-            Some(Refusal::ShardUnavailable),
         ] {
             let answer = RenderedAnswer::new(refusal, body);
             assert_eq!(answer.refusal(), refusal);

@@ -24,9 +24,9 @@
 //! less than a cross-thread handoff would cost. Every loop thread owns a
 //! thread-local [`kbqa_core::engine::ScratchSpace`], so the allocation-free
 //! kernel path is untouched. `/healthz`, `/metrics`, `/cache/stats` and
-//! `/debug/slow` are microseconds, and never wait on a reload. An
-//! unsharded model reload is under a millisecond and a full-bundle reload
-//! a few hundred, at operator rate.
+//! `/debug/slow` are microseconds, and never wait on a reload. A model
+//! reload is under a millisecond and a full-bundle reload a few hundred,
+//! at operator rate.
 //!
 //! `POST /batch`, in both framings, is decoded and admitted at once and then
 //! **runs as resumable lanes** of `STREAM_LANE_QUESTIONS` (16) questions: each
@@ -37,14 +37,6 @@
 //! [`ServerConfig::stream_flush_bytes`] have accumulated; a connection with
 //! unwritten bytes runs no lane until `EPOLLOUT` drains them, so a peer
 //! that stops reading stops its batch instead of buffering it.
-//!
-//! On a remote-lane fleet (`shard_workers > 0`) a value lookup crosses to a
-//! `kbqa-shardd` worker and can block its loop for up to
-//! `worker_deadline_ms`: there, the loop count is also how many requests
-//! can wait on workers at once. A reload there also stages and commits the
-//! next epoch on every worker from the loop that read it, which holds that
-//! loop for the round trips (until the hang kill when a worker is hung);
-//! the other loops keep serving, `/healthz` included.
 //!
 //! Deadlines are a **timer wheel** per loop (granularity
 //! [`ServerConfig::timer_granularity`]) instead of blocking read timeouts:
@@ -95,8 +87,7 @@
 //! [`ServerConfig::timer_granularity`]. Loops stop accepting, close idle
 //! connections, and finish in-flight requests — running batches included —
 //! before they exit (reading connections may finish their current request,
-//! bounded by the request deadline). The shard-worker supervisor stops
-//! after the loops are joined, so no request can still need a worker.
+//! bounded by the request deadline).
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -107,6 +98,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use kbqa_common::hash::splitmix64;
 use kbqa_core::service::{KbqaService, QaRequest};
 use kbqa_obs::{Observability, SlowQuery, SlowQueryLog};
 
@@ -115,15 +107,13 @@ use crate::epoll::{
     Epoll, EpollEvent, EPOLLERR, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::supervisor::{splitmix64, Supervisor, SupervisorConfig};
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Event-loop threads: connection I/O *and* every request's compute,
-    /// which runs on the loop that read it. On a remote-lane fleet this is
-    /// also how many requests can wait on shard workers at once. `0` means
-    /// auto: `available_parallelism`, clamped to `[1, 8]`.
+    /// which runs on the loop that read it. `0` means auto:
+    /// `available_parallelism`, clamped to `[1, 8]`.
     pub event_loops: usize,
     /// Largest accepted request body, bytes.
     pub max_body_bytes: usize,
@@ -166,47 +156,16 @@ pub struct ServerConfig {
     /// Slots in the slow-query log served at `GET /debug/slow` (clamped to
     /// ≥ 1).
     pub slow_log_capacity: usize,
-    /// Non-zero serves sharded: one supervised `kbqa-shardd` worker per
-    /// shard of the bundle's plan (the value only enables the tier; the
-    /// worker count always comes from the bundle manifest), and the
-    /// service scatters its value lookups through their router. Requires
-    /// [`ServerConfig::bundle_dir`].
-    pub shard_workers: usize,
-    /// Directory of the serving bundle (`manifest.json` +
-    /// `store.shard-{i}.snap`) the shard workers map. Required when
-    /// `shard_workers > 0`.
+    /// Directory of the serving bundle ([`kbqa_core::persist::ServingArtifacts`])
+    /// `POST /admin/reload?mode=bundle` remaps — store, taxonomy, model and
+    /// pattern index. With it set, bundle mode is the reload default.
     pub bundle_dir: Option<PathBuf>,
-    /// Path of the `kbqa-shardd` worker binary. `None` defaults to a
-    /// sibling of the current executable named `kbqa-shardd`.
-    pub shardd_path: Option<PathBuf>,
-    /// Directory for worker unix sockets. `None` defaults to a
-    /// per-process subdirectory of the system temp dir.
-    pub worker_socket_dir: Option<PathBuf>,
-    /// `GET /healthz` reports `"degraded"` with HTTP 503 when more than
-    /// this many shard workers are not `up`. The default `0` means any
-    /// down worker flips health — load balancers drain the replica while
-    /// the supervisor restarts the shard.
-    pub health_max_degraded: usize,
     /// Upper bound of the deterministic per-connection jitter added to the
     /// `Retry-After` of shed responses: clients see `retry_after_secs +
     /// hash(connection) % (jitter + 1)`, spreading the retry herd instead
     /// of synchronizing it. `0` (the default) keeps the exact configured
     /// value.
     pub retry_after_jitter_secs: u64,
-    /// Supervisor monitor tick / worker ping cadence.
-    pub worker_heartbeat_ms: u64,
-    /// Per-lookup wall-clock budget on a shard worker (covers retries);
-    /// also the per-ping reply deadline.
-    pub worker_deadline_ms: u64,
-    /// Transient-error retries per worker lookup.
-    pub worker_retries: u32,
-    /// Worker crashes tolerated per breaker window before the shard is
-    /// parked (crash-loop containment).
-    pub worker_breaker_max_restarts: u32,
-    /// Sliding window for the crash-loop breaker.
-    pub worker_breaker_window_ms: u64,
-    /// Grace between the clean `Terminate` frame and SIGKILL at shutdown.
-    pub worker_terminate_grace_ms: u64,
     /// Streamed-batch (`POST /batch?stream=1`) flush threshold, bytes:
     /// serialized answers accumulate until at least this many bytes are
     /// pending, then ship as one HTTP chunk. Smaller values lower
@@ -231,18 +190,8 @@ impl Default for ServerConfig {
             model_path: None,
             trace_sample_every: 16,
             slow_log_capacity: 16,
-            shard_workers: 0,
             bundle_dir: None,
-            shardd_path: None,
-            worker_socket_dir: None,
-            health_max_degraded: 0,
             retry_after_jitter_secs: 0,
-            worker_heartbeat_ms: 200,
-            worker_deadline_ms: 500,
-            worker_retries: 1,
-            worker_breaker_max_restarts: 5,
-            worker_breaker_window_ms: 30_000,
-            worker_terminate_grace_ms: 2_000,
             stream_flush_bytes: 8 << 10,
         }
     }
@@ -264,18 +213,8 @@ impl ServerConfig {
     /// | `KBQA_MODEL_PATH`          | `model_path`         |
     /// | `KBQA_TRACE_SAMPLE_EVERY`  | `trace_sample_every` |
     /// | `KBQA_SLOW_LOG_CAPACITY`   | `slow_log_capacity`  |
-    /// | `KBQA_SHARD_WORKERS`       | `shard_workers`      |
     /// | `KBQA_BUNDLE_DIR`          | `bundle_dir`         |
-    /// | `KBQA_SHARDD_PATH`         | `shardd_path`        |
-    /// | `KBQA_WORKER_SOCKET_DIR`   | `worker_socket_dir`  |
-    /// | `KBQA_HEALTH_MAX_DEGRADED` | `health_max_degraded`|
     /// | `KBQA_RETRY_AFTER_JITTER_SECS` | `retry_after_jitter_secs` |
-    /// | `KBQA_WORKER_HEARTBEAT_MS` | `worker_heartbeat_ms`|
-    /// | `KBQA_WORKER_DEADLINE_MS`  | `worker_deadline_ms` |
-    /// | `KBQA_WORKER_RETRIES`      | `worker_retries`     |
-    /// | `KBQA_WORKER_BREAKER_MAX_RESTARTS` | `worker_breaker_max_restarts` |
-    /// | `KBQA_WORKER_BREAKER_WINDOW_MS` | `worker_breaker_window_ms` |
-    /// | `KBQA_WORKER_TERMINATE_GRACE_MS` | `worker_terminate_grace_ms` |
     /// | `KBQA_STREAM_FLUSH_BYTES`  | `stream_flush_bytes` |
     ///
     /// Unset or unparsable variables keep the default; an empty
@@ -313,40 +252,15 @@ impl ServerConfig {
         if let Some(v) = parsed("KBQA_SLOW_LOG_CAPACITY") {
             config.slow_log_capacity = v;
         }
-        if let Some(v) = parsed("KBQA_SHARD_WORKERS") {
-            config.shard_workers = v;
-        }
-        if let Some(v) = parsed("KBQA_HEALTH_MAX_DEGRADED") {
-            config.health_max_degraded = v;
-        }
         if let Some(v) = parsed("KBQA_RETRY_AFTER_JITTER_SECS") {
             config.retry_after_jitter_secs = v;
-        }
-        if let Some(v) = parsed("KBQA_WORKER_HEARTBEAT_MS") {
-            config.worker_heartbeat_ms = v;
-        }
-        if let Some(v) = parsed("KBQA_WORKER_DEADLINE_MS") {
-            config.worker_deadline_ms = v;
-        }
-        if let Some(v) = parsed("KBQA_WORKER_RETRIES") {
-            config.worker_retries = v;
-        }
-        if let Some(v) = parsed("KBQA_WORKER_BREAKER_MAX_RESTARTS") {
-            config.worker_breaker_max_restarts = v;
-        }
-        if let Some(v) = parsed("KBQA_WORKER_BREAKER_WINDOW_MS") {
-            config.worker_breaker_window_ms = v;
-        }
-        if let Some(v) = parsed("KBQA_WORKER_TERMINATE_GRACE_MS") {
-            config.worker_terminate_grace_ms = v;
         }
         if let Some(v) = parsed::<usize>("KBQA_STREAM_FLUSH_BYTES") {
             config.stream_flush_bytes = v.max(1);
         }
         for (var, field) in [
             ("KBQA_BUNDLE_DIR", &mut config.bundle_dir),
-            ("KBQA_SHARDD_PATH", &mut config.shardd_path),
-            ("KBQA_WORKER_SOCKET_DIR", &mut config.worker_socket_dir),
+            ("KBQA_MODEL_PATH", &mut config.model_path),
         ] {
             if let Ok(path) = std::env::var(var) {
                 if !path.trim().is_empty() {
@@ -357,11 +271,6 @@ impl ServerConfig {
         if let Ok(token) = std::env::var("KBQA_ADMIN_TOKEN") {
             if !token.trim().is_empty() {
                 config.admin_token = Some(token.trim().to_string());
-            }
-        }
-        if let Ok(path) = std::env::var("KBQA_MODEL_PATH") {
-            if !path.trim().is_empty() {
-                config.model_path = Some(PathBuf::from(path.trim()));
             }
         }
         config
@@ -376,43 +285,6 @@ impl ServerConfig {
             .map(|n| n.get())
             .unwrap_or(1)
             .clamp(1, 8)
-    }
-
-    /// The supervisor tuning this server config implies. Errors when
-    /// `shard_workers > 0` but no bundle directory is configured.
-    fn supervisor_config(&self) -> io::Result<SupervisorConfig> {
-        let bundle_dir = self.bundle_dir.clone().ok_or_else(|| {
-            io::Error::other(
-                "KBQA_SHARD_WORKERS is set but KBQA_BUNDLE_DIR is not: shard workers \
-                 map their snapshots from the serving bundle",
-            )
-        })?;
-        let worker_binary = match &self.shardd_path {
-            Some(path) => path.clone(),
-            // The worker ships next to the server binary; a bare name
-            // falls back to $PATH resolution in Command::spawn.
-            None => std::env::current_exe()
-                .ok()
-                .and_then(|exe| Some(exe.parent()?.join("kbqa-shardd")))
-                .unwrap_or_else(|| PathBuf::from("kbqa-shardd")),
-        };
-        let socket_dir = self.worker_socket_dir.clone().unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("kbqa-workers-{}", std::process::id()))
-        });
-        let deadline = Duration::from_millis(self.worker_deadline_ms.max(1));
-        Ok(SupervisorConfig {
-            bundle_dir,
-            worker_binary,
-            socket_dir,
-            heartbeat_interval: Duration::from_millis(self.worker_heartbeat_ms.max(1)),
-            heartbeat_timeout: deadline,
-            breaker_window: Duration::from_millis(self.worker_breaker_window_ms.max(1)),
-            breaker_max_restarts: self.worker_breaker_max_restarts,
-            lookup_deadline: deadline,
-            lookup_retries: self.worker_retries,
-            terminate_grace: Duration::from_millis(self.worker_terminate_grace_ms),
-            ..SupervisorConfig::default()
-        })
     }
 }
 
@@ -470,21 +342,15 @@ struct Shared {
     state: AppState,
     shutdown: AtomicBool,
     config: ServerConfig,
-    /// The shard-worker supervision tier, when `shard_workers > 0`. Read
-    /// without a lock: `/healthz` and `/metrics` never wait on a reload.
-    /// [`ServerHandle::stop`] takes it out once the loops are joined, so no
-    /// request can still scatter to a worker when it stops.
-    supervisor: Option<Supervisor>,
     /// Serializes reloads: each one reads the slot and swaps the next epoch
-    /// in under it (with the supervisor's two-phase stage/commit between).
+    /// in under it.
     reload: Mutex<()>,
 }
 
 impl Shared {
-    /// Everything [`serve`] shares between its threads, sized from `config`:
-    /// serving-side observability and the shard-serving topology (which may
-    /// spawn the worker-process tier).
-    fn new(service: KbqaService, config: ServerConfig) -> io::Result<Self> {
+    /// Everything [`serve`] shares between its threads, sized from `config`,
+    /// serving-side observability included.
+    fn new(service: KbqaService, config: ServerConfig) -> Self {
         // The server owns serving-side observability: stage traces land in the
         // metrics' histograms, and requests asking to `explain` always arm
         // regardless of sampling.
@@ -493,18 +359,8 @@ impl Shared {
             metrics.stage_stats(),
             config.trace_sample_every,
         ));
-        // `KBQA_SHARD_WORKERS` spawns the supervised out-of-process worker
-        // tier.
-        let supervisor = if config.shard_workers > 0 {
-            Some(Supervisor::start(
-                config.supervisor_config()?,
-                service.model_epoch(),
-            )?)
-        } else {
-            None
-        };
-        let service = place(service, &observability, supervisor.as_ref());
-        Ok(Shared {
+        let service = place(service, &observability);
+        Shared {
             state: AppState {
                 service: ServiceSlot::new(service),
                 cache: RenderedCache::new(config.cache.clone()),
@@ -514,9 +370,8 @@ impl Shared {
             },
             shutdown: AtomicBool::new(false),
             config,
-            supervisor,
             reload: Mutex::new(()),
-        })
+        }
     }
 
     fn is_shutdown(&self) -> bool {
@@ -526,18 +381,9 @@ impl Shared {
 
 /// Ready a freshly built service — the one [`serve`] was given, or one a
 /// full-bundle reload loaded — to serve: install the server's
-/// observability sink (replacing any the caller installed), and attach the
-/// supervisor's router over its shard workers when there is one.
-fn place(
-    service: KbqaService,
-    observability: &Arc<Observability>,
-    supervisor: Option<&Supervisor>,
-) -> KbqaService {
-    let service = service.with_observability(Arc::clone(observability));
-    match supervisor {
-        Some(supervisor) => service.with_shard_router(supervisor.router()),
-        None => service,
-    }
+/// observability sink, replacing any the caller installed.
+fn place(service: KbqaService, observability: &Arc<Observability>) -> KbqaService {
+    service.with_observability(Arc::clone(observability))
 }
 
 /// A running server: its address plus the thread handles needed to stop it.
@@ -563,7 +409,7 @@ pub fn serve(
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let listener = Arc::new(listener);
-    let shared = Arc::new(Shared::new(service, config)?);
+    let shared = Arc::new(Shared::new(service, config));
     let loops = shared.config.effective_event_loops();
     let mut loop_threads = Vec::with_capacity(loops);
     for idx in 0..loops {
@@ -603,14 +449,6 @@ impl ServerHandle {
         // accepting, close idle connections and finish in-flight requests.
         for handle in self.loop_threads.drain(..) {
             let _ = handle.join();
-        }
-        // The loops are gone, so no request can still scatter to a shard:
-        // the worker processes terminate last (clean `Terminate` frame,
-        // SIGKILL after the grace deadline). The joined loops dropped their
-        // references; if one somehow outlived them, the supervisor's `Drop`
-        // stops the workers when the last one goes.
-        if let Some(supervisor) = Arc::get_mut(&mut self.shared).and_then(|s| s.supervisor.take()) {
-            supervisor.shutdown();
         }
     }
 }
@@ -1991,39 +1829,17 @@ fn route(shared: &Shared, request: &Request) -> Routed {
     Routed::Done(response)
 }
 
-/// `GET /healthz`: liveness plus — when shard serving runs out of process —
-/// per-worker supervision state. `"ok"` turns `"degraded"` (HTTP 503, so a
-/// load balancer drains the replica) when more than
-/// [`ServerConfig::health_max_degraded`] workers are not `up`; parked and
-/// restarting shards are listed either way, with restart counts and
-/// heartbeat age.
+/// `GET /healthz`: liveness plus the served model epoch and store gauges.
+/// A server that can answer this is healthy: `"status"` is always `"ok"`.
 fn handle_healthz(shared: &Shared) -> Response {
     let service = shared.state.service.load();
     let store = service.store();
-    let base = format!(
-        "\"model_epoch\":{},\"store_triples\":{},\"store_backend\":\"{}\"",
+    Response::ok(format!(
+        "{{\"status\":\"ok\",\"model_epoch\":{},\"store_triples\":{},\"store_backend\":\"{}\"}}",
         service.model_epoch(),
         store.len(),
         store.backend_kind().as_str()
-    );
-    let Some(supervisor) = shared.supervisor.as_ref() else {
-        return Response::ok(format!("{{\"status\":\"ok\",{base}}}"));
-    };
-    let workers = supervisor.status();
-    let degraded = workers.iter().filter(|w| w.state != "up").count();
-    let healthy = degraded <= shared.config.health_max_degraded;
-    let status = if healthy { "ok" } else { "degraded" };
-    let workers_json = serde_json::to_string(&workers).unwrap_or_else(|_| "[]".to_string());
-    let body = format!(
-        "{{\"status\":\"{status}\",{base},\"degraded_shards\":{degraded},\
-         \"shard_workers\":{workers_json}}}"
-    );
-    Response {
-        status: if healthy { 200 } else { 503 },
-        body: Body::Owned(body.into_bytes()),
-        retry_after: None,
-        content_type: "application/json",
-    }
+    ))
 }
 
 /// Constant-time string comparison for the admin token: a timing oracle on
@@ -2086,7 +1902,7 @@ enum Loaded {
     /// [`KbqaService::with_model`].
     Model(Arc<kbqa_core::learner::LearnedModel>),
     /// The whole [`ServingArtifacts`] bundle — store (an mmap, so an epoch
-    /// swap is a file remap, not a parse), taxonomy, model, NER, pattern
+    /// swap is a file remap, not a parse), taxonomy, model and pattern
     /// index — served by a new service readied by [`place`].
     ///
     /// [`ServingArtifacts`]: kbqa_core::persist::ServingArtifacts
@@ -2098,26 +1914,15 @@ enum Loaded {
 /// the slot, builds the next service at `old_epoch + 1` and swaps it in, so
 /// concurrent reloads of either mode each get an epoch of their own and
 /// each one's service serves.
-///
-/// With out-of-process shard workers the swap is two-phase: stage the
-/// next epoch on every up worker (each remaps its own shard snapshot from
-/// the bundle dir), commit everywhere, and only then swap the front end —
-/// so no request can ever pin an epoch no worker has committed, and a
-/// batch never merges values from two epochs.
 fn reload(shared: &Shared, bundle: bool) -> Response {
     let config = &shared.config;
-    let (mode, source, unconfigured) = if bundle {
+    let (source, unconfigured) = if bundle {
         (
-            "bundle",
             &config.bundle_dir,
             "no bundle dir configured for full-bundle reload",
         )
     } else {
-        (
-            "model",
-            &config.model_path,
-            "no model path configured for reload",
-        )
+        (&config.model_path, "no model path configured for reload")
     };
     let Some(path) = source.as_deref() else {
         return Response::error(409, unconfigured);
@@ -2143,20 +1948,11 @@ fn reload(shared: &Shared, bundle: bool) -> Response {
         .unwrap_or_else(|poison| poison.into_inner());
     let old = shared.state.service.load();
     let epoch = old.model_epoch() + 1;
-    if let Some(supervisor) = shared.supervisor.as_ref() {
-        if let Err(e) = supervisor.stage_and_commit(epoch) {
-            return Response::error(
-                500,
-                &format!("two-phase shard epoch swap failed, old {mode} keeps serving: {e}"),
-            );
-        }
-    }
     let next = match loaded {
         Loaded::Model(model) => old.with_model(model),
         Loaded::Bundle(artifacts) => place(
             artifacts.into_service_at_epoch(epoch),
             &shared.state.observability,
-            shared.supervisor.as_ref(),
         ),
     };
     let store_triples = next.store().len();
@@ -2188,10 +1984,6 @@ fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
     snapshot.store_backend = store.backend_kind().as_str().to_string();
     snapshot.store_triples = store.len() as u64;
     snapshot.model_epoch = service.model_epoch();
-    snapshot.shards = service.shard_router().map(|router| router.obs().snapshot());
-    if let Some(supervisor) = shared.supervisor.as_ref() {
-        snapshot.shard_workers = supervisor.status();
-    }
     snapshot
 }
 
@@ -2644,7 +2436,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         listener.set_nonblocking(true).expect("nonblocking");
         let addr = listener.local_addr().expect("addr");
-        let shared = Arc::new(Shared::new(empty_service(), config).expect("shared"));
+        let shared = Arc::new(Shared::new(empty_service(), config));
         let mut event_loop = EventLoop::new(shared, Arc::new(listener));
         event_loop.register_sources();
 

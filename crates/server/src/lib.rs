@@ -45,22 +45,11 @@
 //!    admin stay reachable under a batch load because batches yield their
 //!    loop after every lane. `docs/OPERATIONS.md` is the runbook for all of
 //!    it.
-//! 5. **A shard should fail like a process, not like the server.** With
-//!    `KBQA_SHARD_WORKERS` set, value lookups scatter to out-of-process
-//!    `kbqa-shardd` workers (one shard per process, unix-domain sockets,
-//!    checksummed frames) run by the [`supervisor`]: heartbeat health
-//!    checks, backoff restarts with deterministic jitter, a crash-loop
-//!    breaker that parks a hopeless shard, per-lookup deadlines and
-//!    bounded retries so a dead or hung worker costs a typed
-//!    `ShardUnavailable` refusal inside the deadline — never a wedged
-//!    batch. `/healthz` reports per-worker state (and 503s past
-//!    `KBQA_HEALTH_MAX_DEGRADED`), `/admin/reload` becomes a two-phase
-//!    stage/commit epoch swap across the fleet, and shutdown drains
-//!    requests then terminates workers gracefully. The whole envelope is
-//!    chaos-tested (`tests/chaos.rs`): kill -9, SIGSTOP, corrupt frames,
-//!    crash loops — byte-identical to unsharded serving when healthy.
-//!    Worker processes are the only shard lanes: a sharded bundle is a
-//!    plan plus per-shard snapshots that only the workers map.
+//! 5. **One topology.** One process serves one mapped store
+//!    ([`kbqa_core::persist::ServingArtifacts`]); every request's `O(|P|)`
+//!    value lookups run on the event loop that read it, against the same
+//!    page cache, and a reload swaps in the next epoch's service in one
+//!    step.
 //!
 //! # Routes
 //!
@@ -69,7 +58,7 @@
 //! | `POST /answer`       | `QaRequest` JSON    | `QaResponse` JSON         |
 //! | `POST /batch`        | `[QaRequest]` JSON  | `[QaResponse]` JSON       |
 //! | `POST /admin/reload` | — (token header)    | `{reloaded, model_epoch}` |
-//! | `GET /healthz`       | —                   | liveness + model epoch; per-shard worker state and 503 when degraded under process sharding |
+//! | `GET /healthz`       | —                   | liveness + model epoch + store gauges |
 //! | `GET /metrics`       | —                   | [`metrics::MetricsSnapshot`] JSON, or Prometheus text via `?format=prometheus` / `Accept: text/plain` |
 //! | `GET /cache/stats`   | —                   | [`cache::CacheStats`]     |
 //! | `GET /debug/slow`    | — (token header)    | `[`[`SlowQuery`]`]`, slowest first |
@@ -97,7 +86,6 @@ pub mod cache;
 pub mod epoll;
 pub mod http;
 pub mod metrics;
-pub mod supervisor;
 
 pub use cache::{AnswerCache, BatchLane, CacheConfig, CacheStats, RenderedAnswer, RenderedCache};
 pub use http::{serve, ServerConfig, ServerHandle};
@@ -105,4 +93,3 @@ pub use kbqa_obs::{
     validate_exposition, SlowQuery, SlowQueryLog, StageBreakdown, StageStatsSnapshot,
 };
 pub use metrics::{HistogramSnapshot, LatencyHistogram, Metrics, MetricsSnapshot};
-pub use supervisor::{BackoffPolicy, CrashLoopBreaker, Supervisor, SupervisorConfig, WorkerStatus};

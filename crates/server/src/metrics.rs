@@ -43,7 +43,6 @@ pub struct Metrics {
     refused_no_template: AtomicU64,
     refused_no_predicate: AtomicU64,
     refused_empty_values: AtomicU64,
-    refused_shard_unavailable: AtomicU64,
     requests_shed: AtomicU64,
     admin_reloads: AtomicU64,
     open_connections: AtomicU64,
@@ -84,7 +83,6 @@ impl Metrics {
             refused_no_template: AtomicU64::new(0),
             refused_no_predicate: AtomicU64::new(0),
             refused_empty_values: AtomicU64::new(0),
-            refused_shard_unavailable: AtomicU64::new(0),
             requests_shed: AtomicU64::new(0),
             admin_reloads: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
@@ -191,7 +189,6 @@ impl Metrics {
             Refusal::NoTemplateMatched => &self.refused_no_template,
             Refusal::NoPredicateAboveTheta => &self.refused_no_predicate,
             Refusal::EmptyValueSet => &self.refused_empty_values,
-            Refusal::ShardUnavailable => &self.refused_shard_unavailable,
         };
         by_cause.fetch_add(1, Ordering::Relaxed);
     }
@@ -219,7 +216,6 @@ impl Metrics {
             refused_no_template: self.refused_no_template.load(Ordering::Relaxed),
             refused_no_predicate: self.refused_no_predicate.load(Ordering::Relaxed),
             refused_empty_values: self.refused_empty_values.load(Ordering::Relaxed),
-            refused_shard_unavailable: self.refused_shard_unavailable.load(Ordering::Relaxed),
             requests_shed: self.requests_shed.load(Ordering::Relaxed),
             requests_shed_by_route: 0,
             admin_reloads: self.admin_reloads.load(Ordering::Relaxed),
@@ -232,8 +228,6 @@ impl Metrics {
             store_backend: String::new(),
             store_triples: 0,
             model_epoch: 0,
-            shards: None,
-            shard_workers: Vec::new(),
         }
     }
 }
@@ -280,10 +274,6 @@ pub struct MetricsSnapshot {
     /// Refusals at value lookup — empty `V(e, p)` (pipeline step 4).
     #[serde(default)]
     pub refused_empty_values: u64,
-    /// Refusals because a shard was unavailable mid-query (the router
-    /// isolated a shard panic).
-    #[serde(default)]
-    pub refused_shard_unavailable: u64,
     /// Connections shed with 429 by **connection-level** admission control
     /// at accept time (also counted in `responses_4xx`, never in
     /// `requests_total`: no request was parsed).
@@ -323,17 +313,6 @@ pub struct MetricsSnapshot {
     /// Current model epoch (filled by the HTTP layer).
     #[serde(default)]
     pub model_epoch: u64,
-    /// Per-shard serving telemetry (filled by the HTTP layer when the
-    /// service serves sharded; `null` otherwise). Deliberately NOT
-    /// `skip_serializing_if`: the vendored serde_derive reads any serde
-    /// attribute containing `skip` as a full `#[serde(skip)]` and would
-    /// drop the field from the wire entirely.
-    #[serde(default)]
-    pub shards: Option<kbqa_obs::ShardObsSnapshot>,
-    /// Per-shard worker-process supervision state (filled by the HTTP
-    /// layer when the server supervises shard workers; empty otherwise).
-    #[serde(default)]
-    pub shard_workers: Vec<crate::supervisor::WorkerStatus>,
 }
 
 impl MetricsSnapshot {
@@ -422,7 +401,6 @@ impl MetricsSnapshot {
             ("no_template_matched", self.refused_no_template),
             ("no_predicate_above_theta", self.refused_no_predicate),
             ("empty_value_set", self.refused_empty_values),
-            ("shard_unavailable", self.refused_shard_unavailable),
         ] {
             w.sample("kbqa_refusals_total", &[("cause", cause)], count as f64);
         }
@@ -523,55 +501,6 @@ impl MetricsSnapshot {
             "Current model epoch.",
             self.model_epoch as f64,
         );
-        if let Some(shards) = &self.shards {
-            shards.write_prometheus(&mut w);
-        }
-        if !self.shard_workers.is_empty() {
-            w.family(
-                "kbqa_shard_worker_restarts_total",
-                "Lifetime restarts per shard worker process.",
-                "counter",
-            );
-            w.family(
-                "kbqa_shard_worker_heartbeat_age_seconds",
-                "Seconds since the shard worker's last successful heartbeat.",
-                "gauge",
-            );
-            w.family(
-                "kbqa_shard_worker_up",
-                "1 when the shard worker is up, 0 while restarting or parked.",
-                "gauge",
-            );
-            w.family(
-                "kbqa_shard_worker_parked",
-                "1 when the crash-loop breaker has parked the shard worker.",
-                "gauge",
-            );
-            for worker in &self.shard_workers {
-                let shard = worker.shard.to_string();
-                let labels = [("shard", shard.as_str())];
-                w.sample(
-                    "kbqa_shard_worker_restarts_total",
-                    &labels,
-                    worker.restarts as f64,
-                );
-                w.sample(
-                    "kbqa_shard_worker_heartbeat_age_seconds",
-                    &labels,
-                    worker.heartbeat_age_ms as f64 / 1000.0,
-                );
-                w.sample(
-                    "kbqa_shard_worker_up",
-                    &labels,
-                    if worker.state == "up" { 1.0 } else { 0.0 },
-                );
-                w.sample(
-                    "kbqa_shard_worker_parked",
-                    &labels,
-                    if worker.state == "parked" { 1.0 } else { 0.0 },
-                );
-            }
-        }
         w.finish()
     }
 }
@@ -632,17 +561,15 @@ mod tests {
             Refusal::NoTemplateMatched,
             Refusal::NoPredicateAboveTheta,
             Refusal::EmptyValueSet,
-            Refusal::ShardUnavailable,
         ] {
             m.record_outcome(Some(refusal));
         }
         let snap = m.snapshot();
-        assert_eq!((snap.answered, snap.refused), (1, 6));
+        assert_eq!((snap.answered, snap.refused), (1, 5));
         assert_eq!(snap.refused_no_entity, 2);
         assert_eq!(snap.refused_no_template, 1);
         assert_eq!(snap.refused_no_predicate, 1);
         assert_eq!(snap.refused_empty_values, 1);
-        assert_eq!(snap.refused_shard_unavailable, 1);
     }
 
     #[test]
@@ -664,18 +591,11 @@ mod tests {
         let mut snap = m.snapshot();
         snap.store_backend = "mmap".to_string();
         snap.store_triples = 1234;
-        let shard_obs = kbqa_obs::ShardObs::new(2);
-        shard_obs.lane(1).record_query();
-        shard_obs.record_fanout(1);
-        snap.shards = Some(shard_obs.snapshot());
         let text = snap.to_prometheus();
         validate_exposition(&text).expect("exposition must be valid");
         for family in [
             "kbqa_http_requests_total",
             "kbqa_refusals_total{cause=\"no_template_matched\"} 1",
-            "kbqa_refusals_total{cause=\"shard_unavailable\"} 0",
-            "kbqa_shard_queries_total{shard=\"1\"} 1",
-            "kbqa_shard_fanout_total{shards=\"1\"} 1",
             "kbqa_request_latency_seconds_bucket{route=\"answer\",le=\"+Inf\"} 1",
             "kbqa_stage_latency_seconds_bucket{stage=\"value_lookup\",le=\"0.0001\"} 1",
             "kbqa_cache_events_total{event=\"hit\"} 0",

@@ -2,7 +2,9 @@
 //! `POST /admin/reload` hot swaps with versioned cache keys (a pre-swap
 //! cache entry is never served post-swap, asserted byte-level), one epoch
 //! per reload under concurrent reloads of both modes, every answer served
-//! during reloads rendered wholly by its epoch's model, a bundle reload onto
+//! during reloads rendered wholly by its epoch's model, no `/batch` mixing
+//! two epochs while reloads land between its lanes, `min_epoch` gating with
+//! `409`, a bundle reload onto
 //! a forged section file refused with a `500` while the old epoch answers on
 //! byte for byte, and admission
 //! control (a saturated accept queue sheds with `429` + `Retry-After`, then
@@ -829,6 +831,133 @@ fn concurrent_reloads_of_both_modes_get_distinct_epochs() {
     assert_eq!(status, 200);
     assert_eq!(epoch_in(&health), 16, "{health}");
     assert_eq!(metrics(addr).admin_reloads, 16);
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// While reloads of both modes flip epochs, a `/batch` never mixes two
+/// `model_epoch`s: every lane answers under the one service its batch was
+/// admitted with. The batches carry 40 questions, so each one spans three
+/// 16-question lanes and a reload can land between two of them. After the
+/// reloads, `min_epoch` at the served epoch passes, and one epoch above it
+/// is a 409 on `/answer` and on a whole `/batch`.
+#[test]
+fn batches_never_mix_epochs_across_reloads_and_min_epoch_gates_with_409() {
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let (service, question) = learned_service();
+    let dir = std::env::temp_dir().join(format!("kbqa-live-ops-no-mix-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    ServingArtifacts::from_service(&service)
+        .save(&dir)
+        .expect("save bundle");
+    let config = ServerConfig {
+        event_loops: 2,
+        admin_token: Some("swordfish".into()),
+        model_path: Some(dir.join(MODEL_FILE)),
+        bundle_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let server = serve(service, "127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+
+    // Answered, refused and per-request-override questions; each posted
+    // batch's own numbering keeps its refusals out of the cache.
+    let batch_body = |round: u64| {
+        let batch: Vec<QaRequest> = (0..40)
+            .map(|i| match i % 4 {
+                0 => QaRequest::new(&question),
+                1 => QaRequest::new(&question).with_top_k(1 + i % 7),
+                2 => QaRequest::new(format!("why is the sky blue {round} {i}")),
+                _ => QaRequest::new(format!("{question} {round} {i}")),
+            })
+            .collect();
+        serde_json::to_string(&batch).expect("batch")
+    };
+    let done = AtomicBool::new(false);
+    let (reloads, seen) = std::thread::scope(|scope| {
+        let hammer = scope.spawn(|| {
+            let mut seen = BTreeSet::new();
+            let mut round = 0;
+            while !done.load(Ordering::Acquire) {
+                round += 1;
+                let (status, reply) = http(addr, "POST", "/batch", "", &batch_body(round));
+                assert_eq!(status, 200, "batch failed mid-reload: {reply}");
+                let responses: Vec<QaResponse> = serde_json::from_str(&reply).expect("batch");
+                assert_eq!(responses.len(), 40);
+                let epochs: BTreeSet<u64> = responses.iter().map(|r| r.model_epoch).collect();
+                assert_eq!(
+                    epochs.len(),
+                    1,
+                    "one batch straddled model epochs {epochs:?}"
+                );
+                seen.extend(epochs);
+            }
+            seen
+        });
+        let mut reloads = Vec::new();
+        for i in 0..40 {
+            if hammer.is_finished() {
+                break;
+            }
+            let mode = ["model", "bundle"][i % 2];
+            let path = format!("/admin/reload?mode={mode}");
+            reloads.push(http(addr, "POST", &path, ADMIN, ""));
+        }
+        done.store(true, Ordering::Release);
+        (reloads, hammer.join().expect("hammer"))
+    });
+    for (epoch, (status, reply)) in (1..).zip(&reloads) {
+        assert_eq!(*status, 200, "{reply}");
+        assert_eq!(epoch_in(reply), epoch, "{reply}");
+    }
+    assert_eq!(reloads.len(), 40);
+    assert!(
+        seen.len() > 1,
+        "the batches never saw a reload land: epochs {seen:?}"
+    );
+
+    // min_epoch: read-your-reload honored at the served epoch, 409 above.
+    let served = 40;
+    let mut pinned = QaRequest::new(&question);
+    pinned.min_epoch = Some(served);
+    let (status, reply) = http(
+        addr,
+        "POST",
+        "/answer",
+        "",
+        &serde_json::to_string(&pinned).unwrap(),
+    );
+    assert_eq!(
+        status, 200,
+        "min_epoch at the served epoch must pass: {reply}"
+    );
+    assert_eq!(epoch_in(&reply), served);
+    pinned.min_epoch = Some(served + 1);
+    let (status, reply) = http(
+        addr,
+        "POST",
+        "/answer",
+        "",
+        &serde_json::to_string(&pinned).unwrap(),
+    );
+    assert_eq!(status, 409, "a future min_epoch must 409: {reply}");
+    // A batch with one future-pinned member is refused whole.
+    let mut batch = vec![QaRequest::new(&question); 20];
+    batch[17].min_epoch = Some(served + 1);
+    let (status, reply) = http(
+        addr,
+        "POST",
+        "/batch",
+        "",
+        &serde_json::to_string(&batch).unwrap(),
+    );
+    assert_eq!(
+        status, 409,
+        "a batch pinning a future epoch must 409 whole: {reply}"
+    );
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();

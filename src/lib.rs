@@ -106,13 +106,10 @@ pub mod prelude {
     pub use kbqa_core::learner::{LearnedModel, Learner, LearnerConfig};
     pub use kbqa_core::persist::ServingArtifacts;
     pub use kbqa_core::service::{KbqaService, QaRequest, QaResponse, QaSystem, Refusal, Rendered};
-    pub use kbqa_core::shard::{ShardPanic, ShardRouter};
     pub use kbqa_core::template::{Template, TemplateCatalog};
     pub use kbqa_corpus::{benchmark, CorpusConfig, QaCorpus, World, WorldConfig};
     pub use kbqa_nlp::{tokenize, GazetteerNer};
     pub use kbqa_obs::{Observability, Stage, StageBreakdown, StageStats, StageTrace};
-    pub use kbqa_rdf::{
-        ExpandedPredicate, GraphBuilder, ShardPlan, ShardStat, ShardStats, TripleStore,
-    };
+    pub use kbqa_rdf::{ExpandedPredicate, GraphBuilder, TripleStore};
     pub use kbqa_taxonomy::Conceptualizer;
 }

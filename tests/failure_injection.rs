@@ -1,7 +1,5 @@
 //! Failure injection: the pipeline must degrade, not panic, under
 //! adversarial corpora, pathological graphs, and hostile question strings.
-//! Shard faults live with the sharded-serving suite
-//! (`tests/shard_equivalence.rs`), next to the workers they poison.
 
 use std::sync::Arc;
 
