@@ -20,8 +20,11 @@
 //! * four whole-path figures close the report: the optimized kernel vs
 //!   the retained reference enumeration (`QaEngine::bfq_kernel_reference`)
 //!   on the same pre-tokenized questions, the armed stage tracer's
-//!   overhead on the walk, the bundle load (`ServingArtifacts::load`:
-//!   wall time, `store.snap` bytes, triples), the opens of the mapped
+//!   overhead on the walk (median [Q1, Q3] of alternating armed/untraced
+//!   passes), the bundle load (`ServingArtifacts::load`: wall time split
+//!   into the one digest pass over the three section files, the rest of
+//!   their open checks, and everything else; `store.snap` bytes, bytes per
+//!   triple, triples), the opens of the mapped
 //!   taxonomy and pattern index (`taxonomy.snap`, `patterns.snap`: wall
 //!   time, mapped bytes, heap kept) and the NER gazetteer's build over the
 //!   mapped names (wall time, heap bytes, names, overflow names);
@@ -54,11 +57,12 @@ const SEED: u64 = 7;
 /// Distinct questions walked per pass: the benchmark's cold cycle.
 const COLD_QUESTIONS: usize = 32_768;
 
+/// Armed/untraced pass pairs behind the tracer's overhead figure.
+const TRACER_PAIRS: usize = 7;
+
 struct Fixture {
     service: KbqaService,
     requests: Vec<QaRequest>,
-    /// Wall time of `ServingArtifacts::load` on the saved bundle.
-    load_ms: f64,
     /// Keeps the bundle directory alive for the mapped store.
     bundle: TempBundle,
 }
@@ -112,10 +116,9 @@ fn fixture(world: WorldConfig, train_pairs: usize, stream_pairs: usize, cold: us
     ServingArtifacts::from_service(&built)
         .save(&dir)
         .expect("save serving bundle");
-    let load_started = Instant::now();
-    let artifacts = ServingArtifacts::load(&dir).expect("load serving bundle");
-    let load_ms = load_started.elapsed().as_secs_f64() * 1e3;
-    let service = artifacts.into_service();
+    let service = ServingArtifacts::load(&dir)
+        .expect("load serving bundle")
+        .into_service();
 
     let stream = QaCorpus::generate(&world, &CorpusConfig::with_pairs(stream_seed, stream_pairs));
     let mut seen = HashSet::new();
@@ -132,7 +135,6 @@ fn fixture(world: WorldConfig, train_pairs: usize, stream_pairs: usize, cold: us
     Fixture {
         service,
         requests,
-        load_ms,
         bundle: TempBundle(dir),
     }
 }
@@ -374,31 +376,39 @@ fn bench_kernel_stages(c: &mut Criterion) {
         "reference kernel",
         reference / optimized
     );
+    // One pass alone reads anything from -4 % to +14 %: alternate armed and
+    // untraced passes, swapping which goes first, and report quartiles.
     let mut walk = |armed: bool| {
-        ns_per(f.requests.len(), || {
-            for request in &f.requests {
-                scratch.trace.begin(armed);
-                out.clear();
-                black_box(engine.render_request_into(request, &mut scratch, 0, &mut out));
-            }
-            scratch.trace.begin(false);
-        })
+        let started = Instant::now();
+        for request in &f.requests {
+            scratch.trace.begin(armed);
+            out.clear();
+            black_box(engine.render_request_into(request, &mut scratch, 0, &mut out));
+        }
+        scratch.trace.begin(false);
+        started.elapsed().as_nanos() as f64 / n
     };
-    let (untraced, armed) = (walk(false), walk(true));
+    let (mut armed, mut untraced, mut overhead) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..TRACER_PAIRS {
+        let (a, u) = if pair % 2 == 0 {
+            let a = walk(true);
+            (a, walk(false))
+        } else {
+            let u = walk(false);
+            (walk(true), u)
+        };
+        armed.push(a);
+        untraced.push(u);
+        overhead.push(100.0 * (a / u - 1.0));
+    }
+    let ([a, a1, a3], [u, u1, u3], [o, o1, o3]) =
+        (quartiles(armed), quartiles(untraced), quartiles(overhead));
     println!(
-        "  {:<28} {armed:>7.0} ns/question   untraced {untraced:>7.0}   {:+.1}%",
+        "  {:<28} {a:>7.0} ns/question [{a1:.0}, {a3:.0}]   untraced {u:>7.0} [{u1:.0}, {u3:.0}]   \
+         {o:+.1}% [{o1:+.1}, {o3:+.1}] over {TRACER_PAIRS} pairs",
         "armed tracer",
-        100.0 * (armed / untraced - 1.0)
     );
-    let snap_bytes = std::fs::metadata(f.bundle.0.join(kbqa::core::persist::STORE_FILE))
-        .expect("store.snap")
-        .len();
-    println!(
-        "  {:<28} {:>7.1} ms           store.snap {snap_bytes} B, {} triples",
-        "bundle load",
-        f.load_ms,
-        f.service.store().len()
-    );
+    bundle_load(&f.bundle.0, f.service.store().len());
     use kbqa::core::persist::{load_patterns, load_taxonomy, PATTERNS_FILE, TAXONOMY_FILE};
     let (ms, bytes, heap) = open_section_file(
         &f.bundle.0.join(TAXONOMY_FILE),
@@ -437,6 +447,64 @@ fn bench_kernel_stages(c: &mut Criterion) {
     let rows = [curve_row("quick", &quick), curve_row("large_1m", &f)];
     drop(quick);
     print_curve(&rows);
+}
+
+/// Median, first and third quartile of `values`.
+fn quartiles(mut values: Vec<f64>) -> [f64; 3] {
+    values.sort_by(f64::total_cmp);
+    let at = |q: f64| values[((values.len() - 1) as f64 * q).round() as usize];
+    [at(0.5), at(0.25), at(0.75)]
+}
+
+/// Fastest of three runs of `f`, in ms.
+fn best_ms(mut f: impl FnMut()) -> f64 {
+    (0..3)
+        .map(|_| {
+            let started = Instant::now();
+            f();
+            started.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// `ServingArtifacts::load` of the bundle in `dir`, split three ways: the
+/// one digest pass over the three section files (both Fx-64 chains, as
+/// their opens run it), the rest of their opens (mapping, the table and
+/// section checks, the sidecar reads), and everything else (`model.json`,
+/// the manifest). Each figure is the fastest of three.
+fn bundle_load(dir: &std::path::Path, triples: usize) {
+    use kbqa::core::persist::{
+        load_patterns, load_taxonomy, PATTERNS_FILE, STORE_FILE, TAXONOMY_FILE,
+    };
+    let load = best_ms(|| {
+        black_box(ServingArtifacts::load(dir).expect("load serving bundle"));
+    });
+    let maps: Vec<kbqa::rdf::mmap::Mmap> = [STORE_FILE, TAXONOMY_FILE, PATTERNS_FILE]
+        .iter()
+        .map(|name| {
+            let file = std::fs::File::open(dir.join(name)).expect("section file");
+            kbqa::rdf::mmap::Mmap::map_file(&file).expect("map section file")
+        })
+        .collect();
+    let digest = best_ms(|| {
+        for map in &maps {
+            black_box(kbqa::rdf::sections::file_digests(map.bytes()));
+        }
+    });
+    let opens = best_ms(|| {
+        black_box(kbqa::rdf::Snapshot::open(&dir.join(STORE_FILE)).expect("open store.snap"));
+        black_box(load_taxonomy(&dir.join(TAXONOMY_FILE)).expect("open taxonomy.snap"));
+        black_box(load_patterns(&dir.join(PATTERNS_FILE)).expect("open patterns.snap"));
+    });
+    let snap_bytes = maps[0].bytes().len();
+    println!(
+        "  {:<28} {load:>7.1} ms           digest pass {digest:.1}, open checks {:.1}, rest {:.1} ms; \
+         store.snap {snap_bytes} B ({:.1} B/triple), {triples} triples",
+        "bundle load",
+        opens - digest,
+        load - opens,
+        snap_bytes as f64 / triples as f64,
+    );
 }
 
 /// Fastest of three timed passes of `pass`, in ns per one of its `items`.

@@ -228,6 +228,11 @@ impl PatternIndex {
         self.sections.heap_bytes()
     }
 
+    /// The index's section file (owned or mapped).
+    pub fn sections(&self) -> &Sections {
+        &self.sections
+    }
+
     /// The position of a fingerprint: one radix bucket, searched.
     #[inline]
     fn find(&self, key: u64) -> Option<usize> {

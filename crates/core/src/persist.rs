@@ -68,7 +68,10 @@
 //! Each file is mapped once and hashed once; that one digest is checked
 //! against both the manifest entry and the sidecar, and the bytes that
 //! passed are the bytes parsed — no second read can differ from the one
-//! that was checked. Saves replace a file by rename and never rewrite one in
+//! that was checked. A section file's one pass is the open's own: the
+//! checksum check over its words also yields its whole-file digest
+//! (`kbqa_rdf::sections::read_table`), which the opened file keeps and the
+//! manifest and sidecar checks read. Saves replace a file by rename and never rewrite one in
 //! place, so a mapping keeps the inode it checked. Mapping also keeps a JSON
 //! artifact's text off the heap: the load allocates only what it returns.
 
@@ -100,12 +103,17 @@ pub fn checksum_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Fx-64 digest of raw bytes, rendered as 16 hex digits.
-fn digest(bytes: &[u8]) -> String {
+/// Fx-64 digest of raw bytes.
+fn fx64(bytes: &[u8]) -> u64 {
     use std::hash::Hasher;
     let mut hasher = FxHasher::default();
     hasher.write(bytes);
-    format!("{:016x}", hasher.finish())
+    hasher.finish()
+}
+
+/// Fx-64 digest of raw bytes, rendered as 16 hex digits.
+fn digest(bytes: &[u8]) -> String {
+    format!("{:016x}", fx64(bytes))
 }
 
 /// Write `bytes` to `path` atomically: temp file in the same directory,
@@ -155,7 +163,7 @@ pub fn load_json<T: DeserializeOwned>(path: &Path) -> Result<T> {
 /// entry and the sidecar, and those same bytes are parsed.
 fn load_json_listed<T: DeserializeOwned>(path: &Path, listed: Option<&str>) -> Result<T> {
     let bytes = map_listed(path, listed)?;
-    verify(path, &bytes, listed)?;
+    verify(path, || fx64(&bytes), listed)?;
     let text = std::str::from_utf8(&bytes)
         .map_err(|e| KbqaError::Io(format!("deserialize {}: {e}", path.display())))?;
     serde_json::from_str(text)
@@ -177,15 +185,16 @@ fn map_listed(path: &Path, listed: Option<&str>) -> Result<Mmap> {
         })
 }
 
-/// Check a file's bytes against the digest the bundle manifest lists for it
-/// (`listed`) and against its `.fxsum` sidecar, when either exists. The
-/// bytes are hashed once for both checks.
-fn verify(path: &Path, bytes: &[u8], listed: Option<&str>) -> Result<()> {
+/// Check a file's whole-file digest (`actual`, asked for only when there
+/// is something to check it against) against the digest the bundle
+/// manifest lists for it (`listed`) and against its `.fxsum` sidecar, when
+/// either exists. One digest serves both checks.
+fn verify(path: &Path, actual: impl FnOnce() -> u64, listed: Option<&str>) -> Result<()> {
     let sidecar = std::fs::read_to_string(checksum_path(path)).ok();
     if listed.is_none() && sidecar.is_none() {
         return Ok(());
     }
-    let actual = digest(bytes);
+    let actual = format!("{:016x}", actual());
     if let Some(expected) = listed.filter(|&expected| expected != actual) {
         return Err(KbqaError::Io(format!(
             "bundle manifest mismatch for {}: manifest says {expected}, file \
@@ -236,17 +245,18 @@ pub fn save_store(store: &TripleStore, path: &Path) -> Result<String> {
 ///
 /// The snapshot's embedded checksum is always verified by
 /// [`Snapshot::open`]; when a `.fxsum` sidecar exists, the full-file digest
-/// is cross-checked against it too (same convention as [`load_json`]).
+/// that open computed in the same pass is cross-checked against it too
+/// (same convention as [`load_json`]).
 pub fn load_store(path: &Path) -> Result<TripleStore> {
     load_store_listed(path, None)
 }
 
 /// [`load_store`] of a snapshot the bundle manifest lists with digest
-/// `listed`: one whole-file digest of the mapping serves both the manifest
+/// `listed`: the whole-file digest the open took serves both the manifest
 /// and the sidecar check.
 fn load_store_listed(path: &Path, listed: Option<&str>) -> Result<TripleStore> {
     let snapshot = Snapshot::open(path)?;
-    verify(path, snapshot.bytes(), listed)?;
+    verify(path, || snapshot.digest(), listed)?;
     Ok(TripleStore::from_snapshot(snapshot))
 }
 
@@ -283,19 +293,39 @@ pub fn load_patterns(path: &Path) -> Result<PatternIndex> {
     load_section_file(path, None, PatternIndex::from_map)
 }
 
-/// Map a section file once, hold that mapping to the manifest entry
-/// (`listed`) and the sidecar, then hand the same mapping to `open`.
-fn load_section_file<T>(
+/// A section file opened by its own type, which kept the whole-file digest
+/// its open computed while checking the embedded checksum.
+trait SectionFile {
+    fn file_digest(&self) -> u64;
+}
+
+impl SectionFile for Conceptualizer {
+    fn file_digest(&self) -> u64 {
+        self.network().sections().digest()
+    }
+}
+
+impl SectionFile for PatternIndex {
+    fn file_digest(&self) -> u64 {
+        self.sections().digest()
+    }
+}
+
+/// Map a section file once and hand the mapping to `open`, which checks it
+/// and hashes it in one pass; then hold the digest that pass took to the
+/// manifest entry (`listed`) and the sidecar.
+fn load_section_file<T: SectionFile>(
     path: &Path,
     listed: Option<&str>,
     open: impl FnOnce(Mmap) -> Result<T>,
 ) -> Result<T> {
     let map = map_listed(path, listed)?;
-    verify(path, &map, listed)?;
-    open(map).map_err(|e| match e {
+    let opened = open(map).map_err(|e| match e {
         KbqaError::Io(why) => KbqaError::Io(format!("{why} ({})", path.display())),
         other => other,
-    })
+    })?;
+    verify(path, || opened.file_digest(), listed)?;
+    Ok(opened)
 }
 
 /// Load an artifact a bundle keeps under one of two names: its section file
@@ -303,7 +333,7 @@ fn load_section_file<T>(
 /// (`json`: parsed into the same layout). The manifest decides when it
 /// lists either, and its entry is taken; a directory without such an entry
 /// is searched in that order. `None` when neither file is there.
-fn load_artifact<T: DeserializeOwned>(
+fn load_artifact<T: DeserializeOwned + SectionFile>(
     dir: &Path,
     listed: &mut std::collections::BTreeMap<String, String>,
     (snap, json): (&str, &str),
@@ -468,7 +498,8 @@ impl ServingArtifacts {
         // its digest.
         for (name, expected) in &listed {
             let path = dir.join(name);
-            verify(&path, &map_listed(&path, Some(expected))?, Some(expected))?;
+            let map = map_listed(&path, Some(expected))?;
+            verify(&path, || fx64(&map), Some(expected))?;
         }
         Ok(Self {
             store: Arc::new(store),

@@ -5,7 +5,9 @@
 //! 12-byte structs:
 //!
 //! * **log** — `(s, p, o)` in first-seen insertion order, the "disk file"
-//!   that [`crate::TripleStore::scan`] replays for the Sec 6.2 BFS;
+//!   that a built store's [`crate::TripleStore::scan`] replays for the
+//!   Sec 6.2 BFS. Builder-side only: serving never reads it, so the
+//!   snapshot does not carry it and [`ColsView`] does not show it;
 //! * **SO runs** — for each predicate `p`, the `(subject, object)` pairs
 //!   sorted by `(s, o)`, delimited by a `P+1` prefix-offset array. One
 //!   branch-free binary search answers `V(e, p)` (Eq 6) with a zero-copy
@@ -14,14 +16,15 @@
 //!   (`subjects`, value→entity grounding).
 //!
 //! Compared to the previous four sorted `Vec<Triple>` indexes this drops the
-//! per-triple cost from 60 to 28 bytes and — because every column is a plain
-//! little-endian-integer array — the whole layout serializes into the
-//! snapshot file byte-for-byte and maps back in with no rebuild
-//! ([`crate::snapshot`]).
+//! per-triple cost from 60 to 28 bytes on the builder, and to 16 bytes plus
+//! the run bounds in a served snapshot. Every column is a plain
+//! little-endian-integer array, so the runs serialize into the snapshot file
+//! byte-for-byte and map back in with no rebuild ([`crate::snapshot`]).
 //!
 //! [`ColumnarTriples`] owns the columns (the in-memory backend);
-//! [`ColsView`] is the borrowed form both backends query through, so a
-//! store served out of an `mmap`ed snapshot runs the same code paths.
+//! [`ColsView`] is the borrowed form of the runs both backends query
+//! through, so a store served out of an `mmap`ed snapshot runs the same code
+//! paths.
 
 use crate::triple::{PredicateId, Triple};
 
@@ -107,12 +110,24 @@ impl ColumnarTriples {
         }
     }
 
-    /// The borrowed view all queries go through.
+    /// The `i`-th triple of the insertion-order log.
+    #[inline]
+    fn log_triple(&self, i: usize) -> Triple {
+        Triple::new(
+            crate::NodeId::new(self.log_s[i]),
+            PredicateId::new(self.log_p[i]),
+            crate::NodeId::new(self.log_o[i]),
+        )
+    }
+
+    /// Every triple in first-seen insertion order: the builder's log.
+    pub fn log(&self) -> impl Iterator<Item = Triple> + '_ {
+        (0..self.log_s.len()).map(|i| self.log_triple(i))
+    }
+
+    /// The borrowed view of the runs all queries go through.
     pub fn view(&self) -> ColsView<'_> {
         ColsView {
-            log_s: &self.log_s,
-            log_p: &self.log_p,
-            log_o: &self.log_o,
             so_bounds: &self.so_bounds,
             so_s: &self.so_s,
             so_o: &self.so_o,
@@ -175,16 +190,10 @@ fn build_runs(bounds: &[u64], log_p: &[u32], major: &[u32], minor: &[u32]) -> (V
     (out_major, out_minor)
 }
 
-/// Borrowed columnar view — the single query surface shared by the
-/// in-memory and mmap-backed stores.
+/// Borrowed columnar view of the SO and OS runs — the single query surface
+/// shared by the in-memory and mmap-backed stores.
 #[derive(Clone, Copy, Debug)]
 pub struct ColsView<'a> {
-    /// Insertion-order subject column.
-    pub log_s: &'a [u32],
-    /// Insertion-order predicate column.
-    pub log_p: &'a [u32],
-    /// Insertion-order object column.
-    pub log_o: &'a [u32],
     /// SO run offsets (`predicate_count + 1` entries).
     pub so_bounds: &'a [u64],
     /// Subjects of the SO runs, sorted by `(s, o)` within each run.
@@ -202,12 +211,12 @@ pub struct ColsView<'a> {
 impl<'a> ColsView<'a> {
     /// Stored (deduplicated) triple count.
     pub fn len(&self) -> usize {
-        self.log_s.len()
+        self.so_s.len()
     }
 
     /// Whether no triples are stored.
     pub fn is_empty(&self) -> bool {
-        self.log_s.is_empty()
+        self.so_s.is_empty()
     }
 
     /// Number of predicates the run arrays are partitioned over.
@@ -215,14 +224,16 @@ impl<'a> ColsView<'a> {
         self.so_bounds.len().saturating_sub(1)
     }
 
-    /// The `i`-th triple in insertion order.
-    #[inline]
-    pub fn triple_at(&self, i: usize) -> Triple {
-        Triple::new(
-            crate::NodeId::new(self.log_s[i]),
-            PredicateId::new(self.log_p[i]),
-            crate::NodeId::new(self.log_o[i]),
-        )
+    /// Every triple in `(p, s, o)` order, walking the SO runs.
+    pub fn triples(self) -> impl Iterator<Item = Triple> + 'a {
+        (0..self.predicate_count() as u32).flat_map(move |p| {
+            let p = PredicateId::new(p);
+            let (subjects, objects) = self.so_run(p);
+            subjects
+                .iter()
+                .zip(objects)
+                .map(move |(&s, &o)| Triple::new(crate::NodeId::new(s), p, crate::NodeId::new(o)))
+        })
     }
 
     /// The SO run of predicate `p`: parallel `(subjects, objects)` columns
@@ -356,7 +367,7 @@ mod tests {
         let cols = sample();
         let v = cols.view();
         assert_eq!(v.len(), 5);
-        let log: Vec<Triple> = (0..v.len()).map(|i| v.triple_at(i)).collect();
+        let log: Vec<Triple> = (0..v.len()).map(|i| cols.log_triple(i)).collect();
         assert_eq!(
             log,
             vec![t(5, 1, 9), t(1, 0, 2), t(5, 1, 3), t(0, 2, 1), t(2, 0, 2)]
@@ -483,8 +494,12 @@ mod tests {
             .collect();
         assert_eq!(v.len(), naive.len());
         for (i, want) in naive.iter().enumerate() {
-            assert_eq!(v.triple_at(i), *want);
+            assert_eq!(cols.log_triple(i), *want);
         }
+        // The SO walk yields the same set, in `(p, s, o)` order.
+        let mut by_pso = naive.clone();
+        by_pso.sort_unstable_by_key(|t| (t.p.raw(), t.s.raw(), t.o.raw()));
+        assert_eq!(v.triples().collect::<Vec<_>>(), by_pso);
         // Spot-check every (s, p) group against a scan.
         for s in 0..13u32 {
             for p in 0..5u32 {

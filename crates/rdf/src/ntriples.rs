@@ -81,10 +81,11 @@ fn render_node(store: &TripleStore, node: NodeId, out: &mut String) {
     }
 }
 
-/// Export a store as N-Triples lines, in scan (insertion) order.
+/// Export a store as N-Triples lines, in `(p, s, o)` order off the SO runs,
+/// so a built store and its mapped twin export the same bytes.
 pub fn export<W: Write>(store: &TripleStore, mut writer: W) -> Result<()> {
     let mut line = String::with_capacity(128);
-    for t in store.scan() {
+    for t in store.triples() {
         line.clear();
         render_node(store, t.s, &mut line);
         line.push_str(" <");

@@ -19,6 +19,13 @@
 //! monotone, ids below their counts) is checked by the artifact that owns
 //! the format, at open, before any lookup runs.
 //!
+//! A load hashes each file once. The same pass over the file's words feeds
+//! two Fx-64 chains: the body checksum the header records, and the
+//! whole-file digest a `.fxsum` sidecar and the bundle manifest record.
+//! [`read_table`] returns that digest with the ranges, and the opened file
+//! keeps it ([`Sections::digest`]), so the sidecar and manifest checks read
+//! a number instead of hashing the mapping a second time.
+//!
 //! [`Sections`] holds such a file either mapped read-only ([`Sections::open`])
 //! or as an owned image ([`encode`], what the in-memory builders produce), and
 //! hands out the same typed views either way.
@@ -172,6 +179,34 @@ fn digest(bytes: &[u8]) -> u64 {
     stream.finish()
 }
 
+/// One pass over a file at least a header long, two Fx-64 chains: the body
+/// checksum (every byte after the header) and the whole-file digest. The
+/// header is a whole number of words, so both chains read the same body
+/// words and the same tail; they are independent multiply chains, so the
+/// pass costs about what one chain does. [`read_table`] runs it once per
+/// load.
+pub fn file_digests(bytes: &[u8]) -> (u64, u64) {
+    let (header, body) = bytes.split_at(HEADER_LEN);
+    let word = |chunk: &[u8]| u64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
+    let mut file = FxHasher::default();
+    for chunk in header.chunks_exact(8) {
+        file.write_u64(word(chunk));
+    }
+    let mut sum = FxHasher::default();
+    let mut chunks = body.chunks_exact(8);
+    for chunk in &mut chunks {
+        let w = word(chunk);
+        sum.write_u64(w);
+        file.write_u64(w);
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        sum.write(tail);
+        file.write(tail);
+    }
+    (sum.finish(), file.finish())
+}
+
 // ---------------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------------
@@ -257,11 +292,10 @@ pub fn write(format: &Format, cols: &[Col<'_>], path: &Path) -> Result<u64> {
     Ok(file_digest)
 }
 
-/// Atomically write already-encoded `bytes` to `path` (temp + `fsync` +
-/// rename) and return their Fx-64 digest.
-pub fn write_bytes(bytes: &[u8], path: &Path) -> Result<u64> {
-    write_atomic(path, |w| w.write_all(bytes))?;
-    Ok(digest(bytes))
+/// Atomically write an already-encoded image to `path` (temp + `fsync` +
+/// rename).
+pub fn write_image(bytes: &[u8], path: &Path) -> Result<()> {
+    write_atomic(path, |w| w.write_all(bytes))
 }
 
 fn write_atomic(
@@ -302,10 +336,13 @@ pub fn encode(format: &Format, cols: &[Col<'_>]) -> Sections {
         let checksum = digest(&image[HEADER_LEN..]);
         image[..HEADER_LEN].copy_from_slice(&header(format, file_len, checksum));
     }
-    Sections {
+    let mut sections = Sections {
         backing: Arc::new(Backing::Owned(words)),
         ranges: ranges.into(),
-    }
+        digest: 0,
+    };
+    sections.digest = digest(sections.bytes());
+    sections
 }
 
 // ---------------------------------------------------------------------------
@@ -314,9 +351,10 @@ pub fn encode(format: &Format, cols: &[Col<'_>]) -> Sections {
 
 /// Validate a file of `format` — magic, version, section count, length,
 /// checksum, and each section's alignment, bounds and element width — and
-/// return each section's `(offset, byte length)`. Any violation is a typed
-/// [`KbqaError::Io`].
-pub fn read_table(format: &Format, bytes: &[u8]) -> Result<Vec<(usize, usize)>> {
+/// return each section's `(offset, byte length)` with the file's whole-file
+/// Fx-64 digest, from the one pass that checked the checksum. Any violation
+/// is a typed [`KbqaError::Io`].
+pub fn read_table(format: &Format, bytes: &[u8]) -> Result<(Vec<(usize, usize)>, u64)> {
     let count = format.elems.len();
     if bytes.len() < HEADER_LEN + count * 16 {
         return Err(format.error("file shorter than header"));
@@ -345,7 +383,7 @@ pub fn read_table(format: &Format, bytes: &[u8]) -> Result<Vec<(usize, usize)>> 
         )));
     }
     let stored = word64(CHECKSUM_OFFSET);
-    let actual = digest(&bytes[HEADER_LEN..]);
+    let (actual, file_digest) = file_digests(bytes);
     if stored != actual {
         return Err(format.error(format_args!(
             "checksum mismatch: header says {stored:016x}, contents hash to {actual:016x}"
@@ -366,7 +404,7 @@ pub fn read_table(format: &Format, bytes: &[u8]) -> Result<Vec<(usize, usize)>> 
         }
         ranges.push((off, len));
     }
-    Ok(ranges)
+    Ok((ranges, file_digest))
 }
 
 /// Check that `bounds` has `entries + 1` values running monotonically from
@@ -409,6 +447,7 @@ enum Backing {
 pub struct Sections {
     backing: Arc<Backing>,
     ranges: Arc<[(usize, usize)]>,
+    digest: u64,
 }
 
 impl Sections {
@@ -425,11 +464,19 @@ impl Sections {
 
     /// Check an already-mapped file as a file of `format`.
     pub fn from_map(format: &Format, map: Mmap) -> Result<Self> {
-        let ranges = read_table(format, map.bytes())?;
+        let (ranges, digest) = read_table(format, map.bytes())?;
         Ok(Self {
             backing: Arc::new(Backing::Mapped(map)),
             ranges: ranges.into(),
+            digest,
         })
+    }
+
+    /// The Fx-64 digest of the whole file, header included: what its
+    /// `.fxsum` sidecar and a bundle manifest record. Computed by the pass
+    /// that checked the file, never again.
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// The whole file, header included.
@@ -454,7 +501,8 @@ impl Sections {
 
     /// Write the file as it stands to `path` (atomically); returns its digest.
     pub fn write_to(&self, path: &Path) -> Result<u64> {
-        write_bytes(self.bytes(), path)
+        write_image(self.bytes(), path)?;
+        Ok(self.digest)
     }
 
     /// Section `i`'s bytes.
@@ -530,6 +578,10 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), image.bytes());
         assert_eq!(digest_written, digest(image.bytes()));
         let mapped = Sections::open(&TEST, &path).unwrap();
+        assert_eq!(
+            (image.digest(), mapped.digest()),
+            (digest_written, digest_written)
+        );
         std::fs::remove_dir_all(&dir).ok();
         for s in [&image, &mapped] {
             assert_eq!(s.raw(0), b"abc");
@@ -539,6 +591,31 @@ mod tests {
         assert_eq!(mapped.heap_bytes(), 0);
         assert_eq!(image.heap_bytes(), image.bytes().len());
         assert!(read_table(&TEST, image.bytes()).is_ok());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The fused pass yields what `FxHasher::write` gives the body and
+        /// `Fx64Stream` gives the whole file, fed in two arbitrary pieces,
+        /// for a body of every length mod 8.
+        #[test]
+        fn fused_digests_match_one_chain_each(
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48),
+            header in proptest::collection::vec(proptest::prelude::any::<u8>(), HEADER_LEN..HEADER_LEN + 1),
+            cut in 0usize..80,
+        ) {
+            for len in body.len().saturating_sub(7)..=body.len() {
+                let bytes: Vec<u8> = header.iter().chain(&body[..len]).copied().collect();
+                let mut sum = FxHasher::default();
+                sum.write(&bytes[HEADER_LEN..]);
+                let mut file = Fx64Stream::default();
+                let cut = cut.min(bytes.len());
+                file.update(&bytes[..cut]);
+                file.update(&bytes[cut..]);
+                proptest::prop_assert_eq!(file_digests(&bytes), (sum.finish(), file.finish()));
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,16 @@
 //! Zero-copy store snapshots: one relocatable file, mapped read-only.
 //!
-//! A snapshot freezes an entire [`crate::TripleStore`] — dictionary, columnar
-//! triple arrangements, name index — into a single file of flat integer/byte
-//! sections. Loading is [`Snapshot::open`]: `mmap` the file, verify the
-//! checksum, validate section geometry, done. No parse, no rebuild, no
-//! allocation proportional to store size; warm start and `/admin/reload`
-//! become "map the file, flip the epoch".
+//! A snapshot freezes what serving reads of a [`crate::TripleStore`] —
+//! dictionary, the SO and OS triple runs, name index — into a single file
+//! of flat integer/byte sections. Loading is [`Snapshot::open`]: `mmap` the
+//! file, verify the checksum, validate section geometry, done. No parse, no
+//! rebuild, no allocation proportional to store size; warm start and
+//! `/admin/reload` become "map the file, flip the epoch".
+//!
+//! The builder's insertion-order log (what a built store's
+//! [`crate::TripleStore::scan`] replays for learning) is not written: no
+//! request reads it, and it was 12 of version 1's 28 B per triple. A
+//! version-1 file is refused at open with a typed error naming the fix.
 //!
 //! # File layout
 //!
@@ -13,7 +18,7 @@
 //! header   32 B   magic "KBQASNAP", version u32, section count u32,
 //!                 file length u64, checksum u64 (Fx-64 of every byte
 //!                 after the header)
-//! table    22×16  (offset u64, byte length u64) per section
+//! table    19×16  (offset u64, byte length u64) per section
 //! sections …      each 8-byte aligned, zero-padded between
 //! ```
 //!
@@ -47,13 +52,17 @@ use crate::triple::{NodeId, PredicateId, Triple};
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 8] = *b"KBQASNAP";
 /// Current format version. Bump on any layout change.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
+/// The version that carried the insertion-order log; refused at open.
+const LOG_VERSION: u32 = 1;
 
-const SECTION_COUNT: usize = 22;
+/// Number of sections in the table.
+pub const SECTION_COUNT: usize = 19;
 
-/// Section indices. Kept as named constants (not an enum) so the table
-/// layout reads off directly.
-mod sec {
+/// Section indices, in table order (`docs/STORAGE.md`'s catalog). Kept as
+/// named constants (not an enum) so the table layout reads off directly.
+#[allow(missing_docs)]
+pub mod sec {
     pub const STRING_BYTES: usize = 0;
     pub const STRING_OFFSETS: usize = 1;
     pub const STRING_SORTED: usize = 2;
@@ -63,19 +72,16 @@ mod sec {
     pub const PREDICATE_SYMS: usize = 6;
     pub const PREDICATE_SORTED: usize = 7;
     pub const NAME_PREDICATES: usize = 8;
-    pub const LOG_S: usize = 9;
-    pub const LOG_P: usize = 10;
-    pub const LOG_O: usize = 11;
-    pub const SO_BOUNDS: usize = 12;
-    pub const SO_S: usize = 13;
-    pub const SO_O: usize = 14;
-    pub const OS_BOUNDS: usize = 15;
-    pub const OS_O: usize = 16;
-    pub const OS_S: usize = 17;
-    pub const NAME_BYTES: usize = 18;
-    pub const NAME_OFFSETS: usize = 19;
-    pub const NAME_NODE_BOUNDS: usize = 20;
-    pub const NAME_NODE_IDS: usize = 21;
+    pub const SO_BOUNDS: usize = 9;
+    pub const SO_S: usize = 10;
+    pub const SO_O: usize = 11;
+    pub const OS_BOUNDS: usize = 12;
+    pub const OS_O: usize = 13;
+    pub const OS_S: usize = 14;
+    pub const NAME_BYTES: usize = 15;
+    pub const NAME_OFFSETS: usize = 16;
+    pub const NAME_NODE_BOUNDS: usize = 17;
+    pub const NAME_NODE_IDS: usize = 18;
 }
 
 const ELEMS: [Elem; SECTION_COUNT] = [
@@ -88,9 +94,6 @@ const ELEMS: [Elem; SECTION_COUNT] = [
     Elem::U32, // predicate syms
     Elem::U32, // predicate sorted perm
     Elem::U32, // name predicates
-    Elem::U32, // log s
-    Elem::U32, // log p
-    Elem::U32, // log o
     Elem::U64, // so bounds
     Elem::U32, // so s
     Elem::U32, // so o
@@ -288,9 +291,6 @@ pub(crate) fn write_source(src: &SnapshotSource<'_>, path: &Path) -> Result<u64>
         Col::U32(src.predicate_syms),
         Col::U32(&derived.predicate_sorted),
         Col::U32(ids_as_u32(src.name_predicates)),
-        Col::U32(src.cols.log_s),
-        Col::U32(src.cols.log_p),
-        Col::U32(src.cols.log_o),
         Col::U64(src.cols.so_bounds),
         Col::U32(src.cols.so_s),
         Col::U32(src.cols.so_o),
@@ -315,6 +315,7 @@ pub(crate) fn write_source(src: &SnapshotSource<'_>, path: &Path) -> Result<u64>
 pub struct Snapshot {
     map: Mmap,
     ranges: [(usize, usize); SECTION_COUNT],
+    digest: u64,
 }
 
 impl Snapshot {
@@ -334,10 +335,21 @@ impl Snapshot {
     }
 
     fn from_map(map: Mmap) -> Result<Self> {
-        let ranges = sections::read_table(&FORMAT, map.bytes())?
-            .try_into()
-            .expect("one range per section");
-        let snap = Self { map, ranges };
+        let bytes = map.bytes();
+        if bytes.len() >= 12 && bytes[..8] == MAGIC && bytes[8..12] == LOG_VERSION.to_ne_bytes() {
+            return Err(bad(format_args!(
+                "version {LOG_VERSION} carries the insertion-order log and is no \
+                 longer served (expected version {VERSION}); re-save the bundle with \
+                 `ServingArtifacts::save`"
+            )));
+        }
+        let (ranges, digest) = sections::read_table(&FORMAT, bytes)?;
+        let ranges = ranges.try_into().expect("one range per section");
+        let snap = Self {
+            map,
+            ranges,
+            digest,
+        };
         snap.validate_invariants()?;
         Ok(snap)
     }
@@ -400,39 +412,24 @@ impl Snapshot {
         }
 
         let node_count = term_tags.len();
-        let triple_count = self.u32s(sec::LOG_S).len();
-        for (name, section) in [
-            ("log p", sec::LOG_P),
-            ("log o", sec::LOG_O),
+        let triple_count = self.u32s(sec::SO_S).len();
+        let columns = [
             ("so s", sec::SO_S),
             ("so o", sec::SO_O),
             ("os o", sec::OS_O),
             ("os s", sec::OS_S),
-        ] {
+        ];
+        for (name, section) in columns {
             if self.u32s(section).len() != triple_count {
                 return Err(bad(format_args!("{name} column length mismatch")));
             }
         }
-        for (name, section) in [
-            ("log s", sec::LOG_S),
-            ("log o", sec::LOG_O),
-            ("so s", sec::SO_S),
-            ("so o", sec::SO_O),
-            ("os o", sec::OS_O),
-            ("os s", sec::OS_S),
-        ] {
+        for (name, section) in columns {
             if self.u32s(section).iter().any(|&v| v as usize >= node_count) {
                 return Err(bad(format_args!(
                     "{name} column references out-of-range node"
                 )));
             }
-        }
-        if self
-            .u32s(sec::LOG_P)
-            .iter()
-            .any(|&v| v as usize >= predicate_count)
-        {
-            return Err(bad("log p column references out-of-range predicate"));
         }
         sections::check_bounds(
             &FORMAT,
@@ -481,9 +478,15 @@ impl Snapshot {
         Ok(())
     }
 
-    /// The raw mapped file bytes (for sidecar digesting).
+    /// The raw mapped file bytes.
     pub fn bytes(&self) -> &[u8] {
         self.map.bytes()
+    }
+
+    /// The Fx-64 digest of the whole file — what its `.fxsum` sidecar and a
+    /// bundle manifest record — from the one pass that checked it at open.
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
     fn raw(&self, i: usize) -> &[u8] {
@@ -516,9 +519,6 @@ impl Snapshot {
     /// The mapped columnar triple view.
     pub fn cols(&self) -> ColsView<'_> {
         ColsView {
-            log_s: self.u32s(sec::LOG_S),
-            log_p: self.u32s(sec::LOG_P),
-            log_o: self.u32s(sec::LOG_O),
             so_bounds: self.u64s(sec::SO_BOUNDS),
             so_s: self.u32s(sec::SO_S),
             so_o: self.u32s(sec::SO_O),
@@ -549,9 +549,9 @@ impl Snapshot {
         (name, as_node_ids(ids))
     }
 
-    /// Materialize the owned parts (dictionary, triple log, name
-    /// predicates) — the slow path used when a mapped store must be
-    /// re-serialized into the legacy JSON form.
+    /// Materialize the owned parts (dictionary, triples in `(p, s, o)`
+    /// order off the SO runs, name predicates) — the slow path used when a
+    /// mapped store must be re-serialized into the legacy JSON form.
     pub fn to_parts(&self) -> (Dictionary, Vec<Triple>, Vec<PredicateId>) {
         let md = self.dict();
         let mut strings = Interner::with_capacity(md.string_count());
@@ -562,8 +562,7 @@ impl Snapshot {
             .map(|i| decode_term(md.term_tags[i], md.term_payloads[i]))
             .collect();
         let dict = Dictionary::from_raw_parts(strings, terms, md.predicate_syms.to_vec());
-        let cols = self.cols();
-        let triples: Vec<Triple> = (0..cols.len()).map(|i| cols.triple_at(i)).collect();
+        let triples: Vec<Triple> = self.cols().triples().collect();
         (dict, triples, self.name_predicates().to_vec())
     }
 }

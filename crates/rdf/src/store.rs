@@ -2,8 +2,9 @@
 //! dictionary-encoded, predicate-partitioned columnar triples.
 //!
 //! The data plane lives in [`crate::columnar`]: per-predicate `(s, o)` and
-//! `(o, s)` sorted runs over parallel `u32` columns, plus the insertion-order
-//! log. Every access pattern KBQA issues maps onto one of them:
+//! `(o, s)` sorted runs over parallel `u32` columns, plus, on a built store,
+//! the insertion-order log. Every access pattern KBQA issues maps onto one of
+//! them:
 //!
 //! | lookup | run | answers |
 //! |--------|-----|---------|
@@ -11,7 +12,8 @@
 //! | `subjects(p, o)` | OS | reverse lookups, value→entity grounding |
 //! | `predicates_between(s, o)` | SO probe per `p` | "which predicates connect e and v?" (Eq 8) |
 //! | `out_edges` / `in_edges` | SO / OS across `p` | neighborhood walks |
-//! | `scan()` | log | the "read the KB file once" primitive of Sec 6.2 |
+//! | `scan()` | log (built) / SO (mapped) | the "read the KB file once" primitive of Sec 6.2 |
+//! | `triples()` | SO | every triple in `(p, s, o)` order, alike on either backend |
 //!
 //! Storage is behind [`StoreBackend`]: [`BackendKind::InMemory`] owns the
 //! columns on the heap, [`BackendKind::Mapped`] serves them straight out of
@@ -118,8 +120,11 @@ impl TripleStore {
                 snapshot::write_source(&src, path)
             }
             // A mapped store already *is* its snapshot; re-snapshotting is a
-            // verbatim byte copy.
-            Backend::Mapped(m) => crate::sections::write_bytes(m.snapshot().bytes(), path),
+            // verbatim byte copy, whose digest was taken at open.
+            Backend::Mapped(m) => {
+                crate::sections::write_image(m.snapshot().bytes(), path)?;
+                Ok(m.snapshot().digest())
+            }
         }
     }
 
@@ -145,12 +150,27 @@ impl TripleStore {
         self.cols().is_empty()
     }
 
-    /// Sequential scan in insertion order — the "read the KB file once"
+    /// Sequential scan over every triple — the "read the KB file once"
     /// primitive of Sec 6.2. Each call counts as one scan pass.
+    ///
+    /// A built store replays its insertion-order log, so learning over it
+    /// (predicate expansion, `valid_k`) interns paths in the order the KB
+    /// was written. A mapped store has no log (the snapshot leaves it out),
+    /// so its scan walks the SO runs in `(p, s, o)` order: the same set of
+    /// triples, in another order.
     pub fn scan(&self) -> impl Iterator<Item = Triple> + '_ {
         self.scan_passes.fetch_add(1, Ordering::Relaxed);
-        let v = self.cols();
-        (0..v.len()).map(move |i| v.triple_at(i))
+        let (log, runs) = match &self.backend {
+            Backend::InMemory(b) => (Some(b.cols.log()), None),
+            Backend::Mapped(m) => (None, Some(m.snapshot().cols().triples())),
+        };
+        log.into_iter().flatten().chain(runs.into_iter().flatten())
+    }
+
+    /// Every triple in `(p, s, o)` order, off the SO runs: the same sequence
+    /// on a built store and on its mapped twin. Not a scan pass.
+    pub fn triples(&self) -> impl Iterator<Item = Triple> + '_ {
+        self.cols().triples()
     }
 
     /// How many full scans have been issued (telemetry for the expansion
@@ -386,7 +406,8 @@ impl Iterator for PredicateTriples<'_> {
 impl ExactSizeIterator for PredicateTriples<'_> {}
 
 // Persisted (JSON) form: the logical content only — dictionary, deduplicated
-// triple log, name-predicate configuration. Derived structures (runs, name
+// triples (a built store's log order; a mapped store's SO order),
+// name-predicate configuration. Derived structures (runs, name
 // index, lookup maps) are rebuilt on load. Mapped stores serialize by
 // materializing the same logical content, so a JSON roundtrip of either
 // backend yields an equivalent in-memory store.
@@ -394,8 +415,7 @@ impl Serialize for TripleStore {
     fn to_value(&self) -> Value {
         let (dict_value, triples, name_predicates) = match &self.backend {
             Backend::InMemory(b) => {
-                let v = b.cols.view();
-                let triples: Vec<Triple> = (0..v.len()).map(|i| v.triple_at(i)).collect();
+                let triples: Vec<Triple> = b.cols.log().collect();
                 (b.dict.to_value(), triples, b.name_predicates.clone())
             }
             Backend::Mapped(m) => {

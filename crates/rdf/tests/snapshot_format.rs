@@ -6,6 +6,8 @@
 //! fixture (`tests/fixtures/golden.snap`) is the committed output of
 //! `golden_store()`; if the writer's byte layout changes, the fixture test
 //! fails and the format version must be bumped deliberately.
+//! `tests/fixtures/golden-v1.snap` is the same store in version 1, which
+//! carried the insertion-order log: it must be refused, naming its version.
 
 use kbqa_common::error::KbqaError;
 use kbqa_rdf::{GraphBuilder, Snapshot, TripleStore};
@@ -155,14 +157,43 @@ fn golden_fixture_pins_the_format() {
          regenerate the fixture deliberately (KBQA_REGEN_GOLDEN=1)"
     );
 
-    // 2. The committed fixture opens and reads equivalently to the source.
+    // 2. The committed fixture opens and reads equivalently to the source:
+    //    the built store scans its log and the mapped one its SO runs, so
+    //    the scans hold the same triples and the SO walks agree in order.
     let mapped = TripleStore::from_snapshot(Snapshot::open(&fixture).unwrap());
     assert_eq!(mapped.len(), store.len());
-    let scan_a: Vec<_> = store.scan().collect();
-    let scan_b: Vec<_> = mapped.scan().collect();
-    assert_eq!(scan_a, scan_b);
+    let sorted = |store: &TripleStore| {
+        let mut triples: Vec<_> = store.scan().collect();
+        triples.sort_unstable_by_key(|t| (t.s.raw(), t.p.raw(), t.o.raw()));
+        triples
+    };
+    assert_eq!(sorted(&store), sorted(&mapped));
+    assert_eq!(
+        store.triples().collect::<Vec<_>>(),
+        mapped.triples().collect::<Vec<_>>()
+    );
     assert_eq!(
         mapped.entities_named("obama").len(),
         store.entities_named("obama").len()
     );
+}
+
+/// A version-1 snapshot (the format that carried the insertion-order log)
+/// is refused at open with a typed error that names the version and the
+/// fix, however intact the file is.
+#[test]
+fn version_one_fixture_is_refused_naming_its_version() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join("golden-v1.snap");
+    match Snapshot::open(&fixture) {
+        Err(KbqaError::Io(message)) => {
+            assert!(message.contains("snapshot"), "{message}");
+            assert!(message.contains("version 1"), "{message}");
+            assert!(message.contains("ServingArtifacts::save"), "{message}");
+        }
+        Ok(_) => panic!("a version-1 snapshot must not open"),
+        Err(other) => panic!("expected a typed Io error, got {other:?}"),
+    }
 }

@@ -7,8 +7,11 @@
 //! re-stamps the header's length and checksum so the forgery gets past the
 //! integrity check and into section validation. `open` must either return a
 //! typed `KbqaError::Io`, or a store whose `name_entries()` walk, gazetteer
-//! build and mention scan all run without a panic. Most mutations land in
-//! the name sections; a few anywhere in the file.
+//! build and mention scan, and whose `objects` and `subjects` over every
+//! predicate, all run without a panic. Most mutations land in the name
+//! sections or in the SO/OS run bounds and columns; a few anywhere in the
+//! file. The section indices come from the snapshot's own table
+//! (`kbqa_rdf::snapshot::sec`), checked against the count in the header.
 //!
 //! The taxonomy (`taxonomy.snap`) and the pattern index (`patterns.snap`)
 //! are section files in the same container, and get the same treatment:
@@ -23,14 +26,25 @@ use std::sync::Arc;
 use kbqa::common::error::KbqaError;
 use kbqa::nlp::{MentionBuffer, TokenizedText};
 use kbqa::prelude::*;
-use kbqa::rdf::snapshot::Fx64Stream;
-use kbqa::rdf::Snapshot;
+use kbqa::rdf::snapshot::{sec, Fx64Stream, SECTION_COUNT};
+use kbqa::rdf::{NodeId, PredicateId, Snapshot};
 use proptest::TestRng;
 
 const HEADER_LEN: usize = 32;
-/// The name sections' indices in the section table: bytes, offsets, node
-/// bounds, node ids (`docs/STORAGE.md`'s catalog).
-const NAME_SECTIONS: [usize; 4] = [18, 19, 20, 21];
+/// The name sections: offsets, node bounds, node ids (bytes are rewritten
+/// separately).
+const NAME_WORD_SECTIONS: [usize; 3] =
+    [sec::NAME_OFFSETS, sec::NAME_NODE_BOUNDS, sec::NAME_NODE_IDS];
+/// The SO and OS runs, each with its element width: `u64` bounds, `u32`
+/// node columns.
+const RUN_SECTIONS: [(usize, usize); 6] = [
+    (sec::SO_BOUNDS, 8),
+    (sec::SO_S, 4),
+    (sec::SO_O, 4),
+    (sec::OS_BOUNDS, 8),
+    (sec::OS_O, 4),
+    (sec::OS_S, 4),
+];
 
 /// `(offset, length)` of section `i`, read from the section table.
 fn section(bytes: &[u8], i: usize) -> (usize, usize) {
@@ -55,7 +69,7 @@ fn restamp(bytes: &mut [u8]) {
 fn forge(clean: &[u8], rng: &mut TestRng) -> Vec<u8> {
     let mut bytes = clean.to_vec();
     let pick = |rng: &mut TestRng, n: usize| (rng.next_u64() % n.max(1) as u64) as usize;
-    match rng.next_u64() % 8 {
+    match rng.next_u64() % 11 {
         // Truncate anywhere.
         0 => bytes.truncate(pick(rng, clean.len())),
         // Flip a byte anywhere, table included.
@@ -65,7 +79,7 @@ fn forge(clean: &[u8], rng: &mut TestRng) -> Vec<u8> {
         }
         // Overwrite a name-section word: offsets, bounds or node ids.
         2 | 3 => {
-            let (off, len) = section(clean, NAME_SECTIONS[1 + pick(rng, 3)]);
+            let (off, len) = section(clean, NAME_WORD_SECTIONS[pick(rng, 3)]);
             if len >= 8 {
                 let at = off + pick(rng, len - 7) / 4 * 4;
                 let value = match rng.next_u64() % 3 {
@@ -76,10 +90,29 @@ fn forge(clean: &[u8], rng: &mut TestRng) -> Vec<u8> {
                 bytes[at..at + 8].copy_from_slice(&value.to_ne_bytes());
             }
         }
+        // Overwrite an element of a run: a bound, or a subject or object id —
+        // random, small, or off by one either way.
+        4..=6 => {
+            let (i, width) = RUN_SECTIONS[pick(rng, RUN_SECTIONS.len())];
+            let (off, len) = section(clean, i);
+            if len >= width {
+                let at = off + pick(rng, len / width) * width;
+                let mut old = [0u8; 8];
+                old[..width].copy_from_slice(&bytes[at..at + width]);
+                let old = u64::from_ne_bytes(old);
+                let value = match rng.next_u64() % 4 {
+                    0 => rng.next_u64(),
+                    1 => rng.next_u64() % 64,
+                    2 => old.wrapping_add(1),
+                    _ => old.wrapping_sub(1),
+                };
+                bytes[at..at + width].copy_from_slice(&value.to_ne_bytes()[..width]);
+            }
+        }
         // Rewrite name bytes: letters, case, spaces, punctuation, marks, and
         // bytes that are not UTF-8 on their own.
         _ => {
-            let (off, len) = section(clean, NAME_SECTIONS[0]);
+            let (off, len) = section(clean, sec::NAME_BYTES);
             const POOL: &[u8] = b"az09 .'-AZ\xcc\x87\xc4\xb0\xff\x00";
             for _ in 0..1 + pick(rng, 4) {
                 let at = off + pick(rng, len);
@@ -92,7 +125,8 @@ fn forge(clean: &[u8], rng: &mut TestRng) -> Vec<u8> {
 }
 
 /// Open a forged file; an accepted store must survive everything the
-/// gazetteer does with it. `true` when the store opened.
+/// gazetteer does with it, and `V(e, p)` and its reverse over every
+/// predicate. `true` when the store opened.
 fn open_and_index(path: &Path, questions: &[TokenizedText]) -> bool {
     let snapshot = match Snapshot::open(path) {
         Ok(snapshot) => snapshot,
@@ -114,6 +148,18 @@ fn open_and_index(path: &Path, questions: &[TokenizedText]) -> bool {
             std::hint::black_box(buf.nodes(span));
         }
     }
+    // Every node id (and two past the last) against every predicate, both
+    // ways, then the whole SO walk.
+    let (nodes, predicates) = (store.dict().node_count(), store.dict().predicate_count());
+    for p in 0..predicates as u32 {
+        let p = PredicateId::new(p);
+        for node in 0..nodes as u32 + 2 {
+            let node = NodeId::new(node);
+            std::hint::black_box(store.objects_slice(node, p));
+            std::hint::black_box(store.subjects_slice(p, node));
+        }
+    }
+    std::hint::black_box(store.scan().count());
     true
 }
 
@@ -125,6 +171,11 @@ fn forged_snapshots_fail_typed_or_index_without_panicking() {
     let clean_path = dir.join("clean.snap");
     world.store.write_snapshot(&clean_path).unwrap();
     let clean = std::fs::read(&clean_path).unwrap();
+    assert_eq!(
+        u32::from_ne_bytes(clean[12..16].try_into().unwrap()) as usize,
+        SECTION_COUNT,
+        "the header's section count is the table `sec` indexes"
+    );
     let questions: Vec<TokenizedText> = world
         .store
         .name_entries()
