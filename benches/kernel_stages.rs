@@ -508,14 +508,8 @@ fn bundle_load(dir: &std::path::Path, triples: usize) {
 }
 
 /// Fastest of three timed passes of `pass`, in ns per one of its `items`.
-fn ns_per(items: usize, mut pass: impl FnMut()) -> f64 {
-    (0..3)
-        .map(|_| {
-            let started = Instant::now();
-            pass();
-            started.elapsed().as_nanos() as f64 / items as f64
-        })
-        .fold(f64::INFINITY, f64::min)
+fn ns_per(items: usize, pass: impl FnMut()) -> f64 {
+    best_ms(pass) * 1e6 / items as f64
 }
 
 fn piece(name: &str, now: f64, before: f64, before_name: &str) {

@@ -229,7 +229,7 @@ impl PatternIndex {
     }
 
     /// The index's section file (owned or mapped).
-    pub fn sections(&self) -> &Sections {
+    pub(crate) fn sections(&self) -> &Sections {
         &self.sections
     }
 

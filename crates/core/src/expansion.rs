@@ -8,9 +8,11 @@
 //! * **Reduction on s** (Sec 6.2): expansion starts only from entities that
 //!   occur in corpus questions — the caller supplies that source set.
 //! * **Memory-efficient scan+join BFS** (Sec 6.2): each round performs one
-//!   sequential scan of the triple log, joining triple subjects against the
-//!   in-memory frontier built in the previous round (the store counts the
-//!   scan passes; the complexity is `O(k·|K| + #spo)`).
+//!   sequential scan of the store (`TripleStore::scan`: a built store's
+//!   insertion log, whose order fixes the order paths are interned in),
+//!   joining triple subjects against the in-memory frontier built in the
+//!   previous round (the store counts the scan passes; the complexity is
+//!   `O(k·|K| + #spo)`).
 //!
 //! The Sec 6.3 restriction is honored: paths of length ≥ 2 are *emitted*
 //! only when they end with a name-like predicate (configurable for

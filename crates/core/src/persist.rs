@@ -71,9 +71,10 @@
 //! that was checked. A section file's one pass is the open's own: the
 //! checksum check over its words also yields its whole-file digest
 //! (`kbqa_rdf::sections::read_table`), which the opened file keeps and the
-//! manifest and sidecar checks read. Saves replace a file by rename and never rewrite one in
-//! place, so a mapping keeps the inode it checked. Mapping also keeps a JSON
-//! artifact's text off the heap: the load allocates only what it returns.
+//! manifest and sidecar checks read. Saves replace a file by rename and
+//! never rewrite one in place, so a mapping keeps the inode it checked.
+//! Mapping also keeps a JSON artifact's text off the heap: the load
+//! allocates only what it returns.
 
 use std::fs::File;
 use std::io::Write as _;

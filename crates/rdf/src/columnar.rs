@@ -121,7 +121,7 @@ impl ColumnarTriples {
     }
 
     /// Every triple in first-seen insertion order: the builder's log.
-    pub fn log(&self) -> impl Iterator<Item = Triple> + '_ {
+    pub(crate) fn log(&self) -> impl Iterator<Item = Triple> + '_ {
         (0..self.log_s.len()).map(|i| self.log_triple(i))
     }
 
@@ -225,7 +225,7 @@ impl<'a> ColsView<'a> {
     }
 
     /// Every triple in `(p, s, o)` order, walking the SO runs.
-    pub fn triples(self) -> impl Iterator<Item = Triple> + 'a {
+    pub(crate) fn triples(self) -> impl Iterator<Item = Triple> + 'a {
         (0..self.predicate_count() as u32).flat_map(move |p| {
             let p = PredicateId::new(p);
             let (subjects, objects) = self.so_run(p);

@@ -9,9 +9,10 @@
 //!   over a predicate-partitioned **columnar** layout ([`columnar`]): sorted
 //!   `(s, o)` / `(o, s)` runs per predicate, answered by branch-free binary
 //!   search with zero-copy value slices,
-//! * a sequential [`scan`](store::TripleStore::scan) over all triples in
-//!   insertion order — the stand-in for the disk scans that Sec 6.2's
-//!   memory-efficient BFS is built around,
+//! * a sequential [`scan`](store::TripleStore::scan) over all triples — in
+//!   insertion order on a built store, in `(p, s, o)` run order on a mapped
+//!   one — the stand-in for the disk scans that Sec 6.2's memory-efficient
+//!   BFS is built around,
 //! * **zero-copy snapshots** ([`snapshot`]): the whole store serialized into
 //!   one checksummed relocatable file and served straight out of `mmap`
 //!   ([`mmap`]) with no load-time rebuild, behind the [`backend::StoreBackend`]

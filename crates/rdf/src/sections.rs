@@ -185,6 +185,11 @@ fn digest(bytes: &[u8]) -> u64 {
 /// words and the same tail; they are independent multiply chains, so the
 /// pass costs about what one chain does. [`read_table`] runs it once per
 /// load.
+///
+/// # Panics
+///
+/// When `bytes` is shorter than [`HEADER_LEN`]; [`read_table`] checks the
+/// length first.
 pub fn file_digests(bytes: &[u8]) -> (u64, u64) {
     let (header, body) = bytes.split_at(HEADER_LEN);
     let word = |chunk: &[u8]| u64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
@@ -294,7 +299,7 @@ pub fn write(format: &Format, cols: &[Col<'_>], path: &Path) -> Result<u64> {
 
 /// Atomically write an already-encoded image to `path` (temp + `fsync` +
 /// rename).
-pub fn write_image(bytes: &[u8], path: &Path) -> Result<()> {
+pub(crate) fn write_image(bytes: &[u8], path: &Path) -> Result<()> {
     write_atomic(path, |w| w.write_all(bytes))
 }
 
@@ -323,7 +328,7 @@ fn write_atomic(
 pub fn encode(format: &Format, cols: &[Col<'_>]) -> Sections {
     let (table, ranges, file_len) = layout(format, cols);
     let mut words = vec![0u64; file_len as usize / 8];
-    {
+    let file_digest = {
         // SAFETY: a `u64` buffer viewed as its bytes, for filling.
         let image = unsafe {
             std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), file_len as usize)
@@ -335,14 +340,13 @@ pub fn encode(format: &Format, cols: &[Col<'_>]) -> Sections {
         });
         let checksum = digest(&image[HEADER_LEN..]);
         image[..HEADER_LEN].copy_from_slice(&header(format, file_len, checksum));
-    }
-    let mut sections = Sections {
+        digest(image)
+    };
+    Sections {
         backing: Arc::new(Backing::Owned(words)),
         ranges: ranges.into(),
-        digest: 0,
-    };
-    sections.digest = digest(sections.bytes());
-    sections
+        digest: file_digest,
+    }
 }
 
 // ---------------------------------------------------------------------------
