@@ -30,9 +30,10 @@
 //!   mapped names (wall time, heap bytes, names, overflow names);
 //! * an `O(|P|)` curve ends it: a quick (small-world) fixture beside the
 //!   `large_1m` one, each with its store's triples and `|P|`, kernel
-//!   ns/question, all eight traced stages' ns/question, and the mentions
-//!   grounded and `V(e, p⁺)` traversals per question — so the gap between
-//!   the two worlds shows which stages carry it.
+//!   ns/question, all eight traced stages' ns/question, the mentions
+//!   grounded and `V(e, p⁺)` traversals per question, `value_lookup` ns per
+//!   traversal, and the SO directory's bytes and bytes per triple — so the
+//!   gap between the two worlds shows which stages carry it.
 //!
 //! The world is seed 7, the seed the PR protocol measures on. One command
 //! reproduces the tables in `docs/PERFORMANCE.md`:
@@ -201,6 +202,8 @@ struct CurveRow {
     /// `V(e, p⁺)` traversals the traced walk ran, decomposition probes
     /// included.
     traversals: f64,
+    /// Bytes of the store's SO directory.
+    directory_bytes: usize,
 }
 
 fn curve_row(name: &'static str, f: &Fixture) -> CurveRow {
@@ -236,6 +239,7 @@ fn curve_row(name: &'static str, f: &Fixture) -> CurveRow {
         stage_ns: stage_ns.map(|ns| ns as f64 / n),
         grounded: grounded as f64 / n,
         traversals: (lookups - lookups_before) as f64 / n,
+        directory_bytes: store.backend().cols().directory_bytes(),
     }
 }
 
@@ -281,6 +285,16 @@ fn print_curve(rows: &[CurveRow]) {
     });
     line("grounded/q", &|row| format!("{:.2}", row.grounded));
     line("V(e,p+)/q", &|row| format!("{:.2}", row.traversals));
+    line("value ns/trav", &|row| {
+        format!(
+            "{:.0}",
+            row.stage_ns[Stage::ValueLookup as usize] / row.traversals
+        )
+    });
+    line("so dir bytes", &|row| row.directory_bytes.to_string());
+    line("so dir B/triple", &|row| {
+        format!("{:.3}", row.directory_bytes as f64 / row.triples as f64)
+    });
 }
 
 fn bench_kernel_stages(c: &mut Criterion) {

@@ -7,8 +7,9 @@
 //!
 //! * a dictionary-encoded store of `(s, p, o)` triples ([`store::TripleStore`])
 //!   over a predicate-partitioned **columnar** layout ([`columnar`]): sorted
-//!   `(s, o)` / `(o, s)` runs per predicate, answered by branch-free binary
-//!   search with zero-copy value slices,
+//!   `(s, o)` / `(o, s)` runs per predicate, with a radix directory over each
+//!   SO run so `V(e, p)` searches one bucket, answered with zero-copy value
+//!   slices,
 //! * a sequential [`scan`](store::TripleStore::scan) over all triples — in
 //!   insertion order on a built store, in `(p, s, o)` run order on a mapped
 //!   one — the stand-in for the disk scans that Sec 6.2's memory-efficient

@@ -9,8 +9,11 @@
 //!
 //! The builder's insertion-order log (what a built store's
 //! [`crate::TripleStore::scan`] replays for learning) is not written: no
-//! request reads it, and it was 12 of version 1's 28 B per triple. A
-//! version-1 file is refused at open with a typed error naming the fix.
+//! request reads it, and it was 12 of version 1's 28 B per triple. Version 3
+//! adds the radix directory over each SO run's subjects
+//! ([`crate::columnar`]), so `V(e, p)` searches one bucket of about sixteen
+//! keys instead of a whole run. A file of any older version is refused at
+//! open with one typed error naming its version and the fix.
 //!
 //! # File layout
 //!
@@ -18,7 +21,7 @@
 //! header   32 B   magic "KBQASNAP", version u32, section count u32,
 //!                 file length u64, checksum u64 (Fx-64 of every byte
 //!                 after the header)
-//! table    19×16  (offset u64, byte length u64) per section
+//! table    22×16  (offset u64, byte length u64) per section
 //! sections …      each 8-byte aligned, zero-padded between
 //! ```
 //!
@@ -52,12 +55,10 @@ use crate::triple::{NodeId, PredicateId, Triple};
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 8] = *b"KBQASNAP";
 /// Current format version. Bump on any layout change.
-pub const VERSION: u32 = 2;
-/// The version that carried the insertion-order log; refused at open.
-const LOG_VERSION: u32 = 1;
+pub const VERSION: u32 = 3;
 
 /// Number of sections in the table.
-pub const SECTION_COUNT: usize = 19;
+pub const SECTION_COUNT: usize = 22;
 
 /// Section indices, in table order (`docs/STORAGE.md`'s catalog). Kept as
 /// named constants (not an enum) so the table layout reads off directly.
@@ -82,6 +83,9 @@ pub mod sec {
     pub const NAME_OFFSETS: usize = 16;
     pub const NAME_NODE_BOUNDS: usize = 17;
     pub const NAME_NODE_IDS: usize = 18;
+    pub const SO_DIR_BOUNDS: usize = 19;
+    pub const SO_DIR_BASE: usize = 20;
+    pub const SO_DIR_STARTS: usize = 21;
 }
 
 const ELEMS: [Elem; SECTION_COUNT] = [
@@ -104,6 +108,9 @@ const ELEMS: [Elem; SECTION_COUNT] = [
     Elem::U64, // name offsets
     Elem::U64, // name node bounds
     Elem::U32, // name node ids
+    Elem::U64, // so directory bounds
+    Elem::U32, // so directory base (lo, shift) per predicate
+    Elem::U32, // so directory bucket starts
 ];
 
 /// The store snapshot's container format.
@@ -301,6 +308,9 @@ pub(crate) fn write_source(src: &SnapshotSource<'_>, path: &Path) -> Result<u64>
         Col::U64(&derived.name_offsets),
         Col::U64(&derived.name_node_bounds),
         Col::U32(&derived.name_node_ids),
+        Col::U64(src.cols.so_dir_bounds),
+        Col::U32(src.cols.so_dir_base),
+        Col::U32(src.cols.so_dir_starts),
     ];
     sections::write(&FORMAT, &cols, path)
 }
@@ -336,12 +346,14 @@ impl Snapshot {
 
     fn from_map(map: Mmap) -> Result<Self> {
         let bytes = map.bytes();
-        if bytes.len() >= 12 && bytes[..8] == MAGIC && bytes[8..12] == LOG_VERSION.to_ne_bytes() {
-            return Err(bad(format_args!(
-                "version {LOG_VERSION} carries the insertion-order log and is no \
-                 longer served (expected version {VERSION}); re-save the bundle with \
-                 `ServingArtifacts::save`"
-            )));
+        if bytes.len() >= 12 && bytes[..8] == MAGIC {
+            let version = u32::from_ne_bytes(bytes[8..12].try_into().expect("4 bytes"));
+            if version < VERSION {
+                return Err(bad(format_args!(
+                    "version {version} is no longer served (expected version {VERSION}); \
+                     re-save the bundle with `ServingArtifacts::save`"
+                )));
+            }
         }
         let (ranges, digest) = sections::read_table(&FORMAT, bytes)?;
         let ranges = ranges.try_into().expect("one range per section");
@@ -445,6 +457,7 @@ impl Snapshot {
             predicate_count,
             triple_count,
         )?;
+        self.check_so_directory(predicate_count)?;
 
         let name_bytes = self.raw(sec::NAME_BYTES);
         let name_offsets = self.u64s(sec::NAME_OFFSETS);
@@ -474,6 +487,50 @@ impl Snapshot {
         }
         if name_ids.iter().any(|&v| v as usize >= node_count) {
             return Err(bad("name index references out-of-range node"));
+        }
+        Ok(())
+    }
+
+    /// The SO directory's geometry, per predicate: a base with `shift < 32`
+    /// and `lo` at most the run's last subject, and bucket starts running
+    /// monotonically from 0 to the run's length, one more than
+    /// `((hi − lo) >> shift) + 1` buckets (none for an empty run). That is
+    /// what keeps every lookup inside its run; like the runs themselves,
+    /// the keys are not order-checked.
+    fn check_so_directory(&self, predicate_count: usize) -> Result<()> {
+        let (so_bounds, so_s) = (self.u64s(sec::SO_BOUNDS), self.u32s(sec::SO_S));
+        let dir_bounds = self.u64s(sec::SO_DIR_BOUNDS);
+        let base = self.u32s(sec::SO_DIR_BASE);
+        let starts = self.u32s(sec::SO_DIR_STARTS);
+        sections::check_bounds(
+            &FORMAT,
+            "so directory bounds",
+            dir_bounds,
+            predicate_count,
+            starts.len(),
+        )?;
+        if base.len() != 2 * predicate_count {
+            return Err(bad("so directory base: length mismatch"));
+        }
+        for p in 0..predicate_count {
+            let run = &so_s[so_bounds[p] as usize..so_bounds[p + 1] as usize];
+            let (lo, shift) = (base[2 * p], base[2 * p + 1]);
+            if shift >= 32 {
+                return Err(bad(format_args!(
+                    "so directory of predicate {p}: shift {shift}"
+                )));
+            }
+            let buckets = match run.last() {
+                None => 0,
+                Some(&hi) if hi >= lo => ((hi - lo) >> shift) as usize + 1,
+                Some(_) => {
+                    return Err(bad(format_args!(
+                        "so directory of predicate {p}: base above the run"
+                    )))
+                }
+            };
+            let run_starts = &starts[dir_bounds[p] as usize..dir_bounds[p + 1] as usize];
+            sections::check_bounds(&FORMAT, "so directory", run_starts, buckets, run.len())?;
         }
         Ok(())
     }
@@ -525,6 +582,9 @@ impl Snapshot {
             os_bounds: self.u64s(sec::OS_BOUNDS),
             os_o: self.u32s(sec::OS_O),
             os_s: self.u32s(sec::OS_S),
+            so_dir_bounds: self.u64s(sec::SO_DIR_BOUNDS),
+            so_dir_base: self.u32s(sec::SO_DIR_BASE),
+            so_dir_starts: self.u32s(sec::SO_DIR_STARTS),
         }
     }
 

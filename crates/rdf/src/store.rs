@@ -8,7 +8,7 @@
 //!
 //! | lookup | run | answers |
 //! |--------|-----|---------|
-//! | `objects(s, p)` | SO | `V(e, p)` value lookups (Eq 6) — zero-copy slice |
+//! | `objects(s, p)` | SO, one directory bucket | `V(e, p)` value lookups (Eq 6) — zero-copy slice |
 //! | `subjects(p, o)` | OS | reverse lookups, value→entity grounding |
 //! | `predicates_between(s, o)` | SO probe per `p` | "which predicates connect e and v?" (Eq 8) |
 //! | `out_edges` / `in_edges` | SO / OS across `p` | neighborhood walks |

@@ -7,7 +7,8 @@
 //! `golden_store()`; if the writer's byte layout changes, the fixture test
 //! fails and the format version must be bumped deliberately.
 //! `tests/fixtures/golden-v1.snap` is the same store in version 1, which
-//! carried the insertion-order log: it must be refused, naming its version.
+//! carried the insertion-order log, and `golden-v2.snap` in version 2, which
+//! had no SO directory: each must be refused, naming its version.
 
 use kbqa_common::error::KbqaError;
 use kbqa_rdf::{GraphBuilder, Snapshot, TripleStore};
@@ -178,22 +179,35 @@ fn golden_fixture_pins_the_format() {
     );
 }
 
-/// A version-1 snapshot (the format that carried the insertion-order log)
-/// is refused at open with a typed error that names the version and the
-/// fix, however intact the file is.
-#[test]
-fn version_one_fixture_is_refused_naming_its_version() {
+/// A snapshot of an older version is refused at open with a typed error
+/// that names its version and the fix, however intact the file is.
+fn expect_refused_naming_version(version: u32) {
     let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join("golden-v1.snap");
+        .join(format!("golden-v{version}.snap"));
     match Snapshot::open(&fixture) {
         Err(KbqaError::Io(message)) => {
             assert!(message.contains("snapshot"), "{message}");
-            assert!(message.contains("version 1"), "{message}");
+            assert!(
+                message.contains(&format!("version {version} ")),
+                "{message}"
+            );
             assert!(message.contains("ServingArtifacts::save"), "{message}");
         }
-        Ok(_) => panic!("a version-1 snapshot must not open"),
+        Ok(_) => panic!("a version-{version} snapshot must not open"),
         Err(other) => panic!("expected a typed Io error, got {other:?}"),
     }
+}
+
+/// Version 1 carried the insertion-order log.
+#[test]
+fn version_one_fixture_is_refused_naming_its_version() {
+    expect_refused_naming_version(1);
+}
+
+/// Version 2 had no SO directory.
+#[test]
+fn version_two_fixture_is_refused_naming_its_version() {
+    expect_refused_naming_version(2);
 }

@@ -9,9 +9,10 @@
 //! typed `KbqaError::Io`, or a store whose `name_entries()` walk, gazetteer
 //! build and mention scan, and whose `objects` and `subjects` over every
 //! predicate, all run without a panic. Most mutations land in the name
-//! sections or in the SO/OS run bounds and columns; a few anywhere in the
-//! file. The section indices come from the snapshot's own table
-//! (`kbqa_rdf::snapshot::sec`), checked against the count in the header.
+//! sections, in the SO/OS run bounds and columns, or in the SO directory's
+//! bounds, bases and bucket starts; a few anywhere in the file. The section
+//! indices come from the snapshot's own table (`kbqa_rdf::snapshot::sec`),
+//! checked against the count in the header.
 //!
 //! The taxonomy (`taxonomy.snap`) and the pattern index (`patterns.snap`)
 //! are section files in the same container, and get the same treatment:
@@ -35,15 +36,19 @@ const HEADER_LEN: usize = 32;
 /// separately).
 const NAME_WORD_SECTIONS: [usize; 3] =
     [sec::NAME_OFFSETS, sec::NAME_NODE_BOUNDS, sec::NAME_NODE_IDS];
-/// The SO and OS runs, each with its element width: `u64` bounds, `u32`
-/// node columns.
-const RUN_SECTIONS: [(usize, usize); 6] = [
+/// The SO and OS runs and the SO directory, each with its element width:
+/// `u64` bounds, `u32` node columns, `u32` directory bases and bucket
+/// starts.
+const RUN_SECTIONS: [(usize, usize); 9] = [
     (sec::SO_BOUNDS, 8),
     (sec::SO_S, 4),
     (sec::SO_O, 4),
     (sec::OS_BOUNDS, 8),
     (sec::OS_O, 4),
     (sec::OS_S, 4),
+    (sec::SO_DIR_BOUNDS, 8),
+    (sec::SO_DIR_BASE, 4),
+    (sec::SO_DIR_STARTS, 4),
 ];
 
 /// `(offset, length)` of section `i`, read from the section table.
@@ -90,24 +95,12 @@ fn forge(clean: &[u8], rng: &mut TestRng) -> Vec<u8> {
                 bytes[at..at + 8].copy_from_slice(&value.to_ne_bytes());
             }
         }
-        // Overwrite an element of a run: a bound, or a subject or object id —
-        // random, small, or off by one either way.
+        // Overwrite an element of a run or of the SO directory: a bound, a
+        // subject or object id, a base or shift, a bucket start — random,
+        // small, or off by one either way.
         4..=6 => {
             let (i, width) = RUN_SECTIONS[pick(rng, RUN_SECTIONS.len())];
-            let (off, len) = section(clean, i);
-            if len >= width {
-                let at = off + pick(rng, len / width) * width;
-                let mut old = [0u8; 8];
-                old[..width].copy_from_slice(&bytes[at..at + width]);
-                let old = u64::from_ne_bytes(old);
-                let value = match rng.next_u64() % 4 {
-                    0 => rng.next_u64(),
-                    1 => rng.next_u64() % 64,
-                    2 => old.wrapping_add(1),
-                    _ => old.wrapping_sub(1),
-                };
-                bytes[at..at + width].copy_from_slice(&value.to_ne_bytes()[..width]);
-            }
+            forge_element(&mut bytes, section(clean, i), width, rng);
         }
         // Rewrite name bytes: letters, case, spaces, punctuation, marks, and
         // bytes that are not UTF-8 on their own.
@@ -122,6 +115,26 @@ fn forge(clean: &[u8], rng: &mut TestRng) -> Vec<u8> {
     }
     restamp(&mut bytes);
     bytes
+}
+
+/// Overwrite one `width`-byte element of the section at `(off, len)` with a
+/// random value, a small one (below 64), or the old value ± 1. The old value
+/// is the whole element, read little-endian as the format stores it.
+fn forge_element(bytes: &mut [u8], (off, len): (usize, usize), width: usize, rng: &mut TestRng) {
+    if len < width {
+        return;
+    }
+    let at = off + (rng.next_u64() % (len / width) as u64) as usize * width;
+    let mut old = [0u8; 8];
+    old[..width].copy_from_slice(&bytes[at..at + width]);
+    let old = u64::from_le_bytes(old);
+    let value = match rng.next_u64() % 4 {
+        0 => rng.next_u64(),
+        1 => rng.next_u64() % 64,
+        2 => old.wrapping_add(1),
+        _ => old.wrapping_sub(1),
+    };
+    bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
 }
 
 /// Open a forged file; an accepted store must survive everything the
@@ -148,12 +161,12 @@ fn open_and_index(path: &Path, questions: &[TokenizedText]) -> bool {
             std::hint::black_box(buf.nodes(span));
         }
     }
-    // Every node id (and two past the last) against every predicate, both
-    // ways, then the whole SO walk.
+    // Every node id (two past the last, and the largest id) against every
+    // predicate, both ways, then the whole SO walk.
     let (nodes, predicates) = (store.dict().node_count(), store.dict().predicate_count());
     for p in 0..predicates as u32 {
         let p = PredicateId::new(p);
-        for node in 0..nodes as u32 + 2 {
+        for node in (0..nodes as u32 + 2).chain([u32::MAX]) {
             let node = NodeId::new(node);
             std::hint::black_box(store.objects_slice(node, p));
             std::hint::black_box(store.subjects_slice(p, node));
@@ -242,23 +255,7 @@ fn forge_sections(clean: &[u8], widths: &[usize], rng: &mut TestRng) -> Vec<u8> 
         // An element of a section.
         _ => {
             let i = pick(rng, widths.len());
-            let (off, len) = section(clean, i);
-            let width = widths[i];
-            if len >= width {
-                let at = off + pick(rng, len / width) * width;
-                let old = if width == 8 {
-                    u64::from_ne_bytes(bytes[at..at + 8].try_into().unwrap())
-                } else {
-                    u64::from(bytes[at]) | u64::from(bytes[at + width - 1]) << (8 * (width - 1))
-                };
-                let value = match rng.next_u64() % 4 {
-                    0 => rng.next_u64(),
-                    1 => rng.next_u64() % 64,
-                    2 => old.wrapping_add(1),
-                    _ => old.wrapping_sub(1),
-                };
-                bytes[at..at + width].copy_from_slice(&value.to_ne_bytes()[..width]);
-            }
+            forge_element(&mut bytes, section(clean, i), widths[i], rng);
         }
     }
     restamp(&mut bytes);
