@@ -239,7 +239,7 @@ fn curve_row(name: &'static str, f: &Fixture) -> CurveRow {
         stage_ns: stage_ns.map(|ns| ns as f64 / n),
         grounded: grounded as f64 / n,
         traversals: (lookups - lookups_before) as f64 / n,
-        directory_bytes: store.backend().cols().directory_bytes(),
+        directory_bytes: store.cols().directory_bytes(),
     }
 }
 

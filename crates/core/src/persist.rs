@@ -1097,8 +1097,9 @@ mod tests {
     fn json_store_without_snapshot_is_not_a_bundle() {
         let world = World::generate(WorldConfig::tiny(45));
         let dir = test_dir("jsonstore");
-        // The retired pre-snapshot layout: the store as `store.json`.
-        save_json(world.store.as_ref(), &dir.join("store.json")).unwrap();
+        // The retired pre-snapshot layout: the store as `store.json`. Its
+        // contents do not matter; no loader reads that file.
+        std::fs::write(dir.join("store.json"), "{}").unwrap();
         save_taxonomy(&world.conceptualizer, &dir.join(TAXONOMY_FILE)).unwrap();
         save_model(&LearnedModel::default(), &dir.join(MODEL_FILE)).unwrap();
         assert!(!ServingArtifacts::present_in(&dir));

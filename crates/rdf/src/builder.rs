@@ -2,11 +2,14 @@
 //!
 //! [`GraphBuilder`] is the mutable ingestion side of the store: intern terms,
 //! append triples, then [`GraphBuilder::build`] freezes everything into the
-//! immutable, fully indexed [`TripleStore`]. The split mirrors how an RDF
-//! engine separates bulk load from query serving, and keeps the query path
-//! free of locks.
+//! immutable, fully indexed [`TripleStore`] — the same store image a bundle
+//! load maps, encoded on the heap, plus the insertion-order log. The split
+//! mirrors how an RDF engine separates bulk load from query serving, and
+//! keeps the query path free of locks.
 
+use crate::columnar::{self, ColumnarTriples};
 use crate::dictionary::Dictionary;
+use crate::snapshot;
 use crate::store::TripleStore;
 use crate::triple::{NodeId, PredicateId, Triple};
 
@@ -107,19 +110,31 @@ impl GraphBuilder {
         }
     }
 
-    /// Read access to the dictionary mid-build.
-    pub fn dict(&self) -> &Dictionary {
-        &self.dict
-    }
-
     /// Number of triples staged so far.
     pub fn staged(&self) -> usize {
         self.triples.len()
     }
 
-    /// Freeze into an immutable, indexed [`TripleStore`].
+    /// Freeze into an immutable, indexed [`TripleStore`]: drop duplicate
+    /// triples (keeping insertion order in the log), arrange the SO and OS
+    /// runs and the SO directory, and encode the store image on the heap
+    /// with the name index derived from the name-predicate runs. The
+    /// dictionary and the scratch runs are dropped once encoded.
+    ///
+    /// # Panics
+    ///
+    /// When a staged triple names a node or predicate this builder did not
+    /// intern.
     pub fn build(self) -> TripleStore {
-        TripleStore::build(self.dict, self.triples, self.name_predicates)
+        let Self {
+            dict,
+            triples,
+            name_predicates,
+        } = self;
+        let log = columnar::dedup_log(triples);
+        let runs = ColumnarTriples::build(dict.predicate_count(), &log);
+        let snap = snapshot::encode(dict, &runs, &name_predicates);
+        TripleStore::built(snap, log)
     }
 }
 

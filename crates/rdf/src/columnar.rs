@@ -6,8 +6,8 @@
 //!
 //! * **log** — `(s, p, o)` in first-seen insertion order, the "disk file"
 //!   that a built store's [`crate::TripleStore::scan`] replays for the
-//!   Sec 6.2 BFS. Builder-side only: serving never reads it, so the
-//!   snapshot does not carry it and [`ColsView`] does not show it;
+//!   Sec 6.2 BFS. Builder-side only: serving never reads it, so the image
+//!   does not carry it and [`ColsView`] does not show it;
 //! * **SO runs** — for each predicate `p`, the `(subject, object)` pairs
 //!   sorted by `(s, o)`, delimited by a `P+1` prefix-offset array. A radix
 //!   directory over each run's subjects (below) narrows `V(e, p)` (Eq 6) to
@@ -17,11 +17,11 @@
 //!   (`subjects`, value→entity grounding).
 //!
 //! Compared to the previous four sorted `Vec<Triple>` indexes this drops the
-//! per-triple cost from 60 to 28 bytes on the builder, and to 16 bytes plus
-//! the run bounds and the SO directory in a served snapshot. Every column is
-//! a plain little-endian-integer array, so the runs serialize into the
-//! snapshot file byte-for-byte and map back in with no rebuild
-//! ([`crate::snapshot`]).
+//! per-triple cost from 60 to 28 bytes on a built store (the log and the
+//! runs), and to 16 bytes plus the run bounds and the SO directory in the
+//! image. Every column is a plain native-endian integer array, so the runs
+//! are laid into the store image byte-for-byte and map back in with no
+//! rebuild ([`crate::snapshot`]).
 //!
 //! # The SO directory
 //!
@@ -37,20 +37,17 @@
 //! directory costs 0.16 B per triple there. OS runs get none: no serving
 //! path reads them by key.
 //!
-//! [`ColumnarTriples`] owns the columns (the in-memory backend);
-//! [`ColsView`] is the borrowed form of the runs both backends query
-//! through, so a store served out of an `mmap`ed snapshot runs the same code
-//! paths.
+//! `ColumnarTriples` is the builder's scratch arrangement of the runs,
+//! encoded into the store image and dropped; [`ColsView`] is the borrowed
+//! form of the runs every store queries through, over its image, owned or
+//! mapped.
 
 use crate::triple::{PredicateId, Triple};
 
-/// Owned columnar triple data. Built once from a raw triple log; immutable
-/// afterwards.
-#[derive(Clone, Debug, Default)]
-pub struct ColumnarTriples {
-    log_s: Vec<u32>,
-    log_p: Vec<u32>,
-    log_o: Vec<u32>,
+/// The SO and OS runs and the SO directory, arranged on the heap from the
+/// builder's log for the image encoder.
+#[derive(Debug)]
+pub(crate) struct ColumnarTriples {
     so_bounds: Vec<u64>,
     so_s: Vec<u32>,
     so_o: Vec<u32>,
@@ -63,7 +60,7 @@ pub struct ColumnarTriples {
 /// The radix directory over the SO runs' subjects, as three columns: each
 /// predicate's range of `starts` (`P+1` bounds), its `(lo, shift)` base,
 /// and the bucket starts relative to its run.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct SoDirectory {
     bounds: Vec<u64>,
     base: Vec<u32>,
@@ -112,65 +109,53 @@ fn directory_base(run: &[u32]) -> (u32, u32) {
     (lo, shift)
 }
 
+/// The builder's insertion-order log: `triples` with duplicates dropped,
+/// keeping the *first* occurrence so insertion ("disk") order is preserved
+/// exactly as the old store's dedup did.
+pub(crate) fn dedup_log(mut triples: Vec<Triple>) -> Box<[Triple]> {
+    let n = triples.len();
+    assert!(n <= u32::MAX as usize, "triple count exceeds u32 range");
+
+    // Sort-based dedup: argsort by (s, p, o, first-seen index), then mark
+    // the head of each equal run. Peak transient memory is one u32 per
+    // triple — far below the hash-set dedup this replaces at 10M+ rows.
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_unstable_by(|&a, &b| {
+        triples[a as usize]
+            .spo_key()
+            .cmp(&triples[b as usize].spo_key())
+            .then(a.cmp(&b))
+    });
+    let mut keep = vec![false; n];
+    let mut prev: Option<(u32, u32, u32)> = None;
+    for &i in &order {
+        let t = triples[i as usize];
+        let key = (t.s.raw(), t.p.raw(), t.o.raw());
+        if prev != Some(key) {
+            keep[i as usize] = true;
+            prev = Some(key);
+        }
+    }
+    drop(order);
+    let mut kept = keep.iter();
+    triples.retain(|_| *kept.next().expect("one flag per triple"));
+    triples.into_boxed_slice()
+}
+
 impl ColumnarTriples {
-    /// Build the three arrangements from a raw triple log. Duplicates are
-    /// dropped, keeping the *first* occurrence so insertion ("disk") order
-    /// is preserved exactly as the old store's dedup did.
+    /// Arrange the runs and the SO directory from a deduplicated log.
     ///
     /// `predicate_count` sizes the run-offset arrays; every triple must have
     /// `t.p.index() < predicate_count`.
-    pub fn build(predicate_count: usize, triples: Vec<Triple>) -> Self {
-        let n = triples.len();
-        assert!(n <= u32::MAX as usize, "triple count exceeds u32 range");
-
-        // Sort-based dedup: argsort by (s, p, o, first-seen index), then mark
-        // the head of each equal run. Peak transient memory is one u32 per
-        // triple — far below the hash-set dedup this replaces at 10M+ rows.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            triples[a as usize]
-                .spo_key()
-                .cmp(&triples[b as usize].spo_key())
-                .then(a.cmp(&b))
-        });
-        let mut keep = vec![false; n];
-        let mut prev: Option<(u32, u32, u32)> = None;
-        for &i in &order {
-            let t = triples[i as usize];
-            let key = (t.s.raw(), t.p.raw(), t.o.raw());
-            if prev != Some(key) {
-                keep[i as usize] = true;
-                prev = Some(key);
-            }
-        }
-        drop(order);
-
-        let kept = keep.iter().filter(|&&k| k).count();
-        let mut log_s = Vec::with_capacity(kept);
-        let mut log_p = Vec::with_capacity(kept);
-        let mut log_o = Vec::with_capacity(kept);
-        for (i, t) in triples.iter().enumerate() {
-            if keep[i] {
-                log_s.push(t.s.raw());
-                log_p.push(t.p.raw());
-                log_o.push(t.o.raw());
-            }
-        }
-        drop(keep);
-        drop(triples);
-
+    pub(crate) fn build(predicate_count: usize, log: &[Triple]) -> Self {
         // Partition into per-predicate runs (counting sort on p), then order
         // each run by its pair key.
-        let so_bounds = run_bounds(predicate_count, &log_p);
-        let (so_s, so_o) = build_runs(&so_bounds, &log_p, &log_s, &log_o);
+        let so_bounds = run_bounds(predicate_count, log);
+        let (so_s, so_o) = build_runs(&so_bounds, log, |t| (t.s.raw(), t.o.raw()));
         let os_bounds = so_bounds.clone();
-        let (os_o, os_s) = build_runs(&os_bounds, &log_p, &log_o, &log_s);
+        let (os_o, os_s) = build_runs(&os_bounds, log, |t| (t.o.raw(), t.s.raw()));
         let so_dir = SoDirectory::build(&so_bounds, &so_s);
-
         Self {
-            log_s,
-            log_p,
-            log_o,
             so_bounds,
             so_s,
             so_o,
@@ -181,23 +166,8 @@ impl ColumnarTriples {
         }
     }
 
-    /// The `i`-th triple of the insertion-order log.
-    #[inline]
-    fn log_triple(&self, i: usize) -> Triple {
-        Triple::new(
-            crate::NodeId::new(self.log_s[i]),
-            PredicateId::new(self.log_p[i]),
-            crate::NodeId::new(self.log_o[i]),
-        )
-    }
-
-    /// Every triple in first-seen insertion order: the builder's log.
-    pub(crate) fn log(&self) -> impl Iterator<Item = Triple> + '_ {
-        (0..self.log_s.len()).map(|i| self.log_triple(i))
-    }
-
-    /// The borrowed view of the runs all queries go through.
-    pub fn view(&self) -> ColsView<'_> {
+    /// The borrowed view of the runs.
+    pub(crate) fn view(&self) -> ColsView<'_> {
         ColsView {
             so_bounds: &self.so_bounds,
             so_s: &self.so_s,
@@ -213,10 +183,10 @@ impl ColumnarTriples {
 }
 
 /// Prefix offsets of the per-predicate runs: `bounds[p]..bounds[p+1]`.
-fn run_bounds(predicate_count: usize, log_p: &[u32]) -> Vec<u64> {
+fn run_bounds(predicate_count: usize, log: &[Triple]) -> Vec<u64> {
     let mut bounds = vec![0u64; predicate_count + 1];
-    for &p in log_p {
-        bounds[p as usize + 1] += 1;
+    for t in log {
+        bounds[t.p.index() + 1] += 1;
     }
     for i in 1..bounds.len() {
         bounds[i] += bounds[i - 1];
@@ -224,21 +194,24 @@ fn run_bounds(predicate_count: usize, log_p: &[u32]) -> Vec<u64> {
     bounds
 }
 
-/// Scatter `(major, minor)` pairs into their predicate runs and sort each
-/// run by `(major, minor)`.
-fn build_runs(bounds: &[u64], log_p: &[u32], major: &[u32], minor: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let n = log_p.len();
+/// Scatter each triple's `(major, minor)` pair into its predicate's run and
+/// sort each run by `(major, minor)`.
+fn build_runs(
+    bounds: &[u64],
+    log: &[Triple],
+    pair: impl Fn(&Triple) -> (u32, u32),
+) -> (Vec<u32>, Vec<u32>) {
+    let n = log.len();
     let mut out_major = vec![0u32; n];
     let mut out_minor = vec![0u32; n];
     let mut cursor: Vec<usize> = bounds[..bounds.len() - 1]
         .iter()
         .map(|&b| b as usize)
         .collect();
-    for i in 0..n {
-        let p = log_p[i] as usize;
+    for t in log {
+        let p = t.p.index();
         let at = cursor[p];
-        out_major[at] = major[i];
-        out_minor[at] = minor[i];
+        (out_major[at], out_minor[at]) = pair(t);
         cursor[p] = at + 1;
     }
     // Sort run by run; the transient pair buffer peaks at the largest run.
@@ -265,7 +238,7 @@ fn build_runs(bounds: &[u64], log_p: &[u32], major: &[u32], minor: &[u32]) -> (V
 }
 
 /// Borrowed columnar view of the SO and OS runs — the single query surface
-/// shared by the in-memory and mmap-backed stores.
+/// of every store, over its image.
 #[derive(Clone, Copy, Debug)]
 pub struct ColsView<'a> {
     /// SO run offsets (`predicate_count + 1` entries).
@@ -353,8 +326,7 @@ impl<'a> ColsView<'a> {
     /// to the run: empty when `s` is past the run's last bucket or `p` is
     /// out of range. A subject below the run's first wraps to some bucket,
     /// which cannot hold it. Every index is inside the run, whatever the
-    /// keys hold, once the directory passed its checks (built, or
-    /// [`crate::Snapshot::open`]).
+    /// keys hold, once the directory passed the image's checks.
     #[inline]
     fn so_bucket(&self, s: u32, p: usize) -> (usize, usize) {
         let Some(&[lo, shift]) = self.so_dir_base.get(2 * p..2 * p + 2) else {
@@ -457,29 +429,27 @@ mod tests {
         Triple::new(NodeId::new(s), PredicateId::new(p), NodeId::new(o))
     }
 
+    fn sample_log() -> Box<[Triple]> {
+        dedup_log(vec![
+            t(5, 1, 9),
+            t(1, 0, 2),
+            t(5, 1, 3),
+            t(1, 0, 2), // duplicate — dropped
+            t(0, 2, 1),
+            t(5, 1, 3), // duplicate — dropped
+            t(2, 0, 2),
+        ])
+    }
+
     fn sample() -> ColumnarTriples {
-        ColumnarTriples::build(
-            3,
-            vec![
-                t(5, 1, 9),
-                t(1, 0, 2),
-                t(5, 1, 3),
-                t(1, 0, 2), // duplicate — dropped
-                t(0, 2, 1),
-                t(5, 1, 3), // duplicate — dropped
-                t(2, 0, 2),
-            ],
-        )
+        ColumnarTriples::build(3, &sample_log())
     }
 
     #[test]
     fn dedup_preserves_first_seen_order() {
-        let cols = sample();
-        let v = cols.view();
-        assert_eq!(v.len(), 5);
-        let log: Vec<Triple> = (0..v.len()).map(|i| cols.log_triple(i)).collect();
+        assert_eq!(sample().view().len(), 5);
         assert_eq!(
-            log,
+            sample_log().to_vec(),
             vec![t(5, 1, 9), t(1, 0, 2), t(5, 1, 3), t(0, 2, 1), t(2, 0, 2)]
         );
     }
@@ -654,13 +624,15 @@ mod tests {
         ]
     }
 
-    fn columns_of(runs: &[Vec<(u32, u32)>]) -> ColumnarTriples {
-        let triples = runs
-            .iter()
+    fn triples_of(runs: &[Vec<(u32, u32)>]) -> Vec<Triple> {
+        runs.iter()
             .enumerate()
             .flat_map(|(p, run)| run.iter().map(move |&(s, o)| t(s, p as u32, o)))
-            .collect();
-        ColumnarTriples::build(runs.len(), triples)
+            .collect()
+    }
+
+    fn columns_of(runs: &[Vec<(u32, u32)>]) -> ColumnarTriples {
+        ColumnarTriples::build(runs.len(), &dedup_log(triples_of(runs)))
     }
 
     #[test]
@@ -674,21 +646,22 @@ mod tests {
     fn mapped_directory_answers_as_the_built_one() {
         let nodes = 70_000u32;
         let runs = shaped_runs(nodes - 1);
-        let mut dict = crate::Dictionary::new();
+        let mut b = crate::GraphBuilder::default();
         for i in 0..nodes {
-            dict.int_literal(i64::from(i));
+            b.resource(&format!("n{i}"));
         }
         for p in 0..runs.len() {
-            dict.predicate(&format!("p{p}"));
+            b.predicate(&format!("p{p}"));
+        }
+        for triple in triples_of(&runs) {
+            b.triple(triple.s, triple.p, triple.o);
         }
         let built = columns_of(&runs);
-        let triples = built.log().collect();
-        let store = crate::TripleStore::build(dict, triples, Vec::new());
         let path = std::env::temp_dir().join(format!("kbqa-so-dir-{}.snap", std::process::id()));
-        store.write_snapshot(&path).unwrap();
+        b.build().write_snapshot(&path).unwrap();
         let mapped = crate::TripleStore::from_snapshot(crate::Snapshot::open(&path).unwrap());
         std::fs::remove_file(&path).ok();
-        let (built, mapped) = (built.view(), mapped.backend().cols());
+        let (built, mapped) = (built.view(), mapped.cols());
         assert_eq!(mapped.directory_bytes(), built.directory_bytes());
         assert_directory_matches_search(&mapped);
         for p in 0..runs.len() as u32 {
@@ -716,7 +689,7 @@ mod tests {
 
     #[test]
     fn empty_build() {
-        let cols = ColumnarTriples::build(2, vec![]);
+        let cols = ColumnarTriples::build(2, &[]);
         let v = cols.view();
         assert!(v.is_empty());
         assert_eq!(v.predicate_count(), 2);
@@ -731,7 +704,8 @@ mod tests {
             let x = i.wrapping_mul(2654435761) % 97;
             triples.push(t(x % 13, x % 5, x % 7));
         }
-        let cols = ColumnarTriples::build(5, triples.clone());
+        let log = dedup_log(triples.clone());
+        let cols = ColumnarTriples::build(5, &log);
         let v = cols.view();
         // Naive dedup keeping first occurrence.
         let mut seen = std::collections::HashSet::new();
@@ -741,9 +715,7 @@ mod tests {
             .filter(|t| seen.insert(*t))
             .collect();
         assert_eq!(v.len(), naive.len());
-        for (i, want) in naive.iter().enumerate() {
-            assert_eq!(cols.log_triple(i), *want);
-        }
+        assert_eq!(log.to_vec(), naive);
         // The SO walk yields the same set, in `(p, s, o)` order.
         let mut by_pso = naive.clone();
         by_pso.sort_unstable_by_key(|t| (t.p.raw(), t.s.raw(), t.o.raw()));

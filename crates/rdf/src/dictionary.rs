@@ -1,35 +1,32 @@
-//! Term dictionary: string/term interning for the store.
+//! Term dictionary: the builder's string/term interner.
 //!
 //! Classic dictionary encoding: every distinct [`Term`] gets a dense
 //! [`NodeId`], every distinct predicate name a dense [`PredicateId`], and the
-//! triple arrays then hold only 12-byte id triples. The dictionary also owns
-//! the string table shared by resource IRIs and string literals.
+//! triple arrays then hold only id triples. The dictionary also owns the
+//! string table shared by resource IRIs and string literals.
+//!
+//! [`Dictionary`] is the mutable side, owned by [`crate::GraphBuilder`] while
+//! a store is built: `build` lays it out as the image's dictionary sections
+//! and drops it. A store's dictionary is [`crate::DictRef`], the same view
+//! over an owned or a mapped image.
 
 use kbqa_common::hash::FxHashMap;
 use kbqa_common::interner::Interner;
-use serde::{Deserialize, Serialize};
 
 use crate::term::{Literal, Term};
 use crate::triple::{NodeId, PredicateId};
 
-/// Bidirectional term ⇄ id and predicate ⇄ id mapping.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// Term ⇄ id and predicate ⇄ id interning while a store is built.
+#[derive(Clone, Debug, Default)]
 pub struct Dictionary {
     strings: Interner,
     terms: Vec<Term>,
-    #[serde(skip)]
     term_ids: FxHashMap<Term, NodeId>,
     predicates: Vec<u32>,
-    #[serde(skip)]
     predicate_ids: FxHashMap<u32, PredicateId>,
 }
 
 impl Dictionary {
-    /// Create an empty dictionary.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Intern a resource by its IRI/local name.
     pub fn resource(&mut self, iri: &str) -> NodeId {
         let sym = self.strings.intern(iri);
@@ -53,7 +50,7 @@ impl Dictionary {
     }
 
     /// Intern an arbitrary term.
-    pub fn term(&mut self, term: Term) -> NodeId {
+    fn term(&mut self, term: Term) -> NodeId {
         if let Some(&id) = self.term_ids.get(&term) {
             return id;
         }
@@ -76,249 +73,14 @@ impl Dictionary {
         id
     }
 
-    /// Look up a resource id without interning.
-    pub fn find_resource(&self, iri: &str) -> Option<NodeId> {
-        let sym = self.strings.get(iri)?;
-        self.term_ids.get(&Term::Resource(sym)).copied()
-    }
-
-    /// Look up a string-literal node without interning.
-    pub fn find_str_literal(&self, value: &str) -> Option<NodeId> {
-        let sym = self.strings.get(value)?;
-        self.term_ids
-            .get(&Term::Literal(Literal::Str(sym)))
-            .copied()
-    }
-
-    /// Look up an arbitrary term without interning.
-    pub fn find_term(&self, term: Term) -> Option<NodeId> {
-        self.term_ids.get(&term).copied()
-    }
-
-    /// Look up a predicate id by name without interning.
-    pub fn find_predicate(&self, name: &str) -> Option<PredicateId> {
-        let sym = self.strings.get(name)?;
-        self.predicate_ids.get(&sym).copied()
-    }
-
-    /// The term behind a node id.
-    pub fn node_term(&self, id: NodeId) -> Term {
-        self.terms[id.index()]
-    }
-
-    /// The name of a predicate id.
-    pub fn predicate_name(&self, id: PredicateId) -> &str {
-        self.strings.resolve(self.predicates[id.index()])
-    }
-
-    /// Render a node's surface form: literals render their value; resources
-    /// render their IRI (callers wanting the *human* name of an entity must
-    /// go through the store's name index, since names are graph edges).
-    pub fn render(&self, id: NodeId) -> String {
-        match self.node_term(id) {
-            Term::Resource(sym) => self.strings.resolve(sym).to_owned(),
-            Term::Literal(Literal::Str(sym)) => self.strings.resolve(sym).to_owned(),
-            Term::Literal(Literal::Int(v)) => v.to_string(),
-            Term::Literal(Literal::Year(y)) => y.to_string(),
-        }
-    }
-
-    /// Borrowed fast path of [`render`](Self::render) for textual nodes.
-    pub fn render_str(&self, id: NodeId) -> Option<&str> {
-        match self.node_term(id) {
-            Term::Resource(sym) | Term::Literal(Literal::Str(sym)) => {
-                Some(self.strings.resolve(sym))
-            }
-            _ => None,
-        }
-    }
-
-    /// Number of distinct nodes.
-    pub fn node_count(&self) -> usize {
-        self.terms.len()
-    }
-
     /// Number of distinct predicates.
     pub fn predicate_count(&self) -> usize {
         self.predicates.len()
     }
 
-    /// Iterate all node ids.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.terms.len()).map(|i| NodeId::new(i as u32))
-    }
-
-    /// Iterate all predicate ids.
-    pub fn predicates(&self) -> impl Iterator<Item = PredicateId> + '_ {
-        (0..self.predicates.len()).map(|i| PredicateId::new(i as u32))
-    }
-
-    /// Rebuild derived lookup maps after deserialization.
-    pub fn rebuild_index(&mut self) {
-        self.strings.rebuild_index();
-        self.term_ids = self
-            .terms
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, NodeId::new(i as u32)))
-            .collect();
-        self.predicate_ids = self
-            .predicates
-            .iter()
-            .enumerate()
-            .map(|(i, &sym)| (sym, PredicateId::new(i as u32)))
-            .collect();
-    }
-
-    /// Access the shared string interner (for tokenizer reuse).
-    pub fn strings(&self) -> &Interner {
-        &self.strings
-    }
-
-    /// Mutable access to the shared string interner.
-    pub fn strings_mut(&mut self) -> &mut Interner {
-        &mut self.strings
-    }
-
-    /// Borrow the raw parts the snapshot writer serializes.
+    /// Borrow the raw parts the image encoder lays out.
     pub(crate) fn raw_parts(&self) -> (&Interner, &[Term], &[u32]) {
         (&self.strings, &self.terms, &self.predicates)
-    }
-
-    /// Reassemble a dictionary from snapshot parts, rebuilding lookup maps.
-    pub(crate) fn from_raw_parts(
-        strings: Interner,
-        terms: Vec<Term>,
-        predicates: Vec<u32>,
-    ) -> Self {
-        let mut dict = Self {
-            strings,
-            terms,
-            term_ids: FxHashMap::default(),
-            predicates,
-            predicate_ids: FxHashMap::default(),
-        };
-        dict.rebuild_index();
-        dict
-    }
-}
-
-/// A backend-polymorphic, copyable dictionary handle.
-///
-/// [`crate::TripleStore::dict`] hands out one of these instead of
-/// `&Dictionary` so the same call sites work whether the store owns its
-/// dictionary ([`DictRef::Owned`], hash-map lookups) or maps it from a
-/// snapshot ([`DictRef::Mapped`], binary search over sorted permutation
-/// sections). The read API mirrors [`Dictionary`]'s exactly; returned `&str`
-/// borrows carry the store's lifetime, not the handle's.
-#[derive(Clone, Copy, Debug)]
-pub enum DictRef<'a> {
-    /// Borrowed in-memory dictionary.
-    Owned(&'a Dictionary),
-    /// Zero-copy view over mapped snapshot sections.
-    Mapped(crate::snapshot::MappedDict<'a>),
-}
-
-impl<'a> DictRef<'a> {
-    /// Look up a resource id by IRI.
-    pub fn find_resource(&self, iri: &str) -> Option<NodeId> {
-        match self {
-            Self::Owned(d) => d.find_resource(iri),
-            Self::Mapped(d) => d.find_resource(iri),
-        }
-    }
-
-    /// Look up a string-literal node.
-    pub fn find_str_literal(&self, value: &str) -> Option<NodeId> {
-        match self {
-            Self::Owned(d) => d.find_str_literal(value),
-            Self::Mapped(d) => d.find_str_literal(value),
-        }
-    }
-
-    /// Look up an arbitrary term.
-    pub fn find_term(&self, term: Term) -> Option<NodeId> {
-        match self {
-            Self::Owned(d) => d.find_term(term),
-            Self::Mapped(d) => d.find_term(term),
-        }
-    }
-
-    /// Look up a predicate id by name.
-    pub fn find_predicate(&self, name: &str) -> Option<PredicateId> {
-        match self {
-            Self::Owned(d) => d.find_predicate(name),
-            Self::Mapped(d) => d.find_predicate(name),
-        }
-    }
-
-    /// The term behind a node id.
-    pub fn node_term(&self, id: NodeId) -> Term {
-        match self {
-            Self::Owned(d) => d.node_term(id),
-            Self::Mapped(d) => d.node_term(id),
-        }
-    }
-
-    /// The name of a predicate id.
-    pub fn predicate_name(&self, id: PredicateId) -> &'a str {
-        match self {
-            Self::Owned(d) => d.strings.resolve(d.predicates[id.index()]),
-            Self::Mapped(d) => d.predicate_name(id),
-        }
-    }
-
-    /// Resolve an interned string symbol (IRI/literal text).
-    pub fn resolve_sym(&self, sym: u32) -> &'a str {
-        match self {
-            Self::Owned(d) => d.strings.resolve(sym),
-            Self::Mapped(d) => d.resolve_sym(sym),
-        }
-    }
-
-    /// Render a node's surface form; see [`Dictionary::render`].
-    pub fn render(&self, id: NodeId) -> String {
-        match self.node_term(id) {
-            Term::Resource(sym) | Term::Literal(Literal::Str(sym)) => {
-                self.resolve_sym(sym).to_owned()
-            }
-            Term::Literal(Literal::Int(v)) => v.to_string(),
-            Term::Literal(Literal::Year(y)) => y.to_string(),
-        }
-    }
-
-    /// Borrowed fast path of [`DictRef::render`] for textual nodes.
-    pub fn render_str(&self, id: NodeId) -> Option<&'a str> {
-        match self.node_term(id) {
-            Term::Resource(sym) | Term::Literal(Literal::Str(sym)) => Some(self.resolve_sym(sym)),
-            _ => None,
-        }
-    }
-
-    /// Number of distinct nodes.
-    pub fn node_count(&self) -> usize {
-        match self {
-            Self::Owned(d) => d.node_count(),
-            Self::Mapped(d) => d.node_count(),
-        }
-    }
-
-    /// Number of distinct predicates.
-    pub fn predicate_count(&self) -> usize {
-        match self {
-            Self::Owned(d) => d.predicate_count(),
-            Self::Mapped(d) => d.predicate_count(),
-        }
-    }
-
-    /// Iterate all node ids.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + 'a {
-        (0..self.node_count()).map(|i| NodeId::new(i as u32))
-    }
-
-    /// Iterate all predicate ids.
-    pub fn predicates(&self) -> impl Iterator<Item = PredicateId> + 'a {
-        (0..self.predicate_count()).map(|i| PredicateId::new(i as u32))
     }
 }
 
@@ -328,7 +90,7 @@ mod tests {
 
     #[test]
     fn interning_is_idempotent_across_kinds() {
-        let mut dict = Dictionary::new();
+        let mut dict = Dictionary::default();
         let a = dict.resource("barack_obama");
         let b = dict.resource("barack_obama");
         assert_eq!(a, b);
@@ -341,73 +103,62 @@ mod tests {
 
     #[test]
     fn literal_kinds_do_not_collide() {
-        let mut dict = Dictionary::new();
+        let mut dict = Dictionary::default();
         let int_node = dict.int_literal(1961);
         let year_node = dict.year_literal(1961);
         assert_ne!(int_node, year_node);
-        assert_eq!(dict.render(int_node), "1961");
-        assert_eq!(dict.render(year_node), "1961");
+        assert_eq!(dict.int_literal(1961), int_node);
     }
 
     #[test]
     fn predicate_interning() {
-        let mut dict = Dictionary::new();
+        let mut dict = Dictionary::default();
         let p1 = dict.predicate("population");
         let p2 = dict.predicate("population");
         let p3 = dict.predicate("dob");
         assert_eq!(p1, p2);
         assert_ne!(p1, p3);
-        assert_eq!(dict.predicate_name(p1), "population");
-        assert_eq!(dict.find_predicate("dob"), Some(p3));
-        assert_eq!(dict.find_predicate("missing"), None);
+        assert_eq!(dict.predicate_count(), 2);
     }
 
+    /// What was interned, the built store's dictionary view resolves, and
+    /// looking up what was not interned finds nothing.
     #[test]
-    fn find_does_not_intern() {
-        let dict = Dictionary::new();
+    fn the_built_view_resolves_what_was_interned() {
+        let mut b = crate::GraphBuilder::default();
+        let r = b.resource("honolulu");
+        let p = b.predicate("population");
+        b.fact_int(r, "population", 390_000);
+        b.fact_year(r, "founded", 1961);
+        b.fact_str(r, "motto", "Honolulu");
+        let store = b.build();
+        let dict = store.dict();
+        let (i, y) = (
+            dict.find_term(Term::Literal(Literal::Int(390_000)))
+                .unwrap(),
+            dict.find_term(Term::Literal(Literal::Year(1961))).unwrap(),
+        );
+        let s = dict.find_str_literal("Honolulu").unwrap();
+        assert_eq!(dict.find_resource("honolulu"), Some(r));
+        assert_eq!(dict.find_predicate("population"), Some(p));
+        assert_eq!(dict.predicate_name(p), "population");
+        assert_eq!(
+            [
+                dict.render(r),
+                dict.render(s),
+                dict.render(i),
+                dict.render(y)
+            ],
+            ["honolulu", "Honolulu", "390000", "1961"]
+        );
+        assert_eq!(
+            [dict.render_str(r), dict.render_str(i)],
+            [Some("honolulu"), None]
+        );
         assert_eq!(dict.find_resource("nobody"), None);
         assert_eq!(dict.find_str_literal("nothing"), None);
-    }
-
-    #[test]
-    fn render_produces_surface_forms() {
-        let mut dict = Dictionary::new();
-        let r = dict.resource("honolulu");
-        let s = dict.str_literal("Honolulu");
-        let i = dict.int_literal(390_000);
-        assert_eq!(dict.render(r), "honolulu");
-        assert_eq!(dict.render(s), "Honolulu");
-        assert_eq!(dict.render(i), "390000");
-        assert_eq!(dict.render_str(r), Some("honolulu"));
-        assert_eq!(dict.render_str(i), None);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookups() {
-        let mut dict = Dictionary::new();
-        let r = dict.resource("fudan");
-        let p = dict.predicate("founded");
-        let mut stripped = Dictionary {
-            strings: dict.strings.clone(),
-            terms: dict.terms.clone(),
-            term_ids: Default::default(),
-            predicates: dict.predicates.clone(),
-            predicate_ids: Default::default(),
-        };
-        stripped.rebuild_index();
-        assert_eq!(stripped.find_resource("fudan"), Some(r));
-        assert_eq!(stripped.find_predicate("founded"), Some(p));
-    }
-
-    #[test]
-    fn node_and_predicate_iteration_is_dense() {
-        let mut dict = Dictionary::new();
-        dict.resource("a");
-        dict.resource("b");
-        dict.predicate("p");
-        assert_eq!(dict.nodes().count(), 2);
-        assert_eq!(dict.predicates().count(), 1);
-        assert_eq!(dict.node_count(), 2);
-        assert_eq!(dict.predicate_count(), 1);
+        assert_eq!(dict.find_predicate("missing"), None);
+        assert_eq!((dict.nodes().count(), dict.node_count()), (4, 4));
+        assert_eq!((dict.predicates().count(), dict.predicate_count()), (3, 3));
     }
 }

@@ -14,10 +14,11 @@
 //!   insertion order on a built store, in `(p, s, o)` run order on a mapped
 //!   one — the stand-in for the disk scans that Sec 6.2's memory-efficient
 //!   BFS is built around,
-//! * **zero-copy snapshots** ([`snapshot`]): the whole store serialized into
-//!   one checksummed relocatable file and served straight out of `mmap`
-//!   ([`mmap`]) with no load-time rebuild, behind the [`backend::StoreBackend`]
-//!   trait (`InMemory` vs `Mapped`),
+//! * **one store image** ([`snapshot`]): every store is one checksummed,
+//!   relocatable section file — encoded on the heap by [`GraphBuilder::build`]
+//!   or served straight out of `mmap` ([`mmap`]) with no load-time rebuild —
+//!   read through the same views either way ([`BackendKind`] only names the
+//!   backing, `in_memory` or `mapped`),
 //! * N-Triples-style [`ntriples::import`]/[`ntriples::export`] for dump
 //!   interchange (streaming, line at a time),
 //! * conjunctive basic-graph-pattern queries ([`query::evaluate`]) — the
@@ -27,10 +28,9 @@
 //! * a name index so questions can be grounded to entities by surface string
 //!   (`P(e|q)` needs "is it an entity's name in the knowledge base?").
 
-pub mod backend;
 pub mod builder;
 pub mod columnar;
-pub mod dictionary;
+mod dictionary;
 pub mod mmap;
 pub mod ntriples;
 pub mod path;
@@ -42,13 +42,11 @@ pub mod store;
 pub mod term;
 pub mod triple;
 
-pub use backend::{BackendKind, StoreBackend};
 pub use builder::GraphBuilder;
 pub use columnar::ColsView;
-pub use dictionary::{DictRef, Dictionary};
 pub use path::ExpandedPredicate;
-pub use snapshot::Snapshot;
+pub use snapshot::{DictRef, Snapshot};
 pub use stats::StoreStats;
-pub use store::{Surface, TripleStore};
+pub use store::{BackendKind, Surface, TripleStore};
 pub use term::{Literal, Term};
 pub use triple::{NodeId, PredicateId, Triple};

@@ -27,8 +27,8 @@
 //! a number instead of hashing the mapping a second time.
 //!
 //! [`Sections`] holds such a file either mapped read-only ([`Sections::open`])
-//! or as an owned image ([`encode`], what the in-memory builders produce), and
-//! hands out the same typed views either way.
+//! or as an owned image ([`encode`], what the store, taxonomy and pattern
+//! index builders produce), and hands out the same typed views either way.
 
 use std::fs::File;
 use std::hash::Hasher as _;
@@ -342,11 +342,7 @@ pub fn encode(format: &Format, cols: &[Col<'_>]) -> Sections {
         image[..HEADER_LEN].copy_from_slice(&header(format, file_len, checksum));
         digest(image)
     };
-    Sections {
-        backing: Arc::new(Backing::Owned(words)),
-        ranges: ranges.into(),
-        digest: file_digest,
-    }
+    Sections::new(Backing::Owned(words), ranges, file_digest)
 }
 
 // ---------------------------------------------------------------------------
@@ -357,7 +353,9 @@ pub fn encode(format: &Format, cols: &[Col<'_>]) -> Sections {
 /// checksum, and each section's alignment, bounds and element width — and
 /// return each section's `(offset, byte length)` with the file's whole-file
 /// Fx-64 digest, from the one pass that checked the checksum. Any violation
-/// is a typed [`KbqaError::Io`].
+/// is a typed [`KbqaError::Io`]; a file of an older version is refused
+/// naming its version and the fix, since every section file is a bundle
+/// file that `ServingArtifacts::save` writes.
 pub fn read_table(format: &Format, bytes: &[u8]) -> Result<(Vec<(usize, usize)>, u64)> {
     let count = format.elems.len();
     if bytes.len() < HEADER_LEN + count * 16 {
@@ -369,6 +367,13 @@ pub fn read_table(format: &Format, bytes: &[u8]) -> Result<(Vec<(usize, usize)>,
     let word32 = |at: usize| u32::from_ne_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
     let word64 = |at: usize| u64::from_ne_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
     let version = word32(8);
+    if version < format.version {
+        return Err(format.error(format_args!(
+            "version {version} is no longer served (expected version {}); \
+             re-save the bundle with `ServingArtifacts::save`",
+            format.version
+        )));
+    }
     if version != format.version {
         return Err(format.error(format_args!(
             "unsupported version {version} (expected {})",
@@ -450,9 +455,23 @@ enum Backing {
 #[derive(Clone)]
 pub struct Sections {
     backing: Arc<Backing>,
+    /// The file's first byte and length, read off `backing` once: a section
+    /// read is then a few loads, with no pointer chase and no branch.
+    base: *const u8,
+    len: usize,
     ranges: Arc<[(usize, usize)]>,
     digest: u64,
 }
+
+// SAFETY: `base` and `len` describe the bytes of `backing` (a read-only
+// mapping, or a heap image no one writes after `encode`), which the `Arc`
+// keeps alive and never moves, so they are shared and sent like the `&[u8]`
+// they stand for. Every other field (`Arc<Backing>` over `Mmap`, itself
+// `Send + Sync`, or `Vec<u64>`; `Arc<[(usize, usize)]>`; `u64`) is `Send +
+// Sync` on its own.
+unsafe impl Send for Sections {}
+// SAFETY: as above.
+unsafe impl Sync for Sections {}
 
 impl Sections {
     /// Map `path` read-only and check it as a file of `format`.
@@ -469,11 +488,21 @@ impl Sections {
     /// Check an already-mapped file as a file of `format`.
     pub fn from_map(format: &Format, map: Mmap) -> Result<Self> {
         let (ranges, digest) = read_table(format, map.bytes())?;
-        Ok(Self {
-            backing: Arc::new(Backing::Mapped(map)),
+        Ok(Self::new(Backing::Mapped(map), ranges, digest))
+    }
+
+    fn new(backing: Backing, ranges: Vec<(usize, usize)>, digest: u64) -> Self {
+        let (base, len) = match &backing {
+            Backing::Mapped(map) => (map.bytes().as_ptr(), map.bytes().len()),
+            Backing::Owned(words) => (words.as_ptr().cast::<u8>(), words.len() * 8),
+        };
+        Self {
+            backing: Arc::new(backing),
+            base,
+            len,
             ranges: ranges.into(),
             digest,
-        })
+        }
     }
 
     /// The Fx-64 digest of the whole file, header included: what its
@@ -486,13 +515,14 @@ impl Sections {
     /// The whole file, header included.
     #[inline]
     pub fn bytes(&self) -> &[u8] {
-        match &*self.backing {
-            Backing::Mapped(map) => map.bytes(),
-            Backing::Owned(words) => {
-                // SAFETY: a `u64` buffer viewed as its bytes.
-                unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), words.len() * 8) }
-            }
-        }
+        // SAFETY: `base` and `len` are the bytes of `backing` (a mapping, or
+        // a `u64` buffer viewed as its bytes), alive as long as `self`.
+        unsafe { std::slice::from_raw_parts(self.base, self.len) }
+    }
+
+    /// Whether the file is mapped (`true`) or an owned image.
+    pub fn is_mapped(&self) -> bool {
+        matches!(*self.backing, Backing::Mapped(_))
     }
 
     /// Heap bytes held: the image when owned, nothing when mapped.
@@ -539,7 +569,7 @@ impl std::fmt::Debug for Sections {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sections")
             .field("bytes", &self.bytes().len())
-            .field("mapped", &matches!(*self.backing, Backing::Mapped(_)))
+            .field("mapped", &self.is_mapped())
             .finish()
     }
 }

@@ -1,15 +1,20 @@
-//! Zero-copy store snapshots: one relocatable file, mapped read-only.
+//! The store image: one relocatable file, owned or mapped read-only.
 //!
-//! A snapshot freezes what serving reads of a [`crate::TripleStore`] —
-//! dictionary, the SO and OS triple runs, name index — into a single file
-//! of flat integer/byte sections. Loading is [`Snapshot::open`]: `mmap` the
-//! file, verify the checksum, validate section geometry, done. No parse, no
-//! rebuild, no allocation proportional to store size; warm start and
-//! `/admin/reload` become "map the file, flip the epoch".
+//! A [`Snapshot`] holds what serving reads of a [`crate::TripleStore`] —
+//! dictionary, the SO and OS triple runs, the SO directory, name index — as
+//! one file of flat integer/byte sections. There is one image and two
+//! backings: [`crate::GraphBuilder::build`] encodes it on the heap, and
+//! [`Snapshot::open`] maps a `store.snap` read-only (verify the checksum,
+//! validate the sections, done: no parse, no rebuild, no allocation
+//! proportional to store size; warm start and `/admin/reload` become "map
+//! the file, flip the epoch"). Both reach the same constructor and its
+//! cross-section checks, every read goes through the same views, and
+//! [`crate::TripleStore::write_snapshot`] writes the image's bytes as they
+//! are, so a built store and its saved-and-mapped twin hold the same bytes.
 //!
 //! The builder's insertion-order log (what a built store's
-//! [`crate::TripleStore::scan`] replays for learning) is not written: no
-//! request reads it, and it was 12 of version 1's 28 B per triple. Version 3
+//! [`crate::TripleStore::scan`] replays for learning) is not in the image:
+//! no request reads it, and it was 12 of version 1's 28 B per triple. Version 3
 //! adds the radix directory over each SO run's subjects
 //! ([`crate::columnar`]), so `V(e, p)` searches one bucket of about sixteen
 //! keys instead of a whole run. A file of any older version is refused at
@@ -33,24 +38,24 @@
 //! [`crate::ntriples`]. Offsets are relative to the file start, so the file
 //! is position-independent and the kernel may map it anywhere.
 //!
-//! Lookup structures that the in-memory store keeps as hash maps are stored
-//! as *sorted permutation arrays* instead (strings, terms, predicates by
-//! name, lowercased surface names), so a mapped store resolves
-//! `find_*`/`entities_named` by binary search over the mapped data — nothing
-//! is rebuilt on load. See `docs/STORAGE.md` for the full section catalog.
+//! Lookups a builder answers through hash maps are stored as *sorted
+//! permutation arrays* instead (strings, terms, predicates by name,
+//! lowercased surface names), so [`DictRef`] resolves `find_*` and the
+//! store resolves `entities_named` by binary search over the image —
+//! nothing is rebuilt on load. See `docs/STORAGE.md` for the full section
+//! catalog.
 
-use std::fs::File;
 use std::path::Path;
 
 use kbqa_common::error::{KbqaError, Result};
-use kbqa_common::interner::Interner;
+use kbqa_common::hash::FxHashMap;
 
-use crate::columnar::ColsView;
+use crate::columnar::{ColsView, ColumnarTriples};
 use crate::dictionary::Dictionary;
-use crate::mmap::Mmap;
-use crate::sections::{self, Col, Elem, Format};
+use crate::sections::{self, Col, Elem, Format, Sections};
+use crate::store::BackendKind;
 use crate::term::{Literal, Term};
-use crate::triple::{NodeId, PredicateId, Triple};
+use crate::triple::{NodeId, PredicateId};
 
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 8] = *b"KBQASNAP";
@@ -131,22 +136,6 @@ pub use crate::sections::Fx64Stream;
 // Typed views over raw bytes
 // ---------------------------------------------------------------------------
 
-fn cast_u32(bytes: &[u8]) -> &[u32] {
-    debug_assert_eq!(bytes.as_ptr() as usize % 4, 0);
-    debug_assert_eq!(bytes.len() % 4, 0);
-    // SAFETY: alignment and length are validated at open (section offsets
-    // are 8-aligned within a page-aligned mapping; lengths are multiples of
-    // the element size); u32 has no invalid bit patterns.
-    unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u32>(), bytes.len() / 4) }
-}
-
-fn cast_u64(bytes: &[u8]) -> &[u64] {
-    debug_assert_eq!(bytes.as_ptr() as usize % 8, 0);
-    debug_assert_eq!(bytes.len() % 8, 0);
-    // SAFETY: as above.
-    unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u64>(), bytes.len() / 8) }
-}
-
 /// Reinterpret a raw `u32` column as node ids (`NodeId` is
 /// `#[repr(transparent)]` over `u32`).
 pub(crate) fn as_node_ids(raw: &[u32]) -> &[NodeId] {
@@ -162,11 +151,6 @@ pub(crate) fn as_predicate_ids(raw: &[u32]) -> &[PredicateId] {
 
 fn ids_as_u32(ids: &[PredicateId]) -> &[u32] {
     // SAFETY: PredicateId is repr(transparent) over u32.
-    unsafe { std::slice::from_raw_parts(ids.as_ptr().cast::<u32>(), ids.len()) }
-}
-
-fn node_ids_as_u32(ids: &[NodeId]) -> &[u32] {
-    // SAFETY: NodeId is repr(transparent) over u32.
     unsafe { std::slice::from_raw_parts(ids.as_ptr().cast::<u32>(), ids.len()) }
 }
 
@@ -194,138 +178,141 @@ fn decode_term(tag: u8, payload: u64) -> Term {
         TAG_STR => Term::Literal(Literal::Str(payload as u32)),
         TAG_INT => Term::Literal(Literal::Int(payload as i64)),
         TAG_YEAR => Term::Literal(Literal::Year(payload as i64 as i32)),
-        other => unreachable!("term tag {other} rejected at open"),
+        other => unreachable!("term tag {other} rejected by `Snapshot::new`"),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Writer
+// Encoder
 // ---------------------------------------------------------------------------
 
-/// Everything the writer needs, borrowed from the in-memory backend.
-pub(crate) struct SnapshotSource<'a> {
-    pub strings: &'a Interner,
-    pub terms: &'a [Term],
-    pub predicate_syms: &'a [u32],
-    pub cols: ColsView<'a>,
-    pub name_predicates: &'a [PredicateId],
-    /// `(lowercased name, nodes)` pairs in any order; the writer sorts.
-    pub name_entries: Vec<(&'a str, &'a [NodeId])>,
-}
-
-/// Derived (owned) arrays the writer materializes before laying out the file.
-struct DerivedSections {
-    string_bytes: Vec<u8>,
-    string_offsets: Vec<u64>,
-    string_sorted: Vec<u32>,
-    term_tags: Vec<u8>,
-    term_payloads: Vec<u64>,
-    term_sorted: Vec<u32>,
-    predicate_sorted: Vec<u32>,
-    name_bytes: Vec<u8>,
-    name_offsets: Vec<u64>,
-    name_node_bounds: Vec<u64>,
-    name_node_ids: Vec<u32>,
-}
-
-fn derive_sections(src: &SnapshotSource<'_>) -> DerivedSections {
-    let string_count = src.strings.len();
+/// Encode a built store's image on the heap: the dictionary's sections,
+/// the name predicates, the SO and OS runs with the SO directory, and the
+/// name index derived from the name-predicate runs. The builder's
+/// dictionary is dropped as soon as its sections are derived, and the name
+/// index is read off those sections, so neither is held beside the image.
+///
+/// # Panics
+///
+/// When the image fails the open checks: a triple naming a node the
+/// dictionary never interned.
+pub(crate) fn encode(
+    dict: Dictionary,
+    runs: &ColumnarTriples,
+    name_predicates: &[PredicateId],
+) -> Snapshot {
+    let (strings, terms, predicate_syms) = dict.raw_parts();
+    let string_count = strings.len();
     let mut string_bytes = Vec::new();
     let mut string_offsets = Vec::with_capacity(string_count + 1);
     string_offsets.push(0);
-    for (_, s) in src.strings.iter() {
+    for (_, s) in strings.iter() {
         string_bytes.extend_from_slice(s.as_bytes());
         string_offsets.push(string_bytes.len() as u64);
     }
     let mut string_sorted: Vec<u32> = (0..string_count as u32).collect();
-    string_sorted.sort_unstable_by_key(|&sym| src.strings.resolve(sym));
+    string_sorted.sort_unstable_by_key(|&sym| strings.resolve(sym));
 
-    let mut term_tags = Vec::with_capacity(src.terms.len());
-    let mut term_payloads = Vec::with_capacity(src.terms.len());
-    for &t in src.terms {
-        let (tag, payload) = encode_term(t);
-        term_tags.push(tag);
-        term_payloads.push(payload);
-    }
-    let mut term_sorted: Vec<u32> = (0..src.terms.len() as u32).collect();
+    let (term_tags, term_payloads): (Vec<u8>, Vec<u64>) =
+        terms.iter().map(|&t| encode_term(t)).unzip();
+    let mut term_sorted: Vec<u32> = (0..terms.len() as u32).collect();
     term_sorted.sort_unstable_by_key(|&i| (term_tags[i as usize], term_payloads[i as usize]));
 
-    let mut predicate_sorted: Vec<u32> = (0..src.predicate_syms.len() as u32).collect();
-    predicate_sorted.sort_unstable_by_key(|&i| src.strings.resolve(src.predicate_syms[i as usize]));
+    let mut predicate_sorted: Vec<u32> = (0..predicate_syms.len() as u32).collect();
+    predicate_sorted.sort_unstable_by_key(|&i| strings.resolve(predicate_syms[i as usize]));
+    let predicate_syms = predicate_syms.to_vec();
+    drop(dict);
 
-    let mut entries = src.name_entries.clone();
-    entries.sort_unstable_by_key(|&(name, _)| name);
-    let mut name_bytes = Vec::new();
-    let mut name_offsets = Vec::with_capacity(entries.len() + 1);
-    let mut name_node_bounds = Vec::with_capacity(entries.len() + 1);
-    let mut name_node_ids = Vec::new();
-    name_offsets.push(0);
-    name_node_bounds.push(0);
-    for (name, nodes) in entries {
-        name_bytes.extend_from_slice(name.as_bytes());
-        name_offsets.push(name_bytes.len() as u64);
-        name_node_ids.extend_from_slice(node_ids_as_u32(nodes));
-        name_node_bounds.push(name_node_ids.len() as u64);
-    }
-
-    DerivedSections {
-        string_bytes,
-        string_offsets,
-        string_sorted,
-        term_tags,
-        term_payloads,
-        term_sorted,
-        predicate_sorted,
-        name_bytes,
-        name_offsets,
-        name_node_bounds,
-        name_node_ids,
-    }
+    let v = runs.view();
+    let terms = DictRef {
+        string_bytes: &string_bytes,
+        string_offsets: &string_offsets,
+        string_sorted: &string_sorted,
+        term_tags: &term_tags,
+        term_payloads: &term_payloads,
+        term_sorted: &term_sorted,
+        predicate_syms: &predicate_syms,
+        predicate_sorted: &predicate_sorted,
+    };
+    let (name_bytes, name_offsets, name_node_bounds, name_node_ids) =
+        name_sections(terms, v, name_predicates);
+    let cols: [Col<'_>; SECTION_COUNT] = [
+        Col::U8(&string_bytes),
+        Col::U64(&string_offsets),
+        Col::U32(&string_sorted),
+        Col::U8(&term_tags),
+        Col::U64(&term_payloads),
+        Col::U32(&term_sorted),
+        Col::U32(&predicate_syms),
+        Col::U32(&predicate_sorted),
+        Col::U32(ids_as_u32(name_predicates)),
+        Col::U64(v.so_bounds),
+        Col::U32(v.so_s),
+        Col::U32(v.so_o),
+        Col::U64(v.os_bounds),
+        Col::U32(v.os_o),
+        Col::U32(v.os_s),
+        Col::U8(&name_bytes),
+        Col::U64(&name_offsets),
+        Col::U64(&name_node_bounds),
+        Col::U32(&name_node_ids),
+        Col::U64(v.so_dir_bounds),
+        Col::U32(v.so_dir_base),
+        Col::U32(v.so_dir_starts),
+    ];
+    Snapshot::new(sections::encode(&FORMAT, &cols))
+        .unwrap_or_else(|e| panic!("a built store image fails its checks: {e}"))
 }
 
-/// Write a snapshot for `src` to `path` — atomically (same-directory temp
-/// file, `fsync`, rename) — and return the Fx-64 digest of the final file
-/// bytes (what a `.fxsum` sidecar records).
-pub(crate) fn write_source(src: &SnapshotSource<'_>, path: &Path) -> Result<u64> {
-    let derived = derive_sections(src);
-    let cols: [Col<'_>; SECTION_COUNT] = [
-        Col::U8(&derived.string_bytes),
-        Col::U64(&derived.string_offsets),
-        Col::U32(&derived.string_sorted),
-        Col::U8(&derived.term_tags),
-        Col::U64(&derived.term_payloads),
-        Col::U32(&derived.term_sorted),
-        Col::U32(src.predicate_syms),
-        Col::U32(&derived.predicate_sorted),
-        Col::U32(ids_as_u32(src.name_predicates)),
-        Col::U64(src.cols.so_bounds),
-        Col::U32(src.cols.so_s),
-        Col::U32(src.cols.so_o),
-        Col::U64(src.cols.os_bounds),
-        Col::U32(src.cols.os_o),
-        Col::U32(src.cols.os_s),
-        Col::U8(&derived.name_bytes),
-        Col::U64(&derived.name_offsets),
-        Col::U64(&derived.name_node_bounds),
-        Col::U32(&derived.name_node_ids),
-        Col::U64(src.cols.so_dir_bounds),
-        Col::U32(src.cols.so_dir_base),
-        Col::U32(src.cols.so_dir_starts),
-    ];
-    sections::write(&FORMAT, &cols, path)
+/// The name index as its four sections (bytes, offsets, node bounds, node
+/// ids): `(lowercased surface name, resources bearing it)` for every textual
+/// object of a name-predicate edge, sorted by name.
+fn name_sections(
+    dict: DictRef<'_>,
+    runs: ColsView<'_>,
+    name_predicates: &[PredicateId],
+) -> (Vec<u8>, Vec<u64>, Vec<u64>, Vec<u32>) {
+    let mut index: FxHashMap<String, Vec<u32>> = FxHashMap::default();
+    for &p in name_predicates {
+        let (subjects, objects) = runs.so_run(p);
+        for (&s, &o) in subjects.iter().zip(objects) {
+            if let Some(name) = dict.render_str(NodeId::new(o)) {
+                let nodes = index.entry(name.to_lowercase()).or_default();
+                if !nodes.contains(&s) {
+                    nodes.push(s);
+                }
+            }
+        }
+    }
+    let mut entries: Vec<_> = index.into_iter().collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+
+    let mut bytes = Vec::new();
+    let mut offsets = Vec::with_capacity(entries.len() + 1);
+    let mut node_bounds = Vec::with_capacity(entries.len() + 1);
+    let mut node_ids = Vec::new();
+    offsets.push(0);
+    node_bounds.push(0);
+    for (name, nodes) in entries {
+        bytes.extend_from_slice(name.as_bytes());
+        offsets.push(bytes.len() as u64);
+        node_ids.extend_from_slice(&nodes);
+        node_bounds.push(node_ids.len() as u64);
+    }
+    (bytes, offsets, node_bounds, node_ids)
 }
 
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
 
-/// An open, validated, memory-mapped snapshot. All accessors are zero-copy
-/// views into the mapping.
-#[derive(Debug)]
+/// A store image whose sections passed every check: an owned image from
+/// [`crate::GraphBuilder::build`], or a `store.snap` mapped read-only by
+/// [`Snapshot::open`]. All accessors are zero-copy views into it; clones
+/// share the bytes.
+#[derive(Clone, Debug)]
 pub struct Snapshot {
-    map: Mmap,
-    ranges: [(usize, usize); SECTION_COUNT],
-    digest: u64,
+    sections: Sections,
 }
 
 impl Snapshot {
@@ -334,34 +321,16 @@ impl Snapshot {
     /// monotonicity, id ranges, UTF-8). Any violation is a typed
     /// [`KbqaError::Io`] — corruption never panics a loader.
     pub fn open(path: &Path) -> Result<Self> {
-        let file =
-            File::open(path).map_err(|e| bad(format_args!("open {}: {e}", path.display())))?;
-        let map =
-            Mmap::map_file(&file).map_err(|e| bad(format_args!("mmap {}: {e}", path.display())))?;
-        Self::from_map(map).map_err(|e| match e {
+        Self::new(Sections::open(&FORMAT, path)?).map_err(|e| match e {
             KbqaError::Io(why) => KbqaError::Io(format!("{why} ({})", path.display())),
             other => other,
         })
     }
 
-    fn from_map(map: Mmap) -> Result<Self> {
-        let bytes = map.bytes();
-        if bytes.len() >= 12 && bytes[..8] == MAGIC {
-            let version = u32::from_ne_bytes(bytes[8..12].try_into().expect("4 bytes"));
-            if version < VERSION {
-                return Err(bad(format_args!(
-                    "version {version} is no longer served (expected version {VERSION}); \
-                     re-save the bundle with `ServingArtifacts::save`"
-                )));
-            }
-        }
-        let (ranges, digest) = sections::read_table(&FORMAT, bytes)?;
-        let ranges = ranges.try_into().expect("one range per section");
-        let snap = Self {
-            map,
-            ranges,
-            digest,
-        };
+    /// The one constructor, for an encoded image and a mapped file alike:
+    /// the cross-section checks every view relies on.
+    fn new(sections: Sections) -> Result<Self> {
+        let snap = Self { sections };
         snap.validate_invariants()?;
         Ok(snap)
     }
@@ -369,9 +338,10 @@ impl Snapshot {
     /// Cross-section semantic validation; establishes the invariants the
     /// unsafe UTF-8 and slice casts rely on.
     fn validate_invariants(&self) -> Result<()> {
-        let string_bytes = self.raw(sec::STRING_BYTES);
-        let string_offsets = self.u64s(sec::STRING_OFFSETS);
-        let string_sorted = self.u32s(sec::STRING_SORTED);
+        let file = &self.sections;
+        let string_bytes = file.raw(sec::STRING_BYTES);
+        let string_offsets = file.u64s(sec::STRING_OFFSETS);
+        let string_sorted = file.u32s(sec::STRING_SORTED);
         let string_count = string_sorted.len();
         sections::check_bounds(
             &FORMAT,
@@ -389,9 +359,9 @@ impl Snapshot {
         }
         check_perm("string perm", string_sorted, string_count)?;
 
-        let term_tags = self.raw(sec::TERM_TAGS);
-        let term_payloads = self.u64s(sec::TERM_PAYLOADS);
-        let term_sorted = self.u32s(sec::TERM_SORTED);
+        let term_tags = file.raw(sec::TERM_TAGS);
+        let term_payloads = file.u64s(sec::TERM_PAYLOADS);
+        let term_sorted = file.u32s(sec::TERM_SORTED);
         if term_tags.len() != term_payloads.len() || term_tags.len() != term_sorted.len() {
             return Err(bad("term sections disagree on length"));
         }
@@ -410,21 +380,21 @@ impl Snapshot {
             }
         }
 
-        let predicate_syms = self.u32s(sec::PREDICATE_SYMS);
-        let predicate_sorted = self.u32s(sec::PREDICATE_SORTED);
+        let predicate_syms = file.u32s(sec::PREDICATE_SYMS);
+        let predicate_sorted = file.u32s(sec::PREDICATE_SORTED);
         let predicate_count = predicate_syms.len();
         check_perm("predicate perm", predicate_sorted, predicate_count)?;
         if predicate_syms.iter().any(|&s| s as usize >= string_count) {
             return Err(bad("predicate references out-of-range string"));
         }
-        for &p in self.u32s(sec::NAME_PREDICATES) {
+        for &p in file.u32s(sec::NAME_PREDICATES) {
             if p as usize >= predicate_count {
                 return Err(bad("name predicate out of range"));
             }
         }
 
         let node_count = term_tags.len();
-        let triple_count = self.u32s(sec::SO_S).len();
+        let triple_count = file.u32s(sec::SO_S).len();
         let columns = [
             ("so s", sec::SO_S),
             ("so o", sec::SO_O),
@@ -432,12 +402,17 @@ impl Snapshot {
             ("os s", sec::OS_S),
         ];
         for (name, section) in columns {
-            if self.u32s(section).len() != triple_count {
+            if file.u32s(section).len() != triple_count {
                 return Err(bad(format_args!("{name} column length mismatch")));
             }
         }
         for (name, section) in columns {
-            if self.u32s(section).iter().any(|&v| v as usize >= node_count) {
+            if self
+                .sections
+                .u32s(section)
+                .iter()
+                .any(|&v| v as usize >= node_count)
+            {
                 return Err(bad(format_args!(
                     "{name} column references out-of-range node"
                 )));
@@ -446,23 +421,23 @@ impl Snapshot {
         sections::check_bounds(
             &FORMAT,
             "so bounds",
-            self.u64s(sec::SO_BOUNDS),
+            file.u64s(sec::SO_BOUNDS),
             predicate_count,
             triple_count,
         )?;
         sections::check_bounds(
             &FORMAT,
             "os bounds",
-            self.u64s(sec::OS_BOUNDS),
+            file.u64s(sec::OS_BOUNDS),
             predicate_count,
             triple_count,
         )?;
         self.check_so_directory(predicate_count)?;
 
-        let name_bytes = self.raw(sec::NAME_BYTES);
-        let name_offsets = self.u64s(sec::NAME_OFFSETS);
-        let name_bounds = self.u64s(sec::NAME_NODE_BOUNDS);
-        let name_ids = self.u32s(sec::NAME_NODE_IDS);
+        let name_bytes = file.raw(sec::NAME_BYTES);
+        let name_offsets = file.u64s(sec::NAME_OFFSETS);
+        let name_bounds = file.u64s(sec::NAME_NODE_BOUNDS);
+        let name_ids = file.u32s(sec::NAME_NODE_IDS);
         let name_count = name_offsets.len().saturating_sub(1);
         sections::check_bounds(
             &FORMAT,
@@ -498,10 +473,11 @@ impl Snapshot {
     /// what keeps every lookup inside its run; like the runs themselves,
     /// the keys are not order-checked.
     fn check_so_directory(&self, predicate_count: usize) -> Result<()> {
-        let (so_bounds, so_s) = (self.u64s(sec::SO_BOUNDS), self.u32s(sec::SO_S));
-        let dir_bounds = self.u64s(sec::SO_DIR_BOUNDS);
-        let base = self.u32s(sec::SO_DIR_BASE);
-        let starts = self.u32s(sec::SO_DIR_STARTS);
+        let file = &self.sections;
+        let (so_bounds, so_s) = (file.u64s(sec::SO_BOUNDS), file.u32s(sec::SO_S));
+        let dir_bounds = file.u64s(sec::SO_DIR_BOUNDS);
+        let base = file.u32s(sec::SO_DIR_BASE);
+        let starts = file.u32s(sec::SO_DIR_STARTS);
         sections::check_bounds(
             &FORMAT,
             "so directory bounds",
@@ -535,95 +511,84 @@ impl Snapshot {
         Ok(())
     }
 
-    /// The raw mapped file bytes.
+    /// The image's bytes, header included: what `store.snap` holds.
     pub fn bytes(&self) -> &[u8] {
-        self.map.bytes()
+        self.sections.bytes()
     }
 
     /// The Fx-64 digest of the whole file — what its `.fxsum` sidecar and a
-    /// bundle manifest record — from the one pass that checked it at open.
+    /// bundle manifest record — from the pass that encoded or checked it.
     pub fn digest(&self) -> u64 {
-        self.digest
+        self.sections.digest()
     }
 
-    fn raw(&self, i: usize) -> &[u8] {
-        let (off, len) = self.ranges[i];
-        &self.map.bytes()[off..off + len]
-    }
-
-    fn u32s(&self, i: usize) -> &[u32] {
-        cast_u32(self.raw(i))
-    }
-
-    fn u64s(&self, i: usize) -> &[u64] {
-        cast_u64(self.raw(i))
-    }
-
-    /// The mapped dictionary view.
-    pub fn dict(&self) -> MappedDict<'_> {
-        MappedDict {
-            string_bytes: self.raw(sec::STRING_BYTES),
-            string_offsets: self.u64s(sec::STRING_OFFSETS),
-            string_sorted: self.u32s(sec::STRING_SORTED),
-            term_tags: self.raw(sec::TERM_TAGS),
-            term_payloads: self.u64s(sec::TERM_PAYLOADS),
-            term_sorted: self.u32s(sec::TERM_SORTED),
-            predicate_syms: self.u32s(sec::PREDICATE_SYMS),
-            predicate_sorted: self.u32s(sec::PREDICATE_SORTED),
+    /// Whether the image is owned (built) or mapped (opened).
+    pub fn kind(&self) -> BackendKind {
+        if self.sections.is_mapped() {
+            BackendKind::Mapped
+        } else {
+            BackendKind::InMemory
         }
     }
 
-    /// The mapped columnar triple view.
+    /// Write the image to `path` (atomically) and return its digest.
+    pub(crate) fn write_to(&self, path: &Path) -> Result<u64> {
+        self.sections.write_to(path)
+    }
+
+    /// The dictionary view.
+    pub fn dict(&self) -> DictRef<'_> {
+        let s = &self.sections;
+        DictRef {
+            string_bytes: s.raw(sec::STRING_BYTES),
+            string_offsets: s.u64s(sec::STRING_OFFSETS),
+            string_sorted: s.u32s(sec::STRING_SORTED),
+            term_tags: s.raw(sec::TERM_TAGS),
+            term_payloads: s.u64s(sec::TERM_PAYLOADS),
+            term_sorted: s.u32s(sec::TERM_SORTED),
+            predicate_syms: s.u32s(sec::PREDICATE_SYMS),
+            predicate_sorted: s.u32s(sec::PREDICATE_SORTED),
+        }
+    }
+
+    /// The columnar triple view.
+    #[inline]
     pub fn cols(&self) -> ColsView<'_> {
+        let s = &self.sections;
         ColsView {
-            so_bounds: self.u64s(sec::SO_BOUNDS),
-            so_s: self.u32s(sec::SO_S),
-            so_o: self.u32s(sec::SO_O),
-            os_bounds: self.u64s(sec::OS_BOUNDS),
-            os_o: self.u32s(sec::OS_O),
-            os_s: self.u32s(sec::OS_S),
-            so_dir_bounds: self.u64s(sec::SO_DIR_BOUNDS),
-            so_dir_base: self.u32s(sec::SO_DIR_BASE),
-            so_dir_starts: self.u32s(sec::SO_DIR_STARTS),
+            so_bounds: s.u64s(sec::SO_BOUNDS),
+            so_s: s.u32s(sec::SO_S),
+            so_o: s.u32s(sec::SO_O),
+            os_bounds: s.u64s(sec::OS_BOUNDS),
+            os_o: s.u32s(sec::OS_O),
+            os_s: s.u32s(sec::OS_S),
+            so_dir_bounds: s.u64s(sec::SO_DIR_BOUNDS),
+            so_dir_base: s.u32s(sec::SO_DIR_BASE),
+            so_dir_starts: s.u32s(sec::SO_DIR_STARTS),
         }
     }
 
     /// The configured name predicates.
     pub fn name_predicates(&self) -> &[PredicateId] {
-        as_predicate_ids(self.u32s(sec::NAME_PREDICATES))
+        as_predicate_ids(self.sections.u32s(sec::NAME_PREDICATES))
     }
 
     /// Number of distinct lowercased names in the name index.
     pub fn name_entry_count(&self) -> usize {
-        self.u64s(sec::NAME_OFFSETS).len().saturating_sub(1)
+        let offsets = self.sections.u64s(sec::NAME_OFFSETS);
+        offsets.len().saturating_sub(1)
     }
 
     /// The `i`-th name entry, in sorted name order.
     pub fn name_entry(&self, i: usize) -> (&str, &[NodeId]) {
-        let offsets = self.u64s(sec::NAME_OFFSETS);
-        let bounds = self.u64s(sec::NAME_NODE_BOUNDS);
-        let name_bytes = &self.raw(sec::NAME_BYTES)[offsets[i] as usize..offsets[i + 1] as usize];
-        // SAFETY: UTF-8 of the section and offset boundaries validated at open.
+        let s = &self.sections;
+        let offsets = s.u64s(sec::NAME_OFFSETS);
+        let bounds = s.u64s(sec::NAME_NODE_BOUNDS);
+        let name_bytes = &s.raw(sec::NAME_BYTES)[offsets[i] as usize..offsets[i + 1] as usize];
+        // SAFETY: UTF-8 of the section and offset boundaries checked by `new`.
         let name = unsafe { std::str::from_utf8_unchecked(name_bytes) };
-        let ids = &self.u32s(sec::NAME_NODE_IDS)[bounds[i] as usize..bounds[i + 1] as usize];
+        let ids = &s.u32s(sec::NAME_NODE_IDS)[bounds[i] as usize..bounds[i + 1] as usize];
         (name, as_node_ids(ids))
-    }
-
-    /// Materialize the owned parts (dictionary, triples in `(p, s, o)`
-    /// order off the SO runs, name predicates) — the slow path used when a
-    /// mapped store must be re-serialized into the legacy JSON form.
-    pub fn to_parts(&self) -> (Dictionary, Vec<Triple>, Vec<PredicateId>) {
-        let md = self.dict();
-        let mut strings = Interner::with_capacity(md.string_count());
-        for sym in 0..md.string_count() as u32 {
-            strings.intern(md.resolve_sym(sym));
-        }
-        let terms: Vec<Term> = (0..md.node_count())
-            .map(|i| decode_term(md.term_tags[i], md.term_payloads[i]))
-            .collect();
-        let dict = Dictionary::from_raw_parts(strings, terms, md.predicate_syms.to_vec());
-        let triples: Vec<Triple> = self.cols().triples().collect();
-        (dict, triples, self.name_predicates().to_vec())
     }
 }
 
@@ -638,14 +603,16 @@ fn check_perm(what: &str, perm: &[u32], n: usize) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Mapped dictionary
+// Dictionary view
 // ---------------------------------------------------------------------------
 
-/// Read-only dictionary view over mapped snapshot sections. Every lookup the
-/// owned [`Dictionary`] answers through hash maps is answered here by binary
-/// search over sorted permutation arrays — nothing was rebuilt at load time.
+/// The store's dictionary: a copyable view over the image's dictionary
+/// sections, owned or mapped alike. Every lookup a builder answers through
+/// hash maps is answered here by binary search over sorted permutation
+/// arrays, so nothing is rebuilt at load time; returned `&str` borrows carry
+/// the store's lifetime, not the handle's.
 #[derive(Clone, Copy, Debug)]
-pub struct MappedDict<'a> {
+pub struct DictRef<'a> {
     string_bytes: &'a [u8],
     string_offsets: &'a [u64],
     string_sorted: &'a [u32],
@@ -656,22 +623,17 @@ pub struct MappedDict<'a> {
     predicate_sorted: &'a [u32],
 }
 
-impl<'a> MappedDict<'a> {
-    /// Number of interned strings.
-    pub fn string_count(&self) -> usize {
-        self.string_sorted.len()
-    }
-
+impl<'a> DictRef<'a> {
     /// Resolve an interned string symbol.
     pub fn resolve_sym(&self, sym: u32) -> &'a str {
         let lo = self.string_offsets[sym as usize] as usize;
         let hi = self.string_offsets[sym as usize + 1] as usize;
-        // SAFETY: section UTF-8 and offset boundaries validated at open.
+        // SAFETY: section UTF-8 and offset boundaries checked by `Snapshot::new`.
         unsafe { std::str::from_utf8_unchecked(&self.string_bytes[lo..hi]) }
     }
 
     /// Find the symbol of `s`, if interned.
-    pub fn find_sym(&self, s: &str) -> Option<u32> {
+    fn find_sym(&self, s: &str) -> Option<u32> {
         let i = self
             .string_sorted
             .partition_point(|&sym| self.resolve_sym(sym) < s);
@@ -719,6 +681,27 @@ impl<'a> MappedDict<'a> {
         self.resolve_sym(self.predicate_syms[id.index()])
     }
 
+    /// Render a node's surface form: literals render their value; resources
+    /// render their IRI (a resource's *human* name is a graph edge, which
+    /// the store's name index resolves).
+    pub fn render(&self, id: NodeId) -> String {
+        match self.node_term(id) {
+            Term::Resource(sym) | Term::Literal(Literal::Str(sym)) => {
+                self.resolve_sym(sym).to_owned()
+            }
+            Term::Literal(Literal::Int(v)) => v.to_string(),
+            Term::Literal(Literal::Year(y)) => y.to_string(),
+        }
+    }
+
+    /// Borrowed fast path of [`DictRef::render`] for textual nodes.
+    pub fn render_str(&self, id: NodeId) -> Option<&'a str> {
+        match self.node_term(id) {
+            Term::Resource(sym) | Term::Literal(Literal::Str(sym)) => Some(self.resolve_sym(sym)),
+            _ => None,
+        }
+    }
+
     /// Number of distinct nodes.
     pub fn node_count(&self) -> usize {
         self.term_tags.len()
@@ -727,5 +710,15 @@ impl<'a> MappedDict<'a> {
     /// Number of distinct predicates.
     pub fn predicate_count(&self) -> usize {
         self.predicate_syms.len()
+    }
+
+    /// Iterate all node ids.
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + 'a {
+        (0..self.node_count() as u32).map(NodeId::new)
+    }
+
+    /// Iterate all predicate ids.
+    pub fn predicates(&self) -> impl Iterator<Item = PredicateId> + 'a {
+        (0..self.predicate_count() as u32).map(PredicateId::new)
     }
 }

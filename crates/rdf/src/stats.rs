@@ -95,7 +95,7 @@ pub struct PredicateStats {
 
 /// Compute [`PredicateStats`] for every predicate, in predicate-id order.
 pub fn per_predicate(store: &TripleStore) -> Vec<PredicateStats> {
-    let cols = store.backend().cols();
+    let cols = store.cols();
     let dict = store.dict();
     (0..cols.predicate_count())
         .map(|i| {

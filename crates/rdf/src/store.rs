@@ -1,5 +1,5 @@
-//! The triple store: a backend-polymorphic query surface over
-//! dictionary-encoded, predicate-partitioned columnar triples.
+//! The triple store: one query surface over dictionary-encoded,
+//! predicate-partitioned columnar triples in one store image.
 //!
 //! The data plane lives in [`crate::columnar`]: per-predicate `(s, o)` and
 //! `(o, s)` sorted runs over parallel `u32` columns, plus, on a built store,
@@ -13,25 +13,49 @@
 //! | `predicates_between(s, o)` | SO probe per `p` | "which predicates connect e and v?" (Eq 8) |
 //! | `out_edges` / `in_edges` | SO / OS across `p` | neighborhood walks |
 //! | `scan()` | log (built) / SO (mapped) | the "read the KB file once" primitive of Sec 6.2 |
-//! | `triples()` | SO | every triple in `(p, s, o)` order, alike on either backend |
+//! | `triples()` | SO | every triple in `(p, s, o)` order, alike on a built store and its mapped twin |
 //!
-//! Storage is behind [`StoreBackend`]: [`BackendKind::InMemory`] owns the
-//! columns on the heap, [`BackendKind::Mapped`] serves them straight out of
-//! an `mmap`ed [`Snapshot`] — same code paths, pinned equivalent by
-//! `rdf/tests/backend_equivalence.rs`. The expansion harness still counts
+//! A store is one [`Snapshot`] — the `store.snap` image, owned on the heap
+//! when [`crate::GraphBuilder::build`] encoded it ([`BackendKind::InMemory`])
+//! or mapped read-only when [`Snapshot::open`] read it
+//! ([`BackendKind::Mapped`]) — plus, on a built store, the builder's
+//! insertion-order log for [`TripleStore::scan`]. Every other read takes the
+//! same path over the image either way. The expansion harness still counts
 //! [`TripleStore::scan`] passes to validate the O(k·|K|) claim.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Serialize, Value};
-
-use crate::backend::{BackendKind, InMemoryBackend, MappedBackend, StoreBackend};
 use crate::columnar::ColsView;
-use crate::dictionary::{DictRef, Dictionary};
-use crate::snapshot::{self, Snapshot, SnapshotSource};
+use crate::snapshot::{self, DictRef, Snapshot};
 use crate::term::{Literal, Term};
 use crate::triple::{NodeId, PredicateId, Triple};
+
+/// Which backing a store's image has. Surfaced in `/healthz` as
+/// `in_memory` / `mapped`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum BackendKind {
+    /// An owned image on the heap, encoded by [`crate::GraphBuilder::build`].
+    InMemory,
+    /// A `store.snap` mapped read-only.
+    Mapped,
+}
+
+impl BackendKind {
+    /// Stable lowercase label for telemetry payloads.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Self::InMemory => "in_memory",
+            Self::Mapped => "mapped",
+        }
+    }
+}
+
+impl std::fmt::Display for BackendKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
 
 /// A node's surface form as [`TripleStore::surface_form`] returns it:
 /// borrowed text, or a numeric literal not yet formatted.
@@ -53,30 +77,23 @@ impl std::fmt::Display for Surface<'_> {
 }
 
 /// An immutable, fully indexed RDF store. Construct via
-/// [`crate::GraphBuilder`], deserialization, or [`TripleStore::from_snapshot`].
+/// [`crate::GraphBuilder`] or [`TripleStore::from_snapshot`].
 #[derive(Debug)]
 pub struct TripleStore {
-    backend: Backend,
+    snap: Snapshot,
+    /// A built store's insertion-order log, which [`TripleStore::scan`]
+    /// replays; a mapped store has none.
+    log: Option<Box<[Triple]>>,
     /// Scan-pass telemetry (not persisted; diagnostic only).
     scan_passes: AtomicU64,
 }
 
-#[derive(Debug)]
-enum Backend {
-    InMemory(InMemoryBackend),
-    Mapped(MappedBackend),
-}
-
 impl TripleStore {
-    /// Build a store from interned triples. Deduplicates; `name_predicates`
-    /// drive the entity-name index.
-    pub(crate) fn build(
-        dict: Dictionary,
-        triples: Vec<Triple>,
-        name_predicates: Vec<PredicateId>,
-    ) -> Self {
+    /// A built store: its encoded image and the builder's log.
+    pub(crate) fn built(snap: Snapshot, log: Box<[Triple]>) -> Self {
         Self {
-            backend: Backend::InMemory(InMemoryBackend::build(dict, triples, name_predicates)),
+            snap,
+            log: Some(log),
             scan_passes: AtomicU64::new(0),
         }
     }
@@ -84,60 +101,33 @@ impl TripleStore {
     /// Serve directly out of an open snapshot — the zero-copy load path.
     pub fn from_snapshot(snap: Snapshot) -> Self {
         Self {
-            backend: Backend::Mapped(MappedBackend::new(snap)),
+            snap,
+            log: None,
             scan_passes: AtomicU64::new(0),
         }
     }
 
-    /// The active storage backend, as the [`StoreBackend`] contract.
-    pub fn backend(&self) -> &dyn StoreBackend {
-        match &self.backend {
-            Backend::InMemory(b) => b,
-            Backend::Mapped(m) => m,
-        }
-    }
-
-    /// Which backend this store runs on (`in_memory` / `mapped`).
+    /// Whether the store's image is owned (`in_memory`) or mapped.
     pub fn backend_kind(&self) -> BackendKind {
-        self.backend().kind()
+        self.snap.kind()
     }
 
-    /// Write this store as a snapshot file at `path` (atomic: temp +
-    /// `fsync` + rename). Returns the Fx-64 digest of the final file, which
+    /// Write this store's image as a snapshot file at `path` (atomic: temp +
+    /// `fsync` + rename). Returns the Fx-64 digest of the file, which
     /// callers record in the `.fxsum` sidecar.
     pub fn write_snapshot(&self, path: &Path) -> kbqa_common::error::Result<u64> {
-        match &self.backend {
-            Backend::InMemory(b) => {
-                let (strings, terms, predicate_syms) = b.dict.raw_parts();
-                let src = SnapshotSource {
-                    strings,
-                    terms,
-                    predicate_syms,
-                    cols: b.cols.view(),
-                    name_predicates: &b.name_predicates,
-                    name_entries: self.name_entries().collect(),
-                };
-                snapshot::write_source(&src, path)
-            }
-            // A mapped store already *is* its snapshot; re-snapshotting is a
-            // verbatim byte copy, whose digest was taken at open.
-            Backend::Mapped(m) => {
-                crate::sections::write_image(m.snapshot().bytes(), path)?;
-                Ok(m.snapshot().digest())
-            }
-        }
+        self.snap.write_to(path)
     }
 
-    fn cols(&self) -> ColsView<'_> {
-        match &self.backend {
-            Backend::InMemory(b) => b.cols.view(),
-            Backend::Mapped(m) => m.snapshot().cols(),
-        }
+    /// The columnar view of the SO and OS runs and the SO directory.
+    #[inline]
+    pub fn cols(&self) -> ColsView<'_> {
+        self.snap.cols()
     }
 
     /// The dictionary view backing this store.
     pub fn dict(&self) -> DictRef<'_> {
-        self.backend().dict()
+        self.snap.dict()
     }
 
     /// Total number of stored (distinct) triples.
@@ -160,9 +150,9 @@ impl TripleStore {
     /// triples, in another order.
     pub fn scan(&self) -> impl Iterator<Item = Triple> + '_ {
         self.scan_passes.fetch_add(1, Ordering::Relaxed);
-        let (log, runs) = match &self.backend {
-            Backend::InMemory(b) => (Some(b.cols.log()), None),
-            Backend::Mapped(m) => (None, Some(m.snapshot().cols().triples())),
+        let (log, runs) = match &self.log {
+            Some(log) => (Some(log.iter().copied()), None),
+            None => (None, Some(self.cols().triples())),
         };
         log.into_iter().flatten().chain(runs.into_iter().flatten())
     }
@@ -259,7 +249,7 @@ impl TripleStore {
 
     /// The configured name predicates.
     pub fn name_predicates(&self) -> &[PredicateId] {
-        self.backend().name_predicates()
+        self.snap.name_predicates()
     }
 
     /// Resources whose name matches `name` case-insensitively — the KB-side
@@ -274,7 +264,7 @@ impl TripleStore {
     }
 
     /// Nodes bearing the already-lowercased `lower`: a binary search over
-    /// the name index, which both backends keep sorted.
+    /// the name index, which the image keeps sorted.
     fn entities_named_lower(&self, lower: &str) -> &[NodeId] {
         let n = self.name_entry_count();
         let (mut lo, mut hi) = (0, n);
@@ -301,10 +291,9 @@ impl TripleStore {
     /// of [`TripleStore::names_of`] for hot paths that only need the first
     /// name (answer rendering materializes thousands of surfaces per second).
     pub fn names_of_iter(&self, node: NodeId) -> impl Iterator<Item = &str> + '_ {
-        let b = self.backend();
-        let v = b.cols();
-        let dict = b.dict();
-        b.name_predicates()
+        let v = self.cols();
+        let dict = self.dict();
+        self.name_predicates()
             .iter()
             .flat_map(move |&p| v.objects(node.raw(), p).iter().copied())
             .filter_map(move |o| dict.render_str(NodeId::new(o)))
@@ -344,30 +333,19 @@ impl TripleStore {
     }
 
     /// Iterate every distinct `(name, nodes)` pair in the name index
-    /// (gazetteer construction), sorted by name on either backend.
+    /// (gazetteer construction), sorted by name.
     pub fn name_entries(&self) -> impl Iterator<Item = (&str, &[NodeId])> {
         (0..self.name_entry_count()).map(|i| self.name_entry(i))
     }
 
     /// Number of distinct names in the name index.
     pub fn name_entry_count(&self) -> usize {
-        self.backend().name_entry_count()
+        self.snap.name_entry_count()
     }
 
-    /// The `i`-th `(name, nodes)` entry of the name index, in name order —
-    /// the same entry on either backend.
+    /// The `i`-th `(name, nodes)` entry of the name index, in name order.
     pub fn name_entry(&self, i: usize) -> (&str, &[NodeId]) {
-        self.backend().name_entry(i)
-    }
-
-    /// Rebuild derived state after deserialization. A mapped store has no
-    /// derived state — everything is searched in place — so this is a no-op
-    /// there.
-    pub fn rebuild_index(&mut self) {
-        if let Backend::InMemory(b) = &mut self.backend {
-            b.dict.rebuild_index();
-            b.rebuild_name_index();
-        }
+        self.snap.name_entry(i)
     }
 }
 
@@ -404,53 +382,6 @@ impl Iterator for PredicateTriples<'_> {
 }
 
 impl ExactSizeIterator for PredicateTriples<'_> {}
-
-// Persisted (JSON) form: the logical content only — dictionary, deduplicated
-// triples (a built store's log order; a mapped store's SO order),
-// name-predicate configuration. Derived structures (runs, name
-// index, lookup maps) are rebuilt on load. Mapped stores serialize by
-// materializing the same logical content, so a JSON roundtrip of either
-// backend yields an equivalent in-memory store.
-impl Serialize for TripleStore {
-    fn to_value(&self) -> Value {
-        let (dict_value, triples, name_predicates) = match &self.backend {
-            Backend::InMemory(b) => {
-                let triples: Vec<Triple> = b.cols.log().collect();
-                (b.dict.to_value(), triples, b.name_predicates.clone())
-            }
-            Backend::Mapped(m) => {
-                let (dict, triples, name_predicates) = m.snapshot().to_parts();
-                (dict.to_value(), triples, name_predicates)
-            }
-        };
-        Value::Map(vec![
-            ("dict".to_owned(), dict_value),
-            ("triples".to_owned(), triples.to_value()),
-            ("name_predicates".to_owned(), name_predicates.to_value()),
-        ])
-    }
-}
-
-/// The persisted (JSON) form read back: see the `Serialize` impl above.
-#[derive(serde::Deserialize)]
-struct Persisted {
-    dict: Dictionary,
-    triples: Vec<Triple>,
-    name_predicates: Vec<PredicateId>,
-}
-
-impl serde::de::Deserialize for TripleStore {
-    fn deserialize(r: &mut serde::de::Reader<'_>) -> std::result::Result<Self, serde::de::Error> {
-        let Persisted {
-            dict,
-            triples,
-            name_predicates,
-        } = Persisted::deserialize(r)?;
-        let mut store = Self::build(dict, triples, name_predicates);
-        store.rebuild_index();
-        Ok(store)
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -3,8 +3,8 @@
 //! Following the paper's toy KB (Fig. 1), graph nodes are either *resources*
 //! (entities like Barack Obama, or anonymous CVT nodes like the `marriage`
 //! node) or *literals* (strings like "Michelle Obama", numbers like 390K,
-//! years like 1961). Strings are interned in the [`crate::Dictionary`], so a
-//! [`Term`] is a small copyable value.
+//! years like 1961). Strings are interned in the store's dictionary
+//! ([`crate::DictRef`]), so a [`Term`] is a small copyable value.
 
 use serde::{Deserialize, Serialize};
 

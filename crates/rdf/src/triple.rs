@@ -5,12 +5,13 @@ use serde::{Deserialize, Serialize};
 
 define_id!(
     /// A node in the RDF graph: an entity resource, a CVT (compound value
-    /// type) resource, or a literal. Dense, assigned by the [`crate::Dictionary`].
+    /// type) resource, or a literal. Dense, assigned by the builder's
+    /// dictionary.
     pub struct NodeId
 );
 
 define_id!(
-    /// A predicate (edge label). Dense, assigned by the [`crate::Dictionary`].
+    /// A predicate (edge label). Dense, assigned by the builder's dictionary.
     pub struct PredicateId
 );
 
