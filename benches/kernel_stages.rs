@@ -533,9 +533,9 @@ fn piece(name: &str, now: f64, before: f64, before_name: &str) {
     );
 }
 
-/// The serving edge's pieces: request decode as the server runs it, then
-/// the two the rendered-bytes path replaced, each timed against what it
-/// replaced.
+/// The serving edge's pieces: request decode and the cache key as the
+/// server runs them, then the two the rendered-bytes path replaced, each
+/// timed against what it replaced.
 fn serving_pieces(requests: &[QaRequest], service: &KbqaService) {
     println!("serving pieces:");
 
@@ -570,6 +570,18 @@ fn serving_pieces(requests: &[QaRequest], service: &KbqaService) {
         "  {:<28} {batched:>7.0} ns/question",
         "decode (256-question batch)"
     );
+
+    // The cache key every request pays for, hit or miss, built into one
+    // reused buffer as the server builds it.
+    let mut key = String::with_capacity(256);
+    let keyed = ns_per(requests.len(), || {
+        for request in requests {
+            key.clear();
+            service.cache_key_into(request, &mut key);
+            black_box(&key);
+        }
+    });
+    println!("  {:<28} {keyed:>7.0} ns/question", "cache key");
 
     // Answering: rendered from ids vs materialized, then serialized.
     let mut out = Vec::with_capacity(4 << 10);

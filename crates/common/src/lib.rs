@@ -5,6 +5,8 @@
 //! This crate hosts the small, dependency-free building blocks that every
 //! other crate in the workspace leans on:
 //!
+//! * [`decimal`] — integer-to-decimal rendering straight into a byte or
+//!   string buffer, without `core::fmt`, for the serving edge.
 //! * [`hash`] — an FxHash-style hasher plus `FxHashMap`/`FxHashSet` aliases.
 //!   Database-style workloads hash millions of small integer and short-string
 //!   keys; SipHash's DoS resistance is wasted there.
@@ -18,6 +20,7 @@
 //! * [`rng`] — deterministic, seedable RNG construction for reproducible
 //!   world/corpus generation.
 
+pub mod decimal;
 pub mod error;
 pub mod float;
 pub mod hash;

@@ -19,10 +19,14 @@
 //! * strings escape `"` `\` `\n` `\r` `\t` and all other control chars
 //!   below 0x20 as lowercase `\u00xx`.
 //!
-//! Integer and float formatting go through [`std::fmt`] into the buffer via
-//! a small adapter — the formatting machinery for primitives is
-//! allocation-free, so the whole path is too (pinned by the counting
-//! allocator test in `tests/alloc_steady_state.rs`).
+//! Integers (node ids, numeric literals, the model epoch, stats and stage
+//! timings) go through [`kbqa_common::decimal`]'s digit writer; only a
+//! float's shortest round-trip digits go through [`std::fmt`], via a small
+//! adapter into the buffer. Neither allocates, so the whole path is
+//! allocation-free (pinned by the counting allocator test in
+//! `tests/alloc_steady_state.rs`). A string is scanned a word at a time
+//! for bytes that need escaping and, when it has none — the usual case —
+//! copied in one piece.
 //!
 //! There is one answer writer, `write_answer`, generic over where a string
 //! field's text comes from. [`QaResponse::serialize_into`] hands it owned
@@ -32,14 +36,15 @@
 //! [`crate::service::KbqaService::answer_into`] renders a plain BFQ
 //! response without materializing an `Answer` or a `String`.
 
+use kbqa_common::decimal::{push_i64, push_u64};
 use kbqa_obs::StageBreakdown;
 use kbqa_rdf::{ExpandedPredicate, NodeId, Surface, TripleStore};
 
 use crate::engine::ChoiceStats;
 use crate::service::{QaResponse, Refusal};
 
-/// `fmt::Write` over a byte buffer, so primitive formatting (`u64`, `{:?}`
-/// floats) lands directly in the output without an intermediate `String`.
+/// `fmt::Write` over a byte buffer, so `{:?}` float formatting lands
+/// directly in the output without an intermediate `String`.
 struct BufWrite<'a>(&'a mut Vec<u8>);
 
 impl std::fmt::Write for BufWrite<'_> {
@@ -47,11 +52,6 @@ impl std::fmt::Write for BufWrite<'_> {
         self.0.extend_from_slice(s.as_bytes());
         Ok(())
     }
-}
-
-fn write_display(out: &mut Vec<u8>, v: impl std::fmt::Display) {
-    use std::fmt::Write as _;
-    let _ = write!(BufWrite(out), "{v}");
 }
 
 fn write_f64(out: &mut Vec<u8>, v: f64) {
@@ -63,12 +63,44 @@ fn write_f64(out: &mut Vec<u8>, v: f64) {
     }
 }
 
+/// Whether any byte of `bytes` is `"`, `\\` or below 0x20 — a byte
+/// [`write_escaped`] must escape. Whole 8-byte words are tested at once:
+/// `has_zero(w)` is non-zero iff some byte of `w` is 0 (the borrow of
+/// `w - 0x01…01` reaches a byte's high bit only through a zero byte below
+/// it or that byte itself), and `has_below(w, 0x20)` likewise iff some
+/// byte is below 0x20; bytes ≥ 0x80 (multi-byte UTF-8) can set neither.
+/// The sub-word tail is tested byte by byte.
+fn needs_escape(bytes: &[u8]) -> bool {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let has_below = |w: u64, n: u8| w.wrapping_sub(ONES * u64::from(n)) & !w & HIGHS;
+    let has_zero = |w: u64| has_below(w, 1);
+    let mut words = bytes.chunks_exact(8);
+    for word in words.by_ref() {
+        let w = u64::from_ne_bytes(word.try_into().expect("8-byte chunk"));
+        let hits = has_below(w, 0x20)
+            | has_zero(w ^ (ONES * u64::from(b'"')))
+            | has_zero(w ^ (ONES * u64::from(b'\\')));
+        if hits != 0 {
+            return true;
+        }
+    }
+    words
+        .remainder()
+        .iter()
+        .any(|&b| b < 0x20 || b == b'"' || b == b'\\')
+}
+
 /// JSON string escaping, byte-identical to the vendored writer, without the
-/// surrounding quotes. Escapes are all single-byte ASCII, so we scan bytes
-/// and copy unescaped runs wholesale — multi-byte UTF-8 passes through
-/// untouched.
+/// surrounding quotes. A string with nothing to escape is copied whole;
+/// otherwise escapes are all single-byte ASCII, so we scan bytes and copy
+/// unescaped runs wholesale — multi-byte UTF-8 passes through untouched.
 fn write_escaped(out: &mut Vec<u8>, s: &str) {
     let bytes = s.as_bytes();
+    if !needs_escape(bytes) {
+        out.extend_from_slice(bytes);
+        return;
+    }
     let mut run_start = 0;
     for (i, &b) in bytes.iter().enumerate() {
         let esc: &[u8] = match b {
@@ -117,7 +149,7 @@ impl JsonText for Surface<'_> {
             Surface::Text(text) => text.write_json(out),
             Surface::Number(v) => {
                 out.push(b'"');
-                write_display(out, v);
+                push_i64(out, v);
                 out.push(b'"');
             }
         }
@@ -172,7 +204,7 @@ pub(crate) fn write_answer(
     value.write_json(out);
     out.extend_from_slice(b",\"node\":");
     match node {
-        Some(node) => write_display(out, node.0),
+        Some(node) => push_u64(out, u64::from(node.0)),
         None => out.extend_from_slice(b"null"),
     }
     out.extend_from_slice(b",\"score\":");
@@ -210,7 +242,7 @@ pub(crate) fn write_response_tail(
         None => out.extend_from_slice(b"null"),
     }
     out.extend_from_slice(b",\"model_epoch\":");
-    write_display(out, model_epoch);
+    push_u64(out, model_epoch);
     out.extend_from_slice(b",\"stage_us\":");
     match stage_us {
         Some(s) => write_stage_us(out, s),
@@ -221,7 +253,7 @@ pub(crate) fn write_response_tail(
 
 fn write_stats(out: &mut Vec<u8>, s: &ChoiceStats) {
     out.extend_from_slice(b"{\"entities\":");
-    write_display(out, s.entities);
+    push_u64(out, s.entities as u64);
     out.extend_from_slice(b",\"templates_per_pair\":");
     write_f64(out, s.templates_per_pair);
     out.extend_from_slice(b",\"predicates_per_template\":");
@@ -233,21 +265,21 @@ fn write_stats(out: &mut Vec<u8>, s: &ChoiceStats) {
 
 fn write_stage_us(out: &mut Vec<u8>, s: &StageBreakdown) {
     out.extend_from_slice(b"{\"parse_us\":");
-    write_display(out, s.parse_us);
+    push_u64(out, s.parse_us);
     out.extend_from_slice(b",\"ner_grounding_us\":");
-    write_display(out, s.ner_grounding_us);
+    push_u64(out, s.ner_grounding_us);
     out.extend_from_slice(b",\"conceptualize_us\":");
-    write_display(out, s.conceptualize_us);
+    push_u64(out, s.conceptualize_us);
     out.extend_from_slice(b",\"template_match_us\":");
-    write_display(out, s.template_match_us);
+    push_u64(out, s.template_match_us);
     out.extend_from_slice(b",\"predicate_score_us\":");
-    write_display(out, s.predicate_score_us);
+    push_u64(out, s.predicate_score_us);
     out.extend_from_slice(b",\"value_lookup_us\":");
-    write_display(out, s.value_lookup_us);
+    push_u64(out, s.value_lookup_us);
     out.extend_from_slice(b",\"rank_topk_us\":");
-    write_display(out, s.rank_topk_us);
+    push_u64(out, s.rank_topk_us);
     out.extend_from_slice(b",\"serialize_us\":");
-    write_display(out, s.serialize_us);
+    push_u64(out, s.serialize_us);
     out.push(b'}');
 }
 
@@ -367,6 +399,44 @@ mod tests {
         ] {
             let resp = QaResponse::from_answers(vec![answer(value, Some(1), 0.5)]);
             assert_identical(&resp);
+        }
+
+        // `write_escaped` tests whole 8-byte words, then the tail byte by
+        // byte: put every escapable byte at every offset of strings that
+        // end inside, on and past word edges.
+        let expect_identical = |value: &str| {
+            let mut direct = Vec::new();
+            value.write_json(&mut direct);
+            assert_eq!(
+                String::from_utf8(direct).expect("utf8"),
+                serde_json::to_string(value).expect("serde_json"),
+                "{value:?}"
+            );
+        };
+        let escapable = (0x00..0x20u8).chain([b'"', b'\\']);
+        for byte in escapable {
+            for len in 0..=24 {
+                expect_identical(&"a".repeat(len));
+                for at in 0..len {
+                    let mut bytes = vec![b'a'; len];
+                    bytes[at] = byte;
+                    expect_identical(std::str::from_utf8(&bytes).expect("ascii"));
+                }
+            }
+        }
+        // Bytes ≥ 0x80 and 0x7F filling whole words are not escaped, alone
+        // or beside an escape in the next word or the tail.
+        for fill in [
+            "θθθθ",
+            "東京東京東京東京",
+            "🗼🗼",
+            "\u{7f}\u{7f}\u{7f}\u{7f}\u{7f}\u{7f}\u{7f}\u{7f}",
+        ] {
+            for tail in ["", "x", "\"", "\u{1f}", "abcdefgh\\", "\u{7f}\n"] {
+                expect_identical(&format!("{fill}{tail}"));
+                expect_identical(&format!("{tail}{fill}"));
+                expect_identical(&format!("{fill}{fill}{tail}"));
+            }
         }
     }
 

@@ -86,6 +86,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+use kbqa_common::decimal::Decimal;
 use kbqa_nlp::GazetteerNer;
 use kbqa_obs::{Observability, StageBreakdown};
 use kbqa_rdf::TripleStore;
@@ -270,12 +271,37 @@ impl QaRequest {
     }
 
     /// Append [`QaRequest::normalized_question`] to `out` in one pass over
-    /// the question, with no intermediate `String`.
+    /// the question's bytes, with no intermediate `String`. A run of ASCII
+    /// word bytes is copied whole and lowercased in place; a byte ≥ 0x80
+    /// starts a character that is decoded and tested with
+    /// [`char::is_whitespace`], so Unicode gaps (U+00A0, U+3000, …) still
+    /// separate words.
     fn push_normalized_question(&self, out: &mut String) {
+        // The ASCII bytes `char::is_whitespace` accepts (tab through carriage
+        // return, space) and U+001F, the key's field separator.
+        let is_gap = |b: u8| matches!(b, b'\t'..=b'\r' | b' ' | 0x1f);
+        let question = self.question.as_str();
+        let bytes = question.as_bytes();
         let mut any_word = false;
         let mut in_gap = false;
-        for c in self.question.chars() {
-            if c.is_whitespace() || c == '\u{1f}' {
+        let mut i = 0;
+        while i < bytes.len() {
+            let start = i;
+            let gap = if bytes[i] >= 0x80 {
+                let c = question[i..].chars().next().expect("a char starts at i");
+                i += c.len_utf8();
+                c.is_whitespace()
+            } else if is_gap(bytes[i]) {
+                i += 1;
+                true
+            } else {
+                i += 1;
+                while i < bytes.len() && bytes[i] < 0x80 && !is_gap(bytes[i]) {
+                    i += 1;
+                }
+                false
+            };
+            if gap {
                 in_gap = true;
                 continue;
             }
@@ -284,7 +310,9 @@ impl QaRequest {
             }
             in_gap = false;
             any_word = true;
-            out.push(c.to_ascii_lowercase());
+            let from = out.len();
+            out.push_str(&question[start..i]);
+            out[from..].make_ascii_lowercase();
         }
     }
 
@@ -305,7 +333,7 @@ impl QaRequest {
     /// request, not the question, and must never fragment the cache.
     pub fn cache_key(&self, base: &EngineConfig) -> String {
         let mut out = String::with_capacity(self.cache_key_capacity());
-        self.push_cache_key(base, &mut out);
+        self.push_cache_key(base, None, &mut out);
         out
     }
 
@@ -317,25 +345,44 @@ impl QaRequest {
         self.question.len() + 48
     }
 
+    /// Whether this request overrides any [`EngineConfig`] default.
+    fn overrides_config(&self) -> bool {
+        self.top_k.is_some() || self.min_theta.is_some() || self.decompose.is_some()
+    }
+
     /// Append [`QaRequest::cache_key`] to `out`: every field is rendered
-    /// straight into the one buffer, and the overrides are resolved against
-    /// `base` field by field rather than through a cloned [`EngineConfig`].
-    fn push_cache_key(&self, base: &EngineConfig, out: &mut String) {
+    /// straight into the one buffer. `base_suffix`, when given, is
+    /// [`QaRequest::push_config_suffix`] of an override-free request under
+    /// `base`, rendered once by the caller; a request that overrides
+    /// nothing copies it instead of rendering its own.
+    fn push_cache_key(&self, base: &EngineConfig, base_suffix: Option<&str>, out: &mut String) {
+        self.push_normalized_question(out);
+        match base_suffix {
+            Some(suffix) if !self.overrides_config() => out.push_str(suffix),
+            _ => self.push_config_suffix(base, out),
+        }
+        out.push_str(flag(self.explain));
+    }
+
+    /// Append the key's config fields, each after a `\u{1f}` and with one
+    /// closing `\u{1f}`: the overrides resolved against `base` field by
+    /// field rather than through a cloned [`EngineConfig`].
+    fn push_config_suffix(&self, base: &EngineConfig, out: &mut String) {
         use std::fmt::Write as _;
         const SEP: char = '\u{1f}';
-        self.push_normalized_question(out);
+        let decimal = |v: usize| Decimal::new(v as u64);
+        out.push(SEP);
+        out.push_str(decimal(self.top_k.unwrap_or(base.top_k)).as_str());
+        out.push(SEP);
         // Writing into a `String` cannot fail.
-        let _ = write!(
-            out,
-            "{SEP}{}{SEP}{:?}{SEP}{}{SEP}",
-            self.top_k.unwrap_or(base.top_k),
-            self.min_theta.unwrap_or(base.min_theta),
-            base.max_concepts,
-        );
-        let flag = |b: bool| if b { "true" } else { "false" };
+        let _ = write!(out, "{:?}", self.min_theta.unwrap_or(base.min_theta));
+        out.push(SEP);
+        out.push_str(decimal(base.max_concepts).as_str());
+        out.push(SEP);
         out.push_str(flag(self.decompose.unwrap_or(base.decompose)));
-        let _ = write!(out, "{SEP}{}{SEP}", base.chain_width);
-        out.push_str(flag(self.explain));
+        out.push(SEP);
+        out.push_str(decimal(base.chain_width).as_str());
+        out.push(SEP);
     }
 
     /// The nested-`format!` rendering [`QaRequest::cache_key`] replaced,
@@ -367,6 +414,15 @@ impl QaRequest {
             cfg.chain_width,
             self.explain,
         )
+    }
+}
+
+/// A cache-key flag field as `{}` renders a `bool`.
+fn flag(b: bool) -> &'static str {
+    if b {
+        "true"
+    } else {
+        "false"
     }
 }
 
@@ -536,6 +592,7 @@ impl KbqaServiceBuilder {
             model_epoch: self.model_epoch,
             ner,
             pattern_index: self.pattern_index,
+            key_suffix: KbqaService::key_suffix(&self.config),
             config: self.config,
             obs: self.obs,
         }
@@ -563,6 +620,10 @@ pub struct KbqaService {
     ner: Arc<GazetteerNer>,
     pattern_index: Option<Arc<PatternIndex>>,
     config: EngineConfig,
+    /// `config` rendered as the cache key's config suffix, the tail of
+    /// every key whose request overrides nothing; rendered again whenever
+    /// `config` is replaced.
+    key_suffix: Arc<str>,
     obs: Option<Arc<Observability>>,
 }
 
@@ -596,8 +657,16 @@ impl KbqaService {
 
     /// Replace the default engine configuration.
     pub fn with_config(mut self, config: EngineConfig) -> Self {
+        self.key_suffix = Self::key_suffix(&config);
         self.config = config;
         self
+    }
+
+    /// The cache key's config suffix for a request without overrides.
+    fn key_suffix(config: &EngineConfig) -> Arc<str> {
+        let mut suffix = String::new();
+        QaRequest::new("").push_config_suffix(config, &mut suffix);
+        suffix.into()
     }
 
     /// Install an observability sink after construction (see
@@ -703,10 +772,9 @@ impl KbqaService {
     /// every key in one reused buffer and pays for an owned key only when
     /// a miss inserts it.
     pub fn cache_key_into(&self, request: &QaRequest, out: &mut String) {
-        use std::fmt::Write as _;
-        // Writing into a `String` cannot fail.
-        let _ = write!(out, "{}\u{1f}", self.model_epoch);
-        request.push_cache_key(&self.config, out);
+        out.push_str(Decimal::new(self.model_epoch).as_str());
+        out.push('\u{1f}');
+        request.push_cache_key(&self.config, Some(&self.key_suffix), out);
     }
 
     /// Answer one request under this service's model, stamping the epoch.
@@ -987,6 +1055,21 @@ impl QaSystem for KbqaService {
 mod tests {
     use super::*;
 
+    /// A service over empty substrate: enough to render cache keys.
+    fn bare_service(config: EngineConfig, epoch: u64) -> KbqaService {
+        KbqaService::builder(
+            Arc::new(kbqa_rdf::GraphBuilder::new().build()),
+            Arc::new(Conceptualizer::new(
+                kbqa_taxonomy::NetworkBuilder::new().build(),
+            )),
+            Arc::new(LearnedModel::default()),
+        )
+        .ner(Arc::new(GazetteerNer::default()))
+        .config(config)
+        .model_epoch(epoch)
+        .build()
+    }
+
     // `KbqaService` must stay thread-shareable: this is a compile-time
     // assertion, not a runtime check.
     #[test]
@@ -999,18 +1082,7 @@ mod tests {
 
     #[test]
     fn versioned_cache_key_changes_with_the_epoch_only() {
-        let service_at = |epoch: u64| KbqaService {
-            store: Arc::new(kbqa_rdf::GraphBuilder::new().build()),
-            conceptualizer: Arc::new(Conceptualizer::new(
-                kbqa_taxonomy::NetworkBuilder::new().build(),
-            )),
-            model: Arc::new(LearnedModel::default()),
-            model_epoch: epoch,
-            ner: Arc::new(GazetteerNer::default()),
-            pattern_index: None,
-            config: EngineConfig::default(),
-            obs: None,
-        };
+        let service_at = |epoch: u64| bare_service(EngineConfig::default(), epoch);
         let request = QaRequest::new("what is the population of berlin");
         let at_zero = service_at(0).cache_key(&request);
         let at_one = service_at(1).cache_key(&request);
@@ -1146,41 +1218,42 @@ mod tests {
                 chain_width: 17,
             },
         ];
+        // Each override on its own (a service copies its pre-rendered
+        // suffix only for a request with none), then combinations, then
+        // the fields that are not part of the key.
         let shape = |r: QaRequest, variant: usize| match variant {
             0 => r,
             1 => r.with_top_k(11),
             2 => r.with_min_theta(0.1 + 0.2),
-            3 => r.with_decompose(false).with_explain(true),
-            4 => r.with_top_k(5).with_min_theta(0.05).with_decompose(true),
+            3 => r.with_decompose(false),
+            4 => r.with_explain(true),
+            5 => r.with_decompose(false).with_explain(true),
+            6 => r.with_top_k(5).with_min_theta(0.05).with_decompose(true),
+            7 => r.with_request_id(9).with_min_epoch(3),
             _ => r
                 .with_request_id(9)
                 .with_min_epoch(3)
                 .with_min_theta(f64::MAX),
         };
-        for base in &bases {
+        for (i, base) in bases.iter().enumerate() {
+            let other = &bases[1 - i];
             for epoch in [0u64, 7, u64::MAX] {
-                let service = KbqaService {
-                    store: Arc::new(kbqa_rdf::GraphBuilder::new().build()),
-                    conceptualizer: Arc::new(Conceptualizer::new(
-                        kbqa_taxonomy::NetworkBuilder::new().build(),
-                    )),
-                    model: Arc::new(LearnedModel::default()),
-                    model_epoch: epoch,
-                    ner: Arc::new(GazetteerNer::default()),
-                    pattern_index: None,
-                    config: base.clone(),
-                    obs: None,
-                };
+                // Built under `base`, and re-configured to `base` from the
+                // other config: a suffix left stale by `with_config` fails.
+                let built = bare_service(base.clone(), epoch);
+                let reconfigured = bare_service(other.clone(), epoch).with_config(base.clone());
                 for question in questions {
-                    for variant in 0..6 {
+                    for variant in 0..9 {
                         let request = shape(QaRequest::new(question), variant);
                         let reference = request.cache_key_reference(base);
                         assert_eq!(request.cache_key(base), reference, "{request:?}");
-                        assert_eq!(
-                            service.cache_key(&request),
-                            format!("{epoch}\u{1f}{reference}"),
-                            "{request:?} at epoch {epoch}"
-                        );
+                        for service in [&built, &reconfigured] {
+                            assert_eq!(
+                                service.cache_key(&request),
+                                format!("{epoch}\u{1f}{reference}"),
+                                "{request:?} at epoch {epoch}"
+                            );
+                        }
                     }
                 }
             }

@@ -98,6 +98,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use kbqa_common::decimal::push_u64;
 use kbqa_common::hash::splitmix64;
 use kbqa_core::service::{KbqaService, QaRequest};
 use kbqa_obs::{Observability, SlowQuery, SlowQueryLog};
@@ -1695,21 +1696,6 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Append a decimal integer to `out` without going through `format!`.
-fn write_dec(out: &mut Vec<u8>, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&digits[i..]);
-}
-
 /// Append a lowercase hexadecimal integer to `out` (HTTP chunk-size field).
 fn write_hex(out: &mut Vec<u8>, mut v: u64) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
@@ -1739,17 +1725,17 @@ fn connection_header(out: &mut Vec<u8>, keep_alive: bool) {
 /// intermediate `String` per response.
 fn write_response(out: &mut Vec<u8>, response: &Response, keep_alive: bool) {
     out.extend_from_slice(b"HTTP/1.1 ");
-    write_dec(out, u64::from(response.status));
+    push_u64(out, u64::from(response.status));
     out.push(b' ');
     out.extend_from_slice(reason(response.status).as_bytes());
     out.extend_from_slice(b"\r\nContent-Type: ");
     out.extend_from_slice(response.content_type.as_bytes());
     out.extend_from_slice(b"\r\nContent-Length: ");
-    write_dec(out, response.body.bytes().len() as u64);
+    push_u64(out, response.body.bytes().len() as u64);
     out.extend_from_slice(b"\r\n");
     if let Some(seconds) = response.retry_after {
         out.extend_from_slice(b"Retry-After: ");
-        write_dec(out, seconds);
+        push_u64(out, seconds);
         out.extend_from_slice(b"\r\n");
     }
     connection_header(out, keep_alive);

@@ -4,7 +4,8 @@
 //! `QaRequest::normalized_question` collapses whitespace and folds ASCII
 //! case; the engine sees a question only through `tokenize`. So the
 //! property is `tokenize(normalized(q)) == tokenize(q)` (token texts), plus
-//! idempotence. Inputs are composed from explicit fragment lists, because
+//! idempotence, plus byte-for-byte equality with a split-and-join
+//! reference. Inputs are composed from explicit fragment lists, because
 //! the characters that break naive Unicode folding — `İ`, `Σ` at a word's
 //! end, the Kelvin sign, control characters — are not in the vendored
 //! proptest's `\PC` pool. The default run samples 256 strings; the
@@ -101,8 +102,26 @@ fn composed(rng: &mut TestRng) -> String {
         .collect()
 }
 
+/// What `normalized_question` must produce, written the plain way: split on
+/// `char::is_whitespace` or U+001F, fold ASCII case, join with one space.
+/// The serving benchmark dedups its question streams on the normalized
+/// form, so a faster normalizer must not move it by a byte.
+fn reference(question: &str) -> String {
+    question
+        .split(|c: char| c.is_whitespace() || c == '\u{1f}')
+        .filter(|word| !word.is_empty())
+        .map(str::to_ascii_lowercase)
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
 fn check(question: &str) {
     let normalized = QaRequest::new(question).normalized_question();
+    assert_eq!(
+        normalized,
+        reference(question),
+        "normalizing {question:?} differs from the split-and-join reference"
+    );
     assert_eq!(
         words(&normalized),
         words(question),
