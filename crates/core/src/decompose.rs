@@ -276,42 +276,6 @@ impl PatternIndex {
     }
 }
 
-/// The JSON shape `patterns.json` had before the index became a section
-/// file; a bundle that still lists `patterns.json` loads through it.
-#[derive(Serialize, Deserialize)]
-struct LegacyPatternIndex {
-    counts: FxHashMap<u64, (u32, u32)>,
-    questions_indexed: usize,
-}
-
-impl Serialize for PatternIndex {
-    fn to_value(&self) -> serde::Value {
-        let s = &self.sections;
-        let counts = s.u64s(sec::KEYS).iter().copied();
-        let pairs = s
-            .u32s(sec::F_O)
-            .iter()
-            .copied()
-            .zip(s.u32s(sec::F_V).iter().copied());
-        LegacyPatternIndex {
-            counts: counts.zip(pairs).collect(),
-            questions_indexed: self.questions_indexed,
-        }
-        .to_value()
-    }
-}
-
-impl Deserialize for PatternIndex {
-    fn deserialize(r: &mut serde::de::Reader<'_>) -> std::result::Result<Self, serde::de::Error> {
-        let legacy = LegacyPatternIndex::deserialize(r)?;
-        Self::from_counts(
-            legacy.counts.into_iter().collect(),
-            legacy.questions_indexed,
-        )
-        .map_err(|e| serde::de::Error(e.to_string()))
-    }
-}
-
 /// Fingerprint of `words[..i] ++ ["$e"] ++ words[j..]`.
 fn pattern_key_words(words: &[&str], i: usize, j: usize) -> u64 {
     use std::hash::{Hash, Hasher};

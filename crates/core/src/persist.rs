@@ -21,17 +21,9 @@
 //! ([`PatternIndex::from_map`]). Each checks every offset, id and count at
 //! open, so a forged file is a typed error at load, never a panic at request
 //! time. The learned model stays JSON ([`save_json`]): it is small and is
-//! swapped on its own by the model reload. A bundle saved before the taxonomy
-//! and the index were section files lists `taxonomy.json` / `patterns.json`
-//! instead; those still load, parsed into the same flat layout. The NER
-//! gazetteer is not persisted at all: it is an index over the snapshot's
-//! own name section, built when the service is
-//! ([`GazetteerNer::from_store`]). A bundle saved while the gazetteer was
-//! persisted lists a `ner.json`; the load holds it to its manifest digest
-//! like any other listed file and never parses it. So does a bundle saved
-//! while process sharding existed: its manifest's `shard_plan` and
-//! `shard_stats` keys are skipped, and each listed `store.shard-{i}.snap`
-//! is digest-checked but never mapped.
+//! swapped on its own by the model reload. The NER gazetteer is not
+//! persisted at all: it is an index over the snapshot's own name section,
+//! built when the service is ([`GazetteerNer::from_store`]).
 //!
 //! [`GazetteerNer::from_store`]: kbqa_nlp::GazetteerNer::from_store
 //!
@@ -48,9 +40,10 @@
 //!
 //! [`load_json`] recomputes the digest and refuses a mismatch with a typed
 //! error — covering bit rot and partial copies that still parse as JSON.
-//! A missing sidecar is accepted (legacy artifacts and hand-edited
-//! experiment files stay loadable); a *stale* one (crash between the two
-//! renames) fails closed, and re-saving repairs it.
+//! A file loaded on its own ([`load_json`], [`load_model`],
+//! [`load_taxonomy`], [`load_patterns`]) may lack a sidecar (hand-edited
+//! experiment files, forged test files); a *stale* one (crash between the
+//! two renames) fails closed, and re-saving repairs it.
 //!
 //! # Bundle-level integrity (PR 8)
 //!
@@ -62,8 +55,16 @@
 //! therefore writes a `manifest.json` **last**, recording the digest of
 //! every file in the bundle; [`ServingArtifacts::load`] checks each listed
 //! file against the manifest and refuses the bundle on any mismatch.
-//! Directories without a manifest (pre-PR8 saves) load under the per-file
-//! rules only.
+//!
+//! The manifest is the one description of a bundle: `load` requires it,
+//! reads exactly the files it lists (`store.snap`, `taxonomy.snap`,
+//! `model.json` and, when listed, `patterns.snap`) and nothing else in the
+//! directory, so a stale file an earlier save left behind is never served.
+//! A directory without a manifest, a manifest of another version, or one
+//! listing any other file or missing a mandatory one is refused with a
+//! typed error naming the file; re-saving the bundle repairs it. Inside a
+//! bundle the manifest entry covers every file, so the sidecar is an extra
+//! check there.
 //!
 //! Each file is mapped once and hashed once; that one digest is checked
 //! against both the manifest entry and the sidecar, and the bytes that
@@ -153,8 +154,8 @@ pub fn save_json<T: Serialize>(value: &T, path: &Path) -> Result<String> {
 /// Load a JSON artifact, validating the checksum sidecar when one exists.
 ///
 /// Corruption — a digest mismatch, or bytes that fail to parse — returns a
-/// typed [`KbqaError::Io`]; nothing in this path panics. Artifacts without
-/// a sidecar (legacy saves, hand-edited files) load unvalidated.
+/// typed [`KbqaError::Io`]; nothing in this path panics. A file without a
+/// sidecar (a hand-edited experiment file) loads unvalidated.
 pub fn load_json<T: DeserializeOwned>(path: &Path) -> Result<T> {
     load_json_listed(path, None)
 }
@@ -179,7 +180,7 @@ fn map_listed(path: &Path, listed: Option<&str>) -> Result<Mmap> {
         .and_then(|file| Mmap::map_file(&file))
         .map_err(|e| match listed {
             Some(_) => KbqaError::Io(format!(
-                "bundle manifest lists {} but it cannot be read: {e}",
+                "bundle manifest lists {} but it cannot be read: {e}; re-save the bundle",
                 path.display()
             )),
             None => e.into(),
@@ -329,63 +330,30 @@ fn load_section_file<T: SectionFile>(
     Ok(opened)
 }
 
-/// Load an artifact a bundle keeps under one of two names: its section file
-/// (`snap`: mapped, checked, handed to `open`) or the JSON it replaced
-/// (`json`: parsed into the same layout). The manifest decides when it
-/// lists either, and its entry is taken; a directory without such an entry
-/// is searched in that order. `None` when neither file is there.
-fn load_artifact<T: DeserializeOwned + SectionFile>(
-    dir: &Path,
-    listed: &mut std::collections::BTreeMap<String, String>,
-    (snap, json): (&str, &str),
-    open: impl FnOnce(Mmap) -> Result<T>,
-) -> Result<Option<T>> {
-    let chosen = [snap, json]
-        .into_iter()
-        .find_map(|name| Some((name, Some(listed.remove(name)?))))
-        .or_else(|| {
-            [snap, json]
-                .into_iter()
-                .find(|name| dir.join(name).exists())
-                .map(|name| (name, None))
-        });
-    let Some((name, digest)) = chosen else {
-        return Ok(None);
-    };
-    let path = dir.join(name);
-    if name == json {
-        load_json_listed(&path, digest.as_deref()).map(Some)
-    } else {
-        load_section_file(&path, digest.as_deref(), open).map(Some)
-    }
-}
-
 /// File name for the knowledge base snapshot inside an artifact directory.
 pub const STORE_FILE: &str = "store.snap";
 /// File name for the taxonomy inside an artifact directory.
 pub const TAXONOMY_FILE: &str = "taxonomy.snap";
-/// What [`TAXONOMY_FILE`] was called while the taxonomy was saved as JSON;
-/// a bundle listing it still loads.
-pub const LEGACY_TAXONOMY_FILE: &str = "taxonomy.json";
 /// File name for the learned model inside an artifact directory.
 pub const MODEL_FILE: &str = "model.json";
 /// File name for the pattern index inside an artifact directory (optional).
 pub const PATTERNS_FILE: &str = "patterns.snap";
-/// What [`PATTERNS_FILE`] was called while the index was saved as JSON; a
-/// bundle listing it still loads.
-pub const LEGACY_PATTERNS_FILE: &str = "patterns.json";
 /// File name for the bundle manifest binding every artifact's digest into
 /// one consistent set (written last by [`ServingArtifacts::save`]).
 pub const MANIFEST_FILE: &str = "manifest.json";
 
+/// The one manifest version [`ServingArtifacts::save`] writes and
+/// [`ServingArtifacts::load`] reads.
+const MANIFEST_VERSION: u32 = 1;
+
 /// The bundle manifest: one digest per file, written after every other
-/// artifact so a complete manifest implies a complete save. Loads verify
-/// each listed file against it — catching cross-file mixes (store from save
-/// N, model from save N+1) that per-file sidecars cannot see. Unknown keys
-/// are skipped, so an older manifest's `shard_plan` / `shard_stats` load.
+/// artifact so a complete manifest implies a complete save. Loads read
+/// exactly the files it lists and verify each against it — catching
+/// cross-file mixes (store from save N, model from save N+1) that per-file
+/// sidecars cannot see.
 #[derive(Serialize, serde::Deserialize)]
 struct BundleManifest {
-    /// Manifest format version.
+    /// Manifest format version ([`MANIFEST_VERSION`]).
     version: u32,
     /// Artifact file name → Fx-64 digest of its exact bytes.
     files: std::collections::BTreeMap<String, String>,
@@ -446,62 +414,78 @@ impl ServingArtifacts {
             );
         }
         save_json(
-            &BundleManifest { version: 1, files },
+            &BundleManifest {
+                version: MANIFEST_VERSION,
+                files,
+            },
             &dir.join(MANIFEST_FILE),
         )?;
         Ok(())
     }
 
-    /// Load a bundle from `dir`. The store, the taxonomy and the pattern
-    /// index are mapped from their section files (warm start: no parse, no
-    /// index rebuild; a legacy `taxonomy.json` / `patterns.json` is parsed
-    /// into the same layout). The pattern index is optional; everything
-    /// else must be present.
+    /// Load a bundle from `dir`: exactly the files its `manifest.json`
+    /// lists. The store, the taxonomy and the pattern index are mapped from
+    /// their section files (warm start: no parse, no index rebuild); the
+    /// model is parsed. The pattern index is served only when the manifest
+    /// lists it; a `patterns.snap` an earlier save left is never read.
     ///
-    /// Each file is mapped once and hashed once. When a
-    /// `manifest.json` is present, that digest must match the file's
-    /// manifest entry before its bytes are parsed — a bundle whose files are
-    /// individually sidecar-consistent but come from *different saves*
-    /// (store from save N, model from save N+1) is refused with a typed
-    /// error — and every file the manifest lists must be present. Pre-manifest
-    /// directories load under the per-file sidecar rules only.
+    /// Each file is mapped once and hashed once, and that digest must match
+    /// the file's manifest entry (and its sidecar, when one exists) before
+    /// its bytes are parsed — a bundle whose files are individually
+    /// sidecar-consistent but come from *different saves* (store from save
+    /// N, model from save N+1) is refused with a typed error. So is a
+    /// directory without a manifest, a manifest of another version, and a
+    /// manifest that lists a file other than the four above or misses one of
+    /// the three mandatory ones; each error names the file and says to
+    /// re-save the bundle.
     pub fn load(dir: &Path) -> Result<Self> {
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let mut listed = if manifest_path.exists() {
-            load_json::<BundleManifest>(&manifest_path)?.files
-        } else {
-            Default::default()
-        };
-        // Each load below takes its file's manifest entry.
-        let store = load_store_listed(&dir.join(STORE_FILE), listed.remove(STORE_FILE).as_deref())?;
-        let conceptualizer = load_artifact(
-            dir,
-            &mut listed,
-            (TAXONOMY_FILE, LEGACY_TAXONOMY_FILE),
-            Conceptualizer::from_map,
-        )?
-        .ok_or_else(|| {
+        let refuse = |name: &str, why: &str| {
             KbqaError::Io(format!(
-                "{} holds neither {TAXONOMY_FILE} nor {LEGACY_TAXONOMY_FILE}",
-                dir.display()
+                "{}: {why}; re-save the bundle",
+                dir.join(name).display()
             ))
-        })?;
-        let model = load_model_listed(&dir.join(MODEL_FILE), listed.remove(MODEL_FILE).as_deref())?;
-        let pattern_index = load_artifact(
-            dir,
-            &mut listed,
-            (PATTERNS_FILE, LEGACY_PATTERNS_FILE),
-            PatternIndex::from_map,
-        )?
-        .map(Arc::new);
-        // A listed file no artifact above reads — an older bundle's
-        // `ner.json` or `store.shard-{i}.snap` among them — is still held to
-        // its digest.
-        for (name, expected) in &listed {
-            let path = dir.join(name);
-            let map = map_listed(&path, Some(expected))?;
-            verify(&path, || fx64(&map), Some(expected))?;
+        };
+        let manifest_path = dir.join(MANIFEST_FILE);
+        if !manifest_path.exists() {
+            return Err(refuse(MANIFEST_FILE, "missing, so this is not a bundle"));
         }
+        let manifest: BundleManifest = load_json(&manifest_path)?;
+        if manifest.version != MANIFEST_VERSION {
+            return Err(refuse(
+                MANIFEST_FILE,
+                &format!(
+                    "manifest version {} (this version reads {MANIFEST_VERSION})",
+                    manifest.version
+                ),
+            ));
+        }
+        let files = manifest.files;
+        if let Some(name) = files.keys().find(|name| {
+            ![STORE_FILE, TAXONOMY_FILE, MODEL_FILE, PATTERNS_FILE].contains(&name.as_str())
+        }) {
+            return Err(refuse(name, "listed by the manifest but not a bundle file"));
+        }
+        let entry = |name: &str| {
+            files
+                .get(name)
+                .map(String::as_str)
+                .ok_or_else(|| refuse(name, "not listed by the manifest"))
+        };
+        let store = load_store_listed(&dir.join(STORE_FILE), Some(entry(STORE_FILE)?))?;
+        let conceptualizer = load_section_file(
+            &dir.join(TAXONOMY_FILE),
+            Some(entry(TAXONOMY_FILE)?),
+            Conceptualizer::from_map,
+        )?;
+        let model = load_model_listed(&dir.join(MODEL_FILE), Some(entry(MODEL_FILE)?))?;
+        let pattern_index = match files.get(PATTERNS_FILE) {
+            Some(listed) => Some(Arc::new(load_section_file(
+                &dir.join(PATTERNS_FILE),
+                Some(listed),
+                PatternIndex::from_map,
+            )?)),
+            None => None,
+        };
         Ok(Self {
             store: Arc::new(store),
             conceptualizer: Arc::new(conceptualizer),
@@ -510,12 +494,10 @@ impl ServingArtifacts {
         })
     }
 
-    /// Does `dir` hold a loadable bundle (a store snapshot, plus the
-    /// taxonomy, in either form, and the model)?
+    /// Does `dir` hold a bundle? [`Self::save`] writes the manifest last,
+    /// so its presence marks a finished save.
     pub fn present_in(dir: &Path) -> bool {
-        dir.join(STORE_FILE).exists()
-            && (dir.join(TAXONOMY_FILE).exists() || dir.join(LEGACY_TAXONOMY_FILE).exists())
-            && dir.join(MODEL_FILE).exists()
+        dir.join(MANIFEST_FILE).exists()
     }
 
     /// Build a ready-to-serve [`KbqaService`] from the bundle — the warm
@@ -716,68 +698,6 @@ mod tests {
         (service, questions)
     }
 
-    /// A bundle saved while process sharding existed: its manifest carries
-    /// `shard_plan` / `shard_stats` keys and lists a `store.shard-0.snap`.
-    /// It loads and answers exactly like the same bundle without them, and
-    /// the listed shard file is still held to its digest.
-    #[test]
-    fn legacy_sharded_bundle_loads_and_holds_shard_files_to_their_digest() {
-        let (service, questions) = learned_service(47);
-        let dir = test_dir("legacy-sharded");
-        ServingArtifacts::from_service(&service)
-            .save(&dir)
-            .expect("save bundle");
-        let plain = ServingArtifacts::load(&dir)
-            .expect("load the plain bundle")
-            .into_service();
-
-        // What the partitioned save wrote: one snapshot per shard, listed
-        // with its digest, and the plan and the cut's stats beside `files`.
-        let shard = dir.join("store.shard-0.snap");
-        let shard_digest = save_store(service.store(), &shard).unwrap();
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let mut manifest: BundleManifest = load_json(&manifest_path).unwrap();
-        manifest
-            .files
-            .insert("store.shard-0.snap".into(), shard_digest);
-        let triples = service.store().len();
-        let legacy = format!(
-            r#"{{"version":1,"files":{},"shard_plan":{{"shards":1,"closure_depth":2}},"shard_stats":{{"shards":[{{"owned_subjects":1,"owned_triples":{triples},"replicated_triples":0}}]}}}}"#,
-            serde_json::to_string(&manifest.files).unwrap()
-        );
-        std::fs::write(&manifest_path, &legacy).unwrap();
-        std::fs::write(
-            checksum_path(&manifest_path),
-            format!("{}\n", digest(legacy.as_bytes())),
-        )
-        .unwrap();
-
-        let restored = ServingArtifacts::load(&dir)
-            .expect("a legacy sharded bundle loads")
-            .into_service();
-        for q in &questions {
-            assert_eq!(
-                serde_json::to_string(&plain.answer_text(q)).unwrap(),
-                serde_json::to_string(&restored.answer_text(q)).unwrap(),
-                "{q:?}"
-            );
-        }
-
-        // Listed, so held to its digest though nothing maps it.
-        let mut bytes = std::fs::read(&shard).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&shard, &bytes).unwrap();
-        match ServingArtifacts::load(&dir) {
-            Err(KbqaError::Io(message)) => {
-                assert!(message.contains("store.shard-0.snap"), "{message}")
-            }
-            Ok(_) => panic!("a flipped byte in a listed shard file must refuse the bundle"),
-            Err(other) => panic!("typed Io error expected, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     #[test]
     fn manifest_catches_cross_file_mixes_that_sidecars_accept() {
         // The satellite bug: every file individually passes its own .fxsum
@@ -850,204 +770,178 @@ mod tests {
         load_store(&dir.join(STORE_FILE)).expect("per-file sidecar still passes");
         expect_err("manifest mismatch");
 
-        // A listed file no artifact reads is still checked.
-        save();
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let mut manifest: BundleManifest = load_json(&manifest_path).unwrap();
-        std::fs::write(dir.join("extra.bin"), b"extra").unwrap();
-        manifest
-            .files
-            .insert("extra.bin".into(), "0000000000000000".into());
-        save_json(&manifest, &manifest_path).unwrap();
-        expect_err("manifest mismatch");
-        manifest.files.insert("extra.bin".into(), digest(b"extra"));
-        save_json(&manifest, &manifest_path).unwrap();
-        ServingArtifacts::load(&dir).expect("every listed digest matches");
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A bundle saved before the gazetteer was built at open lists a
-    /// `ner.json`. It loads and answers as the bundle without it does; the
-    /// file is held to its digest but never parsed.
+    /// Save N lists a pattern index; save N+1 into the same directory does
+    /// not. Save N+1's manifest is the bundle, so the `patterns.snap` save N
+    /// left behind is never served beside save N+1's model.
     #[test]
-    fn bundle_listing_a_persisted_gazetteer_still_loads() {
-        let (service, questions) = learned_service(52);
-        let dir = test_dir("legacy-ner");
+    fn a_resave_without_the_pattern_index_does_not_serve_the_stale_one() {
+        let (service, questions) = learned_service(53);
+        let dir = test_dir("stale-patterns");
+        let index = PatternIndex::build(questions.iter().map(String::as_str), service.ner());
+        ServingArtifacts {
+            pattern_index: Some(Arc::new(index)),
+            ..ServingArtifacts::from_service(&service)
+        }
+        .save(&dir)
+        .expect("save N");
+        assert!(ServingArtifacts::load(&dir)
+            .unwrap()
+            .pattern_index
+            .is_some());
+
         ServingArtifacts::from_service(&service)
             .save(&dir)
-            .expect("save bundle");
-        assert!(!dir.join("ner.json").exists());
-        // What the old loader parsed: `{"names": {..}, "max_tokens": n}`.
-        let legacy = br#"{"names":{"nowhere":[0]},"max_tokens":1}"#;
-        std::fs::write(dir.join("ner.json"), legacy).unwrap();
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let mut manifest: BundleManifest = load_json(&manifest_path).unwrap();
-        manifest.files.insert("ner.json".into(), digest(legacy));
-        save_json(&manifest, &manifest_path).unwrap();
-
-        let restored = ServingArtifacts::load(&dir)
-            .expect("a bundle listing ner.json loads")
-            .into_service();
-        for q in &questions {
-            assert_eq!(
-                serde_json::to_string(&service.answer_text(q)).unwrap(),
-                serde_json::to_string(&restored.answer_text(q)).unwrap(),
-                "{q:?}"
-            );
-        }
-
-        // Listed, so held to its digest.
-        std::fs::write(dir.join("ner.json"), br#"{"names":{},"max_tokens":0}"#).unwrap();
-        match ServingArtifacts::load(&dir) {
-            Err(KbqaError::Io(message)) => {
-                assert!(message.contains("manifest mismatch"), "{message}")
-            }
-            Ok(_) => panic!("a listed ner.json that fails its digest must refuse the bundle"),
-            Err(other) => panic!("typed Io error expected, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// One quick-world service (a small world, 4 000 QA pairs, the pattern
-    /// index) saved both ways: the section files this version writes, and
-    /// the `taxonomy.json` / `patterns.json` listing older saves have. Both
-    /// load, into the same flat layout, and answer the serving benchmark's
-    /// question mix — corpus questions, refused non-BFQs and the complex
-    /// suite — byte for byte alike. A listed legacy file is held to its
-    /// manifest digest like any other.
-    #[test]
-    fn legacy_json_and_section_file_bundles_answer_alike() {
-        use kbqa_corpus::benchmark::{complex_suite, qald_like};
-
-        let world = World::generate(WorldConfig::small(42));
-        let corpus = QaCorpus::generate(&world, &CorpusConfig::with_pairs(1, 4_000));
-        let ner = std::sync::Arc::new(GazetteerNer::from_store(&world.store));
-        let pairs: Vec<(&str, &str)> = corpus
-            .pairs
-            .iter()
-            .map(|p| (p.question.as_str(), p.answer.as_str()))
-            .collect();
-        let (model, _) = Learner::new(
-            &world.store,
-            &world.conceptualizer,
-            &ner,
-            &world.predicate_classes,
-        )
-        .learn(&pairs, &LearnerConfig::default());
-        let index = PatternIndex::build(corpus.pairs.iter().map(|p| p.question.as_str()), &ner);
-        let service = KbqaService::builder(
-            Arc::clone(&world.store),
-            Arc::clone(&world.conceptualizer),
-            Arc::new(model),
-        )
-        .ner(ner)
-        .pattern_index(Arc::new(index))
-        .build();
-        let stream = QaCorpus::generate(&world, &CorpusConfig::with_pairs(2, 600));
-        let mut questions: Vec<String> = stream.pairs.into_iter().map(|p| p.question).collect();
-        questions.extend(
-            qald_like(&world, "refused", 200, 0, 0.0, 2)
-                .questions
-                .into_iter()
-                .map(|q| q.question),
-        );
-        questions.extend(complex_suite(&world).into_iter().map(|q| q.question));
-
-        let current = test_dir("current-bundle");
-        ServingArtifacts::from_service(&service)
-            .save(&current)
-            .expect("save bundle");
-        assert!(current.join(TAXONOMY_FILE).exists() && current.join(PATTERNS_FILE).exists());
-        let legacy = test_dir("legacy-bundle");
-        ServingArtifacts::from_service(&service)
-            .save(&legacy)
-            .expect("save bundle");
-        let manifest_path = legacy.join(MANIFEST_FILE);
-        let mut manifest: BundleManifest = load_json(&manifest_path).unwrap();
-        for (snap, json) in [
-            (TAXONOMY_FILE, LEGACY_TAXONOMY_FILE),
-            (PATTERNS_FILE, LEGACY_PATTERNS_FILE),
-        ] {
-            let file_digest = if json == LEGACY_TAXONOMY_FILE {
-                save_json(service.conceptualizer().as_ref(), &legacy.join(json))
-            } else {
-                save_json(
-                    service.pattern_index().unwrap().as_ref(),
-                    &legacy.join(json),
-                )
-            }
-            .unwrap();
-            std::fs::remove_file(legacy.join(snap)).unwrap();
-            std::fs::remove_file(checksum_path(&legacy.join(snap))).unwrap();
-            manifest.files.remove(snap);
-            manifest.files.insert(json.to_owned(), file_digest);
-        }
-        save_json(&manifest, &manifest_path).unwrap();
-        assert!(ServingArtifacts::present_in(&legacy));
-
-        let from_sections = ServingArtifacts::load(&current).unwrap().into_service();
-        let from_json = ServingArtifacts::load(&legacy).unwrap().into_service();
-        // The section files are mapped; the legacy JSON parses onto the heap.
-        assert!(from_json.conceptualizer().network().sections().heap_bytes() > 0);
-        assert_eq!(
-            from_sections
-                .conceptualizer()
-                .network()
-                .sections()
-                .heap_bytes(),
-            0
-        );
-        assert_eq!(from_sections.pattern_index().unwrap().heap_bytes(), 0);
-        let mut answered = 0;
-        for q in &questions {
-            let reference = serde_json::to_string(&service.answer_text(q)).unwrap();
-            answered += usize::from(service.answer_text(q).answered());
-            assert_eq!(
-                serde_json::to_string(&from_sections.answer_text(q)).unwrap(),
-                reference,
-                "{q:?} from the section files"
-            );
-            assert_eq!(
-                serde_json::to_string(&from_json.answer_text(q)).unwrap(),
-                reference,
-                "{q:?} from the legacy JSON"
-            );
-        }
+            .expect("save N+1");
         assert!(
-            answered > questions.len() / 2,
-            "{answered} of {}",
-            questions.len()
+            dir.join(PATTERNS_FILE).exists(),
+            "save N's index is still on disk"
         );
-
-        // Tampered after the save: α edited in place, sidecar kept.
-        let path = legacy.join(LEGACY_TAXONOMY_FILE);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"alpha\":0.1"), "α serialized as saved");
-        std::fs::write(&path, text.replace("\"alpha\":0.1", "\"alpha\":0.2")).unwrap();
-        match ServingArtifacts::load(&legacy) {
-            Err(KbqaError::Io(message)) => {
-                assert!(message.contains("manifest mismatch"), "{message}")
-            }
-            Ok(_) => panic!("a tampered taxonomy.json must refuse the bundle"),
-            Err(other) => panic!("typed Io error expected, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&current).ok();
-        std::fs::remove_dir_all(&legacy).ok();
+        let loaded = ServingArtifacts::load(&dir).expect("load save N+1");
+        assert!(
+            loaded.pattern_index.is_none(),
+            "an index the manifest does not list must not be served"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// One good bundle, then each form this version does not read, forged
+    /// on a copy of it. Each is refused with a typed `Io` error that names
+    /// the file and says to re-save the bundle.
     #[test]
-    fn bundle_without_manifest_still_loads() {
-        let (service, _) = learned_service(49);
-        let dir = test_dir("no-manifest");
-        ServingArtifacts::from_service(&service)
-            .save(&dir)
-            .expect("save bundle");
-        let manifest = dir.join(MANIFEST_FILE);
-        std::fs::remove_file(&manifest).unwrap();
-        std::fs::remove_file(checksum_path(&manifest)).unwrap();
-        let restored = ServingArtifacts::load(&dir).expect("pre-manifest bundle loads");
-        assert_eq!(restored.store.len(), service.store().len());
-        std::fs::remove_dir_all(&dir).ok();
+    fn every_form_but_the_listed_current_one_is_refused() {
+        use std::collections::BTreeMap;
+
+        let (service, questions) = learned_service(47);
+        let good = test_dir("refusals-good");
+        let index = PatternIndex::build(questions.iter().map(String::as_str), service.ner());
+        ServingArtifacts {
+            pattern_index: Some(Arc::new(index)),
+            ..ServingArtifacts::from_service(&service)
+        }
+        .save(&good)
+        .expect("save bundle");
+        ServingArtifacts::load(&good).expect("the good bundle loads");
+        let files: BTreeMap<String, String> =
+            load_json::<BundleManifest>(&good.join(MANIFEST_FILE))
+                .unwrap()
+                .files;
+
+        let write_manifest = |dir: &Path, text: &str| {
+            let path = dir.join(MANIFEST_FILE);
+            std::fs::write(&path, text).unwrap();
+            std::fs::write(
+                checksum_path(&path),
+                format!("{}\n", digest(text.as_bytes())),
+            )
+            .unwrap();
+        };
+        let manifest = |version: u32, files: BTreeMap<String, String>| {
+            serde_json::to_string(&BundleManifest { version, files }).unwrap()
+        };
+        // The good listing with `drop` unlisted and `add`'s file written and
+        // listed at its digest.
+        let relist = |dir: &Path, drop: Option<&str>, add: Option<(&str, &[u8])>| {
+            let mut files = files.clone();
+            if let Some(name) = drop {
+                files.remove(name);
+            }
+            if let Some((name, bytes)) = add {
+                std::fs::write(dir.join(name), bytes).unwrap();
+                files.insert(name.to_owned(), digest(bytes));
+            }
+            write_manifest(dir, &manifest(MANIFEST_VERSION, files));
+        };
+        let unmanifest = |dir: &Path| {
+            std::fs::remove_file(dir.join(MANIFEST_FILE)).unwrap();
+            std::fs::remove_file(checksum_path(&dir.join(MANIFEST_FILE))).unwrap();
+        };
+
+        type Forge<'a> = Box<dyn Fn(&Path) + 'a>;
+        let cases: Vec<(&str, &str, Forge)> = vec![
+            ("no-manifest", "manifest.json", Box::new(unmanifest)),
+            (
+                "store-json-only",
+                "manifest.json",
+                Box::new(|dir: &Path| {
+                    unmanifest(dir);
+                    std::fs::remove_file(dir.join(STORE_FILE)).unwrap();
+                    std::fs::write(dir.join("store.json"), "{}").unwrap();
+                }),
+            ),
+            (
+                "taxonomy-json",
+                "taxonomy.json",
+                Box::new(|dir: &Path| {
+                    relist(dir, Some(TAXONOMY_FILE), Some(("taxonomy.json", b"{}")))
+                }),
+            ),
+            (
+                "patterns-json",
+                "patterns.json",
+                Box::new(|dir: &Path| {
+                    relist(dir, Some(PATTERNS_FILE), Some(("patterns.json", b"{}")))
+                }),
+            ),
+            (
+                "ner-json",
+                "ner.json",
+                Box::new(|dir: &Path| {
+                    let legacy = br#"{"names":{"nowhere":[0]},"max_tokens":1}"#;
+                    relist(dir, None, Some(("ner.json", legacy)))
+                }),
+            ),
+            (
+                "shard-snap",
+                "store.shard-0.snap",
+                Box::new(|dir: &Path| {
+                    let shard = dir.join("store.shard-0.snap");
+                    let mut files = files.clone();
+                    files.insert(
+                        "store.shard-0.snap".into(),
+                        save_store(service.store(), &shard).unwrap(),
+                    );
+                    let triples = service.store().len();
+                    write_manifest(
+                        dir,
+                        &format!(
+                            r#"{{"version":1,"files":{},"shard_plan":{{"shards":1,"closure_depth":2}},"shard_stats":{{"shards":[{{"owned_subjects":1,"owned_triples":{triples},"replicated_triples":0}}]}}}}"#,
+                            serde_json::to_string(&files).unwrap()
+                        ),
+                    );
+                }),
+            ),
+            (
+                "no-model",
+                "model.json",
+                Box::new(|dir: &Path| relist(dir, Some(MODEL_FILE), None)),
+            ),
+            (
+                "version-2",
+                "manifest version 2",
+                Box::new(|dir: &Path| write_manifest(dir, &manifest(2, files.clone()))),
+            ),
+        ];
+        for (case, needle, forge) in &cases {
+            let dir = test_dir(&format!("refusals-{case}"));
+            for file in std::fs::read_dir(&good).unwrap() {
+                let file = file.unwrap();
+                std::fs::copy(file.path(), dir.join(file.file_name())).unwrap();
+            }
+            forge(&dir);
+            match ServingArtifacts::load(&dir) {
+                Err(KbqaError::Io(message)) => assert!(
+                    message.contains(needle) && message.contains("re-save the bundle"),
+                    "{case}: {message}"
+                ),
+                Err(other) => panic!("{case}: typed Io error expected, got {other:?}"),
+                Ok(_) => panic!("{case}: the bundle must be refused"),
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        std::fs::remove_dir_all(&good).ok();
     }
 
     #[test]
@@ -1089,23 +983,6 @@ mod tests {
                 assert!(message.contains("checksum mismatch"), "got: {message}")
             }
             other => panic!("stale sidecar must fail closed: {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn json_store_without_snapshot_is_not_a_bundle() {
-        let world = World::generate(WorldConfig::tiny(45));
-        let dir = test_dir("jsonstore");
-        // The retired pre-snapshot layout: the store as `store.json`. Its
-        // contents do not matter; no loader reads that file.
-        std::fs::write(dir.join("store.json"), "{}").unwrap();
-        save_taxonomy(&world.conceptualizer, &dir.join(TAXONOMY_FILE)).unwrap();
-        save_model(&LearnedModel::default(), &dir.join(MODEL_FILE)).unwrap();
-        assert!(!ServingArtifacts::present_in(&dir));
-        match ServingArtifacts::load(&dir).err() {
-            Some(KbqaError::Io(message)) => assert!(message.contains(STORE_FILE), "{message}"),
-            other => panic!("a store.json-only directory must fail with Io: {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -43,7 +43,8 @@ pub struct SlowQuery {
     /// Model epoch that served the request.
     #[serde(default)]
     pub model_epoch: u64,
-    /// Store backend kind (`"memory"` / `"mmap"`).
+    /// Store backing, `"in_memory"` or `"mapped"` (`BackendKind::as_str`
+    /// in `kbqa-rdf`).
     #[serde(default)]
     pub store_backend: String,
     /// Whether a stage trace was armed for this request.
@@ -217,7 +218,7 @@ mod tests {
         record.total_us = 1234;
         record.stages.value_lookup_us = 900;
         record.refusal = Some("no entity grounded".to_string());
-        record.store_backend = "mmap".to_string();
+        record.store_backend = kbqa_rdf::BackendKind::Mapped.as_str().to_string();
         record.traced = true;
         let json = serde_json::to_string(&record).unwrap();
         let restored: SlowQuery = serde_json::from_str(&json).unwrap();

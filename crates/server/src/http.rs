@@ -159,7 +159,8 @@ pub struct ServerConfig {
     pub slow_log_capacity: usize,
     /// Directory of the serving bundle ([`kbqa_core::persist::ServingArtifacts`])
     /// `POST /admin/reload?mode=bundle` remaps — store, taxonomy, model and
-    /// pattern index. With it set, bundle mode is the reload default.
+    /// pattern index. With it set and holding a `manifest.json`, bundle mode
+    /// is the reload default.
     pub bundle_dir: Option<PathBuf>,
     /// Upper bound of the deterministic per-connection jitter added to the
     /// `Retry-After` of shed responses: clients see `retry_after_secs +
@@ -1843,11 +1844,11 @@ fn token_matches(presented: &str, expected: &str) -> bool {
 
 /// `POST /admin/reload`: hot-swap serving artifacts under traffic. Two
 /// modes, selected by `?mode=model` / `?mode=bundle`, defaulting to the
-/// widest configured one (bundle when `KBQA_BUNDLE_DIR` points at a
-/// loadable bundle, else model). Both run [`reload`], which builds the next
-/// service at `old_epoch + 1` and swaps it into the [`ServiceSlot`]; the
-/// epoch bump re-keys the answer cache, so no pre-swap entry is ever served
-/// again — no flush needed.
+/// widest configured one (bundle when `KBQA_BUNDLE_DIR` holds a
+/// `manifest.json`, which a bundle save writes last, else model). Both run
+/// [`reload`], which builds the next service at `old_epoch + 1` and swaps it
+/// into the [`ServiceSlot`]; the epoch bump re-keys the answer cache, so no
+/// pre-swap entry is ever served again — no flush needed.
 ///
 /// Gating: 403 when no admin token is configured (the surface is off), 401
 /// on a missing/wrong credential, 400 on an unknown mode, 409 when the

@@ -303,8 +303,8 @@ pub struct MetricsSnapshot {
     /// Answer-cache effectiveness (filled by the HTTP layer).
     #[serde(default)]
     pub cache: CacheStats,
-    /// Store backend kind, e.g. `"heap"` or `"mmap"` (filled by the HTTP
-    /// layer; previously only visible at `/healthz`).
+    /// Store backing, `"in_memory"` or `"mapped"` (`BackendKind::as_str`;
+    /// filled by the HTTP layer; previously only visible at `/healthz`).
     #[serde(default)]
     pub store_backend: String,
     /// Triples in the serving store (filled by the HTTP layer).
@@ -589,7 +589,7 @@ mod tests {
         m.record_outcome(Some(Refusal::NoTemplateMatched));
         m.stage_stats().record_us(Stage::ValueLookup, 75);
         let mut snap = m.snapshot();
-        snap.store_backend = "mmap".to_string();
+        snap.store_backend = kbqa_rdf::BackendKind::Mapped.as_str().to_string();
         snap.store_triples = 1234;
         let text = snap.to_prometheus();
         validate_exposition(&text).expect("exposition must be valid");
@@ -599,7 +599,7 @@ mod tests {
             "kbqa_request_latency_seconds_bucket{route=\"answer\",le=\"+Inf\"} 1",
             "kbqa_stage_latency_seconds_bucket{stage=\"value_lookup\",le=\"0.0001\"} 1",
             "kbqa_cache_events_total{event=\"hit\"} 0",
-            "kbqa_store_info{backend=\"mmap\"} 1",
+            "kbqa_store_info{backend=\"mapped\"} 1",
             "kbqa_store_triples 1234",
         ] {
             assert!(text.contains(family), "missing `{family}` in:\n{text}");

@@ -5,8 +5,8 @@
 //! during reloads rendered wholly by its epoch's model, no `/batch` mixing
 //! two epochs while reloads land between its lanes, `min_epoch` gating with
 //! `409`, a bundle reload onto
-//! a forged section file refused with a `500` while the old epoch answers on
-//! byte for byte, and admission
+//! a forged section file or a directory without a manifest refused with a
+//! `500` while the old epoch answers on byte for byte, and admission
 //! control (a saturated accept queue sheds with `429` + `Retry-After`, then
 //! recovers after drain).
 //!
@@ -777,6 +777,55 @@ fn bundle_reload_onto_a_forged_taxonomy_is_a_500_and_the_old_epoch_serves_on() {
         let expected = serde_json::to_string(&service.answer(&QaRequest::new(q))).unwrap();
         assert_eq!(ask(q), expected, "{q}");
     }
+    let (status, health) = http(addr, "GET", "/healthz", "", "");
+    assert_eq!(status, 200);
+    assert!(health.contains("\"model_epoch\":0"), "{health}");
+    assert_eq!(metrics(addr).admin_reloads, 0);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bundle_reload_from_a_directory_without_a_manifest_is_a_500_and_the_old_epoch_serves_on() {
+    use kbqa_core::persist::{checksum_path, MANIFEST_FILE};
+    let (service, dir) = bundle_fixture("no-manifest");
+    // Every other file of the save stays; without its manifest the
+    // directory is not a bundle.
+    std::fs::remove_file(dir.join(MANIFEST_FILE)).unwrap();
+    std::fs::remove_file(checksum_path(&dir.join(MANIFEST_FILE))).unwrap();
+    assert!(!ServingArtifacts::present_in(&dir));
+
+    let config = ServerConfig {
+        admin_token: Some("swordfish".into()),
+        bundle_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let server = serve(service.clone(), "127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+    let question = "what is the population of nowhere";
+    let ask = || {
+        let (status, body) = http(
+            addr,
+            "POST",
+            "/answer",
+            "",
+            &serde_json::to_string(&QaRequest::new(question)).unwrap(),
+        );
+        assert_eq!(status, 200, "{body}");
+        body
+    };
+    let expected = serde_json::to_string(&service.answer(&QaRequest::new(question))).unwrap();
+    assert_eq!(ask(), expected);
+
+    // No manifest, so a bare reload defaults to the model, which is not
+    // configured here.
+    let (status, body) = http(addr, "POST", "/admin/reload", ADMIN, "");
+    assert_eq!(status, 409, "{body}");
+    let (status, body) = http(addr, "POST", "/admin/reload?mode=bundle", ADMIN, "");
+    assert_eq!(status, 500, "{body}");
+    assert!(body.contains(MANIFEST_FILE), "{body}");
+
+    assert_eq!(ask(), expected);
     let (status, health) = http(addr, "GET", "/healthz", "", "");
     assert_eq!(status, 200);
     assert!(health.contains("\"model_epoch\":0"), "{health}");

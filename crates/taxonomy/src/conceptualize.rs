@@ -23,9 +23,7 @@ use kbqa_rdf::sections::Sections;
 use kbqa_rdf::NodeId;
 
 use crate::concept::ConceptId;
-use crate::network::{
-    smoothed, ConceptNetwork, LegacyConceptualizer, Tuning, DEFAULT_TUNING, FORMAT,
-};
+use crate::network::{smoothed, ConceptNetwork, Tuning, DEFAULT_TUNING, FORMAT};
 
 /// A normalized distribution over concepts for one entity-in-context.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -237,23 +235,6 @@ impl Conceptualizer {
     }
 }
 
-/// Serialized as `taxonomy.json` was before the taxonomy became a section
-/// file, so a legacy bundle can still be written and read.
-impl Serialize for Conceptualizer {
-    fn to_value(&self) -> serde::Value {
-        LegacyConceptualizer::from_network(&self.network, self.tuning()).to_value()
-    }
-}
-
-impl Deserialize for Conceptualizer {
-    fn deserialize(r: &mut serde::de::Reader<'_>) -> std::result::Result<Self, serde::de::Error> {
-        let (network, tuning) = LegacyConceptualizer::deserialize(r)?
-            .into_network()
-            .map_err(|e| serde::de::Error(e.to_string()))?;
-        Ok(Self::with_tuning(network, tuning))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_legacy_json_reload_the_same_conceptualizer() {
+    fn snapshot_reloads_the_same_conceptualizer() {
         let (net, _, _) = apple_network();
         let c = Conceptualizer::new(net).with_alpha(0.37);
         let dir = std::env::temp_dir().join(format!("kbqa-taxonomy-snap-{}", std::process::id()));
@@ -450,22 +431,18 @@ mod tests {
         let file = std::fs::File::open(&path).unwrap();
         let mapped = Conceptualizer::from_map(Mmap::map_file(&file).unwrap()).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-        let legacy: Conceptualizer =
-            serde_json::from_str(&serde_json::to_string(&c).unwrap()).unwrap();
-        for restored in [&mapped, &legacy] {
-            assert_eq!(restored.alpha, 0.37);
-            assert_eq!(restored.max_context_words, c.max_context_words);
-            assert_eq!(restored.network().covered_entities(), 1);
+        assert_eq!(mapped.alpha, 0.37);
+        assert_eq!(mapped.max_context_words, c.max_context_words);
+        assert_eq!(mapped.network().covered_entities(), 1);
+        assert_eq!(
+            mapped.network().find_concept("fruit"),
+            c.network().find_concept("fruit")
+        );
+        for context in CONTEXTS {
             assert_eq!(
-                restored.network().find_concept("fruit"),
-                c.network().find_concept("fruit")
+                bits(&mapped.conceptualize(node(0), context).entries),
+                bits(&c.conceptualize(node(0), context).entries)
             );
-            for context in CONTEXTS {
-                assert_eq!(
-                    bits(&restored.conceptualize(node(0), context).entries),
-                    bits(&c.conceptualize(node(0), context).entries)
-                );
-            }
         }
         assert_eq!(
             mapped.network().sections().heap_bytes(),

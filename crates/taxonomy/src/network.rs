@@ -30,7 +30,6 @@
 use kbqa_common::error::Result;
 use kbqa_common::hash::FxHashMap;
 use kbqa_common::interner::Interner;
-use serde::{Deserialize, Serialize};
 
 use kbqa_rdf::sections::{self, Col, Elem, Format, Sections};
 use kbqa_rdf::NodeId;
@@ -567,107 +566,6 @@ impl NetworkBuilder {
     }
 }
 
-/// The JSON shape `taxonomy.json` had before the taxonomy became a section
-/// file: the conceptualizer with its network of hash maps. A bundle that
-/// still lists `taxonomy.json` loads through it into the flat layout.
-#[derive(Serialize, Deserialize)]
-pub(crate) struct LegacyConceptualizer {
-    network: LegacyNetwork,
-    alpha: f64,
-    max_context_words: usize,
-}
-
-#[derive(Serialize, Deserialize)]
-struct LegacyNetwork {
-    concept_names: Interner,
-    memberships: FxHashMap<NodeId, Vec<(ConceptId, f64)>>,
-    context_counts: Vec<FxHashMap<u32, f64>>,
-    context_totals: Vec<f64>,
-    context_vocab: Interner,
-}
-
-impl LegacyConceptualizer {
-    /// The flat network, checked like a mapped file, and its tuning.
-    pub(crate) fn into_network(self) -> Result<(ConceptNetwork, Tuning)> {
-        let legacy = self.network;
-        if legacy.context_counts.len() != legacy.concept_names.len() {
-            return Err(FORMAT.error("legacy taxonomy: one context map per concept expected"));
-        }
-        // The membership index costs 4 B per node id up to the largest one,
-        // so bound that by the entities listed before allocating it: saved
-        // taxonomies number their entities densely (≈1.4 ids per entity on
-        // `large_1m`), a forged id near 2^32 would ask for 16 GiB.
-        let span = legacy
-            .memberships
-            .keys()
-            .map(|n| n.index() + 1)
-            .max()
-            .unwrap_or(0);
-        if span > 64 * legacy.memberships.len() + 4096 {
-            return Err(FORMAT.error(format_args!(
-                "legacy taxonomy: node ids up to {span} for {} entities",
-                legacy.memberships.len()
-            )));
-        }
-        let mut columns = Columns::default();
-        (columns.name_bytes, columns.name_offsets) =
-            Columns::strings(legacy.concept_names.iter().map(|(_, s)| s));
-        (columns.vocab_bytes, columns.vocab_offsets) =
-            Columns::strings(legacy.context_vocab.iter().map(|(_, s)| s));
-        columns.memberships(
-            legacy
-                .memberships
-                .iter()
-                .map(|(&n, v)| (n, v.as_slice()))
-                .collect(),
-        );
-        for counts in &legacy.context_counts {
-            columns.context_run(counts.iter().map(|(&sym, &n)| (sym, n)).collect());
-        }
-        columns.context_totals = legacy.context_totals;
-        let tuning = Tuning {
-            alpha: self.alpha,
-            max_context_words: self.max_context_words,
-        };
-        Ok((columns.encode(tuning)?, tuning))
-    }
-
-    /// The legacy shape of a network and its tuning.
-    pub(crate) fn from_network(network: &ConceptNetwork, tuning: Tuning) -> Self {
-        let s = &network.sections;
-        let mut memberships = FxHashMap::default();
-        for (node, w) in s.u32s(sec::MEMBER_BOUNDS).windows(2).enumerate() {
-            if w[0] < w[1] {
-                let prior = network.concepts_of(NodeId::new(node as u32));
-                memberships.insert(NodeId::new(node as u32), prior.iter().collect());
-            }
-        }
-        let bounds = s.u32s(sec::CONTEXT_BOUNDS);
-        let context_counts = bounds
-            .windows(2)
-            .map(|w| {
-                let range = w[0] as usize..w[1] as usize;
-                s.u32s(sec::CONTEXT_SYMS)[range.clone()]
-                    .iter()
-                    .copied()
-                    .zip(s.f64s(sec::CONTEXT_COUNTS)[range].iter().copied())
-                    .collect()
-            })
-            .collect();
-        Self {
-            network: LegacyNetwork {
-                concept_names: network.concept_names.clone(),
-                memberships,
-                context_counts,
-                context_totals: s.f64s(sec::CONTEXT_TOTALS).to_vec(),
-                context_vocab: network.context_vocab.clone(),
-            },
-            alpha: tuning.alpha,
-            max_context_words: tuning.max_context_words,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -761,32 +659,6 @@ mod tests {
         let net = b.build();
         assert!(net.is_context_word("population"));
         assert!(!net.is_context_word("xylophone"));
-    }
-
-    #[test]
-    fn legacy_form_roundtrips_and_refuses_a_sparse_node_id() {
-        let mut b = NetworkBuilder::new();
-        let city = b.concept("city");
-        b.is_a(node(3), city, 1.0);
-        b.context_evidence(city, "population", 2.0);
-        let net = b.build();
-        let (back, tuning) = LegacyConceptualizer::from_network(&net, DEFAULT_TUNING)
-            .into_network()
-            .unwrap();
-        assert_eq!(tuning, DEFAULT_TUNING);
-        assert_eq!(back.sections().bytes(), net.sections().bytes());
-
-        let mut forged = LegacyConceptualizer::from_network(&net, DEFAULT_TUNING);
-        forged
-            .network
-            .memberships
-            .insert(node(4_000_000_000), vec![(city, 1.0)]);
-        match forged.into_network() {
-            Err(kbqa_common::error::KbqaError::Io(why)) => {
-                assert!(why.contains("node ids"), "{why}")
-            }
-            other => panic!("a sparse legacy id must be refused, got {other:?}"),
-        }
     }
 
     #[test]

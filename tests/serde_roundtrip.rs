@@ -1,7 +1,9 @@
 //! Persistence: the learned model survives a serde round-trip (with derived
-//! indexes rebuilt) and answers identically afterwards. The store has no
-//! JSON form; its one persisted form is the `store.snap` image.
+//! indexes rebuilt) and answers identically afterwards. The store, the
+//! taxonomy and the pattern index have no JSON form; each persists as a
+//! section file (`store.snap`, `taxonomy.snap`, `patterns.snap`).
 
+use kbqa::core::persist;
 use kbqa::prelude::*;
 use serde::de::DeserializeOwned;
 use serde::{Serialize, Value};
@@ -207,6 +209,24 @@ fn roundtrips<T: Serialize + DeserializeOwned>(what: &str, value: &T) {
     );
 }
 
+/// save → load → save writes the same bytes twice.
+fn section_file_roundtrips<T>(
+    name: &str,
+    value: &T,
+    save: fn(&T, &std::path::Path) -> kbqa::common::error::Result<String>,
+    load: fn(&std::path::Path) -> kbqa::common::error::Result<T>,
+) {
+    let dir = std::env::temp_dir().join(format!("kbqa-roundtrip-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (first, second) = (dir.join("first"), dir.join("second"));
+    save(value, &first).expect("save");
+    let restored = load(&first).unwrap_or_else(|e| panic!("{name} does not load back: {e}"));
+    save(&restored, &second).expect("re-save");
+    let same = std::fs::read(&first).unwrap() == std::fs::read(&second).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(same, "{name} must round-trip byte for byte");
+}
+
 #[test]
 fn every_persisted_type_roundtrips_on_the_quick_world() {
     // `repro --scale quick`'s KBA world: a small world, 4 000 QA pairs.
@@ -239,8 +259,18 @@ fn every_persisted_type_roundtrips_on_the_quick_world() {
     }
 
     roundtrips("LearnedModel", &model);
-    roundtrips("Conceptualizer", world.conceptualizer.as_ref());
-    roundtrips("PatternIndex", &index);
+    section_file_roundtrips(
+        "taxonomy.snap",
+        world.conceptualizer.as_ref(),
+        persist::save_taxonomy,
+        persist::load_taxonomy,
+    );
+    section_file_roundtrips(
+        "patterns.snap",
+        &index,
+        persist::save_patterns,
+        persist::load_patterns,
+    );
     roundtrips("EngineConfig", &EngineConfig::default());
     roundtrips("MetricsSnapshot", &metrics.snapshot());
 }
